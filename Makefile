@@ -22,11 +22,11 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 ## one fast figure through the parallel engine + result cache (a second
-## invocation should report a ~100% cache hit rate), then the fast-path
+## invocation should report a ~100% cache hit rate), then the perf
 ## regression gate against the checked-in BENCH_simulator.json
 bench-smoke:
 	$(PYTHON) -m repro experiment fig7 --jobs 2 --cache .sim-cache
-	$(PYTHON) tools/bench_simulator.py --check --smoke
+	$(PYTHON) tools/bench_simulator.py --check
 
 ## one tiny exhibit through the pooled engine with run tracing on, then
 ## validate the two observability artifacts it produced: the Perfetto

@@ -18,8 +18,8 @@ Eight subcommands mirror the library's main workflows:
 * ``whatif`` — bandwidth / compute sweeps for one scheme;
 * ``simulate`` — one simulated configuration with a timeline trace;
   ``--trace out.json`` exports a Perfetto-loadable multi-worker trace
-  (reconstructed from the batch kernel on the fast path, identical to
-  the event loop's), ``--faults spec.json`` injects a
+  (reconstructed from the batch kernel, identical to the event
+  loop's), ``--faults spec.json`` injects a
   :class:`repro.faults.FaultSchedule`;
 * ``metrics`` — re-render a written manifest's metrics snapshot as
   text or Prometheus exposition format;
@@ -65,8 +65,6 @@ from .hardware import cluster_for_gpus
 from .models import available_models, get_model
 from .reporting import render_metrics, to_markdown
 from .simulator import (
-    FALLBACK_REASONS,
-    SIM_MODES,
     DDPConfig,
     DDPSimulator,
     reconstruct_traces,
@@ -85,10 +83,15 @@ from .telemetry import (
 )
 from .telemetry import logs as telemetry_logs
 from .telemetry import metrics as telemetry_metrics
+from .units import gbps_to_bytes_per_s
 
 #: Prometheus snapshot written beside the manifest.
 PROM_FILENAME = "metrics.prom"
-from .units import gbps_to_bytes_per_s
+
+#: How ``--trace-run`` obtains simulator spans: reconstructed from the
+#: batch kernel's intermediates (the manifest's ``trace.mode`` and the
+#: ``trace_spans_total{mode=...}`` label).
+TRACE_MODE = "reconstructed-batch"
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
@@ -121,7 +124,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
              if args.cache else None)
     engine = ExperimentEngine(jobs=args.jobs, cache=cache,
-                              sim_mode=args.sim_mode,
                               chunking=not args.no_chunking)
     # "all" covers only the paper's own exhibits; extras (reliability)
     # run by explicit id so the canonical output stays stable.
@@ -165,13 +167,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         if args.trace_run:
             spans = tracer.drain()
             n_bytes = write_trace_spans(args.trace_run, spans)
-            trace_mode = ("event" if args.sim_mode == "event"
-                          else "reconstructed-batch")
             registry = telemetry_metrics.get_registry()
             registry.counter("trace_spans_total",
-                             mode=trace_mode).inc(len(spans))
+                             mode=TRACE_MODE).inc(len(spans))
             registry.counter("trace_export_bytes_total").inc(n_bytes)
-            trace_info = {"mode": trace_mode,
+            trace_info = {"mode": TRACE_MODE,
                           "spans_total": len(spans),
                           "export_bytes_total": n_bytes,
                           "path": args.trace_run}
@@ -191,7 +191,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                     "jobs": args.jobs, "cache": args.cache,
                     "cache_mem_mb": args.cache_mem_mb,
                     "markdown": bool(args.markdown),
-                    "sim_mode": args.sim_mode,
                     "chunking": not args.no_chunking},
             wall_time_s=time.perf_counter() - run_started,
             metrics=snapshot,
@@ -288,26 +287,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scheme = _parse_scheme(args.scheme) if args.scheme else None
     faults = FaultSchedule.load(args.faults) if args.faults else None
     sim = DDPSimulator(model, cluster, scheme=scheme, faults=faults)
-    # Resolve the mode up front so an explicit mode that cannot be
-    # honoured errors out instead of silently degrading.  --trace no
-    # longer forces the event path: on the batch path span timelines
-    # are reconstructed from the kernel's intermediates
-    # (repro.simulator.reconstruct), bit-identical to the event loop's.
-    mode, fallback = sim.resolve_mode(args.sim_mode,
-                                      tracing=bool(args.trace))
-    result = sim.run(args.batch, iterations=args.iterations, warmup=10,
-                     mode=mode)
+    result = sim.run(args.batch, iterations=args.iterations, warmup=10)
     label = scheme.label if scheme else "syncsgd"
     print(f"{model.name} x {label} on {cluster.describe()}, "
           f"batch {result.batch_size}:")
     print(f"  sync time {result.mean * 1e3:.1f} ms "
           f"(± {result.std * 1e3:.1f}) over "
           f"{len(result.sync_times)} iterations")
-    if fallback is not None:
-        print(f"  sim mode: {sim.last_run_mode} (auto fell back: "
-              f"{FALLBACK_REASONS[fallback]})")
-    else:
-        print(f"  sim mode: {sim.last_run_mode}")
     if sim.injector is not None:
         print(f"  {sim.injector.summary()}")
     quiet = DDPConfig(compute_jitter=0.0, comm_jitter=0.0)
@@ -318,26 +304,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace:
         # Each simulated worker draws its own jitter, so the exported
         # timeline shows the per-rank variance a real Nsight session
-        # would; iterations are laid end-to-end per worker.  On the
-        # batch path the spans come from kernel reconstruction — the
-        # exported file is byte-identical to the event loop's (seed w
-        # replays the same RNG draws either way).
+        # would; iterations are laid end-to-end per worker.  The spans
+        # come from kernel reconstruction, byte-identical to the event
+        # loop's (seed w replays the same RNG draws).
         workers = args.trace_workers
         iterations = args.trace_iterations
-        if sim.last_run_mode == "batch":
-            worker_traces = {
-                f"worker{w}": reconstruct_traces(
-                    sim, args.batch, iterations=iterations, seed=w)
-                for w in range(workers)
-            }
-        else:
-            worker_traces = {
-                f"worker{w}": [
-                    t for t in _iterate(sim, args.batch,
-                                        np.random.default_rng(w),
-                                        iterations)]
-                for w in range(workers)
-            }
+        worker_traces = {
+            f"worker{w}": reconstruct_traces(
+                sim, args.batch, iterations=iterations, seed=w)
+            for w in range(workers)
+        }
         n_bytes = write_run_trace(worker_traces, args.trace)
         telemetry_metrics.get_registry().counter(
             "trace_export_bytes_total").inc(n_bytes)
@@ -346,12 +322,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.metrics:
         print(render_metrics(telemetry_metrics.get_registry().snapshot()))
     return 0
-
-
-def _iterate(sim: DDPSimulator, batch: Optional[int], rng,
-             iterations: int):
-    for i in range(iterations):
-        yield sim.simulate_iteration(batch, rng, iteration=i)
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -494,18 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "<cache>/manifest.json when --cache is set)")
     p_exp.add_argument("--metrics", action="store_true",
                        help="print the telemetry snapshot at the end")
-    p_exp.add_argument("--sim-mode", default="auto", choices=SIM_MODES,
-                       help="simulation execution scheme (default: auto "
-                            "— the vectorized fast path whenever "
-                            "results are provably identical). "
-                            "Independent of chunking: with --jobs N the "
-                            "engine groups compatible jobs (model-eval "
-                            "families into single grid calls, pooled "
-                            "simulations into chunks); per-point cache "
-                            "keys and cached bytes are unchanged, so "
-                            "--cache directories are shared freely "
-                            "across modes, job counts, and chunking "
-                            "settings")
     p_exp.add_argument("--no-chunking", action="store_true",
                        help="disable job chunking/family grouping and "
                             "run one execution per job (identical rows "
@@ -592,13 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "exported trace (default: 2)")
     p_sim.add_argument("--metrics", action="store_true",
                        help="print the telemetry snapshot at the end")
-    p_sim.add_argument("--sim-mode", default="auto", choices=SIM_MODES,
-                       help="simulation execution scheme (default: auto — "
-                            "the vectorized fast path, including under "
-                            "--faults, whose schedules it applies as "
-                            "array masks, and under --trace, whose span "
-                            "timelines are reconstructed from the batch "
-                            "kernel bit-identically to the event loop)")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_met = sub.add_parser("metrics",

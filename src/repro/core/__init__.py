@@ -34,7 +34,6 @@ from .ideal import (
 from .perf_model import (
     PerfModelInputs,
     PredictedTime,
-    bucket_pipeline_end,
     compressed_time,
     predict,
     speedup_over_syncsgd,
@@ -65,7 +64,7 @@ from .whatif import (
 
 __all__ = [
     "PerfModelInputs", "PredictedTime", "syncsgd_time", "compressed_time",
-    "predict", "speedup_over_syncsgd", "bucket_pipeline_end",
+    "predict", "speedup_over_syncsgd",
     "CalibrationReport", "calibrate",
     "ValidationPoint", "ValidationCurve", "validate_scheme",
     "RequiredCompression", "communicable_bytes", "required_compression",

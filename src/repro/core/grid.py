@@ -5,10 +5,8 @@ The what-if analyses (§6) evaluate the closed-form model of §4 over
 size × compression ratio.  The scalar entry points in
 :mod:`repro.core.perf_model` price one point per Python call; here the
 same model is evaluated over N-D NumPy grids in one broadcasted kernel
-call, with the bucket-FIFO term reused from
-:func:`repro.core.perf_model.bucket_pipeline_end` and the collective
-pricing from the broadcasting grid functions in
-:mod:`repro.collectives`.
+call, with the collective pricing from the broadcasting grid functions
+in :mod:`repro.collectives`.
 
 **Bit-identity contract.**  Every cell of a :class:`TimingGrid` is
 bit-identical to the scalar functions called with the same operands:

@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..collectives import allgather_time, ring_allreduce_time
 from ..compute import ComputeModel
 from ..compression.kernel_cost import KernelProfile, v100_kernel_profile
@@ -105,39 +103,6 @@ class PredictedTime:
                              (self.comm_exposed, "comm_exposed")):
             if value < 0:
                 raise ConfigurationError(f"{label} must be >= 0, got {value}")
-
-
-def bucket_pipeline_end(ready: np.ndarray, durations: np.ndarray,
-                        start: np.ndarray) -> np.ndarray:
-    """Finish time of a FIFO bucket pipeline, vectorized over iterations.
-
-    The §4.1 model ``T_obs ≈ max(γ·T_comp, (k-1)·T_comm) + T_comm(b̂)``
-    is the closed form of a simple recurrence on one communication
-    stream: bucket ``k`` starts at ``max(ready_k, end_{k-1})`` and runs
-    for ``durations_k``, with the stream idle until ``start``.  This
-    function evaluates that recurrence exactly — in O(buckets) array
-    steps over any leading batch of Monte-Carlo iterations — instead of
-    the algebraic approximation, so it matches the event-driven
-    simulator bit for bit (each step is the same ``max`` and ``+`` the
-    event queue performs, in the same order).
-
-    Args:
-        ready: ``(..., k)`` bucket-ready times (gradient available).
-        durations: ``(..., k)`` collective durations, broadcastable
-            against ``ready``.
-        start: ``(...)`` time the communication stream becomes free.
-
-    Returns:
-        ``(...)`` completion time of the last bucket; ``start``
-        unchanged when there are no buckets.
-    """
-    ready = np.asarray(ready, dtype=float)
-    durations = np.broadcast_to(
-        np.asarray(durations, dtype=float), ready.shape)
-    end = np.asarray(start, dtype=float)
-    for k in range(ready.shape[-1]):
-        end = np.maximum(ready[..., k], end) + durations[..., k]
-    return end
 
 
 def syncsgd_time(model: ModelSpec, inputs: PerfModelInputs,

@@ -30,7 +30,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..compression.kernel_cost import KernelProfile
@@ -41,7 +41,7 @@ from ..faults import FaultSchedule
 from ..hardware import ClusterConfig
 from ..models import ModelSpec
 from ..network import Fabric
-from ..simulator import SIM_MODES, DDPConfig, DDPSimulator, TimingResult
+from ..simulator import DDPConfig, DDPSimulator, TimingResult
 from ..telemetry.logs import get_logger
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracing import (
@@ -174,17 +174,12 @@ class SimJob:
     warmup: int = 10
     seed: int = 0
     faults: Optional[FaultSchedule] = None
-    sim_mode: str = "auto"
 
     def __post_init__(self) -> None:
         if self.iterations <= self.warmup:
             raise ConfigurationError(
                 f"iterations ({self.iterations}) must exceed warmup "
                 f"({self.warmup})")
-        if self.sim_mode not in SIM_MODES:
-            raise ConfigurationError(
-                f"unknown simulation mode {self.sim_mode!r}; "
-                f"choose one of {', '.join(SIM_MODES)}")
 
     def fingerprint(self) -> str:
         """Content hash identifying this job's outcome.
@@ -193,12 +188,6 @@ class SimJob:
         schedule is attached: fault-free jobs keep the exact keys they
         had before fault injection existed, so no cache directory is
         invalidated by upgrading.
-
-        ``sim_mode`` deliberately stays OUT of the hash: the event and
-        batch paths are bit-identical (tests/test_batch_equivalence.py),
-        so the mode is an execution detail that must not fork the cache
-        — a sweep run under ``--sim-mode batch`` serves a later
-        ``--sim-mode event`` run from cache, and vice versa.
         """
         payload = {
             "version": FINGERPRINT_VERSION,
@@ -326,8 +315,7 @@ def _execute_job(job: SimJob) -> Tuple[str, object, float, float]:
     sim = job.build_simulator()
     try:
         result = sim.run(job.batch_size, iterations=job.iterations,
-                         warmup=job.warmup, seed=job.seed,
-                         mode=job.sim_mode)
+                         warmup=job.warmup, seed=job.seed)
     except OutOfMemoryError as exc:
         return ("oom", (str(exc), exc.required_bytes, exc.budget_bytes),
                 time.perf_counter() - started, started_unix)
@@ -534,12 +522,6 @@ class ExperimentEngine:
             budget is charged per submission wave: a job queued behind
             ``k`` others on the same worker gets ``(k+1)`` budgets, so
             queue wait does not count against it.
-        sim_mode: Execution scheme for the simulations this engine
-            runs (:data:`repro.simulator.SIM_MODES`).  ``"auto"`` (the
-            default) leaves each job's own ``sim_mode`` in force; an
-            explicit ``"event"``/``"batch"`` overrides jobs that did not
-            pick one themselves.  Results — and therefore cache keys —
-            are identical either way.
         chunking: Collapse compatible work into fewer executions:
             large pooled :class:`SimJob` batches are submitted in
             chunks (amortizing per-task IPC), and
@@ -555,7 +537,6 @@ class ExperimentEngine:
                  max_retries: int = 2,
                  retry_backoff_s: float = 0.05,
                  job_timeout_s: Optional[float] = None,
-                 sim_mode: str = "auto",
                  chunking: bool = True):
         """Validate and store the execution policy (see class docstring
         for what each knob controls)."""
@@ -570,16 +551,11 @@ class ExperimentEngine:
         if job_timeout_s is not None and job_timeout_s <= 0:
             raise ConfigurationError(
                 f"job_timeout_s must be positive, got {job_timeout_s}")
-        if sim_mode not in SIM_MODES:
-            raise ConfigurationError(
-                f"unknown simulation mode {sim_mode!r}; "
-                f"choose one of {', '.join(SIM_MODES)}")
         self.jobs = jobs
         self.cache = cache
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.job_timeout_s = job_timeout_s
-        self.sim_mode = sim_mode
         self.chunking = chunking
         #: Simulations actually executed (cache misses) over the
         #: engine's lifetime.
@@ -667,8 +643,7 @@ class ExperimentEngine:
         else:
             miss_indices = list(range(len(batch)))
 
-        miss_jobs = [self._job_for_execution(batch[i])
-                     for i in miss_indices]
+        miss_jobs = [batch[i] for i in miss_indices]
         workers = 1
         retries_before = self.retries
         timeouts_before = self.timeouts
@@ -715,12 +690,11 @@ class ExperimentEngine:
                         ) -> Tuple[List[tuple], List[int], int]:
         """Execute cache misses, family-batching where profitable.
 
-        Misses whose effective mode allows the batch kernel are grouped
-        by :meth:`SimJob.family_key`; families of two or more run as one
-        stacked kernel call each (:func:`_execute_sim_family`), pooled
-        one-per-task when ``jobs > 1``.  Everything else — explicit
-        event-mode jobs, family singletons, all misses under
-        ``chunking=False`` — flows through the existing serial /
+        Misses are grouped by :meth:`SimJob.family_key`; families of
+        two or more run as one stacked kernel call each
+        (:func:`_execute_sim_family`), pooled one-per-task when
+        ``jobs > 1``.  Everything else — family singletons, all misses
+        under ``chunking=False`` — flows through the existing serial /
         chunked / parallel machinery.  Returns ``(tagged results,
         attempt counts, peak worker count)`` aligned with
         ``miss_jobs``.
@@ -786,10 +760,7 @@ class ExperimentEngine:
                       ) -> Tuple[List[List[int]], List[int]]:
         """Partition miss positions into batchable families and the rest.
 
-        Only jobs whose *effective* mode permits the batch kernel are
-        candidates (an explicit ``"event"`` job — its own or the
-        engine's override — must run the event loop it asked for), and
-        only families of two or more are worth a stacked call.
+        Only families of two or more are worth a stacked call.
         """
         if not self.chunking or self.job_timeout_s is not None:
             # Like chunking, family batching is incompatible with a
@@ -799,10 +770,7 @@ class ExperimentEngine:
         groups: Dict[str, List[int]] = {}
         leftover: List[int] = []
         for k, job in enumerate(miss_jobs):
-            if job.sim_mode == "event":
-                leftover.append(k)
-            else:
-                groups.setdefault(job.family_key(), []).append(k)
+            groups.setdefault(job.family_key(), []).append(k)
         families: List[List[int]] = []
         for members in groups.values():
             if len(members) >= 2:
@@ -811,19 +779,6 @@ class ExperimentEngine:
                 leftover.extend(members)
         leftover.sort()
         return families, leftover
-
-    def _job_for_execution(self, job: SimJob) -> SimJob:
-        """Apply the engine's simulation-mode override to one job.
-
-        An engine-level ``"event"``/``"batch"`` wins over a job that
-        left its own mode at ``"auto"``; a job that chose explicitly
-        keeps its choice.  Fingerprints are unaffected (``sim_mode`` is
-        not hashed), so the cache lookup already done against the
-        original job stays valid.
-        """
-        if self.sim_mode != "auto" and job.sim_mode == "auto":
-            return replace(job, sim_mode=self.sim_mode)
-        return job
 
     # ----- closed-form model evaluations -------------------------------------
 

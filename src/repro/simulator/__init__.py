@@ -1,23 +1,15 @@
 """Discrete-event cluster training simulator (the paper's testbed stand-in).
 
-Two execution schemes produce identical results: the per-iteration
-event-queue path (:mod:`.ddp`) and the vectorized batch fast path
-(:mod:`.batch`); ``DDPSimulator.run(mode=...)`` selects between them.
+``DDPSimulator.run`` computes a whole measurement run in one
+vectorized kernel (:mod:`.batch`);
+``DDPSimulator.simulate_iteration`` is the per-iteration event loop
+(:mod:`.ddp`) that specifies the semantics, draws single-iteration
+traces, and serves as the kernel's test oracle.
 """
 
-from .ddp import (
-    FALLBACK_REASONS,
-    SIM_MODES,
-    DDPConfig,
-    DDPSimulator,
-    TimingResult,
-)
+from .ddp import DDPConfig, DDPSimulator, TimingResult
 from .events import EventQueue
-
-# batch.py pulls repro.core (for the pipeline recurrence), which in turn
-# imports this package; importing it after the ddp names above are bound
-# keeps that cycle harmless in either entry order.
-from .batch import run_batch  # noqa: E402
+from .batch import run_batch
 from .export import (
     allocate_track_ids,
     events_to_chrome_json,
@@ -43,7 +35,7 @@ __all__ = [
     "EventQueue", "Span", "IterationTrace", "estimate_gamma",
     "COMPUTE_STREAM", "COMM_STREAM",
     "DDPConfig", "DDPSimulator", "TimingResult",
-    "SIM_MODES", "FALLBACK_REASONS", "run_batch",
+    "run_batch",
     "trace_to_events", "traces_to_events", "run_to_events",
     "allocate_track_ids", "events_to_chrome_json",
     "trace_to_chrome_json", "write_chrome_trace", "write_run_trace",

@@ -1,113 +1,61 @@
-"""Vectorized batch evaluation of a full simulation run.
+"""Vectorized evaluation of a full simulation run.
 
 :meth:`DDPSimulator.run <repro.simulator.ddp.DDPSimulator.run>` needs
-only two numbers per iteration — sync time and iteration end — yet the
-event path replays the whole span-producing machinery 110 times in pure
-Python.  This module computes the same numbers for *all* iterations at
-once as NumPy array operations:
+only two numbers per iteration — sync time and iteration end — so
+instead of replaying the span-producing event loop
+(:meth:`~repro.simulator.ddp.DDPSimulator.simulate_iteration`) 110
+times in pure Python, this module computes the same numbers for *all*
+iterations at once as NumPy array operations:
 
-* the run's entire jitter sequence is drawn in **one** RNG call: an
-  ``(iterations × draws-per-iteration)`` lognormal matrix whose
-  row-major fill order is exactly the event path's sequential draw
-  order, so both paths consume identical variates from the same seed;
+* the run's entire jitter sequence is drawn in **one** RNG call, whose
+  fill order is exactly the event loop's sequential draw order, so
+  both consume identical variates from the same seed;
 * per-layer backward times become an ``(iterations × layers)`` product
   plus a row-wise prefix sum (bucket-ready times);
-* bucket all-reduces are priced once per run through the broadcasting
-  collective costs (:func:`repro.collectives.ring_allreduce_time_batch`)
-  and pushed through the FIFO comm-stream recurrence
-  :func:`repro.core.perf_model.bucket_pipeline_end` — the §4.1 model's
-  ``max(γ·T_comp, (k-1)·T_comm) + T_comm(b̂)`` evaluated exactly;
-* a jitter-free config needs **no** Monte-Carlo axis at all: every
-  iteration is identical, so the kernel runs once (the analytic
-  closed form, O(buckets) with no event queue) and the result is
-  replicated.
+* bucket all-reduces are priced once per distinct (world size,
+  bandwidth) state through the collective costs and pushed through the
+  FIFO comm-stream recurrence — the §4.1 model's
+  ``max(γ·T_comp, (k-1)·T_comm) + T_comm(b̂)`` evaluated exactly.
 
-Bit-identity with the event path is a hard invariant, not an
+Fault schedules are array masks here: :func:`run_batch_many` resolves
+the whole :class:`~repro.faults.FaultSchedule` once into per-iteration
+arrays (:meth:`FaultInjector.resolve_range
+<repro.faults.FaultInjector.resolve_range>`) — compute stretch and
+stalls scale rows, degraded bandwidths and surviving world sizes
+regroup the collective pricing, and retransmit delays are drawn
+vectorized from the same ``(seed, iteration, transfer_index)``-seeded
+streams the event loop uses.  A fault-free simulator is the identity
+mask.  The same machinery stacks *several* simulators sharing one
+model/topology (an engine job family) into a single kernel call.
+
+Bit-identity with the event loop is a hard invariant, not an
 approximation: every elementary IEEE-754 operation is exactly rounded,
 so an elementwise array op equals the scalar op on each element, and
 this module is written so the *sequence* of operations per element —
 multiplication association, ``cumsum`` accumulation order, the
-``max``/``+`` pipeline recurrence — matches the event path's exactly.
-``tests/test_batch_equivalence.py`` pins the invariant across schemes,
-world sizes, algorithms and jitter settings.
+``max``/``+`` pipeline recurrence — matches the event loop's exactly.
+``tests/test_batch_equivalence.py`` and
+``tests/test_faulted_batch_equivalence.py`` pin the invariant, with
+``simulate_iteration`` as the oracle.
 
-Fault schedules are served here too: :func:`run_batch_many` resolves
-the whole :class:`~repro.faults.FaultSchedule` once into per-iteration
-arrays (:meth:`FaultInjector.resolve_range
-<repro.faults.FaultInjector.resolve_range>`) and applies them as masks
-and broadcasts — compute stretch and stalls scale rows, degraded
-bandwidths and surviving world sizes regroup the collective pricing,
-and retransmit delays are drawn vectorized from the same
-``(seed, iteration, transfer_index)``-seeded streams the event path
-uses.  The same machinery stacks *several* simulators sharing one
-model/topology (an engine job family) into a single kernel call.
-
-Span-level timeline traces do not need the event path either: the
-kernels optionally record the intermediate arrays that delimit span
-boundaries (``record=`` on a :data:`FaultedKernel`), and
+Span-level timeline traces come from the same kernel: it optionally
+records the intermediate arrays that delimit span boundaries
+(``record=`` on a :data:`Kernel`), and
 :mod:`repro.simulator.reconstruct` reassembles them into
-event-identical :class:`~repro.simulator.trace.IterationTrace` objects
-— so ``mode="auto"`` has no fallback left (see
-:meth:`DDPSimulator.resolve_mode <repro.simulator.ddp.DDPSimulator.resolve_mode>`).
+event-identical :class:`~repro.simulator.trace.IterationTrace` objects.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..collectives import ring_allreduce_time_batch
-from ..core.perf_model import bucket_pipeline_end
 from ..errors import ConfigurationError
 from ..faults import ResolvedFaults
 from ..telemetry.metrics import get_registry
 from .ddp import DDPSimulator, TimingResult
-
-#: A kernel maps the jitter matrix ``J`` (``n`` rows) to the
-#: ``(forward_end, sync_end, iteration_end)`` arrays of all rows.
-Kernel = Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
-class _DrawPlan:
-    """The per-iteration jitter draw pattern, in event-path order.
-
-    The event path draws a lognormal variate per jittered quantity, in a
-    fixed order per iteration, and skips the draw entirely when the
-    sigma is zero.  Builders register each potential draw here —
-    :meth:`column` returns the matrix column that will hold it, or
-    ``None`` when no draw happens — and :meth:`draw` then materializes
-    the whole run's draws in one RNG call.  ``numpy`` fills the
-    ``(n, k)`` output in row-major order: row ``i`` is iteration ``i``'s
-    draws left to right, exactly the sequence a threaded generator
-    would produce.
-    """
-
-    def __init__(self) -> None:
-        self.sigmas: List[float] = []
-
-    def column(self, sigma: float) -> Optional[int]:
-        """Register one draw; its column index, or ``None`` if skipped."""
-        if sigma <= 0:
-            return None
-        self.sigmas.append(float(sigma))
-        return len(self.sigmas) - 1
-
-    def columns(self, sigma: float, count: int) -> Optional[slice]:
-        """Register ``count`` consecutive draws of the same sigma."""
-        if sigma <= 0 or count == 0:
-            return None
-        start = len(self.sigmas)
-        self.sigmas.extend([float(sigma)] * count)
-        return slice(start, start + count)
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """All of the run's jitter in one call: an ``(n, k)`` matrix."""
-        if not self.sigmas:
-            return np.ones((n, 0))
-        sigma = np.broadcast_to(
-            np.asarray(self.sigmas, dtype=float), (n, len(self.sigmas)))
-        return rng.lognormal(mean=0.0, sigma=sigma)
 
 
 def _col(J: np.ndarray, idx: Optional[int], n: int) -> np.ndarray:
@@ -147,172 +95,24 @@ def _allreduce_times(sim: DDPSimulator, payloads: np.ndarray,
         dtype=float)
 
 
-# ----- per-path kernel builders ------------------------------------------------
+# ----- kernel builders ---------------------------------------------------------
 #
 # Each builder prices everything iteration-independent once, registers
-# the path's draw pattern on the plan (in the event path's exact draw
-# order), and returns (kernel, wire bytes per iteration).  The kernels
-# replicate the event path's arithmetic operation by operation; the
-# comments flag each ordering constraint.
-
-
-def _plan_baseline(sim: DDPSimulator, bs: int, plan: _DrawPlan,
-                   ) -> Tuple[Kernel, float]:
-    """syncSGD / ddp_overlap schemes: bucketed, overlapped all-reduce."""
-    cfg = sim.config
-    p = sim.cluster.world_size
-    if sim._is_baseline:
-        wire_scale, hook_cost = 1.0, 0.0
-    else:
-        cost = sim._scheme_cost(p)
-        wire_scale = cost.wire_bytes / sim.model.grad_bytes
-        hook_cost = cost.encode_decode_s
-    overlap = cfg.overlap_communication and p > 1
-    stretch = cfg.gamma if overlap else 1.0
-    fwd_base = sim._forward_time(bs)
-    opt_base = sim._optimizer_time()
-    bucket_sizes, close_idx = sim._baseline_bucket_plan()
-    nb = len(bucket_sizes)
-    # (t * stretch) precomputed; the per-iteration jitter multiplies the
-    # product, preserving the event path's (t * stretch) * j association.
-    scaled = np.asarray(sim._backward_base_times(bs), dtype=float) * stretch
-    if p > 1:
-        durs = _allreduce_times(
-            sim, np.asarray(bucket_sizes, dtype=float) * wire_scale, p)
-    else:
-        durs = np.zeros(nb)
-
-    # Event-path draw order: forward, one per backward layer, one per
-    # bucket collective (drawn even at p == 1 — the jitter multiply sits
-    # outside the p > 1 guard there), bucket-cast only when it exists,
-    # optimizer.
-    c_fwd = plan.column(cfg.compute_jitter)
-    sl_layers = plan.columns(cfg.compute_jitter, scaled.size)
-    sl_comm = plan.columns(cfg.comm_jitter, nb)
-    c_hook = plan.column(cfg.compute_jitter) if hook_cost > 0 else None
-    c_opt = plan.column(cfg.compute_jitter)
-    wire = float(sum(bucket_sizes)) * wire_scale if p > 1 else 0.0
-
-    def kernel(J: np.ndarray, n: int):
-        fwd_end = fwd_base * _col(J, c_fwd, n)
-        layers = scaled * _cols(J, sl_layers, n, scaled.size)
-        # Row-wise prefix sum: cumsum accumulates strictly sequentially
-        # (never pairwise), matching the event path's running clock.
-        completion = np.cumsum(layers, axis=1) + fwd_end[:, None]
-        backward_end = completion[:, -1]
-        if overlap:
-            ready = completion[:, close_idx]
-        else:
-            ready = np.broadcast_to(backward_end[:, None], (n, nb))
-        durations = durs * _cols(J, sl_comm, n, nb)
-        sync_end = np.maximum(
-            bucket_pipeline_end(ready, durations, fwd_end), backward_end)
-        if hook_cost > 0:
-            sync_end = sync_end + hook_cost * _col(J, c_hook, n)
-        start = np.maximum(sync_end, backward_end)
-        iter_end = start + opt_base * _col(J, c_opt, n)
-        return fwd_end, sync_end, iter_end
-
-    return kernel, wire
-
-
-def _plan_sequential(sim: DDPSimulator, bs: int, plan: _DrawPlan,
-                     ) -> Tuple[Kernel, float]:
-    """Sequential compression: backward → encode → collective → decode."""
-    cfg = sim.config
-    p = sim.cluster.world_size
-    cost = sim._scheme_cost(p)
-    fwd_base = sim._forward_time(bs)
-    bwd_base = sim._backward_time(bs)
-    enc_base = cost.encode_decode_s + sim._hook_overhead()
-    comm_base = sim._collective_time(cost, p) if p > 1 else 0.0
-    opt_base = sim._optimizer_time()
-
-    # Draw order: forward, backward, encode/decode, collective (only
-    # drawn when p > 1 on this path), optimizer.
-    c_fwd = plan.column(cfg.compute_jitter)
-    c_bwd = plan.column(cfg.compute_jitter)
-    c_enc = plan.column(cfg.compute_jitter)
-    c_comm = plan.column(cfg.comm_jitter) if p > 1 else None
-    c_opt = plan.column(cfg.compute_jitter)
-    wire = cost.wire_bytes if p > 1 else 0.0
-
-    def kernel(J: np.ndarray, n: int):
-        fwd_end = fwd_base * _col(J, c_fwd, n)
-        backward_end = fwd_end + bwd_base * _col(J, c_bwd, n)
-        enc_dec = enc_base * _col(J, c_enc, n)
-        encode_end = backward_end + enc_dec / 2.0
-        if p > 1:
-            comm_end = encode_end + comm_base * _col(J, c_comm, n)
-        else:
-            comm_end = encode_end + 0.0
-        sync_end = comm_end + enc_dec / 2.0
-        start = np.maximum(sync_end, backward_end)
-        iter_end = start + opt_base * _col(J, c_opt, n)
-        return fwd_end, sync_end, iter_end
-
-    return kernel, wire
-
-
-def _plan_overlapped(sim: DDPSimulator, bs: int, plan: _DrawPlan,
-                     ) -> Tuple[Kernel, float]:
-    """Figure 3's losing strategy: encode interleaved with backward."""
-    cfg = sim.config
-    p = sim.cluster.world_size
-    cost = sim._scheme_cost(p)
-    fwd_base = sim._forward_time(bs)
-    bwd_base = sim._backward_time(bs)
-    enc_base = cost.encode_decode_s + sim._hook_overhead()
-    comm_base = 0.0 if p == 1 else sim._collective_time(cost, p)
-    opt_base = sim._optimizer_time()
-    pen = cfg.contention_penalty
-    waves = 4
-
-    # Draw order: forward, backward, encode/decode, the shared wave
-    # collective (drawn even at p == 1 on this path), optimizer.
-    c_fwd = plan.column(cfg.compute_jitter)
-    c_bwd = plan.column(cfg.compute_jitter)
-    c_enc = plan.column(cfg.compute_jitter)
-    c_comm = plan.column(cfg.comm_jitter)
-    c_opt = plan.column(cfg.compute_jitter)
-    wire = cost.wire_bytes if p > 1 else 0.0
-
-    def kernel(J: np.ndarray, n: int):
-        fwd_end = fwd_base * _col(J, c_fwd, n)
-        t_bwd = bwd_base * _col(J, c_bwd, n)
-        enc_dec = enc_base * _col(J, c_enc, n)
-        stretched = (t_bwd + enc_dec / 2.0) * pen
-        compute_end = fwd_end + stretched
-        comm_total = comm_base * _col(J, c_comm, n)
-        sync_end = compute_end
-        if p > 1:
-            ready = np.stack(
-                [fwd_end + stretched * (w + 1) / waves
-                 for w in range(waves)], axis=1)
-            sync_end = bucket_pipeline_end(
-                ready, (comm_total / waves)[:, None], fwd_end)
-        sync_end = np.maximum(sync_end, compute_end) + enc_dec / 2.0
-        start = np.maximum(sync_end, compute_end)
-        iter_end = start + opt_base * _col(J, c_opt, n)
-        return fwd_end, sync_end, iter_end
-
-    return kernel, wire
-
-
-# ----- faulted path ------------------------------------------------------------
+# the path's draw pattern on a _SlotLayout (in the event loop's exact
+# draw order), and returns (presence function, kernel).  The kernels
+# replicate the event loop's arithmetic operation by operation; the
+# comments flag each ordering constraint.  Fault schedules rewrite
+# per-iteration state — compute stretch, degraded bandwidth, surviving
+# world size, recovery stalls, retransmit risk — so run-constant
+# scalars are per-row arrays.  Two mechanisms keep bit-identity:
 #
-# Fault schedules rewrite per-iteration state — compute stretch,
-# degraded bandwidth, surviving world size, recovery stalls, retransmit
-# risk — so the fault-free builders' run-constant scalars become per-row
-# arrays here.  Two extra mechanisms keep bit-identity:
-#
-# * a _SlotLayout instead of a _DrawPlan: the event path's draw count
-#   varies per iteration (the sequential path skips its comm draw when
-#   an elastic crash shrinks the world to 1; the bucket-cast draw only
-#   happens when the hook cost at that iteration's world size is
-#   positive), so each registered slot carries a per-row *presence*
-#   mask and one flat lognormal call replays exactly the draws the
-#   event path would have made, in its order;
+# * the event loop's draw count varies per iteration (the sequential
+#   path skips its comm draw when an elastic crash shrinks the world to
+#   1; the bucket-cast draw only happens when the hook cost at that
+#   iteration's world size is positive), so each registered slot
+#   carries a per-row *presence* mask and one flat lognormal call
+#   replays exactly the draws the event loop would have made, in its
+#   order;
 # * per-(world size, bandwidth-scale) combo pricing: collective costs
 #   are computed once per distinct degraded state through the *scalar*
 #   dispatchers (exact for every algorithm) and scattered to rows.
@@ -321,11 +121,10 @@ def _plan_overlapped(sim: DDPSimulator, bs: int, plan: _DrawPlan,
 class _SlotLayout:
     """Per-iteration draw slots with row-varying presence.
 
-    Like :class:`_DrawPlan`, builders register each potential draw in
-    event-path order; unlike it, a registered slot may be *absent* on
-    some rows (iterations) — the presence mask decides.  Absent cells
-    hold 1.0 (the event path's jitter-of-1.0 shortcut) and consume no
-    RNG stream.
+    Builders register each potential draw in event-loop order; a
+    registered slot may be *absent* on some rows (iterations) — the
+    presence mask decides.  Absent cells hold 1.0 (the event loop's
+    jitter-of-1.0 shortcut) and consume no RNG stream.
     """
 
     def __init__(self) -> None:
@@ -353,9 +152,8 @@ class _SlotLayout:
 
         The present cells are drawn in one flat lognormal call; boolean
         masking walks the matrix row-major, so the stream consumption
-        order is exactly the event path's sequential per-iteration
-        draws (and identical to :meth:`_DrawPlan.draw` when every cell
-        is present).
+        order is exactly the event loop's sequential per-iteration
+        draws.
         """
         n = present.shape[0]
         S = len(self.sigmas)
@@ -457,7 +255,7 @@ def _retransmit_arrays(members: Sequence[_Member], durations: np.ndarray,
     return delays, replays
 
 
-#: A faulted kernel maps (jitter matrix, fault rows, members) to the
+#: A kernel maps (jitter matrix, fault rows, members) to the
 #: per-row (forward_end, sync_end, iteration_end, wire bytes,
 #: retransmit delays, retransmit replays).  Kernels also accept an
 #: optional ``record`` dict; when given, the intermediate arrays that
@@ -466,7 +264,7 @@ def _retransmit_arrays(members: Sequence[_Member], durations: np.ndarray,
 #: it so :mod:`repro.simulator.reconstruct` can rebuild event-identical
 #: traces without re-running the event loop.  Recording never changes
 #: the arithmetic: the same operations run in the same order.
-FaultedKernel = Callable[
+Kernel = Callable[
     [np.ndarray, _FaultRows, Sequence[_Member]],
     Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
           np.ndarray]]
@@ -475,10 +273,9 @@ FaultedKernel = Callable[
 PresenceFn = Callable[[_FaultRows], np.ndarray]
 
 
-def _plan_baseline_faulted(lead: DDPSimulator, bs: int,
-                           layout: _SlotLayout,
-                           ) -> Tuple[PresenceFn, FaultedKernel]:
-    """Faulted syncSGD / ddp_overlap: bucketed, overlapped all-reduce."""
+def _plan_baseline(lead: DDPSimulator, bs: int, layout: _SlotLayout,
+                   ) -> Tuple[PresenceFn, Kernel]:
+    """syncSGD / ddp_overlap schemes: bucketed, overlapped all-reduce."""
     cfg = lead.config
     fwd_base = lead._forward_time(bs)
     opt_base = lead._optimizer_time()
@@ -576,10 +373,9 @@ def _plan_baseline_faulted(lead: DDPSimulator, bs: int,
     return presence, kernel
 
 
-def _plan_sequential_faulted(lead: DDPSimulator, bs: int,
-                             layout: _SlotLayout,
-                             ) -> Tuple[PresenceFn, FaultedKernel]:
-    """Faulted sequential compression: encode → collective → decode."""
+def _plan_sequential(lead: DDPSimulator, bs: int, layout: _SlotLayout,
+                     ) -> Tuple[PresenceFn, Kernel]:
+    """Sequential compression: backward → encode → collective → decode."""
     cfg = lead.config
     fwd_base = lead._forward_time(bs)
     bwd_base = lead._backward_time(bs)
@@ -635,10 +431,9 @@ def _plan_sequential_faulted(lead: DDPSimulator, bs: int,
     return presence, kernel
 
 
-def _plan_overlapped_faulted(lead: DDPSimulator, bs: int,
-                             layout: _SlotLayout,
-                             ) -> Tuple[PresenceFn, FaultedKernel]:
-    """Faulted Figure-3 strategy: encode interleaved with backward."""
+def _plan_overlapped(lead: DDPSimulator, bs: int, layout: _SlotLayout,
+                     ) -> Tuple[PresenceFn, Kernel]:
+    """Figure 3's losing strategy: encode interleaved with backward."""
     cfg = lead.config
     fwd_base = lead._forward_time(bs)
     bwd_base = lead._backward_time(bs)
@@ -712,6 +507,37 @@ def _plan_overlapped_faulted(lead: DDPSimulator, bs: int,
     return presence, kernel
 
 
+def _evaluate(sims: Sequence[DDPSimulator], bs: int, iterations: int,
+              seeds: Sequence[int], record: Optional[Dict[str, Any]] = None,
+              ) -> Tuple[_FaultRows, List[_Member], Tuple[np.ndarray, ...]]:
+    """Plan, draw and run the kernel for stacked members.
+
+    Picks the execution path's builder from the lead simulator, draws
+    each member's jitter from its own seed, and returns the stacked
+    fault rows, the members, and the kernel's per-row outputs.
+    """
+    lead = sims[0]
+    # Memory is structural (model, batch size, config) — one check
+    # covers every member, raising the same deterministic OOM each
+    # member's own event loop would.
+    if lead.config.check_memory:
+        lead.check_memory(bs)
+    layout = _SlotLayout()
+    if lead._is_baseline or lead.scheme.ddp_overlap:
+        planner = _plan_baseline
+    elif lead.config.overlap_compression:
+        planner = _plan_overlapped
+    else:
+        planner = _plan_sequential
+    presence_fn, kernel = planner(lead, bs, layout)
+    F, members = _stack_member_faults(sims, iterations)
+    pres = presence_fn(F)
+    J = np.ones((F.p.size, len(layout.sigmas)))
+    for (_, sl, _), seed in zip(members, seeds):
+        J[sl] = layout.draw(np.random.default_rng(seed), pres[sl])
+    return F, members, kernel(J, F, members, record=record)
+
+
 def run_batch_many(sims: Sequence[DDPSimulator],
                    batch_size: Optional[int] = None,
                    iterations: int = 110, warmup: int = 10,
@@ -725,15 +551,16 @@ def run_batch_many(sims: Sequence[DDPSimulator],
     clean/NIC-straggler/compute-straggler triplets) evaluates as one
     stacked array computation instead of one kernel call per job.
 
-    Each member's :class:`TimingResult` is bit-identical to its own
-    ``sim.run(..., mode="event")``; members' RNG streams are fully
-    independent (per-member jitter seed, per-member schedule seed), so
-    stacking changes nothing but wall-clock time.
+    Each member's :class:`TimingResult` is bit-identical to looping
+    its own ``simulate_iteration`` over the protocol with one generator
+    seeded by its seed; members' RNG streams are fully independent
+    (per-member jitter seed, per-member schedule seed), so stacking
+    changes nothing but wall-clock time.
 
     Raises:
         ConfigurationError: invalid protocol, mismatched members, or a
             seed count that does not match the member count.
-        OutOfMemoryError: the same deterministic OOM the event path
+        OutOfMemoryError: the same deterministic OOM the event loop
             raises (memory state is structural, so it is shared by
             every member).
     """
@@ -755,28 +582,8 @@ def run_batch_many(sims: Sequence[DDPSimulator],
                 "run_batch_many members must share model, cluster size, "
                 "scheme and config (only faults and seeds may differ)")
     bs = batch_size if batch_size is not None else lead.model.default_batch_size
-    # Memory is structural (model, batch size, config) — one check
-    # covers every member, raising the same deterministic OOM each
-    # member's own event run would.
-    if lead.config.check_memory:
-        lead.check_memory(bs)
-
-    layout = _SlotLayout()
-    if lead._is_baseline or lead.scheme.ddp_overlap:
-        presence_fn, kernel = _plan_baseline_faulted(lead, bs, layout)
-    elif lead.config.overlap_compression:
-        presence_fn, kernel = _plan_overlapped_faulted(lead, bs, layout)
-    else:
-        presence_fn, kernel = _plan_sequential_faulted(lead, bs, layout)
-
-    n = iterations
-    F, members = _stack_member_faults(sims, n)
-    pres = presence_fn(F)
-    J = np.ones((F.p.size, len(layout.sigmas)))
-    for (sim, sl, _), seed in zip(members, seeds):
-        J[sl] = layout.draw(np.random.default_rng(seed), pres[sl])
-    fwd_end, sync_end, iter_end, wire, delays, replays = kernel(
-        J, F, members)
+    _, members, (fwd_end, sync_end, iter_end, wire, delays, replays) = \
+        _evaluate(sims, bs, iterations, seeds)
     sync = sync_end - fwd_end
 
     registry = get_registry()
@@ -829,80 +636,9 @@ def run_batch_many(sims: Sequence[DDPSimulator],
     return results
 
 
-# ----- entry point -------------------------------------------------------------
-
-
 def run_batch(sim: DDPSimulator, batch_size: Optional[int] = None,
               iterations: int = 110, warmup: int = 10,
               seed: int = 0) -> TimingResult:
-    """Evaluate a whole measurement run as array operations.
-
-    Produces a :class:`TimingResult` bit-identical to
-    ``sim.run(..., mode="event")`` for any simulator, faulted or not;
-    fault-schedule-bearing simulators route through
-    :func:`run_batch_many`'s masked kernels.
-
-    Raises:
-        ConfigurationError: invalid iteration protocol.
-        OutOfMemoryError: the same deterministic OOM the event path
-            raises on its first iteration (checked once — it cannot
-            vary across iterations).
-    """
-    if iterations <= warmup:
-        raise ConfigurationError(
-            f"iterations ({iterations}) must exceed warmup ({warmup})")
-    if sim._injector is not None:
-        return run_batch_many([sim], batch_size, iterations=iterations,
-                              warmup=warmup, seeds=(seed,))[0]
-    bs = batch_size if batch_size is not None else sim.model.default_batch_size
-    if sim.config.check_memory:
-        sim.check_memory(bs)
-
-    plan = _DrawPlan()
-    if sim._is_baseline or sim.scheme.ddp_overlap:
-        kernel, wire = _plan_baseline(sim, bs, plan)
-    elif sim.config.overlap_compression:
-        kernel, wire = _plan_overlapped(sim, bs, plan)
-    else:
-        kernel, wire = _plan_sequential(sim, bs, plan)
-
-    # The analytic closed form: with every sigma zero there is nothing
-    # stochastic — no draws happen on either path — so one kernel row
-    # is the whole run.
-    n = iterations if plan.sigmas else 1
-    J = plan.draw(np.random.default_rng(seed), n)
-    fwd_end, sync_end, iter_end = kernel(J, n)
-    sync = sync_end - fwd_end
-
-    measured = iterations - warmup
-    if n == 1:
-        sync_times = (float(sync[0]),) * measured
-        iter_times = (float(iter_end[0]),) * measured
-    else:
-        sync_times = tuple(float(x) for x in sync[warmup:])
-        iter_times = tuple(float(x) for x in iter_end[warmup:])
-
-    registry = get_registry()
-    if registry.enabled:
-        label = sim.scheme.label
-        registry.counter("sim_iterations_total",
-                         scheme=label).inc(iterations)
-        hist = registry.histogram("sim_sync_time_s", scheme=label)
-        if n == 1:
-            for _ in range(iterations):
-                hist.observe(float(sync[0]))
-        else:
-            for value in sync:
-                hist.observe(float(value))
-        if wire > 0:
-            registry.counter("sim_wire_bytes_total",
-                             scheme=label).inc(wire * iterations)
-
-    return TimingResult(
-        model=sim.model.name,
-        scheme=sim.scheme.label,
-        world_size=sim.cluster.world_size,
-        batch_size=bs,
-        sync_times=sync_times,
-        iteration_times=iter_times,
-    )
+    """One simulator's run: :func:`run_batch_many` with a single member."""
+    return run_batch_many([sim], batch_size, iterations=iterations,
+                          warmup=warmup, seeds=(seed,))[0]

@@ -30,8 +30,8 @@ whose ``sync_time()`` is the paper's reported per-iteration metric
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from ..collectives import (
     ring_allreduce_time,
 )
 from ..compute import ComputeModel
-from ..errors import ConfigurationError, OutOfMemoryError, SimulationError
+from ..errors import ConfigurationError, OutOfMemoryError
 from ..faults import FAULT_STREAM, FaultInjector, FaultSchedule, IterationFaults
 from ..hardware import ClusterConfig
 from ..models import ModelSpec
@@ -55,23 +55,6 @@ from ..telemetry.tracing import get_tracer
 from ..units import MIB
 from .events import EventQueue
 from .trace import COMM_STREAM, COMPUTE_STREAM, IterationTrace, Span
-
-#: Execution schemes :meth:`DDPSimulator.run` accepts.  ``"event"`` is
-#: the per-iteration event-queue loop above; ``"batch"`` is the
-#: vectorized NumPy kernel in :mod:`repro.simulator.batch` (bit-identical
-#: results, no per-iteration Python loop); ``"auto"`` picks the fast
-#: path whenever it is available.
-SIM_MODES = ("auto", "event", "batch")
-
-#: Why ``mode="auto"`` falls back to the event path, keyed by the slug
-#: :meth:`DDPSimulator.batch_fallback_reason` returns.  Empty: fault
-#: schedules are applied as array masks, and span-level traces are
-#: reconstructed from kernel intermediates
-#: (:mod:`repro.simulator.reconstruct`), so the fast path serves every
-#: run.  The table stays so a future structural limitation has a
-#: place to register itself (and the CLI reporting around it keeps
-#: working).
-FALLBACK_REASONS: Dict[str, str] = {}
 
 
 @dataclass(frozen=True)
@@ -221,13 +204,6 @@ class DDPSimulator:
         self._full_bwd_time_cache: dict = {}
         self._opt_time: Optional[float] = None
         self._hook_cost: Optional[float] = None
-        #: Mode the most recent :meth:`run` actually executed
-        #: (``"event"`` / ``"batch"``; ``None`` before any run).
-        self.last_run_mode: Optional[str] = None
-        #: Fallback-reason slug when an ``"auto"`` run was forced onto
-        #: the event path (``None`` when the fast path ran or the event
-        #: path was requested explicitly).
-        self.last_run_fallback: Optional[str] = None
 
     def _scheme_cost(self, world_size: Optional[int] = None) -> SchemeCost:
         """The scheme's cost for this simulator's model at a world size
@@ -335,7 +311,8 @@ class DDPSimulator:
         """Simulate one iteration; returns its timeline trace.
 
         Jitter is drawn from ``rng`` when given (callers running many
-        iterations thread one generator through, as :meth:`run` does).
+        iterations thread one generator through; :meth:`run` equals
+        threading ``default_rng(seed)`` through every iteration).
         Otherwise a fresh generator is derived from ``seed`` — or from
         OS entropy when ``seed`` is ``None`` — so that repeated direct
         calls actually vary.  (A previous revision defaulted to
@@ -701,95 +678,30 @@ class DDPSimulator:
 
     # ----- multi-iteration runs -------------------------------------------------
 
-    def batch_fallback_reason(self, tracing: bool = False) -> Optional[str]:
-        """Why the batch fast path cannot serve this simulator, as a
-        :data:`FALLBACK_REASONS` slug — or ``None`` when it can.
-
-        Always ``None`` today: fault schedules are applied as array
-        masks, and span-level timeline traces — the last reason this
-        method ever forced the event path — are reconstructed from the
-        kernel's intermediate arrays
-        (:func:`repro.simulator.reconstruct.reconstruct_traces`),
-        bit-identical to event-loop traces.  ``tracing`` is kept for
-        callers that still ask the question explicitly.
-        """
-        del tracing
-        return None
-
-    def resolve_mode(self, mode: str = "auto", tracing: bool = False,
-                     ) -> Tuple[str, Optional[str]]:
-        """Resolve a requested simulation mode to the one that will run.
-
-        Returns ``(resolved mode, fallback reason)`` where the reason is
-        a :data:`FALLBACK_REASONS` slug when ``"auto"`` was forced onto
-        the event path and ``None`` otherwise.
-
-        Raises:
-            ConfigurationError: for an unknown mode, or for an explicit
-                ``"batch"`` request the fast path cannot honour —
-                silently degrading an explicit request would make the
-                mode flag a lie.
-        """
-        if mode not in SIM_MODES:
-            raise ConfigurationError(
-                f"unknown simulation mode {mode!r}; "
-                f"choose one of {', '.join(SIM_MODES)}")
-        if mode == "event":
-            return "event", None
-        reason = self.batch_fallback_reason(tracing)
-        if reason is None:
-            return "batch", None
-        if mode == "batch":
-            raise ConfigurationError(
-                f"simulation mode 'batch' is unavailable here: "
-                f"{FALLBACK_REASONS[reason]} (use 'event' or 'auto')")
-        return "event", reason
-
     def run(self, batch_size: Optional[int] = None, iterations: int = 110,
-            warmup: int = 10, seed: int = 0,
-            mode: str = "auto") -> TimingResult:
+            warmup: int = 10, seed: int = 0) -> TimingResult:
         """Run the paper's measurement protocol: ``iterations`` simulated
         iterations, discard the first ``warmup``, report the rest.
 
-        ``mode`` selects the execution scheme (:data:`SIM_MODES`):
-        ``"event"`` runs the per-iteration event loop, ``"batch"`` the
-        vectorized kernel of :mod:`repro.simulator.batch`, and
-        ``"auto"`` (the default) the fast path whenever it is available
-        — including under fault schedules, which the kernel applies as
-        array masks.  The two paths are bit-identical — same RNG draws,
-        same floating-point operation order — so the choice never
-        changes the returned :class:`TimingResult` (and therefore stays
-        out of the engine's cache fingerprints).  The mode that actually
-        ran is recorded on :attr:`last_run_mode` /
-        :attr:`last_run_fallback`.
+        The whole run is one vectorized kernel call
+        (:mod:`repro.simulator.batch`), fault schedules included — the
+        kernel applies them as array masks.  The result is bit-identical
+        to threading one ``default_rng(seed)`` generator through
+        :meth:`simulate_iteration` for ``iterations`` iterations: same
+        RNG draws, same floating-point operation order.
         """
-        if iterations <= warmup:
-            raise ConfigurationError(
-                f"iterations ({iterations}) must exceed warmup ({warmup})")
-        if self._injector is not None:
-            # Retransmit tallies describe one run, not the simulator's
-            # lifetime; reset before either path re-accumulates them.
-            self._injector.reset_run_counters()
-        resolved, fallback = self.resolve_mode(mode)
-        self.last_run_mode = resolved
-        self.last_run_fallback = fallback
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("sim_run_mode_total", mode=resolved).inc()
-            if fallback is not None:
-                registry.counter("sim_fastpath_fallback_total",
-                                 reason=fallback).inc()
+        # Deferred import: batch.py imports TimingResult from here.
+        from .batch import run_batch
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._run_resolved(resolved, batch_size, iterations,
-                                      warmup, seed)
+            return run_batch(self, batch_size, iterations=iterations,
+                             warmup=warmup, seed=seed)
         with tracer.span("sim-run", track="sim", model=self.model.name,
                          scheme=self.scheme.label,
                          gpus=str(self.cluster.world_size),
-                         iterations=str(iterations),
-                         mode=resolved) as span:
-            result = self._run_resolved(resolved, batch_size, iterations,
-                                        warmup, seed)
+                         iterations=str(iterations)) as span:
+            result = run_batch(self, batch_size, iterations=iterations,
+                               warmup=warmup, seed=seed)
         # One reconstructed iteration illustrates the run's internal
         # structure on sim:* tracks (simulated seconds, plotted from
         # the span's start).  Reconstruction is pure — no RNG/telemetry
@@ -800,29 +712,3 @@ class DDPSimulator:
         tracer.add_iteration_trace(first, base_unix_s=span.start_unix_s,
                                    parent_id=span.span_id)
         return result
-
-    def _run_resolved(self, resolved: str, batch_size: Optional[int],
-                      iterations: int, warmup: int,
-                      seed: int) -> TimingResult:
-        if resolved == "batch":
-            # Deferred import: batch.py imports TimingResult from here.
-            from .batch import run_batch
-            return run_batch(self, batch_size, iterations=iterations,
-                             warmup=warmup, seed=seed)
-        bs = batch_size if batch_size is not None else self.model.default_batch_size
-        rng = np.random.default_rng(seed)
-        sync_times: List[float] = []
-        iter_times: List[float] = []
-        for i in range(iterations):
-            trace = self.simulate_iteration(bs, rng, iteration=i)
-            if i >= warmup:
-                sync_times.append(trace.sync_time())
-                iter_times.append(trace.iteration_end)
-        return TimingResult(
-            model=self.model.name,
-            scheme=self.scheme.label,
-            world_size=self.cluster.world_size,
-            batch_size=bs,
-            sync_times=tuple(sync_times),
-            iteration_times=tuple(iter_times),
-        )

@@ -1,19 +1,18 @@
-"""Event-identical trace reconstruction from the batch fast path.
+"""Event-identical trace reconstruction from the batch kernel.
 
-Span-level timeline traces used to be the last reason ``mode="auto"``
-fell back to the 6-9x-slower event loop: the vectorized kernel computes
-iteration *instants*, not spans.  But every span boundary the event
-path emits — bucket pipeline starts and ends, encode/decode instants,
-wave schedules, retransmit penalties, optimizer starts — is an
-intermediate array the kernel already materializes.  This module asks
-the kernel to record those intermediates (the ``record`` dict of
-:data:`repro.simulator.batch.FaultedKernel`) and reassembles them into
+The vectorized kernel computes iteration *instants*, not spans.  But
+every span boundary the event loop emits — bucket pipeline starts and
+ends, encode/decode instants, wave schedules, retransmit penalties,
+optimizer starts — is an intermediate array the kernel already
+materializes.  This module asks the kernel to record those
+intermediates (the ``record`` dict of
+:data:`repro.simulator.batch.Kernel`) and reassembles them into
 :class:`~repro.simulator.trace.IterationTrace` objects.
 
 Reconstruction is *exact*, not approximate: the kernel replays the
-event path's RNG draw order and floating-point operation order
+event loop's RNG draw order and floating-point operation order
 bit-for-bit (the invariant ``tests/test_batch_equivalence.py`` pins),
-and the assembly below replicates the event path's span insertion
+and the assembly below replicates the event loop's span insertion
 order, labels, byte accounting and edge cases (zero-length bucket
 spans at world size 1, suppressed wave/aggregate spans, retransmits
 only when a delay materialized).  ``tests/test_trace_reconstruction.py``
@@ -34,14 +33,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..faults import FAULT_STREAM, IterationFaults
-from .batch import (
-    _FaultRows,
-    _SlotLayout,
-    _plan_baseline_faulted,
-    _plan_overlapped_faulted,
-    _plan_sequential_faulted,
-    _stack_member_faults,
-)
+from .batch import _FaultRows, _evaluate
 from .ddp import DDPSimulator
 from .trace import COMM_STREAM, COMPUTE_STREAM, IterationTrace, Span
 
@@ -71,25 +63,9 @@ def reconstruct_traces(sim: DDPSimulator,
             f"iterations must be >= 1, got {iterations}")
     bs = (batch_size if batch_size is not None
           else sim.model.default_batch_size)
-    if sim.config.check_memory:
-        sim.check_memory(bs)
-    # The faulted planners serve fault-free members too (their fault
-    # rows are identity masks), so one layout covers every case.
-    layout = _SlotLayout()
-    if sim._is_baseline or sim.scheme.ddp_overlap:
-        presence_fn, kernel = _plan_baseline_faulted(sim, bs, layout)
-        assemble = _assemble_baseline
-    elif sim.config.overlap_compression:
-        presence_fn, kernel = _plan_overlapped_faulted(sim, bs, layout)
-        assemble = _assemble_overlapped
-    else:
-        presence_fn, kernel = _plan_sequential_faulted(sim, bs, layout)
-        assemble = _assemble_sequential
-    F, members = _stack_member_faults([sim], iterations)
-    present = presence_fn(F)
-    J = layout.draw(np.random.default_rng(seed), present)
     record: Dict[str, Any] = {}
-    kernel(J, F, members, record=record)
+    F, members, _ = _evaluate([sim], bs, iterations, (seed,), record=record)
+    assemble = _ASSEMBLERS[record["path"]]
     resolved = members[0][2]
     traces: List[IterationTrace] = []
     for i in range(iterations):
@@ -216,3 +192,11 @@ def _assemble_overlapped(i: int, rec: Dict[str, Any], F: _FaultRows,
                    float(rec["sync_end"][i])))
     _finish(trace, i, rec)
     return trace
+
+
+#: Span assembly per execution path, keyed by the kernel's ``path``.
+_ASSEMBLERS = {
+    "baseline": _assemble_baseline,
+    "sequential": _assemble_sequential,
+    "overlapped": _assemble_overlapped,
+}

@@ -1,14 +1,13 @@
-"""Batch fast path vs event path: bit-identity, fallback, and wiring.
+"""Batch kernel vs the event-loop oracle: bit-identity and wiring.
 
-The vectorized kernel in :mod:`repro.simulator.batch` is only allowed
-to exist because its results are *byte-identical* to the event loop —
-the mode stays out of cache fingerprints on that guarantee.  This
-module is the contract: exact ``TimingResult`` equality (no approx)
-across schemes, world sizes, and jitter settings, plus the fallback
-rules, CLI reporting, and engine/cache wiring around the mode switch.
+``DDPSimulator.run`` computes every run through the vectorized kernel
+in :mod:`repro.simulator.batch`; ``simulate_iteration`` is the
+readable spec it must reproduce.  This module is the contract: exact
+``TimingResult`` equality (no approx) against :func:`event_run` across
+schemes, world sizes, and jitter settings, a seeded randomized sweep
+over the whole configuration space, and the CLI/engine wiring around
+the single kernel path.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,13 +25,23 @@ from repro.compression import (
     SyncSGDScheme,
     TopKScheme,
 )
-from repro.core import bucket_pipeline_end
 from repro.engine import ExperimentEngine, SimJob
-from repro.errors import ConfigurationError
-from repro.faults import FaultSchedule, StragglerFault
+from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.faults import (
+    CrashFault,
+    FaultSchedule,
+    LinkFault,
+    NodeFault,
+    RetransmitFault,
+    StragglerFault,
+)
 from repro.hardware import P3_2XLARGE, ClusterConfig, cluster_for_gpus
 from repro.models import get_model
-from repro.simulator import SIM_MODES, DDPConfig, DDPSimulator
+from repro.simulator import DDPConfig, DDPSimulator, write_run_trace
+from repro.simulator import batch as batch_module
+from repro.telemetry import disable_tracing, enable_tracing
+
+from .oracle import event_run
 
 
 @pytest.fixture(scope="module")
@@ -52,17 +61,34 @@ def make_sim(model, scheme=None, gpus=8, config=None, faults=None):
 
 
 def run_both(sim, iterations=14, warmup=3, seed=0, batch_size=None):
-    event = sim.run(batch_size, iterations=iterations, warmup=warmup,
-                    seed=seed, mode="event")
+    event = event_run(sim, batch_size, iterations=iterations,
+                      warmup=warmup, seed=seed)
     batch = sim.run(batch_size, iterations=iterations, warmup=warmup,
-                    seed=seed, mode="batch")
+                    seed=seed)
     return event, batch
+
+
+def spy_kernel(monkeypatch):
+    """Count kernel calls and forbid the event loop inside ``run()``."""
+    calls = []
+    real = batch_module.run_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run() must not step the event loop")
+
+    monkeypatch.setattr(batch_module, "run_batch", counting)
+    monkeypatch.setattr(DDPSimulator, "simulate_iteration", forbidden)
+    return calls
 
 
 # Scheme x world-size x jitter matrix covering every kernel branch:
 # baseline bucketed pipeline (with and without overlap / hook cost),
 # sequential compressed, overlapped compressed, single worker (p == 1,
-# skipped comm draws), and the jitter-free closed form.
+# skipped comm draws), and jitter-free configs.
 CASES = [
     ("syncsgd-p1", SyncSGDScheme(), 1, {}),
     ("syncsgd-p8", SyncSGDScheme(), 8, {}),
@@ -110,81 +136,83 @@ class TestBitIdentity:
 
     def test_seed_still_matters_on_batch_path(self, rn50):
         sim = make_sim(rn50, SyncSGDScheme(), 8)
-        a = sim.run(iterations=14, warmup=3, seed=1, mode="batch")
-        b = sim.run(iterations=14, warmup=3, seed=2, mode="batch")
+        a = sim.run(iterations=14, warmup=3, seed=1)
+        b = sim.run(iterations=14, warmup=3, seed=2)
         assert a.iteration_times != b.iteration_times
 
     def test_closed_form_rows_are_constant(self, rn50):
         sim = make_sim(rn50, SyncSGDScheme(), 8,
                        DDPConfig(compute_jitter=0.0, comm_jitter=0.0))
-        result = sim.run(iterations=14, warmup=3, mode="batch")
+        result = sim.run(iterations=14, warmup=3)
         assert len(set(result.iteration_times)) == 1
 
 
 class TestModeResolution:
-    def test_auto_resolves_to_batch_when_clean(self, rn50):
-        sim = make_sim(rn50, SyncSGDScheme(), 8)
-        sim.run(iterations=12, warmup=2, mode="auto")
-        assert sim.last_run_mode == "batch"
-        assert sim.last_run_fallback is None
+    """``run()`` has one path: the kernel, never the event loop."""
 
-    def test_unknown_mode_rejected(self, rn50):
+    def test_auto_resolves_to_batch_when_clean(self, rn50, monkeypatch):
         sim = make_sim(rn50, SyncSGDScheme(), 8)
-        with pytest.raises(ConfigurationError):
-            sim.run(iterations=12, warmup=2, mode="vectorised")
+        calls = spy_kernel(monkeypatch)
+        sim.run(iterations=12, warmup=2)
+        assert calls == [sim]
 
-    def test_faults_take_batch_path(self, rn50):
+    def test_faults_take_batch_path(self, rn50, monkeypatch):
         faults = FaultSchedule(stragglers=(
             StragglerFault(worker=0, slowdown=2.0, start_iteration=3,
                            duration_iterations=4),))
         sim = make_sim(rn50, SyncSGDScheme(), 8, faults=faults)
-        sim.run(iterations=12, warmup=2, mode="auto")
-        assert sim.last_run_mode == "batch"
-        assert sim.last_run_fallback is None
+        calls = spy_kernel(monkeypatch)
+        sim.run(iterations=12, warmup=2)
+        assert calls == [sim]
 
     def test_explicit_batch_with_faults_matches_event(self, rn50):
         faults = FaultSchedule(stragglers=(
             StragglerFault(worker=0, slowdown=2.0, start_iteration=3),))
         sim_b = make_sim(rn50, SyncSGDScheme(), 8, faults=faults)
         sim_e = make_sim(rn50, SyncSGDScheme(), 8, faults=faults)
-        assert sim_b.run(iterations=12, warmup=2, mode="batch") == \
-            sim_e.run(iterations=12, warmup=2, mode="event")
+        assert sim_b.run(iterations=12, warmup=2) == \
+            event_run(sim_e, iterations=12, warmup=2)
 
-    def test_fallback_taxonomy_is_empty(self):
-        # Trace export was the last registered fallback; reconstruction
-        # (repro.simulator.reconstruct) retired it.
-        from repro.simulator.ddp import FALLBACK_REASONS
-        assert FALLBACK_REASONS == {}
-
-    def test_empty_fault_schedule_takes_batch(self, rn50):
+    def test_empty_fault_schedule_takes_batch(self, rn50, monkeypatch):
         sim = make_sim(rn50, SyncSGDScheme(), 8, faults=FaultSchedule())
-        sim.run(iterations=12, warmup=2, mode="auto")
-        assert sim.last_run_mode == "batch"
+        assert sim.injector is None
+        calls = spy_kernel(monkeypatch)
+        sim.run(iterations=12, warmup=2)
+        assert calls == [sim]
 
-    def test_tracing_stays_on_batch(self, rn50):
+    def test_tracing_stays_on_batch(self, rn50, monkeypatch):
+        # A traced run still takes the kernel; its illustrative
+        # iteration is reconstructed, not stepped on the event loop.
         sim = make_sim(rn50, SyncSGDScheme(), 8)
-        assert sim.resolve_mode("auto", tracing=True) == ("batch", None)
-        assert sim.resolve_mode("batch", tracing=True) == ("batch", None)
+        calls = spy_kernel(monkeypatch)
+        enable_tracing()
+        try:
+            sim.run(iterations=12, warmup=2)
+        finally:
+            disable_tracing()
+        assert calls == [sim]
 
 
 class TestCLIReporting:
-    def test_simulate_reports_batch_mode(self, capsys):
-        from repro.cli import main
-        assert main(["simulate", "--model", "resnet50", "--gpus", "8",
-                     "--iterations", "12"]) == 0
-        assert "sim mode: batch" in capsys.readouterr().out
-
-    def test_simulate_trace_stays_on_batch(self, capsys, tmp_path):
-        # Trace export no longer forces the event loop: spans come from
-        # batch-kernel reconstruction on the fast path.
+    def test_simulate_trace_stays_on_batch(self, capsys, tmp_path, rn50):
+        # The exported spans come from batch-kernel reconstruction and
+        # are byte-identical to the event loop's.
         from repro.cli import main
         trace = tmp_path / "trace.json"
         assert main(["simulate", "--model", "resnet50", "--gpus", "8",
                      "--iterations", "12", "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "sim mode: batch" in out
-        assert "fell back" not in out
-        assert trace.exists()
+        assert "sim mode" not in out
+        sim = make_sim(rn50, gpus=8)
+        workers = {}
+        for w in range(2):
+            rng = np.random.default_rng(w)
+            workers[f"worker{w}"] = [
+                sim.simulate_iteration(None, rng, iteration=i)
+                for i in range(3)]
+        oracle = tmp_path / "oracle.json"
+        write_run_trace(workers, str(oracle))
+        assert trace.read_bytes() == oracle.read_bytes()
 
 
 class TestEngineWiring:
@@ -193,42 +221,15 @@ class TestEngineWiring:
         kwargs.setdefault("warmup", 2)
         return SimJob(model=model, cluster=cluster_for_gpus(8), **kwargs)
 
-    def test_fingerprint_ignores_sim_mode(self, rn50):
-        base = self.job(rn50)
-        for mode in SIM_MODES:
-            assert replace(base, sim_mode=mode).fingerprint() == \
-                base.fingerprint()
-
     def test_engine_modes_agree(self, rn50):
+        # Engine outcomes (serial, pooled) agree with the event oracle.
         jobs = [self.job(rn50),
                 self.job(rn50, scheme=PowerSGDScheme(rank=4))]
-        by_mode = {}
-        for mode in ("event", "batch"):
-            engine = ExperimentEngine(jobs=1, sim_mode=mode)
-            by_mode[mode] = [o.result for o in engine.run_outcomes(jobs)]
-        assert by_mode["event"] == by_mode["batch"]
-
-    def test_cache_shared_across_modes(self, rn50, tmp_path):
-        from repro.engine import SimulationCache
-        jobs = [self.job(rn50)]
-        warm = ExperimentEngine(jobs=1, cache=SimulationCache(tmp_path),
-                                sim_mode="batch")
-        warm.run_outcomes(jobs)
-        served = ExperimentEngine(jobs=1, cache=SimulationCache(tmp_path),
-                                  sim_mode="event")
-        outcomes = served.run_outcomes(jobs)
-        assert all(o.cached for o in outcomes)
-        # Cache rows are what the event path would have produced.
-        assert outcomes[0].result == warm.run(jobs[0])
-
-    def test_engine_respects_explicit_job_mode(self, rn50):
-        job = self.job(rn50, sim_mode="event")
-        engine = ExperimentEngine(jobs=1, sim_mode="batch")
-        # A job that pins its own mode is not overridden...
-        assert engine._job_for_execution(job).sim_mode == "event"
-        # ...while "auto" jobs inherit the engine-level mode.
-        assert engine._job_for_execution(
-            self.job(rn50)).sim_mode == "batch"
+        oracle = [event_run(job.build_simulator(), iterations=12, warmup=2)
+                  for job in jobs]
+        for engine in (ExperimentEngine(jobs=1),
+                       ExperimentEngine(jobs=2, chunking=False)):
+            assert [o.result for o in engine.run_outcomes(jobs)] == oracle
 
 
 class TestVectorizedPrimitives:
@@ -256,13 +257,99 @@ class TestVectorizedPrimitives:
         with pytest.raises(ConfigurationError):
             ring_allreduce_time_batch(np.array([-1.0]), 8, 10e9, 5e-6)
 
-    def test_bucket_pipeline_end_matches_naive_recurrence(self):
-        rng = np.random.default_rng(0)
-        ready = np.sort(rng.uniform(0.0, 1.0, size=(5, 7)), axis=1)
-        durs = rng.uniform(0.0, 0.2, size=7)
-        got = bucket_pipeline_end(ready, durs, 0.25)
-        for i in range(ready.shape[0]):
-            end = 0.25
-            for k in range(ready.shape[1]):
-                end = max(ready[i, k], end) + durs[k]
-            assert got[i] == end
+
+# ----- randomized property: run() == event_run over the config space --------
+
+MODELS = ("resnet50", "resnet101", "vgg16", "bert-base")
+WORLD_SIZES = (1, 4, 8, 16, 32)
+ALGORITHMS = ("ring", "double_tree", "hierarchical", "parameter_server")
+RANDOM_SCHEMES = (
+    SyncSGDScheme,
+    FP16Scheme,
+    lambda: PowerSGDScheme(rank=4),
+    lambda: TopKScheme(fraction=0.01),
+    SignSGDScheme,
+)
+RANDOM_CASES = 48
+
+
+def random_schedule(rng, cluster):
+    """A fault schedule valid for ``cluster`` (or ``None``): each fault
+    kind joins independently, within the cluster's topology."""
+    if rng.random() < 0.3:
+        return None
+    p, nodes = cluster.world_size, cluster.num_nodes
+    kinds = {}
+    if rng.random() < 0.5:
+        kinds["stragglers"] = (StragglerFault(
+            worker=int(rng.integers(p)), slowdown=1.5 + rng.random(),
+            start_iteration=int(rng.integers(6)),
+            duration_iterations=int(rng.integers(2, 6))),)
+    if nodes > 1 and rng.random() < 0.4:
+        kinds["links"] = (LinkFault(
+            node_a=0, node_b=nodes - 1, factor=0.2 + 0.5 * rng.random(),
+            start_iteration=int(rng.integers(4)), duration_iterations=3,
+            period_iterations=5),)
+    if rng.random() < 0.4:
+        kinds["nodes"] = (NodeFault(
+            node=int(rng.integers(nodes)), factor=0.25 + 0.5 * rng.random(),
+            start_iteration=int(rng.integers(6))),)
+    if rng.random() < 0.4:
+        kinds["retransmits"] = (RetransmitFault(
+            drop_rate=0.1 + 0.3 * rng.random(), timeout_s=1e-3),)
+    if p > 1 and rng.random() < 0.4:
+        kinds["crashes"] = (CrashFault(
+            worker=p - 1, at_iteration=int(rng.integers(2, 10)),
+            recovery=str(rng.choice(["restart", "elastic"])),
+            stall_s=0.2),)
+    return FaultSchedule(seed=int(rng.integers(1000)), **kinds)
+
+
+def random_case(rng):
+    """One (simulator builder, seed) drawn from the configuration space."""
+    model = get_model(str(rng.choice(MODELS)))
+    gpus = int(rng.choice(WORLD_SIZES))
+    cluster = solo_cluster() if gpus == 1 else cluster_for_gpus(gpus)
+    scheme_fn = RANDOM_SCHEMES[int(rng.integers(len(RANDOM_SCHEMES)))]
+    jitter = rng.random() < 0.75
+    config = DDPConfig(
+        allreduce_algorithm=str(rng.choice(ALGORITHMS)),
+        overlap_compression=bool(rng.random() < 0.5),
+        compute_jitter=0.015 if jitter else 0.0,
+        comm_jitter=0.05 if jitter else 0.0)
+    faults = random_schedule(rng, cluster)
+
+    def build():
+        return DDPSimulator(model, cluster, scheme=scheme_fn(),
+                            config=config, faults=faults)
+
+    return build, int(rng.integers(1000))
+
+
+def outcome(fn):
+    """A run's result, or its deterministic OOM message."""
+    try:
+        return fn()
+    except OutOfMemoryError as exc:
+        return str(exc)
+
+
+class TestRandomizedOracle:
+    """Seeded sweep: model x world size (incl. 1) x scheme x allreduce
+    algorithm x overlap_compression x jitter x fault schedule."""
+
+    @pytest.mark.parametrize("case", range(RANDOM_CASES))
+    def test_run_matches_event_loop(self, case):
+        rng = np.random.default_rng([2022, case])
+        build, seed = random_case(rng)
+        sim_k, sim_e = build(), build()
+        kernel = outcome(lambda: sim_k.run(iterations=13, warmup=3,
+                                           seed=seed))
+        event = outcome(lambda: event_run(sim_e, iterations=13, warmup=3,
+                                          seed=seed))
+        assert kernel == event
+        if sim_k.injector is not None:
+            assert (sim_k.injector.retransmits_injected,
+                    sim_k.injector.retransmit_delay_s) == \
+                (sim_e.injector.retransmits_injected,
+                 sim_e.injector.retransmit_delay_s)

@@ -241,10 +241,13 @@ class TestEngineModelOutcomes:
 class TestSimJobChunking:
     @pytest.fixture(scope="class")
     def sim_batch(self, rn50):
+        # 16 singleton families (distinct batch size x scheme), so none
+        # is family-batched and two workers get chunks of
+        # ceil(16 / (2 * 4)) = 2: the chunked pool path really runs.
         return [SimJob(model=rn50, cluster=cluster_for_gpus(4),
                        scheme=scheme, batch_size=bs, iterations=6,
                        warmup=2)
-                for bs in (8, 16, 32, 64)
+                for bs in (8, 16, 24, 32, 40, 48, 56, 64)
                 for scheme in (None, SignSGDScheme())]
 
     def _rows(self, outcomes):

@@ -1,16 +1,16 @@
-"""Faulted batch path vs event path: bit-identity under every fault kind.
+"""Batch kernel vs event loop under every fault kind.
 
 The companion to ``tests/test_batch_equivalence.py``: that module pins
-the fault-free kernel, this one pins the masked kernels that serve
-fault schedules.  The contract is the same — exact ``TimingResult``
+fault-free runs, this one pins the fault masks.  The contract is the
+same — exact ``TimingResult``
 equality (no ``approx``), same RNG stream consumption, same IEEE-754
 operation order — now across stragglers, degraded/flapping links, NIC
 faults, retransmit storms, and crashes with both recovery policies, on
 every execution path (bucketed baseline, sequential compression,
 overlapped compression) and every allreduce algorithm.  Plus the
-cross-config dimension this PR adds: ``run_batch_many`` stacking
-several runs into one kernel call, and the engine's automatic family
-batching of cache-missing ``SimJob``s.
+cross-config dimension: ``run_batch_many`` stacking several runs into
+one kernel call, and the engine's automatic family batching of
+cache-missing ``SimJob``s.
 """
 
 from dataclasses import replace
@@ -45,6 +45,8 @@ from repro.hardware import P3_2XLARGE, ClusterConfig, cluster_for_gpus
 from repro.models import get_model
 from repro.simulator import DDPConfig, DDPSimulator
 from repro.simulator.batch import run_batch_many
+
+from .oracle import event_run
 
 
 @pytest.fixture(scope="module")
@@ -105,14 +107,13 @@ def make_sim(model, scheme, gpus=8, config=None, faults=None):
 
 def run_both(model, scheme_fn, faults, gpus=8, config=None,
              iterations=14, warmup=3, seed=3):
-    """One run per mode on separate simulators; returns both results
-    and both simulators (for counter inspection)."""
+    """The event oracle and ``run()`` on separate simulators; returns
+    both results and both simulators (for counter inspection)."""
     sim_e = make_sim(model, scheme_fn(), gpus, config, faults)
     sim_b = make_sim(model, scheme_fn(), gpus, config, faults)
-    event = sim_e.run(iterations=iterations, warmup=warmup, seed=seed,
-                      mode="event")
-    batch = sim_b.run(iterations=iterations, warmup=warmup, seed=seed,
-                      mode="batch")
+    event = event_run(sim_e, iterations=iterations, warmup=warmup,
+                      seed=seed)
+    batch = sim_b.run(iterations=iterations, warmup=warmup, seed=seed)
     return event, batch, sim_e, sim_b
 
 
@@ -178,16 +179,8 @@ class TestFaultedBitIdentity:
                              config=config, faults=faults)
         sim_b = DDPSimulator(rn50, cluster, scheme=PowerSGDScheme(rank=4),
                              config=config, faults=faults)
-        assert sim_e.run(iterations=12, warmup=2, seed=9,
-                         mode="event") == \
-            sim_b.run(iterations=12, warmup=2, seed=9, mode="batch")
-
-    def test_auto_resolves_to_batch_with_faults(self, rn50):
-        sim = make_sim(rn50, SyncSGDScheme(), 8,
-                       faults=SCHEDULES["nic-straggler"])
-        sim.run(iterations=12, warmup=2, mode="auto")
-        assert sim.last_run_mode == "batch"
-        assert sim.last_run_fallback is None
+        assert event_run(sim_e, iterations=12, warmup=2, seed=9) == \
+            sim_b.run(iterations=12, warmup=2, seed=9)
 
     def test_retransmit_counters_match_event_exactly(self, rn50):
         event, batch, sim_e, sim_b = run_both(
@@ -215,9 +208,9 @@ class TestRunBatchMany:
         got = run_batch_many(self._sims(rn50, schedules),
                              iterations=14, warmup=3, seeds=(3, 3, 3))
         for faults, result in zip(schedules, got):
-            ref = make_sim(rn50, PowerSGDScheme(rank=4), 16,
-                           faults=faults).run(
-                iterations=14, warmup=3, seed=3, mode="event")
+            ref = event_run(make_sim(rn50, PowerSGDScheme(rank=4), 16,
+                                     faults=faults),
+                            iterations=14, warmup=3, seed=3)
             assert result == ref
 
     def test_member_seeds_are_independent(self, rn50):
@@ -225,9 +218,9 @@ class TestRunBatchMany:
         got = run_batch_many(self._sims(rn50, [faults, faults]),
                              iterations=14, warmup=3, seeds=(3, 9))
         for seed, result in zip((3, 9), got):
-            ref = make_sim(rn50, PowerSGDScheme(rank=4), 16,
-                           faults=faults).run(
-                iterations=14, warmup=3, seed=seed, mode="event")
+            ref = event_run(make_sim(rn50, PowerSGDScheme(rank=4), 16,
+                                     faults=faults),
+                            iterations=14, warmup=3, seed=seed)
             assert result == ref
 
     def test_mismatched_members_rejected(self, rn50):
@@ -288,21 +281,6 @@ class TestEngineFamilyBatching:
                for o in reference.run_outcomes(self._jobs(rn50))]
         assert got == ref
         assert pooled.jobs_batched == 6
-
-    def test_explicit_event_jobs_never_batched(self, rn50):
-        jobs = [replace(job, sim_mode="event")
-                for job in self._jobs(rn50)]
-        engine = ExperimentEngine(chunking=True)
-        reference = ExperimentEngine(chunking=False)
-        got = [o.unwrap() for o in engine.run_outcomes(jobs)]
-        ref = [o.unwrap() for o in reference.run_outcomes(jobs)]
-        assert got == ref
-        assert engine.jobs_batched == 0
-
-    def test_event_override_engine_never_batches(self, rn50):
-        engine = ExperimentEngine(sim_mode="event", chunking=True)
-        engine.run_outcomes(self._jobs(rn50))
-        assert engine.jobs_batched == 0
 
     def test_stats_report_jobs_batched(self, rn50):
         engine = ExperimentEngine(chunking=True)

@@ -19,6 +19,8 @@ from repro.hardware import cluster_for_gpus
 from repro.network import Fabric
 from repro.simulator import DDPSimulator
 
+from .oracle import event_run
+
 
 class TestScheduleValidation:
     def test_straggler_slowdown_must_exceed_one(self):
@@ -431,12 +433,13 @@ class TestInjectorHardening:
         faults = FaultSchedule(seed=7, retransmits=[
             RetransmitFault(drop_rate=0.3)])
         sim = DDPSimulator(resnet50, small_cluster, faults=faults)
-        sim.run(batch_size=64, iterations=10, warmup=2, mode="event")
+        event_run(sim, batch_size=64, iterations=10, warmup=2)
         first = (sim.injector.retransmits_injected,
                  sim.injector.retransmit_delay_s)
         assert first[0] > 0
-        sim.run(batch_size=64, iterations=10, warmup=2, mode="event")
-        # Identical run, identical counters — not doubled.
+        sim.run(batch_size=64, iterations=10, warmup=2)
+        # The event loop's tallies are replaced, not added to: the
+        # same run yields the same counters — not doubled.
         assert (sim.injector.retransmits_injected,
                 sim.injector.retransmit_delay_s) == first
 
@@ -445,11 +448,11 @@ class TestInjectorHardening:
         faults = FaultSchedule(seed=7, retransmits=[
             RetransmitFault(drop_rate=0.3)])
         sim = DDPSimulator(resnet50, small_cluster, faults=faults)
-        sim.run(batch_size=64, iterations=10, warmup=2, mode="batch")
+        sim.run(batch_size=64, iterations=10, warmup=2)
         first = (sim.injector.retransmits_injected,
                  sim.injector.retransmit_delay_s)
         assert first[0] > 0
-        sim.run(batch_size=64, iterations=10, warmup=2, mode="batch")
+        sim.run(batch_size=64, iterations=10, warmup=2)
         assert (sim.injector.retransmits_injected,
                 sim.injector.retransmit_delay_s) == first
 

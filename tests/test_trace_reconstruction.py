@@ -1,10 +1,10 @@
-"""Batch-path trace reconstruction vs the event loop's spans.
+"""Batch-kernel trace reconstruction vs the event loop's spans.
 
 ``repro.simulator.reconstruct`` derives per-iteration span timelines
 from the batch kernel's recorded intermediates; its contract is *exact*
 equality with what ``simulate_iteration`` emits — same spans (stream,
 label, start, end, bytes), same key instants, same float bits — which
-is what lets ``--trace`` stay on the vectorized fast path.  This module
+is what lets ``--trace`` take the vectorized kernel.  This module
 is that contract, across schemes, world sizes, allreduce algorithms,
 and fault schedules, plus the CLI wiring on top of it.
 """
@@ -14,6 +14,7 @@ import pytest
 
 from repro.compression import (
     FP16Scheme,
+    scheme_from_spec,
     PowerSGDScheme,
     SignSGDScheme,
     SyncSGDScheme,
@@ -23,7 +24,12 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultSchedule, StragglerFault
 from repro.hardware import P3_2XLARGE, ClusterConfig, cluster_for_gpus
 from repro.models import get_model
-from repro.simulator import DDPConfig, DDPSimulator, reconstruct_traces
+from repro.simulator import (
+    DDPConfig,
+    DDPSimulator,
+    reconstruct_traces,
+    write_run_trace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,9 +118,9 @@ class TestExactEquivalence:
 
     def test_reconstruction_is_pure(self, rn50):
         sim = make_sim(rn50, SyncSGDScheme(), 8, faults=STRAGGLER)
-        before = sim.run(iterations=12, warmup=2, seed=0, mode="batch")
+        before = sim.run(iterations=12, warmup=2, seed=0)
         reconstruct_traces(sim, iterations=4, seed=0)
-        after = sim.run(iterations=12, warmup=2, seed=0, mode="batch")
+        after = sim.run(iterations=12, warmup=2, seed=0)
         assert before == after
 
     def test_seed_matters(self, rn50):
@@ -129,45 +135,41 @@ class TestExactEquivalence:
             reconstruct_traces(sim, iterations=0)
 
 
-class TestModeStaysBatch:
-    def test_auto_with_tracing_keeps_batch_and_no_fallback(self, rn50):
-        sim = make_sim(rn50, SyncSGDScheme(), 8)
-        assert sim.resolve_mode("auto", tracing=True) == ("batch", None)
-        sim.run(iterations=12, warmup=2, mode="auto")
-        assert sim.last_run_mode == "batch"
-        assert sim.last_run_fallback is None
-
-
 class TestCLIByteIdentity:
-    def export(self, tmp_path, name, mode, faults_path=None):
+    def export(self, tmp_path, name, faults_path=None):
         from repro.cli import main
         out = tmp_path / name
         argv = ["simulate", "--model", "resnet50", "--gpus", "8",
                 "--scheme", "powersgd:rank=4", "--iterations", "12",
-                "--sim-mode", mode, "--trace", str(out)]
+                "--trace", str(out)]
         if faults_path is not None:
             argv += ["--faults", str(faults_path)]
         assert main(argv) == 0
         return out.read_bytes()
 
-    def test_trace_files_identical_across_modes(self, tmp_path):
-        assert self.export(tmp_path, "batch.json", "batch") == \
-            self.export(tmp_path, "event.json", "event")
+    def oracle(self, tmp_path, name, faults=None, workers=2, iterations=3):
+        """The same export built from ``simulate_iteration`` directly."""
+        sim = make_sim(get_model("resnet50"),
+                       scheme_from_spec("powersgd:rank=4"), 8,
+                       faults=faults)
+        traces = {}
+        for w in range(workers):
+            rng = np.random.default_rng(w)
+            traces[f"worker{w}"] = [
+                sim.simulate_iteration(None, rng, iteration=i)
+                for i in range(iterations)]
+        out = tmp_path / name
+        write_run_trace(traces, str(out))
+        return out.read_bytes()
 
-    def test_faulted_trace_files_identical_across_modes(self, tmp_path):
+    def test_trace_file_matches_event_loop(self, tmp_path):
+        assert self.export(tmp_path, "kernel.json") == \
+            self.oracle(tmp_path, "event.json")
+
+    def test_faulted_trace_file_matches_event_loop(self, tmp_path):
         spec = tmp_path / "faults.json"
         spec.write_text(
             '{"stragglers": [{"worker": 0, "slowdown": 2.0, '
             '"start_iteration": 1, "duration_iterations": 3}]}')
-        assert self.export(tmp_path, "fb.json", "batch", spec) == \
-            self.export(tmp_path, "fe.json", "event", spec)
-
-    def test_auto_trace_stays_batch(self, tmp_path, capsys):
-        from repro.cli import main
-        out = tmp_path / "auto.json"
-        assert main(["simulate", "--model", "resnet50", "--gpus", "8",
-                     "--iterations", "12", "--trace", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "sim mode: batch" in text
-        assert "fell back" not in text
-        assert out.exists()
+        assert self.export(tmp_path, "fk.json", spec) == \
+            self.oracle(tmp_path, "fe.json", FaultSchedule.load(str(spec)))
