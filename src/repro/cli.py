@@ -123,8 +123,7 @@ def _accepts_engine(runner) -> bool:
 def cmd_experiment(args: argparse.Namespace) -> int:
     cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
              if args.cache else None)
-    engine = ExperimentEngine(jobs=args.jobs, cache=cache,
-                              chunking=not args.no_chunking)
+    engine = ExperimentEngine(jobs=args.jobs, cache=cache)
     # "all" covers only the paper's own exhibits; extras (reliability)
     # run by explicit id so the canonical output stays stable.
     ids = list(EXPERIMENTS) if args.id == "all" else [args.id]
@@ -190,8 +189,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             config={"command": "experiment", "id": args.id,
                     "jobs": args.jobs, "cache": args.cache,
                     "cache_mem_mb": args.cache_mem_mb,
-                    "markdown": bool(args.markdown),
-                    "chunking": not args.no_chunking},
+                    "markdown": bool(args.markdown)},
             wall_time_s=time.perf_counter() - run_started,
             metrics=snapshot,
             results={"exhibits": exhibits,
@@ -464,10 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "<cache>/manifest.json when --cache is set)")
     p_exp.add_argument("--metrics", action="store_true",
                        help="print the telemetry snapshot at the end")
-    p_exp.add_argument("--no-chunking", action="store_true",
-                       help="disable job chunking/family grouping and "
-                            "run one execution per job (identical rows "
-                            "and cache entries, only slower)")
     p_exp.add_argument("--trace-run", default=None, metavar="PATH",
                        help="record a span trace of the whole run — "
                             "CLI, exhibits, engine queue/exec/cache "

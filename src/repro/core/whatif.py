@@ -7,18 +7,13 @@ key observation about why faster GPUs favour compression — or trade
 encode time against compression ratio for a hypothetical scheme
 (Figure 13).
 
-Two evaluation strategies produce byte-identical points:
-
-* the **grid path** (default): the whole sweep goes through one
-  broadcasted kernel call in :mod:`repro.core.grid`;
-* the **scalar path** (``use_grid=False``): the original one-point-per-
-  Python-call loops, kept verbatim as the reference the equivalence
-  tests compare against.
-
+Every sweep goes through one broadcasted kernel call in
+:mod:`repro.core.grid`, whose cells are bit-identical to the scalar
+:mod:`repro.core.perf_model` functions (the equivalence tests' oracle).
 Passing ``engine=`` routes the sweep through
 :meth:`repro.engine.ExperimentEngine.run_model_outcomes`, which adds
-per-point caching and family chunking on top of the same grid kernel —
-still byte-identical points.
+per-point caching and families on top of the same grid kernel — still
+byte-identical points.
 
 Crossover estimation comes in two flavours: the historical
 :func:`find_crossover_gbps` (linear interpolation between swept points,
@@ -68,7 +63,7 @@ def _engine_sweep(model: ModelSpec, scheme: Scheme, xs: Sequence[float],
                   profile: Optional[KernelProfile],
                   compute_factors=None) -> Tuple[WhatIfPoint, ...]:
     """Run a sweep's baseline + compressed evaluations through the
-    engine's model-eval path (cached, family-chunked, grid-backed)."""
+    engine's model-eval path (cached, family-grouped, grid-backed)."""
     from ..engine.modeljobs import ModelEvalJob
     jobs = []
     for i, x in enumerate(xs):
@@ -96,23 +91,13 @@ def bandwidth_sweep(model: ModelSpec, scheme: Scheme,
                     bandwidths_gbps: Sequence[float],
                     inputs: PerfModelInputs, gpu: GPUSpec = V100,
                     profile: Optional[KernelProfile] = None, *,
-                    use_grid: bool = True, engine=None,
-                    ) -> Tuple[WhatIfPoint, ...]:
+                    engine=None) -> Tuple[WhatIfPoint, ...]:
     """Figure 11: vary the network from e.g. 1 to 30 Gbit/s."""
     if engine is not None:
         return _engine_sweep(
             model, scheme, list(bandwidths_gbps), engine,
             lambda g: inputs.with_bandwidth(gbps_to_bytes_per_s(g)),
             gpu, profile)
-    if not use_grid:
-        points: List[WhatIfPoint] = []
-        for gbps in bandwidths_gbps:
-            swept = inputs.with_bandwidth(gbps_to_bytes_per_s(gbps))
-            base = syncsgd_time(model, swept, gpu).total
-            comp = compressed_time(model, scheme, swept, gpu, profile).total
-            points.append(WhatIfPoint(x=gbps, syncsgd_s=base,
-                                      compressed_s=comp))
-        return tuple(points)
     xs = list(bandwidths_gbps)
     bw = np.asarray([gbps_to_bytes_per_s(g) for g in xs], dtype=float)
     base = syncsgd_time_grid(model, inputs, gpu, bandwidth_bytes_per_s=bw)
@@ -128,8 +113,7 @@ def compute_sweep(model: ModelSpec, scheme: Scheme,
                   compute_factors: Sequence[float],
                   inputs: PerfModelInputs, gpu: GPUSpec = V100,
                   profile: Optional[KernelProfile] = None, *,
-                  use_grid: bool = True, engine=None,
-                  ) -> Tuple[WhatIfPoint, ...]:
+                  engine=None) -> Tuple[WhatIfPoint, ...]:
     """Figure 12: scale GPU speed while the network stays fixed.
 
     Scaling the GPU scales the backward pass *and* the kernel profile, so
@@ -145,18 +129,6 @@ def compute_sweep(model: ModelSpec, scheme: Scheme,
         return _engine_sweep(model, scheme, factors, engine,
                              lambda _: inputs, gpu, profile,
                              compute_factors=factors)
-    if not use_grid:
-        prof = profile if profile is not None else v100_kernel_profile()
-        points: List[WhatIfPoint] = []
-        for factor in factors:
-            fast_gpu = gpu.scaled(factor)
-            fast_prof = prof.scaled(factor)
-            base = syncsgd_time(model, inputs, fast_gpu).total
-            comp = compressed_time(model, scheme, inputs, fast_gpu,
-                                   fast_prof).total
-            points.append(WhatIfPoint(x=factor, syncsgd_s=base,
-                                      compressed_s=comp))
-        return tuple(points)
     f_arr = np.asarray(factors, dtype=float)
     base = syncsgd_time_grid(model, inputs, gpu, compute_factor=f_arr)
     comp = compressed_time_grid(model, scheme, inputs, gpu, profile,
@@ -186,9 +158,9 @@ def tradeoff_time(model: ModelSpec, base_scheme: Scheme, k: float, l: float,
                   inputs: PerfModelInputs, gpu: GPUSpec = V100,
                   profile: Optional[KernelProfile] = None) -> float:
     """Scalar Figure-13 cell: predicted seconds for the hypothetical
-    scheme at one ``(k, l)`` (the reference arithmetic the grid kernel
-    reproduces; also the engine's per-point evaluation for tradeoff
-    jobs)."""
+    scheme at one ``(k, l)`` — the reference arithmetic
+    :func:`~repro.core.grid.tradeoff_time_grid` reproduces bit for bit,
+    kept as the equivalence tests' oracle."""
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if l < 1:
@@ -222,8 +194,7 @@ def encode_tradeoff_grid(model: ModelSpec, base_scheme: Scheme,
                          ks: Sequence[float], ls: Sequence[float],
                          inputs: PerfModelInputs, gpu: GPUSpec = V100,
                          profile: Optional[KernelProfile] = None, *,
-                         use_grid: bool = True, engine=None,
-                         ) -> Tuple[TradeoffPoint, ...]:
+                         engine=None) -> Tuple[TradeoffPoint, ...]:
     """Figure 13: for each ``(k, l)``, price a hypothetical scheme whose
     encode/decode time is the base scheme's divided by ``k`` and whose
     payload is multiplied by ``l*k`` (the paper's example: k=2, l=2 means
@@ -255,36 +226,6 @@ def encode_tradeoff_grid(model: ModelSpec, base_scheme: Scheme,
                     raise outcome.error
                 points.append(TradeoffPoint(
                     k=k, l=l, predicted_s=outcome.result.total,
-                    syncsgd_s=baseline))
-        return tuple(points)
-    if not use_grid:
-        prof = profile if profile is not None else v100_kernel_profile()
-        compute = ComputeModel(model, gpu)
-        bs = inputs.batch_size or model.default_batch_size
-        t_comp = compute.backward_time(bs)
-        p = inputs.world_size
-        base_cost = base_scheme.cost(model, p, prof)
-        points = []
-        for k in ks:
-            for l in ls:
-                wire = min(base_cost.wire_bytes * l * k,
-                           float(model.grad_bytes))
-                enc = base_cost.encode_decode_s / k
-                if p == 1:
-                    comm = 0.0
-                else:
-                    per_message = wire / base_cost.messages
-                    if base_cost.all_reducible:
-                        single = ring_allreduce_time(
-                            per_message, p, inputs.bandwidth_bytes_per_s,
-                            inputs.alpha_s)
-                    else:
-                        single = allgather_time(
-                            per_message, p, inputs.bandwidth_bytes_per_s,
-                            inputs.alpha_s)
-                    comm = single * base_cost.messages
-                points.append(TradeoffPoint(
-                    k=k, l=l, predicted_s=t_comp + enc + comm,
                     syncsgd_s=baseline))
         return tuple(points)
     k_list, l_list = list(ks), list(ls)

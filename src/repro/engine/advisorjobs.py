@@ -17,7 +17,7 @@ Two properties make shards engine citizens like
   repeated ``repro advise`` is served from the tiered
   :class:`~repro.engine.cache.SimulationCache` without pricing
   anything;
-* **family chunking** — shards of one candidate share a
+* **families** — shards of one candidate share a
   :meth:`AdvisorShardJob.family_key`; on the pool path the engine
   submits one task per candidate (amortizing IPC over that candidate's
   shards) while each member still runs its own bounded grid call.
@@ -30,7 +30,6 @@ what makes sharded-parallel advise output byte-identical to serial.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -204,6 +203,8 @@ class AdvisorShardOutcome:
     error: Optional[Exception] = None
     cached: bool = False
     exec_s: float = 0.0
+    queue_wait_s: float = 0.0
+    attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -228,15 +229,3 @@ def evaluate_advisor_family(jobs: Sequence[AdvisorShardJob],
     """
     return [job.evaluate() for job in jobs]
 
-
-def _execute_advisor_family(jobs: Sequence[AdvisorShardJob],
-                            ) -> Tuple[List[AdvisorShardResult], float]:
-    """Process-pool entry point: one candidate's shards, sequentially.
-
-    Exceptions propagate to the parent, which falls back to in-process
-    per-shard evaluation (isolating the offending shard instead of
-    failing the candidate wholesale).
-    """
-    started = time.perf_counter()
-    results = evaluate_advisor_family(jobs)
-    return results, time.perf_counter() - started

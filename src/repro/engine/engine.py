@@ -1,9 +1,10 @@
-"""Sweep execution: fan simulation jobs out over processes, memoize.
+"""Sweep execution: fan jobs out over processes, memoize.
 
 The paper's methodology (§6) and every scaling figure reduce to the
-same shape of work: a grid of independent ``DDPSimulator.run`` calls —
-model × scheme × cluster, 110 iterations each.  The grid is
-embarrassingly parallel and heavily redundant across figures (the
+same shape of work: a grid of independent evaluations — ``DDPSimulator
+.run`` calls (model × scheme × cluster, 110 iterations each),
+closed-form performance-model points, advisor pricing shards.  The grid
+is embarrassingly parallel and heavily redundant across figures (the
 syncSGD baseline of Figure 4 is the same simulation as the baseline of
 Figures 5 and 6), so the engine does two things:
 
@@ -15,6 +16,19 @@ Figures 5 and 6), so the engine does two things:
   stored in a content-addressed :class:`SimulationCache` keyed by the
   fingerprint of everything that determines them (see
   :mod:`repro.engine.fingerprint`).
+
+Every job kind — :class:`SimJob`,
+:class:`~repro.engine.modeljobs.ModelEvalJob`,
+:class:`~repro.engine.advisorjobs.AdvisorShardJob` — speaks one
+protocol: ``fingerprint()`` (the cache key), ``family_key()`` (which
+misses may share one execution), ``describe()`` (a label) and
+``evaluate()`` (the per-member reference), plus one module-level family
+executor (:func:`run_sim_family`, :func:`run_model_family`,
+:func:`run_advisor_family`).  One dispatcher serves all three
+``run_*_outcomes`` entry points: one batched cache lookup, misses
+grouped into families and packed into tasks, serial or pooled execution
+(retries, timeouts and pool rebuilds written once), fan-out to per-job
+outcomes, one batched cache store.
 
 ``ExperimentEngine()`` with no arguments is a serial, cache-less
 drop-in for the old inline loops, which is what experiment runners
@@ -30,8 +44,8 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
@@ -54,7 +68,6 @@ from .advisorjobs import (
     AdvisorShardJob,
     AdvisorShardOutcome,
     AdvisorShardResult,
-    _execute_advisor_family,
     evaluate_advisor_family,
 )
 from .cache import CacheStats, SimulationCache
@@ -69,15 +82,10 @@ from .fingerprint import (
     profile_fingerprint,
     scheme_fingerprint,
 )
-from .modeljobs import (
-    ModelEvalJob,
-    ModelEvalOutcome,
-    _execute_model_family,
-    evaluate_family,
-)
+from .modeljobs import ModelEvalJob, ModelEvalOutcome, evaluate_family
 
 #: Environment variable for chaos testing the engine itself: set it to a
-#: sentinel file path and the first pooled worker to pick up a job
+#: sentinel file path and the first pooled worker to pick up a task
 #: SIGKILLs itself (once — creating the sentinel claims the kill).  The
 #: reliability test suite uses this to prove a sweep survives a dying
 #: worker; it is a no-op unless explicitly set.
@@ -85,7 +93,7 @@ CHAOS_KILL_ENV = "REPRO_CHAOS_KILL_ONCE"
 
 #: Chaos hook for timeout testing: ``<sentinel-path>:<seconds>`` makes
 #: the first executor to claim the sentinel sleep that long before
-#: simulating, which a per-job timeout then catches.
+#: evaluating, which a per-job timeout then catches.
 CHAOS_SLEEP_ENV = "REPRO_CHAOS_SLEEP_ONCE"
 
 
@@ -112,46 +120,6 @@ def _claim_sentinel(path: str) -> bool:
         return False
     os.close(fd)
     return True
-
-
-def _payload_label(payload: object) -> str:
-    """Short span name for whatever an execute_fn consumes (a job, a
-    chunk, a family — anything with ``describe()``)."""
-    describe = getattr(payload, "describe", None)
-    if callable(describe):
-        return describe()
-    return type(payload).__name__
-
-
-def _traced_call(ctx: TraceContext, fn: Callable, payload: object):
-    """Execution wrapper that records spans under a propagated context.
-
-    ``ctx`` is the submitting process's ``(trace_id, parent_span_id,
-    submitted_unix_s)``.  A local :class:`TraceRecorder` seeded with
-    that context is installed for the duration of ``fn`` — so spans the
-    execution emits (including the simulator's own) parent across the
-    process boundary — plus a ``queue-wait`` span covering submission
-    to pickup and an ``exec`` span around the call itself.  Returns
-    ``(fn's result, recorded spans)`` for the parent to merge; a killed
-    worker ships nothing, so its retry lands as a sibling attempt.
-
-    Also used in-process by the serial path: the previous tracer is
-    restored on exit either way.
-    """
-    trace_id, parent_id, submitted_unix = ctx
-    started_unix = time.time()
-    collector = TraceRecorder(trace_id=trace_id, root_parent_id=parent_id)
-    previous = set_tracer(collector)
-    try:
-        collector.add_span("queue-wait", track="queue",
-                           start_unix_s=min(submitted_unix, started_unix),
-                           end_unix_s=started_unix)
-        with collector.span(_payload_label(payload), track="exec",
-                            pid=str(os.getpid())):
-            out = fn(payload)
-    finally:
-        set_tracer(previous)
-    return out, collector.drain()
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +214,15 @@ class SimJob:
             fabric=self.fabric, config=self.config,
             kernel_profile=self.profile, faults=self.faults)
 
+    def evaluate(self) -> TimingResult:
+        """Run this one simulation (the per-member reference a stacked
+        family call reproduces); raises the simulator's
+        :class:`OutOfMemoryError` for a configuration that does not
+        fit."""
+        return self.build_simulator().run(
+            self.batch_size, iterations=self.iterations,
+            warmup=self.warmup, seed=self.seed)
+
     def describe(self) -> str:
         """Short human label for logs and error messages."""
         scheme_label = self.scheme.label if self.scheme else "syncsgd"
@@ -299,136 +276,216 @@ class JobOutcome:
         return self.result
 
 
-def _execute_job(job: SimJob) -> Tuple[str, object, float, float]:
-    """Process-pool entry point: run one job, tag the outcome.
+# ----- family executors ------------------------------------------------------
 
-    OOM is data (the sweep reports it as a row), so it travels back as a
-    value instead of an exception; anything else propagates to the
-    parent, which retries and ultimately degrades the job to a failure
-    outcome.  The tag carries the job's own wall time and the wall-clock
-    instant it started (``time.time``, comparable across processes to
-    ~ms precision), from which the parent derives queue wait.
-    """
-    _chaos_hook()
+#: One member's result as a family executor reports it:
+#: ``(status, payload, exec_s, started_unix)``.  ``status`` is ``"ok"``
+#: (payload: the result), ``"oom"`` (payload: the OOM's message and byte
+#: counts — a simulation outcome, not a failure), ``"error"`` (payload:
+#: the exception a deterministic per-member failure raised) or, set by
+#: the dispatcher, ``"failed"`` (payload: why the engine gave up).
+#: ``started_unix`` is ``time.time`` at the start, comparable across
+#: processes to ~ms, from which the parent derives queue wait.
+Tag = Tuple[str, object, float, float]
+
+
+def _member_tag(job: Any, isolate: Tuple[type, ...]) -> Tag:
+    """Evaluate one job on its own.  OOM travels back as data and
+    exceptions in ``isolate`` as this member's error; anything else
+    propagates for the dispatcher to retry."""
     started_unix = time.time()
     started = time.perf_counter()
-    sim = job.build_simulator()
     try:
-        result = sim.run(job.batch_size, iterations=job.iterations,
-                         warmup=job.warmup, seed=job.seed)
+        status, payload = "ok", job.evaluate()
     except OutOfMemoryError as exc:
-        return ("oom", (str(exc), exc.required_bytes, exc.budget_bytes),
-                time.perf_counter() - started, started_unix)
-    return ("ok", result, time.perf_counter() - started, started_unix)
+        status = "oom"
+        payload = (str(exc), exc.required_bytes, exc.budget_bytes)
+    except isolate as exc:
+        status, payload = "error", exc
+    return (status, payload, time.perf_counter() - started, started_unix)
 
 
-@dataclass(frozen=True)
-class _JobChunk:
-    """Several consecutive misses bundled into one pool submission.
-
-    Chunking amortizes per-task IPC (pickling the model and cluster
-    once per chunk instead of once per job) on large sweeps; each job
-    inside still executes — and tags its outcome — individually, so
-    fan-out back to per-job outcomes is exact.
-    """
-
-    jobs: Tuple[SimJob, ...]
-
-    def describe(self) -> str:
-        """Short human label for logs and error messages."""
-        return (f"chunk of {len(self.jobs)} jobs "
-                f"[{self.jobs[0].describe()}, ...]")
-
-
-def _execute_job_chunk(chunk: _JobChunk) -> Tuple[str, object, float, float]:
-    """Process-pool entry point for a chunk: run members in order.
-
-    The payload is the list of per-job tagged outcomes, each carrying
-    its own wall time and start instant, so the parent rehydrates them
-    exactly as it would unchunked ones.  An unexpected exception fails
-    the whole chunk back to the parent, which retries it wholesale.
-    """
-    started_unix = time.time()
-    started = time.perf_counter()
-    tags = [_execute_job(job) for job in chunk.jobs]
-    return ("chunk", tags, time.perf_counter() - started, started_unix)
+def _family_tags(jobs: Sequence, evaluate_many: Callable,
+                 fallback_on: Tuple[type, ...],
+                 isolate: Tuple[type, ...]) -> List[Tag]:
+    """Run one family: a single ``evaluate_many(jobs)`` call when it has
+    two or more members.  If that call raises one of ``fallback_on``,
+    the members run one by one instead, so a bad member fails alone and
+    stacking can only add speed, never failure modes."""
+    if len(jobs) > 1:
+        started_unix = time.time()
+        started = time.perf_counter()
+        try:
+            results = evaluate_many(jobs)
+        except fallback_on:
+            pass
+        else:
+            share = (time.perf_counter() - started) / len(jobs)
+            return [("ok", result, share, started_unix)
+                    for result in results]
+    return [_member_tag(job, isolate) for job in jobs]
 
 
-@dataclass(frozen=True)
-class _SimFamily:
-    """Jobs sharing a :meth:`SimJob.family_key`, bundled for one
-    stacked kernel call.
-
-    Unlike a :class:`_JobChunk` (an IPC-amortization grouping of
-    unrelated jobs), a family's members are structurally identical —
-    the batch kernel prices their shared state once and evaluates all
-    members' iterations as one array computation.
-    """
-
-    jobs: Tuple[SimJob, ...]
-
-    def describe(self) -> str:
-        """Short human label for logs and error messages."""
-        return (f"family of {len(self.jobs)} jobs "
-                f"[{self.jobs[0].describe()}]")
-
-
-def _execute_sim_family(family: _SimFamily) -> Tuple[str, object, float, float]:
-    """Process-pool entry point for a family: one stacked kernel call.
-
-    The payload mirrors :func:`_execute_job_chunk`'s — a list of
-    per-job tagged outcomes — so the parent fans results back out with
-    the same machinery.  A family the batch kernel cannot serve (a
-    deterministic OOM, which is per-member data, or a configuration it
-    rejects) falls back to executing members individually, so family
-    batching can only add speed, never failure modes; unexpected
-    exceptions still propagate for the parent to retry.
-    """
-    _chaos_hook()
-    started_unix = time.time()
-    started = time.perf_counter()
-    jobs = family.jobs
+def _simulate_stacked(jobs: Sequence[SimJob]) -> List[TimingResult]:
+    """One :func:`~repro.simulator.batch.run_batch_many` kernel call for
+    a family of structurally identical simulations."""
+    # Deferred import: batch.py sits below the simulator package this
+    # module already imports.
+    from ..simulator.batch import run_batch_many
+    sims = [job.build_simulator() for job in jobs]
+    for sim in sims:
+        if sim._injector is not None:
+            sim._injector.reset_run_counters()
     lead = jobs[0]
+    return run_batch_many(sims, lead.batch_size, iterations=lead.iterations,
+                          warmup=lead.warmup, seeds=[job.seed for job in jobs])
+
+
+def run_sim_family(jobs: Sequence[SimJob]) -> List[Tag]:
+    """Family executor for :class:`SimJob`: one stacked kernel call.
+
+    A family the kernel cannot serve — a deterministic OOM, which is
+    per-member data, or a configuration it rejects — runs member by
+    member through :meth:`SimJob.evaluate` instead; a singleton always
+    does, which keeps its ``sim-run`` span.  Unexpected exceptions
+    propagate for the dispatcher to retry.
+    """
+    return _family_tags(jobs, _simulate_stacked,
+                        (OutOfMemoryError, ConfigurationError), ())
+
+
+def run_model_family(jobs: Sequence[ModelEvalJob]) -> List[Tag]:
+    """Family executor for :class:`~repro.engine.modeljobs.ModelEvalJob`:
+    one :func:`~repro.engine.modeljobs.evaluate_family` grid call; if it
+    raises, each point evaluates alone and only the offending point
+    reports an error."""
+    return _family_tags(jobs, evaluate_family, (Exception,), (Exception,))
+
+
+def run_advisor_family(jobs: Sequence[AdvisorShardJob]) -> List[Tag]:
+    """Family executor for
+    :class:`~repro.engine.advisorjobs.AdvisorShardJob`: one candidate's
+    shards through
+    :func:`~repro.engine.advisorjobs.evaluate_advisor_family`, with the
+    same per-shard error isolation as :func:`run_model_family`."""
+    return _family_tags(jobs, evaluate_advisor_family, (Exception,),
+                        (Exception,))
+
+
+@dataclass(frozen=True)
+class _Task:
+    """One unit of execution: families run back to back by their kind's
+    family executor.  A task is one family of two or more members, or a
+    run of singletons (families of one) packed to amortize pool IPC."""
+
+    run_family: Callable[[Sequence], List[Tag]]
+    families: Tuple[tuple, ...]
+
+    @property
+    def size(self) -> int:
+        """Member jobs across every family of the task."""
+        return sum(len(family) for family in self.families)
+
+    def describe(self) -> str:
+        """Short human label for spans and logs."""
+        lead = self.families[0][0].describe()
+        if len(self.families) > 1:
+            return f"{len(self.families)} singletons [{lead}, ...]"
+        if self.size > 1:
+            return f"family of {self.size} jobs [{lead}]"
+        return lead
+
+
+def _execute_task(task: _Task) -> List[Tag]:
+    """Pool (and serial) entry point: honour the chaos hooks, then run
+    every family of the task in order."""
+    _chaos_hook()
+    return [tag for family in task.families
+            for tag in task.run_family(family)]
+
+
+def _traced_call(ctx: TraceContext, task: _Task) -> Tuple[List[Tag], tuple]:
+    """Execute ``task`` recording spans under a propagated context.
+
+    ``ctx`` is the submitting process's ``(trace_id, parent_span_id,
+    submitted_unix_s)``.  A local :class:`TraceRecorder` seeded with
+    that context is installed for the duration of the task — so spans
+    the execution emits (including the simulator's own) parent across
+    the process boundary — plus a ``queue-wait`` span covering
+    submission to pickup and an ``exec`` span around the call itself.
+    Returns ``(tags, recorded spans)`` for the parent to merge; a killed
+    worker ships nothing, so its retry lands as a sibling attempt.
+
+    Also used in-process by the serial path: the previous tracer is
+    restored on exit either way.
+    """
+    trace_id, parent_id, submitted_unix = ctx
+    started_unix = time.time()
+    collector = TraceRecorder(trace_id=trace_id, root_parent_id=parent_id)
+    previous = set_tracer(collector)
     try:
-        # Deferred import: batch.py sits below the simulator package
-        # this module already imports.
-        from ..simulator.batch import run_batch_many
-        sims = [job.build_simulator() for job in jobs]
-        for sim in sims:
-            if sim._injector is not None:
-                sim._injector.reset_run_counters()
-        results = run_batch_many(
-            sims, lead.batch_size, iterations=lead.iterations,
-            warmup=lead.warmup, seeds=[job.seed for job in jobs])
-    except (OutOfMemoryError, ConfigurationError):
-        tags = [_execute_job(job) for job in jobs]
-        return ("chunk", tags, time.perf_counter() - started, started_unix)
-    elapsed = time.perf_counter() - started
-    share = elapsed / len(jobs)
-    tags = [("ok", result, share, started_unix) for result in results]
-    return ("chunk", tags, elapsed, started_unix)
+        collector.add_span("queue-wait", track="queue",
+                           start_unix_s=min(submitted_unix, started_unix),
+                           end_unix_s=started_unix)
+        with collector.span(task.describe(), track="exec",
+                            pid=str(os.getpid())):
+            out = _execute_task(task)
+    finally:
+        set_tracer(previous)
+    return out, collector.drain()
 
 
-def _outcome_from_tagged(job: SimJob, tagged: Tuple[str, object, float, float],
-                         submitted_unix: float,
-                         cached: bool = False,
-                         attempts: int = 1) -> JobOutcome:
-    """Rehydrate a worker's tagged return into a :class:`JobOutcome`."""
-    kind, payload, exec_s, started_unix = tagged
-    queue_wait_s = max(0.0, started_unix - submitted_unix)
-    if kind == "error":
-        return JobOutcome(job=job, error=str(payload), cached=cached,
-                          exec_s=exec_s, queue_wait_s=queue_wait_s,
-                          attempts=attempts)
-    if kind == "oom":
-        message, required, budget = payload  # type: ignore[misc]
-        return JobOutcome(job=job, oom=OutOfMemoryError(
-            message, required_bytes=required, budget_bytes=budget),
-            cached=cached, exec_s=exec_s, queue_wait_s=queue_wait_s,
-            attempts=attempts)
-    return JobOutcome(job=job, result=payload, cached=cached,  # type: ignore[arg-type]
-                      exec_s=exec_s, queue_wait_s=queue_wait_s,
-                      attempts=attempts)
+def _failed(task: _Task, reason: str) -> List[Tag]:
+    """Every member's tag once the engine gives up on ``task``."""
+    return [("failed", reason, 0.0, time.time())] * task.size
+
+
+def _status(tags: Sequence[Tag]) -> str:
+    """Span label summarizing a task's member statuses."""
+    return "/".join(sorted({tag[0] for tag in tags}))
+
+
+def _engine_failure(job: Any, reason: str, attempts: int) -> EngineError:
+    """The exception an eval outcome carries when the engine gave up."""
+    return EngineError(f"{job.describe()} failed after {attempts} "
+                       f"attempt(s): {reason}")
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What the dispatcher needs to know about one job kind.
+
+    ``hit_types`` screens cache hits (a key collision with another
+    outcome kind reads as a miss); ``stacked`` kinds count their
+    multi-job families in ``jobs_batched`` (one stacked simulation
+    kernel call), every other multi-job task counts in
+    ``jobs_chunked``; ``give_up`` builds the outcome's ``error`` from a
+    failure reason and attempt count.
+    """
+
+    run_family: Callable[[Sequence], List[Tag]]
+    outcome_cls: type
+    hit_types: Tuple[type, ...]
+    stacked: bool
+    give_up: Callable[[Any, str, int], object]
+
+
+_SIM_KIND = _Kind(run_sim_family, JobOutcome,
+                  (TimingResult, OutOfMemoryError), stacked=True,
+                  give_up=lambda job, reason, attempts: reason)
+_MODEL_KIND = _Kind(run_model_family, ModelEvalOutcome, (PredictedTime,),
+                    stacked=False, give_up=_engine_failure)
+_ADVISOR_KIND = _Kind(run_advisor_family, AdvisorShardOutcome,
+                      (AdvisorShardResult,), stacked=False,
+                      give_up=_engine_failure)
+
+#: Engine counters mirrored into telemetry as per-batch deltas.
+_COUNTER_METRICS = {
+    "retries": "engine_retries_total",
+    "timeouts": "engine_timeouts_total",
+    "jobs_batched": "engine_jobs_batched_total",
+    "jobs_chunked": "engine_jobs_chunked_total",
+}
 
 
 @dataclass(frozen=True)
@@ -455,13 +512,13 @@ class EngineStats:
 
     @property
     def mean_exec_s(self) -> float:
-        """Mean wall time of an actually-executed simulation."""
+        """Mean wall time of an actually-executed job."""
         return self.exec_s_total / self.executed if self.executed else 0.0
 
     @property
     def pool_utilization(self) -> float:
-        """Fraction of allocated worker-seconds spent simulating (1.0 =
-        every worker busy the whole time ``run_outcomes`` held it)."""
+        """Fraction of allocated worker-seconds spent executing (1.0 =
+        every worker busy the whole time a batch held it)."""
         return (self.exec_s_total / self.worker_s_total
                 if self.worker_s_total > 0 else 0.0)
 
@@ -505,8 +562,8 @@ class EngineStats:
 
 
 class ExperimentEngine:
-    """Runs batches of :class:`SimJob` with optional parallelism and
-    an optional result cache.
+    """Runs batches of jobs with optional parallelism and an optional
+    result cache.
 
     Attributes:
         jobs: Worker process count; 1 (the default) runs in-process.
@@ -514,30 +571,22 @@ class ExperimentEngine:
             everything.
         max_retries: How many times a failed execution (crashed pool
             worker, timeout, unexpected exception) is retried before
-            the job degrades to a failure outcome.  0 disables retries.
+            its jobs degrade to failure outcomes.  0 disables retries.
         retry_backoff_s: Base of the exponential backoff slept before
             retry *k* (``retry_backoff_s * 2**(k-1)`` seconds).
         job_timeout_s: Wall-clock budget for one executed job, or
-            ``None`` (default) for no limit.  On the pool path the
-            budget is charged per submission wave: a job queued behind
-            ``k`` others on the same worker gets ``(k+1)`` budgets, so
-            queue wait does not count against it.
-        chunking: Collapse compatible work into fewer executions:
-            large pooled :class:`SimJob` batches are submitted in
-            chunks (amortizing per-task IPC), and
-            :class:`~repro.engine.modeljobs.ModelEvalJob` families run
-            one grid-kernel call each.  Rows, fingerprints, and cached
-            bytes are identical either way — chunking is purely an
-            execution detail.  ``False`` restores one execution per
-            job.
+            ``None`` (default) for no limit.  Under a budget every job
+            runs as its own task, so the budget means per job.  On the
+            pool path it is charged per submission wave: a job queued
+            behind ``k`` others on the same worker gets ``(k+1)``
+            budgets, so queue wait does not count against it.
     """
 
     def __init__(self, jobs: int = 1,
                  cache: Optional[SimulationCache] = None,
                  max_retries: int = 2,
                  retry_backoff_s: float = 0.05,
-                 job_timeout_s: Optional[float] = None,
-                 chunking: bool = True):
+                 job_timeout_s: Optional[float] = None):
         """Validate and store the execution policy (see class docstring
         for what each knob controls)."""
         if jobs < 1:
@@ -556,31 +605,32 @@ class ExperimentEngine:
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.job_timeout_s = job_timeout_s
-        self.chunking = chunking
-        #: Simulations actually executed (cache misses) over the
-        #: engine's lifetime.
+        #: Jobs actually executed (cache misses) over the engine's
+        #: lifetime.
         self.executed = 0
-        #: Wall-clock seconds spent inside ``run_outcomes``.
+        #: Wall-clock seconds spent inside the ``run_*_outcomes`` calls.
         self.busy_s = 0.0
         #: Outcomes returned (hits + misses) over the lifetime.
         self.jobs_completed = 0
-        #: Summed per-job simulation wall time (inside workers).
+        #: Summed per-job execution wall time (inside workers).
         self.exec_s_total = 0.0
         #: Summed submission-to-start wait of executed jobs.
         self.queue_wait_s_total = 0.0
         #: Worker-seconds allocated (workers x batch wall time).
         self.worker_s_total = 0.0
-        #: Failed executions that were re-submitted.
+        #: Failed task executions that were re-submitted.
         self.retries = 0
-        #: Jobs the engine ultimately gave up on (error outcomes).
+        #: Jobs that ended in an error outcome: the engine gave up on
+        #: them, or their evaluation failed deterministically.
         self.failures = 0
         #: Executions killed for exceeding ``job_timeout_s``.
         self.timeouts = 0
-        #: Jobs that ran as part of a collapsed execution (a pooled
-        #: SimJob chunk, or a model-eval family of more than one job).
+        #: Jobs that ran in a multi-job task other than a stacked
+        #: simulation family: a packed run of singletons, or a
+        #: model-eval or advisor family of more than one job.
         self.jobs_chunked = 0
         #: Jobs evaluated through a stacked cross-config kernel call
-        #: (a :class:`_SimFamily` of more than one job).
+        #: (a :class:`SimJob` family of more than one job).
         self.jobs_batched = 0
         self._log = get_logger("engine")
         # Serializes whole-batch submissions so a long-lived process
@@ -591,84 +641,130 @@ class ExperimentEngine:
         # batch) does not deadlock.
         self._submission_lock = threading.RLock()
 
-    # ----- execution ---------------------------------------------------------
+    # ----- entry points ------------------------------------------------------
 
     def run_outcomes(self, batch: Sequence[SimJob]) -> List[JobOutcome]:
-        """Run every job; outcomes come back in input order.
+        """Run every simulation job; outcomes come back in input order.
 
         Cache hits are served without simulating; misses run serially
-        or on the process pool, then populate the cache.  Under an
-        enabled tracer the whole batch runs inside an ``engine-batch``
-        span, so job/cache spans nest under it.  Thread-safe: batches
-        submitted concurrently are serialized, in submission order.
+        or on the process pool, families of jobs that differ only in
+        faults and seed as one stacked kernel call each, then populate
+        the cache.  Thread-safe: batches submitted concurrently are
+        serialized, in submission order.
+        """
+        return self._dispatch(_SIM_KIND, batch)
+
+    def run_model_outcomes(self, batch: Sequence[ModelEvalJob],
+                           ) -> List[ModelEvalOutcome]:
+        """Evaluate model jobs; outcomes come back in input order.
+
+        Cache hits are served per point.  Misses are grouped into
+        *families* (equal :meth:`ModelEvalJob.family_key` — jobs that
+        differ only along vectorizable axes) and each family runs the
+        grid kernel **once**.  Results fan back out to per-point
+        outcomes and per-point cache entries, so fingerprints and
+        cached bytes are exactly what per-job evaluation would have
+        produced.  A point whose evaluation fails carries its exception
+        and is never cached.
+        """
+        return self._dispatch(_MODEL_KIND, batch)
+
+    def run_advisor_outcomes(self, batch: Sequence[AdvisorShardJob],
+                             ) -> List[AdvisorShardOutcome]:
+        """Evaluate advisor pricing shards; outcomes in input order.
+
+        Same contract as :meth:`run_model_outcomes` — per-shard cache
+        entries, one task per candidate family — except a family's
+        members each run their own bounded grid call instead of fusing
+        into one.  Reentrant: the advisor pricer may run inside a
+        scheduler batch that already holds the submission lock.
+        """
+        return self._dispatch(_ADVISOR_KIND, batch)
+
+    def run(self, job: SimJob) -> TimingResult:
+        """Run one job; raises the stored OOM like the raw simulator."""
+        return self.run_outcomes([job])[0].unwrap()
+
+    # ----- the dispatcher ----------------------------------------------------
+
+    def _dispatch(self, kind: _Kind, batch: Sequence) -> List:
+        """The one batch body behind every ``run_*_outcomes`` method.
+
+        One batched cache lookup; misses grouped into families and
+        packed into tasks; serial or pooled execution; fan-out to
+        per-job outcomes; one batched cache store; one telemetry
+        record.  Under an enabled tracer the batch runs inside an
+        ``engine-batch`` span, so task and cache spans nest under it.
         """
         with self._submission_lock:
             tracer = get_tracer()
-            if not tracer.enabled:
-                return self._run_outcomes_traced(batch)
             with tracer.span("engine-batch", track="engine",
                              jobs=str(len(batch))):
-                return self._run_outcomes_traced(batch)
+                return self._dispatch_locked(kind, list(batch), tracer)
 
-    def _run_outcomes_traced(self, batch: Sequence[SimJob],
-                             ) -> List[JobOutcome]:
-        """The body of :meth:`run_outcomes` (split out so the tracing
-        wrapper above stays flat)."""
+    def _dispatch_locked(self, kind: _Kind, jobs: List,
+                         tracer: Any) -> List:
+        """:meth:`_dispatch` with the submission lock held."""
         start = time.perf_counter()
-        tracer = get_tracer()
-        outcomes: List[Optional[JobOutcome]] = [None] * len(batch)
-        miss_indices: List[int] = []
-        keys: List[Optional[str]] = [None] * len(batch)
-
+        outcomes: List[Any] = [None] * len(jobs)
+        keys: List[str] = []
+        misses = list(range(len(jobs)))
         if self.cache is not None:
             # ONE batched cache pass (and one cache-lock acquisition)
             # for the whole batch, instead of a disk round-trip per job.
             lookup_span = tracer.begin("cache-lookup", track="cache",
-                                       jobs=str(len(batch)))
-            for i, job in enumerate(batch):
-                keys[i] = job.fingerprint()
-            hits = self.cache.lookup_many(
-                [key for key in keys if key is not None])
-            for i, job in enumerate(batch):
+                                       jobs=str(len(jobs)))
+            keys = [job.fingerprint() for job in jobs]
+            hits = self.cache.lookup_many(keys)
+            misses = []
+            for i, job in enumerate(jobs):
                 hit = hits.get(keys[i])
-                if hit is None:
-                    miss_indices.append(i)
+                if not isinstance(hit, kind.hit_types):
+                    misses.append(i)
                 elif isinstance(hit, OutOfMemoryError):
-                    outcomes[i] = JobOutcome(job=job, oom=hit, cached=True)
+                    outcomes[i] = kind.outcome_cls(job=job, oom=hit,
+                                                   cached=True)
                 else:
-                    outcomes[i] = JobOutcome(job=job, result=hit,
-                                             cached=True)
-            tracer.finish(lookup_span,
-                          hits=str(len(batch) - len(miss_indices)))
-        else:
-            miss_indices = list(range(len(batch)))
+                    outcomes[i] = kind.outcome_cls(job=job, result=hit,
+                                                   cached=True)
+            tracer.finish(lookup_span, hits=str(len(jobs) - len(misses)))
 
-        miss_jobs = [batch[i] for i in miss_indices]
+        before = {name: getattr(self, name) for name in _COUNTER_METRICS}
         workers = 1
-        retries_before = self.retries
-        timeouts_before = self.timeouts
-        if miss_jobs:
+        if misses:
+            tasks, members = self._plan(kind, [jobs[i] for i in misses])
             submitted_unix = time.time()
-            tagged_results, attempt_counts, workers = \
-                self._execute_misses(miss_jobs)
-            self.executed += len(miss_jobs)
+            if self.jobs > 1:
+                # A pooled engine keeps pool semantics even for a lone
+                # task: execution (and the chaos hooks) must never run
+                # in the parent process.
+                workers = min(self.jobs, len(tasks), os.cpu_count() or 1)
+                results, attempts = self._run_parallel(tasks, workers)
+            else:
+                results, attempts = self._run_serial(tasks)
+            self.executed += len(misses)
             store_entries: List[Tuple[str, object]] = []
-            for i, tagged, attempts in zip(miss_indices, tagged_results,
-                                           attempt_counts):
-                outcome = _outcome_from_tagged(batch[i], tagged,
-                                               submitted_unix,
-                                               attempts=attempts)
-                outcomes[i] = outcome
-                self.exec_s_total += outcome.exec_s
-                self.queue_wait_s_total += outcome.queue_wait_s
-                # Engine failures are environmental (a killed worker, a
-                # hung process) — never cached, so a later run retries.
-                if self.cache is not None and not outcome.failed:
-                    key = keys[i]
-                    assert key is not None
-                    store_entries.append(
-                        (key, outcome.result if outcome.ok
-                         else outcome.oom))
+            for task, positions, tags, attempt in zip(tasks, members,
+                                                      results, attempts):
+                if task.size > 1:
+                    if kind.stacked and len(task.families) == 1:
+                        self.jobs_batched += task.size
+                    else:
+                        self.jobs_chunked += task.size
+                for k, tag in zip(positions, tags):
+                    i = misses[k]
+                    outcome = self._outcome(kind, jobs[i], tag, attempt,
+                                            submitted_unix)
+                    outcomes[i] = outcome
+                    self.exec_s_total += outcome.exec_s
+                    self.queue_wait_s_total += outcome.queue_wait_s
+                    # Errors are environmental (a killed worker) or
+                    # belong to a bad configuration: never cached, so
+                    # a later run re-executes them.
+                    if self.cache is not None and tag[0] in ("ok", "oom"):
+                        store_entries.append(
+                            (keys[i], outcome.oom if tag[0] == "oom"
+                             else outcome.result))
             if store_entries:
                 # One batched store: a single pack append + fsync for
                 # every miss the batch produced.
@@ -678,471 +774,155 @@ class ExperimentEngine:
 
         batch_wall = time.perf_counter() - start
         self.busy_s += batch_wall
-        if miss_jobs:
-            self.worker_s_total += workers * batch_wall
-        self.jobs_completed += len(batch)
-        self._record_batch(outcomes,
-                           retries_delta=self.retries - retries_before,
-                           timeouts_delta=self.timeouts - timeouts_before)
-        return [o for o in outcomes if o is not None]
-
-    def _execute_misses(self, miss_jobs: Sequence[SimJob],
-                        ) -> Tuple[List[tuple], List[int], int]:
-        """Execute cache misses, family-batching where profitable.
-
-        Misses are grouped by :meth:`SimJob.family_key`; families of
-        two or more run as one stacked kernel call each
-        (:func:`_execute_sim_family`), pooled one-per-task when
-        ``jobs > 1``.  Everything else — family singletons, all misses
-        under ``chunking=False`` — flows through the existing serial /
-        chunked / parallel machinery.  Returns ``(tagged results,
-        attempt counts, peak worker count)`` aligned with
-        ``miss_jobs``.
-        """
-        families, leftover = self._sim_families(miss_jobs)
-        tagged: List[Optional[tuple]] = [None] * len(miss_jobs)
-        attempts: List[int] = [1] * len(miss_jobs)
-        workers = 1
-        if families:
-            fams = [_SimFamily(tuple(miss_jobs[k] for k in group))
-                    for group in families]
-            if self.jobs > 1:
-                # A pooled engine keeps pool semantics even for a lone
-                # family: execution (and the chaos hooks) must never
-                # run in the parent process.
-                fam_workers = min(self.jobs, len(fams),
-                                  (os.cpu_count() or 1))
-                workers = max(workers, fam_workers)
-                fam_tags, fam_attempts = self._run_parallel(
-                    fams, fam_workers, execute_fn=_execute_sim_family)
-            else:
-                fam_tags, fam_attempts = self._run_serial(
-                    fams, execute_fn=_execute_sim_family)
-            batched = 0
-            for group, tag, att in zip(families, fam_tags, fam_attempts):
-                if tag[0] == "chunk":
-                    for k, member_tag in zip(group, tag[1]):
-                        tagged[k] = member_tag
-                else:  # whole-family failure: members share the error
-                    for k in group:
-                        tagged[k] = tag
-                    # The run paths count one failure per *item*; a
-                    # family item degrades every member job.
-                    self.failures += len(group) - 1
-                for k in group:
-                    attempts[k] = att
-                batched += len(group)
-            self.jobs_batched += batched
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("engine_jobs_batched_total").inc(batched)
-        if leftover:
-            rest = [miss_jobs[k] for k in leftover]
-            if self.jobs > 1 and len(rest) > 1:
-                rest_workers = min(self.jobs, len(rest),
-                                   (os.cpu_count() or 1))
-                workers = max(workers, rest_workers)
-                chunk_size = self._chunk_size(len(rest), rest_workers)
-                if chunk_size > 1:
-                    rest_tags, rest_attempts = self._run_chunked(
-                        rest, rest_workers, chunk_size)
-                else:
-                    rest_tags, rest_attempts = self._run_parallel(
-                        rest, rest_workers)
-            else:
-                rest_tags, rest_attempts = self._run_serial(rest)
-            for k, tag, att in zip(leftover, rest_tags, rest_attempts):
-                tagged[k] = tag
-                attempts[k] = att
-        return tagged, attempts, workers  # type: ignore[return-value]
-
-    def _sim_families(self, miss_jobs: Sequence[SimJob],
-                      ) -> Tuple[List[List[int]], List[int]]:
-        """Partition miss positions into batchable families and the rest.
-
-        Only families of two or more are worth a stacked call.
-        """
-        if not self.chunking or self.job_timeout_s is not None:
-            # Like chunking, family batching is incompatible with a
-            # per-job timeout: the budget is per pool submission and
-            # must keep meaning per job.
-            return [], list(range(len(miss_jobs)))
-        groups: Dict[str, List[int]] = {}
-        leftover: List[int] = []
-        for k, job in enumerate(miss_jobs):
-            groups.setdefault(job.family_key(), []).append(k)
-        families: List[List[int]] = []
-        for members in groups.values():
-            if len(members) >= 2:
-                families.append(members)
-            else:
-                leftover.extend(members)
-        leftover.sort()
-        return families, leftover
-
-    # ----- closed-form model evaluations -------------------------------------
-
-    def run_model_outcomes(self, batch: Sequence[ModelEvalJob],
-                           ) -> List[ModelEvalOutcome]:
-        """Evaluate model jobs; outcomes come back in input order.
-
-        Cache hits are served per point.  Misses are grouped into
-        *families* (equal :meth:`ModelEvalJob.family_key` — jobs that
-        differ only along vectorizable axes) and each family runs the
-        grid kernel **once**: in-process when serial, one pool task per
-        family when ``jobs > 1``.  Results fan back out to per-point
-        outcomes and per-point cache entries, so fingerprints and
-        cached bytes are exactly what per-job evaluation would have
-        produced; ``chunking=False`` falls back to evaluating each job
-        individually.  Thread-safe: concurrent submissions serialize on
-        the engine's reentrant submission lock.
-        """
-        with self._submission_lock:
-            return self._run_eval_batch(
-                batch, hit_type=PredictedTime, outcome_cls=ModelEvalOutcome,
-                family_fn=evaluate_family, pool_fn=_execute_model_family)
-
-    def run_advisor_outcomes(self, batch: Sequence[AdvisorShardJob],
-                             ) -> List[AdvisorShardOutcome]:
-        """Evaluate advisor pricing shards; outcomes in input order.
-
-        Same contract and machinery as :meth:`run_model_outcomes` —
-        per-shard cache entries, candidate families pooled one task
-        each — except a family's members each run their own bounded
-        grid call instead of fusing into one
-        (:func:`~repro.engine.advisorjobs.evaluate_advisor_family`).
-        Thread-safe and reentrant: the advisor pricer may run inside a
-        scheduler batch that already holds the submission lock.
-        """
-        with self._submission_lock:
-            return self._run_eval_batch(
-                batch, hit_type=AdvisorShardResult,
-                outcome_cls=AdvisorShardOutcome,
-                family_fn=evaluate_advisor_family,
-                pool_fn=_execute_advisor_family)
-
-    def _run_eval_batch(self, batch: Sequence, hit_type: type,
-                        outcome_cls: type, family_fn: Callable,
-                        pool_fn: Callable) -> List:
-        """Shared body of the closed-form batch entry points, lock held.
-
-        ``hit_type`` screens cache hits (a key collision with another
-        outcome kind reads as a miss), ``outcome_cls`` wraps results
-        (:class:`ModelEvalOutcome` / :class:`AdvisorShardOutcome` share
-        a constructor), ``family_fn`` evaluates one family in-process
-        and ``pool_fn`` is its process-pool entry point.
-        """
-        start = time.perf_counter()
-        jobs = list(batch)
-        outcomes: List[Optional[object]] = [None] * len(jobs)
-        keys: List[Optional[str]] = [None] * len(jobs)
-        miss_indices: List[int] = []
-        if self.cache is not None:
-            # Same batched single-pass lookup as run_outcomes.
-            for i, job in enumerate(jobs):
-                keys[i] = job.fingerprint()
-            hits = self.cache.lookup_many(
-                [key for key in keys if key is not None])
-            for i, job in enumerate(jobs):
-                hit = hits.get(keys[i])
-                if isinstance(hit, hit_type):
-                    outcomes[i] = outcome_cls(job=job, result=hit,
-                                              cached=True)
-                else:
-                    miss_indices.append(i)
-        else:
-            miss_indices = list(range(len(jobs)))
-
-        groups: List[List[int]]
-        if self.chunking:
-            families: Dict[str, List[int]] = {}
-            for i in miss_indices:
-                families.setdefault(jobs[i].family_key(), []).append(i)
-            groups = list(families.values())
-        else:
-            groups = [[i] for i in miss_indices]
-        chunked = sum(len(group) for group in groups if len(group) > 1)
-
-        workers = 1
-        if groups:
-            if self.jobs > 1 and len(groups) > 1:
-                workers = min(self.jobs, len(groups), (os.cpu_count() or 1))
-                evaluated = self._eval_families_pooled(
-                    jobs, groups, workers, family_fn=family_fn,
-                    pool_fn=pool_fn)
-            else:
-                evaluated = [self._eval_family_inprocess(jobs, group,
-                                                         family_fn)
-                             for group in groups]
-            self.executed += len(miss_indices)
-            self.jobs_chunked += chunked
-            store_entries: List[Tuple[str, object]] = []
-            for group, (results, errors, elapsed) in zip(groups, evaluated):
-                share = elapsed / len(group)
-                for offset, i in enumerate(group):
-                    outcome = outcome_cls(
-                        job=jobs[i], result=results[offset],
-                        error=errors[offset], exec_s=share)
-                    outcomes[i] = outcome
-                    self.exec_s_total += share
-                    # Evaluation failures (bad configurations) are never
-                    # cached; re-running reports them afresh.
-                    if self.cache is not None and outcome.ok:
-                        key = keys[i]
-                        assert key is not None
-                        store_entries.append((key, outcome.result))
-            if self.cache is not None and store_entries:
-                # One pack append + fsync for the whole batch.
-                self.cache.store_many(store_entries)
-
-        batch_wall = time.perf_counter() - start
-        self.busy_s += batch_wall
-        if miss_indices:
+        if misses:
             self.worker_s_total += workers * batch_wall
         self.jobs_completed += len(jobs)
-        self._record_model_batch(outcomes, chunked)
-        return [o for o in outcomes if o is not None]
+        self._record_batch(outcomes, {
+            name: getattr(self, name) - before[name]
+            for name in _COUNTER_METRICS})
+        return outcomes
 
-    def _eval_family_inprocess(self, jobs: Sequence,
-                               group: Sequence[int],
-                               family_fn: Callable = evaluate_family,
-                               ) -> Tuple[List[Optional[object]],
-                                          List[Optional[Exception]], float]:
-        """One family, one ``family_fn`` call, in this process.
+    def _chunk_size(self, n_singletons: int, workers: int) -> int:
+        """How many singleton families one pool task should carry.
 
-        If the family call raises, fall back to per-point evaluation so
-        only the offending job(s) fail — the rest of the family still
-        produces results.
+        Targets ~4 tasks per worker (enough slack for load balancing)
+        and degrades to 1 — no packing — for small batches, on the
+        serial path (there is no IPC to amortize), and under a per-job
+        timeout (whose budget accounting is per task and must keep
+        meaning per job).
         """
-        members = [jobs[i] for i in group]
-        tracer = get_tracer()
-        family_span = tracer.begin(f"grid-family x{len(members)}",
-                                   track="engine", size=str(len(members)))
-        started = time.perf_counter()
-        try:
-            results: List[Optional[object]] = list(family_fn(members))
-            errors: List[Optional[Exception]] = [None] * len(members)
-        except Exception:  # noqa: BLE001 - isolated per point below
-            results, errors = [], []
-            for job in members:
-                try:
-                    results.append(job.evaluate())
-                    errors.append(None)
-                except Exception as exc:  # noqa: BLE001 - reported per job
-                    results.append(None)
-                    errors.append(exc)
-                    self.failures += 1
-                    self._log.warning(
-                        "engine.model_job_failed", job=job.describe(),
-                        reason=f"{type(exc).__name__}: {exc}")
-        tracer.finish(family_span)
-        return results, errors, time.perf_counter() - started
-
-    def _eval_families_pooled(self, jobs: Sequence,
-                              groups: Sequence[Sequence[int]], workers: int,
-                              family_fn: Callable = evaluate_family,
-                              pool_fn: Callable = _execute_model_family,
-                              ) -> List[Tuple[List[Optional[object]],
-                                              List[Optional[Exception]],
-                                              float]]:
-        """One pool task per family; any failed task (a died worker, a
-        bad configuration) falls back to in-process evaluation of that
-        family, so pooled evaluation can only add speed, not failure
-        modes."""
-        tracer = get_tracer()
-        evaluated = []
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = []
-            fam_spans: List[Optional[object]] = []
-            for group in groups:
-                members = tuple(jobs[i] for i in group)
-                if tracer.enabled:
-                    span = tracer.begin(f"grid-family x{len(group)}",
-                                        track="engine",
-                                        size=str(len(group)))
-                    fam_spans.append(span)
-                    futures.append(pool.submit(
-                        _traced_call,
-                        (tracer.trace_id, span.span_id, time.time()),
-                        pool_fn, members))
-                else:
-                    fam_spans.append(None)
-                    futures.append(pool.submit(pool_fn, members))
-            for group, future, span in zip(groups, futures, fam_spans):
-                try:
-                    out = future.result()
-                    if span is not None:
-                        out, spans = out
-                        tracer.merge(spans)
-                    results, elapsed = out
-                except Exception as exc:  # noqa: BLE001 - incl. broken pool
-                    self._log.warning(
-                        "engine.model_family_retry", size=len(group),
-                        reason=f"{type(exc).__name__}: {exc}")
-                    evaluated.append(
-                        self._eval_family_inprocess(jobs, group, family_fn))
-                    continue
-                finally:
-                    if span is not None:
-                        tracer.finish(span)
-                evaluated.append((list(results), [None] * len(group),
-                                  elapsed))
-        finally:
-            self._kill_pool(pool)
-        return evaluated
-
-    def _record_model_batch(self,
-                            outcomes: Sequence[Optional[ModelEvalOutcome]],
-                            chunked: int) -> None:
-        """Mirror one model-eval batch's outcomes into telemetry."""
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            registry.counter(
-                "engine_jobs_total",
-                cached=str(outcome.cached).lower()).inc()
-            if outcome.error is not None:
-                registry.counter("engine_failed_jobs_total").inc()
-        if chunked:
-            registry.counter("engine_jobs_chunked_total").inc(chunked)
-
-    # ----- miss execution (serial / pooled, with retries) --------------------
-
-    def _run_serial(self, miss_jobs: Sequence,
-                    execute_fn: Optional[Callable] = None,
-                    ) -> Tuple[List[tuple], List[int]]:
-        """Execute misses in-process, retrying unexpected exceptions.
-
-        Returns ``(tagged results, attempt counts)`` aligned with
-        ``miss_jobs``.  OOM never retries (it comes back as a tagged
-        value, not an exception); anything else gets ``max_retries``
-        fresh attempts with exponential backoff before degrading to an
-        ``("error", ...)`` tag.
-        """
-        if execute_fn is None:
-            # Resolved at call time so tests can monkeypatch the
-            # module-level _execute_job.
-            execute_fn = _execute_job
-        tracer = get_tracer()
-        tagged: List[tuple] = []
-        attempt_counts: List[int] = []
-        for job in miss_jobs:
-            attempt = 1
-            job_span = None
-            if tracer.enabled:
-                job_span = tracer.begin(_payload_label(job), track="engine")
-            while True:
-                try:
-                    if job_span is not None:
-                        result, spans = _traced_call(
-                            (tracer.trace_id, job_span.span_id,
-                             time.time()),
-                            execute_fn, job)
-                        tracer.merge(spans)
-                    else:
-                        result = execute_fn(job)
-                    break
-                except Exception as exc:  # noqa: BLE001 - retried below
-                    reason = f"{type(exc).__name__}: {exc}"
-                    if attempt > self.max_retries:
-                        self.failures += 1
-                        self._log.warning("engine.job_failed",
-                                          job=job.describe(),
-                                          attempts=attempt, reason=reason)
-                        result = ("error", reason, 0.0, time.time())
-                        break
-                    self.retries += 1
-                    self._log.warning("engine.job_retry",
-                                      job=job.describe(),
-                                      attempt=attempt, reason=reason)
-                    time.sleep(self.retry_backoff_s * 2 ** (attempt - 1))
-                    attempt += 1
-            tagged.append(result)
-            attempt_counts.append(attempt)
-            if job_span is not None:
-                tracer.finish(job_span, attempts=str(attempt),
-                              outcome=result[0])
-        return tagged, attempt_counts
-
-    def _chunk_size(self, n_misses: int, workers: int) -> int:
-        """How many consecutive misses one pool submission should carry.
-
-        Targets ~4 chunks per worker (enough slack for load balancing)
-        and degrades to 1 — no chunking — for small batches, when
-        chunking is disabled, or under a per-job timeout (whose budget
-        accounting is per submission and must keep meaning per job).
-        """
-        if not self.chunking or self.job_timeout_s is not None:
+        if self.jobs == 1 or self.job_timeout_s is not None:
             return 1
-        return max(1, math.ceil(n_misses / (workers * 4)))
+        return max(1, math.ceil(n_singletons / (workers * 4)))
 
-    def _run_chunked(self, miss_jobs: Sequence[SimJob], workers: int,
-                     chunk_size: int) -> Tuple[List[tuple], List[int]]:
-        """Pool path for large batches: submit misses in chunks.
+    def _plan(self, kind: _Kind, jobs: Sequence,
+              ) -> Tuple[List[_Task], List[List[int]]]:
+        """Group misses into families and pack families into tasks.
 
-        Retry/failure machinery operates on whole chunks (a crashed
-        worker retries its chunk's jobs together; a chunk that exhausts
-        the retry budget degrades every member to an error outcome).
-        Per-job tags come back exactly as on the unchunked path, in
-        order.
+        A family of two or more is one task; singletons are packed into
+        runs of :meth:`_chunk_size`.  Under ``job_timeout_s`` every job
+        is its own family.  Returns the tasks and, per task, the
+        positions in ``jobs`` of its members in execution order.
         """
-        chunks = [_JobChunk(tuple(miss_jobs[i:i + chunk_size]))
-                  for i in range(0, len(miss_jobs), chunk_size)]
-        chunk_tags, chunk_attempts = self._run_parallel(
-            chunks, workers, execute_fn=_execute_job_chunk)
-        tagged: List[tuple] = []
-        attempt_counts: List[int] = []
-        for chunk, tag, attempts in zip(chunks, chunk_tags, chunk_attempts):
-            if tag[0] == "chunk":
-                tagged.extend(tag[1])
-            else:  # whole-chunk failure: members share the error tag
-                tagged.extend([tag] * len(chunk.jobs))
-            attempt_counts.extend([attempts] * len(chunk.jobs))
-        self.jobs_chunked += len(miss_jobs)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("engine_jobs_chunked_total").inc(len(miss_jobs))
-        return tagged, attempt_counts
+        groups: Dict[object, List[int]] = {}
+        for k, job in enumerate(jobs):
+            key = k if self.job_timeout_s is not None else job.family_key()
+            groups.setdefault(key, []).append(k)
+        families = [group for group in groups.values() if len(group) > 1]
+        singles = [group for group in groups.values() if len(group) == 1]
+        size = self._chunk_size(len(singles),
+                                min(self.jobs, os.cpu_count() or 1))
+        packs = [[family] for family in families] + [
+            singles[i:i + size] for i in range(0, len(singles), size)]
+        tasks = [_Task(kind.run_family,
+                       tuple(tuple(jobs[k] for k in family)
+                             for family in pack))
+                 for pack in packs]
+        members = [[k for family in pack for k in family] for pack in packs]
+        return tasks, members
 
-    def _run_parallel(self, miss_jobs: Sequence, workers: int,
-                      execute_fn: Optional[Callable] = None,
-                      ) -> Tuple[List[tuple], List[int]]:
-        """Execute misses on a process pool that survives dying workers.
+    def _outcome(self, kind: _Kind, job: Any, tag: Tag, attempts: int,
+                 submitted_unix: float) -> Any:
+        """Rehydrate one member's tag into its kind's outcome."""
+        status, payload, exec_s, started_unix = tag
+        fields: Dict[str, Any] = {}
+        if status == "ok":
+            fields["result"] = payload
+        elif status == "oom":
+            message, required, budget = payload  # type: ignore[misc]
+            fields["oom"] = OutOfMemoryError(
+                message, required_bytes=required, budget_bytes=budget)
+        elif status == "error":
+            self.failures += 1
+            self._log.warning("engine.job_failed", job=job.describe(),
+                              reason=f"{type(payload).__name__}: {payload}")
+            fields["error"] = payload
+        else:
+            self.failures += 1
+            fields["error"] = kind.give_up(job, payload, attempts)
+        return kind.outcome_cls(
+            job=job, exec_s=exec_s, attempts=attempts,
+            queue_wait_s=max(0.0, started_unix - submitted_unix), **fields)
 
-        Jobs are submitted in waves; a wave's survivors that failed
+    # ----- task execution (serial / pooled, with retries) --------------------
+
+    @staticmethod
+    def _call(tracer: Any, span: Any, task: _Task) -> tuple:
+        """``(fn, *args)`` that executes ``task``: bare, or traced under
+        ``span`` when the tracer is on."""
+        if span is None:
+            return (_execute_task, task)
+        return (_traced_call, (tracer.trace_id, span.span_id, time.time()),
+                task)
+
+    def _run_serial(self, tasks: Sequence[_Task],
+                    ) -> Tuple[List[List[Tag]], List[int]]:
+        """Execute tasks in-process, retrying unexpected exceptions.
+
+        Returns ``(per-task member tags, attempt counts)`` aligned with
+        ``tasks``.  OOM and per-member evaluation errors never retry
+        (family executors return them as tags); anything else gets
+        ``max_retries`` fresh attempts with exponential backoff before
+        the task's members degrade to ``"failed"`` tags.
+        """
+        tracer = get_tracer()
+        results: List[Optional[List[Tag]]] = [None] * len(tasks)
+        attempt_counts = [0] * len(tasks)
+        for idx, task in enumerate(tasks):
+            span = (tracer.begin(task.describe(), track="engine")
+                    if tracer.enabled else None)
+            while results[idx] is None:
+                if attempt_counts[idx]:
+                    time.sleep(self.retry_backoff_s
+                               * 2 ** (attempt_counts[idx] - 1))
+                attempt_counts[idx] += 1
+                fn, *args = self._call(tracer, span, task)
+                try:
+                    out = fn(*args)
+                except Exception as exc:  # noqa: BLE001 - retried
+                    self._register_failure(idx, attempt_counts, tasks,
+                                           results, [],
+                                           f"{type(exc).__name__}: {exc}")
+                    continue
+                if span is not None:
+                    out, spans = out
+                    tracer.merge(spans)
+                results[idx] = out
+            if span is not None:
+                tracer.finish(span, attempts=str(attempt_counts[idx]),
+                              outcome=_status(results[idx]))
+        return results, attempt_counts  # type: ignore[return-value]
+
+    def _run_parallel(self, tasks: Sequence[_Task], workers: int,
+                      ) -> Tuple[List[List[Tag]], List[int]]:
+        """Execute tasks on a process pool that survives dying workers.
+
+        Tasks are submitted in waves; a wave's tasks that failed
         (``BrokenProcessPool``, an exception, or a blown
         ``job_timeout_s`` deadline) are retried in the next wave after
         exponential backoff, until their attempt budget runs out.  A
         broken or deadlocked pool is killed and rebuilt between waves,
-        and jobs that were merely queued behind a hung one are
+        and tasks that were merely queued behind a hung one are
         resubmitted without it counting against their budget.  Results
-        come back aligned with ``miss_jobs`` regardless of completion
+        come back aligned with ``tasks`` regardless of completion
         order.
         """
-        if execute_fn is None:
-            # Resolved at call time so tests can monkeypatch the
-            # module-level _execute_job.
-            execute_fn = _execute_job
         tracer = get_tracer()
-        tagged: List[Optional[tuple]] = [None] * len(miss_jobs)
-        attempt_counts = [0] * len(miss_jobs)
-        # One open job span per item while traced; a retried item keeps
-        # its span (attempts land as sibling children under it), and the
-        # span closes at the moment its tag becomes final.
-        job_spans: List[Optional[object]] = [None] * len(miss_jobs)
+        results: List[Optional[List[Tag]]] = [None] * len(tasks)
+        attempt_counts = [0] * len(tasks)
+        # One open span per task while traced; a retried task keeps its
+        # span (attempts land as sibling children under it), and the
+        # span closes at the moment its result becomes final.
+        task_spans: List[Any] = [None] * len(tasks)
 
         def _close_span(idx: int) -> None:
-            span = job_spans[idx]
-            if span is not None and tagged[idx] is not None:
+            span = task_spans[idx]
+            if span is not None and results[idx] is not None:
                 tracer.finish(span, attempts=str(attempt_counts[idx]),
-                              outcome=tagged[idx][0])
-                job_spans[idx] = None
+                              outcome=_status(results[idx]))
+                task_spans[idx] = None
 
-        pending = list(range(len(miss_jobs)))
+        pending = list(range(len(tasks)))
         wave = 0
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
@@ -1155,23 +935,16 @@ class ExperimentEngine:
                 now = time.monotonic()
                 for k, idx in enumerate(pending):
                     attempt_counts[idx] += 1
-                    if tracer.enabled:
-                        if job_spans[idx] is None:
-                            job_spans[idx] = tracer.begin(
-                                _payload_label(miss_jobs[idx]),
-                                track="engine")
-                        future = pool.submit(
-                            _traced_call,
-                            (tracer.trace_id, job_spans[idx].span_id,
-                             time.time()),
-                            execute_fn, miss_jobs[idx])
-                    else:
-                        future = pool.submit(execute_fn, miss_jobs[idx])
+                    if tracer.enabled and task_spans[idx] is None:
+                        task_spans[idx] = tracer.begin(
+                            tasks[idx].describe(), track="engine")
+                    future = pool.submit(*self._call(
+                        tracer, task_spans[idx], tasks[idx]))
                     future_to_idx[future] = idx
                     if self.job_timeout_s is not None:
-                        # Queue position k lands ~(k // workers) jobs
+                        # Queue position k lands ~(k // workers) tasks
                         # deep on its worker; grant a budget per slot so
-                        # queue wait is not charged against the job.
+                        # queue wait is not charged against the task.
                         deadlines[future] = now + self.job_timeout_s * (
                             k // workers + 1)
                 retry: List[int] = []
@@ -1188,19 +961,19 @@ class ExperimentEngine:
                     for future in done:
                         idx = future_to_idx[future]
                         try:
-                            result = future.result()
+                            out = future.result()
                             if tracer.enabled:
-                                result, spans = result
+                                out, spans = out
                                 tracer.merge(spans)
-                            tagged[idx] = result
+                            results[idx] = out
                         except BrokenProcessPool:
                             broken = True
                             self._register_failure(
-                                idx, attempt_counts, miss_jobs, tagged,
+                                idx, attempt_counts, tasks, results,
                                 retry, "a pool worker died")
                         except Exception as exc:  # noqa: BLE001
                             self._register_failure(
-                                idx, attempt_counts, miss_jobs, tagged,
+                                idx, attempt_counts, tasks, results,
                                 retry, f"{type(exc).__name__}: {exc}")
                         _close_span(idx)
                     if broken:
@@ -1209,8 +982,7 @@ class ExperimentEngine:
                         for future in not_done:
                             self._register_failure(
                                 future_to_idx[future], attempt_counts,
-                                miss_jobs, tagged, retry,
-                                "a pool worker died")
+                                tasks, results, retry, "a pool worker died")
                             _close_span(future_to_idx[future])
                         not_done = set()
                         rebuild = True
@@ -1222,15 +994,14 @@ class ExperimentEngine:
                                 idx = future_to_idx[future]
                                 self.timeouts += 1
                                 self._register_failure(
-                                    idx, attempt_counts, miss_jobs,
-                                    tagged, retry,
-                                    f"timed out after "
-                                    f"{self.job_timeout_s:g} s")
+                                    idx, attempt_counts, tasks, results,
+                                    retry, f"timed out after "
+                                           f"{self.job_timeout_s:g} s")
                                 _close_span(idx)
                                 not_done.discard(future)
                         # The hung worker still holds its process; only a
-                        # pool teardown reclaims it.  Collateral jobs are
-                        # resubmitted for free.
+                        # pool teardown reclaims it.  Collateral tasks
+                        # are resubmitted for free.
                         for future in not_done:
                             idx = future_to_idx[future]
                             attempt_counts[idx] -= 1
@@ -1245,25 +1016,24 @@ class ExperimentEngine:
             self._kill_pool(pool)
             if tracer.enabled:
                 # Safety net for abnormal exits: no span stays open.
-                for idx in range(len(miss_jobs)):
+                for idx in range(len(tasks)):
                     _close_span(idx)
-        return tagged, attempt_counts  # type: ignore[return-value]
+        return results, attempt_counts  # type: ignore[return-value]
 
     def _register_failure(self, idx: int, attempt_counts: List[int],
-                          miss_jobs: Sequence,
-                          tagged: List[Optional[tuple]],
+                          tasks: Sequence[_Task],
+                          results: List[Optional[List[Tag]]],
                           retry: List[int], reason: str) -> None:
-        """Route one failed execution: resubmit it, or give up and
-        degrade it to an ``("error", ...)`` outcome."""
-        job = miss_jobs[idx]
+        """Route one failed task execution: resubmit it, or give up and
+        degrade its members to ``"failed"`` tags."""
+        task = tasks[idx]
         if attempt_counts[idx] > self.max_retries:
-            self.failures += 1
-            self._log.warning("engine.job_failed", job=job.describe(),
+            self._log.warning("engine.job_failed", job=task.describe(),
                               attempts=attempt_counts[idx], reason=reason)
-            tagged[idx] = ("error", reason, 0.0, time.time())
+            results[idx] = _failed(task, reason)
         else:
             self.retries += 1
-            self._log.warning("engine.job_retry", job=job.describe(),
+            self._log.warning("engine.job_retry", job=task.describe(),
                               attempt=attempt_counts[idx], reason=reason)
             retry.append(idx)
 
@@ -1276,38 +1046,31 @@ class ExperimentEngine:
             if proc.is_alive():
                 proc.terminate()
 
-    def _record_batch(self, outcomes: Sequence[Optional[JobOutcome]],
-                      retries_delta: int = 0,
-                      timeouts_delta: int = 0) -> None:
-        """Mirror one batch's outcomes into the telemetry registry."""
+    def _record_batch(self, outcomes: Sequence[Any],
+                      deltas: Dict[str, int]) -> None:
+        """Mirror one batch's outcomes and counter deltas into the
+        telemetry registry."""
         registry = get_registry()
         if not registry.enabled:
             return
         for outcome in outcomes:
-            if outcome is None:
-                continue
             registry.counter(
                 "engine_jobs_total",
                 cached=str(outcome.cached).lower()).inc()
-            if outcome.oom is not None:
+            if getattr(outcome, "oom", None) is not None:
                 registry.counter("engine_oom_outcomes_total").inc()
-            if outcome.failed:
+            if outcome.error is not None:
                 registry.counter("engine_failed_jobs_total").inc()
             if not outcome.cached:
                 registry.histogram("engine_job_exec_s").observe(
                     outcome.exec_s)
                 registry.histogram("engine_queue_wait_s").observe(
                     outcome.queue_wait_s)
-        if retries_delta:
-            registry.counter("engine_retries_total").inc(retries_delta)
-        if timeouts_delta:
-            registry.counter("engine_timeouts_total").inc(timeouts_delta)
+        for name, delta in deltas.items():
+            if delta:
+                registry.counter(_COUNTER_METRICS[name]).inc(delta)
         registry.gauge("engine_pool_utilization").set(
             self.stats().pool_utilization)
-
-    def run(self, job: SimJob) -> TimingResult:
-        """Run one job; raises the stored OOM like the raw simulator."""
-        return self.run_outcomes([job])[0].unwrap()
 
     # ----- statistics --------------------------------------------------------
 

@@ -8,14 +8,14 @@ microseconds.  Running them as engine jobs still pays off twice:
   like a :class:`~repro.engine.engine.SimJob` does (content hash of
   everything that determines the prediction), so repeated sweeps are
   served from the same :class:`~repro.engine.cache.SimulationCache`;
-* **family chunking** — jobs that differ only along vectorizable axes
+* **families** — jobs that differ only along vectorizable axes
   (bandwidth, world size, batch size, compute factor, or the Figure-13
   ``k``/``l`` pair) share a :meth:`ModelEvalJob.family_key`.  The engine
   collapses each family into **one** grid-kernel call
-  (:mod:`repro.core.grid`) — and, on the pool path, one worker
-  invocation — then fans the cells back out to per-point outcomes and
-  per-point cache entries.  Chunking never changes fingerprints or
-  cached bytes; it only amortizes IPC, hashing, and cache I/O.
+  (:mod:`repro.core.grid`) — and, on the pool path, one worker task —
+  then fans the cells back out to per-point outcomes and per-point
+  cache entries.  Families never change fingerprints or cached bytes;
+  they only amortize IPC, hashing, and cache I/O.
 
 The bit-identity contract of :mod:`repro.core.grid` makes the collapse
 safe: a family evaluated through the grid kernel yields cells
@@ -24,9 +24,8 @@ byte-identical to :meth:`ModelEvalJob.evaluate` run point by point.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -206,8 +205,11 @@ class ModelEvalOutcome:
 
     ``exec_s`` is the job's share of its family's evaluation wall time
     (0 for cache hits); ``error`` carries the exception of a failed
-    evaluation (an invalid configuration, typically) so sweep code can
-    re-raise it at the offending point.
+    evaluation (an invalid configuration, typically, or an
+    :class:`~repro.errors.EngineError` when the engine gave up) so
+    sweep code can re-raise it at the offending point.
+    ``queue_wait_s`` and ``attempts`` mean what they mean on
+    :class:`~repro.engine.engine.JobOutcome`.
     """
 
     job: ModelEvalJob
@@ -215,6 +217,8 @@ class ModelEvalOutcome:
     error: Optional[Exception] = None
     cached: bool = False
     exec_s: float = 0.0
+    queue_wait_s: float = 0.0
+    attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -268,15 +272,3 @@ def evaluate_family(jobs: Sequence[ModelEvalJob]) -> List[PredictedTime]:
                 compute_factor=factor, batch_size=bs)
     return [grid.at(i) for i in range(len(jobs))]
 
-
-def _execute_model_family(jobs: Sequence[ModelEvalJob],
-                          ) -> Tuple[List[PredictedTime], float]:
-    """Process-pool entry point: one family, one grid call.
-
-    Exceptions propagate to the parent, which falls back to in-process
-    per-point evaluation (isolating the offending job instead of
-    failing the family wholesale).
-    """
-    started = time.perf_counter()
-    results = evaluate_family(jobs)
-    return results, time.perf_counter() - started

@@ -14,8 +14,8 @@ segment append and one fsync per batch**:
   length) per record, appended after the segment flush that made the
   record durable.
 
-Crash safety is by construction, not by locking: records are appended
-segment-first (flush + fsync), index-second.  A process killed mid
+Crash safety is by construction: records are appended segment-first
+(flush + fsync), index-second.  A process killed mid
 flush can leave (a) a truncated segment tail the index never points at,
 or (b) index lines pointing past the segment's end — both are detected
 at load time (offsets validated against segment sizes, the torn last
@@ -23,10 +23,22 @@ index line dropped) and surface as plain misses plus a ``truncated``
 count, never as corrupt outcomes and never as quarantine churn.
 ``verify`` goes further and re-reads every record; ``scan`` rebuilds
 index entries straight from the segments.
+
+Processes sharing one directory (``repro serve --cache D`` next to
+``repro experiment --cache D``) coordinate through an advisory
+``fcntl.flock`` on ``pack.lock``: segment choice, the segment's real
+end-of-file offset, the segment write + fsync and the index write +
+fsync happen under it, so two appenders never pick the same new
+segment, never record each other's bytes as their own offsets, and
+never interleave index lines.  Each process still appends only to
+segments it created, so a segment torn by a killed process is never
+appended to.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import io
 import json
 import os
@@ -41,6 +53,9 @@ SEGMENT_PATTERN = re.compile(r"^pack-(\d{6})\.jsonl$")
 
 #: The append-only offset index living beside the segments.
 INDEX_FILENAME = "pack-index.jsonl"
+
+#: The advisory lock file serializing appends across processes.
+LOCK_FILENAME = "pack.lock"
 
 #: Roll to a fresh segment once the current one crosses this size, so
 #: compaction and verification work in bounded pieces.
@@ -66,7 +81,8 @@ class PackStore:
 
     Not thread-safe by itself — :class:`~repro.engine.cache.
     SimulationCache` serializes access under its own lock, which is the
-    point: one lock acquisition covers a whole batch append.
+    point: one lock acquisition covers a whole batch append.  Appends
+    are safe across processes (see the module docstring).
     """
 
     def __init__(self, directory: str,
@@ -193,6 +209,22 @@ class PackStore:
 
     # ----- appends -----------------------------------------------------------
 
+    @contextlib.contextmanager
+    def _append_lock(self) -> Iterator[None]:
+        """Hold the directory's exclusive advisory append lock.
+
+        The lock file is opened per append, so two stores on one
+        directory exclude each other even inside a single process, and
+        a forked child never inherits a held lock.
+        """
+        fd = os.open(os.path.join(self.directory, LOCK_FILENAME),
+                     os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)  # closing the descriptor releases the lock
+
     def _next_segment_seq(self) -> int:
         seqs = [int(m.group(1)) for m in
                 (SEGMENT_PATTERN.match(n) for n in self._segment_sizes())
@@ -201,18 +233,18 @@ class PackStore:
 
     def _open_for_append(self) -> Tuple[io.BufferedWriter, str]:
         """The current append segment, rolling to a fresh one when the
-        open segment crossed its size limit."""
-        if self._append_handle is not None \
-                and not self._append_handle.closed \
+        open segment crossed its size limit.  Call with the append lock
+        held: a fresh segment's number comes from a directory listing,
+        which only the lock keeps other processes from racing."""
+        handle = self._append_handle
+        if handle is not None and not handle.closed \
                 and self._append_segment is not None:
-            if self._append_handle.tell() < self.segment_bytes:
-                return self._append_handle, self._append_segment
-            self._append_handle.close()
+            if os.fstat(handle.fileno()).st_size < self.segment_bytes:
+                return handle, self._append_segment
+            handle.close()
             self._append_handle = None
-        seq = self._next_segment_seq()
-        name = segment_name(seq)
-        path = os.path.join(self.directory, name)
-        handle = open(path, "ab")
+        name = segment_name(self._next_segment_seq())
+        handle = open(os.path.join(self.directory, name), "ab")
         self._append_handle = handle
         self._append_segment = name
         return handle, name
@@ -229,34 +261,38 @@ class PackStore:
         charge the hot tier without re-encoding.
         """
         # Sort by key so the same set of stores produces byte-identical
-        # segments regardless of batch-internal ordering (chunking and
-        # family grouping must not change what lands on disk).
+        # segments regardless of batch-internal ordering (family
+        # grouping and task packing must not change what lands on
+        # disk).
         entries = sorted(entries, key=lambda item: item[0])
         if not entries:
             return []
-        handle, segment = self._open_for_append()
-        offset = handle.tell()
-        written: List[Tuple[str, PackLocation, int]] = []
-        for key, payload in entries:
-            line = json.dumps({"k": key, "p": payload},
-                              separators=(",", ":")).encode("utf-8") + b"\n"
-            handle.write(line)
-            written.append((key, PackLocation(segment=segment,
-                                              offset=offset,
-                                              length=len(line)),
-                            len(line)))
-            offset += len(line)
-        handle.flush()
-        os.fsync(handle.fileno())
-        index_path = os.path.join(self.directory, INDEX_FILENAME)
-        with open(index_path, "ab") as index_handle:
-            for key, location, _ in written:
-                index_handle.write(json.dumps(
-                    {"k": key, "s": location.segment,
-                     "o": location.offset, "l": location.length},
-                    separators=(",", ":")).encode("utf-8") + b"\n")
-            index_handle.flush()
-            os.fsync(index_handle.fileno())
+        with self._append_lock():
+            handle, segment = self._open_for_append()
+            # The real end of file, not this handle's idea of it.
+            offset = os.fstat(handle.fileno()).st_size
+            written: List[Tuple[str, PackLocation, int]] = []
+            for key, payload in entries:
+                line = json.dumps({"k": key, "p": payload},
+                                  separators=(",", ":")).encode("utf-8") \
+                    + b"\n"
+                handle.write(line)
+                written.append((key, PackLocation(segment=segment,
+                                                  offset=offset,
+                                                  length=len(line)),
+                                len(line)))
+                offset += len(line)
+            handle.flush()
+            os.fsync(handle.fileno())
+            index_path = os.path.join(self.directory, INDEX_FILENAME)
+            with open(index_path, "ab") as index_handle:
+                for key, location, _ in written:
+                    index_handle.write(json.dumps(
+                        {"k": key, "s": location.segment,
+                         "o": location.offset, "l": location.length},
+                        separators=(",", ":")).encode("utf-8") + b"\n")
+                index_handle.flush()
+                os.fsync(index_handle.fileno())
         for key, location, _ in written:
             self.index[key] = location
         return [(key, nbytes) for key, _, nbytes in written]

@@ -40,7 +40,7 @@ def run_fig11(num_gpus: int = 64, rank: int = 4,
 
     The sweep evaluates the closed-form model through the grid kernel;
     passing an ``engine`` routes it through the engine's model-eval
-    path instead (per-point caching, family chunking) with byte-
+    path instead (per-point caching, family grid calls) with byte-
     identical rows.
     """
     rows: List[Dict[str, Any]] = []

@@ -37,7 +37,7 @@ def run_fig12(num_gpus: int = 64, rank: int = 4,
     """syncSGD vs PowerSGD as compute speeds up, network fixed.
 
     Grid-kernel evaluated; an ``engine`` adds per-point caching and
-    family chunking with byte-identical rows.
+    family grid calls with byte-identical rows.
     """
     rows: List[Dict[str, Any]] = []
     for model_name, batch_size in workloads:

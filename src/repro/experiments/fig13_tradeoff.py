@@ -38,7 +38,7 @@ def run_fig13(num_gpus: int = 64, rank: int = 4,
     """Encode-time/ratio trade-off grid, per workload.
 
     Grid-kernel evaluated; an ``engine`` adds per-point caching and
-    family chunking with byte-identical rows.
+    family grid calls with byte-identical rows.
     """
     rows: List[Dict[str, Any]] = []
     for model_name, batch_size in workloads:

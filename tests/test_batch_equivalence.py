@@ -228,7 +228,7 @@ class TestEngineWiring:
         oracle = [event_run(job.build_simulator(), iterations=12, warmup=2)
                   for job in jobs]
         for engine in (ExperimentEngine(jobs=1),
-                       ExperimentEngine(jobs=2, chunking=False)):
+                       ExperimentEngine(jobs=2)):
             assert [o.result for o in engine.run_outcomes(jobs)] == oracle
 
 

@@ -1,6 +1,7 @@
 """Pack tier: append-only segments, offset index, crash tolerance."""
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -178,3 +179,50 @@ class TestVerify:
         assert report["corrupt"] == 1
         assert "a" * 64 in reopened  # verify itself drops nothing
         reopened.close()
+
+
+def _append_from_process(directory, worker, barrier, batches, per_batch):
+    """One stress appender: ``batches`` appends of ``per_batch`` records,
+    all starting together on the barrier."""
+    store = PackStore(directory, segment_bytes=4096)
+    barrier.wait()
+    for batch in range(batches):
+        store.append_many(
+            (_stress_key(worker, batch, i), _payload(batch * per_batch + i))
+            for i in range(per_batch))
+    store.close()
+
+
+def _stress_key(worker, batch, i):
+    return f"{worker:02x}{batch:04x}{i:02x}".ljust(64, "0")
+
+
+class TestMultiProcessAppend:
+    def test_concurrent_appenders_lose_nothing(self, tmp_path):
+        """Four processes hammering one directory (small segments, so
+        they also race to roll new ones): every record reads back and
+        nothing is dropped as truncated."""
+        workers, batches, per_batch = 4, 60, 5
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(workers)
+        procs = [ctx.Process(target=_append_from_process,
+                             args=(str(tmp_path), w, barrier, batches,
+                                   per_batch))
+                 for w in range(workers)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+            assert not proc.is_alive() and proc.exitcode == 0
+        store = PackStore(str(tmp_path), segment_bytes=4096)
+        assert store.truncated == 0
+        for w in range(workers):
+            for batch in range(batches):
+                for i in range(per_batch):
+                    assert store.lookup(_stress_key(w, batch, i)) \
+                        == _payload(batch * per_batch + i)
+        report = store.verify()
+        assert report == {"entries": workers * batches * per_batch,
+                          "ok": workers * batches * per_batch,
+                          "corrupt": 0, "truncated": 0}
+        store.close()

@@ -1,13 +1,15 @@
-"""Engine model-eval batches: families, chunking, caching, fan-out.
+"""Engine model-eval batches: families, packing, caching, fan-out.
 
-Chunking (collapsing job families into one grid-kernel call, and
-simulation batches into per-worker chunks) is a pure execution detail:
-rows, cache keys, and cached bytes must be identical with it on or off.
+Families (collapsing jobs into one grid-kernel call) and singleton
+packing (several simulation jobs per pool task) are pure execution
+details: rows, cache keys, and cached bytes never depend on them (the
+randomized dispatcher property in ``test_engine_dispatch.py`` checks
+this across serial, pooled and warm runs).
 """
 
 import pytest
 
-from repro.compression.schemes import PowerSGDScheme, SignSGDScheme
+from repro.compression.schemes import PowerSGDScheme
 from repro.compression.kernel_cost import v100_kernel_profile
 from repro.core import (
     PerfModelInputs,
@@ -18,12 +20,11 @@ from repro.core import (
 from repro.engine import (
     ExperimentEngine,
     ModelEvalJob,
-    SimJob,
     SimulationCache,
     evaluate_family,
 )
 from repro.errors import ConfigurationError
-from repro.hardware import V100, cluster_for_gpus
+from repro.hardware import V100
 from repro.models import get_model
 from repro.telemetry import MetricsRegistry, get_registry, set_registry
 from repro.units import gbps_to_bytes_per_s
@@ -167,14 +168,6 @@ class TestEngineModelOutcomes:
         assert [o.result for o in outcomes] == [j.evaluate() for j in jobs]
         assert engine.stats().jobs_chunked == len(jobs)
 
-    def test_chunking_off_identical_but_unchunked(self, rn50):
-        jobs = sweep_jobs(rn50)
-        chunked = ExperimentEngine().run_model_outcomes(jobs)
-        engine = ExperimentEngine(chunking=False)
-        plain = engine.run_model_outcomes(jobs)
-        assert [o.result for o in plain] == [o.result for o in chunked]
-        assert engine.stats().jobs_chunked == 0
-
     def test_parallel_outcomes_identical(self, rn50):
         jobs = sweep_jobs(rn50)
         serial = ExperimentEngine().run_model_outcomes(jobs)
@@ -193,19 +186,6 @@ class TestEngineModelOutcomes:
         assert all(o.cached for o in warm)
         assert delta.misses == 0 and delta.hits == len(jobs)
         assert [o.result for o in warm] == [o.result for o in cold]
-
-    def test_cache_bytes_identical_across_chunking(self, rn50, tmp_path):
-        jobs = sweep_jobs(rn50)
-        dirs = {}
-        for label, chunking in (("on", True), ("off", False)):
-            cache_dir = tmp_path / label
-            engine = ExperimentEngine(cache=SimulationCache(str(cache_dir)),
-                                      chunking=chunking)
-            engine.run_model_outcomes(jobs)
-            dirs[label] = {
-                f.name: f.read_bytes()
-                for f in cache_dir.rglob("*") if f.is_file()}
-        assert dirs["on"] == dirs["off"]
 
     def test_failing_job_isolated_not_cached(self, rn50, tmp_path):
         good = ModelEvalJob(model=rn50, scheme=PowerSGDScheme(rank=4),
@@ -239,37 +219,12 @@ class TestEngineModelOutcomes:
 
 
 class TestSimJobChunking:
-    @pytest.fixture(scope="class")
-    def sim_batch(self, rn50):
-        # 16 singleton families (distinct batch size x scheme), so none
-        # is family-batched and two workers get chunks of
-        # ceil(16 / (2 * 4)) = 2: the chunked pool path really runs.
-        return [SimJob(model=rn50, cluster=cluster_for_gpus(4),
-                       scheme=scheme, batch_size=bs, iterations=6,
-                       warmup=2)
-                for bs in (8, 16, 24, 32, 40, 48, 56, 64)
-                for scheme in (None, SignSGDScheme())]
-
-    def _rows(self, outcomes):
-        return [(o.job.describe(), o.result.sync_times) for o in outcomes]
-
-    def test_chunked_pool_identical_to_serial(self, sim_batch):
-        serial = ExperimentEngine().run_outcomes(sim_batch)
-        engine = ExperimentEngine(jobs=2)
-        fanned = engine.run_outcomes(sim_batch)
-        assert self._rows(fanned) == self._rows(serial)
-        assert engine.stats().jobs_chunked == len(sim_batch)
-        unchunked_engine = ExperimentEngine(jobs=2, chunking=False)
-        unchunked = unchunked_engine.run_outcomes(sim_batch)
-        assert self._rows(unchunked) == self._rows(serial)
-        assert unchunked_engine.stats().jobs_chunked == 0
-
     def test_chunk_size_policy(self):
         engine = ExperimentEngine(jobs=4)
-        assert engine._chunk_size(32, 4) == 2  # ~4 chunks per worker
+        assert engine._chunk_size(32, 4) == 2  # ~4 tasks per worker
         assert engine._chunk_size(3, 4) == 1
-        assert ExperimentEngine(jobs=4, chunking=False)._chunk_size(
-            32, 4) == 1
-        # Per-job timeout budgeting is incompatible with chunking.
+        # The serial path has no IPC to amortize.
+        assert ExperimentEngine()._chunk_size(32, 4) == 1
+        # Per-job timeout budgeting is incompatible with packing.
         assert ExperimentEngine(jobs=4, job_timeout_s=30.0)._chunk_size(
             32, 4) == 1

@@ -11,7 +11,6 @@ import time
 import pytest
 
 from repro.engine import ExperimentEngine, SimJob, SimulationCache
-from repro.engine import engine as engine_module
 from repro.engine.engine import CHAOS_KILL_ENV, CHAOS_SLEEP_ENV
 from repro.errors import ConfigurationError, EngineError
 from repro.hardware import cluster_for_gpus
@@ -26,6 +25,17 @@ def small_jobs(tiny_model):
     ]
 
 
+@pytest.fixture
+def singleton_jobs(tiny_model):
+    # Distinct batch sizes give every job its own family, so each one
+    # runs as its own task through the retry loop under test.
+    return [
+        SimJob(model=tiny_model, cluster=cluster_for_gpus(4),
+               batch_size=batch_size, iterations=6, warmup=1)
+        for batch_size in (4, 5, 6)
+    ]
+
+
 class TestPolicyValidation:
     def test_bad_knobs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -37,12 +47,10 @@ class TestPolicyValidation:
 
 
 class TestSerialRetry:
-    # chunking=False keeps these jobs (which differ only by seed, so
-    # they would otherwise batch as one kernel family) on the per-job
-    # serial path whose retry loop is under test.
-    def test_transient_failure_is_retried(self, small_jobs, monkeypatch):
+    def test_transient_failure_is_retried(self, singleton_jobs,
+                                          monkeypatch):
         calls = {"n": 0}
-        real = engine_module._execute_job
+        real = SimJob.evaluate
 
         def flaky(job):
             calls["n"] += 1
@@ -50,25 +58,23 @@ class TestSerialRetry:
                 raise RuntimeError("transient blip")
             return real(job)
 
-        monkeypatch.setattr(engine_module, "_execute_job", flaky)
-        engine = ExperimentEngine(max_retries=2, retry_backoff_s=0.0,
-                                  chunking=False)
-        outcomes = engine.run_outcomes(small_jobs[:2])
+        monkeypatch.setattr(SimJob, "evaluate", flaky)
+        engine = ExperimentEngine(max_retries=2, retry_backoff_s=0.0)
+        outcomes = engine.run_outcomes(singleton_jobs[:2])
         assert all(o.ok for o in outcomes)
         assert outcomes[0].attempts == 2
         assert outcomes[1].attempts == 1
         assert engine.stats().retries == 1
         assert engine.stats().failures == 0
 
-    def test_permanent_failure_degrades_not_raises(self, small_jobs,
+    def test_permanent_failure_degrades_not_raises(self, singleton_jobs,
                                                    monkeypatch):
         def doomed(job):
             raise RuntimeError("the disk is on fire")
 
-        monkeypatch.setattr(engine_module, "_execute_job", doomed)
-        engine = ExperimentEngine(max_retries=1, retry_backoff_s=0.0,
-                                  chunking=False)
-        outcomes = engine.run_outcomes(small_jobs[:3])
+        monkeypatch.setattr(SimJob, "evaluate", doomed)
+        engine = ExperimentEngine(max_retries=1, retry_backoff_s=0.0)
+        outcomes = engine.run_outcomes(singleton_jobs)
         assert all(o.failed for o in outcomes)
         assert all(o.attempts == 2 for o in outcomes)
         assert "the disk is on fire" in outcomes[0].error
@@ -81,7 +87,7 @@ class TestSerialRetry:
 
     def test_zero_retries_fails_immediately(self, small_jobs, monkeypatch):
         monkeypatch.setattr(
-            engine_module, "_execute_job",
+            SimJob, "evaluate",
             lambda job: (_ for _ in ()).throw(RuntimeError("boom")))
         engine = ExperimentEngine(max_retries=0)
         outcomes = engine.run_outcomes(small_jobs[:1])
@@ -114,7 +120,7 @@ class TestSerialRetry:
     def test_failures_are_never_cached(self, small_jobs, monkeypatch,
                                        tmp_path):
         monkeypatch.setattr(
-            engine_module, "_execute_job",
+            SimJob, "evaluate",
             lambda job: (_ for _ in ()).throw(RuntimeError("boom")))
         cache = SimulationCache(tmp_path)
         engine = ExperimentEngine(cache=cache, max_retries=0)

@@ -263,27 +263,29 @@ class TestEngineFamilyBatching:
         assert base.family_key() != replace(
             base, iterations=60).family_key()
 
-    def test_outcomes_identical_to_unbatched_engine(self, rn50):
-        batched = ExperimentEngine(chunking=True)
-        reference = ExperimentEngine(chunking=False)
-        got = [o.unwrap() for o in batched.run_outcomes(self._jobs(rn50))]
-        ref = [o.unwrap()
-               for o in reference.run_outcomes(self._jobs(rn50))]
-        assert got == ref
-        assert batched.jobs_batched == 6
+    def _unbatched(self, rn50):
+        # One job per batch: every family is a singleton, evaluated
+        # through SimJob.evaluate instead of the stacked kernel.
+        reference = ExperimentEngine()
+        ref = [reference.run_outcomes([job])[0].unwrap()
+               for job in self._jobs(rn50)]
         assert reference.jobs_batched == 0
+        return ref
+
+    def test_outcomes_identical_to_unbatched_engine(self, rn50):
+        batched = ExperimentEngine()
+        got = [o.unwrap() for o in batched.run_outcomes(self._jobs(rn50))]
+        assert got == self._unbatched(rn50)
+        assert batched.jobs_batched == 6
 
     def test_pooled_families_identical(self, rn50):
-        pooled = ExperimentEngine(jobs=2, chunking=True)
-        reference = ExperimentEngine(chunking=False)
+        pooled = ExperimentEngine(jobs=2)
         got = [o.unwrap() for o in pooled.run_outcomes(self._jobs(rn50))]
-        ref = [o.unwrap()
-               for o in reference.run_outcomes(self._jobs(rn50))]
-        assert got == ref
+        assert got == self._unbatched(rn50)
         assert pooled.jobs_batched == 6
 
     def test_stats_report_jobs_batched(self, rn50):
-        engine = ExperimentEngine(chunking=True)
+        engine = ExperimentEngine()
         engine.run_outcomes(self._jobs(rn50))
         stats = engine.stats()
         assert stats.jobs_batched == 6

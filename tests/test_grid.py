@@ -23,6 +23,7 @@ from repro.compression.kernel_cost import v100_kernel_profile
 from repro.core import (
     PerfModelInputs,
     TimingGrid,
+    TradeoffPoint,
     WhatIfPoint,
     bandwidth_sweep,
     compressed_time,
@@ -220,21 +221,34 @@ class TestBitIdentity:
                                      base.with_bandwidth(float(b)))
             assert_cell_equal(grid.at(i), scalar)
 
-    def test_sweeps_grid_off_matches_default(self, rn50):
-        """The use_grid=False scalar paths are what the grid paths are
-        pinned against -- identical WhatIfPoint tuples."""
+    def test_sweeps_match_per_point_scalar(self, rn50):
+        """Each sweep's grid path reproduces the scalar model called
+        once per point -- identical WhatIfPoint / TradeoffPoint tuples."""
         base = inputs_at(p=64, bs=64)
         scheme = PowerSGDScheme(rank=4)
         gbps = (1.0, 5.0, 9.0, 13.0, 30.0)
-        assert (bandwidth_sweep(rn50, scheme, gbps, base) ==
-                bandwidth_sweep(rn50, scheme, gbps, base, use_grid=False))
+        expected = []
+        for g in gbps:
+            swept = base.with_bandwidth(gbps_to_bytes_per_s(g))
+            expected.append(WhatIfPoint(
+                x=g, syncsgd_s=syncsgd_time(rn50, swept).total,
+                compressed_s=compressed_time(rn50, scheme, swept).total))
+        assert bandwidth_sweep(rn50, scheme, gbps, base) == tuple(expected)
         factors = (1.0, 2.0, 3.0, 4.0)
-        assert (compute_sweep(rn50, scheme, factors, base) ==
-                compute_sweep(rn50, scheme, factors, base, use_grid=False))
+        prof = v100_kernel_profile()
+        expected = [WhatIfPoint(
+            x=f, syncsgd_s=syncsgd_time(rn50, base, V100.scaled(f)).total,
+            compressed_s=compressed_time(rn50, scheme, base, V100.scaled(f),
+                                         prof.scaled(f)).total)
+            for f in factors]
+        assert compute_sweep(rn50, scheme, factors, base) == tuple(expected)
         ks, ls = (1.0, 2.0, 4.0), (1.0, 2.0, 3.0)
-        assert (encode_tradeoff_grid(rn50, scheme, ks, ls, base) ==
-                encode_tradeoff_grid(rn50, scheme, ks, ls, base,
-                                     use_grid=False))
+        baseline = syncsgd_time(rn50, base).total
+        expected = [TradeoffPoint(
+            k=k, l=l, predicted_s=tradeoff_time(rn50, scheme, k, l, base),
+            syncsgd_s=baseline) for k in ks for l in ls]
+        assert (encode_tradeoff_grid(rn50, scheme, ks, ls, base)
+                == tuple(expected))
 
 
 def synthetic_points(speedups):

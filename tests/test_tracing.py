@@ -55,6 +55,17 @@ def small_jobs(tiny_model):
     ]
 
 
+@pytest.fixture
+def singleton_jobs(tiny_model):
+    # Distinct batch sizes give every job its own family, so each one
+    # executes (and is traced) as its own task.
+    return [
+        SimJob(model=tiny_model, cluster=cluster_for_gpus(4),
+               batch_size=batch_size, iterations=6, warmup=1)
+        for batch_size in (4, 5, 6, 7)
+    ]
+
+
 class TestTraceSpan:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -240,11 +251,10 @@ class TestEngineTracing:
         disable_tracing()
         return outcomes, spans
 
-    def test_serial_run_emits_nested_spans(self, small_jobs, tmp_path):
-        # chunking=False keeps these jobs (which differ only by seed,
-        # so they'd family-batch) as one engine span each.
-        outcomes, spans = self.run_traced(small_jobs, tmp_path,
-                                          chunking=False)
+    def test_serial_run_emits_nested_spans(self, singleton_jobs,
+                                           tmp_path):
+        small_jobs = singleton_jobs
+        outcomes, spans = self.run_traced(small_jobs, tmp_path)
         assert all(o.ok for o in outcomes)
         by_id = {s.span_id: s for s in spans}
         names = [s.name for s in spans]
@@ -267,9 +277,9 @@ class TestEngineTracing:
         assert any(s.track == "sim" for s in spans)
         assert any(s.track.startswith("sim:") for s in spans)
 
-    def test_pooled_run_parents_across_processes(self, small_jobs):
-        outcomes, spans = self.run_traced(small_jobs, jobs=2,
-                                          chunking=False)
+    def test_pooled_run_parents_across_processes(self, singleton_jobs):
+        small_jobs = singleton_jobs
+        outcomes, spans = self.run_traced(small_jobs, jobs=2)
         assert all(o.ok for o in outcomes)
         assert len({s.trace_id for s in spans}) == 1
         worker_spans = [s for s in spans if s.pid != os.getpid()]
@@ -285,20 +295,20 @@ class TestEngineTracing:
 
     def test_untraced_run_records_nothing(self, small_jobs):
         assert not get_tracer().enabled
-        engine = ExperimentEngine(jobs=2, chunking=False)
+        engine = ExperimentEngine(jobs=2)
         outcomes = engine.run_outcomes(small_jobs)
         assert all(o.ok for o in outcomes)
         assert get_tracer().drain() == ()
 
-    def test_chaos_kill_yields_one_coherent_trace(self, small_jobs,
+    def test_chaos_kill_yields_one_coherent_trace(self, singleton_jobs,
                                                   tmp_path, monkeypatch):
         """A killed worker's retry lands as a sibling attempt: the dead
         attempt ships no spans, the successful one parents normally, and
         the whole run stays a single trace."""
         monkeypatch.setenv(CHAOS_KILL_ENV, str(tmp_path / "kill.sentinel"))
         tracer = enable_tracing()
-        engine = ExperimentEngine(jobs=2, retry_backoff_s=0.0,
-                                  chunking=False)
+        engine = ExperimentEngine(jobs=2, retry_backoff_s=0.0)
+        small_jobs = singleton_jobs
         outcomes = engine.run_outcomes(small_jobs)
         spans = tracer.drain()
         disable_tracing()
