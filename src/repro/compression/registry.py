@@ -7,6 +7,7 @@ single-tensor codec, the distributed aggregator, and the cost scheme.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List
 
 from ..errors import ConfigurationError
@@ -97,7 +98,12 @@ def make_scheme(name: str, **params: Any) -> Scheme:
     if name not in _SCHEMES:
         raise ConfigurationError(
             f"unknown scheme {name!r}; available: {sorted(_SCHEMES)}")
-    return _SCHEMES[name](**params)
+    try:
+        return _SCHEMES[name](**params)
+    except TypeError as exc:
+        # An unknown or missing keyword: a bad spec, not a crash.
+        raise ConfigurationError(
+            f"bad parameters {params} for scheme {name!r}: {exc}") from exc
 
 
 def scheme_from_spec(spec: str) -> Scheme:
@@ -105,7 +111,9 @@ def scheme_from_spec(spec: str) -> Scheme:
 
     The textual scheme syntax the CLI (``--scheme powersgd:rank=4``)
     and the serving API share; numeric parameter values become ``int``
-    when possible, ``float`` otherwise.
+    when possible, ``float`` otherwise.  Non-finite values (``nan``,
+    ``inf``) and parameters the scheme does not take raise
+    :class:`ConfigurationError`.
     """
     name, _, params_text = spec.partition(":")
     params: Dict[str, Any] = {}
@@ -123,6 +131,10 @@ def scheme_from_spec(spec: str) -> Scheme:
                 except ValueError:
                     raise ConfigurationError(
                         f"non-numeric scheme parameter {item!r} "
+                        f"in spec {spec!r}")
+                if not math.isfinite(params[key]):
+                    raise ConfigurationError(
+                        f"non-finite scheme parameter {item!r} "
                         f"in spec {spec!r}")
     return make_scheme(name, **params)
 

@@ -21,13 +21,14 @@ from .memcache import MemoryCache
 from .pack import PackLocation, PackStore
 from .fingerprint import (
     FINGERPRINT_VERSION,
-    cluster_fingerprint,
-    config_fingerprint,
+    cluster_fragment,
+    config_fragment,
     digest,
-    fabric_fingerprint,
-    model_fingerprint,
-    profile_fingerprint,
-    scheme_fingerprint,
+    fabric_payload,
+    gpu_fragment,
+    model_fragment,
+    profile_fragment,
+    scheme_payload,
 )
 from .modeljobs import ModelEvalJob, ModelEvalOutcome, evaluate_family
 
@@ -39,6 +40,6 @@ __all__ = [
     "AdvisorShardJob", "AdvisorShardOutcome", "AdvisorShardResult",
     "evaluate_advisor_family",
     "FINGERPRINT_VERSION", "digest",
-    "model_fingerprint", "scheme_fingerprint", "cluster_fingerprint",
-    "fabric_fingerprint", "config_fingerprint", "profile_fingerprint",
+    "model_fragment", "cluster_fragment", "config_fragment",
+    "profile_fragment", "gpu_fragment", "scheme_payload", "fabric_payload",
 ]

@@ -45,13 +45,12 @@ from ..models import ModelSpec
 from ..units import GIGA
 from .fingerprint import (
     FINGERPRINT_VERSION,
-    canonical_json,
     digest,
-    model_fingerprint,
-    profile_fingerprint,
-    scheme_fingerprint,
+    gpu_fragment,
+    model_fragment,
+    profile_fragment,
+    scheme_payload,
 )
-from .modeljobs import _gpu_payload
 
 
 @dataclass(frozen=True)
@@ -124,19 +123,25 @@ class AdvisorShardJob:
                            self.bw_points)
         return full[self.start:self.start + self.count]
 
+    def _spec_payload(self) -> Dict[str, Any]:
+        """The members fingerprint and family key share."""
+        return {
+            "kind": "advisor-shard",
+            "model": model_fragment(self.model),
+            "scheme": scheme_payload(self.scheme),
+            "gpu": gpu_fragment(self.gpu),
+            "profile": profile_fragment(self.profile),
+        }
+
     def fingerprint(self) -> str:
         """Content hash identifying this shard's totals.
 
         Shares the cache namespace with simulation and model-eval jobs
         without colliding: the payload leads with a distinct ``kind``.
         """
-        payload = {
-            "kind": "advisor-shard",
+        payload = self._spec_payload()
+        payload.update({
             "version": FINGERPRINT_VERSION,
-            "model": model_fingerprint(self.model),
-            "scheme": scheme_fingerprint(self.scheme),
-            "gpu": _gpu_payload(self.gpu),
-            "profile": profile_fingerprint(self.profile),
             "inputs": {
                 "alpha_s": self.inputs.alpha_s,
                 "gamma": self.inputs.gamma,
@@ -151,24 +156,20 @@ class AdvisorShardJob:
                 "start": self.start,
                 "count": self.count,
             },
-        }
+        })
         return digest(payload)
 
     def family_key(self) -> str:
         """Grouping key: one candidate's shards across world sizes and
         slices, which the pool path submits as a single task."""
-        payload: Dict[str, Any] = {
-            "kind": "advisor-shard",
-            "model": model_fingerprint(self.model),
-            "scheme": scheme_fingerprint(self.scheme),
-            "gpu": _gpu_payload(self.gpu),
-            "profile": profile_fingerprint(self.profile),
+        payload = self._spec_payload()
+        payload.update({
             "alpha_s": self.inputs.alpha_s,
             "gamma": self.inputs.gamma,
             "batch_size": self.inputs.batch_size,
             "bucket_cap_bytes": self.inputs.bucket_cap_bytes,
-        }
-        return canonical_json(payload)
+        })
+        return digest(payload)
 
     def evaluate(self) -> AdvisorShardResult:
         """Price this shard: one bounded grid-kernel call."""

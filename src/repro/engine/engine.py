@@ -73,14 +73,14 @@ from .advisorjobs import (
 from .cache import CacheStats, SimulationCache
 from .fingerprint import (
     FINGERPRINT_VERSION,
-    cluster_fingerprint,
-    config_fingerprint,
+    cluster_fragment,
+    config_fragment,
     digest,
-    fabric_fingerprint,
-    faults_fingerprint,
-    model_fingerprint,
-    profile_fingerprint,
-    scheme_fingerprint,
+    fabric_payload,
+    faults_payload,
+    model_fragment,
+    profile_fragment,
+    scheme_payload,
 )
 from .modeljobs import ModelEvalJob, ModelEvalOutcome, evaluate_family
 
@@ -149,6 +149,21 @@ class SimJob:
                 f"iterations ({self.iterations}) must exceed warmup "
                 f"({self.warmup})")
 
+    def _family_payload(self) -> Dict[str, Any]:
+        """Every structural input: the key payload minus seed and faults."""
+        return {
+            "version": FINGERPRINT_VERSION,
+            "model": model_fragment(self.model),
+            "cluster": cluster_fragment(self.cluster),
+            "scheme": scheme_payload(self.scheme),
+            "fabric": fabric_payload(self.fabric),
+            "config": config_fragment(self.config),
+            "profile": profile_fragment(self.profile),
+            "batch_size": self.batch_size,
+            "iterations": self.iterations,
+            "warmup": self.warmup,
+        }
+
     def fingerprint(self) -> str:
         """Content hash identifying this job's outcome.
 
@@ -157,20 +172,9 @@ class SimJob:
         had before fault injection existed, so no cache directory is
         invalidated by upgrading.
         """
-        payload = {
-            "version": FINGERPRINT_VERSION,
-            "model": model_fingerprint(self.model),
-            "cluster": cluster_fingerprint(self.cluster),
-            "scheme": scheme_fingerprint(self.scheme),
-            "fabric": fabric_fingerprint(self.fabric),
-            "config": config_fingerprint(self.config),
-            "profile": profile_fingerprint(self.profile),
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-            "seed": self.seed,
-        }
-        fault_payload = faults_fingerprint(self.faults)
+        payload = self._family_payload()
+        payload["seed"] = self.seed
+        fault_payload = faults_payload(self.faults)
         if fault_payload is not None:
             payload["faults"] = fault_payload
         return digest(payload)
@@ -185,27 +189,9 @@ class SimJob:
         :func:`repro.simulator.batch.run_batch_many` stacks into one
         kernel call.  The key is *not* a cache key (it deliberately
         drops ``faults`` and ``seed``); outcomes are still cached per
-        job under :meth:`fingerprint`.  Memoized per instance — the
-        engine recomputes it for every miss in every batch.
+        job under :meth:`fingerprint`.
         """
-        cached = self.__dict__.get("_family_key")
-        if cached is not None:
-            return cached
-        payload = {
-            "version": FINGERPRINT_VERSION,
-            "model": model_fingerprint(self.model),
-            "cluster": cluster_fingerprint(self.cluster),
-            "scheme": scheme_fingerprint(self.scheme),
-            "fabric": fabric_fingerprint(self.fabric),
-            "config": config_fingerprint(self.config),
-            "profile": profile_fingerprint(self.profile),
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-        }
-        key = digest(payload)
-        object.__setattr__(self, "_family_key", key)
-        return key
+        return digest(self._family_payload())
 
     def build_simulator(self) -> DDPSimulator:
         """Construct the fully-configured simulator this job describes."""

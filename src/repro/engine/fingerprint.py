@@ -14,6 +14,29 @@ Two rules keep keys stable across processes and sessions:
   same value always serializes to the same text;
 * dict keys are sorted, so insertion order never leaks into the hash.
 
+**Fragments.**  A job's key payload is a flat dict whose big members
+are rendered once per spec object and reused.  The frozen inputs —
+:class:`~repro.models.ModelSpec` (hundreds of layers),
+:class:`~repro.hardware.ClusterConfig`,
+:class:`~repro.simulator.DDPConfig`,
+:class:`~repro.compression.kernel_cost.KernelProfile` and
+:class:`~repro.hardware.GPUSpec` — go through ``*_fragment`` functions
+that memoize their canonical JSON text as a :class:`Fragment`, keyed by
+object identity in a per-kind table; a weak reference evicts the entry
+when the spec dies, so nothing is stored on the spec itself and pickled
+jobs stay the size they were.  The mutable inputs are rendered on every
+call: the scheme (its parameters are read from ``vars()``), the fabric
+(``degrade_link`` rewrites its live bandwidth matrix) and the fault
+schedule.
+
+:func:`canonical_json` splices a top-level :class:`Fragment` member in
+verbatim.  Because a fragment *is* the canonical JSON of its payload,
+and ``json.dumps(sort_keys=True, separators=(",", ":"))`` of a dict is
+just ``"key":<value JSON>`` pairs joined in sorted key order, the
+spliced text — and so every SHA-256 key — is byte-identical to encoding
+the fully expanded payload.  ``tests/oracle.py`` keeps the expanded
+dict builders as the reference that property is tested against.
+
 Anything not captured here MUST NOT influence ``DDPSimulator.run`` —
 that is the cache's correctness contract, and what
 ``tests/test_engine_cache.py`` exercises field by field.
@@ -21,15 +44,18 @@ that is the cache's correctness contract, and what
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import weakref
 from dataclasses import asdict
-from typing import Any, Dict, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
 from ..faults import FaultSchedule
-from ..hardware import ClusterConfig
+from ..hardware import ClusterConfig, GPUSpec
 from ..models import ModelSpec
 from ..network import Fabric
 from ..simulator import DDPConfig
@@ -38,8 +64,80 @@ from ..simulator import DDPConfig
 #: stale cache directories are never silently reused across versions.
 FINGERPRINT_VERSION = 1
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            allow_nan=False)
 
-def model_fingerprint(model: ModelSpec) -> Dict[str, Any]:
+
+class Fragment(str):
+    """Canonical JSON text of one payload member, already rendered.
+
+    :func:`canonical_json` splices it into a top-level dict verbatim
+    instead of encoding it as a string.
+    """
+
+    __slots__ = ()
+
+
+def canonical_json(payload: Any) -> str:
+    """Deterministic JSON: sorted keys, no whitespace variance.
+
+    :class:`Fragment` members of a top-level dict are spliced in as the
+    JSON they already are; the result is the text the expanded payload
+    would encode to.  Each run of plain members between two fragments
+    (in sorted key order) is encoded as one dict with its braces
+    stripped, which is exactly those members' text.
+    """
+    if not (isinstance(payload, dict) and any(
+            type(value) is Fragment for value in payload.values())):
+        return _ENCODER.encode(payload)
+    parts: List[str] = []
+    run: Dict[str, Any] = {}
+    for key, value in sorted(payload.items()):
+        if type(value) is not Fragment:
+            run[key] = value
+            continue
+        if run:
+            parts.append(_ENCODER.encode(run)[1:-1])
+            run = {}
+        parts.append(encode_basestring_ascii(key) + ":" + value)
+    if run:
+        parts.append(_ENCODER.encode(run)[1:-1])
+    return "{" + ",".join(parts) + "}"
+
+
+def digest(payload: Any) -> str:
+    """SHA-256 hex digest of the canonical JSON of ``payload``."""
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+_Spec = TypeVar("_Spec")
+
+
+def _memoized(render: Callable[[_Spec], Any]) -> Callable[[_Spec], Fragment]:
+    """Memoize ``Fragment(canonical_json(render(spec)))`` per spec object.
+
+    Only for frozen specs: the table is keyed by ``id(spec)`` and holds
+    a weak reference whose callback drops the entry when the spec is
+    collected, so an id reused by a later object never sees stale text.
+    Threads racing on one spec both render it and store equal text.
+    """
+    memo: Dict[int, Tuple[weakref.ref, Fragment]] = {}
+
+    @functools.wraps(render)
+    def fragment(spec: _Spec) -> Fragment:
+        key = id(spec)
+        entry = memo.get(key)
+        if entry is not None and entry[0]() is spec:
+            return entry[1]
+        text = Fragment(canonical_json(render(spec)))
+        memo[key] = (weakref.ref(spec, lambda _: memo.pop(key, None)), text)
+        return text
+
+    return fragment
+
+
+@_memoized
+def model_fragment(model: ModelSpec) -> Dict[str, Any]:
     """Everything about a model that the simulator's timing depends on."""
     return {
         "name": model.name,
@@ -63,7 +161,70 @@ def model_fingerprint(model: ModelSpec) -> Dict[str, Any]:
     }
 
 
-def scheme_fingerprint(scheme: Optional[Scheme]) -> Dict[str, Any]:
+def _gpu_payload(gpu: GPUSpec) -> Dict[str, Any]:
+    return {
+        "name": gpu.name,
+        "peak_fp32_flops": gpu.peak_fp32_flops,
+        "training_efficiency": gpu.training_efficiency,
+        "memcpy_bytes_per_s": gpu.memcpy_bytes_per_s,
+        "memory_bytes": gpu.memory_bytes,
+        "kernel_launch_overhead_s": gpu.kernel_launch_overhead_s,
+    }
+
+
+#: GPU identity, in the same rendering cluster fragments nest.
+gpu_fragment = _memoized(_gpu_payload)
+
+
+@_memoized
+def cluster_fragment(cluster: ClusterConfig) -> Dict[str, Any]:
+    """Cluster identity: topology, seed, instance and GPU parameters."""
+    instance = cluster.instance
+    return {
+        "num_nodes": cluster.num_nodes,
+        "seed": cluster.seed,
+        "instance": {
+            "name": instance.name,
+            "gpus_per_node": instance.gpus_per_node,
+            "network_bytes_per_s": instance.network_bytes_per_s,
+            "intra_node_bytes_per_s": instance.intra_node_bytes_per_s,
+        },
+        "gpu": _gpu_payload(instance.gpu),
+    }
+
+
+@_memoized
+def _config_fragment(config: DDPConfig) -> Dict[str, Any]:
+    return asdict(config)
+
+
+_DEFAULT_CONFIG = DDPConfig()
+
+
+def config_fragment(config: Optional[DDPConfig]) -> Fragment:
+    """All :class:`DDPConfig` knobs (``None`` renders as the default)."""
+    return _config_fragment(config if config is not None
+                            else _DEFAULT_CONFIG)
+
+
+@_memoized
+def _profile_fragment(profile: KernelProfile) -> Dict[str, Any]:
+    payload = asdict(profile)
+    payload["default"] = False
+    return payload
+
+
+_DEFAULT_PROFILE = Fragment(canonical_json({"default": True}))
+
+
+def profile_fragment(profile: Optional[KernelProfile]) -> Fragment:
+    """Kernel-cost profile parameters (``None`` = simulator default)."""
+    if profile is None:
+        return _DEFAULT_PROFILE
+    return _profile_fragment(profile)
+
+
+def scheme_payload(scheme: Optional[Scheme]) -> Dict[str, Any]:
     """Scheme identity: class, label, and all constructor parameters.
 
     ``None`` (the syncSGD default) hashes distinctly from an explicit
@@ -86,31 +247,7 @@ def scheme_fingerprint(scheme: Optional[Scheme]) -> Dict[str, Any]:
     }
 
 
-def cluster_fingerprint(cluster: ClusterConfig) -> Dict[str, Any]:
-    """Cluster identity: topology, seed, instance and GPU parameters."""
-    instance = cluster.instance
-    gpu = instance.gpu
-    return {
-        "num_nodes": cluster.num_nodes,
-        "seed": cluster.seed,
-        "instance": {
-            "name": instance.name,
-            "gpus_per_node": instance.gpus_per_node,
-            "network_bytes_per_s": instance.network_bytes_per_s,
-            "intra_node_bytes_per_s": instance.intra_node_bytes_per_s,
-        },
-        "gpu": {
-            "name": gpu.name,
-            "peak_fp32_flops": gpu.peak_fp32_flops,
-            "training_efficiency": gpu.training_efficiency,
-            "memcpy_bytes_per_s": gpu.memcpy_bytes_per_s,
-            "memory_bytes": gpu.memory_bytes,
-            "kernel_launch_overhead_s": gpu.kernel_launch_overhead_s,
-        },
-    }
-
-
-def fabric_fingerprint(fabric: Optional[Fabric]) -> Dict[str, Any]:
+def fabric_payload(fabric: Optional[Fabric]) -> Dict[str, Any]:
     """Fabric pricing parameters plus the live bandwidth matrix.
 
     The matrix digest is what invalidates cache entries after
@@ -129,22 +266,8 @@ def fabric_fingerprint(fabric: Optional[Fabric]) -> Dict[str, Any]:
     }
 
 
-def profile_fingerprint(profile: Optional[KernelProfile]) -> Dict[str, Any]:
-    """Kernel-cost profile parameters (``None`` = simulator default)."""
-    if profile is None:
-        return {"default": True}
-    payload = asdict(profile)
-    payload["default"] = False
-    return payload
-
-
-def config_fingerprint(config: Optional[DDPConfig]) -> Dict[str, Any]:
-    """All :class:`DDPConfig` knobs (``None`` hashes as the default)."""
-    return asdict(config if config is not None else DDPConfig())
-
-
-def faults_fingerprint(faults: Optional[FaultSchedule],
-                       ) -> Optional[Dict[str, Any]]:
+def faults_payload(faults: Optional[FaultSchedule],
+                   ) -> Optional[Dict[str, Any]]:
     """The schedule's full payload, or ``None`` when there is nothing
     to inject.
 
@@ -157,14 +280,3 @@ def faults_fingerprint(faults: Optional[FaultSchedule],
     if faults is None or faults.is_empty:
         return None
     return faults.fingerprint_payload()
-
-
-def canonical_json(payload: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace variance."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
-
-
-def digest(payload: Any) -> str:
-    """SHA-256 hex digest of the canonical JSON of ``payload``."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()

@@ -47,24 +47,12 @@ from ..hardware import GPUSpec, V100
 from ..models import ModelSpec
 from .fingerprint import (
     FINGERPRINT_VERSION,
-    canonical_json,
     digest,
-    model_fingerprint,
-    profile_fingerprint,
-    scheme_fingerprint,
+    gpu_fragment,
+    model_fragment,
+    profile_fragment,
+    scheme_payload,
 )
-
-
-def _gpu_payload(gpu: GPUSpec) -> Dict[str, Any]:
-    """GPU identity in the same rendering cluster fingerprints use."""
-    return {
-        "name": gpu.name,
-        "peak_fp32_flops": gpu.peak_fp32_flops,
-        "training_efficiency": gpu.training_efficiency,
-        "memcpy_bytes_per_s": gpu.memcpy_bytes_per_s,
-        "memory_bytes": gpu.memory_bytes,
-        "kernel_launch_overhead_s": gpu.kernel_launch_overhead_s,
-    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,19 +102,25 @@ class ModelEvalJob:
         """Whether this job prices a Figure-13 hypothetical scheme."""
         return self.tradeoff_k is not None
 
+    def _spec_payload(self) -> Dict[str, Any]:
+        """The members fingerprint and family key share."""
+        return {
+            "model": model_fragment(self.model),
+            "scheme": scheme_payload(self.scheme),
+            "gpu": gpu_fragment(self.gpu),
+            "profile": profile_fragment(self.profile),
+        }
+
     def fingerprint(self) -> str:
         """Content hash identifying this evaluation's prediction.
 
         Shares the cache namespace with simulation jobs without ever
         colliding: the payload leads with a distinct ``kind``.
         """
-        payload = {
+        payload = self._spec_payload()
+        payload.update({
             "kind": "model-eval",
             "version": FINGERPRINT_VERSION,
-            "model": model_fingerprint(self.model),
-            "scheme": scheme_fingerprint(self.scheme),
-            "gpu": _gpu_payload(self.gpu),
-            "profile": profile_fingerprint(self.profile),
             "inputs": {
                 "world_size": self.inputs.world_size,
                 "bandwidth_bytes_per_s": self.inputs.bandwidth_bytes_per_s,
@@ -138,7 +132,7 @@ class ModelEvalJob:
             "compute_factor": self.compute_factor,
             "tradeoff": (None if not self.is_tradeoff
                          else {"k": self.tradeoff_k, "l": self.tradeoff_l}),
-        }
+        })
         return digest(payload)
 
     def family_key(self) -> str:
@@ -150,15 +144,12 @@ class ModelEvalJob:
         compute factor; tradeoff jobs vectorize ``(k, l)`` and therefore
         pin the sweep axes instead.
         """
-        payload: Dict[str, Any] = {
-            "model": model_fingerprint(self.model),
-            "scheme": scheme_fingerprint(self.scheme),
-            "gpu": _gpu_payload(self.gpu),
-            "profile": profile_fingerprint(self.profile),
+        payload = self._spec_payload()
+        payload.update({
             "alpha_s": self.inputs.alpha_s,
             "gamma": self.inputs.gamma,
             "bucket_cap_bytes": self.inputs.bucket_cap_bytes,
-        }
+        })
         if self.is_tradeoff:
             payload["kind"] = "tradeoff"
             payload["world_size"] = self.inputs.world_size
@@ -167,7 +158,7 @@ class ModelEvalJob:
             payload["batch_size"] = self.inputs.batch_size
         else:
             payload["kind"] = "sweep"
-        return canonical_json(payload)
+        return digest(payload)
 
     def evaluate(self) -> PredictedTime:
         """Price this single point (the per-point reference the family

@@ -1,15 +1,21 @@
-"""The event-loop oracle the vectorized kernel is tested against.
+"""Reference implementations the production code is tested against.
 
 ``DDPSimulator.run`` computes a whole measurement run in one batch
 kernel call; :meth:`DDPSimulator.simulate_iteration` is the readable
 per-iteration spec of the same DDP semantics.  :func:`event_run` loops
 the spec over the paper's protocol, so tests can assert that ``run()``
 reproduces it bit for bit.
+
+It also keeps the reference cache-key builders (below).
 """
+
+import hashlib
+import json
+from dataclasses import asdict
 
 import numpy as np
 
-from repro.simulator import TimingResult
+from repro.simulator import DDPConfig, TimingResult
 
 
 def event_run(sim, batch_size=None, iterations=110, warmup=10, seed=0):
@@ -35,3 +41,239 @@ def event_run(sim, batch_size=None, iterations=110, warmup=10, seed=0):
         sync_times=tuple(t.sync_time() for t in measured),
         iteration_times=tuple(t.iteration_end for t in measured),
     )
+
+
+# ----- cache-key oracle ------------------------------------------------------
+#
+# The expanded dict-payload builders the engine's job kinds hashed before
+# their keys were composed from memoized fragments
+# (:mod:`repro.engine.fingerprint`).  Every key is the SHA-256 of
+# ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``; the
+# composed keys must stay byte-identical to these.
+
+
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def model_payload(model):
+    return {
+        "name": model.name,
+        "default_batch_size": model.default_batch_size,
+        "compute_efficiency": model.compute_efficiency,
+        "batch_half_saturation": model.batch_half_saturation,
+        "gather_granularity": model.gather_granularity,
+        "layers": [
+            {
+                "name": layer.name,
+                "kind": layer.kind,
+                "param_shape": list(layer.param_shape),
+                "matrix_shape": list(layer.matrix_shape),
+                "extra_params": layer.extra_params,
+                "fwd_flops_per_sample": layer.fwd_flops_per_sample,
+                "activation_bytes_per_sample":
+                    layer.activation_bytes_per_sample,
+            }
+            for layer in model.layers
+        ],
+    }
+
+
+def scheme_payload(scheme):
+    if scheme is None:
+        return {"name": "syncsgd", "label": "syncsgd", "params": {}}
+    return {
+        "name": scheme.name,
+        "label": scheme.label,
+        "class": type(scheme).__name__,
+        "all_reducible": scheme.all_reducible,
+        "layerwise": scheme.layerwise,
+        "ddp_overlap": scheme.ddp_overlap,
+        "params": {k: v for k, v in sorted(vars(scheme).items())
+                   if not k.startswith("_")},
+    }
+
+
+def gpu_payload(gpu):
+    return {
+        "name": gpu.name,
+        "peak_fp32_flops": gpu.peak_fp32_flops,
+        "training_efficiency": gpu.training_efficiency,
+        "memcpy_bytes_per_s": gpu.memcpy_bytes_per_s,
+        "memory_bytes": gpu.memory_bytes,
+        "kernel_launch_overhead_s": gpu.kernel_launch_overhead_s,
+    }
+
+
+def cluster_payload(cluster):
+    instance = cluster.instance
+    return {
+        "num_nodes": cluster.num_nodes,
+        "seed": cluster.seed,
+        "instance": {
+            "name": instance.name,
+            "gpus_per_node": instance.gpus_per_node,
+            "network_bytes_per_s": instance.network_bytes_per_s,
+            "intra_node_bytes_per_s": instance.intra_node_bytes_per_s,
+        },
+        "gpu": gpu_payload(instance.gpu),
+    }
+
+
+def fabric_payload(fabric):
+    if fabric is None:
+        return {"default": True}
+    return {
+        "default": False,
+        "alpha_s": fabric.alpha_s,
+        "bandwidth_jitter": fabric.bandwidth_jitter,
+        "incast_per_sender": fabric.incast_per_sender,
+        "pair_bw_sha256": hashlib.sha256(
+            fabric._pair_bw.tobytes()).hexdigest(),
+    }
+
+
+def profile_payload(profile):
+    if profile is None:
+        return {"default": True}
+    payload = asdict(profile)
+    payload["default"] = False
+    return payload
+
+
+def config_payload(config):
+    return asdict(config if config is not None else DDPConfig())
+
+
+def faults_payload(faults):
+    if faults is None or faults.is_empty:
+        return None
+    return faults.fingerprint_payload()
+
+
+def sim_family_payload(job):
+    return {
+        "version": 1,
+        "model": model_payload(job.model),
+        "cluster": cluster_payload(job.cluster),
+        "scheme": scheme_payload(job.scheme),
+        "fabric": fabric_payload(job.fabric),
+        "config": config_payload(job.config),
+        "profile": profile_payload(job.profile),
+        "batch_size": job.batch_size,
+        "iterations": job.iterations,
+        "warmup": job.warmup,
+    }
+
+
+def sim_payload(job):
+    payload = sim_family_payload(job)
+    payload["seed"] = job.seed
+    fault_payload = faults_payload(job.faults)
+    if fault_payload is not None:
+        payload["faults"] = fault_payload
+    return payload
+
+
+def model_eval_payload(job):
+    return {
+        "kind": "model-eval",
+        "version": 1,
+        "model": model_payload(job.model),
+        "scheme": scheme_payload(job.scheme),
+        "gpu": gpu_payload(job.gpu),
+        "profile": profile_payload(job.profile),
+        "inputs": {
+            "world_size": job.inputs.world_size,
+            "bandwidth_bytes_per_s": job.inputs.bandwidth_bytes_per_s,
+            "alpha_s": job.inputs.alpha_s,
+            "gamma": job.inputs.gamma,
+            "batch_size": job.inputs.batch_size,
+            "bucket_cap_bytes": job.inputs.bucket_cap_bytes,
+        },
+        "compute_factor": job.compute_factor,
+        "tradeoff": (None if not job.is_tradeoff
+                     else {"k": job.tradeoff_k, "l": job.tradeoff_l}),
+    }
+
+
+def model_eval_family_payload(job):
+    payload = {
+        "model": model_payload(job.model),
+        "scheme": scheme_payload(job.scheme),
+        "gpu": gpu_payload(job.gpu),
+        "profile": profile_payload(job.profile),
+        "alpha_s": job.inputs.alpha_s,
+        "gamma": job.inputs.gamma,
+        "bucket_cap_bytes": job.inputs.bucket_cap_bytes,
+    }
+    if job.is_tradeoff:
+        payload["kind"] = "tradeoff"
+        payload["world_size"] = job.inputs.world_size
+        payload["bandwidth_bytes_per_s"] = job.inputs.bandwidth_bytes_per_s
+        payload["batch_size"] = job.inputs.batch_size
+    else:
+        payload["kind"] = "sweep"
+    return payload
+
+
+def advisor_payload(job):
+    return {
+        "kind": "advisor-shard",
+        "version": 1,
+        "model": model_payload(job.model),
+        "scheme": scheme_payload(job.scheme),
+        "gpu": gpu_payload(job.gpu),
+        "profile": profile_payload(job.profile),
+        "inputs": {
+            "alpha_s": job.inputs.alpha_s,
+            "gamma": job.inputs.gamma,
+            "batch_size": job.inputs.batch_size,
+            "bucket_cap_bytes": job.inputs.bucket_cap_bytes,
+        },
+        "world_size": job.world_size,
+        "axis": {
+            "lo_gbps": job.bw_lo_gbps,
+            "hi_gbps": job.bw_hi_gbps,
+            "points": job.bw_points,
+            "start": job.start,
+            "count": job.count,
+        },
+    }
+
+
+def advisor_family_payload(job):
+    return {
+        "kind": "advisor-shard",
+        "model": model_payload(job.model),
+        "scheme": scheme_payload(job.scheme),
+        "gpu": gpu_payload(job.gpu),
+        "profile": profile_payload(job.profile),
+        "alpha_s": job.inputs.alpha_s,
+        "gamma": job.inputs.gamma,
+        "batch_size": job.inputs.batch_size,
+        "bucket_cap_bytes": job.inputs.bucket_cap_bytes,
+    }
+
+
+_KEY_PAYLOADS = {
+    "SimJob": (sim_payload, sim_family_payload),
+    "ModelEvalJob": (model_eval_payload, model_eval_family_payload),
+    "AdvisorShardJob": (advisor_payload, advisor_family_payload),
+}
+
+
+def oracle_fingerprint(job):
+    """What ``job.fingerprint()`` must return."""
+    return _sha(_canonical(_KEY_PAYLOADS[type(job).__name__][0](job)))
+
+
+def oracle_family_key(job):
+    """What ``job.family_key()`` must return: the digest of the family
+    payload, for every job kind."""
+    return _sha(_canonical(_KEY_PAYLOADS[type(job).__name__][1](job)))

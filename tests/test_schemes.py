@@ -1,6 +1,7 @@
 """Compression schemes: wire sizes, ratios, Table-1 flags, memory."""
 
 import math
+import random
 
 import pytest
 
@@ -18,9 +19,12 @@ from repro.compression import (
     TernGradScheme,
     TopKScheme,
     make_scheme,
+    scheme_from_spec,
     table1_schemes,
 )
+from repro.engine import SimJob
 from repro.errors import ConfigurationError
+from repro.hardware import cluster_for_gpus
 from repro.models import get_model
 
 
@@ -224,3 +228,49 @@ class TestSchemeRegistry:
         # Scheme costs route through the calibrated profile by default.
         cost = PowerSGDScheme(4).cost(rn50, 16)
         assert cost.encode_decode_s * 1e3 == pytest.approx(45.0, rel=1e-3)
+
+
+#: Specs that once parsed and then broke the engine (``nan``/``inf``
+#: made ``SimJob.fingerprint`` raise a raw ``ValueError``) or surfaced
+#: as an internal error (an unknown parameter raised ``TypeError``).
+BAD_SPECS = ("qsgd:levels=nan", "qsgd:levels=inf", "powersgd:rank=nan",
+             "topk:fraction=-inf", "powersgd:rank=1e999", "signsgd:foo=1",
+             "powersgd:rank=4,foo=2")
+
+
+class TestSchemeSpecs:
+    def test_spec_round_trip(self):
+        scheme = scheme_from_spec("topk:fraction=0.05")
+        assert isinstance(scheme, TopKScheme) and scheme.fraction == 0.05
+        assert scheme_from_spec("powersgd:rank=4").rank == 4
+
+    @pytest.mark.parametrize("spec", BAD_SPECS)
+    def test_bad_spec_is_a_configuration_error(self, spec):
+        with pytest.raises(ConfigurationError):
+            scheme_from_spec(spec)
+
+    def test_fuzzed_specs_parse_or_raise_configuration_error(self, rn50):
+        """Malformed spec strings either raise ``ConfigurationError`` or
+        yield a scheme the engine can fingerprint: nothing else."""
+        rng = random.Random(0)
+        names = ["powersgd", "topk", "qsgd", "signsgd", "gradiveq",
+                 "hybrid-powersgd", "atomo", "dgc", "nope", ""]
+        keys = ["rank", "fraction", "levels", "block", "dims",
+                "min_layer_params", "foo", ""]
+        values = ["4", "0", "-1", "0.5", "1e-3", "1e308", "1e999", "nan",
+                  "-inf", "inf", "0x10", "4=5", "", "abc", "1_000",
+                  "9" * 5000]
+        cluster = cluster_for_gpus(8)
+        parsed = 0
+        for _ in range(400):
+            name = rng.choice(names)
+            items = [f"{rng.choice(keys)}={rng.choice(values)}"
+                     for _ in range(rng.randint(0, 3))]
+            spec = name + (":" + ",".join(items) if items else "")
+            try:
+                scheme = scheme_from_spec(spec)
+            except ConfigurationError:
+                continue
+            parsed += 1
+            SimJob(model=rn50, cluster=cluster, scheme=scheme).fingerprint()
+        assert parsed > 0

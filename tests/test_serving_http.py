@@ -102,6 +102,19 @@ class TestRoutes:
         assert error["code"] == "bad_request"
         assert "resnet9000" in error["message"]
 
+    @pytest.mark.parametrize("spec", [
+        "qsgd:levels=nan", "qsgd:levels=inf", "powersgd:rank=nan",
+        "signsgd:foo=1"])
+    def test_bad_scheme_spec_400(self, server, spec):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server, "/v1/simulate",
+                 {"model": "resnet50", "gpus": 8, "scheme": spec,
+                  "iterations": 20, "wait": True})
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["code"] == "bad_request"
+        assert spec.partition(":")[2].split("=")[0] in error["message"]
+
     def test_oversized_body_413(self, server):
         request = urllib.request.Request(
             server + "/v1/whatif", data=b" " * ((1 << 20) + 1),
