@@ -21,12 +21,28 @@ see :mod:`repro.hardware.gpus` and the per-model fields on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .hardware import GPUSpec
+from .memo import per_object
 from .models import LayerSpec, ModelSpec
 from .units import FLOAT32_BYTES
+
+
+_TimeTables = Dict[Tuple[int, float], np.ndarray]
+
+
+@per_object
+def _backward_tables(model: ModelSpec) -> Tuple[np.ndarray, _TimeTables]:
+    """Per-sample backward FLOPs of each layer in backward order, and
+    the per-layer time tables already built from them, keyed by
+    (batch size, effective FLOP/s)."""
+    flops = np.array([layer.bwd_flops_per_sample()
+                      for layer in model.backward_layers()], dtype=float)
+    return flops, {}
 
 
 @dataclass(frozen=True)
@@ -59,16 +75,38 @@ class ComputeModel:
         return self.model.bwd_flops(batch_size) / self.effective_flops(batch_size)
 
     def layer_backward_time(self, layer: LayerSpec, batch_size: int) -> float:
-        """Seconds for the backward pass of one layer.
+        """Seconds for the backward pass of one layer of this model.
 
-        Used by the simulator to schedule per-layer gradient-ready events
-        (the granularity at which DDP overlaps communication).
+        Raises:
+            ConfigurationError: when ``layer`` is not one of the model's
+                layers (by name and contents).
         """
-        if layer.name not in {l.name for l in self.model.layers}:
+        own = self.model.layer_named(layer.name)
+        if own is not layer and own != layer:
             raise ConfigurationError(
-                f"layer {layer.name!r} is not part of {self.model.name}")
+                f"layer {layer.name!r} differs from {self.model.name}'s "
+                f"layer of that name")
         flops = batch_size * layer.bwd_flops_per_sample()
         return flops / self.effective_flops(batch_size)
+
+    def backward_layer_times(self, batch_size: int) -> np.ndarray:
+        """Seconds for each layer's backward pass, in backward order.
+
+        The simulator schedules per-layer gradient-ready events from
+        this table (the granularity at which DDP overlaps
+        communication).  It equals :meth:`layer_backward_time` over
+        :meth:`~repro.models.ModelSpec.backward_layers` exactly: the
+        same float64 operations, vectorized.  The array is read-only
+        and shared by every ``ComputeModel`` of the same model spec.
+        """
+        rate = self.effective_flops(batch_size)
+        flops, tables = _backward_tables(self.model)
+        times = tables.get((batch_size, rate))
+        if times is None:
+            times = (batch_size * flops) / rate
+            times.flags.writeable = False
+            tables[(batch_size, rate)] = times
+        return times
 
     def optimizer_time(self) -> float:
         """Seconds for the SGD parameter update (elementwise, memory-bound:

@@ -47,15 +47,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import weakref
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
 from ..faults import FaultSchedule
 from ..hardware import ClusterConfig, GPUSpec
+from ..memo import per_object
 from ..models import ModelSpec
 from ..network import Fabric
 from ..simulator import DDPConfig
@@ -114,26 +114,10 @@ _Spec = TypeVar("_Spec")
 
 
 def _memoized(render: Callable[[_Spec], Any]) -> Callable[[_Spec], Fragment]:
-    """Memoize ``Fragment(canonical_json(render(spec)))`` per spec object.
-
-    Only for frozen specs: the table is keyed by ``id(spec)`` and holds
-    a weak reference whose callback drops the entry when the spec is
-    collected, so an id reused by a later object never sees stale text.
-    Threads racing on one spec both render it and store equal text.
-    """
-    memo: Dict[int, Tuple[weakref.ref, Fragment]] = {}
-
-    @functools.wraps(render)
-    def fragment(spec: _Spec) -> Fragment:
-        key = id(spec)
-        entry = memo.get(key)
-        if entry is not None and entry[0]() is spec:
-            return entry[1]
-        text = Fragment(canonical_json(render(spec)))
-        memo[key] = (weakref.ref(spec, lambda _: memo.pop(key, None)), text)
-        return text
-
-    return fragment
+    """Memoize ``Fragment(canonical_json(render(spec)))`` per spec object
+    (:func:`~repro.memo.per_object`: only for frozen specs)."""
+    return functools.wraps(render)(per_object(
+        lambda spec: Fragment(canonical_json(render(spec)))))
 
 
 @_memoized

@@ -20,23 +20,39 @@ below matches its JSON key exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 
 
+def _check_int(what: str, value: Any, minimum: int) -> None:
+    """Require an integer (``bool`` excluded) of at least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < minimum):
+        raise ConfigurationError(
+            f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(what: str, value: Any) -> None:
+    """Require a finite real number (``bool`` excluded)."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not math.isfinite(value)):
+        raise ConfigurationError(
+            f"{what} must be a finite number, got {value!r}")
+
+
 def _check_window(name: str, start: int, duration: Optional[int],
                   period: Optional[int] = None) -> None:
     """Validate a fault's activity window (shared by all fault kinds)."""
-    if start < 0:
-        raise ConfigurationError(
-            f"{name}: start_iteration must be >= 0, got {start}")
-    if duration is not None and duration <= 0:
-        raise ConfigurationError(
-            f"{name}: duration_iterations must be > 0 or None "
-            f"(persistent), got {duration}")
+    _check_int(f"{name}: start_iteration", start, 0)
+    if duration is not None:
+        _check_int(f"{name}: duration_iterations (None = persistent)",
+                   duration, 1)
     if period is not None:
+        _check_int(f"{name}: period_iterations", period, 1)
         if duration is None:
             raise ConfigurationError(
                 f"{name}: a flapping fault (period_iterations set) needs "
@@ -81,9 +97,8 @@ class StragglerFault:
     duration_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.worker < 0:
-            raise ConfigurationError(
-                f"straggler worker must be >= 0, got {self.worker}")
+        _check_int("straggler worker", self.worker, 0)
+        _check_real("straggler slowdown", self.slowdown)
         if self.slowdown <= 1.0:
             raise ConfigurationError(
                 f"straggler slowdown must be > 1, got {self.slowdown}")
@@ -122,8 +137,9 @@ class LinkFault:
     period_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.node_a < 0 or self.node_b < 0:
-            raise ConfigurationError("link endpoints must be >= 0")
+        _check_int("link node_a", self.node_a, 0)
+        _check_int("link node_b", self.node_b, 0)
+        _check_real("link factor", self.factor)
         if self.node_a == self.node_b:
             raise ConfigurationError(
                 f"link fault endpoints must differ, got node "
@@ -164,9 +180,8 @@ class NodeFault:
     period_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ConfigurationError(
-                f"node must be >= 0, got {self.node}")
+        _check_int("node", self.node, 0)
+        _check_real("node factor", self.factor)
         if not 0 < self.factor <= 1:
             raise ConfigurationError(
                 f"node factor must be in (0, 1], got {self.factor}")
@@ -209,6 +224,8 @@ class RetransmitFault:
     duration_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("drop_rate", "timeout_s", "backoff"):
+            _check_real(name, getattr(self, name))
         if not 0 <= self.drop_rate < 1:
             raise ConfigurationError(
                 f"drop_rate must be in [0, 1), got {self.drop_rate}")
@@ -218,9 +235,7 @@ class RetransmitFault:
         if self.backoff < 1:
             raise ConfigurationError(
                 f"backoff must be >= 1, got {self.backoff}")
-        if self.max_retries < 1:
-            raise ConfigurationError(
-                f"max_retries must be >= 1, got {self.max_retries}")
+        _check_int("max_retries", self.max_retries, 1)
         _check_window("retransmit", self.start_iteration,
                       self.duration_iterations)
 
@@ -264,12 +279,9 @@ class CrashFault:
     stall_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.worker < 0:
-            raise ConfigurationError(
-                f"crash worker must be >= 0, got {self.worker}")
-        if self.at_iteration < 0:
-            raise ConfigurationError(
-                f"at_iteration must be >= 0, got {self.at_iteration}")
+        _check_int("crash worker", self.worker, 0)
+        _check_int("at_iteration", self.at_iteration, 0)
+        _check_real("stall_s", self.stall_s)
         if self.recovery not in RECOVERY_POLICIES:
             raise ConfigurationError(
                 f"unknown recovery policy {self.recovery!r} "
@@ -312,6 +324,7 @@ class FaultSchedule:
     crashes: Tuple[CrashFault, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_int("fault schedule seed", self.seed, 0)
         for name, _ in _FAULT_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, tuple):
@@ -396,9 +409,13 @@ class FaultSchedule:
             raise ConfigurationError(
                 f"unknown fault schedule keys {unknown} "
                 f"(known: {sorted(known)})")
-        kwargs: Dict[str, Any] = {"seed": int(payload.get("seed", 0))}
+        kwargs: Dict[str, Any] = {"seed": payload.get("seed", 0)}
         for name, fault_cls in _FAULT_FIELDS:
             entries = payload.get(name, [])
+            if not (isinstance(entries, list)
+                    and all(isinstance(e, dict) for e in entries)):
+                raise ConfigurationError(
+                    f"{name} must be a list of JSON objects")
             try:
                 kwargs[name] = tuple(fault_cls(**e) for e in entries)
             except TypeError as exc:
@@ -415,7 +432,9 @@ class FaultSchedule:
         """Parse a schedule from JSON text."""
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError is a ValueError; so is an integer literal
+            # past Python's digit limit.  Deep nesting recurses.
             raise ConfigurationError(f"invalid fault schedule JSON: {exc}")
         return cls.from_payload(payload)
 

@@ -9,7 +9,10 @@ ever run the real network, but all of them need its exact shapes.
 The backward pass traverses layers in reverse order; that ordering is what
 makes gradient bucketing and communication/computation overlap work, so
 :meth:`ModelSpec.backward_layers` and :meth:`ModelSpec.gradient_buckets`
-are defined here rather than in the simulator.
+are defined here rather than in the simulator.  Their tables (the
+backward order, the name→index map and one :class:`BucketPlan` per
+bucket cap) are built once per spec object and shared by every
+consumer; see :func:`repro.memo.per_object`.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from ..memo import per_object
 from ..units import FLOAT32_BYTES, MIB
 from .flops import BACKWARD_FLOP_RATIO
 
@@ -67,6 +71,9 @@ class LayerSpec:
                 f"{self.name}: matrix_shape {self.matrix_shape} does not "
                 f"cover param_shape {self.param_shape} "
                 f"({matrix_params} vs {self._shape_numel()})")
+
+    def __getstate__(self) -> Dict[str, object]:
+        return _fields_only(self)
 
     def _shape_numel(self) -> int:
         return math.prod(self.param_shape) if self.param_shape else 0
@@ -155,6 +162,9 @@ class ModelSpec:
             raise ConfigurationError(
                 f"{self.name}: duplicate layer names {dupes}")
 
+    def __getstate__(self) -> Dict[str, object]:
+        return _fields_only(self)
+
     # ----- aggregate sizes -------------------------------------------------
 
     @cached_property
@@ -224,7 +234,7 @@ class ModelSpec:
 
     def backward_layers(self) -> Tuple[LayerSpec, ...]:
         """Layers in the order their gradients become available."""
-        return tuple(reversed(self.layers))
+        return _tables(self).backward
 
     @property
     def largest_layer_grad_bytes(self) -> int:
@@ -264,21 +274,37 @@ class ModelSpec:
             buckets.append(tuple(current))
         return tuple(buckets)
 
+    def bucket_plan(self, bucket_cap_bytes: float = 25 * MIB) -> BucketPlan:
+        """The :class:`BucketPlan` of :meth:`gradient_buckets`, built
+        once per (spec, cap) and shared."""
+        tables = _tables(self)
+        plan = tables.plans.get(bucket_cap_bytes)
+        if plan is None:
+            buckets = self.gradient_buckets(bucket_cap_bytes)
+            last = len(self.layers) - 1
+            plan = BucketPlan(
+                sizes=tuple(float(sum(layer.grad_bytes for layer in bucket))
+                            for bucket in buckets),
+                # Buckets fill in backward order, so each one's last
+                # layer is the one whose gradient closes it.
+                close_idx=tuple(last - tables.index[bucket[-1].name]
+                                for bucket in buckets))
+            tables.plans[bucket_cap_bytes] = plan
+        return plan
+
     def bucket_sizes_bytes(self, bucket_cap_bytes: float = 25 * MIB,
                            ) -> Tuple[float, ...]:
         """Byte size of each gradient bucket, in ready order."""
-        return tuple(
-            float(sum(layer.grad_bytes for layer in bucket))
-            for bucket in self.gradient_buckets(bucket_cap_bytes))
+        return self.bucket_plan(bucket_cap_bytes).sizes
 
     # ----- misc --------------------------------------------------------------
 
     def layer_named(self, name: str) -> LayerSpec:
         """Look up a layer by exact name."""
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise ConfigurationError(f"{self.name}: no layer named {name!r}")
+        index = _tables(self).index.get(name)
+        if index is None:
+            raise ConfigurationError(f"{self.name}: no layer named {name!r}")
+        return self.layers[index]
 
     def summary(self) -> str:
         """Multi-line human-readable summary used by examples and docs."""
@@ -301,3 +327,37 @@ class ModelSpec:
 
     def __len__(self) -> int:
         return len(self.layers)
+
+
+@dataclass(frozen=True)
+class BucketPlan:
+    """The DDP bucket layout of one model at one bucket cap.
+
+    Attributes:
+        sizes: Byte size of each bucket, in ready order; the last is
+            the paper's ``b-hat``.
+        close_idx: Backward-order index of each bucket's closing layer,
+            whose gradient makes the bucket ready.
+    """
+
+    sizes: Tuple[float, ...]
+    close_idx: Tuple[int, ...]
+
+
+class _Tables:
+    """Static lookups of one :class:`ModelSpec`, built once per object."""
+
+    def __init__(self, model: ModelSpec) -> None:
+        self.backward = tuple(reversed(model.layers))
+        self.index = {layer.name: i for i, layer in enumerate(model.layers)}
+        self.plans: Dict[float, BucketPlan] = {}
+
+
+_tables = per_object(_Tables)
+
+
+def _fields_only(spec: Any) -> Dict[str, object]:
+    """Pickle state without ``cached_property`` values, so a pickled
+    spec (and every pool job carrying one) has the same size before and
+    after use."""
+    return {name: spec.__dict__[name] for name in spec.__dataclass_fields__}

@@ -22,7 +22,7 @@ Bandwidth values are bytes/second; times are seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -79,6 +79,11 @@ class Fabric:
             raise ConfigurationError(
                 f"incast_per_sender must be >= 0, got {self.incast_per_sender}")
         self._pair_bw = self._draw_bandwidth_matrix()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickle without the memo, so a pool job carrying this fabric
+        # is the same size before and after a run.
+        return {**self.__dict__, "_min_bw_cache": None}
 
     def _draw_bandwidth_matrix(self) -> np.ndarray:
         """Symmetric per-node-pair bandwidth matrix (bytes/s).

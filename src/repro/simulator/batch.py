@@ -277,12 +277,13 @@ def _plan_baseline(lead: DDPSimulator, bs: int, layout: _SlotLayout,
                    ) -> Tuple[PresenceFn, Kernel]:
     """syncSGD / ddp_overlap schemes: bucketed, overlapped all-reduce."""
     cfg = lead.config
-    fwd_base = lead._forward_time(bs)
-    opt_base = lead._optimizer_time()
-    bucket_sizes, close_idx = lead._baseline_bucket_plan()
-    sizes = np.asarray(bucket_sizes, dtype=float)
-    nb = len(bucket_sizes)
-    base_layers = np.asarray(lead._backward_base_times(bs), dtype=float)
+    fwd_base = lead.compute.forward_time(bs)
+    opt_base = lead.compute.optimizer_time()
+    plan = lead.model.bucket_plan(cfg.bucket_cap_bytes)
+    sizes = np.asarray(plan.sizes, dtype=float)
+    close_idx = np.asarray(plan.close_idx)
+    nb = sizes.size
+    base_layers = lead.compute.backward_layer_times(bs)
     overlap_enabled = cfg.overlap_communication
     has_hook = not lead._is_baseline
 
@@ -377,10 +378,10 @@ def _plan_sequential(lead: DDPSimulator, bs: int, layout: _SlotLayout,
                      ) -> Tuple[PresenceFn, Kernel]:
     """Sequential compression: backward → encode → collective → decode."""
     cfg = lead.config
-    fwd_base = lead._forward_time(bs)
-    bwd_base = lead._backward_time(bs)
+    fwd_base = lead.compute.forward_time(bs)
+    bwd_base = lead.compute.backward_time(bs)
     hook_over = lead._hook_overhead()
-    opt_base = lead._optimizer_time()
+    opt_base = lead.compute.optimizer_time()
 
     # Draw order: forward, backward, encode/decode, collective (only
     # when that iteration's world size exceeds 1), optimizer.
@@ -435,10 +436,10 @@ def _plan_overlapped(lead: DDPSimulator, bs: int, layout: _SlotLayout,
                      ) -> Tuple[PresenceFn, Kernel]:
     """Figure 3's losing strategy: encode interleaved with backward."""
     cfg = lead.config
-    fwd_base = lead._forward_time(bs)
-    bwd_base = lead._backward_time(bs)
+    fwd_base = lead.compute.forward_time(bs)
+    bwd_base = lead.compute.backward_time(bs)
     hook_over = lead._hook_overhead()
-    opt_base = lead._optimizer_time()
+    opt_base = lead.compute.optimizer_time()
     pen = cfg.contention_penalty
     waves = 4
 
@@ -509,12 +510,15 @@ def _plan_overlapped(lead: DDPSimulator, bs: int, layout: _SlotLayout,
 
 def _evaluate(sims: Sequence[DDPSimulator], bs: int, iterations: int,
               seeds: Sequence[int], record: Optional[Dict[str, Any]] = None,
-              ) -> Tuple[_FaultRows, List[_Member], Tuple[np.ndarray, ...]]:
+              ) -> Tuple[List[_Member], Tuple[np.ndarray, ...]]:
     """Plan, draw and run the kernel for stacked members.
 
     Picks the execution path's builder from the lead simulator, draws
-    each member's jitter from its own seed, and returns the stacked
-    fault rows, the members, and the kernel's per-row outputs.
+    each member's jitter from its own seed, and returns the members and
+    the kernel's per-row outputs.  A ``record`` also receives the
+    stacked fault rows (``"rows"``) and the first member's resolved
+    schedule (``"resolved"``), which
+    :func:`~repro.simulator.reconstruct.trace_from_record` needs.
     """
     lead = sims[0]
     # Memory is structural (model, batch size, config) — one check
@@ -535,13 +539,17 @@ def _evaluate(sims: Sequence[DDPSimulator], bs: int, iterations: int,
     J = np.ones((F.p.size, len(layout.sigmas)))
     for (_, sl, _), seed in zip(members, seeds):
         J[sl] = layout.draw(np.random.default_rng(seed), pres[sl])
-    return F, members, kernel(J, F, members, record=record)
+    if record is not None:
+        record.update(rows=F, resolved=members[0][2])
+    return members, kernel(J, F, members, record=record)
 
 
 def run_batch_many(sims: Sequence[DDPSimulator],
                    batch_size: Optional[int] = None,
                    iterations: int = 110, warmup: int = 10,
-                   seeds: Sequence[int] = (0,)) -> List[TimingResult]:
+                   seeds: Sequence[int] = (0,),
+                   record: Optional[Dict[str, Any]] = None,
+                   ) -> List[TimingResult]:
     """Evaluate one or more runs — faulted or not — in one kernel call.
 
     Every simulator must share the structural state the kernel prices
@@ -556,6 +564,10 @@ def run_batch_many(sims: Sequence[DDPSimulator],
     seeded by its seed; members' RNG streams are fully independent
     (per-member jitter seed, per-member schedule seed), so stacking
     changes nothing but wall-clock time.
+
+    A ``record`` dict receives the kernel's span-boundary arrays (see
+    :data:`Kernel`), from which the traced :meth:`DDPSimulator.run`
+    rebuilds its first iteration's trace without a second evaluation.
 
     Raises:
         ConfigurationError: invalid protocol, mismatched members, or a
@@ -582,8 +594,8 @@ def run_batch_many(sims: Sequence[DDPSimulator],
                 "run_batch_many members must share model, cluster size, "
                 "scheme and config (only faults and seeds may differ)")
     bs = batch_size if batch_size is not None else lead.model.default_batch_size
-    _, members, (fwd_end, sync_end, iter_end, wire, delays, replays) = \
-        _evaluate(sims, bs, iterations, seeds)
+    members, (fwd_end, sync_end, iter_end, wire, delays, replays) = \
+        _evaluate(sims, bs, iterations, seeds, record=record)
     sync = sync_end - fwd_end
 
     registry = get_registry()
@@ -638,7 +650,8 @@ def run_batch_many(sims: Sequence[DDPSimulator],
 
 def run_batch(sim: DDPSimulator, batch_size: Optional[int] = None,
               iterations: int = 110, warmup: int = 10,
-              seed: int = 0) -> TimingResult:
+              seed: int = 0,
+              record: Optional[Dict[str, Any]] = None) -> TimingResult:
     """One simulator's run: :func:`run_batch_many` with a single member."""
     return run_batch_many([sim], batch_size, iterations=iterations,
-                          warmup=warmup, seeds=(seed,))[0]
+                          warmup=warmup, seeds=(seed,), record=record)[0]

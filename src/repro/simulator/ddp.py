@@ -187,23 +187,12 @@ class DDPSimulator:
         #: Public handle on the fault injector (``None`` when the run
         #: is fault-free); the CLI prints its post-run summary.
         self.injector = self._injector
-        # Per-simulator caches for the 110-iteration hot loop: the scheme
-        # cost, the DDP bucket plan and the un-jittered backward layer
-        # times depend only on construction-time state, so they are
-        # computed once instead of once per simulated iteration.  Scheme
-        # cost is keyed by world size because elastic crash recovery can
-        # shrink the active world mid-run.
+        # The scheme cost is memoized per simulator, keyed by world
+        # size because elastic crash recovery can shrink the active
+        # world mid-run.  The model's static tables (backward order,
+        # per-layer backward times, bucket plan) are shared per model
+        # spec by :mod:`repro.models` and :mod:`repro.compute`.
         self._cost_cache: dict = {}
-        self._bucket_plan: Optional[Tuple[List[float], List[int]]] = None
-        self._bwd_base_cache: dict = {}
-        # Construction-time model walks (reversed layer tuple, per-layer
-        # flop sums, hook overhead) are likewise computed at most once
-        # per simulator instead of once per iteration.
-        self._backward_layers: Tuple = model.backward_layers()
-        self._fwd_time_cache: dict = {}
-        self._full_bwd_time_cache: dict = {}
-        self._opt_time: Optional[float] = None
-        self._hook_cost: Optional[float] = None
 
     def _scheme_cost(self, world_size: Optional[int] = None) -> SchemeCost:
         """The scheme's cost for this simulator's model at a world size
@@ -214,22 +203,6 @@ class DDPSimulator:
             cost = self.scheme.cost(self.model, p, self.profile)
             self._cost_cache[p] = cost
         return cost
-
-    def _baseline_bucket_plan(self) -> Tuple[List[float], List[int]]:
-        """Bucket sizes and the backward-order index of each bucket's
-        closing layer (memoized; depends only on model + bucket cap)."""
-        if self._bucket_plan is None:
-            buckets = self.model.gradient_buckets(
-                self.config.bucket_cap_bytes)
-            bucket_sizes = [
-                float(sum(l.grad_bytes for l in b)) for b in buckets]
-            name_to_idx = {
-                l.name: i for i, l in enumerate(self._backward_layers)}
-            bucket_close_idx = [
-                max(name_to_idx[l.name] for l in bucket)
-                for bucket in buckets]
-            self._bucket_plan = (bucket_sizes, bucket_close_idx)
-        return self._bucket_plan
 
     # ----- memory ------------------------------------------------------------
 
@@ -391,52 +364,17 @@ class DDPSimulator:
 
     def _hook_overhead(self) -> float:
         """Per-iteration framework cost of running a compression hook over
-        every trainable layer (gradient extraction + copy-back);
-        memoized — it depends only on construction-time state."""
-        if self._hook_cost is None:
-            self._hook_cost = (self.config.hook_overhead_per_layer_s
-                               * len(self.model.trainable_layers))
-        return self._hook_cost
-
-    def _forward_time(self, bs: int) -> float:
-        """Un-jittered forward duration, memoized per batch size."""
-        t = self._fwd_time_cache.get(bs)
-        if t is None:
-            t = self.compute.forward_time(bs)
-            self._fwd_time_cache[bs] = t
-        return t
-
-    def _backward_time(self, bs: int) -> float:
-        """Un-jittered whole-backward duration, memoized per batch size."""
-        t = self._full_bwd_time_cache.get(bs)
-        if t is None:
-            t = self.compute.backward_time(bs)
-            self._full_bwd_time_cache[bs] = t
-        return t
-
-    def _optimizer_time(self) -> float:
-        """Un-jittered optimizer duration (batch-size independent)."""
-        if self._opt_time is None:
-            self._opt_time = self.compute.optimizer_time()
-        return self._opt_time
-
-    def _backward_base_times(self, bs: int) -> List[float]:
-        """Un-jittered per-layer backward durations in backward order,
-        memoized per batch size."""
-        base = self._bwd_base_cache.get(bs)
-        if base is None:
-            base = [self.compute.layer_backward_time(layer, bs)
-                    for layer in self._backward_layers]
-            self._bwd_base_cache[bs] = base
-        return base
+        every trainable layer (gradient extraction + copy-back)."""
+        return (self.config.hook_overhead_per_layer_s
+                * len(self.model.trainable_layers))
 
     def _backward_layer_times(self, bs: int, stretch: float,
                               rng: np.random.Generator) -> List[float]:
         sigma = self.config.compute_jitter
-        base = self._backward_base_times(bs)
-        # One scalar jitter draw per layer, in layer order, so the rng
-        # stream is identical to the pre-cache implementation.
-        return [t * stretch * self._jitter(rng, sigma) for t in base]
+        # One scalar jitter draw per layer, in layer order; Python floats,
+        # so every span boundary in the trace stays a plain float.
+        return [t * stretch * self._jitter(rng, sigma)
+                for t in self.compute.backward_layer_times(bs).tolist()]
 
     def _fault_params(self, ifaults: Optional[IterationFaults],
                       ) -> Tuple[float, int, float, float]:
@@ -496,14 +434,12 @@ class DDPSimulator:
         overlap = cfg.overlap_communication and p > 1
         stretch = cfg.gamma if overlap else 1.0
 
-        t_fwd = (self._forward_time(bs) * slow
+        t_fwd = (self.compute.forward_time(bs) * slow
                  * self._jitter(rng, cfg.compute_jitter))
         trace.add(Span(COMPUTE_STREAM, "forward", t0, t0 + t_fwd))
         trace.forward_end = t0 + t_fwd
 
-        # Bucket sizes + the backward-order index of each bucket's
-        # closing layer, computed once per simulator (not per iteration).
-        bucket_sizes, bucket_close_idx = self._baseline_bucket_plan()
+        plan = self.model.bucket_plan(cfg.bucket_cap_bytes)
 
         layer_times = self._backward_layer_times(bs, stretch * slow, rng)
         # Cumulative completion time of each backward layer.
@@ -533,7 +469,7 @@ class DDPSimulator:
             return fire
 
         for bucket_id, (size, close_idx) in enumerate(
-                zip(bucket_sizes, bucket_close_idx)):
+                zip(plan.sizes, plan.close_idx)):
             if overlap:
                 ready = float(completion[close_idx])
             else:
@@ -568,12 +504,12 @@ class DDPSimulator:
         t0 = self._start_stall(trace, ifaults)
         cost = self._scheme_cost(p)
 
-        t_fwd = (self._forward_time(bs) * slow
+        t_fwd = (self.compute.forward_time(bs) * slow
                  * self._jitter(rng, cfg.compute_jitter))
         trace.add(Span(COMPUTE_STREAM, "forward", t0, t0 + t_fwd))
         trace.forward_end = t0 + t_fwd
 
-        t_bwd = (self._backward_time(bs) * slow
+        t_bwd = (self.compute.backward_time(bs) * slow
                  * self._jitter(rng, cfg.compute_jitter))
         trace.backward_end = trace.forward_end + t_bwd
         trace.add(Span(COMPUTE_STREAM, "backward", trace.forward_end,
@@ -619,13 +555,13 @@ class DDPSimulator:
         t0 = self._start_stall(trace, ifaults)
         cost = self._scheme_cost(p)
 
-        t_fwd = (self._forward_time(bs) * slow
+        t_fwd = (self.compute.forward_time(bs) * slow
                  * self._jitter(rng, cfg.compute_jitter))
         fwd_end = t0 + t_fwd
         trace.add(Span(COMPUTE_STREAM, "forward", t0, fwd_end))
         trace.forward_end = fwd_end
 
-        t_bwd = (self._backward_time(bs) * slow
+        t_bwd = (self.compute.backward_time(bs) * slow
                  * self._jitter(rng, cfg.compute_jitter))
         enc_dec = ((cost.encode_decode_s + self._hook_overhead()) * slow
                    * self._jitter(rng, cfg.compute_jitter))
@@ -671,7 +607,7 @@ class DDPSimulator:
                           rng: np.random.Generator,
                           slowdown: float = 1.0) -> None:
         start = max(trace.sync_end, trace.backward_end)
-        t_opt = (self._optimizer_time() * slowdown
+        t_opt = (self.compute.optimizer_time() * slowdown
                  * self._jitter(rng, self.config.compute_jitter))
         trace.add(Span(COMPUTE_STREAM, "optimizer", start, start + t_opt))
         trace.iteration_end = start + t_opt
@@ -690,25 +626,25 @@ class DDPSimulator:
         :meth:`simulate_iteration` for ``iterations`` iterations: same
         RNG draws, same floating-point operation order.
         """
-        # Deferred import: batch.py imports TimingResult from here.
+        # Deferred imports: batch.py imports TimingResult from here.
         from .batch import run_batch
         tracer = get_tracer()
         if not tracer.enabled:
             return run_batch(self, batch_size, iterations=iterations,
                              warmup=warmup, seed=seed)
+        from .reconstruct import trace_from_record
+        record: dict = {}
         with tracer.span("sim-run", track="sim", model=self.model.name,
                          scheme=self.scheme.label,
                          gpus=str(self.cluster.world_size),
                          iterations=str(iterations)) as span:
             result = run_batch(self, batch_size, iterations=iterations,
-                               warmup=warmup, seed=seed)
-        # One reconstructed iteration illustrates the run's internal
-        # structure on sim:* tracks (simulated seconds, plotted from
-        # the span's start).  Reconstruction is pure — no RNG/telemetry
-        # side effects — so the traced run stays bit-identical.
-        from .reconstruct import reconstruct_traces
-        first = reconstruct_traces(self, batch_size, iterations=1,
-                                   seed=seed)[0]
-        tracer.add_iteration_trace(first, base_unix_s=span.start_unix_s,
+                               warmup=warmup, seed=seed, record=record)
+        # The first iteration illustrates the run's internal structure
+        # on sim:* tracks (simulated seconds, plotted from the span's
+        # start), rebuilt from the run's own kernel record: recording
+        # changes no arithmetic, so the traced run stays bit-identical.
+        tracer.add_iteration_trace(trace_from_record(record, 0),
+                                   base_unix_s=span.start_unix_s,
                                    parent_id=span.span_id)
         return result

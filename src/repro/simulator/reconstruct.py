@@ -64,18 +64,24 @@ def reconstruct_traces(sim: DDPSimulator,
     bs = (batch_size if batch_size is not None
           else sim.model.default_batch_size)
     record: Dict[str, Any] = {}
-    F, members, _ = _evaluate([sim], bs, iterations, (seed,), record=record)
-    assemble = _ASSEMBLERS[record["path"]]
-    resolved = members[0][2]
-    traces: List[IterationTrace] = []
-    for i in range(iterations):
-        state = resolved.states[i] if resolved is not None else None
-        trace = assemble(i, record, F, state)
-        if state is not None and state.active:
-            trace.add(Span(FAULT_STREAM, "+".join(state.active),
-                           0.0, trace.iteration_end))
-        traces.append(trace)
-    return traces
+    _evaluate([sim], bs, iterations, (seed,), record=record)
+    return [trace_from_record(record, i) for i in range(iterations)]
+
+
+def trace_from_record(record: Dict[str, Any], i: int) -> IterationTrace:
+    """Iteration ``i``'s trace from a single-member kernel ``record``.
+
+    ``record`` is what :func:`~repro.simulator.batch.run_batch_many` (or
+    the kernel under :func:`reconstruct_traces`) filled in for one
+    simulator; iteration ``i`` is its row ``i``.
+    """
+    resolved = record["resolved"]
+    state = resolved.states[i] if resolved is not None else None
+    trace = _ASSEMBLERS[record["path"]](i, record, record["rows"], state)
+    if state is not None and state.active:
+        trace.add(Span(FAULT_STREAM, "+".join(state.active),
+                       0.0, trace.iteration_end))
+    return trace
 
 
 def _begin(trace: IterationTrace,

@@ -1,5 +1,7 @@
 """Compute-time model: calibration targets and scaling behaviour."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.compute import ComputeModel
@@ -58,6 +60,17 @@ class TestScalingBehaviour:
                                              bert_base):
         with pytest.raises(ConfigurationError):
             rn50_compute.layer_backward_time(bert_base.layers[0], 8)
+
+    def test_same_named_foreign_layer_rejected(self, rn50_compute,
+                                               resnet50):
+        own = resnet50.layers[3]
+        heavier = replace(own, fwd_flops_per_sample=100
+                          * own.fwd_flops_per_sample)
+        with pytest.raises(ConfigurationError, match=own.name):
+            rn50_compute.layer_backward_time(heavier, 8)
+        # An equal copy of the model's own layer is that layer.
+        assert (rn50_compute.layer_backward_time(replace(own), 8)
+                == rn50_compute.layer_backward_time(own, 8))
 
     def test_zero_batch_rejected(self, rn50_compute):
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,8 @@
 """Fault schedules, the injector, and simulator integration."""
 
+import json
 import math
+import random
 
 import pytest
 
@@ -169,6 +171,77 @@ class TestScheduleSerialization:
         schedule = FaultSchedule(stragglers=[
             StragglerFault(worker=0, slowdown=2.0)])
         assert isinstance(schedule.stragglers, tuple)
+
+    @pytest.mark.parametrize("text", [
+        '{"seed": "abc"}', '{"seed": null}', '{"seed": [1]}',
+        '{"seed": 1e400}', '{"seed": NaN}', '{"seed": 1.5}',
+        '{"seed": true}', '{"seed": -1}',
+        '{"stragglers": [{"worker": 0, "slowdown": NaN}]}',
+        '{"stragglers": [{"worker": 0, "slowdown": Infinity}]}',
+        '{"stragglers": [{"worker": 0.5, "slowdown": 2}]}',
+        '{"stragglers": [{"worker": true, "slowdown": 2}]}',
+        '{"stragglers": [{"worker": 0, "slowdown": 2, '
+        '"duration_iterations": 2.5}]}',
+        '{"crashes": [{"worker": 0, "at_iteration": 1, "stall_s": NaN}]}',
+        '{"retransmits": [{"drop_rate": 0.1, "backoff": NaN}]}',
+        '{"retransmits": [{"drop_rate": 0.1, "max_retries": 1.5}]}',
+        '{"links": [{"node_a": 0, "node_b": "1", "factor": 0.5}]}',
+        '{"nodes": {"node": 0, "factor": 0.5}}',
+        '{"nodes": [[0, 0.5]]}',
+        '{"seed": ' + "9" * 5000 + '}',
+        "[" * 100_000,
+    ], ids=lambda text: text[:48])
+    def test_bad_values_are_configuration_errors(self, text):
+        with pytest.raises(ConfigurationError):
+            FaultSchedule.from_json(text)
+
+    def test_fuzzed_json_parses_or_raises_configuration_error(self):
+        """Mutated schedules either raise ``ConfigurationError`` or parse
+        to a schedule that round-trips and encodes without NaN: nothing
+        else."""
+        rng = random.Random(0)
+        values = ["0", "1", "-1", "3", "0.5", "1.5", "2", "2.0", "1e400",
+                  "-1e400", "NaN", "Infinity", "-Infinity", "true", "false",
+                  "null", '"abc"', '"2"', '"restart"', "[1]", "{}", "[]",
+                  "1e-320", "9" * 5000]
+        base = self._full_schedule().to_payload()
+        parsed = 0
+        for _ in range(400):
+            payload = json.loads(json.dumps(base))
+            raw = {}
+
+            def hole(value_text):
+                marker = f"@{len(raw)}@"
+                raw[f'"{marker}"'] = value_text
+                return marker
+
+            for _ in range(rng.randint(1, 3)):
+                name = rng.choice(sorted(payload))
+                if name == "seed" or rng.random() < 0.15:
+                    payload[name] = hole(rng.choice(values))
+                    continue
+                entries = payload[name]
+                if not isinstance(entries, list) or not entries:
+                    continue
+                entry = rng.choice(entries)
+                if not isinstance(entry, dict) or rng.random() < 0.1:
+                    entries[0] = hole(rng.choice(values))
+                    continue
+                key = rng.choice(sorted(entry) + ["extra"])
+                entry[key] = hole(rng.choice(values))
+            text = json.dumps(payload)
+            for marker, value_text in raw.items():
+                text = text.replace(marker, value_text)
+            if rng.random() < 0.05:
+                text = text[:rng.randrange(len(text))]
+            try:
+                schedule = FaultSchedule.from_json(text)
+            except ConfigurationError:
+                continue
+            parsed += 1
+            assert FaultSchedule.from_json(schedule.to_json()) == schedule
+            json.dumps(schedule.to_payload(), allow_nan=False)
+        assert parsed > 0
 
 
 class TestInjector:

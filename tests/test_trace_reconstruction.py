@@ -30,6 +30,11 @@ from repro.simulator import (
     reconstruct_traces,
     write_run_trace,
 )
+from repro.telemetry import (
+    TraceRecorder,
+    disable_tracing,
+    enable_tracing,
+)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +120,29 @@ class TestExactEquivalence:
             assert got.backward_end == event.backward_end
             assert got.sync_end == event.sync_end
             assert got.iteration_end == event.iteration_end
+
+    @pytest.mark.parametrize(
+        "scheme,gpus,cfg,faults", [c[1:] for c in CASES],
+        ids=[c[0] for c in CASES])
+    def test_traced_run_illustrates_its_first_iteration(
+            self, rn50, monkeypatch, scheme, gpus, cfg, faults):
+        # A traced run() rebuilds its illustrative iteration from its
+        # own kernel record; it must be the event loop's iteration 0.
+        captured = []
+        monkeypatch.setattr(
+            TraceRecorder, "add_iteration_trace",
+            lambda self, trace, **_: captured.append(trace))
+        config = DDPConfig(**cfg)
+        enable_tracing()
+        try:
+            make_sim(rn50, scheme, gpus, config, faults).run(
+                iterations=6, warmup=1, seed=3)
+        finally:
+            disable_tracing()
+        event = make_sim(rn50, scheme, gpus, config, faults) \
+            .simulate_iteration(None, np.random.default_rng(3), iteration=0)
+        assert [span_rows(t) for t in captured] == [span_rows(event)]
+        assert captured[0].iteration_end == event.iteration_end
 
     def test_reconstruction_is_pure(self, rn50):
         sim = make_sim(rn50, SyncSGDScheme(), 8, faults=STRAGGLER)
