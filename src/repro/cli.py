@@ -600,8 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 10)")
     p_srv.add_argument("--batch-window-ms", type=float, default=20.0,
                        metavar="MS",
-                       help="how long the scheduler lingers after the "
-                            "first queued request so concurrent "
+                       help="upper bound on how long a request "
+                            "lingers, from its arrival, so concurrent "
                             "requests coalesce into one engine batch "
                             "(default: 20)")
     p_srv.add_argument("--max-batch-requests", type=int, default=8,

@@ -26,6 +26,7 @@ queue full).  No dependency beyond the standard library.
 from __future__ import annotations
 
 import json
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -50,6 +51,9 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two sends; without TCP_NODELAY, Nagle
+    # holds the body until the client's delayed ACK (~40 ms a response).
+    disable_nagle_algorithm = True
 
     @property
     def scheduler(self) -> ServingScheduler:
@@ -143,7 +147,10 @@ class ServingHandler(BaseHTTPRequestHandler):
         length = self.headers.get("Content-Length")
         try:
             n = int(length) if length is not None else 0
+            if n < 0:
+                raise ValueError(length)
         except ValueError:
+            self.close_connection = True  # the body's framing is unknown
             self._send_error_json(400, "bad_request",
                                   f"bad Content-Length {length!r}")
             return None, "bad length"
@@ -201,12 +208,15 @@ class ServingHandler(BaseHTTPRequestHandler):
         wait_values = query.get("wait_s")
         if wait_values:
             try:
-                wait_s = min(float(wait_values[0]), 300.0)
+                wait_s = float(wait_values[0])
+                if not math.isfinite(wait_s):
+                    raise ValueError(wait_s)
             except ValueError:
                 self._send_error_json(400, "bad_request",
                                       f"bad wait_s {wait_values[0]!r}")
                 return
-            state = self.scheduler.wait(job_id, timeout_s=wait_s)
+            state = self.scheduler.wait(job_id,
+                                        timeout_s=min(wait_s, 300.0))
         self._send_json(200, state.to_dict())
 
 

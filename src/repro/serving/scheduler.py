@@ -5,9 +5,10 @@ returns; this module keeps it alive for the process lifetime behind an
 admission queue, the way vLLM's continuous-batching scheduler keeps a
 model executor alive behind one.  A single background thread loops:
 
-1. wait until the queue is non-empty, then sleep one *batch window*
-   (``batch_window_s``, default 20 ms) so closely-spaced requests land
-   in the same batch;
+1. wait until the queue is non-empty, then linger until the oldest
+   queued request is one *batch window* old (``batch_window_s``,
+   default 20 ms) so closely-spaced requests land in the same batch;
+   requests that queued behind a running batch drain at once;
 2. drain up to ``max_batch_requests`` requests, dropping any whose
    deadline expired while queued;
 3. expand every drained request into engine jobs — a what-if request
@@ -18,8 +19,9 @@ model executor alive behind one.  A single background thread loops:
    batching then collapses compatible jobs *across requests* into
    single grid-kernel calls: that is the dynamic generalization of the
    PR-5 submit-time chunker and the PR-6 ``family_key`` grouping;
-4. fan results back out per request, append result rows, and wake
-   every waiter.
+4. finish each kind as soon as its engine call returns — what-ifs,
+   then simulations, then sweeps — and wake its waiters, so a what-if
+   never waits on a sweep coalesced into the same batch.
 
 Admission control happens in :meth:`ServingScheduler.submit`, on the
 caller's thread: per-tenant token buckets and the queue-depth cap
@@ -82,6 +84,7 @@ class RequestState:
     request: Request
     tenant: str
     submitted_unix: float
+    submitted_monotonic: float
     deadline_monotonic: Optional[float]
     status: str = "queued"
     rows: List[Dict[str, Any]] = field(default_factory=list)
@@ -118,9 +121,9 @@ class ServingScheduler:
         queue_depth: Admission queue capacity; submissions beyond it
             are rejected 503 (``reason="queue_full"``).
         quotas: Per-tenant token buckets (:class:`TenantQuotas`).
-        batch_window_s: How long the scheduler lingers after the first
-            queued request before forming a batch — the knob trading
-            latency for coalescing opportunity.
+        batch_window_s: Upper bound on how long a request lingers,
+            from its arrival, before its batch forms — the knob trading
+            latency for coalescing opportunity on an idle scheduler.
         max_batch_requests: Most requests drained into one batch.
         default_timeout_s: Deadline applied to requests that do not
             carry their own ``timeout_s``; ``None`` disables deadlines.
@@ -195,12 +198,14 @@ class ServingScheduler:
             raise
         timeout_s = (request.timeout_s if request.timeout_s is not None
                      else self.default_timeout_s)
+        now = time.monotonic()
         state = RequestState(
             id=uuid.uuid4().hex[:12],
             request=request,
             tenant=tenant,
             submitted_unix=time.time(),
-            deadline_monotonic=(time.monotonic() + timeout_s
+            submitted_monotonic=now,
+            deadline_monotonic=(now + timeout_s
                                 if timeout_s is not None else None))
         with self._cv:
             if len(self._queue) >= self.queue_depth:
@@ -265,10 +270,13 @@ class ServingScheduler:
                     self._cv.wait()
                 if self._closed:
                     return
-            # Linger one batch window so near-simultaneous requests
-            # coalesce; the queue can only grow meanwhile.
-            if self.batch_window_s > 0:
-                time.sleep(self.batch_window_s)
+                # Linger until the oldest request has queued one batch
+                # window, so near-simultaneous requests coalesce; those
+                # that queued behind a running batch drain at once.
+                linger = (self._queue[0].submitted_monotonic
+                          + self.batch_window_s - time.monotonic())
+            if linger > 0:
+                time.sleep(linger)
             with self._cv:
                 batch = self._queue[:self.max_batch_requests]
                 del self._queue[:len(batch)]
@@ -301,82 +309,47 @@ class ServingScheduler:
                 self._execute_batch(live)
 
     def _execute_batch(self, live: List[RequestState]) -> None:
-        """Expand, run, and fan out one batch of admitted requests."""
-        plans: Dict[str, Any] = {}
-        whatif_jobs: List[ModelEvalJob] = []
-        whatif_slices: Dict[str, slice] = {}
-        sim_jobs: List[SimJob] = []
-        sim_slices: Dict[str, slice] = {}
-        advisor_jobs: List[AdvisorShardJob] = []
-        advisor_slices: Dict[str, slice] = {}
-        for state in live:
+        """Plan, run, and finish one batch of admitted requests, one
+        request kind at a time."""
+        # The coalescing moment: every request of a kind goes through
+        # ONE engine call, so the engine's family grouping sees them all
+        # at once.  Each kind finishes (and wakes its waiters) as soon as
+        # its own call returns, cheapest first, so a what-if never waits
+        # on a sweep in its batch.  An engine-level exception fails only the
+        # requests of the call that raised — never leaves one hanging.
+        steps = (
+            ("whatif", self._plan_whatif, self.engine.run_model_outcomes,
+             self._finish_whatif),
+            ("simulate", self._plan_simulate, self.engine.run_outcomes,
+             self._finish_simulate),
+            ("advise", self._plan_advise, self.engine.run_advisor_outcomes,
+             self._finish_advise),
+        )
+        for kind, plan, run, finish in steps:
+            jobs: List[Any] = []
+            planned: List[Tuple[RequestState, Any, slice]] = []
+            for state in live:
+                if state.kind != kind:
+                    continue
+                try:
+                    state_jobs, context = plan(state.request)
+                except Exception as exc:  # noqa: BLE001 - per request
+                    self._fail(state, exc)
+                    continue
+                start = len(jobs)
+                jobs.extend(state_jobs)
+                planned.append((state, context, slice(start, len(jobs))))
             try:
-                if state.kind == "whatif":
-                    plan = self._plan_whatif(state.request)
-                    plans[state.id] = plan
-                    start = len(whatif_jobs)
-                    whatif_jobs.extend(plan["jobs"])
-                    whatif_slices[state.id] = slice(start, len(whatif_jobs))
-                elif state.kind == "advise":
-                    sweep_plan = self._plan_advise(state.request)
-                    plans[state.id] = sweep_plan
-                    start = len(advisor_jobs)
-                    advisor_jobs.extend(sweep_plan.jobs)
-                    advisor_slices[state.id] = slice(start,
-                                                     len(advisor_jobs))
-                else:
-                    jobs = self._plan_simulate(state.request)
-                    start = len(sim_jobs)
-                    sim_jobs.extend(jobs)
-                    sim_slices[state.id] = slice(start, len(sim_jobs))
-            except Exception as exc:  # noqa: BLE001 - reported per request
-                self._fail(state, exc)
-
-        # The coalescing moment: every request's jobs go through ONE
-        # engine call per job type, so the engine's family grouping
-        # sees them all at once.  An engine-level exception fails every
-        # request in the affected call — never leaves one hanging.
-        model_outcomes: List[Any] = []
-        sim_outcomes: List[Any] = []
-        advisor_outcomes: List[Any] = []
-        try:
-            if whatif_jobs:
-                model_outcomes = self.engine.run_model_outcomes(whatif_jobs)
-        except Exception as exc:  # noqa: BLE001 - reported per request
-            for state in live:
-                if state.status == "running" and state.id in whatif_slices:
+                outcomes = run(jobs) if jobs else []
+            except Exception as exc:  # noqa: BLE001 - per request
+                for state, _, _ in planned:
                     self._fail(state, exc)
-        try:
-            if advisor_jobs:
-                advisor_outcomes = self.engine.run_advisor_outcomes(
-                    advisor_jobs)
-        except Exception as exc:  # noqa: BLE001 - reported per request
-            for state in live:
-                if state.status == "running" and state.id in advisor_slices:
+                continue
+            for state, context, span in planned:
+                try:
+                    finish(state, context, outcomes[span])
+                except Exception as exc:  # noqa: BLE001 - per request
                     self._fail(state, exc)
-        try:
-            if sim_jobs:
-                sim_outcomes = self.engine.run_outcomes(sim_jobs)
-        except Exception as exc:  # noqa: BLE001 - reported per request
-            for state in live:
-                if state.status == "running" and state.id in sim_slices:
-                    self._fail(state, exc)
-
-        for state in live:
-            if state.status != "running":
-                continue  # already failed during planning
-            try:
-                if state.kind == "whatif":
-                    outcomes = model_outcomes[whatif_slices[state.id]]
-                    self._finish_whatif(state, plans[state.id], outcomes)
-                elif state.kind == "advise":
-                    outcomes = advisor_outcomes[advisor_slices[state.id]]
-                    self._finish_advise(state, plans[state.id], outcomes)
-                else:
-                    outcomes = sim_outcomes[sim_slices[state.id]]
-                    self._finish_simulate(state, outcomes)
-            except Exception as exc:  # noqa: BLE001 - reported per request
-                self._fail(state, exc)
 
     # ----- what-if expansion -------------------------------------------------
 
@@ -390,8 +363,10 @@ class ServingScheduler:
             self._calibrations[key] = report
         return report
 
-    def _plan_whatif(self, request: WhatIfRequest) -> Dict[str, Any]:
-        """Calibrate and expand one what-if request into priced jobs.
+    def _plan_whatif(self, request: WhatIfRequest,
+                     ) -> Tuple[List[ModelEvalJob], Tuple[Any, List[Any]]]:
+        """Calibrate and expand one what-if request into priced jobs and
+        the ``(inputs, entries)`` its finish step needs.
 
         The entry list comes from the advisor's own feasibility screen
         (:func:`feasible_candidates`), so the engine outcomes line up
@@ -405,23 +380,24 @@ class ServingScheduler:
         jobs = [ModelEvalJob(model=request.model, scheme=scheme,
                              inputs=report.inputs, gpu=request.cluster.gpu)
                 for scheme in entries]
-        return {"request": request, "inputs": report.inputs,
-                "entries": entries, "jobs": jobs}
+        return jobs, (report.inputs, entries)
 
-    def _finish_whatif(self, state: RequestState, plan: Dict[str, Any],
+    def _finish_whatif(self, state: RequestState,
+                       plan: Tuple[Any, List[Any]],
                        outcomes: List[Any]) -> None:
-        request: WhatIfRequest = plan["request"]
+        request: WhatIfRequest = state.request
+        inputs, entries = plan
         times = [outcome.unwrap().total for outcome in outcomes]
         recommendation = recommend_with(
-            request.model, plan["inputs"], lambda _entries: times,
+            request.model, inputs, lambda _entries: times,
             gpu=request.cluster.gpu)
         crossovers = []
         if request.crossovers:
-            for scheme in plan["entries"]:
+            for scheme in entries:
                 if scheme is None or isinstance(scheme, SyncSGDScheme):
                     continue
                 crossings = solve_crossover(
-                    request.model, scheme, plan["inputs"], 1.0, 30.0,
+                    request.model, scheme, inputs, 1.0, 30.0,
                     gpu=request.cluster.gpu)
                 crossovers.append({
                     "scheme": scheme.label,
@@ -441,13 +417,14 @@ class ServingScheduler:
 
     # ----- simulate expansion ------------------------------------------------
 
-    def _plan_simulate(self, request: SimulateRequest) -> List[SimJob]:
+    def _plan_simulate(self, request: SimulateRequest,
+                       ) -> Tuple[List[SimJob], None]:
         return [SimJob(model=request.model, cluster=request.cluster,
                        scheme=request.scheme, batch_size=request.batch_size,
                        iterations=request.iterations, seed=seed)
-                for seed in request.seeds]
+                for seed in request.seeds], None
 
-    def _finish_simulate(self, state: RequestState,
+    def _finish_simulate(self, state: RequestState, _plan: None,
                          outcomes: List[Any]) -> None:
         request: SimulateRequest = state.request
         rows = []
@@ -484,7 +461,8 @@ class ServingScheduler:
 
     # ----- advise expansion --------------------------------------------------
 
-    def _plan_advise(self, request: AdviseRequest) -> SweepPlan:
+    def _plan_advise(self, request: AdviseRequest,
+                     ) -> Tuple[List[AdvisorShardJob], SweepPlan]:
         """Expand one advise request into bounded shard jobs.
 
         :func:`repro.analysis.plan_sweep` does the calibration,
@@ -497,8 +475,9 @@ class ServingScheduler:
                          max_bandwidth_gbps=request.max_bandwidth_gbps,
                          bandwidth_points=request.bandwidth_points,
                          shard_points=request.shard_points)
-        return plan_sweep(request.model, request.cluster,
+        plan = plan_sweep(request.model, request.cluster,
                           batch_size=request.batch_size, spec=spec)
+        return plan.jobs, plan
 
     def _finish_advise(self, state: RequestState, plan: SweepPlan,
                        outcomes: List[Any]) -> None:

@@ -4,6 +4,7 @@ recommend``."""
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ import urllib.request
 import pytest
 
 from repro.engine import ExperimentEngine
-from repro.serving import ServingScheduler, make_server
+from repro.serving import ServingHandler, ServingScheduler, make_server
 from repro.telemetry import metrics as telemetry_metrics
 from repro.telemetry.metrics import validate_prometheus_text
 
@@ -122,6 +123,72 @@ class TestRoutes:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 413
+
+
+def raw_request(base, head, body=b"", timeout=3.0):
+    """Send hand-written request bytes on a fresh socket; return the
+    status code and decoded JSON body of the response."""
+    host, port = base[len("http://"):].split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(head.encode("latin-1") + b"\r\n\r\n" + body)
+        reader = sock.makefile("rb")
+        status = int(reader.readline().split()[1])
+        length = 0
+        for line in iter(reader.readline, b"\r\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        return status, json.loads(reader.read(length))
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("length", ["-5", "-1"])
+    def test_negative_content_length_400(self, server, length):
+        # -1 used to reach rfile.read(-1), which blocks until the
+        # client hangs up; the 3 s socket timeout catches a regression.
+        status, body = raw_request(
+            server, "POST /v1/whatif HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}", body=b"{}")
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "Content-Length" in body["error"]["message"]
+
+    @pytest.mark.parametrize("wait_s", ["nan", "inf", "-inf", "banana"])
+    def test_bad_wait_s_400(self, server, wait_s):
+        _, body = post(server, "/v1/simulate",
+                       {"model": "resnet50", "gpus": 8, "iterations": 20})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get(server, f"/v1/jobs/{body['id']}?wait_s={wait_s}",
+                timeout=3)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["code"] == "bad_request"
+        assert "wait_s" in error["message"]
+
+
+def test_accepted_connections_disable_nagle():
+    seen = []
+
+    class Probe(ServingHandler):
+        def setup(self):
+            super().setup()
+            seen.append(self.connection.getsockopt(socket.IPPROTO_TCP,
+                                                   socket.TCP_NODELAY))
+
+    scheduler = ServingScheduler(engine=ExperimentEngine())
+    http_server = make_server(scheduler, port=0)
+    http_server.RequestHandlerClass = Probe
+    host, port = http_server.server_address[:2]
+    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        status, _ = get(f"http://{host}:{port}", "/healthz")
+        assert status == 200
+        assert seen and all(flag != 0 for flag in seen)
+    finally:
+        http_server.shutdown()
+        http_server.server_close()
+        scheduler.close()
 
 
 class TestWorkflows:

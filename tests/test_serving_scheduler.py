@@ -2,6 +2,7 @@
 coalescing, and parity with the offline advisor."""
 
 import threading
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.hardware import cluster_for_gpus
 from repro.models import get_model
 from repro.serving import (
     AdmissionError,
+    AdviseRequest,
     ServingScheduler,
     SimulateRequest,
     TokenBucket,
@@ -213,6 +215,75 @@ class TestCoalescing:
         sched = make_scheduler()
         try:
             assert "cache" not in sched.stats()
+        finally:
+            sched.close()
+
+
+class TestStalls:
+    def test_whatif_finishes_while_coalesced_advise_runs(self, monkeypatch):
+        # One batch carries a what-if and an advise sweep; the sweep's
+        # engine call blocks, and the what-if must still finish.
+        engine = ExperimentEngine()
+        entered, release = threading.Event(), threading.Event()
+        run_advisor = engine.run_advisor_outcomes
+
+        def blocked(jobs):
+            entered.set()
+            assert release.wait(60.0)
+            return run_advisor(jobs)
+
+        monkeypatch.setattr(engine, "run_advisor_outcomes", blocked)
+        sched = make_scheduler(engine=engine, batch_window_s=0.2)
+        try:
+            whatif = sched.submit(WhatIfRequest.from_json(
+                {"model": "resnet50", "gpus": 8, "crossovers": False}))
+            advise = sched.submit(AdviseRequest.from_json(
+                {"model": "resnet50", "gpus": 32, "world_sizes": [8],
+                 "bandwidth_points": 16, "shard_points": 16}))
+            assert entered.wait(30.0)
+            final = sched.wait(whatif.id, timeout_s=10.0)
+            assert final.status == "done"
+            offline = recommend(get_model("resnet50"), cluster_for_gpus(8))
+            assert final.result["rendered"] == offline.render()
+            assert sched.get(advise.id).status == "running"
+            release.set()
+            assert sched.wait(advise.id, timeout_s=60.0).status == "done"
+            assert sched.batches == 1
+        finally:
+            release.set()
+            sched.close()
+
+    def test_linger_is_measured_from_arrival(self, monkeypatch):
+        engine = ExperimentEngine()
+        started, ended = [], []
+        run = engine.run_outcomes
+
+        def timed(jobs):
+            started.append(time.monotonic())
+            if len(started) == 1:
+                time.sleep(0.6)
+            outcomes = run(jobs)
+            ended.append(time.monotonic())
+            return outcomes
+
+        monkeypatch.setattr(engine, "run_outcomes", timed)
+        sched = make_scheduler(engine=engine, batch_window_s=0.5)
+        try:
+            submitted = time.monotonic()
+            first = sched.submit(simulate_request(seed=0))
+            deadline = time.monotonic() + 30.0
+            while not started and time.monotonic() < deadline:
+                time.sleep(0.005)
+            second = sched.submit(simulate_request(seed=1))
+            assert sched.wait(first.id, timeout_s=30.0).status == "done"
+            assert sched.wait(second.id, timeout_s=30.0).status == "done"
+            # A lone request on an idle scheduler lingers the window, so
+            # idle-time coalescing still happens ...
+            assert started[0] - submitted >= 0.45
+            # ... but one that queued behind a running batch has already
+            # waited it out and runs as soon as that batch ends.
+            assert started[1] - ended[0] < 0.25
+            assert sched.batches == 2
         finally:
             sched.close()
 

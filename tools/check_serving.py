@@ -6,6 +6,8 @@ which boots a real server on an ephemeral port and drives the
 acceptance criteria through plain HTTP:
 
 * ``GET /healthz`` answers with scheduler counters;
+* 20 sequential ``GET /healthz`` requests on one keep-alive connection
+  take under 20 ms at p50 — no Nagle / delayed-ACK stall per response;
 * a ``POST /v1/whatif`` round trip returns the **same ranked
   recommendation bytes** as the offline ``repro recommend`` CLI for
   the same inputs;
@@ -25,12 +27,15 @@ fails loudly and the CI log says exactly which guarantee broke.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -38,6 +43,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.telemetry.metrics import validate_prometheus_text  # noqa: E402
+
+#: Ceiling on the p50 of a keep-alive ``GET /healthz`` round trip; a
+#: Nagle / delayed-ACK stall costs about 40 ms per response.
+KEEPALIVE_P50_MS = 20.0
 
 #: Metric series the smoke run must leave on /metrics.
 REQUIRED_SERIES = ("serving_requests_total", "serving_batch_occupancy",
@@ -73,6 +82,23 @@ def _poll(base: str, job_id: str, timeout_s: float = 120.0,
     return state
 
 
+def _keepalive_p50_ms(base: str, requests: int = 20) -> float:
+    """Median wall of sequential ``GET /healthz`` round trips on one
+    keep-alive connection, in milliseconds."""
+    url = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+    walls = []
+    try:
+        for _ in range(requests):
+            started = time.perf_counter()
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            walls.append(time.perf_counter() - started)
+    finally:
+        conn.close()
+    return statistics.median(walls) * 1e3
+
+
 def check_server(base: str) -> List[str]:
     """Drive every smoke assertion against a live server."""
     problems: List[str] = []
@@ -82,6 +108,12 @@ def check_server(base: str) -> List[str]:
     health = json.loads(raw)
     if status != 200 or health.get("status") != "ok":
         problems.append(f"healthz: {status} {health}")
+
+    # --- keep-alive round trips must not stall on Nagle
+    p50_ms = _keepalive_p50_ms(base)
+    if p50_ms >= KEEPALIVE_P50_MS:
+        problems.append(f"keep-alive GET /healthz p50 is {p50_ms:.1f} ms "
+                        f"(ceiling {KEEPALIVE_P50_MS:.0f} ms)")
 
     # --- whatif round trip, byte-for-byte vs the offline CLI
     offline = subprocess.run(
@@ -194,8 +226,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:
-        print(f"serve ok: {base} — healthz, whatif parity, coalescing, "
-              f"quota 429, metrics all verified")
+        print(f"serve ok: {base} — healthz, keep-alive round trip, "
+              f"whatif parity, coalescing, quota 429, metrics all verified")
     return 1 if problems else 0
 
 
