@@ -3,7 +3,6 @@
 from .cost import (
     TREE_BLOCK_BYTES,
     allgather_time,
-    allgather_time_batch,
     allgather_time_grid,
     broadcast_time,
     double_tree_allreduce_time,
@@ -30,7 +29,7 @@ from .numeric import (
 
 __all__ = [
     "ring_allreduce_time", "double_tree_allreduce_time", "allgather_time",
-    "ring_allreduce_time_batch", "allgather_time_batch",
+    "ring_allreduce_time_batch",
     "ring_allreduce_time_grid", "allgather_time_grid",
     "reduce_scatter_time", "broadcast_time", "parameter_server_time",
     "pick_allreduce_time", "TREE_BLOCK_BYTES",

@@ -145,45 +145,11 @@ def ring_allreduce_time_batch(num_bytes: np.ndarray, p: int,
         raise ConfigurationError(
             f"bandwidth must be > 0, got {float(bw.min())}")
     _validate(0.0, p, float(bw.max()) if bw.size else 1.0, alpha)
-    _record_batch("ring_allreduce", payloads, p)
+    _record_batch("ring_allreduce", payloads)
     if p == 1:
         return np.zeros(np.broadcast_shapes(payloads.shape, bw.shape))
     latency = 2.0 * alpha * (p - 1)
     transfer = 2.0 * payloads * (p - 1) / (p * bw)
-    return latency + transfer
-
-
-def allgather_time_batch(num_bytes: np.ndarray, p: int, bandwidth,
-                         alpha: float,
-                         incast_factor=1.0) -> np.ndarray:
-    """Vectorized :func:`allgather_time` over an array of payloads.
-
-    Same contract as :func:`ring_allreduce_time_batch`: elementwise the
-    scalar formula, bit-identical per payload, one telemetry count per
-    element.  ``bandwidth`` and ``incast_factor`` may be arrays
-    (broadcast against the payloads) for per-iteration degraded
-    fabrics.
-    """
-    payloads = np.asarray(num_bytes, dtype=float)
-    bw = np.asarray(bandwidth, dtype=float)
-    incast = np.asarray(incast_factor, dtype=float)
-    if payloads.size and float(payloads.min()) < 0:
-        raise ConfigurationError(
-            f"num_bytes must be >= 0, got {float(payloads.min())}")
-    if bw.size and float(bw.min()) <= 0:
-        raise ConfigurationError(
-            f"bandwidth must be > 0, got {float(bw.min())}")
-    _validate(0.0, p, float(bw.max()) if bw.size else 1.0, alpha)
-    if incast.size and float(incast.min()) < 1.0:
-        raise ConfigurationError(
-            f"incast_factor must be >= 1, got {float(incast.min())}")
-    _record_batch("allgather", payloads, p,
-                  float(incast.max()) if incast.size else 1.0)
-    if p == 1:
-        return np.zeros(np.broadcast_shapes(
-            payloads.shape, bw.shape, incast.shape))
-    latency = alpha * (p - 1)
-    transfer = payloads * (p - 1) / bw * incast
     return latency + transfer
 
 
@@ -276,8 +242,7 @@ def _record_grid(algorithm: str, payloads: np.ndarray, p_arr: np.ndarray,
                              algorithm=algorithm).inc(degraded)
 
 
-def _record_batch(algorithm: str, payloads: np.ndarray, p: int,
-                  incast_factor: float = 1.0) -> None:
+def _record_batch(algorithm: str, payloads: np.ndarray) -> None:
     """Telemetry for one batched pricing call: the counters advance by
     exactly what the equivalent scalar loop would have recorded."""
     registry = get_registry()
@@ -287,9 +252,6 @@ def _record_batch(algorithm: str, payloads: np.ndarray, p: int,
                      algorithm=algorithm).inc(payloads.size)
     registry.counter("collective_bytes_total",
                      algorithm=algorithm).inc(float(payloads.sum()))
-    if incast_factor > 1.0 and p > 1:
-        registry.counter("collective_incast_degraded_total",
-                         algorithm=algorithm).inc(payloads.size)
 
 
 def reduce_scatter_time(num_bytes: float, p: int, bandwidth: float,

@@ -10,10 +10,8 @@ from .advisor import (
     CandidateVerdict,
     Recommendation,
     default_candidates,
-    feasible_candidates,
     recommend,
     recommend_for_inputs,
-    recommend_with,
 )
 from .calibration import CalibrationReport, calibrate
 from .grid import (
@@ -76,8 +74,7 @@ __all__ = [
     "encode_tradeoff_grid", "tradeoff_time",
     "Crossing", "sweep_crossings", "find_crossover_gbps", "solve_crossover",
     "Recommendation", "CandidateVerdict", "recommend",
-    "recommend_for_inputs", "recommend_with", "default_candidates",
-    "feasible_candidates",
+    "recommend_for_inputs", "default_candidates",
     "EpochEstimate", "epoch_time", "batch_size_plan",
     "CostEstimate", "training_cost",
     "StrongScalingPoint", "strong_scaling_sweep",

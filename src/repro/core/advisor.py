@@ -11,8 +11,8 @@ recommendation with the reasons spelled out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..compression.kernel_cost import KernelProfile, v100_kernel_profile
 from ..compression.registry import available_schemes, make_scheme
@@ -74,6 +74,10 @@ class CandidateVerdict:
     speedup_vs_syncsgd: float
     feasible: bool
     note: str
+    #: The candidate itself, so callers that go on to analyse the
+    #: feasible schemes (the serving what-if's crossovers) reuse this
+    #: screen.  Schemes compare by identity, so it stays out of ``==``.
+    scheme: Scheme = field(compare=False)
 
     def to_dict(self) -> dict:
         """JSON-safe view (infeasible sentinels become ``None``)."""
@@ -138,54 +142,18 @@ class Recommendation:
         }
 
 
-#: Prices ``[None] + feasible_schemes`` (``None`` = sync-SGD baseline)
-#: and returns the predicted iteration seconds for each, in order.
-PriceFn = Callable[[Sequence[Optional[Scheme]]], Sequence[float]]
+def recommend_for_inputs(model: ModelSpec, inputs: PerfModelInputs,
+                         candidates: Optional[Sequence[Scheme]] = None,
+                         gpu: GPUSpec = V100,
+                         profile: Optional[KernelProfile] = None,
+                         ) -> Recommendation:
+    """Rank candidates for already-calibrated inputs.
 
-
-def feasible_candidates(model: ModelSpec, inputs: PerfModelInputs,
-                        candidates: Optional[Sequence[Scheme]] = None,
-                        gpu: GPUSpec = V100,
-                        profile: Optional[KernelProfile] = None,
-                        ) -> List[Optional[Scheme]]:
-    """The exact pricing list :func:`recommend_with` hands its pricer.
-
-    ``[None] + candidates that pass the memory screen`` — callers that
-    price out-of-band (the serving scheduler batches every request's
-    entries through one engine call) use this to build jobs whose
-    results line up one-to-one with the pricer invocation.
-    """
-    schemes = list(candidates) if candidates is not None \
-        else default_candidates()
-    prof = profile if profile is not None else v100_kernel_profile()
-    compute = ComputeModel(model, gpu)
-    bs = inputs.batch_size or model.default_batch_size
-    p = inputs.world_size
-    entries: List[Optional[Scheme]] = [None]
-    for scheme in schemes:
-        cost = scheme.cost(model, p, prof)
-        fits, _ = compute.fits_in_memory(bs, cost.aggregation_working_set(p))
-        if fits:
-            entries.append(scheme)
-    return entries
-
-
-def recommend_with(model: ModelSpec, inputs: PerfModelInputs,
-                   price: PriceFn,
-                   candidates: Optional[Sequence[Scheme]] = None,
-                   gpu: GPUSpec = V100,
-                   profile: Optional[KernelProfile] = None,
-                   ) -> Recommendation:
-    """Rank candidates with an injected pricing function.
-
-    The advisor keeps the feasibility screen and the verdict notes; the
-    caller supplies *how* predictions are produced.  ``price`` receives
-    ``[None] + feasible_schemes`` — ``None`` meaning the sync-SGD
-    baseline — and returns one predicted iteration time (seconds) per
-    entry.  The serving scheduler routes this through the engine's grid
-    kernels so concurrent requests coalesce; the offline path prices
-    analytically.  Both produce bit-identical numbers (PR-5 contract),
-    so rendered output is byte-stable across entrypoints.
+    Screens every candidate's gather working set against GPU memory,
+    prices the survivors and the sync-SGD baseline with the closed-form
+    model, and explains each verdict.  ``repro recommend``,
+    ``POST /v1/whatif`` and the advisor sweep's recommendation all come
+    from here, so their rendered output cannot diverge.
     """
     schemes = list(candidates) if candidates is not None \
         else default_candidates()
@@ -195,35 +163,23 @@ def recommend_with(model: ModelSpec, inputs: PerfModelInputs,
     compute = ComputeModel(model, gpu)
     bs = inputs.batch_size or model.default_batch_size
     p = inputs.world_size
-
-    costs = [scheme.cost(model, p, prof) for scheme in schemes]
-    required_bytes: List[Optional[int]] = []
-    feasible: List[Scheme] = []
-    for scheme, cost in zip(schemes, costs):
-        fits, required = compute.fits_in_memory(
-            bs, cost.aggregation_working_set(p))
-        required_bytes.append(None if fits else required)
-        if fits:
-            feasible.append(scheme)
-    times = list(price([None, *feasible]))
-    if len(times) != 1 + len(feasible):
-        raise ConfigurationError(
-            f"pricer returned {len(times)} times for "
-            f"{1 + len(feasible)} schemes")
-    baseline = times[0]
-    predicted_iter = iter(times[1:])
+    baseline = syncsgd_time(model, inputs, gpu).total
 
     verdicts: List[CandidateVerdict] = []
-    for scheme, cost, required in zip(schemes, costs, required_bytes):
-        if required is not None:
+    for scheme in schemes:
+        cost = scheme.cost(model, p, prof)
+        fits, required = compute.fits_in_memory(
+            bs, cost.aggregation_working_set(p))
+        if not fits:
             verdicts.append(CandidateVerdict(
                 scheme_label=scheme.label, predicted_s=float("inf"),
                 speedup_vs_syncsgd=float("-inf"), feasible=False,
                 note=(f"gather working set needs "
                       f"{required / 1e9:.0f} GB > "
-                      f"{gpu.memory_bytes / 1e9:.0f} GB GPU")))
+                      f"{gpu.memory_bytes / 1e9:.0f} GB GPU"),
+                scheme=scheme))
             continue
-        predicted = next(predicted_iter)
+        predicted = predict(model, scheme, inputs, gpu, prof).total
         speedup = (baseline - predicted) / baseline
         if isinstance(scheme, SyncSGDScheme):
             note = "baseline"
@@ -238,32 +194,14 @@ def recommend_with(model: ModelSpec, inputs: PerfModelInputs,
                     else "communication savings too small")
         verdicts.append(CandidateVerdict(
             scheme_label=scheme.label, predicted_s=predicted,
-            speedup_vs_syncsgd=speedup, feasible=True, note=note))
+            speedup_vs_syncsgd=speedup, feasible=True, note=note,
+            scheme=scheme))
     return Recommendation(
         model=model.name,
         world_size=p,
         bandwidth_gbps=inputs.bandwidth_bytes_per_s * 8 / 1e9,
         verdicts=tuple(verdicts),
     )
-
-
-def recommend_for_inputs(model: ModelSpec, inputs: PerfModelInputs,
-                         candidates: Optional[Sequence[Scheme]] = None,
-                         gpu: GPUSpec = V100,
-                         profile: Optional[KernelProfile] = None,
-                         ) -> Recommendation:
-    """Rank candidates for already-calibrated inputs."""
-    prof = profile if profile is not None else v100_kernel_profile()
-
-    def _price(entries: Sequence[Optional[Scheme]]) -> List[float]:
-        return [
-            syncsgd_time(model, inputs, gpu).total if scheme is None
-            else predict(model, scheme, inputs, gpu, prof).total
-            for scheme in entries
-        ]
-
-    return recommend_with(model, inputs, _price, candidates=candidates,
-                          gpu=gpu, profile=prof)
 
 
 def recommend(model: ModelSpec, cluster: ClusterConfig,

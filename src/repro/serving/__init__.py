@@ -2,9 +2,10 @@
 
 ``repro serve`` turns the one-shot experiment engine into a long-lived
 HTTP service: an admission-controlled queue feeds a continuous-batching
-scheduler that coalesces compatible requests into single grid-kernel
-calls and streams results back per request.  See ``docs/serving.md``
-for the API reference and operational semantics.
+scheduler that prices what-ifs in place, coalesces compatible
+simulations and sweeps into single engine calls, and streams results
+back per request.  See ``docs/serving.md`` for the API reference and
+operational semantics.
 """
 
 from .http import MAX_BODY_BYTES, ServingHandler, ServingHTTPServer, make_server

@@ -20,7 +20,10 @@ on the scheduler's single batch thread) exposing:
 Errors are structured JSON — ``{"error": {"code", "message"}}`` — with
 the HTTP status carrying the class (400 bad request, 404 unknown job,
 413 oversized body, 429 over quota with a ``Retry-After`` header, 503
-queue full).  No dependency beyond the standard library.
+queue full).  A synchronous request that fails as ``invalid`` — a
+configuration nothing can serve, such as a batch no candidate fits in
+memory — is a 400 like any other bad input; engine and internal
+failures are 500s.  No dependency beyond the standard library.
 """
 
 from __future__ import annotations
@@ -194,6 +197,9 @@ class ServingHandler(BaseHTTPRequestHandler):
             state = self.scheduler.wait(state.id,
                                         timeout_s=request.timeout_s or
                                         self.scheduler.default_timeout_s)
+        if state.status == "failed" and state.invalid:
+            self._send_error_json(400, "bad_request", state.error)
+            return
         self._send_json(_STATE_STATUS.get(state.status, 200),
                         state.to_dict())
 

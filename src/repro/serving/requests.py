@@ -84,12 +84,12 @@ def _timeout_from(body: Dict[str, Any]) -> Optional[float]:
 class WhatIfRequest:
     """``POST /v1/whatif`` — "price my cluster config".
 
-    The exact inputs of ``repro recommend``: the advisor calibrates
-    against the cluster, screens candidates for memory feasibility,
-    prices the survivors (through the shared engine, so concurrent
-    requests coalesce into one grid call), and returns the ranked
-    recommendation — plus, unless ``crossovers`` is false, the exact
-    break-even bandwidths from :func:`repro.core.solve_crossover`.
+    The exact inputs of ``repro recommend``, answered by the same call:
+    the scheduler calibrates against the cluster, screens candidates for
+    memory feasibility and prices the survivors in place, without the
+    engine.  The response is the ranked recommendation plus, unless
+    ``crossovers`` is false, the exact break-even bandwidths from
+    :func:`repro.core.solve_crossover`.
     """
 
     model: ModelSpec

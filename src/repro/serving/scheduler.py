@@ -11,17 +11,19 @@ model executor alive behind one.  A single background thread loops:
    requests that queued behind a running batch drain at once;
 2. drain up to ``max_batch_requests`` requests, dropping any whose
    deadline expired while queued;
-3. expand every drained request into engine jobs — a what-if request
-   becomes ``[None] + feasible candidates`` pre-screened by
-   :func:`repro.core.feasible_candidates`, a simulate request one
-   :class:`~repro.engine.SimJob` per seed — and submit **all of them in
-   one engine call** per job type.  The engine's existing family
-   batching then collapses compatible jobs *across requests* into
-   single grid-kernel calls: that is the dynamic generalization of the
-   PR-5 submit-time chunker and the PR-6 ``family_key`` grouping;
-4. finish each kind as soon as its engine call returns — what-ifs,
-   then simulations, then sweeps — and wake its waiters, so a what-if
-   never waits on a sweep coalesced into the same batch.
+3. price every what-if in place — the
+   :func:`repro.core.recommend_for_inputs` call ``repro recommend``
+   makes, on a memoized calibration — without touching the engine;
+   expand the rest into engine jobs (a simulate request one
+   :class:`~repro.engine.SimJob` per seed, an advise request its
+   sweep's shards) and submit **all of them in one engine call** per
+   job type.  The engine's family batching then collapses compatible
+   jobs *across requests* into single kernel calls;
+4. finish each kind as soon as it is done — what-ifs, then
+   simulations, then sweeps — and wake its waiters, so a what-if never
+   waits on a sweep coalesced into the same batch.  A request whose
+   planning or finishing raises :class:`~repro.errors.ConfigurationError`
+   fails as ``invalid`` (HTTP 400); any other failure is internal.
 
 Admission control happens in :meth:`ServingScheduler.submit`, on the
 caller's thread: per-tenant token buckets and the queue-depth cap
@@ -50,12 +52,12 @@ from ..analysis.advisor import SweepPlan, SweepSpec, finish_sweep, plan_sweep
 from ..compression.schemes import SyncSGDScheme
 from ..core import (
     CalibrationReport,
+    PerfModelInputs,
     calibrate,
-    feasible_candidates,
-    recommend_with,
+    recommend_for_inputs,
     solve_crossover,
 )
-from ..engine import AdvisorShardJob, ExperimentEngine, ModelEvalJob, SimJob
+from ..engine import AdvisorShardJob, ExperimentEngine, SimJob
 from ..errors import ConfigurationError
 from ..telemetry.logs import get_logger
 from ..telemetry.metrics import get_registry
@@ -76,7 +78,11 @@ class RequestState:
 
     ``rows`` grows as results stream back (one row per candidate
     verdict or per simulated seed); ``result`` is the assembled
-    response body once the request is ``done``.  All mutation happens
+    response body once the request is ``done``.  ``invalid`` marks a
+    ``failed`` request that could not be served as asked — a
+    :class:`~repro.errors.ConfigurationError` while planning or
+    finishing it, such as a batch no candidate fits in memory — rather
+    than one the engine or the scheduler failed.  All mutation happens
     under the scheduler's condition lock.
     """
 
@@ -91,6 +97,7 @@ class RequestState:
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     finished_unix: Optional[float] = None
+    invalid: bool = False
 
     @property
     def kind(self) -> str:
@@ -313,13 +320,14 @@ class ServingScheduler:
         request kind at a time."""
         # The coalescing moment: every request of a kind goes through
         # ONE engine call, so the engine's family grouping sees them all
-        # at once.  Each kind finishes (and wakes its waiters) as soon as
-        # its own call returns, cheapest first, so a what-if never waits
-        # on a sweep in its batch.  An engine-level exception fails only the
-        # requests of the call that raised — never leaves one hanging.
+        # at once.  What-ifs plan no jobs and have no engine call: they
+        # are priced in place.  Each kind finishes (and wakes its
+        # waiters) as soon as it is done, cheapest first, so a what-if
+        # never waits on a sweep in its batch.  An engine-level exception
+        # fails only the requests of the call that raised — never leaves
+        # one hanging.
         steps = (
-            ("whatif", self._plan_whatif, self.engine.run_model_outcomes,
-             self._finish_whatif),
+            ("whatif", self._plan_whatif, None, self._finish_whatif),
             ("simulate", self._plan_simulate, self.engine.run_outcomes,
              self._finish_simulate),
             ("advise", self._plan_advise, self.engine.run_advisor_outcomes,
@@ -334,7 +342,8 @@ class ServingScheduler:
                 try:
                     state_jobs, context = plan(state.request)
                 except Exception as exc:  # noqa: BLE001 - per request
-                    self._fail(state, exc)
+                    self._fail(state, exc, invalid=isinstance(
+                        exc, ConfigurationError))
                     continue
                 start = len(jobs)
                 jobs.extend(state_jobs)
@@ -349,7 +358,8 @@ class ServingScheduler:
                 try:
                     finish(state, context, outcomes[span])
                 except Exception as exc:  # noqa: BLE001 - per request
-                    self._fail(state, exc)
+                    self._fail(state, exc, invalid=isinstance(
+                        exc, ConfigurationError))
 
     # ----- what-if expansion -------------------------------------------------
 
@@ -364,43 +374,28 @@ class ServingScheduler:
         return report
 
     def _plan_whatif(self, request: WhatIfRequest,
-                     ) -> Tuple[List[ModelEvalJob], Tuple[Any, List[Any]]]:
-        """Calibrate and expand one what-if request into priced jobs and
-        the ``(inputs, entries)`` its finish step needs.
+                     ) -> Tuple[List[Any], PerfModelInputs]:
+        """Calibrate one what-if; it needs no engine jobs."""
+        return [], self._calibration(request).inputs
 
-        The entry list comes from the advisor's own feasibility screen
-        (:func:`feasible_candidates`), so the engine outcomes line up
-        one-to-one with what :func:`recommend_with` will ask its pricer
-        for — the ranked output is byte-identical to the offline
-        ``repro recommend`` path.
-        """
-        report = self._calibration(request)
-        entries = feasible_candidates(request.model, report.inputs,
-                                      gpu=request.cluster.gpu)
-        jobs = [ModelEvalJob(model=request.model, scheme=scheme,
-                             inputs=report.inputs, gpu=request.cluster.gpu)
-                for scheme in entries]
-        return jobs, (report.inputs, entries)
-
-    def _finish_whatif(self, state: RequestState,
-                       plan: Tuple[Any, List[Any]],
-                       outcomes: List[Any]) -> None:
+    def _finish_whatif(self, state: RequestState, inputs: PerfModelInputs,
+                       _outcomes: List[Any]) -> None:
+        """Price the what-if in place, as ``repro recommend`` does, and
+        solve each feasible compressed scheme's crossovers."""
         request: WhatIfRequest = state.request
-        inputs, entries = plan
-        times = [outcome.unwrap().total for outcome in outcomes]
-        recommendation = recommend_with(
-            request.model, inputs, lambda _entries: times,
-            gpu=request.cluster.gpu)
+        gpu = request.cluster.gpu
+        recommendation = recommend_for_inputs(request.model, inputs, gpu=gpu)
         crossovers = []
         if request.crossovers:
-            for scheme in entries:
-                if scheme is None or isinstance(scheme, SyncSGDScheme):
+            for verdict in recommendation.verdicts:
+                if not verdict.feasible \
+                        or isinstance(verdict.scheme, SyncSGDScheme):
                     continue
                 crossings = solve_crossover(
-                    request.model, scheme, inputs, 1.0, 30.0,
-                    gpu=request.cluster.gpu)
+                    request.model, verdict.scheme, inputs, 1.0, 30.0,
+                    gpu=gpu)
                 crossovers.append({
-                    "scheme": scheme.label,
+                    "scheme": verdict.scheme_label,
                     "crossings": [{"gbps": c.x, "direction": c.direction}
                                   for c in crossings],
                 })
@@ -495,12 +490,14 @@ class ServingScheduler:
 
     # ----- bookkeeping -------------------------------------------------------
 
-    def _fail(self, state: RequestState, exc: Exception) -> None:
+    def _fail(self, state: RequestState, exc: Exception,
+              invalid: bool = False) -> None:
         self._log.warning("serving.request_failed", request=state.id,
                           kind=state.kind,
                           reason=f"{type(exc).__name__}: {exc}")
         with self._cv:
             state.status = "failed"
+            state.invalid = invalid
             state.error = f"{type(exc).__name__}: {exc}"
             state.finished_unix = time.time()
             self._observe_latency(state)

@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from repro.collectives import (
-    allgather_time,
-    allgather_time_batch,
     ring_allreduce_time,
     ring_allreduce_time_batch,
 )
@@ -237,15 +235,6 @@ class TestVectorizedPrimitives:
         payloads = np.array([0.0, 1.0, 25e6, 1e9])
         batch = ring_allreduce_time_batch(payloads, 8, 10e9, 5e-6)
         scalar = [ring_allreduce_time(float(b), 8, 10e9, 5e-6)
-                  for b in payloads]
-        assert batch.tolist() == scalar
-
-    def test_allgather_batch_matches_scalar(self):
-        payloads = np.array([1.0, 4096.0, 3e7])
-        batch = allgather_time_batch(payloads, 16, 25e9, 2e-6,
-                                     incast_factor=1.5)
-        scalar = [allgather_time(float(b), 16, 25e9, 2e-6,
-                                 incast_factor=1.5)
                   for b in payloads]
         assert batch.tolist() == scalar
 

@@ -19,8 +19,6 @@ import numpy as np
 import pytest
 
 from repro.collectives import (
-    allgather_time,
-    allgather_time_batch,
     ring_allreduce_time,
     ring_allreduce_time_batch,
 )
@@ -293,7 +291,7 @@ class TestEngineFamilyBatching:
 
 
 class TestVectorizedFaultPrimitives:
-    """Array bandwidth / incast overloads of the batch collectives."""
+    """Array bandwidth overloads of the batch collective."""
 
     def test_ring_batch_accepts_bandwidth_array(self):
         payloads = np.array([1.0, 25e6, 1e9])
@@ -303,23 +301,7 @@ class TestVectorizedFaultPrimitives:
                   for b, bw in zip(payloads, bws)]
         assert batch.tolist() == scalar
 
-    def test_allgather_batch_accepts_arrays(self):
-        payloads = np.array([4096.0, 3e7, 1e9])
-        bws = np.array([25e9, 5e9, 25e9])
-        incasts = np.array([1.0, 1.5, 2.0])
-        batch = allgather_time_batch(payloads, 16, bws, 2e-6,
-                                     incast_factor=incasts)
-        scalar = [allgather_time(float(b), 16, float(bw), 2e-6,
-                                 incast_factor=float(ic))
-                  for b, bw, ic in zip(payloads, bws, incasts)]
-        assert batch.tolist() == scalar
-
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
             ring_allreduce_time_batch(np.array([1e6]), 8,
                                       np.array([0.0]), 5e-6)
-
-    def test_incast_below_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            allgather_time_batch(np.array([1e6]), 8, 10e9, 2e-6,
-                                 incast_factor=np.array([0.5]))

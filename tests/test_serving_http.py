@@ -165,6 +165,19 @@ class TestHostileInput:
         assert error["code"] == "bad_request"
         assert "wait_s" in error["message"]
 
+    def test_infeasible_whatif_400(self, server):
+        # No candidate fits this batch in GPU memory: `repro recommend`
+        # exits 2 for it, so the service answers 400, not 500.
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server, "/v1/whatif",
+                 {"model": "bert-base", "gpus": 8, "batch": 100000,
+                  "crossovers": False})
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error == {"code": "bad_request",
+                         "message": "ConfigurationError: no feasible "
+                                    "candidate"}
+
 
 def test_accepted_connections_disable_nagle():
     seen = []

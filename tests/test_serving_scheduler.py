@@ -4,13 +4,20 @@ coalescing, and parity with the offline advisor."""
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from repro.core import recommend
+from repro.compression import SyncSGDScheme
+from repro.core import (
+    calibrate,
+    default_candidates,
+    recommend,
+    solve_crossover,
+)
 from repro.engine import ExperimentEngine, SimulationCache
 from repro.errors import ConfigurationError
 from repro.hardware import cluster_for_gpus
-from repro.models import get_model
+from repro.models import available_models, get_model
 from repro.serving import (
     AdmissionError,
     AdviseRequest,
@@ -335,6 +342,111 @@ class TestWhatIf:
             assert "Infinity" not in text
         finally:
             sched.close()
+
+
+class TestWhatIfInPlace:
+    """What-ifs are priced in place: the scheduler answers them with the
+    offline advisor's own call and never touches the engine."""
+
+    def test_whatifs_make_no_engine_call(self, tmp_path):
+        cache = SimulationCache(str(tmp_path / "cache"))
+        sched = make_scheduler(engine=ExperimentEngine(cache=cache),
+                               batch_window_s=0.1)
+        try:
+            states = [sched.submit(WhatIfRequest.from_json(
+                {"model": model, "gpus": gpus}))
+                for model in ("resnet50", "bert-base")
+                for gpus in (8, 32)]
+            finals = [sched.wait(s.id, timeout_s=60.0) for s in states]
+            assert [f.status for f in finals] == ["done"] * 4
+            assert sched.engine.jobs_completed == 0
+            assert cache.stats.stores == 0
+            assert cache.stats.lookups == 0
+        finally:
+            sched.close()
+
+    def test_engine_failure_is_not_invalid(self, monkeypatch):
+        # Even a ConfigurationError is internal when the engine raises
+        # it: only planning and finishing judge the request itself.
+        engine = ExperimentEngine()
+
+        def broken(jobs):
+            raise ConfigurationError("engine fault")
+
+        monkeypatch.setattr(engine, "run_outcomes", broken)
+        sched = make_scheduler(engine=engine)
+        try:
+            state = sched.submit(simulate_request())
+            final = sched.wait(state.id, timeout_s=60.0)
+            assert final.status == "failed"
+            assert not final.invalid
+        finally:
+            sched.close()
+
+
+def _whatif_bodies(count=20, seed=2026):
+    """Seeded what-if bodies over the zoo, GPU counts, batch sizes and
+    bandwidths; some batches are too large for any candidate."""
+    rng = np.random.default_rng(seed)
+    models = available_models()
+    bodies = []
+    for _ in range(count):
+        body = {"model": models[rng.integers(len(models))],
+                "gpus": int(rng.choice([4, 8, 12, 16, 24, 32, 48, 64, 96,
+                                        128]))}
+        if rng.random() < 0.7:
+            body["batch"] = int(np.exp(rng.uniform(0.0, np.log(4096))))
+        if rng.random() < 0.7:
+            body["bandwidth"] = round(float(rng.uniform(0.5, 40.0)), 2)
+        bodies.append(body)
+    return bodies
+
+
+def _offline_whatif(body):
+    """``repro recommend`` plus ``solve_crossover`` for each feasible
+    compressed candidate of the default menu, called directly."""
+    model = get_model(body["model"])
+    cluster = cluster_for_gpus(body["gpus"])
+    if "bandwidth" in body:
+        cluster = cluster.with_instance(
+            cluster.instance.with_network_gbps(body["bandwidth"]))
+    batch = body.get("batch")
+    offline = recommend(model, cluster, batch_size=batch)
+    feasible = {v.scheme_label for v in offline.verdicts if v.feasible}
+    inputs = calibrate(model, cluster, batch_size=batch).inputs
+    crossovers = [
+        {"scheme": scheme.label,
+         "crossings": [{"gbps": c.x, "direction": c.direction}
+                       for c in solve_crossover(model, scheme, inputs,
+                                                1.0, 30.0, gpu=cluster.gpu)]}
+        for scheme in default_candidates()
+        if scheme.label in feasible and not isinstance(scheme, SyncSGDScheme)]
+    return offline, crossovers
+
+
+def test_whatif_parity_property():
+    bodies = _whatif_bodies()
+    sched = make_scheduler()
+    try:
+        states = [sched.submit(WhatIfRequest.from_json(body))
+                  for body in bodies]
+        finals = [sched.wait(s.id, timeout_s=120.0) for s in states]
+    finally:
+        sched.close()
+    for body, final in zip(bodies, finals):
+        offline, crossovers = _offline_whatif(body)
+        try:
+            rendered = offline.render()
+        except ConfigurationError as exc:
+            assert final.status == "failed" and final.invalid, body
+            assert final.error == f"ConfigurationError: {exc}", body
+            continue
+        assert final.status == "done", (body, final.error)
+        expected = offline.to_dict()
+        assert final.result["rendered"] == rendered, body
+        assert final.result["best"] == expected["best"], body
+        assert final.result["verdicts"] == expected["verdicts"], body
+        assert final.result["crossovers"] == crossovers, body
 
 
 class TestRequestValidation:

@@ -11,6 +11,9 @@ acceptance criteria through plain HTTP:
 * a ``POST /v1/whatif`` round trip returns the **same ranked
   recommendation bytes** as the offline ``repro recommend`` CLI for
   the same inputs;
+* a ``POST /v1/whatif`` whose batch no candidate fits in memory is a
+  structured 4xx naming the cause, as ``repro recommend`` exits 2 for
+  it — not a 500;
 * three concurrent seed-varied ``POST /v1/simulate`` requests are
   observably coalesced into one scheduler batch
   (``serving_batch_occupancy`` > 1 on ``/metrics``);
@@ -137,6 +140,22 @@ def check_server(base: str) -> List[str]:
     elif not any(c["crossings"] for c in body["result"]["crossovers"]):
         problems.append("whatif: no crossover bandwidths in response")
 
+    # --- a whatif no candidate fits is a structured 4xx, not a 500
+    try:
+        status, _ = _post(base, "/v1/whatif",
+                          {"model": "bert-base", "gpus": 8,
+                           "batch": 100000, "crossovers": False})
+        problems.append(f"infeasible whatif answered {status}, not 4xx")
+    except urllib.error.HTTPError as exc:
+        error = json.loads(exc.read()).get("error")
+        if not 400 <= exc.code < 500:
+            problems.append(f"infeasible whatif answered {exc.code}, "
+                            f"not 4xx: {error}")
+        elif not isinstance(error, dict) \
+                or "no feasible candidate" not in error.get("message", ""):
+            problems.append(f"unstructured infeasible-whatif {exc.code} "
+                            f"body: {error}")
+
     # --- three concurrent seed-varied simulations must coalesce
     job_ids = []
     for seed in range(3):
@@ -227,7 +246,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(problem, file=sys.stderr)
     if not problems:
         print(f"serve ok: {base} — healthz, keep-alive round trip, "
-              f"whatif parity, coalescing, quota 429, metrics all verified")
+              f"whatif parity, infeasible whatif 4xx, coalescing, "
+              f"quota 429, metrics all verified")
     return 1 if problems else 0
 
 
