@@ -65,10 +65,11 @@ advise-smoke:
 
 ## the tiered-cache roundtrip on a real cache directory: a cold sweep
 ## populates packs, the same entries replayed from a legacy-era layout
-## (all hits, same digest), `repro cache compact` + `verify`, a
-## re-serve from the packed layout (same digest again), and a
+## (packed on open: all pack hits, same digest), `repro cache compact`
+## + `verify`, a re-serve from the packed layout (same digest again), a
 ## `repro serve --cache-preload` boot whose /healthz shows the hot
-## tier warm before any request
+## tier warm before any request, and a legacy-era directory with a
+## non-object entry (verify exits 1 cleanly, runs keep the digest)
 cache-smoke:
 	$(PYTHON) tools/check_cache.py
 

@@ -30,8 +30,9 @@ Eight subcommands mirror the library's main workflows:
   ``--cache-mem-mb`` adds an in-process hot tier in front of the disk
   cache and ``--cache-preload`` warm-starts from the pack index;
 * ``cache`` — offline maintenance for a cache directory: ``stats``
-  (tier sizes), ``compact`` (pack legacy per-key files into append-only
-  segments), ``verify`` (detect corruption; exit 1 if any).
+  (tier sizes), ``compact`` (report the per-key files that opening the
+  directory packed into append-only segments), ``verify`` (detect
+  corruption; exit 1 if any).
 
 Everything prints plain text; use ``--markdown`` on ``experiment`` for
 paste-ready tables.  Global flags: ``--version``, ``--log-level``/
@@ -400,7 +401,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
                   f"{info['pack']['truncated']} truncated")
             print(f"  total:  {len(cache)} distinct keys")
         elif args.action == "compact":
-            report = cache.compact()
+            report = cache.migrated or cache.compact()
             print(f"compacted {report['packed']} legacy entries into "
                   f"{report['segments']} segment(s); "
                   f"{report['corrupt']} corrupt left in place")
@@ -620,10 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
                                   "result cache directory")
     p_cache.add_argument("action", choices=("stats", "compact", "verify"),
                          help="stats: tier sizes and counters; compact: "
-                              "pack legacy per-key files into append-"
-                              "only segments; verify: re-read every "
-                              "entry and report corruption (exit 1 if "
-                              "any)")
+                              "report the legacy per-key files that "
+                              "opening the directory packed into "
+                              "append-only segments; verify: re-read "
+                              "every entry and report corruption (exit "
+                              "1 if any)")
     p_cache.add_argument("--cache", required=True, metavar="DIR",
                          help="cache directory to operate on")
     p_cache.set_defaults(fn=cmd_cache)

@@ -1,36 +1,33 @@
 """Content-addressed, tiered cache of simulation results.
 
-Three tiers answer a lookup, cheapest first:
+Two tiers answer a lookup, cheapest first:
 
 * **hot** — a sharded in-process LRU of payloads
   (:class:`~repro.engine.memcache.MemoryCache`), enabled by a byte
-  budget (``--cache-mem-mb``).  Write-through: every disk hit and every
+  budget (``--cache-mem-mb``).  Write-through: every pack hit and every
   store lands here, so repeat traffic in a long-lived process (the
   serving scheduler) never touches the filesystem again.
 * **pack** — append-only ``pack-*.jsonl`` segments plus an offset
-  index (:class:`~repro.engine.pack.PackStore`).  Batched stores go
-  here: one segment append and one fsync per engine batch instead of
-  one file per key.
-* **legacy** — the original one-JSON-file-per-key layout.  Still
-  written by single-key :meth:`SimulationCache.put`, still read (and
-  compactable into packs via ``repro cache compact``) so existing
-  cache directories keep serving without re-simulation.
+  index (:class:`~repro.engine.pack.PackStore`).  Stores go here: one
+  segment append and one fsync per engine batch.
 
-Every tier stores the same JSON payload and every hit rehydrates
-through the same converters, so a hot hit, a pack hit, and a legacy
-hit return byte-identical outcomes.  An entry stores either a full
+Both tiers store the same JSON payload and every hit rehydrates
+through the same converter, so a hot hit and a pack hit return
+byte-identical outcomes.  An entry stores either a full
 :class:`~repro.simulator.TimingResult`, the
 :class:`~repro.errors.OutOfMemoryError` the simulation
-deterministically raises, or a closed-form
-:class:`~repro.core.perf_model.PredictedTime`.
+deterministically raises, a closed-form
+:class:`~repro.core.perf_model.PredictedTime`, or an advisor pricing
+shard.
 
-The cache never trusts its files blindly: a *legacy* payload that
-fails to parse counts as a miss and the file is *quarantined* — moved
-aside into ``<directory>/quarantine/`` — so a truncated write cannot
-poison later sweeps.  A torn *pack* record is cheaper to handle: the
-index entry is dropped (the segments are append-only, so there is
-nothing to move) and the key reads as a miss; ``repro cache verify``
-reports the damage without any quarantine churn.
+A directory from before the pack tier holds one ``<sha256>.json``
+file per key.  Opening it packs those files (:meth:`SimulationCache.
+compact`) once, so lookups never read a per-key file.  An unreadable
+per-key file is left in place and never served: ``repro cache verify``
+counts it, and once its key is re-stored to the pack the next open
+deletes it as a duplicate.  A torn *pack* record drops its index entry
+(the segments are append-only, so there is nothing to move) and the
+key reads as a miss.
 
 Batched I/O (:meth:`SimulationCache.lookup_many` /
 :meth:`SimulationCache.store_many`) serves a whole engine batch in one
@@ -44,7 +41,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -52,9 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..core.perf_model import PredictedTime
 from ..errors import ConfigurationError, OutOfMemoryError
 from ..simulator import TimingResult
-from ..telemetry.logs import get_logger
 from ..telemetry.metrics import get_registry
-from ..telemetry.tracing import get_tracer
 from .advisorjobs import AdvisorShardResult
 from .memcache import MemoryCache, payload_nbytes
 from .pack import PackStore
@@ -74,18 +68,13 @@ LEGACY_ENTRY_PATTERN = re.compile(r"^[0-9a-f]{64}\.json$")
 class CacheStats:
     """Hit/miss counters, exposed on the CLI after every sweep.
 
-    ``hits`` stays the all-tier total (existing output is unchanged);
-    ``memory_hits`` / ``pack_hits`` attribute hits to the hot tier and
-    the packed cold tier, so legacy-file hits are
-    ``hits - memory_hits - pack_hits``.  Both default to zero and stay
-    zero when the hot tier is disabled and no packs exist, so
-    :meth:`describe` renders exactly what it always did in that case.
+    ``hits`` is the all-tier total; ``memory_hits`` / ``pack_hits``
+    attribute it to the hot tier and the pack tier.
     """
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    quarantined: int = 0
     memory_hits: int = 0
     pack_hits: int = 0
     evictions: int = 0
@@ -100,16 +89,10 @@ class CacheStats:
         """Fraction of lookups served from cache (0.0 when never used)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    @property
-    def disk_hits(self) -> int:
-        """Hits served by the legacy one-file-per-key tier."""
-        return self.hits - self.memory_hits - self.pack_hits
-
     def snapshot(self) -> "CacheStats":
         """An independent copy of the current counter values."""
         return CacheStats(hits=self.hits, misses=self.misses,
                           stores=self.stores,
-                          quarantined=self.quarantined,
                           memory_hits=self.memory_hits,
                           pack_hits=self.pack_hits,
                           evictions=self.evictions)
@@ -119,22 +102,17 @@ class CacheStats:
         return CacheStats(hits=self.hits - earlier.hits,
                           misses=self.misses - earlier.misses,
                           stores=self.stores - earlier.stores,
-                          quarantined=self.quarantined - earlier.quarantined,
                           memory_hits=self.memory_hits - earlier.memory_hits,
                           pack_hits=self.pack_hits - earlier.pack_hits,
                           evictions=self.evictions - earlier.evictions)
 
     def describe(self) -> str:
-        """One-line human rendering; mentions tiers only when a
-        non-legacy tier served anything and quarantines only when any
-        happened, so historical output is unchanged."""
+        """One-line human rendering; the per-tier split is appended
+        once a tier served anything."""
         text = (f"{self.hits} hits / {self.misses} misses "
                 f"({self.hit_rate:.0%} hit rate)")
         if self.memory_hits or self.pack_hits:
-            text += (f" [{self.memory_hits} mem / {self.pack_hits} pack / "
-                     f"{self.disk_hits} disk]")
-        if self.quarantined:
-            text += f", {self.quarantined} quarantined"
+            text += f" [{self.memory_hits} mem / {self.pack_hits} pack]"
         return text
 
 
@@ -238,8 +216,12 @@ def outcome_to_payload(outcome: CachedOutcome) -> dict:
 
 def payload_to_outcome(payload: dict) -> CachedOutcome:
     """Rehydrate any tier's payload; raises ``KeyError`` on an unknown
-    kind or missing fields — every tier shares this one converter, which
-    is what makes hot, pack and legacy hits byte-identical."""
+    kind or missing fields and ``TypeError`` on a payload that is not a
+    JSON object — every tier shares this one converter, which is what
+    makes hot and pack hits byte-identical."""
+    if not isinstance(payload, dict):
+        raise TypeError(
+            f"cache payload must be an object, not {type(payload).__name__}")
     kind = payload.get("kind")
     if kind == "result":
         return payload_to_result(payload)
@@ -253,26 +235,27 @@ def payload_to_outcome(payload: dict) -> CachedOutcome:
 
 
 class SimulationCache:
-    """Maps fingerprint keys to simulation outcomes across three tiers.
+    """Maps fingerprint keys to simulation outcomes across two tiers.
 
     Attributes:
-        directory: The cache directory (legacy files, pack segments,
-            the pack index and the quarantine subdirectory all live
-            here).
+        directory: The cache directory (pack segments, the pack index
+            and any per-key files left from before the pack tier).
         memory: The hot tier, or ``None`` when no byte budget was
-            given — in which case every path behaves exactly as the
-            disk-only cache always did.
-        packs: The packed cold tier (always constructed; empty for a
-            purely legacy directory).
+            given — in which case every lookup reads the pack tier.
+        packs: The pack tier (always constructed; empty for a fresh
+            directory).
+        migrated: The :meth:`compact` report of the per-key files the
+            open packed, or ``None`` when the directory held none.
 
-    Thread-safe: disk-tier access is serialized by one internal lock,
+    Thread-safe: pack-tier access is serialized by one internal lock,
     acquired **once** per batched call; the hot tier has its own
     per-shard locks.
     """
 
     def __init__(self, directory: str, memory_mb: float = 0.0,
                  shards: int = 8):
-        """Open (creating if needed) the cache at ``directory``.
+        """Open (creating if needed) the cache at ``directory``, packing
+        any per-key files it still holds.
 
         ``memory_mb`` > 0 enables the write-through hot tier with that
         byte budget, sharded ``shards`` ways.
@@ -292,89 +275,68 @@ class SimulationCache:
         if memory_mb > 0:
             self.memory = MemoryCache(
                 max_bytes=int(memory_mb * 1024 * 1024), shards=shards)
-        self.packs = PackStore(directory)
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._evictions_seen = 0
+        # Listed before the index loads: another process unlinks a
+        # per-key file only once its pack record is durable, so a file
+        # already gone here is in the index loaded below.
+        legacy = self._legacy_keys()
+        self.packs = PackStore(directory)
+        self.migrated: Optional[Dict[str, int]] = (
+            self.compact() if legacy else None)
 
     def path_for(self, key: str) -> str:
-        """Filesystem path of ``key``'s legacy entry (whether or not it
+        """Filesystem path of ``key``'s per-key file (whether or not it
         exists)."""
         return os.path.join(self.directory, f"{key}.json")
 
     # ----- lookups -----------------------------------------------------------
 
     def get(self, key: str) -> Optional[CachedOutcome]:
-        """Look up ``key``; counts a hit or a miss on the stats.
-
-        Tier order: hot (when enabled), pack index, legacy file.  An
-        absent entry is a plain miss.  A *present but unreadable*
-        legacy entry is also a miss, but the file is moved into the
-        ``quarantine/`` subdirectory first; an unreadable pack record
-        is dropped from the index instead (append-only segments have
-        nothing to move aside).
-        """
-        if self.memory is not None:
-            payload = self.memory.get(key)
-            if payload is not None:
-                return self._count_hit(key, payload, "memory",
-                                       write_through=False)
-        with self._lock:
-            payload, tier = self._disk_lookup_locked(key)
-        if payload is None:
-            self._count_miss()
-            return None
-        return self._count_hit(key, payload, tier)
+        """Look up one key; a one-key :meth:`lookup_many`."""
+        return self.lookup_many([key]).get(key)
 
     def lookup_many(self, keys: Sequence[str],
                     ) -> Dict[str, CachedOutcome]:
-        """Resolve a whole batch of keys in one pass per tier.
+        """Resolve a whole batch of keys: hot tier, then pack tier.
 
         The hot tier is consulted with one lock acquisition per shard,
-        the disk tiers with ONE acquisition of the cache lock for the
+        the pack tier with ONE acquisition of the cache lock for the
         entire batch — this is what the engine and the serving
         scheduler's drain loop call, so a 200-job batch costs one cache
         pass, not 200.  Returns ``{key: outcome}`` for the hits; every
-        *occurrence* in ``keys`` counts toward hit/miss stats exactly
-        as per-key :meth:`get` calls would have.
+        *occurrence* in ``keys`` counts one hit or one miss.  A pack
+        record that does not rehydrate is a miss.
         """
         unique = list(dict.fromkeys(keys))
-        mem_payloads: Dict[str, dict] = {}
-        if self.memory is not None and unique:
-            mem_payloads = self.memory.get_many(unique)
         outcomes: Dict[str, CachedOutcome] = {}
         tiers: Dict[str, str] = {}
-        for key, payload in mem_payloads.items():
-            # Hot-tier payloads were validated on the way in.
-            outcomes[key] = payload_to_outcome(payload)
-            tiers[key] = "memory"
-        remaining = [k for k in unique if k not in mem_payloads]
+        if self.memory is not None and unique:
+            for key, payload in self.memory.get_many(unique).items():
+                # Hot-tier payloads were validated on the way in.
+                outcomes[key] = payload_to_outcome(payload)
+                tiers[key] = "memory"
+        remaining = [k for k in unique if k not in outcomes]
         writeback: List[Tuple[str, dict, Optional[int]]] = []
         if remaining:
             with self._lock:
                 for key in remaining:
-                    payload, tier = self._disk_lookup_locked(key)
+                    payload = self.packs.lookup(key)
                     if payload is None:
                         continue
                     try:
-                        outcome = payload_to_outcome(payload)
-                    except (KeyError, TypeError) as exc:
-                        # Structurally bad despite a plausible "kind":
-                        # same treatment as single-key get() — legacy
-                        # bytes are quarantined, pack records just miss.
-                        if tier == "disk":
-                            self._quarantine(key, exc)
+                        outcomes[key] = payload_to_outcome(payload)
+                    except (KeyError, TypeError):
                         continue
-                    outcomes[key] = outcome
-                    tiers[key] = tier
+                    tiers[key] = "pack"
                     writeback.append((key, payload, None))
         if self.memory is not None and writeback:
             self.memory.put_many(writeback)
             self._note_evictions()
-        # Per-occurrence accounting, to match a loop of get() calls —
-        # but aggregated into one counter increment per tier, so the
-        # bookkeeping itself stays O(tiers), not O(keys).
-        tier_counts = {"memory": 0, "pack": 0, "disk": 0}
+        # Per-occurrence accounting, aggregated into one counter
+        # increment per tier, so the bookkeeping stays O(tiers).
+        tier_counts = {"memory": 0, "pack": 0}
         misses = 0
         for key in keys:
             tier = tiers.get(key)
@@ -398,124 +360,14 @@ class SimulationCache:
                                  tier=tier).inc(count)
         return outcomes
 
-    def _disk_lookup_locked(self, key: str,
-                            ) -> Tuple[Optional[dict], str]:
-        """Resolve ``key`` against the pack index, then the legacy
-        file.  Returns ``(payload, tier)``; ``(None, "")`` for a miss.
-        Caller holds the lock."""
-        if key in self.packs:
-            payload = self.packs.lookup(key)
-            if payload is not None and "kind" in payload:
-                return payload, "pack"
-            # A torn record already dropped itself from the index; fall
-            # through to the legacy file, which may still hold the key.
-        try:
-            with open(self.path_for(key), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict) \
-                    or payload.get("kind") not in (
-                        "result", "oom", "predicted", "advisor-shard"):
-                raise KeyError(payload.get("kind")
-                               if isinstance(payload, dict) else None)
-        except FileNotFoundError:
-            return None, ""
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            self._quarantine(key, exc)
-            return None, ""
-        return payload, "disk"
-
-    def _count_hit(self, key: str, payload: dict, tier: str,
-                   write_through: bool = True) -> CachedOutcome:
-        """Book one hit: stats, telemetry, hot-tier write-through."""
-        try:
-            outcome = payload_to_outcome(payload)
-        except (KeyError, TypeError) as exc:
-            # A structurally-bad payload that slipped past the tier
-            # checks (e.g. a hand-edited legacy file with the right
-            # "kind" but missing fields): treat exactly like the old
-            # single-tier code — quarantine legacy bytes, count a miss.
-            if tier == "disk":
-                with self._lock:
-                    self._quarantine(key, exc)
-            self._count_miss()
-            return None  # type: ignore[return-value]
-        self.stats.hits += 1
-        if tier == "memory":
-            self.stats.memory_hits += 1
-        elif tier == "pack":
-            self.stats.pack_hits += 1
-        registry = get_registry()
-        registry.counter("cache_hits_total").inc()
-        registry.counter("cache_tier_hits_total", tier=tier).inc()
-        if write_through and self.memory is not None:
-            self.memory.put(key, payload)
-            self._note_evictions()
-        return outcome
-
-    def _count_miss(self) -> None:
-        self.stats.misses += 1
-        get_registry().counter("cache_misses_total").inc()
-
-    def _quarantine(self, key: str, exc: Exception) -> None:
-        """Move ``key``'s corrupt legacy file aside and count the
-        event."""
-        source = self.path_for(key)
-        if not os.path.exists(source):
-            return
-        quarantine_dir = os.path.join(self.directory, "quarantine")
-        with get_tracer().span("cache-quarantine", track="cache",
-                               key=key, reason=type(exc).__name__):
-            try:
-                os.makedirs(quarantine_dir, exist_ok=True)
-                os.replace(source,
-                           os.path.join(quarantine_dir, f"{key}.json"))
-            except OSError:
-                # A racing process beat us to it (or the FS is
-                # read-only); either way the lookup already counted as
-                # a miss.
-                return
-        self.stats.quarantined += 1
-        get_registry().counter("cache_quarantined_total").inc()
-        get_logger("cache").warning(
-            "cache.entry_quarantined", key=key,
-            reason=f"{type(exc).__name__}: {exc}",
-            moved_to=quarantine_dir)
-
     # ----- stores ------------------------------------------------------------
-
-    def put(self, key: str, outcome: CachedOutcome) -> None:
-        """Store ``outcome`` under ``key`` as a legacy per-key file,
-        atomically (write + rename), so a killed process can never
-        leave a half-written entry.  Write-through to the hot tier."""
-        payload = outcome_to_payload(outcome)
-        with self._lock:
-            fd, tmp_path = tempfile.mkstemp(dir=self.directory,
-                                            suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle)
-                os.replace(tmp_path, self.path_for(key))
-            finally:
-                # The rename can fail after the write succeeded (e.g.
-                # the target landed on another filesystem): without
-                # this, every such failure would leak one orphan .tmp
-                # file into the cache directory.
-                if os.path.exists(tmp_path):
-                    os.unlink(tmp_path)
-        if self.memory is not None:
-            self.memory.put(key, payload)
-            self._note_evictions()
-        self.stats.stores += 1
-        get_registry().counter("cache_stores_total").inc()
 
     def store_many(self, entries: Sequence[Tuple[str, CachedOutcome]],
                    ) -> None:
         """Store a whole batch: ONE pack append, ONE fsync, one lock.
 
-        This is the batch-granularity write path the engine uses for
-        its misses — entries land in the packed cold tier (and the hot
-        tier) instead of one file per key.  Duplicate keys keep the
-        last entry, matching a sequence of :meth:`put` calls.
+        Entries land in the pack tier and the hot tier.  Duplicate keys
+        keep the last entry.
         """
         if not entries:
             return
@@ -553,26 +405,13 @@ class SimulationCache:
         The pack index is already resident (loaded at open); this
         touches every indexed record so a cold server's first burst
         reads pre-faulted pages, and with ``memory=True`` (and the hot
-        tier enabled) loads payloads — packs first, then legacy files —
-        into the hot tier until its budget is full.  Returns counters
-        for the CLI to print.
+        tier enabled) loads payloads into the hot tier until its budget
+        is full.  Returns counters for the CLI to print.
         """
         memory = memory and self.memory is not None
         loaded = 0
         mem_loaded = 0
         skipped = 0
-
-        def admit(key: str, payload: dict) -> int:
-            # Best-effort hot-tier fill: stop charging once the global
-            # budget would overflow (per-shard eviction may still trim
-            # a little — preload warms, it does not guarantee pinning).
-            nbytes = payload_nbytes(payload)
-            assert self.memory is not None
-            if self.memory.current_bytes + nbytes > self.memory.max_bytes:
-                return 0
-            self.memory.put(key, payload, nbytes)
-            return 1
-
         with self._lock:
             for key in list(self.packs.index):
                 payload = self.packs.lookup(key)
@@ -580,18 +419,18 @@ class SimulationCache:
                     skipped += 1
                     continue
                 loaded += 1
-                if memory:
-                    mem_loaded += admit(key, payload)
-            if memory:
-                for key in self._legacy_keys():
-                    if key in self.packs:
-                        continue
-                    payload, tier = self._disk_lookup_locked(key)
-                    if payload is None:
-                        skipped += 1
-                        continue
-                    loaded += 1
-                    mem_loaded += admit(key, payload)
+                if not memory:
+                    continue
+                # Best-effort hot-tier fill: stop charging once the
+                # global budget would overflow (per-shard eviction may
+                # still trim a little — preload warms, it does not
+                # guarantee pinning).
+                assert self.memory is not None
+                nbytes = payload_nbytes(payload)
+                if self.memory.current_bytes + nbytes \
+                        <= self.memory.max_bytes:
+                    self.memory.put(key, payload, nbytes)
+                    mem_loaded += 1
         if self.memory is not None:
             self._note_evictions()
         return {"entries": loaded, "memory_entries": mem_loaded,
@@ -600,7 +439,7 @@ class SimulationCache:
     # ----- maintenance (repro cache …) ---------------------------------------
 
     def _legacy_keys(self) -> List[str]:
-        """Keys with a legacy per-key file (sidecars excluded)."""
+        """Keys with a per-key file (sidecars excluded)."""
         try:
             names = os.listdir(self.directory)
         except OSError:
@@ -608,67 +447,80 @@ class SimulationCache:
         return [name[:-len(".json")] for name in names
                 if LEGACY_ENTRY_PATTERN.match(name)]
 
+    def _read_legacy(self, key: str) -> Optional[dict]:
+        """``key``'s per-key payload, or ``None`` when the file is gone
+        (another process packed it).  Raises ``OSError``,
+        ``ValueError``, ``KeyError`` or ``TypeError`` when the file does
+        not hold a valid entry."""
+        try:
+            with open(self.path_for(key), "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except FileNotFoundError:
+            return None
+        payload_to_outcome(payload)  # validates structure
+        return payload
+
     def compact(self, batch_size: int = 256) -> Dict[str, int]:
-        """Pack the legacy per-key files and delete them.
+        """Pack the per-key files and delete them (run by every open of
+        a directory that holds any).
 
         Entries are read, appended to pack segments in ``batch_size``
         batches (one fsync each), and their per-key files removed only
         after the batch is durable — a kill mid-compaction loses no
-        data, it just leaves some files uncompacted.  Unreadable legacy
-        files are *reported and left in place* (no quarantine churn:
-        compaction is a maintenance pass, not a lookup).  Returns
-        counters for ``repro cache compact``.
+        data, it just leaves some files for the next open.  A file
+        whose key the pack already serves is a duplicate and is
+        deleted; an unreadable file is counted as ``corrupt`` and left
+        in place; a file that vanished was packed by another process.
+        The index is then reloaded under the pack lock, so keys that
+        process packed are hits here too.  Returns counters for
+        ``repro cache compact``.
         """
         packed = 0
         corrupt = 0
         with self._lock:
-            keys = [k for k in self._legacy_keys()
-                    if k not in self.packs]
-            duplicate = [k for k in self._legacy_keys()
-                         if k in self.packs]
             batch: List[Tuple[str, dict]] = []
+
+            def unlink(key: str) -> bool:
+                try:
+                    os.unlink(self.path_for(key))
+                except OSError:
+                    return False
+                return True
 
             def flush() -> int:
                 if not batch:
                     return 0
                 self.packs.append_many(batch)
                 for key, _ in batch:
-                    try:
-                        os.unlink(self.path_for(key))
-                    except OSError:
-                        pass
+                    unlink(key)
                 n = len(batch)
                 batch.clear()
                 return n
 
-            for key in keys:
+            for key in self._legacy_keys():
+                if self.packs.lookup(key) is not None:
+                    packed += unlink(key)
+                    continue
                 try:
-                    with open(self.path_for(key), "r",
-                              encoding="utf-8") as handle:
-                        payload = json.load(handle)
-                    payload_to_outcome(payload)  # validates structure
+                    payload = self._read_legacy(key)
                 except (OSError, ValueError, KeyError, TypeError):
                     corrupt += 1
+                    continue
+                if payload is None:
                     continue
                 batch.append((key, payload))
                 if len(batch) >= batch_size:
                     packed += flush()
             packed += flush()
-            # Per-key files whose keys the packs already hold are pure
-            # duplicates; drop them without re-packing.
-            for key in duplicate:
-                try:
-                    os.unlink(self.path_for(key))
-                except OSError:
-                    continue
-                packed += 1
+            self.packs.reload()
         return {"packed": packed, "corrupt": corrupt,
                 "segments": self.packs.info()["segments"]}
 
     def verify(self) -> Dict[str, int]:
-        """Re-read every entry in both disk tiers; mutate nothing.
+        """Re-read every entry on disk; mutate nothing.
 
-        Returns counters: legacy ``ok``/``corrupt``, the pack tier's
+        Returns counters: per-key ``ok``/``corrupt`` (files an open
+        left in place), the pack tier's
         :meth:`~repro.engine.pack.PackStore.verify` report, and the
         total.  ``repro cache verify`` exits non-zero when anything is
         corrupt or truncated, which is how the chaos tests prove a
@@ -679,13 +531,10 @@ class SimulationCache:
         with self._lock:
             for key in self._legacy_keys():
                 try:
-                    with open(self.path_for(key), "r",
-                              encoding="utf-8") as handle:
-                        payload_to_outcome(json.load(handle))
+                    if self._read_legacy(key) is not None:
+                        legacy_ok += 1
                 except (OSError, ValueError, KeyError, TypeError):
                     legacy_corrupt += 1
-                else:
-                    legacy_ok += 1
             pack_report = self.packs.verify()
         return {
             "legacy_ok": legacy_ok,
@@ -720,7 +569,6 @@ class SimulationCache:
                     "hits": self.stats.hits,
                     "misses": self.stats.misses,
                     "stores": self.stats.stores,
-                    "quarantined": self.stats.quarantined,
                     "memory_hits": self.stats.memory_hits,
                     "pack_hits": self.stats.pack_hits,
                     "evictions": self.stats.evictions,
@@ -739,13 +587,9 @@ class SimulationCache:
         """Membership probe that does not disturb the stats."""
         if self.memory is not None and key in self.memory:
             return True
-        if key in self.packs:
-            return True
-        return os.path.exists(self.path_for(key))
+        return key in self.packs
 
     def __len__(self) -> int:
-        """Distinct keys across the disk tiers (hot tier is a subset)."""
+        """Distinct keys in the pack tier (the hot tier is a subset)."""
         with self._lock:
-            keys = set(self._legacy_keys())
-            keys.update(self.packs.index)
-        return len(keys)
+            return len(self.packs)

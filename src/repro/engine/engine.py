@@ -514,11 +514,9 @@ class EngineStats:
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "cache_stores": self.cache.stores,
-            "cache_quarantined": self.cache.quarantined,
             "cache_hit_rate": self.cache.hit_rate,
             "cache_memory_hits": self.cache.memory_hits,
             "cache_pack_hits": self.cache.pack_hits,
-            "cache_disk_hits": self.cache.disk_hits,
             "cache_evictions": self.cache.evictions,
             "executed": self.executed,
             "jobs_completed": self.jobs_completed,

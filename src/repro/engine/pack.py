@@ -1,10 +1,9 @@
 """Packed cold tier: append-only segments plus an offset index.
 
-The legacy cache layout is one JSON file per key — simple, atomic, and
-painfully expensive at batch granularity: a 200-job engine batch pays
-200 ``open``/``write``/``rename`` round-trips (plus directory-entry
-churn) to store its misses.  The pack tier amortizes that to **one
-segment append and one fsync per batch**:
+One JSON file per key (the layout before this tier, which an open
+now packs) costs a 200-job engine batch 200 ``open``/``write``/
+``rename`` round-trips to store its misses.  The pack tier amortizes
+that to **one segment append and one fsync per batch**:
 
 * ``pack-000001.jsonl`` … — append-only *segments*.  Each line is a
   self-describing record ``{"k": <key>, "p": <payload>}`` in compact
@@ -20,7 +19,7 @@ flush can leave (a) a truncated segment tail the index never points at,
 or (b) index lines pointing past the segment's end — both are detected
 at load time (offsets validated against segment sizes, the torn last
 index line dropped) and surface as plain misses plus a ``truncated``
-count, never as corrupt outcomes and never as quarantine churn.
+count, never as corrupt outcomes.
 ``verify`` goes further and re-reads every record; ``scan`` rebuilds
 index entries straight from the segments.
 
@@ -32,7 +31,9 @@ fsync happen under it, so two appenders never pick the same new
 segment, never record each other's bytes as their own offsets, and
 never interleave index lines.  Each process still appends only to
 segments it created, so a segment torn by a killed process is never
-appended to.
+appended to.  A process's index is loaded once, at open;
+:meth:`PackStore.reload` re-reads it under the same lock to pick up
+what other processes appended since.
 """
 
 from __future__ import annotations
@@ -158,6 +159,14 @@ class PackStore:
                 continue
             self.index[key] = location
 
+    def reload(self) -> None:
+        """Re-read the index under the append lock, picking up the
+        records other processes appended since this store loaded it."""
+        with self._append_lock():
+            self.index = {}
+            self.truncated = 0
+            self._load_index()
+
     # ----- reads -------------------------------------------------------------
 
     def __contains__(self, key: str) -> bool:
@@ -179,7 +188,7 @@ class PackStore:
         A record that fails to read back (disappeared segment, torn
         bytes despite the load-time size check, malformed JSON) is
         dropped from the in-memory index and counted in ``truncated``;
-        the caller treats it as a miss — no quarantine, no churn.
+        the caller treats it as a miss.
         """
         location = self.index.get(key)
         if location is None:

@@ -1,14 +1,21 @@
-"""Tiered cache: hot/pack/legacy interplay, batched I/O, chaos."""
+"""Tiered cache: hot/pack interplay, packing legacy directories on
+open, batched I/O, chaos."""
 
 import json
+import multiprocessing
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.perf_model import PredictedTime
 from repro.engine import SimulationCache
-from repro.engine.cache import CacheStats, outcome_to_payload
+from repro.engine.cache import (
+    CacheStats,
+    outcome_to_payload,
+    payload_to_outcome,
+)
 from repro.engine.pack import INDEX_FILENAME, segment_name
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.simulator import TimingResult
@@ -29,17 +36,35 @@ def _keys(n, prefix=0):
     return [f"{prefix:032x}{i:032x}" for i in range(n)]
 
 
+def _write_legacy(directory, key, entry):
+    """Write ``key``'s per-key file the way a cache from before the
+    pack tier did: an outcome's JSON payload, or ``entry`` verbatim
+    when it is already text."""
+    os.makedirs(directory, exist_ok=True)
+    text = entry if isinstance(entry, str) \
+        else json.dumps(outcome_to_payload(entry))
+    with open(os.path.join(directory, f"{key}.json"), "w",
+              encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _per_key_files(directory):
+    return [n for n in os.listdir(directory)
+            if n.endswith(".json") and len(n) == 69]
+
+
 class TestTierEquivalence:
     def test_hits_identical_across_all_tiers(self, tmp_path):
         """The same key must rehydrate byte-identically whether it is
-        served hot, from a pack, or from a legacy file."""
+        served hot, from a pack, or from a legacy file packed on open."""
         key = "a" * 64
         outcome = _result(3)
 
         legacy_dir = tmp_path / "legacy"
-        legacy = SimulationCache(str(legacy_dir))
-        legacy.put(key, outcome)
-        from_legacy = SimulationCache(str(legacy_dir)).get(key)
+        _write_legacy(legacy_dir, key, outcome)
+        migrated = SimulationCache(str(legacy_dir))
+        from_legacy = migrated.get(key)
+        assert migrated.stats.pack_hits == 1
 
         pack_dir = tmp_path / "pack"
         packed = SimulationCache(str(pack_dir))
@@ -71,16 +96,18 @@ class TestTierEquivalence:
 
 class TestBatchedIO:
     def test_lookup_many_mixes_tiers(self, tmp_path):
-        cache = SimulationCache(str(tmp_path), memory_mb=4)
         keys = _keys(6)
+        for i, key in enumerate(keys[2:4], start=2):
+            _write_legacy(tmp_path, key, _predicted(i))  # packed on open
+        cache = SimulationCache(str(tmp_path), memory_mb=4)
         cache.store_many(
             [(k, _predicted(i)) for i, k in enumerate(keys[:2])])
-        for i, key in enumerate(keys[2:4], start=2):
-            cache.put(key, _predicted(i))
         found = cache.lookup_many(keys)
-        assert set(found) == set(keys[:4])
+        assert found == {k: _predicted(i) for i, k in enumerate(keys[:4])}
         assert cache.stats.hits == 4
         assert cache.stats.misses == 2
+        assert cache.stats.memory_hits == 2
+        assert cache.stats.pack_hits == 2
 
     def test_lookup_many_counts_per_occurrence(self, tmp_path):
         cache = SimulationCache(str(tmp_path))
@@ -166,8 +193,6 @@ class TestChaos:
         assert dropped, "the torn tail must not be served"
         for key in served:  # survivors rehydrate cleanly
             assert isinstance(survivor.get(key), TimingResult)
-        assert survivor.stats.quarantined == 0  # no quarantine churn
-        assert not (tmp_path / "quarantine").exists()
 
     def test_killed_mid_index_append_keeps_prior_entries(self, tmp_path):
         cache = SimulationCache(str(tmp_path))
@@ -180,76 +205,69 @@ class TestChaos:
         assert len(survivor) == 3
         assert survivor.verify()["pack_truncated"] == 1
 
-    def test_store_tempfile_cleaned_up_on_rename_failure(
-            self, tmp_path, monkeypatch):
-        """Regression: a failed atomic rename must not leak the
-        temporary file into the cache directory."""
-        cache = SimulationCache(str(tmp_path))
-
-        def exploding_replace(src, dst):
-            raise OSError("no rename for you")
-
-        monkeypatch.setattr(os, "replace", exploding_replace)
-        with pytest.raises(OSError):
-            cache.put("a" * 64, _predicted(1))
-        monkeypatch.undo()
-        leftovers = [n for n in os.listdir(tmp_path)
-                     if n.endswith(".tmp")]
-        assert leftovers == []
-
 
 class TestMaintenance:
     def _legacy_cache(self, tmp_path, n=5):
-        cache = SimulationCache(str(tmp_path))
-        for i, key in enumerate(_keys(n)):
-            cache.put(key, _predicted(i))
-        cache.close()
-        return _keys(n)
+        keys = _keys(n)
+        for i, key in enumerate(keys):
+            _write_legacy(tmp_path, key, _predicted(i))
+        return keys
 
     def test_compact_then_reserve_roundtrip(self, tmp_path):
         keys = self._legacy_cache(tmp_path)
-        cache = SimulationCache(str(tmp_path))
-        report = cache.compact()
-        assert report["packed"] == len(keys)
-        assert report["corrupt"] == 0
+        cache = SimulationCache(str(tmp_path))  # packs on open
+        assert cache.migrated["packed"] == len(keys)
+        assert cache.migrated["corrupt"] == 0
+        assert cache.compact()["packed"] == 0  # nothing left to pack
         assert cache.verify()["corrupt"] == 0
         cache.close()
         # No legacy files remain, yet every key still serves.
-        assert not [n for n in os.listdir(tmp_path)
-                    if n.endswith(".json") and len(n) == 69]
+        assert not _per_key_files(tmp_path)
         reopened = SimulationCache(str(tmp_path))
+        assert reopened.migrated is None
         for i, key in enumerate(keys):
             assert reopened.get(key) == _predicted(i)
 
     def test_compact_leaves_corrupt_files_in_place(self, tmp_path):
         keys = self._legacy_cache(tmp_path, n=3)
         bad = keys[1]
+        _write_legacy(tmp_path, bad, "{ nope")
         cache = SimulationCache(str(tmp_path))
-        with open(cache.path_for(bad), "w", encoding="utf-8") as handle:
-            handle.write("{ nope")
-        report = cache.compact()
-        assert report["packed"] == 2
-        assert report["corrupt"] == 1
+        assert cache.migrated["packed"] == 2
+        assert cache.migrated["corrupt"] == 1
         assert os.path.exists(cache.path_for(bad))  # left for forensics
         assert cache.verify()["legacy_corrupt"] == 1
+        assert cache.get(bad) is None  # never served
+        # Once the key is re-stored, the next open drops the bad file
+        # as a duplicate and the directory verifies clean.
+        cache.store_many([(bad, _predicted(1))])
+        cache.close()
+        reopened = SimulationCache(str(tmp_path))
+        assert not os.path.exists(reopened.path_for(bad))
+        assert reopened.verify()["corrupt"] == 0
+        assert reopened.get(bad) == _predicted(1)
 
     def test_compact_drops_duplicates_without_repacking(self, tmp_path):
-        cache = SimulationCache(str(tmp_path))
         key = "a" * 64
+        cache = SimulationCache(str(tmp_path))
         cache.store_many([(key, _predicted(1))])  # already packed
-        cache.put(key, _predicted(1))  # plus a legacy duplicate
-        report = cache.compact()
-        assert report["packed"] == 1
-        assert not os.path.exists(cache.path_for(key))
-        assert cache.get(key) == _predicted(1)
+        cache.close()
+        packed_bytes = (tmp_path / segment_name(1)).read_bytes()
+        _write_legacy(tmp_path, key, _predicted(1))  # legacy duplicate
+        reopened = SimulationCache(str(tmp_path))
+        assert reopened.migrated["packed"] == 1
+        assert not os.path.exists(reopened.path_for(key))
+        assert reopened.packs.info()["segments"] == 1
+        assert (tmp_path / segment_name(1)).read_bytes() == packed_bytes
+        assert reopened.get(key) == _predicted(1)
 
     def test_preload_warms_pack_index_and_memory(self, tmp_path):
         cache = SimulationCache(str(tmp_path), memory_mb=4)
         keys = _keys(4)
         cache.store_many(
             [(k, _predicted(i)) for i, k in enumerate(keys)])
-        cache.put("b" * 64, _predicted(9))  # legacy-only entry
         cache.close()
+        _write_legacy(tmp_path, "b" * 64, _predicted(9))  # legacy-only
 
         warm = SimulationCache(str(tmp_path), memory_mb=4)
         report = warm.preload(memory=True)
@@ -267,12 +285,13 @@ class TestMaintenance:
                           "skipped": 0}
 
     def test_info_snapshot_shape(self, tmp_path):
+        _write_legacy(tmp_path, "c" * 64, "{ nope")  # left in place
         cache = SimulationCache(str(tmp_path), memory_mb=1)
-        cache.store_many([("a" * 64, _predicted(1))])
-        cache.put("b" * 64, _predicted(2))
+        cache.store_many([("a" * 64, _predicted(1)),
+                          ("b" * 64, _predicted(2))])
         info = cache.info()
         assert info["legacy"]["entries"] == 1
-        assert info["pack"]["entries"] == 1
+        assert info["pack"]["entries"] == 2
         assert info["memory"]["entries"] == 2
         assert info["stats"]["stores"] == 2
         json.dumps(info)  # manifest-embeddable
@@ -284,9 +303,9 @@ class TestTierStats:
             == "3 hits / 1 misses (75% hit rate)"
 
     def test_describe_mentions_tiers_when_used(self):
-        text = CacheStats(hits=5, misses=0, memory_hits=2,
+        text = CacheStats(hits=4, misses=0, memory_hits=2,
                           pack_hits=2).describe()
-        assert "[2 mem / 2 pack / 1 disk]" in text
+        assert text.endswith("[2 mem / 2 pack]")
 
     def test_since_tracks_tier_counters(self):
         stats = CacheStats(hits=4, memory_hits=1, pack_hits=2,
@@ -310,3 +329,135 @@ class TestTierStats:
             [(k, _predicted(0)) for k in keys])
         assert cache.stats.evictions > 0
         assert cache.memory.evictions == cache.stats.evictions
+
+
+def _open_and_lookup(directory, keys, barrier, results):
+    """One of two processes opening a legacy-era directory together:
+    reports how many of ``keys`` it served as hits."""
+    barrier.wait()
+    cache = SimulationCache(directory)
+    found = cache.lookup_many(keys)
+    results.put((len(found), cache.stats.hits, cache.stats.misses,
+                 all(found[k] == _predicted(i) for i, k in enumerate(keys)
+                     if k in found)))
+    cache.close()
+
+
+class TestLegacyMigration:
+    @pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
+    def test_non_object_entry_is_corrupt_not_a_crash(self, tmp_path,
+                                                     text):
+        key = "a" * 64
+        _write_legacy(tmp_path, key, text)
+        _write_legacy(tmp_path, "b" * 64, _predicted(2))
+        cache = SimulationCache(str(tmp_path))
+        assert cache.migrated["packed"] == 1
+        assert cache.migrated["corrupt"] == 1
+        assert cache.get(key) is None
+        assert cache.get("b" * 64) == _predicted(2)
+        assert cache.verify()["legacy_corrupt"] == 1
+        assert cache.compact()["corrupt"] == 1
+        with pytest.raises(TypeError):
+            payload_to_outcome(json.loads(text))
+
+    def test_vanished_file_is_skipped_and_other_packs_become_hits(
+            self, tmp_path):
+        """Another process packs (and unlinks) a per-key file between
+        this process's listing and its read: the file is not counted as
+        corrupt, and the key the other process packed is a hit here."""
+        here = SimulationCache(str(tmp_path))
+        other = SimulationCache(str(tmp_path))
+        gone = "e" * 64
+        other.store_many([(gone, _predicted(5))])
+        other.close()
+        assert gone not in here  # index loaded before the other append
+        listed = here._legacy_keys
+        here._legacy_keys = lambda: listed() + [gone]
+        report = here.compact()
+        assert report == {"packed": 0, "corrupt": 0, "segments": 1}
+        assert here.get(gone) == _predicted(5)
+
+    def test_two_processes_migrate_one_directory(self, tmp_path):
+        keys = _keys(600)
+        for i, key in enumerate(keys):
+            _write_legacy(tmp_path, key, _predicted(i))
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        results = ctx.Queue()
+        procs = [ctx.Process(target=_open_and_lookup,
+                             args=(str(tmp_path), keys, barrier, results))
+                 for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        reports = [results.get(timeout=120) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=120)
+            assert proc.exitcode == 0
+        assert reports == [(len(keys), len(keys), 0, True)] * 2
+        assert not _per_key_files(tmp_path)
+        after = SimulationCache(str(tmp_path))
+        report = after.verify()
+        assert report["corrupt"] == 0
+        assert report["legacy_ok"] == 0
+        assert len(after) == len(keys)
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_mixed_directory_property(self, tmp_path, case):
+        """Seeded directories mixing legacy-only, pack-only and
+        both-tier keys, corrupt and non-object per-key files, and a torn
+        pack tail: after open every valid key rehydrates to what was
+        written, every corrupt key misses and is counted by verify, and
+        a second open packs nothing."""
+        rng = np.random.default_rng([2022, case])
+        keys = _keys(int(rng.integers(20, 60)), prefix=case)
+        written = {k: _result(i) if rng.random() < 0.5 else _predicted(i)
+                   for i, k in enumerate(keys)}
+        garbage = ["{ torn", "[]", '"x"', "1", "null"]
+        kinds = rng.choice(["legacy", "pack", "both", "corrupt",
+                            "corrupt+pack", "torn", "torn+legacy"],
+                           size=len(keys))
+        packed = [k for k, kind in zip(keys, kinds)
+                  if kind in ("pack", "both", "corrupt+pack")]
+        torn = [k for k, kind in zip(keys, kinds) if kind.startswith("torn")]
+
+        seed = SimulationCache(str(tmp_path))
+        seed.store_many([(k, written[k]) for k in packed])
+        if torn:
+            seed.store_many([(k, written[k]) for k in torn])
+            locations = [seed.packs.index[k] for k in torn]
+        seed.close()
+        cut_keys = set()
+        if torn:
+            # Tear the last batch at a random byte inside it.
+            segment = tmp_path / locations[0].segment
+            start = min(loc.offset for loc in locations)
+            raw = segment.read_bytes()
+            cut = int(rng.integers(start, len(raw)))
+            segment.write_bytes(raw[:cut])
+            cut_keys = {k for k, loc in zip(torn, locations)
+                        if loc.offset + loc.length > cut}
+        for key, kind in zip(keys, kinds):
+            if kind in ("legacy", "both", "torn+legacy"):
+                _write_legacy(tmp_path, key, written[key])
+            elif kind in ("corrupt", "corrupt+pack"):
+                _write_legacy(tmp_path, key,
+                              garbage[int(rng.integers(len(garbage)))])
+
+        cache = SimulationCache(str(tmp_path))
+        missing = {k for k, kind in zip(keys, kinds)
+                   if kind == "corrupt"
+                   or (kind == "torn" and k in cut_keys)}
+        found = cache.lookup_many(keys)
+        assert set(found) == set(keys) - missing
+        for key, outcome in found.items():
+            assert outcome == payload_to_outcome(
+                outcome_to_payload(written[key]))
+        report = cache.verify()
+        assert report["legacy_corrupt"] == sum(kinds == "corrupt")
+        assert report["legacy_ok"] == 0
+        assert report["pack_truncated"] == len(cut_keys)
+        cache.close()
+
+        again = SimulationCache(str(tmp_path))
+        assert (again.migrated or {"packed": 0})["packed"] == 0
+        assert set(again.lookup_many(keys)) == set(keys) - missing

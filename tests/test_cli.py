@@ -265,20 +265,38 @@ class TestCacheSubcommand:
         assert main(["cache", "verify", "--cache", str(cache_dir)]) == 1
         assert "FAILED" in capsys.readouterr().out
 
-    def test_compact_legacy_entries(self, capsys, tmp_path):
-        from repro.core.perf_model import PredictedTime
-        from repro.engine import SimulationCache
+    @staticmethod
+    def _legacy_dir(tmp_path, entry):
+        """A cache directory from before the pack tier: one per-key
+        file holding ``entry`` verbatim."""
         cache_dir = tmp_path / "legacy"
-        cache = SimulationCache(str(cache_dir))
-        cache.put("a" * 64, PredictedTime(total=1.0, compute=0.5,
-                                          encode_decode=0.1,
-                                          comm_exposed=0.4))
-        cache.close()
+        cache_dir.mkdir()
+        (cache_dir / ("a" * 64 + ".json")).write_text(entry)
+        return cache_dir
+
+    def test_compact_legacy_entries(self, capsys, tmp_path):
+        cache_dir = self._legacy_dir(tmp_path, json.dumps(
+            {"kind": "predicted", "total": 1.0, "compute": 0.5,
+             "encode_decode": 0.1, "comm_exposed": 0.4}))
         assert main(["cache", "compact", "--cache",
                      str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "compacted 1 legacy entries" in out
         assert not (cache_dir / ("a" * 64 + ".json")).exists()
+
+    @pytest.mark.parametrize("entry", ["[]", '"x"', "1", "null"])
+    def test_non_object_legacy_entry_fails_verify_cleanly(
+            self, capsys, tmp_path, entry):
+        cache_dir = self._legacy_dir(tmp_path, entry)
+        assert main(["cache", "verify", "--cache", str(cache_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "1 corrupt" in out and "FAILED" in out
+        assert main(["cache", "compact", "--cache",
+                     str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "compacted 0 legacy entries" in out
+        assert "1 corrupt left in place" in out
+        assert (cache_dir / ("a" * 64 + ".json")).exists()
 
     def test_missing_directory_is_an_error(self, capsys, tmp_path):
         assert main(["cache", "stats", "--cache",

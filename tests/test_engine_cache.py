@@ -111,18 +111,22 @@ class TestCacheRoundTrip:
         assert exc_info.value.required_bytes > 0
 
     def test_corrupt_entry_is_a_miss(self, base_job, tmp_path):
+        key = base_job.fingerprint()
+        entry = tmp_path / f"{key}.json"  # a legacy per-key file
+        entry.write_text("{ not json")
         cache = SimulationCache(str(tmp_path))
         engine = ExperimentEngine(cache=cache)
-        key = base_job.fingerprint()
-        with open(cache.path_for(key), "w", encoding="utf-8") as handle:
-            handle.write("{ not json")
         assert engine.run(base_job) is not None  # recomputed, re-stored
-        assert cache.stats.quarantined == 1
+        assert engine.executed == 1
+        assert cache.stats.misses == 1
+        assert cache.verify()["legacy_corrupt"] == 1
         # The re-store lands in the pack tier: a fresh cache instance
-        # over the same directory serves the key without re-simulating.
+        # over the same directory serves the key without re-simulating,
+        # and drops the corrupt file as a duplicate.
         reopened = SimulationCache(str(tmp_path))
         assert key in reopened
         assert reopened.get(key) is not None
+        assert not entry.exists()
 
     def test_len_and_contains(self, base_job, tmp_path):
         cache = SimulationCache(str(tmp_path))

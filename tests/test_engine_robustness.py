@@ -199,14 +199,14 @@ class TestTimeout:
         assert stats.failures == 0
 
 
-class TestCacheQuarantine:
+class TestCorruptCacheEntries:
     def _store_one(self, cache, job):
         engine = ExperimentEngine(cache=cache)
         engine.run_outcomes([job])
         return job.fingerprint()
 
-    def test_corrupt_entry_quarantined_and_reexecuted(self, tiny_model,
-                                                      tmp_path):
+    def test_corrupt_legacy_entry_missed_and_reexecuted(self, tiny_model,
+                                                        tmp_path):
         cache = SimulationCache(tmp_path)
         job = SimJob(model=tiny_model, cluster=cluster_for_gpus(4),
                      batch_size=4, iterations=6, warmup=1)
@@ -220,23 +220,23 @@ class TestCacheQuarantine:
         entry.write_text("{ truncated garbag")
 
         fresh = SimulationCache(tmp_path)
+        assert fresh.migrated["corrupt"] == 1
         assert fresh.get(key) is None
-        assert fresh.stats.quarantined == 1
-        assert not entry.exists()
-        assert (tmp_path / "quarantine" / f"{key}.json").exists()
-        assert "1 quarantined" in fresh.stats.describe()
+        assert fresh.stats.misses == 1
+        assert entry.exists()  # left in place, never served
         # The engine treats it as a miss and repopulates.
         engine = ExperimentEngine(cache=fresh)
         assert engine.run_outcomes([job])[0].ok
+        assert engine.executed == 1
         assert fresh.get(key) is not None
 
     def test_missing_entry_is_a_plain_miss(self, tmp_path):
         cache = SimulationCache(tmp_path)
         assert cache.get("0" * 64) is None
-        assert cache.stats.quarantined == 0
-        assert not (tmp_path / "quarantine").exists()
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        assert cache.verify()["entries"] == 0
 
     def test_healthy_describe_unchanged(self, tmp_path):
         cache = SimulationCache(tmp_path)
         cache.get("0" * 64)
-        assert "quarantined" not in cache.stats.describe()
+        assert cache.stats.describe() == "0 hits / 1 misses (0% hit rate)"

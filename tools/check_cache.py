@@ -11,16 +11,21 @@ directory:
   JSON file per key, no packs) — exactly what a pre-pack checkout
   would have left behind;
 * a warm run over the legacy directory must be all cache hits (zero
-  re-simulation) with the *identical* exhibit digest;
-* ``repro cache compact`` packs the legacy files, ``repro cache
-  verify`` must report every entry healthy, and no per-key files may
-  remain;
+  re-simulation) with the *identical* exhibit digest, every hit served
+  by the pack tier and no per-key file left: opening the directory
+  packed them;
+* ``repro cache compact`` must succeed, ``repro cache verify`` must
+  report every entry healthy, and no per-key files may remain;
 * a second warm run over the now-packed directory must again be all
   hits with the same digest — compaction changed the layout, not one
   byte of any outcome;
-* finally a real ``repro serve --cache-preload --cache-mem-mb`` boots
-  over the packed directory and its ``/healthz`` must show the hot
-  tier warm before any request arrived.
+* a real ``repro serve --cache-preload --cache-mem-mb`` boots over
+  the packed directory and its ``/healthz`` must show the hot tier
+  warm before any request arrived;
+* finally a legacy-era directory holding one non-object (``[]``) entry
+  must fail ``repro cache verify`` with its ``FAILED`` line and no
+  traceback, and a run over it must still succeed with the cold
+  digest.
 
 Exits non-zero with one problem per line on stderr, so the make target
 fails loudly and the CI log says exactly which guarantee broke.
@@ -61,6 +66,12 @@ def _manifest(cache_dir: str) -> Dict:
     with open(os.path.join(cache_dir, "manifest.json"),
               encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def _per_key_files(cache_dir: str) -> List[str]:
+    return [n for n in os.listdir(cache_dir)
+            if n.endswith(".json")
+            and len(n) == 69]  # 64-hex + ".json"
 
 
 def _run_exhibit(cache_dir: str, problems: List[str],
@@ -114,6 +125,15 @@ def check_roundtrip(workdir: str) -> List[str]:
         if warm_digest != digest:
             problems.append(
                 f"legacy warm digest {warm_digest} != cold {digest}")
+        if stats["cache_pack_hits"] != stats["cache_hits"]:
+            problems.append(
+                f"legacy warm run was not served by the pack tier: "
+                f"{stats['cache_pack_hits']} pack hits / "
+                f"{stats['cache_hits']} hits")
+        leftovers = _per_key_files(legacy_dir)
+        if leftovers:
+            problems.append(f"opening the legacy directory left "
+                            f"{len(leftovers)} per-key files")
 
     # --- 4. compact, then verify reports everything healthy
     proc = _repro("cache", "compact", "--cache", legacy_dir)
@@ -124,9 +144,7 @@ def check_roundtrip(workdir: str) -> List[str]:
     if proc.returncode != 0:
         problems.append(f"cache verify exited {proc.returncode}:\n"
                         f"{proc.stdout.strip()}")
-    leftovers = [n for n in os.listdir(legacy_dir)
-                 if n.endswith(".json")
-                 and len(n) == 69]  # 64-hex + ".json"
+    leftovers = _per_key_files(legacy_dir)
     if leftovers:
         problems.append(f"compact left {len(leftovers)} per-key files")
 
@@ -173,6 +191,26 @@ def check_roundtrip(workdir: str) -> List[str]:
     finally:
         server.terminate()
         server.wait(timeout=10)
+
+    # --- 7. a non-object entry fails verify cleanly, and runs still work
+    bad_dir = os.path.join(workdir, "non-object")
+    os.makedirs(bad_dir)
+    with open(os.path.join(bad_dir, f"{'0' * 64}.json"), "w",
+              encoding="utf-8") as handle:
+        handle.write("[]")
+    proc = _repro("cache", "verify", "--cache", bad_dir)
+    if proc.returncode != 1 or "FAILED" not in proc.stdout \
+            or "Traceback" in proc.stderr:
+        problems.append(
+            f"verify over a non-object entry exited {proc.returncode} "
+            f"(want 1 with a FAILED line, no traceback):\n"
+            f"{proc.stdout.strip()}\n{proc.stderr.strip()}")
+    bad = _run_exhibit(bad_dir, problems, "run over a non-object entry")
+    if bad is not None:
+        bad_digest = bad["results"]["exhibits"][EXHIBIT]["digest"]
+        if bad_digest != digest:
+            problems.append(f"digest over a non-object entry "
+                            f"{bad_digest} != cold {digest}")
     return problems
 
 
@@ -195,8 +233,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:
-        print(f"cache ok: legacy compatibility, compact, verify and a "
-              f"preloaded re-serve all byte-stable on {EXHIBIT}")
+        print(f"cache ok: legacy compatibility, compact, verify, a "
+              f"preloaded re-serve and a non-object entry all "
+              f"byte-stable on {EXHIBIT}")
     return 1 if problems else 0
 
 
