@@ -57,8 +57,10 @@ serve-smoke:
 	$(PYTHON) tools/check_serving.py
 
 ## the auto-advisor end to end: a default `repro advise` run sweeping
-## >= 1M configurations, byte-parity of sharded-parallel (--jobs 2)
-## vs serial output, and a `POST /v1/advise` round trip whose rendered
+## >= 1M configurations, the same sweep cold and warm on one --cache
+## directory (same bytes, directory under 1 MB), byte-parity of
+## sharded-parallel (--jobs 2) vs serial output, and a
+## `POST /v1/advise` round trip whose rendered
 ## report matches the offline CLI byte-for-byte
 advise-smoke:
 	$(PYTHON) tools/check_advise.py

@@ -12,11 +12,13 @@ which configurations are ever worth running on this cluster?* — by
    :mod:`repro.core.grid` kernels in bounded-memory *shards*
    (:class:`~repro.engine.advisorjobs.AdvisorShardJob`) dispatched
    across the :class:`~repro.engine.ExperimentEngine` process pool,
-3. reducing each shard with a vectorized sort-based Pareto sweep
-   (:func:`pareto_mask`, O(n log n), no per-point Python loop) over the
-   two objectives *iteration time* and *compression error*,
-4. merging shard frontiers (Pareto-of-Pareto-union equals
-   Pareto-of-union, so the merge is exact), and
+3. reducing each shard, in the worker that priced it, with a
+   vectorized sort-based Pareto sweep (:func:`pareto_mask`, O(n log n),
+   no per-point Python loop) over the two objectives *iteration time*
+   and *compression error* — a shard's error is constant, so only its
+   minimum-time points survive and only they travel back,
+4. merging shard frontiers in the parent (Pareto-of-Pareto-union
+   equals Pareto-of-union, so the merge is exact), and
 5. refining only frontier survivors with exact
    :func:`~repro.core.whatif.solve_crossover` break-even bandwidths,
    then ranking them at the calibrated operating point through the
@@ -391,48 +393,39 @@ def finish_sweep(plan: SweepPlan, outcomes: Sequence[Any],
                  ) -> AdvisorReport:
     """Reduce engine outcomes for ``plan.jobs`` into the final report.
 
-    Per-shard Pareto sweep, exact frontier merge, deterministic total
-    ordering, crossover refinement of frontier survivors, and the
-    shared ranking path at the calibrated operating point.  Pure
-    post-processing: byte-identical output for any sharding or
-    execution order of the same plan.
+    Each outcome carries its shard's Pareto survivors (the workers ran
+    the per-shard sweep); they are tagged with the shard's error,
+    merged by one global Pareto sweep, totally ordered, refined with
+    crossovers and ranked by the shared path at the calibrated
+    operating point.  Pure post-processing: byte-identical output for
+    any sharding or execution order of the same plan.
     """
     model, cluster = plan.model, plan.cluster
     sweep, schemes, inputs = plan.spec, plan.schemes, plan.inputs
     points = sweep.bandwidth_points
-    shard_t: List[np.ndarray] = []
-    shard_e: List[np.ndarray] = []
-    shard_ci: List[np.ndarray] = []
-    shard_p: List[np.ndarray] = []
-    shard_bw: List[np.ndarray] = []
+    t_all: List[float] = []
+    e_all: List[float] = []
+    where: List[Tuple[int, int, int]] = []  # (candidate, world size, bw)
     configs_priced = 0
     for (ci, p, error, start), outcome in zip(plan.meta, outcomes):
-        totals = np.asarray(outcome.unwrap().total_s, dtype=float)
-        configs_priced += totals.size
-        errors = np.full(totals.size, error)
-        keep = pareto_mask(totals, errors)
-        idx = np.flatnonzero(keep)
-        shard_t.append(totals[idx])
-        shard_e.append(errors[idx])
-        shard_ci.append(np.full(idx.size, ci, dtype=int))
-        shard_p.append(np.full(idx.size, p, dtype=int))
-        shard_bw.append(start + idx)
-    t_all = np.concatenate(shard_t)
-    e_all = np.concatenate(shard_e)
-    ci_all = np.concatenate(shard_ci)
-    p_all = np.concatenate(shard_p)
-    bw_all = np.concatenate(shard_bw)
-    survivors = np.flatnonzero(pareto_mask(t_all, e_all))
+        shard = outcome.unwrap()
+        configs_priced += shard.priced
+        t_all.extend(shard.total_s)
+        e_all.extend([error] * len(shard.offsets))
+        where.extend((ci, p, start + off) for off in shard.offsets)
+    survivors = np.flatnonzero(
+        pareto_mask(np.array(t_all, dtype=float),
+                    np.array(e_all, dtype=float)))
 
     bw_axis_gbps = np.linspace(sweep.min_bandwidth_gbps,
                                sweep.max_bandwidth_gbps, points)
     frontier = sorted(
         (FrontierPoint(
-            scheme_label=schemes[ci_all[i]].label,
-            world_size=int(p_all[i]),
-            bandwidth_gbps=float(bw_axis_gbps[bw_all[i]]),
-            time_s=float(t_all[i]),
-            error=float(e_all[i]))
+            scheme_label=schemes[where[i][0]].label,
+            world_size=int(where[i][1]),
+            bandwidth_gbps=float(bw_axis_gbps[where[i][2]]),
+            time_s=t_all[i],
+            error=e_all[i])
          for i in survivors),
         key=lambda pt: (pt.time_s, pt.error, pt.scheme_label,
                         pt.world_size, pt.bandwidth_gbps))
@@ -442,7 +435,7 @@ def finish_sweep(plan: SweepPlan, outcomes: Sequence[Any],
     label_order: List[str] = []
     scheme_by_label: Dict[str, Scheme] = {}
     for i in survivors:
-        scheme = schemes[ci_all[i]]
+        scheme = schemes[where[i][0]]
         if scheme.label not in scheme_by_label:
             scheme_by_label[scheme.label] = scheme
     for pt in frontier:

@@ -7,7 +7,8 @@ blow the :data:`repro.core.grid.MAX_GRID_POINTS` bound, so the sweep is
 sliced along its widest axis into *shards*: each
 :class:`AdvisorShardJob` prices one contiguous slice of the bandwidth
 axis for one (candidate, world size) pair through the grid kernels,
-bounded-memory by construction.
+bounded-memory by construction, and reduces the slice to its Pareto
+survivors where it was priced.
 
 Two properties make shards engine citizens like
 :class:`~repro.engine.modeljobs.ModelEvalJob`:
@@ -22,10 +23,13 @@ Two properties make shards engine citizens like
   submits one task per candidate (amortizing IPC over that candidate's
   shards) while each member still runs its own bounded grid call.
 
-Shard boundaries never change values: every shard slices the *same*
-full ``np.linspace`` bandwidth axis, so the concatenation of shard
-totals is bit-identical to one monolithic grid evaluation — which is
-what makes sharded-parallel advise output byte-identical to serial.
+The in-shard reduction is exact: a shard holds one candidate at one
+world size, so its compression error is one constant and its Pareto
+survivors are its minimum-time points; a point dominated inside its
+shard is dominated in the whole sweep, so the parent's merge of the
+survivors loses nothing.  Shard boundaries never change values either: every shard slices the *same* full ``np.linspace``
+bandwidth axis, so sharded-parallel advise output is byte-identical to
+serial.
 """
 
 from __future__ import annotations
@@ -55,13 +59,17 @@ from .fingerprint import (
 
 @dataclass(frozen=True)
 class AdvisorShardResult:
-    """What one shard produced: predicted iteration seconds per point.
+    """What one shard produced: its Pareto survivors.
 
-    ``total_s[i]`` is the model's total at the shard's ``i``-th
-    bandwidth point (plain Python floats, so the cache's JSON round
-    trip preserves them exactly).
+    ``priced`` counts the cells the shard evaluated; ``offsets[i]`` is
+    the ``i``-th survivor's bandwidth index within the shard (ascending)
+    and ``total_s[i]`` its predicted iteration seconds.  Plain Python
+    ints and floats, so the cache's JSON round trip preserves them
+    exactly.
     """
 
+    priced: int
+    offsets: Tuple[int, ...]
     total_s: Tuple[float, ...]
 
 
@@ -117,12 +125,6 @@ class AdvisorShardJob:
                            self.bw_points) * GIGA / 8.0
         return full[self.start:self.start + self.count]
 
-    def bandwidth_axis_gbps(self) -> np.ndarray:
-        """This shard's bandwidth points in Gbit/s (for labelling)."""
-        full = np.linspace(self.bw_lo_gbps, self.bw_hi_gbps,
-                           self.bw_points)
-        return full[self.start:self.start + self.count]
-
     def _spec_payload(self) -> Dict[str, Any]:
         """The members fingerprint and family key share."""
         return {
@@ -134,7 +136,7 @@ class AdvisorShardJob:
         }
 
     def fingerprint(self) -> str:
-        """Content hash identifying this shard's totals.
+        """Content hash identifying this shard's result.
 
         Shares the cache namespace with simulation and model-eval jobs
         without colliding: the payload leads with a distinct ``kind``.
@@ -172,7 +174,14 @@ class AdvisorShardJob:
         return digest(payload)
 
     def evaluate(self) -> AdvisorShardResult:
-        """Price this shard: one bounded grid-kernel call."""
+        """Price this shard with one bounded grid-kernel call and keep
+        its Pareto survivors.
+
+        The error column is constant across the shard, so the survivors
+        do not depend on its value: any constant stands in for the
+        candidate's error.
+        """
+        from ..analysis.advisor import pareto_mask  # local import avoids cycle
         bw = self.bandwidth_axis()
         if self.scheme is None:
             grid = syncsgd_time_grid(
@@ -183,8 +192,11 @@ class AdvisorShardJob:
                 self.model, self.scheme, self.inputs, self.gpu,
                 self.profile, bandwidth_bytes_per_s=bw,
                 world_size=self.world_size)
-        return AdvisorShardResult(
-            total_s=tuple(float(t) for t in grid.total))
+        totals = grid.total
+        keep = np.flatnonzero(pareto_mask(totals, np.zeros(totals.size)))
+        return AdvisorShardResult(priced=int(totals.size),
+                                  offsets=tuple(keep.tolist()),
+                                  total_s=tuple(totals[keep].tolist()))
 
     def describe(self) -> str:
         """Short human label for logs and error messages."""
@@ -209,11 +221,11 @@ class AdvisorShardOutcome:
 
     @property
     def ok(self) -> bool:
-        """Whether shard totals came back."""
+        """Whether the shard's survivors came back."""
         return self.result is not None
 
     def unwrap(self) -> AdvisorShardResult:
-        """The totals, or re-raise the evaluation's failure."""
+        """The survivors, or re-raise the evaluation's failure."""
         if self.error is not None:
             raise self.error
         assert self.result is not None
@@ -222,7 +234,8 @@ class AdvisorShardOutcome:
 
 def evaluate_advisor_family(jobs: Sequence[AdvisorShardJob],
                             ) -> List[AdvisorShardResult]:
-    """Evaluate one candidate's shards in order.
+    """Evaluate one candidate's shards in order, each reduced to its
+    Pareto survivors before it leaves the worker.
 
     Unlike a model-eval family (one grid call for the whole family),
     each shard keeps its own bounded grid call — the family exists to

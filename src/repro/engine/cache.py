@@ -55,7 +55,7 @@ from .pack import PackStore
 
 #: What a cache lookup can yield: a simulated result, the deterministic
 #: OOM, a closed-form model prediction (``ModelEvalJob`` entries), or
-#: an advisor pricing shard (``AdvisorShardJob`` entries).
+#: an advisor shard's Pareto survivors (``AdvisorShardJob`` entries).
 CachedOutcome = Union[TimingResult, OutOfMemoryError, PredictedTime,
                       AdvisorShardResult]
 
@@ -186,21 +186,27 @@ def payload_to_predicted(payload: dict) -> PredictedTime:
 
 
 def advisor_shard_to_payload(shard: AdvisorShardResult) -> dict:
-    """JSON-serializable form of an advisor pricing-shard cache entry.
+    """JSON-serializable form of an advisor shard's Pareto survivors.
 
     Like :func:`predicted_to_payload`, the floats survive the JSON
     round trip exactly, so a warm-cache ``repro advise`` reproduces its
-    cold run byte for byte.
+    cold run byte for byte.  The kind is ``advisor-frontier``: records
+    of the retired ``advisor-shard`` kind (every total of the shard)
+    do not rehydrate, so they read as misses and are re-priced.
     """
     return {
-        "kind": "advisor-shard",
+        "kind": "advisor-frontier",
+        "priced": shard.priced,
+        "offsets": list(shard.offsets),
         "total_s": list(shard.total_s),
     }
 
 
 def payload_to_advisor_shard(payload: dict) -> AdvisorShardResult:
     """Inverse of :func:`advisor_shard_to_payload`."""
-    return AdvisorShardResult(total_s=tuple(payload["total_s"]))
+    return AdvisorShardResult(priced=payload["priced"],
+                              offsets=tuple(payload["offsets"]),
+                              total_s=tuple(payload["total_s"]))
 
 
 def outcome_to_payload(outcome: CachedOutcome) -> dict:
@@ -229,7 +235,7 @@ def payload_to_outcome(payload: dict) -> CachedOutcome:
         return payload_to_oom(payload)
     if kind == "predicted":
         return payload_to_predicted(payload)
-    if kind == "advisor-shard":
+    if kind == "advisor-frontier":
         return payload_to_advisor_shard(payload)
     raise KeyError(kind)
 

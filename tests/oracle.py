@@ -6,7 +6,8 @@ per-iteration spec of the same DDP semantics.  :func:`event_run` loops
 the spec over the paper's protocol, so tests can assert that ``run()``
 reproduces it bit for bit.
 
-It also keeps the reference cache-key builders (below).
+It also keeps the reference cache-key builders and the advisor
+sweep's unsharded reduction (below).
 """
 
 import hashlib
@@ -15,7 +16,18 @@ from dataclasses import asdict
 
 import numpy as np
 
+from repro.analysis.advisor import (
+    AdvisorReport,
+    FrontierPoint,
+    pareto_mask,
+    plan_sweep,
+)
+from repro.compression.schemes import SyncSGDScheme
+from repro.core.advisor import recommend_for_inputs
+from repro.core.grid import compressed_time_grid
+from repro.core.whatif import solve_crossover
 from repro.simulator import DDPConfig, TimingResult
+from repro.units import GIGA
 
 
 def event_run(sim, batch_size=None, iterations=110, warmup=10, seed=0):
@@ -277,3 +289,75 @@ def oracle_family_key(job):
     """What ``job.family_key()`` must return: the digest of the family
     payload, for every job kind."""
     return _sha(_canonical(_KEY_PAYLOADS[type(job).__name__][1](job)))
+
+
+# ----- advisor sweep oracle --------------------------------------------------
+#
+# The sweep's reduction as it ran before shards reduced in the worker:
+# every feasible (candidate, world size) pair priced over the whole
+# bandwidth axis, each total tagged with its pair's error, and one
+# Pareto sweep over the union of every priced cell.
+
+
+def advise_oracle(model, cluster, spec, candidates=None, batch_size=None):
+    """What ``advise(model, cluster, ...)`` must report, with no shards.
+
+    Planning (calibration, the memory screen, each pair's error) is
+    ``plan_sweep``'s; only its shard expansion is ignored — one grid
+    call per pair covers the full axis.
+    """
+    plan = plan_sweep(model, cluster, batch_size=batch_size,
+                      candidates=candidates, spec=spec)
+    bw_gbps = np.linspace(spec.min_bandwidth_gbps, spec.max_bandwidth_gbps,
+                          spec.bandwidth_points)
+    pairs = dict.fromkeys((ci, p, error) for ci, p, error, _ in plan.meta)
+    times, errors, tags = [], [], []
+    for ci, p, error in pairs:
+        total = compressed_time_grid(
+            model, plan.schemes[ci], plan.inputs, cluster.gpu,
+            bandwidth_bytes_per_s=bw_gbps * GIGA / 8.0,
+            world_size=p).total
+        times.append(total)
+        errors.append(np.full(total.size, error))
+        tags.extend((plan.schemes[ci], p, i) for i in range(total.size))
+    t = np.concatenate(times)
+    e = np.concatenate(errors)
+    keep = np.flatnonzero(pareto_mask(t, e))
+
+    frontier = sorted(
+        (FrontierPoint(scheme_label=tags[i][0].label,
+                       world_size=int(tags[i][1]),
+                       bandwidth_gbps=float(bw_gbps[tags[i][2]]),
+                       time_s=float(t[i]), error=float(e[i]))
+         for i in keep),
+        key=lambda pt: (pt.time_s, pt.error, pt.scheme_label,
+                        pt.world_size, pt.bandwidth_gbps))
+    by_label = {}
+    for i in keep:
+        by_label.setdefault(tags[i][0].label, tags[i][0])
+    labels = list(dict.fromkeys(pt.scheme_label for pt in frontier))
+    crossovers = tuple(
+        (label, solve_crossover(model, by_label[label], plan.inputs,
+                                spec.min_bandwidth_gbps,
+                                spec.max_bandwidth_gbps, gpu=cluster.gpu))
+        for label in labels
+        if not isinstance(by_label[label], SyncSGDScheme))
+    return AdvisorReport(
+        model=model.name,
+        cluster=cluster.describe(),
+        world_size=plan.inputs.world_size,
+        bandwidth_gbps=plan.inputs.bandwidth_bytes_per_s * 8 / 1e9,
+        spec=spec,
+        candidates_total=len(plan.schemes),
+        configs_total=(len(plan.schemes) * len(spec.world_sizes)
+                       * spec.bandwidth_points),
+        configs_priced=int(t.size),
+        shards=len(plan.jobs),
+        infeasible_pairs=plan.infeasible_pairs,
+        frontier=tuple(frontier),
+        crossovers=crossovers,
+        recommendation=recommend_for_inputs(
+            model, plan.inputs,
+            candidates=[by_label[label] for label in labels],
+            gpu=cluster.gpu),
+    )

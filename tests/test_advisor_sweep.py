@@ -17,6 +17,7 @@ from repro.analysis import (
     candidate_grid,
     compression_error,
     finish_sweep,
+    pareto_mask,
     plan_sweep,
 )
 from repro.cli import main
@@ -30,13 +31,16 @@ from repro.engine import (
     AdvisorShardJob,
     AdvisorShardResult,
     ExperimentEngine,
+    PackStore,
     SimulationCache,
 )
 from repro.engine.cache import outcome_to_payload, payload_to_outcome
 from repro.errors import ConfigurationError
 from repro.hardware import cluster_for_gpus
-from repro.models import get_model
+from repro.models import available_models, get_model
 from repro.units import gbps_to_bytes_per_s
+
+from .oracle import advise_oracle
 
 SMALL = SweepSpec(world_sizes=(8, 16), bandwidth_points=32,
                   shard_points=16)
@@ -121,20 +125,30 @@ class TestAdvisorShardJob:
                             bw_points=8, start=0, count=8)
 
     def test_shard_concatenation_is_bit_identical_to_monolithic(self):
+        # Each shard's survivors are exactly the Pareto sweep of its
+        # slice of one monolithic grid call (constant error column),
+        # bit for bit, and the shards together price the whole axis.
         model = get_model("resnet50")
         inputs = small_inputs()
         points = 32
         bw = np.linspace(1.0, 30.0, points) * 1e9 / 8.0
         mono = syncsgd_time_grid(model, inputs,
                                  bandwidth_bytes_per_s=bw, world_size=8)
-        pieces = []
+        priced = 0
         for start in range(0, points, 10):
+            count = min(10, points - start)
             job = AdvisorShardJob(
                 model=model, scheme=None, inputs=inputs, world_size=8,
                 bw_lo_gbps=1.0, bw_hi_gbps=30.0, bw_points=points,
-                start=start, count=min(10, points - start))
-            pieces.extend(job.evaluate().total_s)
-        assert pieces == [float(t) for t in mono.total]
+                start=start, count=count)
+            shard = job.evaluate()
+            piece = mono.total[start:start + count]
+            keep = np.flatnonzero(pareto_mask(piece, np.full(count, 0.5)))
+            assert [start + off for off in shard.offsets] \
+                == (start + keep).tolist()
+            assert shard.total_s == tuple(float(t) for t in piece[keep])
+            priced += shard.priced
+        assert priced == points
 
     def test_fingerprint_distinguishes_slices(self):
         model = get_model("resnet50")
@@ -149,11 +163,23 @@ class TestAdvisorShardJob:
 
 class TestShardCacheRoundtrip:
     def test_payload_roundtrip(self):
-        result = AdvisorShardResult(total_s=(0.125, 0.25, 0.0625))
+        result = AdvisorShardResult(priced=4096, offsets=(7, 4095),
+                                    total_s=(0.125, 0.0625))
         payload = outcome_to_payload(result)
-        assert payload["kind"] == "advisor-shard"
+        assert payload == {"kind": "advisor-frontier", "priced": 4096,
+                           "offsets": [7, 4095],
+                           "total_s": [0.125, 0.0625]}
         back = payload_to_outcome(payload)
         assert back == result
+        assert isinstance(back.offsets, tuple)
+        assert isinstance(back.total_s, tuple)
+
+    def test_full_totals_payload_is_a_miss_not_a_misread(self):
+        # The kind that carried every total of a shard no longer
+        # rehydrates, so the cache reads such a record as a miss.
+        with pytest.raises(KeyError):
+            payload_to_outcome({"kind": "advisor-shard",
+                                "total_s": [0.125, 0.25]})
 
     def test_engine_cache_hits(self, tmp_path):
         model = get_model("resnet50")
@@ -167,8 +193,44 @@ class TestShardCacheRoundtrip:
         assert not first[0].cached
         second = engine.run_advisor_outcomes([job])
         assert second[0].cached
-        assert second[0].unwrap().total_s == first[0].unwrap().total_s
+        assert second[0].unwrap() == first[0].unwrap()
         cache.close()
+
+    def test_full_totals_records_are_repriced(self, tmp_path, capsys):
+        # A directory filled before shards reduced in the worker holds
+        # one ``advisor-shard`` record (every total of the slice) per
+        # shard key.  Those records are misses: the sweep re-prices
+        # every shard, renders what an uncached run renders, and the
+        # re-stored records win over the old ones on the next open.
+        model = get_model("resnet50")
+        cluster = cluster_for_gpus(32)
+        plan = plan_sweep(model, cluster, spec=SMALL)
+        directory = str(tmp_path)
+        old = PackStore(directory)
+        # Deliberately wrong totals: a misread would change the report.
+        old.append_many((job.fingerprint(),
+                         {"kind": "advisor-shard",
+                          "total_s": [1e-6] * job.count})
+                        for job in plan.jobs)
+        old.close()
+        uncached = advise(model, cluster, spec=SMALL).render()
+
+        cache = SimulationCache(directory)
+        engine = ExperimentEngine(cache=cache)
+        assert advise(model, cluster, spec=SMALL,
+                      engine=engine).render() == uncached
+        cache.close()
+        assert engine.executed == len(plan.jobs)
+
+        cache = SimulationCache(directory)
+        engine = ExperimentEngine(cache=cache)
+        assert advise(model, cluster, spec=SMALL,
+                      engine=engine).render() == uncached
+        cache.close()
+        assert engine.executed == 0
+
+        assert main(["cache", "verify", "--cache", directory]) == 0
+        assert "OK:" in capsys.readouterr().out
 
 
 class TestAdviseDeterminism:
@@ -204,6 +266,57 @@ class TestAdviseDeterminism:
         parallel = capsys.readouterr().out
         assert serial == parallel
         assert "Pareto frontier" in serial
+
+
+def draw_sweep(rng):
+    """One random sweep: a zoo model on a random cluster, a random
+    subset of candidates and world sizes, and an axis of 2–512 points
+    cut into shards of 1 to all of them (log-uniform, so small shards
+    are common).  About a third of the axes
+    span only a few ulps, so bandwidths repeat and totals tie."""
+    models = available_models()
+    grid = candidate_grid()
+    sizes = (8, 16, 32, 64)
+    picks = rng.choice(len(grid), size=int(rng.integers(1, 7)),
+                       replace=False)
+    worlds = rng.choice(sizes, size=int(rng.integers(1, 5)),
+                        replace=False)
+    points = int(rng.integers(2, 513))
+    lo = float(rng.uniform(0.5, 5.0))
+    width = (lo * 1e-15 * int(rng.integers(1, 9)) if rng.random() < 0.35
+             else float(rng.uniform(1.0, 60.0)))
+    spec = SweepSpec(world_sizes=tuple(sorted(int(p) for p in worlds)),
+                     min_bandwidth_gbps=lo, max_bandwidth_gbps=lo + width,
+                     bandwidth_points=points,
+                     shard_points=max(1, round(points ** rng.random())))
+    return (get_model(models[rng.integers(len(models))]),
+            cluster_for_gpus(int(rng.choice(sizes))),
+            [grid[i] for i in sorted(picks)], spec)
+
+
+def report_or_error(fn):
+    """A report's dict and rendering, or the configuration error."""
+    try:
+        report = fn()
+    except ConfigurationError as exc:
+        return ("error", str(exc))
+    return ("ok", report.to_dict(), report.render())
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sharded_sweep_equals_unsharded_oracle(self, seed):
+        # Worker-side shard reduction plus the parent's merge must give
+        # exactly the report of one Pareto sweep over every priced cell.
+        rng = np.random.default_rng([2022, seed])
+        model, cluster, candidates, spec = draw_sweep(rng)
+        engine = ExperimentEngine(jobs=2 if seed < 2 else 1)
+        got = report_or_error(lambda: advise(
+            model, cluster, candidates=candidates, spec=spec,
+            engine=engine))
+        want = report_or_error(lambda: advise_oracle(
+            model, cluster, spec, candidates=candidates))
+        assert got == want
 
 
 class TestSweepSemantics:

@@ -381,7 +381,7 @@ def _per_key_lookup(directory: str, keys: List[str]) -> Dict[str, object]:
         except FileNotFoundError:
             continue
         if isinstance(payload, dict) and payload.get("kind") in (
-                "result", "oom", "predicted", "advisor-shard"):
+                "result", "oom", "predicted", "advisor-frontier"):
             outcomes[key] = payload_to_outcome(payload)
     return outcomes
 

@@ -10,6 +10,10 @@ points:
   the syncsgd baseline;
 * the sharded-parallel run (``--jobs 2``) produces **byte-identical
   stdout** to the serial run;
+* the default sweep run cold and then warm against one ``--cache``
+  directory prints **byte-identical stdout** to the uncached run, and
+  leaves the directory **under 1 MB** (shards cache their Pareto
+  survivors, not every priced total);
 * a real ``repro serve`` instance answers ``POST /v1/advise`` with
   ``status: done``, a frontier, and a rendered report **byte-identical
   to the offline CLI** for the same (serving-sized) grid.
@@ -25,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import urllib.request
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -33,6 +38,10 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 #: Floor on the configurations a default ``repro advise`` run sweeps.
 MIN_CONFIGS = 1_000_000
+
+#: Ceiling on the bytes a default ``repro advise --cache DIR`` sweep
+#: leaves in ``DIR``.
+MAX_CACHE_BYTES = 1_000_000
 
 #: Serving-sized grid driven through both the CLI and ``/v1/advise``
 #: for the byte-parity check (small enough for interactive latency).
@@ -83,6 +92,8 @@ def check_cli() -> Tuple[List[str], str]:
         problems.append("default advise frontier lost the syncsgd "
                         "baseline")
 
+    problems += check_cache(full.stdout)
+
     # --- sharded-parallel output is byte-identical to serial
     serial = _run_advise(_parity_argv(jobs=1))
     parallel = _run_advise(_parity_argv(jobs=2))
@@ -95,6 +106,30 @@ def check_cli() -> Tuple[List[str], str]:
             f"--- serial ---\n{serial.stdout}\n"
             f"--- parallel ---\n{parallel.stdout}")
     return problems, serial.stdout
+
+
+def check_cache(uncached_stdout: str) -> List[str]:
+    """Cold then warm default sweep on one cache directory: the same
+    bytes as the uncached run, and a directory under the ceiling."""
+    problems: List[str] = []
+    with tempfile.TemporaryDirectory() as directory:
+        for run in ("cold", "warm"):
+            cached = _run_advise(["--cache", directory])
+            if cached.returncode != 0:
+                problems.append(f"{run} --cache advise failed: "
+                                f"{cached.stderr}")
+                return problems
+            if cached.stdout != uncached_stdout:
+                problems.append(
+                    f"{run} --cache advise output differs from the "
+                    f"uncached run:\n--- uncached ---\n{uncached_stdout}"
+                    f"\n--- {run} ---\n{cached.stdout}")
+        size = sum(entry.stat().st_size for entry in os.scandir(directory)
+                   if entry.is_file())
+    if size >= MAX_CACHE_BYTES:
+        problems.append(f"default advise cache holds {size:,} bytes "
+                        f"(>= {MAX_CACHE_BYTES:,})")
+    return problems
 
 
 def check_serving(base: str, offline_stdout: str) -> List[str]:
@@ -154,8 +189,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:
-        print(f"advise ok: {base} — million-config sweep, jobs parity, "
-              f"/v1/advise parity all verified")
+        print(f"advise ok: {base} — million-config sweep, cold/warm "
+              f"cache parity and size, jobs parity, /v1/advise parity "
+              f"all verified")
     return 1 if problems else 0
 
 
