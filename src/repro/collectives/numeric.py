@@ -1,13 +1,15 @@
 """Numeric collective implementations.
 
 These operate on a list of numpy arrays, one per (simulated) worker, and
-execute the *actual step structure* of each algorithm — chunking, ring
-neighbours, tree pairings — rather than calling ``np.sum`` and declaring
-victory.  That makes them slow but honest: the unit and property tests
-verify that ring all-reduce really is step-for-step equivalent to a sum,
-and that a non-associative "reduction" (e.g. majority vote) produces
-rank-dependent garbage if you force it through a ring — the paper's
-Table 1 criterion, demonstrated in code.
+reduce in the order each algorithm's step structure — chunking, ring
+neighbours, tree pairings — dictates, rather than calling ``np.sum`` and
+declaring victory.  The ring folds each chunk over the ranks in ring
+order with whole-buffer array ops, bit for bit what its 2(p-1) steps
+compute (see :func:`ring_allreduce`).  The unit and property tests
+verify that ring all-reduce really is a sum, and that a non-associative
+"reduction" (e.g. majority vote) produces rank-dependent garbage if you
+force it through a ring — the paper's Table 1 criterion, demonstrated in
+code.
 
 The distributed training substrate (:mod:`repro.training`) uses these to
 aggregate genuinely compressed gradients.
@@ -46,11 +48,21 @@ def ring_allreduce(arrays: Sequence[np.ndarray],
                    op: ReduceOp = _add) -> List[np.ndarray]:
     """Ring all-reduce: reduce-scatter then all-gather over a ring.
 
-    Each worker's flat buffer is split into ``p`` chunks.  During
-    reduce-scatter step ``s``, rank ``r`` sends chunk ``(r - s) mod p`` to
-    rank ``r+1`` and reduces the chunk arriving from ``r-1`` into its own
-    buffer.  After ``p-1`` steps each rank owns the fully reduced chunk
-    ``(r + 1) mod p``; the all-gather phase circulates those.
+    Each worker's flat buffer is split into ``p`` chunks at
+    ``linspace(0, n, p + 1)``.  During reduce-scatter step ``s``, rank
+    ``r`` sends chunk ``(r - s) mod p`` to rank ``r + 1``, which reduces
+    it into its own copy as ``op(own, incoming)``.  After ``p - 1`` steps
+    rank ``c - 1`` owns the fully reduced chunk ``c``; the all-gather
+    phase circulates those unchanged.
+
+    So chunk ``c`` starts at rank ``c`` and picks up the other ranks in
+    ring order: each of its elements is
+    ``op(x[c+p-1], ... op(x[c+2], op(x[c+1], x[c])))`` (ranks mod ``p``),
+    cast back to the input dtype after every ``op``.  The kernel keeps
+    exactly that fold.  It fills a ``(p, n)`` buffer with row ``s`` of
+    chunk ``c`` taken from rank ``(c + s) mod p``, then folds the rows
+    with ``p - 1`` full-length ``op`` calls and copies the last row into
+    the others.  The inputs are never written.
 
     Args:
         arrays: One array per rank (all same shape/dtype).
@@ -61,7 +73,7 @@ def ring_allreduce(arrays: Sequence[np.ndarray],
             with all-reduce) but produces order-dependent output.
 
     Returns:
-        One fully reduced array per rank (all equal for associative ops).
+        One fully reduced array per rank (all equal after the all-gather).
     """
     _check_inputs(arrays)
     p = len(arrays)
@@ -69,33 +81,22 @@ def ring_allreduce(arrays: Sequence[np.ndarray],
         return [arrays[0].copy()]
 
     shape = arrays[0].shape
-    flats = [np.array(a, copy=True).reshape(-1) for a in arrays]
+    flats = [np.asarray(a).reshape(-1) for a in arrays]
     n = flats[0].size
     bounds = np.linspace(0, n, p + 1).astype(int)
 
-    def chunk(rank: int, idx: int) -> np.ndarray:
-        return flats[rank][bounds[idx]:bounds[idx + 1]]
+    # Row s holds what chunk c meets at reduce-scatter step s - 1.
+    z = np.empty((p, n), dtype=arrays[0].dtype)
+    for c in range(p):
+        lo, hi = bounds[c], bounds[c + 1]
+        for s in range(p):
+            z[s, lo:hi] = flats[(c + s) % p][lo:hi]
+    for s in range(1, p):
+        z[s] = op(z[s], z[s - 1])
 
-    # Reduce-scatter: p-1 pipelined steps around the ring.
-    for step in range(p - 1):
-        # All sends in a step are logically simultaneous; buffer them
-        # before applying so rank order cannot leak into the result.
-        sends = [(rank, (rank - step) % p, chunk(rank, (rank - step) % p).copy())
-                 for rank in range(p)]
-        for src, idx, payload in sends:
-            dst = (src + 1) % p
-            seg = chunk(dst, idx)
-            seg[:] = op(seg, payload)
-
-    # All-gather: rank r owns reduced chunk (r + 1) mod p; circulate.
-    for step in range(p - 1):
-        sends = [(rank, (rank + 1 - step) % p, chunk(rank, (rank + 1 - step) % p).copy())
-                 for rank in range(p)]
-        for src, idx, payload in sends:
-            dst = (src + 1) % p
-            chunk(dst, idx)[:] = payload
-
-    return [f.reshape(shape) for f in flats]
+    # All-gather: every rank's row receives the reduced buffer.
+    z[:p - 1] = z[p - 1]
+    return [row.reshape(shape) for row in z]
 
 
 def tree_allreduce(arrays: Sequence[np.ndarray],

@@ -16,7 +16,7 @@ trade-off alongside the simulator's time predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,21 +86,31 @@ class DistributedTrainer:
             for name in model.param_names()
         }
 
-    def _worker_grads(self, batch_size: int, step: int,
-                      ) -> (float, List[Grads]):
-        """Each worker computes gradients on its own mini-batch."""
-        losses = []
-        all_grads: List[Grads] = []
+    def _worker_grads(self, batch_size: int,
+                      step: int) -> Tuple[float, List[Grads]]:
+        """Each worker computes gradients on its own mini-batch.
+
+        Equal-sized mini-batches go through one stacked
+        :meth:`MLP.loss_and_grads` call; otherwise each rank calls it on
+        its own batch.  Either way rank ``r`` gets exactly the gradients
+        of its batch alone.
+        """
+        xs, ys = [], []
         for rank, shard in enumerate(self.shards):
             rng = np.random.default_rng((self.seed, step, rank))
             idx = rng.choice(shard.num_samples,
                              size=min(batch_size, shard.num_samples),
                              replace=False)
-            loss, grads = self.model.loss_and_grads(shard.x[idx],
-                                                    shard.y[idx])
-            losses.append(loss)
-            all_grads.append(grads)
-        return float(np.mean(losses)), all_grads
+            xs.append(shard.x[idx])
+            ys.append(shard.y[idx])
+        if len({y.size for y in ys}) == 1:
+            losses, stacked = self.model.loss_and_grads(np.stack(xs),
+                                                        np.stack(ys))
+            all_grads = [{name: g[rank] for name, g in stacked.items()}
+                         for rank in range(self.num_workers)]
+        else:
+            losses, all_grads = zip(*map(self.model.loss_and_grads, xs, ys))
+        return float(np.mean(losses)), list(all_grads)
 
     def step(self, batch_size: int, step_index: int,
              history: TrainHistory) -> float:

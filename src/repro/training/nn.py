@@ -14,7 +14,7 @@ same granularity the aggregators operate at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -25,17 +25,23 @@ Grads = Dict[str, np.ndarray]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, numerically stabilized."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis, numerically stabilized."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log likelihood of integer ``labels``."""
-    n = probs.shape[0]
+def cross_entropy(probs: np.ndarray,
+                  labels: np.ndarray) -> Union[float, np.ndarray]:
+    """Mean negative log likelihood of integer ``labels``.
+
+    ``probs`` is ``(..., n, C)`` and ``labels`` ``(..., n)``: one batch
+    gives a float, a stack of batches one loss per batch.
+    """
     eps = 1e-12
-    return float(-np.log(probs[np.arange(n), labels] + eps).mean())
+    picked = np.take_along_axis(probs, labels[..., None], axis=-1)[..., 0]
+    loss = -np.log(picked + eps).mean(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 @dataclass
@@ -83,11 +89,14 @@ class MLP:
                 for kind in ("w", "b")]
 
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Return logits and the per-layer inputs needed for backward."""
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
+        """Return logits and the per-layer inputs needed for backward.
+
+        ``x`` is one batch ``(n, F)`` or a stack of them ``(W, n, F)``.
+        """
+        if x.ndim < 2 or x.shape[-1] != self.config.input_dim:
             raise ConfigurationError(
-                f"expected input of shape (n, {self.config.input_dim}), "
-                f"got {x.shape}")
+                f"expected input of shape (n, {self.config.input_dim}) or "
+                f"(W, n, {self.config.input_dim}), got {x.shape}")
         inputs = [x]
         h = x
         for i in range(self.num_layers):
@@ -99,32 +108,37 @@ class MLP:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class predictions."""
         logits, _ = self.forward(x)
-        return logits.argmax(axis=1)
+        return logits.argmax(axis=-1)
 
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
         """Fraction of correct predictions."""
         return float((self.predict(x) == y).mean())
 
-    def loss_and_grads(self, x: np.ndarray,
-                       y: np.ndarray) -> Tuple[float, Grads]:
-        """Mean cross-entropy loss and its gradient w.r.t. every param."""
-        if x.shape[0] != y.shape[0]:
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
+                       ) -> Tuple[Union[float, np.ndarray], Grads]:
+        """Mean cross-entropy loss and its gradient w.r.t. every param.
+
+        ``x`` is one batch ``(n, F)`` or a stack of equal-sized batches
+        ``(W, n, F)`` with labels ``(W, n)``.  A stack gives one loss per
+        batch and gradients with a leading ``W`` axis; each batch's slice
+        is bit for bit what that batch alone gives.
+        """
+        if x.shape[:-1] != y.shape:
             raise ConfigurationError(
-                f"x has {x.shape[0]} rows but y has {y.shape[0]}")
+                f"x has batch shape {x.shape[:-1]} but y has {y.shape}")
         logits, inputs = self.forward(x)
         probs = softmax(logits)
         loss = cross_entropy(probs, y)
 
-        n = x.shape[0]
-        delta = probs.copy()
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
+        # probs - one_hot(y): subtracting 0.0 leaves the others exact.
+        delta = probs - (y[..., None] == np.arange(probs.shape[-1]))
+        delta /= x.shape[-2]
 
         grads: Grads = {}
         for i in reversed(range(self.num_layers)):
             layer_in = inputs[i]
-            grads[f"w{i}"] = layer_in.T @ delta
-            grads[f"b{i}"] = delta.sum(axis=0)
+            grads[f"w{i}"] = np.swapaxes(layer_in, -1, -2) @ delta
+            grads[f"b{i}"] = delta.sum(axis=-2)
             if i > 0:
                 delta = delta @ self.params[f"w{i}"].T
                 delta *= (inputs[i] > 0.0)  # ReLU mask

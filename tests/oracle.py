@@ -6,8 +6,9 @@ per-iteration spec of the same DDP semantics.  :func:`event_run` loops
 the spec over the paper's protocol, so tests can assert that ``run()``
 reproduces it bit for bit.
 
-It also keeps the reference cache-key builders and the advisor
-sweep's unsharded reduction (below).
+It also keeps the reference cache-key builders, the advisor sweep's
+unsharded reduction and the training substrate's step-by-step loops
+(below).
 """
 
 import hashlib
@@ -361,3 +362,93 @@ def advise_oracle(model, cluster, spec, candidates=None, batch_size=None):
             candidates=[by_label[label] for label in labels],
             gpu=cluster.gpu),
     )
+
+
+# ----- training substrate oracle ---------------------------------------------
+#
+# The numeric training path as it ran before it was vectorized: the ring
+# all-reduce stepping chunk by chunk, fp16 encoded by numpy's own cast,
+# and one forward/backward per rank on 2-D batches.  The production
+# kernels must match these bit for bit.
+
+
+def ring_allreduce_oracle(arrays, op=np.add):
+    """What ``ring_allreduce(arrays, op)`` must return: the reduce-scatter
+    and all-gather replayed step by step over copies of the inputs."""
+    p = len(arrays)
+    if p == 1:
+        return [arrays[0].copy()]
+
+    shape = arrays[0].shape
+    flats = [np.array(a, copy=True).reshape(-1) for a in arrays]
+    n = flats[0].size
+    bounds = np.linspace(0, n, p + 1).astype(int)
+
+    def chunk(rank, idx):
+        return flats[rank][bounds[idx]:bounds[idx + 1]]
+
+    for step in range(p - 1):
+        sends = [(rank, (rank - step) % p,
+                  chunk(rank, (rank - step) % p).copy())
+                 for rank in range(p)]
+        for src, idx, payload in sends:
+            seg = chunk((src + 1) % p, idx)
+            seg[:] = op(seg, payload)
+
+    for step in range(p - 1):
+        sends = [(rank, (rank + 1 - step) % p,
+                  chunk(rank, (rank + 1 - step) % p).copy())
+                 for rank in range(p)]
+        for src, idx, payload in sends:
+            chunk((src + 1) % p, idx)[:] = payload
+
+    return [f.reshape(shape) for f in flats]
+
+
+def fp16_encode_oracle(arr):
+    """What ``FP16Compressor`` puts on the wire for float64 ``arr``."""
+    finfo = np.finfo(np.float16)
+    return np.clip(arr, finfo.min, finfo.max).astype(np.float16)
+
+
+def loss_and_grads_oracle(model, x, y):
+    """``model.loss_and_grads(x, y)`` for one 2-D batch, row-indexed."""
+    h = x
+    inputs = [x]
+    for i in range(model.num_layers):
+        z = h @ model.params[f"w{i}"] + model.params[f"b{i}"]
+        h = np.maximum(z, 0.0) if i < model.num_layers - 1 else z
+        inputs.append(h)
+    shifted = h - h.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = x.shape[0]
+    loss = float(-np.log(probs[np.arange(n), y] + 1e-12).mean())
+
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads = {}
+    for i in reversed(range(model.num_layers)):
+        grads[f"w{i}"] = inputs[i].T @ delta
+        grads[f"b{i}"] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ model.params[f"w{i}"].T
+            delta *= (inputs[i] > 0.0)
+    return loss, grads
+
+
+def worker_grads_oracle(trainer, batch_size, step):
+    """What ``trainer._worker_grads(batch_size, step)`` must return: one
+    2-D forward/backward per rank, losses averaged."""
+    losses, all_grads = [], []
+    for rank, shard in enumerate(trainer.shards):
+        rng = np.random.default_rng((trainer.seed, step, rank))
+        idx = rng.choice(shard.num_samples,
+                         size=min(batch_size, shard.num_samples),
+                         replace=False)
+        loss, grads = loss_and_grads_oracle(trainer.model, shard.x[idx],
+                                            shard.y[idx])
+        losses.append(loss)
+        all_grads.append(grads)
+    return float(np.mean(losses)), all_grads

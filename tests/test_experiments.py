@@ -1,6 +1,9 @@
 """Experiment harness: result containers and quick runs of each module."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.experiments import (
     run_fig11,
     run_fig12,
     run_fig13,
+    run_ext_tta,
     run_table1,
     run_table2,
     scaling_clusters,
@@ -166,6 +170,18 @@ class TestSimulatedExperimentsQuick:
         s16 = result.single(batch_size=16)["speedup"]
         s64 = result.single(batch_size=64)["speedup"]
         assert s16 > s64
+
+
+class TestTrainedExperiment:
+    def test_ext_tta_bytes_match_bench_reference(self):
+        """The ten-step time-to-accuracy run trains through every codec,
+        aggregator and numeric collective; its bytes are pinned by the
+        benchmark's reference digest."""
+        expected = json.loads(
+            (Path(__file__).parents[1] / "bench" / "expected.json")
+            .read_text(encoding="utf-8"))["tta"]
+        text = run_ext_tta(steps=10).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
 
 
 class TestResultPersistence:

@@ -1,0 +1,233 @@
+"""The vectorized training substrate against its step-by-step oracles.
+
+The ring all-reduce folds a stacked buffer, the fp16 codec builds
+subnormal halves from bits, and the trainer runs every rank's
+forward/backward in one stacked call.  Each must reproduce the loop it
+replaced (``tests/oracle.py``) bit for bit: same dtype, same shape, same
+bytes.
+"""
+
+import numpy as np
+import pytest
+
+from repro.collectives import ring_allreduce
+from repro.compression import FP16Compressor
+from repro.compression.identity import as_float64, to_half
+from repro.experiments.ext_time_to_accuracy import (
+    EXT_TTA_FEATURES,
+    EXT_TTA_HIDDEN,
+    EXT_TTA_METHODS,
+)
+from repro.training import MLP, DistributedTrainer, MLPConfig, gaussian_blobs
+from repro.training.distributed import TrainHistory
+from .oracle import (
+    fp16_encode_oracle,
+    loss_and_grads_oracle,
+    ring_allreduce_oracle,
+    worker_grads_oracle,
+)
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+# ----- ring all-reduce -------------------------------------------------------
+
+RING_OPS = {
+    "add": np.add,
+    "maximum": np.maximum,
+    # Not associative: the clip depends on the order partial sums form.
+    "clipped-sum": lambda a, b: np.clip(a + b, -1.5, 1.5),
+    # Not commutative, and float64 results for float32/int64 inputs, so
+    # every step's cast back to the input dtype shows.
+    "affine": lambda a, b: 0.5 * a - b / 3.0,
+    "vote": lambda a, b: np.sign(a + b),
+}
+
+
+def _ring_inputs(rng, p, n, dtype):
+    if dtype == np.int64:
+        return [rng.integers(-50, 50, size=n) for _ in range(p)]
+    return [rng.normal(size=n).astype(dtype) for _ in range(p)]
+
+
+@pytest.mark.parametrize("op_name", sorted(RING_OPS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+def test_ring_matches_step_by_step_loop(op_name, dtype):
+    op = RING_OPS[op_name]
+    rng = np.random.default_rng(20)
+    for p in range(1, 14):
+        # n = 0, n < p (empty chunks), and sizes that split unevenly.
+        for n in sorted({0, p - 1, p, p + 1, int(rng.integers(1, 300))}):
+            arrays = _ring_inputs(rng, p, n, dtype)
+            got = ring_allreduce(arrays, op)
+            want = ring_allreduce_oracle(arrays, op)
+            assert len(got) == p
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
+
+
+def test_ring_keeps_shapes_of_nd_and_scalar_inputs(rng):
+    for shape in [(), (1,), (3, 5), (2, 3, 4)]:
+        arrays = [rng.normal(size=shape) for _ in range(4)]
+        for g, w in zip(ring_allreduce(arrays, RING_OPS["affine"]),
+                        ring_allreduce_oracle(arrays, RING_OPS["affine"])):
+            assert_same_bits(g, w)
+
+
+def test_ring_leaves_inputs_untouched(rng):
+    def accumulate_in_place(own, incoming):
+        own += incoming
+        return own
+
+    for p in (1, 2, 5):
+        arrays = [rng.normal(size=(3, 7)) for _ in range(p)]
+        before = [a.copy() for a in arrays]
+        for op in (np.add, accumulate_in_place):
+            out = ring_allreduce(arrays, op)
+            for a, b in zip(arrays, before):
+                assert_same_bits(a, b)
+            assert not any(np.shares_memory(o, a)
+                           for o in out for a in arrays)
+
+
+def test_ring_outputs_are_independent_buffers(rng):
+    out = ring_allreduce([rng.normal(size=10) for _ in range(4)])
+    expected = out[1].copy()
+    out[0][:] = 0.0
+    assert_same_bits(out[1], expected)
+
+
+# ----- fp16 codec ------------------------------------------------------------
+
+def _fp16_probe_values():
+    ulp = 2.0 ** -24
+    k = np.arange(0, 1100, dtype=np.float64)
+    grid = np.concatenate([k * ulp, (k + 0.5) * ulp])
+    ties = np.concatenate([grid, np.nextafter(grid, np.inf),
+                           np.nextafter(grid, -np.inf)])
+    tiny = 2.0 ** -14
+    special = np.array([
+        0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-30,
+        tiny, np.nextafter(tiny, 0.0), np.nextafter(tiny, 1.0),
+        (1023.5) * ulp, 6e-8, 1e-4, 1.0, 1.0 + 2.0 ** -11,
+        65504.0, 65519.9, 65520.0, 1e10, np.finfo(np.float64).max,
+    ])
+    rng = np.random.default_rng(16)
+    scaled = np.concatenate([rng.normal(0.0, sigma, 4000)
+                             for sigma in (1e-8, 1e-6, 1e-5, 1e-3, 1.0, 1e4)])
+    values = np.concatenate([ties, special, scaled])
+    return np.concatenate([values, -values])
+
+
+def test_fp16_encode_matches_astype():
+    values = _fp16_probe_values()
+    codec = FP16Compressor()
+    for shape in [values.shape, (2, values.size // 2)]:
+        arr = values.reshape(shape)
+        payload = codec.encode(arr)
+        want = fp16_encode_oracle(arr)
+        assert_same_bits(payload.arrays[0].view(np.uint16),
+                         want.view(np.uint16))
+
+
+def test_fp16_encode_keeps_signed_zero_and_saturates():
+    half = FP16Compressor().encode(
+        np.array([0.0, -0.0, 1e-30, -1e-30, 1e9, -1e9])).arrays[0]
+    assert list(half.view(np.uint16)) == [0x0000, 0x8000, 0x0000, 0x8000,
+                                          0x7BFF, 0xFBFF]
+
+
+def test_to_half_matches_astype_on_non_finite():
+    arr = np.array([np.inf, -np.inf, np.nan, 1e6, -1e6, 3e-8, -3e-8])
+    with np.errstate(over="ignore"):
+        want = arr.astype(np.float16)
+        got = to_half(arr)
+    assert_same_bits(got.view(np.uint16), want.view(np.uint16))
+
+
+def test_every_half_decodes_as_astype():
+    bits = np.arange(1 << 16, dtype=np.uint16)
+    half = bits.view(np.float16)
+    assert_same_bits(as_float64(half).view(np.uint64),
+                     half.astype(np.float64).view(np.uint64))
+    codec = FP16Compressor()
+    values = _fp16_probe_values()
+    payload = codec.encode(values)
+    assert_same_bits(codec.decode(payload),
+                     payload.arrays[0].astype(np.float64))
+
+
+def test_as_float64_copies_like_astype(rng):
+    arr = rng.normal(size=8)
+    assert as_float64(arr, copy=False) is arr
+    assert not np.shares_memory(as_float64(arr), arr)
+    half = arr.astype(np.float16)
+    assert not np.shares_memory(as_float64(half, copy=False), half)
+
+
+# ----- stacked forward/backward ----------------------------------------------
+
+def test_stacked_loss_and_grads_equal_per_batch_calls(rng):
+    model = MLP(MLPConfig(input_dim=EXT_TTA_FEATURES,
+                          hidden_dims=EXT_TTA_HIDDEN, num_classes=8, seed=3))
+    x = rng.normal(size=(8, 32, EXT_TTA_FEATURES))
+    y = rng.integers(0, 8, size=(8, 32))
+    losses, grads = model.loss_and_grads(x, y)
+    assert losses.shape == (8,)
+    for w in range(8):
+        loss, want = loss_and_grads_oracle(model, x[w], y[w])
+        assert losses[w] == loss
+        single_loss, single = model.loss_and_grads(x[w], y[w])
+        assert isinstance(single_loss, float) and single_loss == loss
+        for name, g in want.items():
+            assert_same_bits(grads[name][w], g)
+            assert_same_bits(single[name], g)
+
+
+def _trainer(method, agg_params, num_samples, num_workers, seed=0):
+    dataset = gaussian_blobs(num_samples=num_samples,
+                             num_features=EXT_TTA_FEATURES, num_classes=8,
+                             spread=1.2, seed=seed)
+    model = MLP(MLPConfig(input_dim=EXT_TTA_FEATURES,
+                          hidden_dims=EXT_TTA_HIDDEN, num_classes=8,
+                          seed=seed))
+    agg_name = "fp32" if method == "syncsgd" else method
+    return DistributedTrainer(model, dataset, num_workers, method=agg_name,
+                              method_params=agg_params or None, seed=seed)
+
+
+def _assert_steps_match_oracle(trainer, batch_size, steps):
+    history = TrainHistory()
+    for step in range(steps):
+        loss, grads = trainer._worker_grads(batch_size, step)
+        want_loss, want_grads = worker_grads_oracle(trainer, batch_size, step)
+        assert isinstance(loss, float) and loss == want_loss
+        assert len(grads) == len(want_grads) == trainer.num_workers
+        for got, want in zip(grads, want_grads):
+            assert list(got) == list(want)
+            for name in want:
+                assert_same_bits(got[name], want[name])
+        trainer.step(batch_size, step, history)
+
+
+@pytest.mark.parametrize("method,agg_params", [
+    (method, agg_params) for method, agg_params, _, _ in EXT_TTA_METHODS])
+def test_worker_grads_match_per_rank_loop(method, agg_params):
+    """Every ext-tta method, at its real network size, trained through
+    its real aggregator: each step's stacked gradients are the per-rank
+    ones bit for bit."""
+    trainer = _trainer(method, agg_params, num_samples=512, num_workers=8)
+    _assert_steps_match_oracle(trainer, batch_size=32, steps=3)
+
+
+def test_worker_grads_with_unequal_shard_lengths():
+    # 45 samples over 4 workers shard as 12/11/11/11; a batch of 16 takes
+    # each whole shard, so the mini-batches differ in length.
+    trainer = _trainer("fp16", {}, num_samples=45, num_workers=4, seed=5)
+    assert len({s.num_samples for s in trainer.shards}) == 2
+    _assert_steps_match_oracle(trainer, batch_size=16, steps=3)
