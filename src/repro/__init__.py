@@ -14,7 +14,7 @@ The package provides, built from scratch on numpy/scipy:
   calibrated kernel-cost model behind the paper's Table 2;
 * :mod:`repro.collectives` — analytic cost models and step-accurate
   numeric ring/tree all-reduce, all-gather, parameter server;
-* :mod:`repro.simulator` — a discrete-event cluster simulator with
+* :mod:`repro.simulator` — a vectorized cluster simulator with
   DDP semantics (bucketing, overlap, contention, incast, OOM);
 * :mod:`repro.training` — a numpy training substrate for end-to-end
   convergence validation of the compression algorithms;

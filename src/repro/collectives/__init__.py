@@ -10,7 +10,6 @@ from .cost import (
     pick_allreduce_time,
     reduce_scatter_time,
     ring_allreduce_time,
-    ring_allreduce_time_batch,
     ring_allreduce_time_grid,
 )
 from .hierarchical import (
@@ -29,7 +28,6 @@ from .numeric import (
 
 __all__ = [
     "ring_allreduce_time", "double_tree_allreduce_time", "allgather_time",
-    "ring_allreduce_time_batch",
     "ring_allreduce_time_grid", "allgather_time_grid",
     "reduce_scatter_time", "broadcast_time", "parameter_server_time",
     "pick_allreduce_time", "TREE_BLOCK_BYTES",

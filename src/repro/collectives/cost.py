@@ -116,52 +116,16 @@ def allgather_time(num_bytes: float, p: int, bandwidth: float, alpha: float,
     return latency + transfer
 
 
-def ring_allreduce_time_batch(num_bytes: np.ndarray, p: int,
-                              bandwidth, alpha: float) -> np.ndarray:
-    """Vectorized :func:`ring_allreduce_time` over an array of payloads.
-
-    Prices every element of ``num_bytes`` in one broadcasted expression
-    instead of one Python call per payload — the pricing kernel of the
-    batch simulation fast path (:mod:`repro.simulator.batch`), which
-    needs all of a model's gradient buckets costed at once.
-
-    ``bandwidth`` may itself be an array (broadcast against the
-    payloads): the faulted fast path prices per-iteration *degraded*
-    bandwidths — link and NIC faults scale the fabric's minimum — in
-    the same call.
-
-    The arithmetic is the scalar function's, applied elementwise (every
-    IEEE-754 elementary operation is exactly rounded, so a batched
-    multiply/divide produces bit-identical doubles to the scalar path);
-    equivalence is pinned by tests.  Telemetry counts one pricing call
-    per element, matching what the scalar loop would have recorded.
-    """
-    payloads = np.asarray(num_bytes, dtype=float)
-    bw = np.asarray(bandwidth, dtype=float)
-    if payloads.size and float(payloads.min()) < 0:
-        raise ConfigurationError(
-            f"num_bytes must be >= 0, got {float(payloads.min())}")
-    if bw.size and float(bw.min()) <= 0:
-        raise ConfigurationError(
-            f"bandwidth must be > 0, got {float(bw.min())}")
-    _validate(0.0, p, float(bw.max()) if bw.size else 1.0, alpha)
-    _record_batch("ring_allreduce", payloads)
-    if p == 1:
-        return np.zeros(np.broadcast_shapes(payloads.shape, bw.shape))
-    latency = 2.0 * alpha * (p - 1)
-    transfer = 2.0 * payloads * (p - 1) / (p * bw)
-    return latency + transfer
-
-
 def ring_allreduce_time_grid(num_bytes, p, bandwidth,
                              alpha) -> np.ndarray:
     """N-D broadcasting :func:`ring_allreduce_time`.
 
-    Unlike :func:`ring_allreduce_time_batch` (array payloads, scalar
-    world size and bandwidth), every argument here may be an array, and
-    they broadcast against each other — the pricing kernel of the
-    grid-vectorized what-if engine (:mod:`repro.core.grid`), which
-    sweeps payload x world size x bandwidth in one call.
+    Every argument may be an array, and they broadcast against each
+    other — the pricing kernel of the grid-vectorized what-if engine
+    (:mod:`repro.core.grid`), which sweeps payload x world size x
+    bandwidth in one call, and of the batch simulation kernel
+    (:mod:`repro.simulator.batch`), which prices a model's gradient
+    buckets at once.
 
     Elementwise the arithmetic is the scalar function's (IEEE-754
     elementary operations are exactly rounded, so each grid cell is
@@ -240,18 +204,6 @@ def _record_grid(algorithm: str, payloads: np.ndarray, p_arr: np.ndarray,
         if degraded:
             registry.counter("collective_incast_degraded_total",
                              algorithm=algorithm).inc(degraded)
-
-
-def _record_batch(algorithm: str, payloads: np.ndarray) -> None:
-    """Telemetry for one batched pricing call: the counters advance by
-    exactly what the equivalent scalar loop would have recorded."""
-    registry = get_registry()
-    if not registry.enabled or payloads.size == 0:
-        return
-    registry.counter("collective_calls_total",
-                     algorithm=algorithm).inc(payloads.size)
-    registry.counter("collective_bytes_total",
-                     algorithm=algorithm).inc(float(payloads.sum()))
 
 
 def reduce_scatter_time(num_bytes: float, p: int, bandwidth: float,

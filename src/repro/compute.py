@@ -2,7 +2,7 @@
 
 This is the ``T_comp`` term of the paper's performance model (§4).  It is
 shared by the analytic model (:mod:`repro.core.perf_model`) and the
-discrete-event simulator (:mod:`repro.simulator`), so both sides of the
+cluster simulator (:mod:`repro.simulator`), so both sides of the
 Figure-8 validation consume identical compute estimates and differ only in
 how they treat communication and overlap.
 

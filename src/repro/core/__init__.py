@@ -46,7 +46,7 @@ from .planning import (
     strong_scaling_sweep,
     training_cost,
 )
-from .validation import ValidationCurve, ValidationPoint, validate_scheme
+from .validation import ValidationCurve, ValidationPoint, validate_schemes
 from .whatif import (
     Crossing,
     TradeoffPoint,
@@ -64,7 +64,7 @@ __all__ = [
     "PerfModelInputs", "PredictedTime", "syncsgd_time", "compressed_time",
     "predict", "speedup_over_syncsgd",
     "CalibrationReport", "calibrate",
-    "ValidationPoint", "ValidationCurve", "validate_scheme",
+    "ValidationPoint", "ValidationCurve", "validate_schemes",
     "RequiredCompression", "communicable_bytes", "required_compression",
     "required_compression_curve",
     "HeadroomPoint", "headroom_curve",

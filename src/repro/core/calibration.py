@@ -9,7 +9,7 @@ The paper calibrates its model per experiment:
 * **T_comp** — single-machine backward timing.
 
 This module performs the same four measurements against a
-:class:`~repro.network.Fabric` and the discrete-event simulator, returning
+:class:`~repro.network.Fabric` and the cluster simulator, returning
 a :class:`~repro.core.perf_model.PerfModelInputs` ready for prediction.
 Keeping calibration a *measurement* (rather than copying the fabric's
 internal constants) means the Figure-8 validation is honest: the model

@@ -1,6 +1,6 @@
 """Model-vs-measurement validation (the paper's Figure 8).
 
-For a grid of cluster sizes, run the "real" system (the discrete-event
+For a grid of cluster sizes, run the "real" system (the cluster
 simulator, which includes bucket granularity, jitter and incast) and the
 analytic performance model (which includes none of those), and report the
 per-point and median relative errors.  The paper reports median errors of
@@ -62,38 +62,51 @@ class ValidationCurve:
         return float(max(p.relative_error for p in self.points))
 
 
-def validate_scheme(model: ModelSpec, scheme: Scheme,
-                    clusters: Sequence[ClusterConfig],
-                    batch_size: Optional[int] = None,
-                    iterations: int = 110, warmup: int = 10,
-                    seed: int = 0) -> ValidationCurve:
-    """Run the Figure-8 protocol for one (model, scheme) pair.
+def validate_schemes(model: ModelSpec, schemes: Sequence[Scheme],
+                     clusters: Sequence[ClusterConfig],
+                     batch_size: Optional[int] = None,
+                     iterations: int = 110, warmup: int = 10,
+                     seed: int = 0) -> List[ValidationCurve]:
+    """Run the Figure-8 protocol for several schemes on one model.
 
-    Cluster sizes whose simulated run OOMs (BERT + gather methods at
-    scale) are skipped, exactly as the paper's plots stop at 32 GPUs.
+    Returns one curve per scheme, in ``schemes`` order.  Cluster sizes
+    whose simulated run OOMs (BERT + gather methods at scale) are
+    skipped, exactly as the paper's plots stop at 32 GPUs.
+
+    Each cluster builds one fabric and calibrates the model at most
+    once, after the first scheme that fits: calibration never reads the
+    scheme, and a cluster's fabric is drawn from its own seed, so every
+    scheme is predicted from the same report.
     """
-    points: List[ValidationPoint] = []
+    bs = batch_size if batch_size is not None else model.default_batch_size
+    points: List[List[ValidationPoint]] = [[] for _ in schemes]
     for cluster in clusters:
         fabric = Fabric(cluster)
-        sim = DDPSimulator(model, cluster, scheme=scheme, fabric=fabric)
-        bs = batch_size if batch_size is not None else model.default_batch_size
-        try:
-            result = sim.run(bs, iterations=iterations, warmup=warmup,
-                             seed=seed)
-        except OutOfMemoryError:
-            continue
-        report = calibrate(model, cluster, batch_size=bs, fabric=fabric)
-        predicted = predict(model, scheme, report.inputs,
-                            gpu=cluster.gpu).total
-        points.append(ValidationPoint(
-            world_size=cluster.world_size,
-            measured_s=result.mean,
-            measured_std_s=result.std,
-            predicted_s=predicted,
-        ))
-    return ValidationCurve(
-        model=model.name,
-        scheme=scheme.label if not isinstance(scheme, SyncSGDScheme)
-        else "syncsgd",
-        points=tuple(points),
-    )
+        report = None
+        for scheme, curve_points in zip(schemes, points):
+            sim = DDPSimulator(model, cluster, scheme=scheme, fabric=fabric)
+            try:
+                result = sim.run(bs, iterations=iterations, warmup=warmup,
+                                 seed=seed)
+            except OutOfMemoryError:
+                continue
+            if report is None:
+                report = calibrate(model, cluster, batch_size=bs,
+                                   fabric=fabric)
+            predicted = predict(model, scheme, report.inputs,
+                                gpu=cluster.gpu).total
+            curve_points.append(ValidationPoint(
+                world_size=cluster.world_size,
+                measured_s=result.mean,
+                measured_std_s=result.std,
+                predicted_s=predicted,
+            ))
+    return [
+        ValidationCurve(
+            model=model.name,
+            scheme=scheme.label if not isinstance(scheme, SyncSGDScheme)
+            else "syncsgd",
+            points=tuple(curve_points),
+        )
+        for scheme, curve_points in zip(schemes, points)
+    ]

@@ -49,7 +49,7 @@ class CompressionError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The discrete-event simulator reached an inconsistent state."""
+    """The simulator reached an inconsistent state."""
 
 
 class CalibrationError(ReproError):

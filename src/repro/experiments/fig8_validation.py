@@ -3,7 +3,7 @@
 The paper compares model predictions to real cluster measurements and
 reports median relative errors of 1.8 % (syncSGD), 1.37 % (PowerSGD) and
 14.2 % (signSGD) — the signSGD gap attributed to all-gather incast, which
-the model does not capture.  Here "measured" is the discrete-event
+the model does not capture.  Here "measured" is the cluster
 simulator (which *does* model incast and jitter) and the prediction is
 the calibrated analytic model, so the same error structure emerges for
 the same reason.  The benchmark asserts the error ordering:
@@ -21,7 +21,7 @@ from ..compression.schemes import (
     SignSGDScheme,
     SyncSGDScheme,
 )
-from ..core import validate_scheme
+from ..core import validate_schemes
 from ..models import get_model
 from .runner import PAPER_GPU_SWEEP, ExperimentResult, scaling_clusters
 
@@ -48,11 +48,11 @@ def run_fig8(gpu_counts: Sequence[int] = PAPER_GPU_SWEEP,
     clusters = scaling_clusters(gpu_counts)
     rows: List[Dict[str, Any]] = []
     for model_name, batch_size in workloads:
-        model = get_model(model_name)
-        for scheme in FIG8_SCHEMES:
-            curve = validate_scheme(
-                model, scheme, clusters, batch_size=batch_size,
-                iterations=iterations, warmup=warmup, seed=seed)
+        curves = validate_schemes(
+            get_model(model_name), FIG8_SCHEMES, clusters,
+            batch_size=batch_size, iterations=iterations, warmup=warmup,
+            seed=seed)
+        for curve in curves:
             for point in curve.points:
                 rows.append({
                     "model": model_name,

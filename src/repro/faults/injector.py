@@ -350,14 +350,19 @@ class FaultInjector:
                       + base_duration_s)
             replays += 1
         if replays:
-            self.retransmits_injected += replays
-            self.retransmit_delay_s += delay
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("sim_fault_retransmits_total").inc(replays)
-                registry.histogram("sim_fault_retransmit_delay_s").observe(
-                    delay)
+            self.count_retransmits(delay, replays)
         return delay, replays
+
+    def count_retransmits(self, delay_s: float, replays: int) -> None:
+        """Add one transfer's retransmits to the run counters, mirrored
+        into telemetry when a registry is enabled."""
+        self.retransmits_injected += replays
+        self.retransmit_delay_s += delay_s
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("sim_fault_retransmits_total").inc(replays)
+            registry.histogram("sim_fault_retransmit_delay_s").observe(
+                delay_s)
 
     def retransmit_delay_range(self, start: int, stop: int,
                                transfer_index: int,

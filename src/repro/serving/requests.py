@@ -120,7 +120,7 @@ class WhatIfRequest:
 
 @dataclass(frozen=True)
 class SimulateRequest:
-    """``POST /v1/simulate`` — run the discrete-event/batch simulator.
+    """``POST /v1/simulate`` — run the batch simulator.
 
     One :class:`~repro.engine.SimJob` per seed; requests that share
     model, cluster, scheme, batch and protocol but differ in seed share

@@ -1,14 +1,14 @@
-"""Discrete-event cluster training simulator (the paper's testbed stand-in).
+"""Cluster training simulator (the paper's testbed stand-in).
 
-``DDPSimulator.run`` computes a whole measurement run in one
-vectorized kernel (:mod:`.batch`);
-``DDPSimulator.simulate_iteration`` is the per-iteration event loop
-(:mod:`.ddp`) that specifies the semantics, draws single-iteration
-traces, and serves as the kernel's test oracle.
+One vectorized kernel (:mod:`.batch`) computes every simulated
+iteration: ``DDPSimulator.run`` evaluates a whole measurement run in
+one call, and ``DDPSimulator.simulate_iteration`` evaluates a single
+iteration and rebuilds its span timeline (:mod:`.reconstruct`).  The
+per-iteration event loop that specifies the semantics lives in the
+test suite as the kernel's oracle.
 """
 
 from .ddp import DDPConfig, DDPSimulator, TimingResult
-from .events import EventQueue
 from .batch import run_batch
 from .export import (
     allocate_track_ids,
@@ -32,7 +32,7 @@ from .trace import (
 )
 
 __all__ = [
-    "EventQueue", "Span", "IterationTrace", "estimate_gamma",
+    "Span", "IterationTrace", "estimate_gamma",
     "COMPUTE_STREAM", "COMM_STREAM",
     "DDPConfig", "DDPSimulator", "TimingResult",
     "run_batch",

@@ -1,11 +1,14 @@
-"""Vectorized evaluation of a full simulation run.
+"""Vectorized evaluation of simulated iterations: the one production
+implementation of the DDP iteration timeline.
 
-:meth:`DDPSimulator.run <repro.simulator.ddp.DDPSimulator.run>` needs
-only two numbers per iteration — sync time and iteration end — so
-instead of replaying the span-producing event loop
-(:meth:`~repro.simulator.ddp.DDPSimulator.simulate_iteration`) 110
-times in pure Python, this module computes the same numbers for *all*
-iterations at once as NumPy array operations:
+The semantics are specified by a per-iteration discrete-event loop
+(kept in the test suite as this module's oracle).  Instead of stepping
+that loop once per iteration in pure Python, this module computes the
+same numbers for *all* iterations at once as NumPy array operations —
+:meth:`DDPSimulator.run <repro.simulator.ddp.DDPSimulator.run>` makes
+one call for a whole run, and
+:meth:`~repro.simulator.ddp.DDPSimulator.simulate_iteration` a one-row
+call at its absolute iteration index:
 
 * the run's entire jitter sequence is drawn in **one** RNG call, whose
   fill order is exactly the event loop's sequential draw order, so
@@ -34,9 +37,10 @@ so an elementwise array op equals the scalar op on each element, and
 this module is written so the *sequence* of operations per element —
 multiplication association, ``cumsum`` accumulation order, the
 ``max``/``+`` pipeline recurrence — matches the event loop's exactly.
-``tests/test_batch_equivalence.py`` and
-``tests/test_faulted_batch_equivalence.py`` pin the invariant, with
-``simulate_iteration`` as the oracle.
+``tests/test_batch_equivalence.py``,
+``tests/test_faulted_batch_equivalence.py`` and
+``tests/test_simulate_iteration.py`` pin the invariant against the
+event-loop oracle in ``tests/oracle.py``.
 
 Span-level timeline traces come from the same kernel: it optionally
 records the intermediate arrays that delimit span boundaries
@@ -47,11 +51,12 @@ event-identical :class:`~repro.simulator.trace.IterationTrace` objects.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
-from ..collectives import ring_allreduce_time_batch
+from ..collectives import ring_allreduce_time_grid
 from ..errors import ConfigurationError
 from ..faults import ResolvedFaults
 from ..telemetry.metrics import get_registry
@@ -87,7 +92,7 @@ def _allreduce_times(sim: DDPSimulator, payloads: np.ndarray,
     (1.0 healthy), applied exactly as the scalar dispatcher applies it.
     """
     if sim.config.allreduce_algorithm == "ring":
-        return ring_allreduce_time_batch(
+        return ring_allreduce_time_grid(
             payloads, p, sim.fabric.min_bandwidth() * bw_scale,
             sim.fabric.alpha_s)
     return np.asarray(
@@ -184,9 +189,10 @@ class _FaultRows:
 _Member = Tuple[DDPSimulator, slice, Optional[ResolvedFaults]]
 
 
-def _stack_member_faults(sims: Sequence[DDPSimulator],
-                         n: int) -> Tuple[_FaultRows, List[_Member]]:
-    """Resolve every member's fault schedule into stacked row arrays."""
+def _stack_member_faults(sims: Sequence[DDPSimulator], n: int,
+                         start: int) -> Tuple[_FaultRows, List[_Member]]:
+    """Resolve every member's fault schedule over iterations
+    ``[start, start + n)`` into stacked row arrays."""
     slows, bws, ps, stalls = [], [], [], []
     members: List[_Member] = []
     row = 0
@@ -199,7 +205,7 @@ def _stack_member_faults(sims: Sequence[DDPSimulator],
             stalls.append(np.zeros(n))
             resolved = None
         else:
-            resolved = sim._injector.resolve_range(0, n)
+            resolved = sim._injector.resolve_range(start, start + n)
             slows.append(resolved.compute_slowdown)
             bws.append(resolved.bandwidth_scale)
             ps.append(resolved.world_size)
@@ -249,7 +255,8 @@ def _retransmit_arrays(members: Sequence[_Member], durations: np.ndarray,
         assert injector is not None
         for t in range(T):
             d, r = injector.retransmit_delay_range(
-                0, len(resolved), t, durations[sl, t])
+                resolved.start, resolved.start + len(resolved), t,
+                durations[sl, t])
             delays[sl, t] = d
             replays[sl, t] = r
     return delays, replays
@@ -509,15 +516,20 @@ def _plan_overlapped(lead: DDPSimulator, bs: int, layout: _SlotLayout,
 
 
 def _evaluate(sims: Sequence[DDPSimulator], bs: int, iterations: int,
-              seeds: Sequence[int], record: Optional[Dict[str, Any]] = None,
+              seeds: Sequence[Union[int, np.random.Generator]],
+              record: Optional[Dict[str, Any]] = None, start: int = 0,
               ) -> Tuple[List[_Member], Tuple[np.ndarray, ...]]:
     """Plan, draw and run the kernel for stacked members.
 
     Picks the execution path's builder from the lead simulator, draws
     each member's jitter from its own seed, and returns the members and
-    the kernel's per-row outputs.  A ``record`` also receives the
-    stacked fault rows (``"rows"``) and the first member's resolved
-    schedule (``"resolved"``), which
+    the kernel's per-row outputs.  A seed may be a live
+    ``np.random.Generator``: ``default_rng`` returns it unaltered, so
+    the kernel draws from (and advances) the caller's stream.  Rows
+    cover absolute iterations ``[start, start + iterations)``, which
+    select the active faults and seed the retransmit draws.  A
+    ``record`` also receives the stacked fault rows (``"rows"``) and
+    the first member's resolved schedule (``"resolved"``), which
     :func:`~repro.simulator.reconstruct.trace_from_record` needs.
     """
     lead = sims[0]
@@ -534,7 +546,7 @@ def _evaluate(sims: Sequence[DDPSimulator], bs: int, iterations: int,
     else:
         planner = _plan_sequential
     presence_fn, kernel = planner(lead, bs, layout)
-    F, members = _stack_member_faults(sims, iterations)
+    F, members = _stack_member_faults(sims, iterations, start)
     pres = presence_fn(F)
     J = np.ones((F.p.size, len(layout.sigmas)))
     for (_, sl, _), seed in zip(members, seeds):
@@ -559,9 +571,9 @@ def run_batch_many(sims: Sequence[DDPSimulator],
     clean/NIC-straggler/compute-straggler triplets) evaluates as one
     stacked array computation instead of one kernel call per job.
 
-    Each member's :class:`TimingResult` is bit-identical to looping
-    its own ``simulate_iteration`` over the protocol with one generator
-    seeded by its seed; members' RNG streams are fully independent
+    Each member's :class:`TimingResult` is bit-identical to stepping
+    its own iterations over the protocol with one generator seeded by
+    its seed; members' RNG streams are fully independent
     (per-member jitter seed, per-member schedule seed), so stacking
     changes nothing but wall-clock time.
 

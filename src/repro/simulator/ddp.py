@@ -1,6 +1,6 @@
-"""Discrete-event simulation of one data-parallel training iteration.
+"""Simulation of data-parallel training iterations.
 
-Implements the mechanisms PyTorch DDP / Horovod use and the paper's §2.2
+Models the mechanisms PyTorch DDP / Horovod use and the paper's §2.2
 describes:
 
 * **gradient bucketing** — gradients are grouped into ~25 MB buckets in
@@ -23,15 +23,19 @@ describes:
   memory, the simulated run raises :class:`~repro.errors.OutOfMemoryError`
   exactly where the paper's BERT runs died beyond 32 GPUs.
 
-Every iteration yields an :class:`~repro.simulator.trace.IterationTrace`
-whose ``sync_time()`` is the paper's reported per-iteration metric
-("time for gradient computation and synchronization").
+Every iteration is evaluated by the vectorized kernel in
+:mod:`repro.simulator.batch`; this module holds the simulator's
+configuration, its memory check and the collective pricing the kernel
+calls.  A single iteration yields an
+:class:`~repro.simulator.trace.IterationTrace` whose ``sync_time()`` is
+the paper's reported per-iteration metric ("time for gradient
+computation and synchronization").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +48,7 @@ from ..collectives import (
 )
 from ..compute import ComputeModel
 from ..errors import ConfigurationError, OutOfMemoryError
-from ..faults import FAULT_STREAM, FaultInjector, FaultSchedule, IterationFaults
+from ..faults import FAULT_STREAM, FaultInjector, FaultSchedule
 from ..hardware import ClusterConfig
 from ..models import ModelSpec
 from ..network import Fabric
@@ -53,8 +57,7 @@ from ..compression.schemes import Scheme, SchemeCost, SyncSGDScheme
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracing import get_tracer
 from ..units import MIB
-from .events import EventQueue
-from .trace import COMM_STREAM, COMPUTE_STREAM, IterationTrace, Span
+from .trace import COMM_STREAM, IterationTrace
 
 
 @dataclass(frozen=True)
@@ -295,30 +298,31 @@ class DDPSimulator:
         ``iteration`` is the 0-based absolute iteration index; it only
         matters when a :class:`~repro.faults.FaultSchedule` is attached,
         where it selects which faults are active.
+
+        The iteration is a one-row call of the batch kernel
+        (:mod:`repro.simulator.batch`) drawing from ``rng``, with its
+        spans rebuilt from the kernel record.  Unlike
+        :func:`~repro.simulator.reconstruct.reconstruct_traces` it has
+        the side effects of a stepped iteration: the fault injector's
+        retransmit counters advance and telemetry is recorded.
         """
+        # Deferred imports: batch.py imports this module.
+        from .batch import _evaluate
+        from .reconstruct import trace_from_record
         bs = batch_size if batch_size is not None else self.model.default_batch_size
-        if self.config.check_memory:
-            self.check_memory(bs)
         if rng is None:
             rng = np.random.default_rng(seed)
-        ifaults = (self._injector.faults_for(iteration)
-                   if self._injector is not None else None)
-        if self._is_baseline or self.scheme.ddp_overlap:
-            # ddp_overlap schemes (fp16) compress inside the bucket hook:
-            # same event structure as syncSGD with scaled payloads.
-            trace = self._simulate_baseline(bs, rng, ifaults)
-        elif self.config.overlap_compression:
-            trace = self._simulate_compressed_overlapped(bs, rng, ifaults)
-        else:
-            trace = self._simulate_compressed_sequential(bs, rng, ifaults)
-        if ifaults is not None:
-            if ifaults.active:
-                # One fault-window span per iteration on a dedicated
-                # stream: the Perfetto export shows exactly when the
-                # cluster was degraded, next to compute and comm.
-                trace.add(Span(FAULT_STREAM, "+".join(ifaults.active),
-                               0.0, trace.iteration_end))
-            self._injector.record_iteration(ifaults)
+        record: dict = {}
+        _evaluate([self], bs, 1, (rng,), record=record, start=iteration)
+        trace = trace_from_record(record, 0)
+        if self._injector is not None:
+            # Transfer visit order, accumulated with += as each
+            # transfer's retransmits land.
+            for delay, replays in zip(record["delays"][0].tolist(),
+                                      record["replays"][0].tolist()):
+                if replays:
+                    self._injector.count_retransmits(delay, replays)
+            self._injector.record_iteration(record["resolved"].states[0])
         registry = get_registry()
         if registry.enabled:
             self._record_iteration(registry, trace)
@@ -357,260 +361,11 @@ class DDPSimulator:
                 "sim_comm_occupancy", scheme=label).observe(
                 trace.stream_busy_time(COMM_STREAM) / trace.iteration_end)
 
-    # -- helpers
-
-    def _jitter(self, rng: np.random.Generator, sigma: float) -> float:
-        return float(rng.lognormal(mean=0.0, sigma=sigma)) if sigma > 0 else 1.0
-
     def _hook_overhead(self) -> float:
         """Per-iteration framework cost of running a compression hook over
         every trainable layer (gradient extraction + copy-back)."""
         return (self.config.hook_overhead_per_layer_s
                 * len(self.model.trainable_layers))
-
-    def _backward_layer_times(self, bs: int, stretch: float,
-                              rng: np.random.Generator) -> List[float]:
-        sigma = self.config.compute_jitter
-        # One scalar jitter draw per layer, in layer order; Python floats,
-        # so every span boundary in the trace stays a plain float.
-        return [t * stretch * self._jitter(rng, sigma)
-                for t in self.compute.backward_layer_times(bs).tolist()]
-
-    def _fault_params(self, ifaults: Optional[IterationFaults],
-                      ) -> Tuple[float, int, float, float]:
-        """Unpack one iteration's fault state into the four knobs every
-        execution path consumes: (compute slowdown, active world size,
-        bandwidth scale, start-of-iteration stall)."""
-        if ifaults is None:
-            return 1.0, self.cluster.world_size, 1.0, 0.0
-        return (ifaults.compute_slowdown, ifaults.world_size,
-                ifaults.bandwidth_scale, ifaults.stall_s)
-
-    def _start_stall(self, trace: IterationTrace,
-                     ifaults: Optional[IterationFaults]) -> float:
-        """Charge any crash-recovery stall at the iteration start;
-        returns the instant compute may begin (0.0 when healthy)."""
-        if ifaults is None or ifaults.stall_s <= 0:
-            return 0.0
-        trace.add(Span(FAULT_STREAM, ifaults.stall_label or "recovery",
-                       0.0, ifaults.stall_s))
-        return ifaults.stall_s
-
-    def _retransmit(self, trace: IterationTrace,
-                    ifaults: Optional[IterationFaults],
-                    transfer_index: int, label: str, end: float,
-                    duration: float, payload_bytes: float) -> float:
-        """Append the retransmit penalty (if any) for the transfer that
-        just finished at ``end``; returns the new completion instant."""
-        if ifaults is None or ifaults.retransmit is None or duration <= 0:
-            return end
-        assert self._injector is not None
-        delay, replays = self._injector.retransmit_delay(
-            ifaults.iteration, transfer_index, duration)
-        if delay <= 0:
-            return end
-        trace.add(Span(COMM_STREAM, label, end, end + delay,
-                       bytes_on_wire=payload_bytes * replays))
-        return end + delay
-
-    def _simulate_baseline(self, bs: int, rng: np.random.Generator,
-                           ifaults: Optional[IterationFaults] = None,
-                           ) -> IterationTrace:
-        """syncSGD (or a ddp_overlap scheme like fp16): bucketed,
-        overlapped all-reduce — the paper's §4.1 structure."""
-        cfg = self.config
-        trace = IterationTrace()
-        queue = EventQueue()
-        slow, p, bw_scale, _ = self._fault_params(ifaults)
-        t0 = self._start_stall(trace, ifaults)
-
-        if self._is_baseline:
-            wire_scale, hook_cost = 1.0, 0.0
-        else:
-            cost = self._scheme_cost(p)
-            wire_scale = cost.wire_bytes / self.model.grad_bytes
-            hook_cost = cost.encode_decode_s
-
-        overlap = cfg.overlap_communication and p > 1
-        stretch = cfg.gamma if overlap else 1.0
-
-        t_fwd = (self.compute.forward_time(bs) * slow
-                 * self._jitter(rng, cfg.compute_jitter))
-        trace.add(Span(COMPUTE_STREAM, "forward", t0, t0 + t_fwd))
-        trace.forward_end = t0 + t_fwd
-
-        plan = self.model.bucket_plan(cfg.bucket_cap_bytes)
-
-        layer_times = self._backward_layer_times(bs, stretch * slow, rng)
-        # Cumulative completion time of each backward layer.
-        completion = np.cumsum(layer_times) + trace.forward_end
-        trace.backward_end = float(completion[-1])
-        trace.add(Span(COMPUTE_STREAM, "backward", trace.forward_end,
-                       trace.backward_end))
-
-        comm_free = [trace.forward_end]  # comm stream availability
-
-        def make_comm_event(bucket_id: int, size: float):
-            def fire(q: EventQueue) -> None:
-                start = max(q.now, comm_free[0])
-                duration = (self._allreduce_time(size * wire_scale,
-                                                 p, bw_scale)
-                            if p > 1 else 0.0)
-                duration *= self._jitter(rng, cfg.comm_jitter)
-                end = start + duration
-                trace.add(Span(COMM_STREAM, f"bucket{bucket_id}", start, end,
-                               bytes_on_wire=(size * wire_scale
-                                              if p > 1 else 0.0)))
-                end = self._retransmit(
-                    trace, ifaults, bucket_id, f"retransmit{bucket_id}",
-                    end, duration, size * wire_scale)
-                comm_free[0] = end
-                trace.sync_end = max(trace.sync_end, end)
-            return fire
-
-        for bucket_id, (size, close_idx) in enumerate(
-                zip(plan.sizes, plan.close_idx)):
-            if overlap:
-                ready = float(completion[close_idx])
-            else:
-                ready = trace.backward_end
-            queue.schedule(ready, make_comm_event(bucket_id, size))
-
-        queue.run()
-        trace.sync_end = max(trace.sync_end, trace.backward_end)
-        if hook_cost > 0:
-            # Per-bucket cast cost (fp16): small and on the critical path.
-            end = trace.sync_end + hook_cost * slow * self._jitter(
-                rng, cfg.compute_jitter)
-            trace.add(Span(COMPUTE_STREAM, "bucket-cast", trace.sync_end,
-                           end))
-            trace.sync_end = end
-        self._finish_optimizer(trace, rng, slow)
-        return trace
-
-    def _simulate_compressed_sequential(self, bs: int,
-                                        rng: np.random.Generator,
-                                        ifaults: Optional[IterationFaults] = None,
-                                        ) -> IterationTrace:
-        """Compression after backward: encode -> collective(s) -> decode.
-
-        This is the execution the paper settles on after §3.1 and models
-        in §4.2: no overlap, so no γ, but the full encode/decode cost on
-        the critical path.
-        """
-        cfg = self.config
-        trace = IterationTrace()
-        slow, p, bw_scale, _ = self._fault_params(ifaults)
-        t0 = self._start_stall(trace, ifaults)
-        cost = self._scheme_cost(p)
-
-        t_fwd = (self.compute.forward_time(bs) * slow
-                 * self._jitter(rng, cfg.compute_jitter))
-        trace.add(Span(COMPUTE_STREAM, "forward", t0, t0 + t_fwd))
-        trace.forward_end = t0 + t_fwd
-
-        t_bwd = (self.compute.backward_time(bs) * slow
-                 * self._jitter(rng, cfg.compute_jitter))
-        trace.backward_end = trace.forward_end + t_bwd
-        trace.add(Span(COMPUTE_STREAM, "backward", trace.forward_end,
-                       trace.backward_end))
-
-        enc_dec = ((cost.encode_decode_s + self._hook_overhead()) * slow
-                   * self._jitter(rng, cfg.compute_jitter))
-        encode_end = trace.backward_end + enc_dec / 2.0
-        trace.add(Span(COMPUTE_STREAM, "encode", trace.backward_end, encode_end))
-
-        comm = 0.0 if p == 1 else (
-            self._collective_time(cost, p, bw_scale)
-            * self._jitter(rng, cfg.comm_jitter))
-        comm_end = encode_end + comm
-        if comm > 0:
-            trace.add(Span(COMM_STREAM, "aggregate", encode_end, comm_end,
-                           bytes_on_wire=cost.wire_bytes))
-            comm_end = self._retransmit(
-                trace, ifaults, 0, "retransmit", comm_end, comm,
-                cost.wire_bytes)
-
-        decode_end = comm_end + enc_dec / 2.0
-        trace.add(Span(COMPUTE_STREAM, "decode", comm_end, decode_end))
-        trace.sync_end = decode_end
-        self._finish_optimizer(trace, rng, slow)
-        return trace
-
-    def _simulate_compressed_overlapped(self, bs: int,
-                                        rng: np.random.Generator,
-                                        ifaults: Optional[IterationFaults] = None,
-                                        ) -> IterationTrace:
-        """Figure 3's strategy: encode interleaves with backward.
-
-        Backward and compression contend for SMs, stretching their
-        *combined* work by ``contention_penalty``; compressed chunks
-        become ready progressively through the stretched phase and their
-        collectives overlap.  The paper shows this loses to sequential
-        execution; this mode exists to reproduce that comparison.
-        """
-        cfg = self.config
-        trace = IterationTrace()
-        slow, p, bw_scale, _ = self._fault_params(ifaults)
-        t0 = self._start_stall(trace, ifaults)
-        cost = self._scheme_cost(p)
-
-        t_fwd = (self.compute.forward_time(bs) * slow
-                 * self._jitter(rng, cfg.compute_jitter))
-        fwd_end = t0 + t_fwd
-        trace.add(Span(COMPUTE_STREAM, "forward", t0, fwd_end))
-        trace.forward_end = fwd_end
-
-        t_bwd = (self.compute.backward_time(bs) * slow
-                 * self._jitter(rng, cfg.compute_jitter))
-        enc_dec = ((cost.encode_decode_s + self._hook_overhead()) * slow
-                   * self._jitter(rng, cfg.compute_jitter))
-        encode_part = enc_dec / 2.0
-        stretched = (t_bwd + encode_part) * cfg.contention_penalty
-        compute_end = fwd_end + stretched
-        trace.backward_end = compute_end
-        trace.add(Span(
-            COMPUTE_STREAM, "backward+encode", fwd_end, compute_end))
-
-        # Compressed chunks stream out in four waves through the phase;
-        # the final wave only after the stretched phase completes.  A
-        # single worker has no collective at all, so it gets no comm
-        # spans — zero-length phantom waves would pollute the trace and
-        # compute_comm_overlap() inputs.
-        comm_total = 0.0 if p == 1 else self._collective_time(
-            cost, p, bw_scale)
-        comm_total *= self._jitter(rng, cfg.comm_jitter)
-        waves = 4
-        comm_free = fwd_end
-        sync_end = compute_end
-        if p > 1:
-            for wave in range(waves):
-                ready = fwd_end + stretched * (wave + 1) / waves
-                start = max(ready, comm_free)
-                end = start + comm_total / waves
-                trace.add(Span(COMM_STREAM, f"wave{wave}", start, end,
-                               bytes_on_wire=cost.wire_bytes / waves))
-                end = self._retransmit(
-                    trace, ifaults, wave, f"retransmit{wave}", end,
-                    comm_total / waves, cost.wire_bytes / waves)
-                comm_free = end
-                sync_end = end
-
-        decode_end = max(sync_end, compute_end) + enc_dec / 2.0
-        trace.add(Span(COMPUTE_STREAM, "decode",
-                       max(sync_end, compute_end), decode_end))
-        trace.sync_end = decode_end
-        self._finish_optimizer(trace, rng, slow)
-        return trace
-
-    def _finish_optimizer(self, trace: IterationTrace,
-                          rng: np.random.Generator,
-                          slowdown: float = 1.0) -> None:
-        start = max(trace.sync_end, trace.backward_end)
-        t_opt = (self.compute.optimizer_time() * slowdown
-                 * self._jitter(rng, self.config.compute_jitter))
-        trace.add(Span(COMPUTE_STREAM, "optimizer", start, start + t_opt))
-        trace.iteration_end = start + t_opt
 
     # ----- multi-iteration runs -------------------------------------------------
 

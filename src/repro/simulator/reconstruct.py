@@ -1,7 +1,8 @@
 """Event-identical trace reconstruction from the batch kernel.
 
 The vectorized kernel computes iteration *instants*, not spans.  But
-every span boundary the event loop emits — bucket pipeline starts and
+every span boundary of the discrete-event spec (the event-loop oracle
+in the test suite) — bucket pipeline starts and
 ends, encode/decode instants, wave schedules, retransmit penalties,
 optimizer starts — is an intermediate array the kernel already
 materializes.  This module asks the kernel to record those
@@ -19,10 +20,12 @@ only when a delay materialized).  ``tests/test_trace_reconstruction.py``
 asserts span-for-span float equality against the event loop across
 schemes, world sizes, algorithms, and fault schedules.
 
-Unlike :meth:`DDPSimulator.simulate_iteration`, reconstruction is pure:
-it never records metrics, never advances injector run counters, and
-never mutates the simulator — it can run after (or instead of) a
-``run()`` without disturbing its telemetry.
+:meth:`DDPSimulator.simulate_iteration` is :func:`trace_from_record`
+over a one-row kernel call, plus the side effects of a stepped
+iteration.  :func:`reconstruct_traces` is pure: it never records
+metrics, never advances injector run counters, and never mutates the
+simulator — it can run after (or instead of) a ``run()`` without
+disturbing its telemetry.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ def reconstruct_traces(sim: DDPSimulator,
                        batch_size: Optional[int] = None,
                        iterations: int = 1,
                        seed: int = 0) -> List[IterationTrace]:
-    """Traces for iterations ``0 .. iterations-1``, without the event loop.
+    """Traces for iterations ``0 .. iterations-1`` from one kernel call.
 
     Bit-identical to::
 
@@ -50,13 +53,13 @@ def reconstruct_traces(sim: DDPSimulator,
         [sim.simulate_iteration(batch_size, rng, iteration=i)
          for i in range(iterations)]
 
-    but computed through the batch kernel (one RNG call, one array
-    pass), and side-effect free.
+    but computed in one kernel call (one RNG call, one array pass),
+    and side-effect free.
 
     Raises:
         ConfigurationError: for a non-positive iteration count.
-        OutOfMemoryError: the same deterministic OOM the event path
-            raises before simulating anything.
+        OutOfMemoryError: the deterministic OOM of the memory check,
+            raised before simulating anything.
     """
     if iterations < 1:
         raise ConfigurationError(
@@ -79,6 +82,9 @@ def trace_from_record(record: Dict[str, Any], i: int) -> IterationTrace:
     state = resolved.states[i] if resolved is not None else None
     trace = _ASSEMBLERS[record["path"]](i, record, record["rows"], state)
     if state is not None and state.active:
+        # One fault-window span per iteration on a dedicated stream: the
+        # Perfetto export shows exactly when the cluster was degraded,
+        # next to compute and comm.
         trace.add(Span(FAULT_STREAM, "+".join(state.active),
                        0.0, trace.iteration_end))
     return trace
@@ -86,8 +92,8 @@ def trace_from_record(record: Dict[str, Any], i: int) -> IterationTrace:
 
 def _begin(trace: IterationTrace,
            state: Optional[IterationFaults]) -> float:
-    """Replicates ``_start_stall``: the stall span (when any) comes
-    first; returns the instant compute may begin."""
+    """The crash-recovery stall span (when any) comes first; returns
+    the instant compute may begin."""
     if state is None or state.stall_s <= 0:
         return 0.0
     trace.add(Span(FAULT_STREAM, state.stall_label or "recovery",
@@ -96,7 +102,8 @@ def _begin(trace: IterationTrace,
 
 
 def _finish(trace: IterationTrace, i: int, rec: Dict[str, Any]) -> None:
-    """Replicates ``_finish_optimizer`` from recorded instants."""
+    """The optimizer span and closing instants, from recorded
+    instants."""
     opt_start = float(rec["opt_start"][i])
     iter_end = float(rec["iter_end"][i])
     trace.add(Span(COMPUTE_STREAM, "optimizer", opt_start, iter_end))

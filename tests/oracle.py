@@ -1,10 +1,12 @@
 """Reference implementations the production code is tested against.
 
-``DDPSimulator.run`` computes a whole measurement run in one batch
-kernel call; :meth:`DDPSimulator.simulate_iteration` is the readable
-per-iteration spec of the same DDP semantics.  :func:`event_run` loops
-the spec over the paper's protocol, so tests can assert that ``run()``
-reproduces it bit for bit.
+``DDPSimulator`` evaluates every iteration through one batch kernel:
+``run()`` a whole measurement run, ``simulate_iteration`` one
+iteration.  The per-iteration event loop below is the readable spec of
+the same DDP semantics: :func:`event_iteration` steps one iteration on
+a discrete-event queue, and :func:`event_run` loops it over the
+paper's protocol, so tests can assert that the kernel reproduces it
+bit for bit.
 
 It also keeps the reference cache-key builders, the advisor sweep's
 unsharded reduction and the training substrate's step-by-step loops
@@ -12,6 +14,8 @@ unsharded reduction and the training substrate's step-by-step loops
 """
 
 import hashlib
+import heapq
+import itertools
 import json
 from dataclasses import asdict
 
@@ -27,8 +31,128 @@ from repro.compression.schemes import SyncSGDScheme
 from repro.core.advisor import recommend_for_inputs
 from repro.core.grid import compressed_time_grid
 from repro.core.whatif import solve_crossover
-from repro.simulator import DDPConfig, TimingResult
+from repro.errors import SimulationError
+from repro.faults import FAULT_STREAM
+from repro.simulator import (
+    COMM_STREAM,
+    COMPUTE_STREAM,
+    DDPConfig,
+    IterationTrace,
+    Span,
+    TimingResult,
+)
+from repro.telemetry.metrics import get_registry
 from repro.units import GIGA
+
+
+# ----- simulator oracle ------------------------------------------------------
+#
+# The DDP iteration stated as a discrete-event loop: spans are
+# scheduled on a shared virtual clock, and bucket-ready events fire
+# mid-backward and enqueue communication work.  The batch kernel
+# (``run()``, ``simulate_iteration``, ``reconstruct_traces``) must
+# reproduce it bit for bit.
+
+
+class EventQueue:
+    """Priority queue of timestamped events with a virtual clock, with
+    deterministic tie-breaking (insertion order)."""
+
+    def __init__(self):
+        self._heap = []
+        self._counter = itertools.count()
+        self._now = 0.0
+        self._processed = 0
+
+    @property
+    def now(self):
+        """Current virtual time in seconds."""
+        return self._now
+
+    @property
+    def processed(self):
+        """Number of events executed so far."""
+        return self._processed
+
+    @property
+    def pending(self):
+        """Number of events still queued (not yet executed)."""
+        return len(self._heap)
+
+    def schedule(self, time, callback):
+        """Enqueue ``callback`` to fire at absolute virtual ``time``.
+
+        Scheduling into the past is an inconsistency, not a rounding
+        issue, so it raises.
+        """
+        if time < self._now - 1e-12:
+            raise SimulationError(
+                f"cannot schedule event at {time:.9f}s; clock is already "
+                f"at {self._now:.9f}s")
+        heapq.heappush(self._heap, (time, next(self._counter), callback))
+
+    def schedule_after(self, delay, callback):
+        """Enqueue ``callback`` to fire ``delay`` seconds from now."""
+        if delay < 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
+        self.schedule(self._now + delay, callback)
+
+    def run(self, max_events=1_000_000):
+        """Drain the queue; returns the final clock value.
+
+        ``max_events`` is a per-invocation budget against runaway
+        callbacks; exhausting it raises rather than returning a
+        truncated timeline.
+        """
+        executed = 0
+        while self._heap:
+            if executed >= max_events:
+                raise SimulationError(
+                    f"event budget exhausted: processed {max_events} "
+                    f"events in one run() with {self.pending} still "
+                    f"queued at virtual time {self._now:.6f}s — the "
+                    f"timeline is incomplete.  This usually means a "
+                    f"callback reschedules itself unconditionally; if "
+                    f"the workload is legitimately this large, raise "
+                    f"max_events.")
+            time, _, callback = heapq.heappop(self._heap)
+            self._now = time
+            executed += 1
+            self._processed += 1
+            callback(self)
+        return self._now
+
+    def empty(self):
+        """Whether any events remain."""
+        return not self._heap
+
+
+def event_iteration(sim, bs, rng, iteration=0):
+    """What ``sim.simulate_iteration(bs, rng, iteration=iteration)``
+    must return, stepped on the event loop, with the same side effects:
+    the injector's retransmit counters and fault telemetry, and
+    ``sim._record_iteration`` when the registry is enabled."""
+    if sim.config.check_memory:
+        sim.check_memory(bs)
+    injector = sim.injector
+    ifaults = injector.faults_for(iteration) if injector is not None else None
+    if sim._is_baseline or sim.scheme.ddp_overlap:
+        # ddp_overlap schemes (fp16) compress inside the bucket hook:
+        # same event structure as syncSGD with scaled payloads.
+        trace = _simulate_baseline(sim, bs, rng, ifaults)
+    elif sim.config.overlap_compression:
+        trace = _simulate_compressed_overlapped(sim, bs, rng, ifaults)
+    else:
+        trace = _simulate_compressed_sequential(sim, bs, rng, ifaults)
+    if ifaults is not None:
+        if ifaults.active:
+            trace.add(Span(FAULT_STREAM, "+".join(ifaults.active),
+                           0.0, trace.iteration_end))
+        injector.record_iteration(ifaults)
+    registry = get_registry()
+    if registry.enabled:
+        sim._record_iteration(registry, trace)
+    return trace
 
 
 def event_run(sim, batch_size=None, iterations=110, warmup=10, seed=0):
@@ -43,7 +167,7 @@ def event_run(sim, batch_size=None, iterations=110, warmup=10, seed=0):
         sim.injector.reset_run_counters()
     bs = batch_size if batch_size is not None else sim.model.default_batch_size
     rng = np.random.default_rng(seed)
-    traces = [sim.simulate_iteration(bs, rng, iteration=i)
+    traces = [event_iteration(sim, bs, rng, iteration=i)
               for i in range(iterations)]
     measured = traces[warmup:]
     return TimingResult(
@@ -54,6 +178,233 @@ def event_run(sim, batch_size=None, iterations=110, warmup=10, seed=0):
         sync_times=tuple(t.sync_time() for t in measured),
         iteration_times=tuple(t.iteration_end for t in measured),
     )
+
+
+def _jitter(rng, sigma):
+    return float(rng.lognormal(mean=0.0, sigma=sigma)) if sigma > 0 else 1.0
+
+
+def _backward_layer_times(sim, bs, stretch, rng):
+    sigma = sim.config.compute_jitter
+    # One scalar jitter draw per layer, in layer order; Python floats,
+    # so every span boundary in the trace stays a plain float.
+    return [t * stretch * _jitter(rng, sigma)
+            for t in sim.compute.backward_layer_times(bs).tolist()]
+
+
+def _fault_params(sim, ifaults):
+    """(compute slowdown, active world size, bandwidth scale)."""
+    if ifaults is None:
+        return 1.0, sim.cluster.world_size, 1.0
+    return (ifaults.compute_slowdown, ifaults.world_size,
+            ifaults.bandwidth_scale)
+
+
+def _start_stall(trace, ifaults):
+    """Charge any crash-recovery stall at the iteration start; returns
+    the instant compute may begin (0.0 when healthy)."""
+    if ifaults is None or ifaults.stall_s <= 0:
+        return 0.0
+    trace.add(Span(FAULT_STREAM, ifaults.stall_label or "recovery",
+                   0.0, ifaults.stall_s))
+    return ifaults.stall_s
+
+
+def _retransmit(sim, trace, ifaults, transfer_index, label, end, duration,
+                payload_bytes):
+    """Append the retransmit penalty (if any) for the transfer that just
+    finished at ``end``; returns the new completion instant."""
+    if ifaults is None or ifaults.retransmit is None or duration <= 0:
+        return end
+    delay, replays = sim.injector.retransmit_delay(
+        ifaults.iteration, transfer_index, duration)
+    if delay <= 0:
+        return end
+    trace.add(Span(COMM_STREAM, label, end, end + delay,
+                   bytes_on_wire=payload_bytes * replays))
+    return end + delay
+
+
+def _simulate_baseline(sim, bs, rng, ifaults):
+    """syncSGD (or a ddp_overlap scheme like fp16): bucketed,
+    overlapped all-reduce — the paper's §4.1 structure."""
+    cfg = sim.config
+    trace = IterationTrace()
+    queue = EventQueue()
+    slow, p, bw_scale = _fault_params(sim, ifaults)
+    t0 = _start_stall(trace, ifaults)
+
+    if sim._is_baseline:
+        wire_scale, hook_cost = 1.0, 0.0
+    else:
+        cost = sim._scheme_cost(p)
+        wire_scale = cost.wire_bytes / sim.model.grad_bytes
+        hook_cost = cost.encode_decode_s
+
+    overlap = cfg.overlap_communication and p > 1
+    stretch = cfg.gamma if overlap else 1.0
+
+    t_fwd = (sim.compute.forward_time(bs) * slow
+             * _jitter(rng, cfg.compute_jitter))
+    trace.add(Span(COMPUTE_STREAM, "forward", t0, t0 + t_fwd))
+    trace.forward_end = t0 + t_fwd
+
+    plan = sim.model.bucket_plan(cfg.bucket_cap_bytes)
+
+    layer_times = _backward_layer_times(sim, bs, stretch * slow, rng)
+    # Cumulative completion time of each backward layer.
+    completion = np.cumsum(layer_times) + trace.forward_end
+    trace.backward_end = float(completion[-1])
+    trace.add(Span(COMPUTE_STREAM, "backward", trace.forward_end,
+                   trace.backward_end))
+
+    comm_free = [trace.forward_end]  # comm stream availability
+
+    def make_comm_event(bucket_id, size):
+        def fire(q):
+            start = max(q.now, comm_free[0])
+            duration = (sim._allreduce_time(size * wire_scale, p, bw_scale)
+                        if p > 1 else 0.0)
+            duration *= _jitter(rng, cfg.comm_jitter)
+            end = start + duration
+            trace.add(Span(COMM_STREAM, f"bucket{bucket_id}", start, end,
+                           bytes_on_wire=(size * wire_scale
+                                          if p > 1 else 0.0)))
+            end = _retransmit(sim, trace, ifaults, bucket_id,
+                              f"retransmit{bucket_id}", end, duration,
+                              size * wire_scale)
+            comm_free[0] = end
+            trace.sync_end = max(trace.sync_end, end)
+        return fire
+
+    for bucket_id, (size, close_idx) in enumerate(
+            zip(plan.sizes, plan.close_idx)):
+        if overlap:
+            ready = float(completion[close_idx])
+        else:
+            ready = trace.backward_end
+        queue.schedule(ready, make_comm_event(bucket_id, size))
+
+    queue.run()
+    trace.sync_end = max(trace.sync_end, trace.backward_end)
+    if hook_cost > 0:
+        # Per-bucket cast cost (fp16): small and on the critical path.
+        end = trace.sync_end + hook_cost * slow * _jitter(
+            rng, cfg.compute_jitter)
+        trace.add(Span(COMPUTE_STREAM, "bucket-cast", trace.sync_end, end))
+        trace.sync_end = end
+    _finish_optimizer(sim, trace, rng, slow)
+    return trace
+
+
+def _simulate_compressed_sequential(sim, bs, rng, ifaults):
+    """Compression after backward: encode -> collective(s) -> decode
+    (the paper's §4.2 execution: no overlap, so no γ, but the full
+    encode/decode cost on the critical path)."""
+    cfg = sim.config
+    trace = IterationTrace()
+    slow, p, bw_scale = _fault_params(sim, ifaults)
+    t0 = _start_stall(trace, ifaults)
+    cost = sim._scheme_cost(p)
+
+    t_fwd = (sim.compute.forward_time(bs) * slow
+             * _jitter(rng, cfg.compute_jitter))
+    trace.add(Span(COMPUTE_STREAM, "forward", t0, t0 + t_fwd))
+    trace.forward_end = t0 + t_fwd
+
+    t_bwd = (sim.compute.backward_time(bs) * slow
+             * _jitter(rng, cfg.compute_jitter))
+    trace.backward_end = trace.forward_end + t_bwd
+    trace.add(Span(COMPUTE_STREAM, "backward", trace.forward_end,
+                   trace.backward_end))
+
+    enc_dec = ((cost.encode_decode_s + sim._hook_overhead()) * slow
+               * _jitter(rng, cfg.compute_jitter))
+    encode_end = trace.backward_end + enc_dec / 2.0
+    trace.add(Span(COMPUTE_STREAM, "encode", trace.backward_end, encode_end))
+
+    comm = 0.0 if p == 1 else (
+        sim._collective_time(cost, p, bw_scale)
+        * _jitter(rng, cfg.comm_jitter))
+    comm_end = encode_end + comm
+    if comm > 0:
+        trace.add(Span(COMM_STREAM, "aggregate", encode_end, comm_end,
+                       bytes_on_wire=cost.wire_bytes))
+        comm_end = _retransmit(sim, trace, ifaults, 0, "retransmit",
+                               comm_end, comm, cost.wire_bytes)
+
+    decode_end = comm_end + enc_dec / 2.0
+    trace.add(Span(COMPUTE_STREAM, "decode", comm_end, decode_end))
+    trace.sync_end = decode_end
+    _finish_optimizer(sim, trace, rng, slow)
+    return trace
+
+
+def _simulate_compressed_overlapped(sim, bs, rng, ifaults):
+    """Figure 3's strategy: encode interleaves with backward.
+
+    Backward and compression contend for SMs, stretching their
+    *combined* work by ``contention_penalty``; compressed chunks become
+    ready progressively through the stretched phase and their
+    collectives overlap.
+    """
+    cfg = sim.config
+    trace = IterationTrace()
+    slow, p, bw_scale = _fault_params(sim, ifaults)
+    t0 = _start_stall(trace, ifaults)
+    cost = sim._scheme_cost(p)
+
+    t_fwd = (sim.compute.forward_time(bs) * slow
+             * _jitter(rng, cfg.compute_jitter))
+    fwd_end = t0 + t_fwd
+    trace.add(Span(COMPUTE_STREAM, "forward", t0, fwd_end))
+    trace.forward_end = fwd_end
+
+    t_bwd = (sim.compute.backward_time(bs) * slow
+             * _jitter(rng, cfg.compute_jitter))
+    enc_dec = ((cost.encode_decode_s + sim._hook_overhead()) * slow
+               * _jitter(rng, cfg.compute_jitter))
+    encode_part = enc_dec / 2.0
+    stretched = (t_bwd + encode_part) * cfg.contention_penalty
+    compute_end = fwd_end + stretched
+    trace.backward_end = compute_end
+    trace.add(Span(COMPUTE_STREAM, "backward+encode", fwd_end, compute_end))
+
+    # Compressed chunks stream out in four waves through the phase; the
+    # final wave only after the stretched phase completes.  A single
+    # worker has no collective at all, so it gets no comm spans.
+    comm_total = 0.0 if p == 1 else sim._collective_time(cost, p, bw_scale)
+    comm_total *= _jitter(rng, cfg.comm_jitter)
+    waves = 4
+    comm_free = fwd_end
+    sync_end = compute_end
+    if p > 1:
+        for wave in range(waves):
+            ready = fwd_end + stretched * (wave + 1) / waves
+            start = max(ready, comm_free)
+            end = start + comm_total / waves
+            trace.add(Span(COMM_STREAM, f"wave{wave}", start, end,
+                           bytes_on_wire=cost.wire_bytes / waves))
+            end = _retransmit(sim, trace, ifaults, wave, f"retransmit{wave}",
+                              end, comm_total / waves,
+                              cost.wire_bytes / waves)
+            comm_free = end
+            sync_end = end
+
+    decode_end = max(sync_end, compute_end) + enc_dec / 2.0
+    trace.add(Span(COMPUTE_STREAM, "decode",
+                   max(sync_end, compute_end), decode_end))
+    trace.sync_end = decode_end
+    _finish_optimizer(sim, trace, rng, slow)
+    return trace
+
+
+def _finish_optimizer(sim, trace, rng, slowdown=1.0):
+    start = max(trace.sync_end, trace.backward_end)
+    t_opt = (sim.compute.optimizer_time() * slowdown
+             * _jitter(rng, sim.config.compute_jitter))
+    trace.add(Span(COMPUTE_STREAM, "optimizer", start, start + t_opt))
+    trace.iteration_end = start + t_opt
 
 
 # ----- cache-key oracle ------------------------------------------------------

@@ -1,12 +1,12 @@
 """Batch kernel vs the event-loop oracle: bit-identity and wiring.
 
 ``DDPSimulator.run`` computes every run through the vectorized kernel
-in :mod:`repro.simulator.batch`; ``simulate_iteration`` is the
-readable spec it must reproduce.  This module is the contract: exact
-``TimingResult`` equality (no approx) against :func:`event_run` across
-schemes, world sizes, and jitter settings, a seeded randomized sweep
-over the whole configuration space, and the CLI/engine wiring around
-the single kernel path.
+in :mod:`repro.simulator.batch`; the event-loop oracle in
+``tests/oracle.py`` is the readable spec it must reproduce.  This
+module is the contract: exact ``TimingResult`` equality (no approx)
+against :func:`event_run` across schemes, world sizes, and jitter
+settings, a seeded randomized sweep over the whole configuration
+space, and the CLI/engine wiring around the single kernel path.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 
 from repro.collectives import (
     ring_allreduce_time,
-    ring_allreduce_time_batch,
+    ring_allreduce_time_grid,
 )
 from repro.compression import (
     FP16Scheme,
@@ -39,7 +39,7 @@ from repro.simulator import DDPConfig, DDPSimulator, write_run_trace
 from repro.simulator import batch as batch_module
 from repro.telemetry import disable_tracing, enable_tracing
 
-from .oracle import event_run
+from .oracle import event_iteration, event_run
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,8 @@ def run_both(sim, iterations=14, warmup=3, seed=0, batch_size=None):
 
 
 def spy_kernel(monkeypatch):
-    """Count kernel calls and forbid the event loop inside ``run()``."""
+    """Count kernel calls and forbid per-iteration stepping inside
+    ``run()``: one kernel call covers the whole run."""
     calls = []
     real = batch_module.run_batch
 
@@ -76,7 +77,7 @@ def spy_kernel(monkeypatch):
         return real(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("run() must not step the event loop")
+        raise AssertionError("run() must not step single iterations")
 
     monkeypatch.setattr(batch_module, "run_batch", counting)
     monkeypatch.setattr(DDPSimulator, "simulate_iteration", forbidden)
@@ -194,7 +195,7 @@ class TestModeResolution:
 class TestCLIReporting:
     def test_simulate_trace_stays_on_batch(self, capsys, tmp_path, rn50):
         # The exported spans come from batch-kernel reconstruction and
-        # are byte-identical to the event loop's.
+        # are byte-identical to the event-loop oracle's.
         from repro.cli import main
         trace = tmp_path / "trace.json"
         assert main(["simulate", "--model", "resnet50", "--gpus", "8",
@@ -206,7 +207,8 @@ class TestCLIReporting:
         for w in range(2):
             rng = np.random.default_rng(w)
             workers[f"worker{w}"] = [
-                sim.simulate_iteration(None, rng, iteration=i)
+                event_iteration(sim, rn50.default_batch_size, rng,
+                                iteration=i)
                 for i in range(3)]
         oracle = tmp_path / "oracle.json"
         write_run_trace(workers, str(oracle))
@@ -233,18 +235,18 @@ class TestEngineWiring:
 class TestVectorizedPrimitives:
     def test_ring_allreduce_batch_matches_scalar(self):
         payloads = np.array([0.0, 1.0, 25e6, 1e9])
-        batch = ring_allreduce_time_batch(payloads, 8, 10e9, 5e-6)
+        batch = ring_allreduce_time_grid(payloads, 8, 10e9, 5e-6)
         scalar = [ring_allreduce_time(float(b), 8, 10e9, 5e-6)
                   for b in payloads]
         assert batch.tolist() == scalar
 
     def test_single_worker_collective_is_free(self):
-        assert ring_allreduce_time_batch(
+        assert ring_allreduce_time_grid(
             np.array([1e6]), 1, 10e9, 5e-6).tolist() == [0.0]
 
     def test_negative_payload_rejected(self):
         with pytest.raises(ConfigurationError):
-            ring_allreduce_time_batch(np.array([-1.0]), 8, 10e9, 5e-6)
+            ring_allreduce_time_grid(np.array([-1.0]), 8, 10e9, 5e-6)
 
 
 # ----- randomized property: run() == event_run over the config space --------

@@ -13,7 +13,7 @@ from repro.core import (
     find_crossover_gbps,
     headroom_curve,
     required_compression,
-    validate_scheme,
+    validate_schemes,
 )
 from repro.errors import ConfigurationError
 from repro.hardware import cluster_for_gpus
@@ -50,25 +50,43 @@ class TestCalibration:
 class TestValidation:
     def test_allreducible_schemes_validate_tightly(self, rn50):
         clusters = [cluster_for_gpus(g) for g in (8, 32, 96)]
-        for scheme in (SyncSGDScheme(), PowerSGDScheme(4)):
-            curve = validate_scheme(rn50, scheme, clusters, batch_size=64,
-                                    iterations=20, warmup=4)
+        schemes = (SyncSGDScheme(), PowerSGDScheme(4))
+        curves = validate_schemes(rn50, schemes, clusters, batch_size=64,
+                                  iterations=20, warmup=4)
+        for scheme, curve in zip(schemes, curves):
             assert curve.median_error < 0.08, scheme
 
     def test_signsgd_error_larger_from_incast(self, rn50):
         clusters = [cluster_for_gpus(g) for g in (8, 32, 96)]
-        sign = validate_scheme(rn50, SignSGDScheme(), clusters,
-                               batch_size=64, iterations=20, warmup=4)
-        sync = validate_scheme(rn50, SyncSGDScheme(), clusters,
-                               batch_size=64, iterations=20, warmup=4)
+        sign, sync = validate_schemes(
+            rn50, (SignSGDScheme(), SyncSGDScheme()), clusters,
+            batch_size=64, iterations=20, warmup=4)
         assert sign.max_error > 2 * sync.max_error
 
     def test_oom_points_skipped(self):
         bert = get_model("bert-base")
         clusters = [cluster_for_gpus(g) for g in (8, 96)]
-        curve = validate_scheme(bert, SignSGDScheme(), clusters,
-                                batch_size=12, iterations=8, warmup=2)
+        [curve] = validate_schemes(bert, (SignSGDScheme(),), clusters,
+                                   batch_size=12, iterations=8, warmup=2)
         assert [p.world_size for p in curve.points] == [8]
+
+    def test_one_calibration_per_cluster(self, rn50, monkeypatch):
+        # Calibration never reads the scheme, so sharing it across the
+        # schemes of a cluster changes no curve.
+        from repro.core import validation
+        schemes = (SyncSGDScheme(), PowerSGDScheme(4), SignSGDScheme())
+        clusters = [cluster_for_gpus(g) for g in (8, 32)]
+        alone = [validate_schemes(rn50, (scheme,), clusters, batch_size=64,
+                                  iterations=8, warmup=2)[0]
+                 for scheme in schemes]
+        calls = []
+        real = validation.calibrate
+        monkeypatch.setattr(validation, "calibrate",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        shared = validate_schemes(rn50, schemes, clusters, batch_size=64,
+                                  iterations=8, warmup=2)
+        assert shared == alone
+        assert len(calls) == len(clusters)
 
 
 class TestIdealAnalysis:

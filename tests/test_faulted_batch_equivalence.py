@@ -20,7 +20,7 @@ import pytest
 
 from repro.collectives import (
     ring_allreduce_time,
-    ring_allreduce_time_batch,
+    ring_allreduce_time_grid,
 )
 from repro.compression import (
     FP16Scheme,
@@ -291,17 +291,18 @@ class TestEngineFamilyBatching:
 
 
 class TestVectorizedFaultPrimitives:
-    """Array bandwidth overloads of the batch collective."""
+    """Array bandwidths in the grid collective the kernel prices
+    buckets with."""
 
     def test_ring_batch_accepts_bandwidth_array(self):
         payloads = np.array([1.0, 25e6, 1e9])
         bws = np.array([10e9, 2.5e9, 10e9])
-        batch = ring_allreduce_time_batch(payloads, 8, bws, 5e-6)
+        batch = ring_allreduce_time_grid(payloads, 8, bws, 5e-6)
         scalar = [ring_allreduce_time(float(b), 8, float(bw), 5e-6)
                   for b, bw in zip(payloads, bws)]
         assert batch.tolist() == scalar
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
-            ring_allreduce_time_batch(np.array([1e6]), 8,
-                                      np.array([0.0]), 5e-6)
+            ring_allreduce_time_grid(np.array([1e6]), 8,
+                                     np.array([0.0]), 5e-6)

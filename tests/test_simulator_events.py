@@ -1,4 +1,4 @@
-"""Event queue and trace primitives."""
+"""The oracle's event queue, and the trace primitives."""
 
 import pytest
 
@@ -6,11 +6,12 @@ from repro.errors import SimulationError
 from repro.simulator import (
     COMM_STREAM,
     COMPUTE_STREAM,
-    EventQueue,
     IterationTrace,
     Span,
     estimate_gamma,
 )
+
+from .oracle import EventQueue
 
 
 class TestEventQueue:

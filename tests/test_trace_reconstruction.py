@@ -2,11 +2,12 @@
 
 ``repro.simulator.reconstruct`` derives per-iteration span timelines
 from the batch kernel's recorded intermediates; its contract is *exact*
-equality with what ``simulate_iteration`` emits — same spans (stream,
-label, start, end, bytes), same key instants, same float bits — which
-is what lets ``--trace`` take the vectorized kernel.  This module
-is that contract, across schemes, world sizes, allreduce algorithms,
-and fault schedules, plus the CLI wiring on top of it.
+equality with what the event-loop oracle (:func:`event_iteration`)
+emits — same spans (stream, label, start, end, bytes), same key
+instants, same float bits — which is what lets ``--trace`` take the
+vectorized kernel.  This module is that contract, across schemes, world
+sizes, allreduce algorithms, and fault schedules, plus the CLI wiring
+on top of it.
 """
 
 import numpy as np
@@ -35,6 +36,8 @@ from repro.telemetry import (
     disable_tracing,
     enable_tracing,
 )
+
+from .oracle import event_iteration
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +113,8 @@ class TestExactEquivalence:
         event_sim = make_sim(rn50, scheme, gpus, config, faults)
         rng = np.random.default_rng(0)
         for i in range(iterations):
-            event = event_sim.simulate_iteration(None, rng, iteration=i)
+            event = event_iteration(event_sim, rn50.default_batch_size,
+                                    rng, iteration=i)
             got = reconstructed[i]
             # Exact float equality on every span and key instant — the
             # reconstruction replays the kernel's own arithmetic, it
@@ -139,8 +143,9 @@ class TestExactEquivalence:
                 iterations=6, warmup=1, seed=3)
         finally:
             disable_tracing()
-        event = make_sim(rn50, scheme, gpus, config, faults) \
-            .simulate_iteration(None, np.random.default_rng(3), iteration=0)
+        event = event_iteration(make_sim(rn50, scheme, gpus, config, faults),
+                                rn50.default_batch_size,
+                                np.random.default_rng(3))
         assert [span_rows(t) for t in captured] == [span_rows(event)]
         assert captured[0].iteration_end == event.iteration_end
 
@@ -176,15 +181,16 @@ class TestCLIByteIdentity:
         return out.read_bytes()
 
     def oracle(self, tmp_path, name, faults=None, workers=2, iterations=3):
-        """The same export built from ``simulate_iteration`` directly."""
-        sim = make_sim(get_model("resnet50"),
-                       scheme_from_spec("powersgd:rank=4"), 8,
+        """The same export stepped on the event-loop oracle."""
+        model = get_model("resnet50")
+        sim = make_sim(model, scheme_from_spec("powersgd:rank=4"), 8,
                        faults=faults)
         traces = {}
         for w in range(workers):
             rng = np.random.default_rng(w)
             traces[f"worker{w}"] = [
-                sim.simulate_iteration(None, rng, iteration=i)
+                event_iteration(sim, model.default_batch_size, rng,
+                                iteration=i)
                 for i in range(iterations)]
         out = tmp_path / name
         write_run_trace(traces, str(out))
