@@ -12,13 +12,15 @@ which configurations are ever worth running on this cluster?* — by
    :mod:`repro.core.grid` kernels in bounded-memory *shards*
    (:class:`~repro.engine.advisorjobs.AdvisorShardJob`) dispatched
    across the :class:`~repro.engine.ExperimentEngine` process pool,
-3. reducing each shard, in the worker that priced it, with a
-   vectorized sort-based Pareto sweep (:func:`pareto_mask`, O(n log n),
-   no per-point Python loop) over the two objectives *iteration time*
-   and *compression error* — a shard's error is constant, so only its
-   minimum-time points survive and only they travel back,
-4. merging shard frontiers in the parent (Pareto-of-Pareto-union
-   equals Pareto-of-union, so the merge is exact), and
+   one fused grid call per candidate,
+3. reducing each shard, in the worker that priced it, to its
+   minimum-time cells — a shard's error is constant, so exactly those
+   are its Pareto survivors, and only they travel back,
+4. merging shard frontiers in the parent with one vectorized
+   sort-based Pareto sweep (:func:`pareto_mask`, O(n log n), no
+   per-point Python loop) over the two objectives *iteration time* and
+   *compression error* (Pareto-of-Pareto-union equals
+   Pareto-of-union, so the merge is exact), and
 5. refining only frontier survivors with exact
    :func:`~repro.core.whatif.solve_crossover` break-even bandwidths,
    then ranking them at the calibrated operating point through the
@@ -47,7 +49,7 @@ import numpy as np
 
 from ..compression.kernel_cost import v100_kernel_profile
 from ..compression.registry import available_schemes, make_scheme
-from ..compression.schemes import Scheme, SyncSGDScheme
+from ..compression.schemes import Scheme, SchemeCost, SyncSGDScheme
 from ..compute import ComputeModel
 from ..core.advisor import Recommendation, recommend_for_inputs
 from ..core.calibration import calibrate
@@ -154,7 +156,11 @@ def compression_error(model: ModelSpec, scheme: Scheme, world_size: int,
                       profile=None) -> float:
     """The sweep's error proxy: wire volume removed, in ``[0, 1]``."""
     prof = profile if profile is not None else v100_kernel_profile()
-    cost = scheme.cost(model, world_size, prof)
+    return _error_of(model, scheme.cost(model, world_size, prof))
+
+
+def _error_of(model: ModelSpec, cost: SchemeCost) -> float:
+    """:func:`compression_error` of an already-priced scheme."""
     return float(min(1.0, max(0.0, 1.0 - cost.wire_bytes
                               / model.grad_bytes)))
 
@@ -371,7 +377,7 @@ def plan_sweep(model: ModelSpec, cluster: ClusterConfig,
             if not fits:
                 infeasible_pairs += 1
                 continue
-            error = compression_error(model, scheme, p, prof)
+            error = _error_of(model, cost)
             for start in range(0, points, sweep.shard_points):
                 count = min(sweep.shard_points, points - start)
                 jobs.append(AdvisorShardJob(
@@ -393,10 +399,10 @@ def finish_sweep(plan: SweepPlan, outcomes: Sequence[Any],
                  ) -> AdvisorReport:
     """Reduce engine outcomes for ``plan.jobs`` into the final report.
 
-    Each outcome carries its shard's Pareto survivors (the workers ran
-    the per-shard sweep); they are tagged with the shard's error,
-    merged by one global Pareto sweep, totally ordered, refined with
-    crossovers and ranked by the shared path at the calibrated
+    Each outcome carries its shard's Pareto survivors (the workers kept
+    each shard's minimum-time cells); they are tagged with the shard's
+    error, merged by one global Pareto sweep, totally ordered, refined
+    with crossovers and ranked by the shared path at the calibrated
     operating point.  Pure post-processing: byte-identical output for
     any sharding or execution order of the same plan.
     """

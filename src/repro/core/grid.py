@@ -215,14 +215,16 @@ def _scheme_cost_grid(model: ModelSpec, scheme: Scheme, p: np.ndarray,
                       profile: KernelProfile, shape: Tuple[int, ...],
                       ) -> Tuple[np.ndarray, np.ndarray, SchemeCost]:
     """Price ``scheme`` across a world-size axis: one :meth:`Scheme.cost`
-    call per *unique* world size, mask-filled into ``shape``.
+    call per *unique* world size, mask-filled along ``p``.
 
     Returns ``(wire_bytes, encode_decode_s, representative_cost)`` —
-    the arrays broadcast to ``shape``; the representative cost carries
-    the p-independent structure (messages, all_reducible).  Schemes
-    whose message count or collective family varied with ``p`` would
-    not fit one broadcast expression; none of the built-ins do, and the
-    guard makes the assumption explicit.
+    arrays that broadcast against ``shape`` (a scalar ``p`` gives views
+    of ``shape``, a world-size axis arrays of ``p``'s own shape, so the
+    work scales with the world sizes, not the grid); the representative
+    cost carries the p-independent structure (messages,
+    all_reducible).  Schemes whose message count or collective family
+    varied with ``p`` would not fit one broadcast expression; none of
+    the built-ins do, and the guard makes the assumption explicit.
     """
     if p.ndim == 0:
         cost = scheme.cost(model, int(p), profile)
@@ -231,8 +233,8 @@ def _scheme_cost_grid(model: ModelSpec, scheme: Scheme, p: np.ndarray,
         enc = np.broadcast_to(np.asarray(cost.encode_decode_s, dtype=float),
                               shape)
         return wire, enc, cost
-    wire = np.zeros(shape)
-    enc = np.zeros(shape)
+    wire = np.zeros(p.shape)
+    enc = np.zeros(p.shape)
     rep: Optional[SchemeCost] = None
     for unique_p in np.unique(p):
         cost = scheme.cost(model, int(unique_p), profile)
@@ -243,7 +245,7 @@ def _scheme_cost_grid(model: ModelSpec, scheme: Scheme, p: np.ndarray,
             raise ConfigurationError(
                 f"{scheme.label}: message structure varies with world "
                 f"size; the grid model cannot vectorize it")
-        mask = np.broadcast_to(p == unique_p, shape)
+        mask = p == unique_p
         wire = np.where(mask, cost.wire_bytes, wire)
         enc = np.where(mask, cost.encode_decode_s, enc)
     assert rep is not None

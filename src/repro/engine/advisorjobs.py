@@ -5,9 +5,8 @@ scheme × hyperparameter × world-size × bandwidth grid — on the default
 sweep, over a million configurations.  One grid call that size would
 blow the :data:`repro.core.grid.MAX_GRID_POINTS` bound, so the sweep is
 sliced along its widest axis into *shards*: each
-:class:`AdvisorShardJob` prices one contiguous slice of the bandwidth
-axis for one (candidate, world size) pair through the grid kernels,
-bounded-memory by construction, and reduces the slice to its Pareto
+:class:`AdvisorShardJob` owns one contiguous slice of the bandwidth
+axis for one (candidate, world size) pair and reduces it to its Pareto
 survivors where it was priced.
 
 Two properties make shards engine citizens like
@@ -19,28 +18,33 @@ Two properties make shards engine citizens like
   :class:`~repro.engine.cache.SimulationCache` without pricing
   anything;
 * **families** — shards of one candidate share a
-  :meth:`AdvisorShardJob.family_key`; on the pool path the engine
-  submits one task per candidate (amortizing IPC over that candidate's
-  shards) while each member still runs its own bounded grid call.
+  :meth:`AdvisorShardJob.family_key`; the engine runs each family as
+  one task, and :func:`evaluate_advisor_family` prices the members'
+  world sizes × bandwidth span in one grid call (split only where it
+  would exceed the bound) and cuts each member's slice out of it.
 
 The in-shard reduction is exact: a shard holds one candidate at one
 world size, so its compression error is one constant and its Pareto
-survivors are its minimum-time points; a point dominated inside its
-shard is dominated in the whole sweep, so the parent's merge of the
-survivors loses nothing.  Shard boundaries never change values either: every shard slices the *same* full ``np.linspace``
-bandwidth axis, so sharded-parallel advise output is byte-identical to
-serial.
+survivors are its minimum-time cells (:func:`shard_minimum`); a point
+dominated inside its shard is dominated in the whole sweep, so the
+parent's merge of the survivors loses nothing.  Neither shard
+boundaries nor fusion change values: every shard slices the *same*
+full ``np.linspace`` bandwidth axis and every grid cell is computed
+elementwise, so sharded, fused and parallel advise output are
+byte-identical to serial per-shard evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
+from ..core import grid as _grid
 from ..core.grid import compressed_time_grid, syncsgd_time_grid
 from ..core.perf_model import PerfModelInputs
 from ..errors import ConfigurationError
@@ -121,9 +125,26 @@ class AdvisorShardJob:
         """This shard's bandwidths in bytes/s: the global linspace
         (Gbit/s), converted with the scalar helper's exact arithmetic,
         then sliced."""
+        return self._axis_slice(self.start, self.start + self.count)
+
+    def _axis_slice(self, start: int, stop: int) -> np.ndarray:
         full = np.linspace(self.bw_lo_gbps, self.bw_hi_gbps,
                            self.bw_points) * GIGA / 8.0
-        return full[self.start:self.start + self.count]
+        return full[start:stop]
+
+    def _price(self, bandwidth: np.ndarray, world_size) -> np.ndarray:
+        """Predicted totals of this shard's candidate over the given
+        bandwidth and world-size axes (one grid-kernel call)."""
+        if self.scheme is None:
+            grid = syncsgd_time_grid(
+                self.model, self.inputs, self.gpu,
+                bandwidth_bytes_per_s=bandwidth, world_size=world_size)
+        else:
+            grid = compressed_time_grid(
+                self.model, self.scheme, self.inputs, self.gpu,
+                self.profile, bandwidth_bytes_per_s=bandwidth,
+                world_size=world_size)
+        return grid.total
 
     def _spec_payload(self) -> Dict[str, Any]:
         """The members fingerprint and family key share."""
@@ -175,28 +196,9 @@ class AdvisorShardJob:
 
     def evaluate(self) -> AdvisorShardResult:
         """Price this shard with one bounded grid-kernel call and keep
-        its Pareto survivors.
-
-        The error column is constant across the shard, so the survivors
-        do not depend on its value: any constant stands in for the
-        candidate's error.
-        """
-        from ..analysis.advisor import pareto_mask  # local import avoids cycle
-        bw = self.bandwidth_axis()
-        if self.scheme is None:
-            grid = syncsgd_time_grid(
-                self.model, self.inputs, self.gpu,
-                bandwidth_bytes_per_s=bw, world_size=self.world_size)
-        else:
-            grid = compressed_time_grid(
-                self.model, self.scheme, self.inputs, self.gpu,
-                self.profile, bandwidth_bytes_per_s=bw,
-                world_size=self.world_size)
-        totals = grid.total
-        keep = np.flatnonzero(pareto_mask(totals, np.zeros(totals.size)))
-        return AdvisorShardResult(priced=int(totals.size),
-                                  offsets=tuple(keep.tolist()),
-                                  total_s=tuple(totals[keep].tolist()))
+        its Pareto survivors."""
+        return _shard_result(self._price(self.bandwidth_axis(),
+                                         self.world_size))
 
     def describe(self) -> str:
         """Short human label for logs and error messages."""
@@ -232,14 +234,99 @@ class AdvisorShardOutcome:
         return self.result
 
 
+def shard_minimum(totals: np.ndarray) -> np.ndarray:
+    """Indices of a shard's Pareto survivors, ascending.
+
+    A shard's error column is constant, so under
+    :func:`~repro.analysis.advisor.pareto_mask`'s strict-dominance rule
+    its survivors are exactly the cells equal to the smallest non-NaN
+    total, ties included.  ``pareto_mask`` sorts NaN last, so an
+    all-NaN shard keeps only its first cell.  A shard has at least one
+    cell.
+    """
+    low = totals.min()
+    if np.isnan(low):
+        priced = totals[~np.isnan(totals)]
+        if priced.size == 0:
+            return np.zeros(1, dtype=np.intp)
+        low = priced.min()
+    return np.flatnonzero(totals == low)
+
+
+def _shard_result(totals: np.ndarray) -> AdvisorShardResult:
+    """One shard's priced totals reduced to its survivors."""
+    keep = shard_minimum(totals)
+    return AdvisorShardResult(priced=int(totals.size),
+                              offsets=tuple(keep.tolist()),
+                              total_s=tuple(totals[keep].tolist()))
+
+
+def _fused_blocks(jobs: Sequence[AdvisorShardJob], members: List[int],
+                  ) -> Iterator[List[int]]:
+    """Cut one axis group into runs whose fused grid — unique world
+    sizes × covered bandwidth span — stays within
+    :data:`~repro.core.grid.MAX_GRID_POINTS`.
+
+    Members are taken in (slice start, world size) order, so a run
+    covers whole bandwidth slices across world sizes before it moves
+    along the axis.  A member too large on its own still forms a run
+    of one, and its grid call raises.
+    """
+    # Read through the module, as the grid's own guard does, so both
+    # always apply the same bound.
+    limit = _grid.MAX_GRID_POINTS
+    block: List[int] = []
+    sizes: Set[int] = set()
+    lo = hi = 0
+    for i in sorted(members, key=lambda i: (jobs[i].start,
+                                            jobs[i].world_size)):
+        job = jobs[i]
+        if block:
+            grown = sizes | {job.world_size}
+            stop = max(hi, job.start + job.count)
+            if len(grown) * (stop - lo) <= limit:
+                block.append(i)
+                sizes, hi = grown, stop
+                continue
+            yield block
+        block, sizes = [i], {job.world_size}
+        lo, hi = job.start, job.start + job.count
+    if block:
+        yield block
+
+
 def evaluate_advisor_family(jobs: Sequence[AdvisorShardJob],
                             ) -> List[AdvisorShardResult]:
-    """Evaluate one candidate's shards in order, each reduced to its
-    Pareto survivors before it leaves the worker.
+    """Evaluate one candidate's shards, each reduced to its Pareto
+    survivors before it leaves the worker.
 
-    Unlike a model-eval family (one grid call for the whole family),
-    each shard keeps its own bounded grid call — the family exists to
-    amortize pool IPC and cache batching, not to fuse the math.
+    Members that share an axis specification (a family may mix axes
+    when the serving scheduler coalesces requests) are priced in one
+    grid call over their world sizes (a ``(k, 1)`` axis) × the
+    bandwidth span they cover; each member's slice is then cut out of
+    that result.  Groups whose fused grid would exceed
+    :data:`~repro.core.grid.MAX_GRID_POINTS` are split.  Every cell is
+    computed elementwise, so each result is bit-identical to
+    ``job.evaluate()``.
     """
-    return [job.evaluate() for job in jobs]
-
+    results: List[Optional[AdvisorShardResult]] = [None] * len(jobs)
+    axes: Dict[Tuple[float, float, int], List[int]] = {}
+    for i, job in enumerate(jobs):
+        axes.setdefault((job.bw_lo_gbps, job.bw_hi_gbps, job.bw_points),
+                        []).append(i)
+    for members in axes.values():
+        for block in _fused_blocks(jobs, members):
+            lead = jobs[block[0]]
+            sizes = sorted({jobs[i].world_size for i in block})
+            lo = min(jobs[i].start for i in block)
+            hi = max(jobs[i].start + jobs[i].count for i in block)
+            totals = lead._price(lead._axis_slice(lo, hi)[None, :],
+                                 np.asarray(sizes)[:, None])
+            row = {p: r for r, p in enumerate(sizes)}
+            for i in block:
+                job = jobs[i]
+                offset = job.start - lo
+                results[i] = _shard_result(
+                    totals[row[job.world_size],
+                           offset:offset + job.count])
+    return results  # type: ignore[return-value]

@@ -658,10 +658,12 @@ class ExperimentEngine:
         """Evaluate advisor pricing shards; outcomes in input order.
 
         Same contract as :meth:`run_model_outcomes` — per-shard cache
-        entries, one task per candidate family — except a family's
-        members each run their own bounded grid call instead of fusing
-        into one.  Reentrant: the advisor pricer may run inside a
-        scheduler batch that already holds the submission lock.
+        entries, one task per candidate family, and one grid call per
+        family: the members' world sizes × bandwidth span, split only
+        where it would exceed :data:`~repro.core.grid.MAX_GRID_POINTS`
+        (see :func:`~repro.engine.advisorjobs.evaluate_advisor_family`).
+        Reentrant: the advisor pricer may run inside a scheduler batch
+        that already holds the submission lock.
         """
         return self._dispatch(_ADVISOR_KIND, batch)
 

@@ -31,6 +31,7 @@ from repro.compression.schemes import SyncSGDScheme
 from repro.core.advisor import recommend_for_inputs
 from repro.core.grid import compressed_time_grid
 from repro.core.whatif import solve_crossover
+from repro.engine import AdvisorShardResult
 from repro.errors import SimulationError
 from repro.faults import FAULT_STREAM
 from repro.simulator import (
@@ -648,7 +649,22 @@ def oracle_family_key(job):
 # The sweep's reduction as it ran before shards reduced in the worker:
 # every feasible (candidate, world size) pair priced over the whole
 # bandwidth axis, each total tagged with its pair's error, and one
-# Pareto sweep over the union of every priced cell.
+# Pareto sweep over the union of every priced cell.  And one shard as
+# it ran before families fused: its own grid call over its slice, then
+# a full Pareto sweep over a constant error column.
+
+
+def shard_oracle(job):
+    """What ``evaluate_advisor_family`` must return for ``job``."""
+    grid = compressed_time_grid(
+        job.model, job.scheme or SyncSGDScheme(), job.inputs, job.gpu,
+        job.profile, bandwidth_bytes_per_s=job.bandwidth_axis(),
+        world_size=job.world_size)
+    totals = grid.total
+    keep = np.flatnonzero(pareto_mask(totals, np.zeros(totals.size)))
+    return AdvisorShardResult(priced=int(totals.size),
+                              offsets=tuple(keep.tolist()),
+                              total_s=tuple(totals[keep].tolist()))
 
 
 def advise_oracle(model, cluster, spec, candidates=None, batch_size=None):

@@ -26,6 +26,7 @@ from repro.compression.registry import _SCHEMES
 from repro.compression.schemes import SyncSGDScheme
 from repro.core import PerfModelInputs
 from repro.core.advisor import default_candidates
+from repro.core import grid as grid_module
 from repro.core.grid import MAX_GRID_POINTS, syncsgd_time_grid
 from repro.engine import (
     AdvisorShardJob,
@@ -33,14 +34,16 @@ from repro.engine import (
     ExperimentEngine,
     PackStore,
     SimulationCache,
+    evaluate_advisor_family,
 )
+from repro.engine.advisorjobs import shard_minimum
 from repro.engine.cache import outcome_to_payload, payload_to_outcome
 from repro.errors import ConfigurationError
 from repro.hardware import cluster_for_gpus
 from repro.models import available_models, get_model
 from repro.units import gbps_to_bytes_per_s
 
-from .oracle import advise_oracle
+from .oracle import advise_oracle, shard_oracle
 
 SMALL = SweepSpec(world_sizes=(8, 16), bandwidth_points=32,
                   shard_points=16)
@@ -319,6 +322,133 @@ class TestSweepOracle:
         assert got == want
 
 
+def draw_family_spec(rng):
+    """A random small sweep for the fused-family property: world sizes
+    that may include 1, axes as short as 2 points, and a shard size
+    that usually leaves an uneven last shard."""
+    sizes = (1, 2, 4, 8, 16, 32, 64)
+    worlds = rng.choice(sizes, size=int(rng.integers(1, 5)), replace=False)
+    points = 2 if rng.random() < 0.25 else int(rng.integers(3, 200))
+    lo = float(rng.uniform(0.5, 5.0))
+    return SweepSpec(world_sizes=tuple(sorted(int(p) for p in worlds)),
+                     min_bandwidth_gbps=lo,
+                     max_bandwidth_gbps=lo + float(rng.uniform(0.5, 40.0)),
+                     bandwidth_points=points,
+                     shard_points=int(rng.integers(1, points + 1)))
+
+
+def families_of(jobs):
+    """Jobs grouped by family key, in first-seen order."""
+    groups = {}
+    for job in jobs:
+        groups.setdefault(job.family_key(), []).append(job)
+    return list(groups.values())
+
+
+class TestFusedFamily:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fused_family_equals_per_shard_oracle(self, seed):
+        # One fused grid call per family must give every member exactly
+        # its own grid call plus a Pareto sweep, whatever subset of the
+        # family misses the cache and in whatever order it arrives.
+        rng = np.random.default_rng([22, seed])
+        models = available_models()
+        grid = candidate_grid()
+        picks = rng.choice(len(grid), size=int(rng.integers(1, 6)),
+                           replace=False)
+        plan = plan_sweep(get_model(models[rng.integers(len(models))]),
+                          cluster_for_gpus(int(rng.choice((8, 32, 64)))),
+                          candidates=[grid[i] for i in sorted(picks)],
+                          spec=draw_family_spec(rng))
+        for family in families_of(plan.jobs):
+            take = rng.permutation(len(family))[
+                :int(rng.integers(1, len(family) + 1))]
+            members = [family[i] for i in take]
+            assert evaluate_advisor_family(members) \
+                == [shard_oracle(job) for job in members]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_axes_and_duplicate_in_one_engine_call(self, jobs):
+        # Coalesced requests for one model and cluster share family
+        # keys across axis specs; each plan's outcomes must still finish
+        # into exactly its own offline report.
+        model = get_model("resnet50")
+        cluster = cluster_for_gpus(32)
+        specs = [SMALL,
+                 SweepSpec(world_sizes=(8, 16), bandwidth_points=24,
+                           shard_points=16),
+                 SweepSpec(world_sizes=(16, 64), min_bandwidth_gbps=2.0,
+                           max_bandwidth_gbps=12.0, bandwidth_points=32,
+                           shard_points=16)]
+        plans = [plan_sweep(model, cluster, spec=spec) for spec in specs]
+        assert plans[0].jobs[0].family_key() \
+            == plans[1].jobs[0].family_key() \
+            == plans[2].jobs[0].family_key()
+        batch = [job for plan in plans for job in plan.jobs]
+        duplicate = len(plans[0].jobs) + len(plans[1].jobs) - 1
+        batch.append(batch[duplicate])
+        outcomes = ExperimentEngine(jobs=jobs).run_advisor_outcomes(batch)
+        assert outcomes[-1].unwrap() == outcomes[duplicate].unwrap()
+        at = 0
+        for plan, spec in zip(plans, specs):
+            got = finish_sweep(plan, outcomes[at:at + len(plan.jobs)])
+            at += len(plan.jobs)
+            want = advise(model, cluster, spec=spec)
+            assert got.render() == want.render()
+            assert got.to_dict() == want.to_dict()
+
+    def test_low_grid_bound_splits_families(self, monkeypatch):
+        # With the bound below a family's fused size (2 world sizes x
+        # 32 points), families split into calls that each respect it,
+        # and the report does not change.
+        model = get_model("resnet50")
+        cluster = cluster_for_gpus(32)
+        want = advise(model, cluster, spec=SMALL).render()
+        plan = plan_sweep(model, cluster, spec=SMALL)
+        cells = []
+        count = grid_module._count_grid_points
+
+        def recording(shape, axes=None):
+            cells.append(int(np.prod(shape)))
+            return count(shape, axes)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(grid_module, "MAX_GRID_POINTS", 40)
+            patch.setattr(grid_module, "_count_grid_points", recording)
+            outcomes = ExperimentEngine().run_advisor_outcomes(
+                list(plan.jobs))
+        assert all(outcome.ok for outcome in outcomes)
+        assert max(cells) <= 40
+        assert len(families_of(plan.jobs)) < len(cells) < len(plan.jobs)
+        assert finish_sweep(plan, outcomes).render() == want
+
+
+class TestShardMinimum:
+    @pytest.mark.parametrize("totals", [
+        [0.3, 0.1, 0.2, 0.1, 0.1],
+        [0.3, np.nan, 0.2, 0.2],
+        [np.nan, 0.5, 0.4],
+        [np.nan, np.nan, np.nan],
+        [0.7],
+        [np.nan],
+        [np.inf, 0.2, np.inf],
+        [np.inf, np.inf],
+    ], ids=["ties", "one-nan", "leading-nan", "all-nan", "one-cell",
+            "one-nan-cell", "inf", "all-inf"])
+    def test_matches_pareto_mask_on_a_constant_error(self, totals):
+        t = np.asarray(totals, dtype=float)
+        want = np.flatnonzero(pareto_mask(t, np.zeros(t.size)))
+        assert shard_minimum(t).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_randomized_ties_and_nans(self, seed):
+        rng = np.random.default_rng([7, seed])
+        t = rng.integers(0, 4, size=int(rng.integers(1, 64))).astype(float)
+        t[rng.random(t.size) < 0.2] = np.nan
+        want = np.flatnonzero(pareto_mask(t, np.zeros(t.size)))
+        assert shard_minimum(t).tolist() == want.tolist()
+
+
 class TestSweepSemantics:
     def test_plan_counts_and_bounds(self):
         model = get_model("resnet50")
@@ -363,6 +493,17 @@ class TestSweepSemantics:
         for scheme in candidate_grid():
             err = compression_error(model, scheme, 8)
             assert 0.0 <= err <= 1.0
+
+    def test_plan_errors_match_the_error_proxy(self):
+        # plan_sweep derives each pair's error from the cost it priced
+        # for the memory screen; it must equal compression_error's.
+        model = get_model("bert-base")
+        spec = SweepSpec(world_sizes=(1, 8, 64), bandwidth_points=4,
+                         shard_points=4)
+        plan = plan_sweep(model, cluster_for_gpus(32), spec=spec)
+        assert plan.meta
+        for ci, p, error, _ in plan.meta:
+            assert error == compression_error(model, plan.schemes[ci], p)
 
     def test_finish_is_pure_postprocessing(self):
         model = get_model("resnet50")

@@ -8,6 +8,7 @@ interpolation to within one sweep grid step.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,9 +39,10 @@ from repro.core import (
     tradeoff_time,
     tradeoff_time_grid,
 )
+from repro.analysis import candidate_grid
 from repro.errors import ConfigurationError
 from repro.hardware import V100
-from repro.models import get_model
+from repro.models import available_models, get_model
 from repro.units import gbps_to_bytes_per_s
 
 #: One scheme per cost-model family: dense baseline, fp16 DDP-overlap
@@ -220,6 +222,43 @@ class TestBitIdentity:
             scalar = compressed_time(model, scheme,
                                      base.with_bandwidth(float(b)))
             assert_cell_equal(grid.at(i), scalar)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_world_size_by_bandwidth_property(self, seed):
+        """Every cell of a random 2-D world-size x bandwidth grid (world
+        sizes including 1) equals the scalar model, for every scheme of
+        the advisor's candidate grid."""
+        rng = np.random.default_rng([5, seed])
+        models = available_models()
+        model = get_model(models[int(rng.integers(len(models)))])
+        base = PerfModelInputs(
+            world_size=8, bandwidth_bytes_per_s=1e9,
+            alpha_s=float(rng.uniform(0.0, 1e-4)),
+            gamma=float(rng.uniform(1.0, 1.3)),
+            batch_size=int(rng.integers(1, 65)))
+        sizes = np.unique(np.concatenate((
+            [1], rng.integers(2, 129, size=int(rng.integers(1, 4))))))
+        bw = rng.uniform(1e8, 4e9, size=int(rng.integers(2, 5)))
+        for scheme in candidate_grid():
+            grid = compressed_time_grid(
+                model, scheme, base, bandwidth_bytes_per_s=bw[None, :],
+                world_size=sizes[:, None])
+            assert grid.shape == (sizes.size, bw.size)
+            for i, p in enumerate(sizes):
+                for j, b in enumerate(bw):
+                    point = replace(base, world_size=int(p),
+                                    bandwidth_bytes_per_s=float(b))
+                    assert_cell_equal(grid.at((i, j)),
+                                      compressed_time(model, scheme, point))
+        grid = syncsgd_time_grid(model, base,
+                                 bandwidth_bytes_per_s=bw[None, :],
+                                 world_size=sizes[:, None])
+        for i, p in enumerate(sizes):
+            for j, b in enumerate(bw):
+                point = replace(base, world_size=int(p),
+                                bandwidth_bytes_per_s=float(b))
+                assert_cell_equal(grid.at((i, j)),
+                                  syncsgd_time(model, point))
 
     def test_sweeps_match_per_point_scalar(self, rn50):
         """Each sweep's grid path reproduces the scalar model called

@@ -16,7 +16,12 @@ points:
   survivors, not every priced total);
 * a real ``repro serve`` instance answers ``POST /v1/advise`` with
   ``status: done``, a frontier, and a rendered report **byte-identical
-  to the offline CLI** for the same (serving-sized) grid.
+  to the offline CLI** for the same (serving-sized) grid;
+* two concurrent ``/v1/advise`` requests for the same model and
+  cluster with different ``bandwidth_points`` **coalesce into one
+  engine batch** (their shards share candidate families, so one fused
+  family mixes two axes) and each rendered report still equals its own
+  offline CLI render.
 
 Exits non-zero with one problem per line on stderr, so the make target
 fails loudly and the CI log says exactly which guarantee broke.
@@ -30,6 +35,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import urllib.request
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -48,6 +54,14 @@ MAX_CACHE_BYTES = 1_000_000
 PARITY_ARGS = {"model": "resnet50", "gpus": 32, "world_sizes": [8, 16],
                "bandwidth_points": 64, "shard_points": 32}
 
+#: A second grid for the same model and cluster, sent concurrently with
+#: :data:`PARITY_ARGS`: another axis length and an uneven last shard.
+MIXED_ARGS = {**PARITY_ARGS, "bandwidth_points": 48}
+
+#: Batch window of the spawned server: wide enough that the two
+#: concurrent requests always land in one batch.
+SPAWN_BATCH_WINDOW_MS = 250
+
 _ENV = {**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")}
 
 
@@ -57,25 +71,26 @@ def _run_advise(extra: List[str]) -> subprocess.CompletedProcess:
         capture_output=True, text=True, timeout=600, env=_ENV)
 
 
-def _parity_argv(jobs: int) -> List[str]:
-    return ["--model", PARITY_ARGS["model"],
-            "--gpus", str(PARITY_ARGS["gpus"]),
-            "--world-sizes",
-            *[str(p) for p in PARITY_ARGS["world_sizes"]],
-            "--bandwidth-points", str(PARITY_ARGS["bandwidth_points"]),
-            "--shard-points", str(PARITY_ARGS["shard_points"]),
+def _parity_argv(jobs: int, args: Dict[str, Any] = PARITY_ARGS,
+                 ) -> List[str]:
+    return ["--model", args["model"],
+            "--gpus", str(args["gpus"]),
+            "--world-sizes", *[str(p) for p in args["world_sizes"]],
+            "--bandwidth-points", str(args["bandwidth_points"]),
+            "--shard-points", str(args["shard_points"]),
             "--jobs", str(jobs)]
 
 
-def check_cli() -> Tuple[List[str], str]:
-    """The offline acceptance criteria; returns (problems, serial out)."""
+def check_cli() -> Tuple[List[str], str, str]:
+    """The offline acceptance criteria; returns (problems, serial out
+    for :data:`PARITY_ARGS`, serial out for :data:`MIXED_ARGS`)."""
     problems: List[str] = []
 
     # --- the default grid crosses the million-config line
     full = _run_advise([])
     if full.returncode != 0:
         problems.append(f"default advise failed: {full.stderr}")
-        return problems, ""
+        return problems, "", ""
     configs = None
     for line in full.stdout.splitlines():
         if "= " in line and line.rstrip().endswith("configs"):
@@ -105,7 +120,10 @@ def check_cli() -> Tuple[List[str], str]:
             "sharded-parallel advise output differs from serial:\n"
             f"--- serial ---\n{serial.stdout}\n"
             f"--- parallel ---\n{parallel.stdout}")
-    return problems, serial.stdout
+    mixed = _run_advise(_parity_argv(1, MIXED_ARGS))
+    if mixed.returncode != 0:
+        problems.append(f"mixed-axis advise failed: {mixed.stderr}")
+    return problems, serial.stdout, mixed.stdout
 
 
 def check_cache(uncached_stdout: str) -> List[str]:
@@ -132,28 +150,80 @@ def check_cache(uncached_stdout: str) -> List[str]:
     return problems
 
 
-def check_serving(base: str, offline_stdout: str) -> List[str]:
-    """``POST /v1/advise`` parity against the offline CLI report."""
-    problems: List[str] = []
-    body = dict(PARITY_ARGS)
+def _post_advise(base: str, body: Dict[str, Any],
+                 ) -> Tuple[int, Dict[str, Any]]:
     request = urllib.request.Request(
         base + "/v1/advise", data=json.dumps(body).encode("utf-8"),
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(request, timeout=300) as resp:
-        status, reply = resp.status, json.loads(resp.read())
+        return resp.status, json.loads(resp.read())
+
+
+def _served_problems(label: str, status: int, reply: Dict[str, Any],
+                     offline_stdout: str) -> List[str]:
+    """What is wrong with one ``/v1/advise`` reply, against the offline
+    CLI render of the same grid."""
     if status != 200 or reply.get("status") != "done":
-        problems.append(f"/v1/advise: {status} "
-                        f"status={reply.get('status')} "
-                        f"error={reply.get('error')}")
-        return problems
+        return [f"{label}: {status} status={reply.get('status')} "
+                f"error={reply.get('error')}"]
     result: Dict[str, Any] = reply["result"]
+    problems: List[str] = []
     if not result.get("frontier"):
-        problems.append("/v1/advise returned an empty frontier")
+        problems.append(f"{label} returned an empty frontier")
     if result.get("rendered", "") + "\n" != offline_stdout:
         problems.append(
-            "/v1/advise response does not match `repro advise` "
+            f"{label} response does not match `repro advise` "
             f"byte-for-byte:\n--- served ---\n{result.get('rendered')}"
             f"\n--- offline ---\n{offline_stdout}")
+    return problems
+
+
+def check_serving(base: str, offline_stdout: str) -> List[str]:
+    """``POST /v1/advise`` parity against the offline CLI report."""
+    status, reply = _post_advise(base, dict(PARITY_ARGS))
+    return _served_problems("/v1/advise", status, reply, offline_stdout)
+
+
+def _coalesced(base: str) -> int:
+    with urllib.request.urlopen(base + "/healthz", timeout=30) as resp:
+        return int(json.loads(resp.read())["requests_coalesced"])
+
+
+def check_coalesced(base: str, offline: Dict[str, str]) -> List[str]:
+    """Two concurrent ``/v1/advise`` requests that differ only in
+    ``bandwidth_points``: one engine batch, and each reply equal to its
+    own offline render."""
+    bodies = {"parity": dict(PARITY_ARGS), "mixed": dict(MIXED_ARGS)}
+    replies: Dict[str, Any] = {}
+    start = threading.Barrier(len(bodies))
+
+    def send(name: str) -> None:
+        start.wait(timeout=30)
+        try:
+            replies[name] = _post_advise(base, bodies[name])
+        except Exception as exc:  # noqa: BLE001 - reported below
+            replies[name] = exc
+
+    before = _coalesced(base)
+    threads = [threading.Thread(target=send, args=(name,))
+               for name in bodies]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    problems: List[str] = []
+    for name in bodies:
+        label = f"concurrent /v1/advise ({name})"
+        reply = replies.get(name)
+        if reply is None:
+            problems.append(f"{label} did not return")
+        elif isinstance(reply, Exception):
+            problems.append(f"{label}: {reply}")
+        else:
+            problems += _served_problems(label, *reply, offline[name])
+    if _coalesced(base) - before < len(bodies):
+        problems.append("the two concurrent /v1/advise requests did not "
+                        "coalesce into one batch")
     return problems
 
 
@@ -165,13 +235,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: spawn one on an ephemeral port)")
     args = parser.parse_args(argv)
 
-    problems, offline_stdout = check_cli()
+    problems, offline_stdout, mixed_stdout = check_cli()
 
     server = None
     base = args.base
     if base is None:
         server = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--batch-window-ms", str(SPAWN_BATCH_WINDOW_MS)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=_ENV)
         line = server.stdout.readline()
@@ -182,6 +253,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if offline_stdout:
             problems += check_serving(base, offline_stdout)
+        if offline_stdout and mixed_stdout:
+            problems += check_coalesced(
+                base, {"parity": offline_stdout, "mixed": mixed_stdout})
     finally:
         if server is not None:
             server.terminate()
@@ -190,8 +264,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(problem, file=sys.stderr)
     if not problems:
         print(f"advise ok: {base} — million-config sweep, cold/warm "
-              f"cache parity and size, jobs parity, /v1/advise parity "
-              f"all verified")
+              f"cache parity and size, jobs parity, /v1/advise parity, "
+              f"coalesced mixed-axis parity all verified")
     return 1 if problems else 0
 
 
