@@ -55,6 +55,7 @@ from .fingerprint import (
     FINGERPRINT_VERSION,
     digest,
     gpu_fragment,
+    model_digest,
     model_fragment,
     profile_fragment,
     scheme_payload,
@@ -146,11 +147,12 @@ class AdvisorShardJob:
                 world_size=world_size)
         return grid.total
 
-    def _spec_payload(self) -> Dict[str, Any]:
-        """The members fingerprint and family key share."""
+    def _spec_payload(self, model: str) -> Dict[str, Any]:
+        """The members fingerprint and family key share; ``model`` is
+        the model's fragment or, in the family key, its digest."""
         return {
             "kind": "advisor-shard",
-            "model": model_fragment(self.model),
+            "model": model,
             "scheme": scheme_payload(self.scheme),
             "gpu": gpu_fragment(self.gpu),
             "profile": profile_fragment(self.profile),
@@ -162,7 +164,7 @@ class AdvisorShardJob:
         Shares the cache namespace with simulation and model-eval jobs
         without colliding: the payload leads with a distinct ``kind``.
         """
-        payload = self._spec_payload()
+        payload = self._spec_payload(model_fragment(self.model))
         payload.update({
             "version": FINGERPRINT_VERSION,
             "inputs": {
@@ -185,7 +187,7 @@ class AdvisorShardJob:
     def family_key(self) -> str:
         """Grouping key: one candidate's shards across world sizes and
         slices, which the pool path submits as a single task."""
-        payload = self._spec_payload()
+        payload = self._spec_payload(model_digest(self.model))
         payload.update({
             "alpha_s": self.inputs.alpha_s,
             "gamma": self.inputs.gamma,

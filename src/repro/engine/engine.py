@@ -37,22 +37,25 @@ default to when no engine is passed.
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import pickle
 import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
-from ..core.perf_model import PredictedTime
+from ..core.perf_model import PerfModelInputs, PredictedTime
 from ..errors import ConfigurationError, EngineError, OutOfMemoryError
 from ..faults import FaultSchedule
-from ..hardware import ClusterConfig
+from ..hardware import ClusterConfig, GPUSpec
 from ..models import ModelSpec
 from ..network import Fabric
 from ..simulator import DDPConfig, DDPSimulator, TimingResult
@@ -78,6 +81,7 @@ from .fingerprint import (
     digest,
     fabric_payload,
     faults_payload,
+    model_digest,
     model_fragment,
     profile_fragment,
     scheme_payload,
@@ -149,11 +153,13 @@ class SimJob:
                 f"iterations ({self.iterations}) must exceed warmup "
                 f"({self.warmup})")
 
-    def _family_payload(self) -> Dict[str, Any]:
-        """Every structural input: the key payload minus seed and faults."""
+    def _family_payload(self, model: str) -> Dict[str, Any]:
+        """Every structural input: the key payload minus seed and faults.
+        ``model`` is the model's fragment or, in the family key, its
+        digest."""
         return {
             "version": FINGERPRINT_VERSION,
-            "model": model_fragment(self.model),
+            "model": model,
             "cluster": cluster_fragment(self.cluster),
             "scheme": scheme_payload(self.scheme),
             "fabric": fabric_payload(self.fabric),
@@ -172,7 +178,7 @@ class SimJob:
         had before fault injection existed, so no cache directory is
         invalidated by upgrading.
         """
-        payload = self._family_payload()
+        payload = self._family_payload(model_fragment(self.model))
         payload["seed"] = self.seed
         fault_payload = faults_payload(self.faults)
         if fault_payload is not None:
@@ -191,7 +197,7 @@ class SimJob:
         drops ``faults`` and ``seed``); outcomes are still cached per
         job under :meth:`fingerprint`.
         """
-        return digest(self._family_payload())
+        return digest(self._family_payload(model_digest(self.model)))
 
     def build_simulator(self) -> DDPSimulator:
         """Construct the fully-configured simulator this job describes."""
@@ -421,6 +427,95 @@ def _traced_call(ctx: TraceContext, task: _Task) -> Tuple[List[Tag], tuple]:
     return out, collector.drain()
 
 
+def _run_task(task: _Task, ctx: Optional[TraceContext]) -> Any:
+    """Execute ``task`` bare, or traced under ``ctx`` (see
+    :func:`_traced_call`) when the submitting tracer is on."""
+    return _execute_task(task) if ctx is None else _traced_call(ctx, task)
+
+
+# ----- pool transport --------------------------------------------------------
+#
+# A pooled dispatch pickles each task once, in the parent, with every
+# frozen spec swapped for an index into one per-dispatch table.  The
+# pool's initializer installs that table in each worker (inherited under
+# ``fork``, pickled once per worker under ``spawn`` and ``forkserver``),
+# so a model of hundreds of layers crosses the process boundary once per
+# worker rather than once per task, and every task a worker runs shares
+# one spec object and so its memoized tables.  Mutable inputs (schemes,
+# fabrics, fault schedules) still travel inside each task.
+
+#: Types shipped through the spec table, deduplicated by identity.
+#: Frozen dataclasses only: a shared object must never change.
+_SHARED_SPECS = (ModelSpec, ClusterConfig, GPUSpec, KernelProfile,
+                 DDPConfig, PerfModelInputs)
+
+#: This worker's spec table, installed by :func:`_install_specs`.
+_worker_specs: Tuple[object, ...] = ()
+
+
+def _shared_spec(index: int) -> object:
+    """Unpickling side of :class:`_SpecPickler`: entry ``index`` of
+    this worker's spec table."""
+    return _worker_specs[index]
+
+
+class _SpecPickler(pickle.Pickler):
+    """Pickles with each shared spec reduced to its table index; one
+    ``table``/``index`` pair spans every task of a dispatch.
+
+    ``reducer_override`` rather than ``persistent_id``: the pickler
+    skips the override for ints, floats, strings and containers, which
+    make up most of a task, while it calls ``persistent_id`` for every
+    object, at three times the cost on an advise sweep.
+    """
+
+    def __init__(self, file: io.BytesIO, table: List[object],
+                 index: Dict[int, int]):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._table = table
+        self._index = index
+
+    def reducer_override(self, obj: object) -> Any:
+        if not isinstance(obj, _SHARED_SPECS):
+            return NotImplemented
+        position = self._index.get(id(obj))
+        if position is None:
+            position = self._index[id(obj)] = len(self._table)
+            self._table.append(obj)
+        return _shared_spec, (position,)
+
+
+def _ship(tasks: Sequence[_Task],
+          ) -> Tuple[List[Union[bytes, Exception]], Tuple[object, ...]]:
+    """Pickle every task against one spec table: ``(per-task bytes,
+    table)``.  A task that cannot be pickled gets the exception in
+    place of its bytes, so it fails alone."""
+    table: List[object] = []
+    index: Dict[int, int] = {}
+    blobs: List[Union[bytes, Exception]] = []
+    for task in tasks:
+        buffer = io.BytesIO()
+        try:
+            _SpecPickler(buffer, table, index).dump(task)
+        except Exception as exc:  # noqa: BLE001 - fails this task only
+            blobs.append(exc)
+        else:
+            blobs.append(buffer.getvalue())
+    return blobs, tuple(table)
+
+
+def _install_specs(table: Tuple[object, ...]) -> None:
+    """Pool initializer: this worker's spec table for the dispatch."""
+    global _worker_specs
+    _worker_specs = table
+
+
+def _run_shipped(blob: bytes, ctx: Optional[TraceContext]) -> Any:
+    """Pool entry point: rebuild the task against this worker's spec
+    table, then run it as :func:`_run_task`."""
+    return _run_task(pickle.loads(blob), ctx)
+
+
 def _failed(task: _Task, reason: str) -> List[Tag]:
     """Every member's tag once the engine gives up on ``task``."""
     return [("failed", reason, 0.0, time.time())] * task.size
@@ -578,12 +673,15 @@ class ExperimentEngine:
         if max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff_s < 0:
+        # Negated comparisons, so NaN (which compares false) fails too.
+        if not 0 <= retry_backoff_s < math.inf:
             raise ConfigurationError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
-        if job_timeout_s is not None and job_timeout_s <= 0:
+                f"retry_backoff_s must be >= 0 and finite, got "
+                f"{retry_backoff_s}")
+        if job_timeout_s is not None and not 0 < job_timeout_s < math.inf:
             raise ConfigurationError(
-                f"job_timeout_s must be positive, got {job_timeout_s}")
+                f"job_timeout_s must be positive and finite (None for no "
+                f"limit), got {job_timeout_s}")
         self.jobs = jobs
         self.cache = cache
         self.max_retries = max_retries
@@ -833,13 +931,12 @@ class ExperimentEngine:
     # ----- task execution (serial / pooled, with retries) --------------------
 
     @staticmethod
-    def _call(tracer: Any, span: Any, task: _Task) -> tuple:
-        """``(fn, *args)`` that executes ``task``: bare, or traced under
-        ``span`` when the tracer is on."""
+    def _context(tracer: Any, span: Any) -> Optional[TraceContext]:
+        """The trace context an execution under ``span`` records into,
+        or ``None`` when the tracer is off."""
         if span is None:
-            return (_execute_task, task)
-        return (_traced_call, (tracer.trace_id, span.span_id, time.time()),
-                task)
+            return None
+        return (tracer.trace_id, span.span_id, time.time())
 
     def _run_serial(self, tasks: Sequence[_Task],
                     ) -> Tuple[List[List[Tag]], List[int]]:
@@ -862,9 +959,8 @@ class ExperimentEngine:
                     time.sleep(self.retry_backoff_s
                                * 2 ** (attempt_counts[idx] - 1))
                 attempt_counts[idx] += 1
-                fn, *args = self._call(tracer, span, task)
                 try:
-                    out = fn(*args)
+                    out = _run_task(task, self._context(tracer, span))
                 except Exception as exc:  # noqa: BLE001 - retried
                     self._register_failure(idx, attempt_counts, tasks,
                                            results, [],
@@ -908,9 +1004,27 @@ class ExperimentEngine:
                               outcome=_status(results[idx]))
                 task_spans[idx] = None
 
-        pending = list(range(len(tasks)))
+        blobs, specs = _ship(tasks)
+
+        def new_pool() -> ProcessPoolExecutor:
+            return ProcessPoolExecutor(max_workers=workers,
+                                       initializer=_install_specs,
+                                       initargs=(specs,))
+
+        pending = []
+        for idx, blob in enumerate(blobs):
+            if isinstance(blob, bytes):
+                pending.append(idx)
+                continue
+            # No worker can receive it, and a retry would fail the same
+            # way: the task's members fail now, on their first attempt.
+            attempt_counts[idx] = 1
+            reason = f"cannot ship: {type(blob).__name__}: {blob}"
+            self._log.warning("engine.job_failed", job=tasks[idx].describe(),
+                              attempts=1, reason=reason)
+            results[idx] = _failed(tasks[idx], reason)
         wave = 0
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = new_pool()
         try:
             while pending:
                 if wave:
@@ -924,8 +1038,9 @@ class ExperimentEngine:
                     if tracer.enabled and task_spans[idx] is None:
                         task_spans[idx] = tracer.begin(
                             tasks[idx].describe(), track="engine")
-                    future = pool.submit(*self._call(
-                        tracer, task_spans[idx], tasks[idx]))
+                    future = pool.submit(
+                        _run_shipped, blobs[idx],
+                        self._context(tracer, task_spans[idx]))
                     future_to_idx[future] = idx
                     if self.job_timeout_s is not None:
                         # Queue position k lands ~(k // workers) tasks
@@ -996,7 +1111,7 @@ class ExperimentEngine:
                         rebuild = True
                 if rebuild:
                     self._kill_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = new_pool()
                 pending = sorted(retry)
         finally:
             self._kill_pool(pool)

@@ -23,11 +23,13 @@ are rendered once per spec object and reused.  The frozen inputs —
 :class:`~repro.hardware.GPUSpec` — go through ``*_fragment`` functions
 that memoize their canonical JSON text as a :class:`Fragment`, keyed by
 object identity in a per-kind table; a weak reference evicts the entry
-when the spec dies, so nothing is stored on the spec itself and pickled
-jobs stay the size they were.  The mutable inputs are rendered on every
-call: the scheme (its parameters are read from ``vars()``), the fabric
-(``degrade_link`` rewrites its live bandwidth matrix) and the fault
-schedule.
+when the spec dies, so nothing is stored on the spec itself and a
+pickled spec stays the size it was.  The mutable inputs are rendered on
+every call: the scheme (its parameters are read from ``vars()``), the
+fabric (``degrade_link`` rewrites its live bandwidth matrix) and the
+fault schedule.  Family keys, which are never persisted, carry the model
+as :func:`model_digest`, the memoized SHA-256 of its fragment, instead
+of the fragment itself.
 
 :func:`canonical_json` splices a top-level :class:`Fragment` member in
 verbatim.  Because a fragment *is* the canonical JSON of its payload,
@@ -143,6 +145,17 @@ def model_fragment(model: ModelSpec) -> Dict[str, Any]:
             for layer in model.layers
         ],
     }
+
+
+@per_object
+def model_digest(model: ModelSpec) -> str:
+    """SHA-256 hex digest of :func:`model_fragment`, once per model.
+
+    Family keys carry this instead of the fragment: equal content still
+    gives an equal key, but grouping a sweep no longer hashes a
+    hundred-layer rendering per job.  Cache keys keep the fragment.
+    """
+    return hashlib.sha256(model_fragment(model).encode("utf-8")).hexdigest()
 
 
 def _gpu_payload(gpu: GPUSpec) -> Dict[str, Any]:

@@ -49,6 +49,7 @@ from .fingerprint import (
     FINGERPRINT_VERSION,
     digest,
     gpu_fragment,
+    model_digest,
     model_fragment,
     profile_fragment,
     scheme_payload,
@@ -102,10 +103,11 @@ class ModelEvalJob:
         """Whether this job prices a Figure-13 hypothetical scheme."""
         return self.tradeoff_k is not None
 
-    def _spec_payload(self) -> Dict[str, Any]:
-        """The members fingerprint and family key share."""
+    def _spec_payload(self, model: str) -> Dict[str, Any]:
+        """The members fingerprint and family key share; ``model`` is
+        the model's fragment or, in the family key, its digest."""
         return {
-            "model": model_fragment(self.model),
+            "model": model,
             "scheme": scheme_payload(self.scheme),
             "gpu": gpu_fragment(self.gpu),
             "profile": profile_fragment(self.profile),
@@ -117,7 +119,7 @@ class ModelEvalJob:
         Shares the cache namespace with simulation jobs without ever
         colliding: the payload leads with a distinct ``kind``.
         """
-        payload = self._spec_payload()
+        payload = self._spec_payload(model_fragment(self.model))
         payload.update({
             "kind": "model-eval",
             "version": FINGERPRINT_VERSION,
@@ -144,7 +146,7 @@ class ModelEvalJob:
         compute factor; tradeoff jobs vectorize ``(k, l)`` and therefore
         pin the sweep axes instead.
         """
-        payload = self._spec_payload()
+        payload = self._spec_payload(model_digest(self.model))
         payload.update({
             "alpha_s": self.inputs.alpha_s,
             "gamma": self.inputs.gamma,

@@ -4,9 +4,11 @@ Frozen specs (:class:`~repro.models.ModelSpec`, cluster and config
 objects) feed derived tables that many consumers read: canonical JSON
 for cache keys, backward-time tables and bucket plans for the
 simulator.  :func:`per_object` computes such a table once per spec and
-shares it, without storing anything on the spec, so pickled pool jobs
-stay the size they were, and without hashing the spec
-(``ModelSpec.__hash__`` walks every layer).
+shares it, without storing anything on the spec (so a pickled spec
+stays the size it was) and without hashing the spec
+(``ModelSpec.__hash__`` walks every layer).  A pooled dispatch ships
+each frozen spec to a worker once, and every task the worker runs
+shares that object, so its tables are built once per worker.
 """
 
 from __future__ import annotations

@@ -47,6 +47,17 @@ class AdmissionError(ReproError):
         self.retry_after_s = retry_after_s
 
 
+def _check_policy(rate_per_s: float, burst: float) -> None:
+    """Reject a rate that is not positive and finite, or a burst that is
+    not finite and >= 1 (negated comparisons, so NaN fails too)."""
+    if not 0 < rate_per_s < math.inf:
+        raise ConfigurationError(
+            f"rate_per_s must be positive and finite, got {rate_per_s}")
+    if not 1 <= burst < math.inf:
+        raise ConfigurationError(
+            f"burst must be >= 1 and finite, got {burst}")
+
+
 class TokenBucket:
     """Classic token bucket: ``rate_per_s`` sustained, ``burst`` peak.
 
@@ -57,11 +68,7 @@ class TokenBucket:
     def __init__(self, rate_per_s: float, burst: float,
                  clock: Callable[[], float] = time.monotonic):
         """Start full: a fresh bucket allows an immediate burst."""
-        if rate_per_s <= 0:
-            raise ConfigurationError(
-                f"rate_per_s must be positive, got {rate_per_s}")
-        if burst < 1:
-            raise ConfigurationError(f"burst must be >= 1, got {burst}")
+        _check_policy(rate_per_s, burst)
         self.rate_per_s = float(rate_per_s)
         self.burst = float(burst)
         self._clock = clock
@@ -104,7 +111,10 @@ class TenantQuotas:
 
     def __init__(self, rate_per_s: Optional[float], burst: float,
                  clock: Callable[[], float] = time.monotonic):
-        """Shared policy for all tenants; buckets materialize lazily."""
+        """Shared policy for all tenants; buckets materialize lazily,
+        but the policy is checked here, so a bad one fails at start."""
+        if rate_per_s is not None:
+            _check_policy(rate_per_s, burst)
         self.rate_per_s = rate_per_s
         self.burst = burst
         self._clock = clock

@@ -42,6 +42,7 @@ Scheduler state is observable through the PR-7 telemetry registry:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import uuid
@@ -148,13 +149,15 @@ class ServingScheduler:
         if queue_depth < 1:
             raise ConfigurationError(
                 f"queue_depth must be >= 1, got {queue_depth}")
-        if batch_window_s < 0:
+        # Negated comparisons, so NaN (which compares false) fails too.
+        if not 0 <= batch_window_s < math.inf:
             raise ConfigurationError(
-                f"batch_window_s must be >= 0, got {batch_window_s}")
+                f"batch_window_s must be >= 0 and finite, got "
+                f"{batch_window_s}")
         if max_batch_requests < 1:
             raise ConfigurationError(
                 f"max_batch_requests must be >= 1, got {max_batch_requests}")
-        if default_timeout_s is not None and default_timeout_s <= 0:
+        if default_timeout_s is not None and not default_timeout_s > 0:
             raise ConfigurationError(
                 f"default_timeout_s must be positive, got "
                 f"{default_timeout_s}")

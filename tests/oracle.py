@@ -640,7 +640,17 @@ def oracle_fingerprint(job):
 
 def oracle_family_key(job):
     """What ``job.family_key()`` must return: the digest of the family
-    payload, for every job kind."""
+    payload, for every job kind, with the model given by the SHA-256
+    of its canonical rendering."""
+    payload = _KEY_PAYLOADS[type(job).__name__][1](job)
+    payload["model"] = _sha(_canonical(payload["model"]))
+    return _sha(_canonical(payload))
+
+
+def legacy_family_key(job):
+    """The family key as it was when it embedded the whole model
+    rendering.  Grouping jobs by ``family_key()`` must give exactly the
+    partition grouping by this gives."""
     return _sha(_canonical(_KEY_PAYLOADS[type(job).__name__][1](job)))
 
 

@@ -1,6 +1,9 @@
 """Command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,8 @@ from repro import __version__
 from repro.cli import _parse_scheme, build_parser, main
 from repro.telemetry import logs as telemetry_logs
 from repro.telemetry import metrics as telemetry_metrics
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 @pytest.fixture(autouse=True)
@@ -120,6 +125,23 @@ class TestCommands:
         assert main(["simulate", "--model", "resnet50", "--gpus", "8",
                      "--batch", "64", "--faults", str(spec)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--request-timeout-s",
+                                      "--batch-window-ms", "--quota-rps"])
+    def test_serve_rejects_nan_policy(self, flag):
+        # A subprocess, so a regression that starts the server fails
+        # on the timeout instead of hanging the suite.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--log-json", "serve",
+             "--port", "0", flag, "nan"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "listening" not in proc.stdout
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["level"] == "error"
+        assert record["error_type"] == "ConfigurationError"
+        assert record["command"] == "serve"
 
     def test_experiment_reliability_listed(self):
         parser = build_parser()

@@ -10,6 +10,8 @@ import time
 
 import pytest
 
+from repro.analysis import SweepSpec, advise
+from repro.compression.schemes import PowerSGDScheme
 from repro.engine import ExperimentEngine, SimJob, SimulationCache
 from repro.engine.engine import CHAOS_KILL_ENV, CHAOS_SLEEP_ENV
 from repro.errors import ConfigurationError, EngineError
@@ -44,6 +46,18 @@ class TestPolicyValidation:
             ExperimentEngine(retry_backoff_s=-0.1)
         with pytest.raises(ConfigurationError):
             ExperimentEngine(job_timeout_s=0)
+
+    @pytest.mark.parametrize("knobs", [
+        {"job_timeout_s": float("nan")},
+        {"job_timeout_s": float("inf")},
+        {"retry_backoff_s": float("nan")},
+        {"retry_backoff_s": float("inf")},
+    ], ids=lambda knobs: "-".join(f"{k}={v}" for k, v in knobs.items()))
+    def test_non_finite_knobs_rejected(self, knobs):
+        # A NaN deadline never compares as expired, so a pooled batch
+        # under one would rebuild its pool forever.
+        with pytest.raises(ConfigurationError):
+            ExperimentEngine(jobs=2, **knobs)
 
 
 class TestSerialRetry:
@@ -148,6 +162,23 @@ class TestChaosKill:
             assert s.unwrap().sync_times == p.unwrap().sync_times
         # At least one job needed more than one attempt.
         assert max(o.attempts for o in outcomes) >= 2
+
+    def test_advise_survives_a_dying_worker(self, resnet50, tmp_path,
+                                            monkeypatch):
+        # One candidate is one shard family, so one pooled task: the
+        # kill breaks the pool once and the task retries once, in a
+        # rebuilt pool that must have been handed the spec table too.
+        kwargs = dict(candidates=[PowerSGDScheme(rank=4)],
+                      spec=SweepSpec(bandwidth_points=64, shard_points=16))
+        serial = advise(resnet50, cluster_for_gpus(16), **kwargs).render()
+        monkeypatch.setenv(CHAOS_KILL_ENV, str(tmp_path / "kill.sentinel"))
+        engine = ExperimentEngine(jobs=2, retry_backoff_s=0.0)
+        report = advise(resnet50, cluster_for_gpus(16), engine=engine,
+                        **kwargs)
+        assert (tmp_path / "kill.sentinel").exists()
+        assert engine.retries == 1
+        assert engine.failures == 0
+        assert report.render() == serial
 
     def test_kill_with_no_retry_budget_degrades(self, small_jobs,
                                                 tmp_path, monkeypatch):

@@ -78,6 +78,34 @@ class TestTokenBucket:
         with pytest.raises(ConfigurationError):
             TokenBucket(rate_per_s=1, burst=0)
 
+    @pytest.mark.parametrize("rate,burst", [
+        (float("nan"), 1), (float("inf"), 1),
+        (1, float("nan")), (1, float("inf")),
+    ])
+    def test_rejects_non_finite_parameters(self, rate, burst):
+        with pytest.raises(ConfigurationError):
+            TokenBucket(rate_per_s=rate, burst=burst)
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize("policy", [
+        {"batch_window_s": -0.01},
+        {"batch_window_s": float("nan")},
+        {"batch_window_s": float("inf")},
+        {"default_timeout_s": 0},
+        {"default_timeout_s": float("nan")},
+        {"quota_rps": 0},
+        {"quota_rps": float("nan")},
+        {"quota_rps": float("inf")},
+        {"quota_rps": 1.0, "quota_burst": float("nan")},
+        {"quota_rps": 1.0, "quota_burst": float("inf")},
+    ], ids=lambda policy: "-".join(f"{k}={v}" for k, v in policy.items()))
+    def test_bad_policy_rejected_at_construction(self, policy):
+        # Quota buckets are created lazily per tenant; the policy is
+        # still checked before the scheduler starts.
+        with pytest.raises(ConfigurationError):
+            make_scheduler(**policy)
+
 
 class TestAdmission:
     def test_quota_rejection_carries_retry_after(self):
