@@ -3,14 +3,12 @@
 from .cost import (
     TREE_BLOCK_BYTES,
     allgather_time,
-    allgather_time_grid,
     broadcast_time,
     double_tree_allreduce_time,
     parameter_server_time,
     pick_allreduce_time,
     reduce_scatter_time,
     ring_allreduce_time,
-    ring_allreduce_time_grid,
 )
 from .hierarchical import (
     hierarchical_allreduce,
@@ -28,7 +26,6 @@ from .numeric import (
 
 __all__ = [
     "ring_allreduce_time", "double_tree_allreduce_time", "allgather_time",
-    "ring_allreduce_time_grid", "allgather_time_grid",
     "reduce_scatter_time", "broadcast_time", "parameter_server_time",
     "pick_allreduce_time", "TREE_BLOCK_BYTES",
     "ring_allreduce", "tree_allreduce", "allgather", "reduce_scatter",

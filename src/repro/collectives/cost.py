@@ -34,48 +34,105 @@ from ..telemetry.metrics import get_registry
 TREE_BLOCK_BYTES = 512 * 1024
 
 
-def _record(algorithm: str, num_bytes: float, p: int,
-            incast_factor: float = 1.0) -> None:
-    """Count one collective pricing call (no-op when telemetry is off;
-    the enabled check keeps the disabled hot path to one attribute
-    load)."""
+def validate_bound(label: str, value, low: float, *,
+                   strict: bool = False) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is finite and
+    ``>= low`` (``> low`` when ``strict``).
+
+    ``value`` may be a scalar or an array (an array reports its worst
+    value).  NaN fails every comparison, so it is caught by the bound
+    check rather than slipping past a ``<`` guard into a NaN price.
+    This is the one operand check of the α+β collectives and the §4
+    model (:mod:`repro.core.perf_model`).
+    """
+    if isinstance(value, np.ndarray):
+        if not value.size:
+            return
+        worst, top = value.min(), value.max()
+    else:
+        worst = top = value
+    if not math.isfinite(worst):
+        raise ConfigurationError(f"{label} must be finite, got {worst}")
+    if not (worst > low if strict else worst >= low):
+        raise ConfigurationError(
+            f"{label} must be {'>' if strict else '>='} {low}, got {worst}")
+    if not math.isfinite(top):
+        raise ConfigurationError(f"{label} must be finite, got {top}")
+
+
+def _validate(num_bytes, p, bandwidth, alpha) -> None:
+    validate_bound("num_bytes", num_bytes, 0)
+    validate_bound("world size", p, 1)
+    validate_bound("bandwidth", bandwidth, 0, strict=True)
+    validate_bound("alpha", alpha, 0)
+
+
+def count_collectives(algorithm: str, calls: int, num_bytes: float,
+                      degraded: int = 0) -> None:
+    """Advance the collective counters by ``calls`` pricing calls moving
+    ``num_bytes`` in total, ``degraded`` of them incast-degraded.
+    Callers check ``get_registry().enabled`` first."""
     registry = get_registry()
-    if not registry.enabled:
-        return
-    registry.counter("collective_calls_total", algorithm=algorithm).inc()
+    registry.counter("collective_calls_total",
+                     algorithm=algorithm).inc(calls)
     registry.counter("collective_bytes_total",
                      algorithm=algorithm).inc(num_bytes)
-    if incast_factor > 1.0 and p > 1:
+    if degraded:
         registry.counter("collective_incast_degraded_total",
-                         algorithm=algorithm).inc()
+                         algorithm=algorithm).inc(degraded)
 
 
-def _validate(num_bytes: float, p: int, bandwidth: float, alpha: float) -> None:
-    if num_bytes < 0:
-        raise ConfigurationError(f"num_bytes must be >= 0, got {num_bytes}")
-    if p < 1:
-        raise ConfigurationError(f"world size must be >= 1, got {p}")
-    if bandwidth <= 0:
-        raise ConfigurationError(f"bandwidth must be > 0, got {bandwidth}")
-    if alpha < 0:
-        raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
+def _record(algorithm: str, num_bytes, p, bandwidth=1.0, alpha=0.0,
+            incast_factor: float = 1.0) -> None:
+    """Count one public pricing call: one collective per cell of the
+    broadcast operands, what the equivalent nest of scalar calls would
+    have recorded (no-op when telemetry is off; the enabled check keeps
+    the disabled hot path to one attribute load)."""
+    if not get_registry().enabled:
+        return
+    operands = (num_bytes, p, bandwidth, alpha)
+    if not any(isinstance(x, np.ndarray) for x in operands):
+        count_collectives(algorithm, 1, num_bytes,
+                          int(incast_factor > 1.0 and p > 1))
+        return
+    shape = np.broadcast_shapes(*(np.shape(x) for x in operands))
+    cells = math.prod(shape)
+    if cells:
+        degraded = (int((np.broadcast_to(p, shape) > 1).sum())
+                    if incast_factor > 1.0 else 0)
+        count_collectives(algorithm, cells,
+                          float(np.broadcast_to(num_bytes, shape).sum()),
+                          degraded)
 
 
-def ring_allreduce_time(num_bytes: float, p: int, bandwidth: float,
-                        alpha: float) -> float:
+def _ring_allreduce(num_bytes, p, bandwidth, alpha):
+    """Unvalidated ring all-reduce formula (see
+    :func:`ring_allreduce_time`)."""
+    return 2.0 * alpha * (p - 1) + 2.0 * num_bytes * (p - 1) / (p * bandwidth)
+
+
+def _allgather(num_bytes, p, bandwidth, alpha, incast_factor=1.0):
+    """Unvalidated ring all-gather formula (see :func:`allgather_time`)."""
+    return alpha * (p - 1) + num_bytes * (p - 1) / bandwidth * incast_factor
+
+
+def ring_allreduce_time(num_bytes, p, bandwidth, alpha):
     """Ring all-reduce: ``2α(p-1) + 2n(p-1)/(p·BW)``.
 
     Reduce-scatter then all-gather, each ``p-1`` pipelined steps moving
     ``n/p`` bytes.  This is Equation (1) of the paper (their α absorbs
     the step constant).
+
+    Array-generic: Python scalars in give a Python float out, arrays
+    broadcast against each other (the batch simulation kernel prices a
+    model's gradient buckets in one call).  A world size of 1 prices to
+    exactly ``+0.0`` with no special case: with finite operands both
+    terms are products with ``p - 1 == 0``.  Telemetry counts one
+    pricing call per cell.
     """
     _validate(num_bytes, p, bandwidth, alpha)
-    _record("ring_allreduce", num_bytes, p)
-    if p == 1:
-        return 0.0
-    latency = 2.0 * alpha * (p - 1)
-    transfer = 2.0 * num_bytes * (p - 1) / (p * bandwidth)
-    return latency + transfer
+    _record("ring_allreduce", num_bytes, p, bandwidth, alpha)
+    return _ring_allreduce(num_bytes, p, bandwidth, alpha)
 
 
 def double_tree_allreduce_time(num_bytes: float, p: int, bandwidth: float,
@@ -87,8 +144,7 @@ def double_tree_allreduce_time(num_bytes: float, p: int, bandwidth: float,
     documents).
     """
     _validate(num_bytes, p, bandwidth, alpha)
-    if block_bytes <= 0:
-        raise ConfigurationError(f"block_bytes must be > 0, got {block_bytes}")
+    validate_bound("block_bytes", block_bytes, 0, strict=True)
     _record("double_tree_allreduce", num_bytes, p)
     if p == 1:
         return 0.0
@@ -99,111 +155,16 @@ def double_tree_allreduce_time(num_bytes: float, p: int, bandwidth: float,
     return latency + transfer + pipeline_fill
 
 
-def allgather_time(num_bytes: float, p: int, bandwidth: float, alpha: float,
-                   incast_factor: float = 1.0) -> float:
+def allgather_time(num_bytes, p, bandwidth, alpha,
+                   incast_factor: float = 1.0):
     """Ring all-gather of ``n`` bytes per worker: every worker ends up
     receiving ``n(p-1)`` bytes — **linear in p** (the paper's §4.2 model
-    for Top-K and signSGD)."""
+    for Top-K and signSGD).  Array-generic, like
+    :func:`ring_allreduce_time`."""
     _validate(num_bytes, p, bandwidth, alpha)
-    if incast_factor < 1.0:
-        raise ConfigurationError(
-            f"incast_factor must be >= 1, got {incast_factor}")
-    _record("allgather", num_bytes, p, incast_factor)
-    if p == 1:
-        return 0.0
-    latency = alpha * (p - 1)
-    transfer = num_bytes * (p - 1) / bandwidth * incast_factor
-    return latency + transfer
-
-
-def ring_allreduce_time_grid(num_bytes, p, bandwidth,
-                             alpha) -> np.ndarray:
-    """N-D broadcasting :func:`ring_allreduce_time`.
-
-    Every argument may be an array, and they broadcast against each
-    other — the pricing kernel of the grid-vectorized what-if engine
-    (:mod:`repro.core.grid`), which sweeps payload x world size x
-    bandwidth in one call, and of the batch simulation kernel
-    (:mod:`repro.simulator.batch`), which prices a model's gradient
-    buckets at once.
-
-    Elementwise the arithmetic is the scalar function's (IEEE-754
-    elementary operations are exactly rounded, so each grid cell is
-    bit-identical to the scalar call with the same operands); world
-    sizes of 1 price to exactly 0.0, like the scalar early return.
-    Telemetry counts one pricing call per grid cell.
-    """
-    payloads = np.asarray(num_bytes, dtype=float)
-    p_arr = np.asarray(p)
-    bw = np.asarray(bandwidth, dtype=float)
-    alpha_arr = np.asarray(alpha, dtype=float)
-    _validate_grid(payloads, p_arr, bw, alpha_arr)
-    _record_grid("ring_allreduce", payloads, p_arr, bw, alpha_arr)
-    latency = 2.0 * alpha_arr * (p_arr - 1)
-    transfer = 2.0 * payloads * (p_arr - 1) / (p_arr * bw)
-    return np.where(p_arr == 1, 0.0, latency + transfer)
-
-
-def allgather_time_grid(num_bytes, p, bandwidth, alpha,
-                        incast_factor: float = 1.0) -> np.ndarray:
-    """N-D broadcasting :func:`allgather_time` (same contract as
-    :func:`ring_allreduce_time_grid`: every argument may be an array,
-    cells are bit-identical to the scalar formula, p == 1 prices to
-    0.0)."""
-    payloads = np.asarray(num_bytes, dtype=float)
-    p_arr = np.asarray(p)
-    bw = np.asarray(bandwidth, dtype=float)
-    alpha_arr = np.asarray(alpha, dtype=float)
-    _validate_grid(payloads, p_arr, bw, alpha_arr)
-    if incast_factor < 1.0:
-        raise ConfigurationError(
-            f"incast_factor must be >= 1, got {incast_factor}")
-    _record_grid("allgather", payloads, p_arr, bw, alpha_arr,
-                 incast_factor)
-    latency = alpha_arr * (p_arr - 1)
-    transfer = payloads * (p_arr - 1) / bw * incast_factor
-    return np.where(p_arr == 1, 0.0, latency + transfer)
-
-
-def _validate_grid(payloads: np.ndarray, p_arr: np.ndarray,
-                   bw: np.ndarray, alpha_arr: np.ndarray) -> None:
-    """Array-aware form of :func:`_validate` (reports the worst value)."""
-    if payloads.size and float(payloads.min()) < 0:
-        raise ConfigurationError(
-            f"num_bytes must be >= 0, got {float(payloads.min())}")
-    if p_arr.size and int(p_arr.min()) < 1:
-        raise ConfigurationError(
-            f"world size must be >= 1, got {int(p_arr.min())}")
-    if bw.size and float(bw.min()) <= 0:
-        raise ConfigurationError(
-            f"bandwidth must be > 0, got {float(bw.min())}")
-    if alpha_arr.size and float(alpha_arr.min()) < 0:
-        raise ConfigurationError(
-            f"alpha must be >= 0, got {float(alpha_arr.min())}")
-
-
-def _record_grid(algorithm: str, payloads: np.ndarray, p_arr: np.ndarray,
-                 bw: np.ndarray, alpha_arr: np.ndarray,
-                 incast_factor: float = 1.0) -> None:
-    """Telemetry for one grid pricing call: advance the counters by what
-    the equivalent nest of scalar calls would have recorded."""
-    registry = get_registry()
-    if not registry.enabled:
-        return
-    shape = np.broadcast_shapes(payloads.shape, p_arr.shape, bw.shape,
-                                alpha_arr.shape)
-    cells = int(np.prod(shape))
-    if cells == 0:
-        return
-    registry.counter("collective_calls_total",
-                     algorithm=algorithm).inc(cells)
-    registry.counter("collective_bytes_total", algorithm=algorithm).inc(
-        float(np.broadcast_to(payloads, shape).sum()))
-    if incast_factor > 1.0:
-        degraded = int((np.broadcast_to(p_arr, shape) > 1).sum())
-        if degraded:
-            registry.counter("collective_incast_degraded_total",
-                             algorithm=algorithm).inc(degraded)
+    validate_bound("incast_factor", incast_factor, 1)
+    _record("allgather", num_bytes, p, bandwidth, alpha, incast_factor)
+    return _allgather(num_bytes, p, bandwidth, alpha, incast_factor)
 
 
 def reduce_scatter_time(num_bytes: float, p: int, bandwidth: float,
@@ -233,10 +194,8 @@ def parameter_server_time(num_bytes: float, p: int, bandwidth: float,
     of ``p-1`` workers through one NIC, then broadcasts back — the
     topology all-reduce displaced (§2.2)."""
     _validate(num_bytes, p, bandwidth, alpha)
-    if incast_factor < 1.0:
-        raise ConfigurationError(
-            f"incast_factor must be >= 1, got {incast_factor}")
-    _record("parameter_server", num_bytes, p, incast_factor)
+    validate_bound("incast_factor", incast_factor, 1)
+    _record("parameter_server", num_bytes, p, incast_factor=incast_factor)
     if p == 1:
         return 0.0
     gather = alpha + num_bytes * (p - 1) / bandwidth * incast_factor

@@ -57,7 +57,6 @@ from .whatif import (
     find_crossover_gbps,
     solve_crossover,
     sweep_crossings,
-    tradeoff_time,
 )
 
 __all__ = [
@@ -71,7 +70,7 @@ __all__ = [
     "TimingGrid", "backward_time_grid", "syncsgd_time_grid",
     "compressed_time_grid", "tradeoff_time_grid",
     "WhatIfPoint", "bandwidth_sweep", "compute_sweep", "TradeoffPoint",
-    "encode_tradeoff_grid", "tradeoff_time",
+    "encode_tradeoff_grid",
     "Crossing", "sweep_crossings", "find_crossover_gbps", "solve_crossover",
     "Recommendation", "CandidateVerdict", "recommend",
     "recommend_for_inputs", "default_candidates",

@@ -2,20 +2,16 @@
 
 The what-if analyses (§6) evaluate the closed-form model of §4 over
 *configuration grids* — bandwidth × world size × compute factor × batch
-size × compression ratio.  The scalar entry points in
-:mod:`repro.core.perf_model` price one point per Python call; here the
-same model is evaluated over N-D NumPy grids in one broadcasted kernel
-call, with the collective pricing from the broadcasting grid functions
-in :mod:`repro.collectives`.
-
-**Bit-identity contract.**  Every cell of a :class:`TimingGrid` is
-bit-identical to the scalar functions called with the same operands:
-each IEEE-754 elementary operation is exactly rounded, so elementwise
-array arithmetic applied in the scalar code's operation order produces
-the same float64s.  The what-if sweeps (:mod:`repro.core.whatif`) and
-the engine's model-eval fast path (:mod:`repro.engine.modeljobs`) rely
-on this — their grid-backed outputs are byte-identical to the scalar
-loops they replaced, which is pinned by tests.
+size × compression ratio.  The model is written once, as the
+array-generic kernel of :mod:`repro.core.perf_model`; the functions
+here are its :class:`TimingGrid` views: they resolve the swept axes,
+gate the grid size, and run the kernel on arrays instead of scalars.
+Every cell is therefore bit-identical to the one-point functions
+called with the same operands (each IEEE-754 elementary operation is
+exactly rounded), which the what-if sweeps (:mod:`repro.core.whatif`)
+and the engine's model-eval fast path (:mod:`repro.engine.modeljobs`)
+rely on; the tests pin it against the scalar oracles in
+``tests/oracle.py``.
 
 Axis semantics: each of ``bandwidth_bytes_per_s`` / ``world_size`` /
 ``compute_factor`` / ``batch_size`` may be a scalar (default: the value
@@ -26,7 +22,7 @@ aligned 1-D for a zipped sweep.
 
 World size deserves a note: the per-scheme cost model
 (:meth:`repro.compression.schemes.Scheme.cost`) takes an integer world
-size (gather decodes are linear in ``p``), so the grid prices each
+size (gather decodes are linear in ``p``), so the kernel prices each
 *unique* world size once and mask-fills the results — still one NumPy
 kernel per distinct ``p``, not one per point.  The compute-factor axis
 rides through :class:`repro.compression.kernel_cost.KernelProfile`
@@ -41,14 +37,20 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..collectives import allgather_time_grid, ring_allreduce_time_grid
+from ..collectives.cost import validate_bound
 from ..compression.kernel_cost import KernelProfile, v100_kernel_profile
-from ..compression.schemes import Scheme, SchemeCost, SyncSGDScheme
+from ..compression.schemes import Scheme
 from ..errors import ConfigurationError
 from ..hardware import GPUSpec, V100
 from ..models import ModelSpec
 from ..telemetry.metrics import get_registry
-from .perf_model import PerfModelInputs, PredictedTime
+from .perf_model import (
+    PerfModelInputs,
+    PredictedTime,
+    _backward_time,
+    _evaluate,
+    _sequential,
+)
 
 
 @dataclass(frozen=True)
@@ -160,36 +162,26 @@ def _axes(model: ModelSpec, inputs: PerfModelInputs,
                         dtype=float)
     default_bs = inputs.batch_size or model.default_batch_size
     bs = np.asarray(default_bs if batch_size is None else batch_size)
-    if bw.size and float(bw.min()) <= 0:
-        raise ConfigurationError("bandwidth must be > 0")
-    if p.size and int(p.min()) < 1:
-        raise ConfigurationError(
-            f"world_size must be >= 1, got {int(p.min())}")
-    if factor.size and float(factor.min()) <= 0:
-        raise ConfigurationError(
-            f"compute factors must be > 0, got {float(factor.min())}")
-    if bs.size and int(bs.min()) < 1:
-        raise ConfigurationError(
-            f"batch_size must be >= 1, got {int(bs.min())}")
+    validate_bound("bandwidth", bw, 0, strict=True)
+    validate_bound("world_size", p, 1)
+    validate_bound("compute factors", factor, 0, strict=True)
+    validate_bound("batch_size", bs, 1)
     return bw, p, factor, bs
+
+
+def _timing_grid(terms, shape: Tuple[int, ...]) -> TimingGrid:
+    """The kernel's four terms, materialized at the full grid shape."""
+    return TimingGrid(*(np.broadcast_to(term, shape).copy()
+                        for term in terms))
 
 
 def backward_time_grid(model: ModelSpec, gpu: GPUSpec,
                        batch_size: np.ndarray,
                        compute_factor: np.ndarray) -> np.ndarray:
-    """``T_comp`` over batch-size × compute-factor arrays.
-
-    Mirrors :meth:`repro.compute.ComputeModel.backward_time` on
-    ``gpu.scaled(factor)`` exactly: the scalar path computes
-    ``(((peak·f)·eff_train)·eff_model)·saturation`` and divides
-    ``bs · bwd_flops(1)`` by it; both reductions here apply the same
-    operations in the same order (``x·1.0`` and ``x/1.0`` are exact, so
-    the unscaled case matches too).
-    """
-    saturation = 1.0 / (1.0 + model.batch_half_saturation / batch_size)
-    eff = (gpu.peak_fp32_flops * compute_factor * gpu.training_efficiency
-           * model.compute_efficiency * saturation)
-    return batch_size * model.bwd_flops(1) / eff
+    """``T_comp`` over batch-size × compute-factor arrays, exactly
+    :meth:`repro.compute.ComputeModel.backward_time` on
+    ``gpu.scaled(factor)`` in every cell."""
+    return _backward_time(model, gpu, batch_size, compute_factor)
 
 
 def _scaled_profile_grid(profile: KernelProfile,
@@ -211,84 +203,34 @@ def _scaled_profile_grid(profile: KernelProfile,
     )
 
 
-def _scheme_cost_grid(model: ModelSpec, scheme: Scheme, p: np.ndarray,
-                      profile: KernelProfile, shape: Tuple[int, ...],
-                      ) -> Tuple[np.ndarray, np.ndarray, SchemeCost]:
-    """Price ``scheme`` across a world-size axis: one :meth:`Scheme.cost`
-    call per *unique* world size, mask-filled along ``p``.
-
-    Returns ``(wire_bytes, encode_decode_s, representative_cost)`` —
-    arrays that broadcast against ``shape`` (a scalar ``p`` gives views
-    of ``shape``, a world-size axis arrays of ``p``'s own shape, so the
-    work scales with the world sizes, not the grid); the representative
-    cost carries the p-independent structure (messages,
-    all_reducible).  Schemes whose message count or collective family
-    varied with ``p`` would not fit one broadcast expression; none of
-    the built-ins do, and the guard makes the assumption explicit.
-    """
-    if p.ndim == 0:
-        cost = scheme.cost(model, int(p), profile)
-        wire = np.broadcast_to(np.asarray(cost.wire_bytes, dtype=float),
-                               shape)
-        enc = np.broadcast_to(np.asarray(cost.encode_decode_s, dtype=float),
-                              shape)
-        return wire, enc, cost
-    wire = np.zeros(p.shape)
-    enc = np.zeros(p.shape)
-    rep: Optional[SchemeCost] = None
-    for unique_p in np.unique(p):
-        cost = scheme.cost(model, int(unique_p), profile)
-        if rep is None:
-            rep = cost
-        elif (cost.messages != rep.messages
-              or cost.all_reducible != rep.all_reducible):
-            raise ConfigurationError(
-                f"{scheme.label}: message structure varies with world "
-                f"size; the grid model cannot vectorize it")
-        mask = p == unique_p
-        wire = np.where(mask, cost.wire_bytes, wire)
-        enc = np.where(mask, cost.encode_decode_s, enc)
-    assert rep is not None
-    return wire, enc, rep
+def _model_grid(model: ModelSpec, scheme: Optional[Scheme],
+                inputs: PerfModelInputs, gpu: GPUSpec,
+                profile: Optional[KernelProfile], bandwidth_bytes_per_s,
+                world_size, compute_factor, batch_size) -> TimingGrid:
+    """The §4 kernel over the resolved, size-gated axes."""
+    bw, p, factor, bs = _axes(model, inputs, bandwidth_bytes_per_s,
+                              world_size, compute_factor, batch_size)
+    shape = np.broadcast_shapes(bw.shape, p.shape, factor.shape, bs.shape)
+    _count_grid_points(shape, _axis_sizes(bw, p, factor, bs))
+    if compute_factor is not None:
+        # The scalar compute sweep prices encode/decode on
+        # profile.scaled(factor); ride the factor axis through the
+        # profile fields (same per-field multiply/divide).
+        profile = _scaled_profile_grid(
+            profile if profile is not None else v100_kernel_profile(),
+            factor)
+    return _timing_grid(_evaluate(model, scheme, inputs, gpu, profile,
+                                  bw, p, factor, bs), shape)
 
 
 def syncsgd_time_grid(model: ModelSpec, inputs: PerfModelInputs,
                       gpu: GPUSpec = V100, *,
                       bandwidth_bytes_per_s=None, world_size=None,
                       compute_factor=None, batch_size=None) -> TimingGrid:
-    """§4.1 syncSGD model over an N-D configuration grid.
-
-    Every cell is bit-identical to
-    :func:`repro.core.perf_model.syncsgd_time` at the same point
-    (including the ``world_size == 1`` early return, realized here with
-    ``np.where``).
-    """
-    bw, p, factor, bs = _axes(model, inputs, bandwidth_bytes_per_s,
-                              world_size, compute_factor, batch_size)
-    shape = np.broadcast_shapes(bw.shape, p.shape, factor.shape, bs.shape)
-    _count_grid_points(shape, _axis_sizes(bw, p, factor, bs))
-    t_comp = backward_time_grid(model, gpu, bs, factor)
-
-    bucket_sizes = model.bucket_sizes_bytes(inputs.bucket_cap_bytes)
-    alpha = inputs.alpha_s
-    overlappable = sum(
-        ring_allreduce_time_grid(b, p, bw, alpha)
-        for b in bucket_sizes[:-1])
-    last = ring_allreduce_time_grid(bucket_sizes[-1], p, bw, alpha)
-
-    stretched = inputs.gamma * t_comp
-    total = np.maximum(stretched, overlappable) + last
-    comm_exposed = np.where(total > stretched, total - stretched, last)
-
-    single = p == 1
-    zeros = np.zeros(shape)
-    return TimingGrid(
-        total=np.where(single, t_comp, np.broadcast_to(total, shape)),
-        compute=np.where(single, t_comp, np.broadcast_to(stretched, shape)),
-        encode_decode=zeros,
-        comm_exposed=np.where(single, 0.0,
-                              np.broadcast_to(comm_exposed, shape)),
-    )
+    """§4.1 syncSGD model over an N-D configuration grid (cellwise
+    :func:`repro.core.perf_model.syncsgd_time`)."""
+    return _model_grid(model, None, inputs, gpu, None, bandwidth_bytes_per_s,
+                       world_size, compute_factor, batch_size)
 
 
 def compressed_time_grid(model: ModelSpec, scheme: Scheme,
@@ -297,63 +239,10 @@ def compressed_time_grid(model: ModelSpec, scheme: Scheme,
                          bandwidth_bytes_per_s=None, world_size=None,
                          compute_factor=None, batch_size=None) -> TimingGrid:
     """§4.2 sequential-compression model over an N-D configuration grid
-    (cellwise bit-identical to
-    :func:`repro.core.perf_model.compressed_time`, which the
-    equivalence tests pin across every built-in scheme and axis)."""
-    if isinstance(scheme, SyncSGDScheme):
-        return syncsgd_time_grid(
-            model, inputs, gpu, bandwidth_bytes_per_s=bandwidth_bytes_per_s,
-            world_size=world_size, compute_factor=compute_factor,
-            batch_size=batch_size)
-    prof = profile if profile is not None else v100_kernel_profile()
-    bw, p, factor, bs = _axes(model, inputs, bandwidth_bytes_per_s,
-                              world_size, compute_factor, batch_size)
-    shape = np.broadcast_shapes(bw.shape, p.shape, factor.shape, bs.shape)
-    _count_grid_points(shape, _axis_sizes(bw, p, factor, bs))
-    t_comp = backward_time_grid(model, gpu, bs, factor)
-    if compute_factor is not None:
-        # The scalar compute sweep prices encode/decode on
-        # profile.scaled(factor); ride the factor axis through the
-        # profile fields (same per-field multiply/divide).
-        prof = _scaled_profile_grid(prof, factor)
-    wire, enc, rep = _scheme_cost_grid(model, scheme, p, prof, shape)
-    alpha = inputs.alpha_s
-    single_p = p == 1
-
-    if scheme.ddp_overlap:
-        ratio = wire / model.grad_bytes
-        buckets = model.bucket_sizes_bytes(inputs.bucket_cap_bytes)
-        overlappable = sum(
-            ring_allreduce_time_grid(b * ratio, p, bw, alpha)
-            for b in buckets[:-1])
-        last = ring_allreduce_time_grid(buckets[-1] * ratio, p, bw, alpha)
-        stretched = inputs.gamma * t_comp
-        total = (np.maximum(stretched, overlappable) + last + enc)
-        comm = np.maximum(0.0, total - stretched - enc)
-        return TimingGrid(
-            total=np.where(single_p, np.broadcast_to(t_comp, shape),
-                           np.broadcast_to(total, shape)),
-            compute=np.where(single_p, np.broadcast_to(t_comp, shape),
-                             np.broadcast_to(stretched, shape)),
-            encode_decode=np.broadcast_to(enc, shape).copy(),
-            comm_exposed=np.where(single_p, 0.0,
-                                  np.broadcast_to(comm, shape)),
-        )
-
-    per_message = wire / rep.messages
-    if rep.all_reducible:
-        single = ring_allreduce_time_grid(per_message, p, bw, alpha)
-    else:
-        single = allgather_time_grid(per_message, p, bw, alpha)
-    comm = np.where(single_p, 0.0,
-                    np.broadcast_to(single * rep.messages, shape))
-    total = t_comp + enc + comm
-    return TimingGrid(
-        total=np.broadcast_to(total, shape).copy(),
-        compute=np.broadcast_to(t_comp, shape).copy(),
-        encode_decode=np.broadcast_to(enc, shape).copy(),
-        comm_exposed=comm,
-    )
+    (cellwise :func:`repro.core.perf_model.compressed_time`)."""
+    return _model_grid(model, scheme, inputs, gpu, profile,
+                       bandwidth_bytes_per_s, world_size, compute_factor,
+                       batch_size)
 
 
 def tradeoff_time_grid(model: ModelSpec, base_scheme: Scheme,
@@ -365,49 +254,26 @@ def tradeoff_time_grid(model: ModelSpec, base_scheme: Scheme,
 
     For each cell: encode/decode is the base scheme's divided by ``k``,
     the wire payload is multiplied by ``l·k`` (capped at the dense
-    gradient size).  ``k`` and ``l`` broadcast against each other —
-    pass ``ks[:, None]`` and ``ls[None, :]`` for the paper's 2-D grid.
-    Cellwise bit-identical to the scalar loop in
-    :func:`repro.core.whatif.encode_tradeoff_grid`.
+    gradient size), priced by the kernel's sequential (§4.2) branch.
+    ``k`` and ``l`` broadcast against each other — pass ``ks[:, None]``
+    and ``ls[None, :]`` for the paper's 2-D grid.
     """
     prof = profile if profile is not None else v100_kernel_profile()
     k_arr = np.asarray(k, dtype=float)
     l_arr = np.asarray(l, dtype=float)
-    if k_arr.size and float(k_arr.min()) < 1:
-        raise ConfigurationError(
-            f"k must be >= 1, got {float(k_arr.min())}")
-    if l_arr.size and float(l_arr.min()) < 1:
-        raise ConfigurationError(
-            f"l must be >= 1, got {float(l_arr.min())}")
+    validate_bound("k", k_arr, 1)
+    validate_bound("l", l_arr, 1)
     shape = np.broadcast_shapes(k_arr.shape, l_arr.shape)
     _count_grid_points(shape, {"k": int(k_arr.size), "l": int(l_arr.size)})
 
     bs = inputs.batch_size or model.default_batch_size
-    t_comp = backward_time_grid(model, gpu, np.asarray(bs),
-                                np.asarray(1.0))
+    validate_bound("batch_size", bs, 1)
+    t_comp = _backward_time(model, gpu, bs, 1.0)
     p = inputs.world_size
     base_cost = base_scheme.cost(model, p, prof)
-
     wire = np.minimum(base_cost.wire_bytes * l_arr * k_arr,
                       float(model.grad_bytes))
     enc = base_cost.encode_decode_s / k_arr
-    if p == 1:
-        comm = np.zeros(shape)
-    else:
-        per_message = wire / base_cost.messages
-        if base_cost.all_reducible:
-            single = ring_allreduce_time_grid(
-                per_message, p, inputs.bandwidth_bytes_per_s,
-                inputs.alpha_s)
-        else:
-            single = allgather_time_grid(
-                per_message, p, inputs.bandwidth_bytes_per_s,
-                inputs.alpha_s)
-        comm = single * base_cost.messages
-    total = t_comp + enc + comm
-    return TimingGrid(
-        total=np.broadcast_to(total, shape).copy(),
-        compute=np.broadcast_to(t_comp, shape).copy(),
-        encode_decode=np.broadcast_to(enc, shape).copy(),
-        comm_exposed=np.broadcast_to(comm, shape).copy(),
-    )
+    return _timing_grid(
+        _sequential(t_comp, wire, enc, base_cost, p,
+                    inputs.bandwidth_bytes_per_s, inputs.alpha_s), shape)

@@ -7,9 +7,10 @@ key observation about why faster GPUs favour compression — or trade
 encode time against compression ratio for a hypothetical scheme
 (Figure 13).
 
-Every sweep goes through one broadcasted kernel call in
-:mod:`repro.core.grid`, whose cells are bit-identical to the scalar
-:mod:`repro.core.perf_model` functions (the equivalence tests' oracle).
+Every sweep is one call of the §4 kernel on arrays, through the
+:mod:`repro.core.grid` views; each point is bit-identical to the
+one-point :mod:`repro.core.perf_model` functions, which run the same
+kernel on scalars.
 Passing ``engine=`` routes the sweep through
 :meth:`repro.engine.ExperimentEngine.run_model_outcomes`, which adds
 per-point caching and families on top of the same grid kernel — still
@@ -32,9 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..collectives import allgather_time, ring_allreduce_time
-from ..compute import ComputeModel
-from ..compression.kernel_cost import KernelProfile, v100_kernel_profile
+from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
 from ..errors import ConfigurationError
 from ..hardware import GPUSpec, V100
@@ -152,42 +151,6 @@ class TradeoffPoint:
     @property
     def speedup(self) -> float:
         return (self.syncsgd_s - self.predicted_s) / self.syncsgd_s
-
-
-def tradeoff_time(model: ModelSpec, base_scheme: Scheme, k: float, l: float,
-                  inputs: PerfModelInputs, gpu: GPUSpec = V100,
-                  profile: Optional[KernelProfile] = None) -> float:
-    """Scalar Figure-13 cell: predicted seconds for the hypothetical
-    scheme at one ``(k, l)`` — the reference arithmetic
-    :func:`~repro.core.grid.tradeoff_time_grid` reproduces bit for bit,
-    kept as the equivalence tests' oracle."""
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    if l < 1:
-        raise ConfigurationError(f"l must be >= 1, got {l}")
-    prof = profile if profile is not None else v100_kernel_profile()
-    compute = ComputeModel(model, gpu)
-    bs = inputs.batch_size or model.default_batch_size
-    t_comp = compute.backward_time(bs)
-    p = inputs.world_size
-    base_cost = base_scheme.cost(model, p, prof)
-    wire = min(base_cost.wire_bytes * l * k,
-               float(model.grad_bytes))
-    enc = base_cost.encode_decode_s / k
-    if p == 1:
-        comm = 0.0
-    else:
-        per_message = wire / base_cost.messages
-        if base_cost.all_reducible:
-            single = ring_allreduce_time(
-                per_message, p, inputs.bandwidth_bytes_per_s,
-                inputs.alpha_s)
-        else:
-            single = allgather_time(
-                per_message, p, inputs.bandwidth_bytes_per_s,
-                inputs.alpha_s)
-        comm = single * base_cost.messages
-    return t_comp + enc + comm
 
 
 def encode_tradeoff_grid(model: ModelSpec, base_scheme: Scheme,

@@ -12,6 +12,7 @@ guarantee of ``POST /v1/whatif`` vs ``repro recommend`` meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -35,6 +36,17 @@ def _require_fields(body: Dict[str, Any], allowed: Tuple[str, ...],
             f"{kind} request; allowed: {', '.join(allowed)}")
 
 
+def _positive(name: str, value: Any, unit: str) -> float:
+    """``value`` as a float, if it is a finite positive number.
+    ``json.loads`` accepts ``NaN`` and ``Infinity``, which pass a plain
+    ``<= 0`` guard."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not 0 < value < math.inf:
+        raise ConfigurationError(
+            f"{name} must be positive finite {unit}, got {value!r}")
+    return float(value)
+
+
 def _model_from(body: Dict[str, Any]) -> ModelSpec:
     name = body.get("model", "resnet50")
     if not isinstance(name, str) or name not in available_models():
@@ -50,12 +62,8 @@ def _cluster_from(body: Dict[str, Any]) -> ClusterConfig:
     cluster = cluster_for_gpus(gpus)
     bandwidth = body.get("bandwidth")
     if bandwidth is not None:
-        if not isinstance(bandwidth, (int, float)) \
-                or isinstance(bandwidth, bool) or bandwidth <= 0:
-            raise ConfigurationError(
-                f"bandwidth must be positive Gbit/s, got {bandwidth!r}")
-        cluster = cluster.with_instance(
-            cluster.instance.with_network_gbps(float(bandwidth)))
+        cluster = cluster.with_instance(cluster.instance.with_network_gbps(
+            _positive("bandwidth", bandwidth, "Gbit/s")))
     return cluster
 
 
@@ -73,11 +81,7 @@ def _timeout_from(body: Dict[str, Any]) -> Optional[float]:
     timeout = body.get("timeout_s")
     if timeout is None:
         return None
-    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) \
-            or timeout <= 0:
-        raise ConfigurationError(
-            f"timeout_s must be positive seconds, got {timeout!r}")
-    return float(timeout)
+    return _positive("timeout_s", timeout, "seconds")
 
 
 @dataclass(frozen=True)
@@ -224,14 +228,10 @@ class AdviseRequest:
             raise ConfigurationError(
                 f"world_sizes must be a non-empty list of positive ints, "
                 f"got {world_sizes_raw!r}")
-        lo = body.get("min_bandwidth_gbps", 1.0)
-        hi = body.get("max_bandwidth_gbps", 30.0)
-        for name, value in (("min_bandwidth_gbps", lo),
-                            ("max_bandwidth_gbps", hi)):
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be positive Gbit/s, got {value!r}")
+        lo = _positive("min_bandwidth_gbps",
+                       body.get("min_bandwidth_gbps", 1.0), "Gbit/s")
+        hi = _positive("max_bandwidth_gbps",
+                       body.get("max_bandwidth_gbps", 30.0), "Gbit/s")
         points = body.get("bandwidth_points", 512)
         shard = body.get("shard_points", 256)
         top = body.get("top", 12)
@@ -248,8 +248,7 @@ class AdviseRequest:
         return cls(model=_model_from(body), cluster=_cluster_from(body),
                    batch_size=_batch_from(body),
                    world_sizes=tuple(world_sizes_raw),
-                   min_bandwidth_gbps=float(lo),
-                   max_bandwidth_gbps=float(hi),
+                   min_bandwidth_gbps=lo, max_bandwidth_gbps=hi,
                    bandwidth_points=points, shard_points=shard, top=top,
                    wait=wait, timeout_s=_timeout_from(body))
 

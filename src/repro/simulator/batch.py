@@ -56,7 +56,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from ..collectives import ring_allreduce_time_grid
+from ..collectives import ring_allreduce_time
 from ..errors import ConfigurationError
 from ..faults import ResolvedFaults
 from ..telemetry.metrics import get_registry
@@ -92,7 +92,7 @@ def _allreduce_times(sim: DDPSimulator, payloads: np.ndarray,
     (1.0 healthy), applied exactly as the scalar dispatcher applies it.
     """
     if sim.config.allreduce_algorithm == "ring":
-        return ring_allreduce_time_grid(
+        return ring_allreduce_time(
             payloads, p, sim.fabric.min_bandwidth() * bw_scale,
             sim.fabric.alpha_s)
     return np.asarray(

@@ -9,8 +9,9 @@ paper's protocol, so tests can assert that the kernel reproduces it
 bit for bit.
 
 It also keeps the reference cache-key builders, the advisor sweep's
-unsharded reduction and the training substrate's step-by-step loops
-(below).
+unsharded reduction, the training substrate's step-by-step loops and
+the one-point scalar form of the §4 performance model and its α+β
+collectives (below).
 """
 
 import hashlib
@@ -27,13 +28,17 @@ from repro.analysis.advisor import (
     pareto_mask,
     plan_sweep,
 )
+from repro.compression.kernel_cost import v100_kernel_profile
 from repro.compression.schemes import SyncSGDScheme
+from repro.compute import ComputeModel
 from repro.core.advisor import recommend_for_inputs
 from repro.core.grid import compressed_time_grid
+from repro.core.perf_model import PredictedTime
 from repro.core.whatif import solve_crossover
 from repro.engine import AdvisorShardResult
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FAULT_STREAM
+from repro.hardware import V100
 from repro.simulator import (
     COMM_STREAM,
     COMPUTE_STREAM,
@@ -829,3 +834,172 @@ def worker_grads_oracle(trainer, batch_size, step):
         losses.append(loss)
         all_grads.append(grads)
     return float(np.mean(losses)), all_grads
+
+
+# ----- performance-model oracle ----------------------------------------------
+#
+# The §4 model and its α+β collectives as one-point scalar code, the way
+# they read before the array-generic kernel replaced them: early returns
+# for a single worker, one collective call per bucket, one telemetry
+# record per collective call.  Every one-point call, grid cell and
+# tradeoff cell of the production kernel must match these bit for bit.
+
+
+def _record_collective(algorithm, num_bytes, p, incast_factor=1.0):
+    registry = get_registry()
+    if not registry.enabled:
+        return
+    registry.counter("collective_calls_total", algorithm=algorithm).inc()
+    registry.counter("collective_bytes_total",
+                     algorithm=algorithm).inc(num_bytes)
+    if incast_factor > 1.0 and p > 1:
+        registry.counter("collective_incast_degraded_total",
+                         algorithm=algorithm).inc()
+
+
+def _validate_collective(num_bytes, p, bandwidth, alpha):
+    if num_bytes < 0:
+        raise ConfigurationError(f"num_bytes must be >= 0, got {num_bytes}")
+    if p < 1:
+        raise ConfigurationError(f"world size must be >= 1, got {p}")
+    if bandwidth <= 0:
+        raise ConfigurationError(f"bandwidth must be > 0, got {bandwidth}")
+    if alpha < 0:
+        raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
+
+
+def ring_allreduce_time(num_bytes, p, bandwidth, alpha):
+    """Ring all-reduce: ``2α(p-1) + 2n(p-1)/(p·BW)``, 0.0 for one worker."""
+    _validate_collective(num_bytes, p, bandwidth, alpha)
+    _record_collective("ring_allreduce", num_bytes, p)
+    if p == 1:
+        return 0.0
+    latency = 2.0 * alpha * (p - 1)
+    transfer = 2.0 * num_bytes * (p - 1) / (p * bandwidth)
+    return latency + transfer
+
+
+def allgather_time(num_bytes, p, bandwidth, alpha, incast_factor=1.0):
+    """Ring all-gather: ``α(p-1) + n(p-1)/BW``, 0.0 for one worker."""
+    _validate_collective(num_bytes, p, bandwidth, alpha)
+    if incast_factor < 1.0:
+        raise ConfigurationError(
+            f"incast_factor must be >= 1, got {incast_factor}")
+    _record_collective("allgather", num_bytes, p, incast_factor)
+    if p == 1:
+        return 0.0
+    latency = alpha * (p - 1)
+    transfer = num_bytes * (p - 1) / bandwidth * incast_factor
+    return latency + transfer
+
+
+def syncsgd_time(model, inputs, gpu=V100):
+    """§4.1 model for synchronous SGD with bucketing and overlap."""
+    compute = ComputeModel(model, gpu)
+    bs = inputs.batch_size or model.default_batch_size
+    t_comp = compute.backward_time(bs)
+    p = inputs.world_size
+    if p == 1:
+        return PredictedTime(total=t_comp, compute=t_comp,
+                             encode_decode=0.0, comm_exposed=0.0)
+
+    bucket_sizes = model.bucket_sizes_bytes(inputs.bucket_cap_bytes)
+    bw, alpha = inputs.bandwidth_bytes_per_s, inputs.alpha_s
+    overlappable = sum(
+        ring_allreduce_time(b, p, bw, alpha) for b in bucket_sizes[:-1])
+    last = ring_allreduce_time(bucket_sizes[-1], p, bw, alpha)
+
+    stretched = inputs.gamma * t_comp
+    total = max(stretched, overlappable) + last
+    return PredictedTime(
+        total=total,
+        compute=stretched,
+        encode_decode=0.0,
+        comm_exposed=total - stretched if total > stretched else last,
+    )
+
+
+def compressed_time(model, scheme, inputs, gpu=V100, profile=None):
+    """§4.2 model for sequential compression; DDP-hook schemes use the
+    overlap structure of :func:`syncsgd_time` on scaled buckets."""
+    if isinstance(scheme, SyncSGDScheme):
+        return syncsgd_time(model, inputs, gpu)
+    prof = profile if profile is not None else v100_kernel_profile()
+    compute = ComputeModel(model, gpu)
+    bs = inputs.batch_size or model.default_batch_size
+    t_comp = compute.backward_time(bs)
+    p = inputs.world_size
+    cost = scheme.cost(model, p, prof)
+
+    if scheme.ddp_overlap:
+        if p == 1:
+            return PredictedTime(total=t_comp, compute=t_comp,
+                                 encode_decode=cost.encode_decode_s,
+                                 comm_exposed=0.0)
+        ratio = cost.wire_bytes / model.grad_bytes
+        buckets = model.bucket_sizes_bytes(inputs.bucket_cap_bytes)
+        bw, alpha = inputs.bandwidth_bytes_per_s, inputs.alpha_s
+        overlappable = sum(
+            ring_allreduce_time(b * ratio, p, bw, alpha)
+            for b in buckets[:-1])
+        last = ring_allreduce_time(buckets[-1] * ratio, p, bw, alpha)
+        stretched = inputs.gamma * t_comp
+        total = (max(stretched, overlappable) + last
+                 + cost.encode_decode_s)
+        return PredictedTime(
+            total=total, compute=stretched,
+            encode_decode=cost.encode_decode_s,
+            comm_exposed=max(0.0, total - stretched
+                             - cost.encode_decode_s))
+
+    if p == 1:
+        comm = 0.0
+    else:
+        per_message = cost.wire_bytes / cost.messages
+        bw, alpha = inputs.bandwidth_bytes_per_s, inputs.alpha_s
+        if cost.all_reducible:
+            single = ring_allreduce_time(per_message, p, bw, alpha)
+        else:
+            single = allgather_time(per_message, p, bw, alpha)
+        comm = single * cost.messages
+
+    total = t_comp + cost.encode_decode_s + comm
+    return PredictedTime(
+        total=total,
+        compute=t_comp,
+        encode_decode=cost.encode_decode_s,
+        comm_exposed=comm,
+    )
+
+
+def tradeoff_time(model, base_scheme, k, l, inputs, gpu=V100,
+                  profile=None):
+    """Figure-13 cell: predicted seconds for the hypothetical scheme
+    with encode/decode ``/k`` and wire payload ``*(l·k)``."""
+    if k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {k}")
+    if l < 1:
+        raise ConfigurationError(f"l must be >= 1, got {l}")
+    prof = profile if profile is not None else v100_kernel_profile()
+    compute = ComputeModel(model, gpu)
+    bs = inputs.batch_size or model.default_batch_size
+    t_comp = compute.backward_time(bs)
+    p = inputs.world_size
+    base_cost = base_scheme.cost(model, p, prof)
+    wire = min(base_cost.wire_bytes * l * k,
+               float(model.grad_bytes))
+    enc = base_cost.encode_decode_s / k
+    if p == 1:
+        comm = 0.0
+    else:
+        per_message = wire / base_cost.messages
+        if base_cost.all_reducible:
+            single = ring_allreduce_time(
+                per_message, p, inputs.bandwidth_bytes_per_s,
+                inputs.alpha_s)
+        else:
+            single = allgather_time(
+                per_message, p, inputs.bandwidth_bytes_per_s,
+                inputs.alpha_s)
+        comm = single * base_cost.messages
+    return t_comp + enc + comm

@@ -12,10 +12,7 @@ space, and the CLI/engine wiring around the single kernel path.
 import numpy as np
 import pytest
 
-from repro.collectives import (
-    ring_allreduce_time,
-    ring_allreduce_time_grid,
-)
+from repro.collectives import ring_allreduce_time
 from repro.compression import (
     FP16Scheme,
     PowerSGDScheme,
@@ -40,6 +37,7 @@ from repro.simulator import batch as batch_module
 from repro.telemetry import disable_tracing, enable_tracing
 
 from .oracle import event_iteration, event_run
+from .oracle import ring_allreduce_time as ring_oracle
 
 
 @pytest.fixture(scope="module")
@@ -235,18 +233,18 @@ class TestEngineWiring:
 class TestVectorizedPrimitives:
     def test_ring_allreduce_batch_matches_scalar(self):
         payloads = np.array([0.0, 1.0, 25e6, 1e9])
-        batch = ring_allreduce_time_grid(payloads, 8, 10e9, 5e-6)
-        scalar = [ring_allreduce_time(float(b), 8, 10e9, 5e-6)
+        batch = ring_allreduce_time(payloads, 8, 10e9, 5e-6)
+        scalar = [ring_oracle(float(b), 8, 10e9, 5e-6)
                   for b in payloads]
         assert batch.tolist() == scalar
 
     def test_single_worker_collective_is_free(self):
-        assert ring_allreduce_time_grid(
+        assert ring_allreduce_time(
             np.array([1e6]), 1, 10e9, 5e-6).tolist() == [0.0]
 
     def test_negative_payload_rejected(self):
         with pytest.raises(ConfigurationError):
-            ring_allreduce_time_grid(np.array([-1.0]), 8, 10e9, 5e-6)
+            ring_allreduce_time(np.array([-1.0]), 8, 10e9, 5e-6)
 
 
 # ----- randomized property: run() == event_run over the config space --------

@@ -1,5 +1,6 @@
 """Analytic collective cost models."""
 
+import numpy as np
 import pytest
 
 from repro.collectives import (
@@ -117,3 +118,59 @@ class TestOtherCollectives:
         for fn in (reduce_scatter_time, broadcast_time,
                    parameter_server_time):
             assert fn(1e6, 1, BW, ALPHA) == 0.0
+
+
+NAN, INF = float("nan"), float("inf")
+COST_FUNCTIONS = (ring_allreduce_time, allgather_time, reduce_scatter_time,
+                  broadcast_time, double_tree_allreduce_time,
+                  parameter_server_time, pick_allreduce_time)
+
+
+class TestNonFiniteOperands:
+    """NaN passes every ``<`` guard, so it used to price to NaN; every
+    operand must now be finite, scalar or array."""
+
+    @pytest.mark.parametrize("fn", COST_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("operands,label", [
+        ((NAN, 8, BW, ALPHA), "num_bytes"),
+        ((INF, 8, BW, ALPHA), "num_bytes"),
+        ((1e6, 8, NAN, ALPHA), "bandwidth"),
+        ((1e6, 8, INF, ALPHA), "bandwidth"),
+        ((1e6, 8, BW, NAN), "alpha"),
+        ((1e6, 8, BW, INF), "alpha"),
+        ((1e6, NAN, BW, ALPHA), "world size"),
+    ])
+    def test_scalar_rejected(self, fn, operands, label):
+        with pytest.raises(ConfigurationError, match=label):
+            fn(*operands)
+
+    @pytest.mark.parametrize("fn", (ring_allreduce_time, allgather_time),
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("position,label", [
+        (0, "num_bytes"), (2, "bandwidth"), (3, "alpha")])
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_array_rejected(self, fn, position, label, bad):
+        operands = [np.array([1e6, 2e6]), 8, np.array([BW, BW]),
+                    np.array([ALPHA, ALPHA])]
+        operands[position] = np.array([operands[position][0], bad])
+        with pytest.raises(ConfigurationError, match=label):
+            fn(*operands)
+
+    @pytest.mark.parametrize("factor", [NAN, INF])
+    def test_incast_factor_rejected(self, factor):
+        with pytest.raises(ConfigurationError, match="incast_factor"):
+            allgather_time(1e6, 8, BW, ALPHA, incast_factor=factor)
+
+
+class TestArrayGeneric:
+    def test_scalars_give_python_floats(self):
+        assert type(ring_allreduce_time(1e6, 8, BW, ALPHA)) is float
+        assert type(allgather_time(1e6, 8, BW, ALPHA)) is float
+
+    def test_single_worker_prices_to_positive_zero(self):
+        for fn in (ring_allreduce_time, allgather_time):
+            times = fn(np.array([0.0, 1e9]), np.array([[1], [8]]), BW, ALPHA)
+            assert times.shape == (2, 2)
+            assert times[0].tolist() == [0.0, 0.0]
+            assert not np.signbit(times[0]).any()
+            assert (times[1] > 0).all()

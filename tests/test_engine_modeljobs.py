@@ -11,12 +11,7 @@ import pytest
 
 from repro.compression.schemes import PowerSGDScheme
 from repro.compression.kernel_cost import v100_kernel_profile
-from repro.core import (
-    PerfModelInputs,
-    compressed_time,
-    syncsgd_time,
-    tradeoff_time,
-)
+from repro.core import PerfModelInputs
 from repro.engine import (
     ExperimentEngine,
     ModelEvalJob,
@@ -28,6 +23,8 @@ from repro.hardware import V100
 from repro.models import get_model
 from repro.telemetry import MetricsRegistry, get_registry, set_registry
 from repro.units import gbps_to_bytes_per_s
+
+from .oracle import compressed_time, syncsgd_time, tradeoff_time
 
 
 @pytest.fixture(scope="module")

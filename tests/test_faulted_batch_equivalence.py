@@ -18,10 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.collectives import (
-    ring_allreduce_time,
-    ring_allreduce_time_grid,
-)
+from repro.collectives import ring_allreduce_time
 from repro.compression import (
     FP16Scheme,
     PowerSGDScheme,
@@ -45,6 +42,7 @@ from repro.simulator import DDPConfig, DDPSimulator
 from repro.simulator.batch import run_batch_many
 
 from .oracle import event_run
+from .oracle import ring_allreduce_time as ring_oracle
 
 
 @pytest.fixture(scope="module")
@@ -291,18 +289,18 @@ class TestEngineFamilyBatching:
 
 
 class TestVectorizedFaultPrimitives:
-    """Array bandwidths in the grid collective the kernel prices
-    buckets with."""
+    """Array bandwidths in the array-generic collective the kernel
+    prices buckets with."""
 
     def test_ring_batch_accepts_bandwidth_array(self):
         payloads = np.array([1.0, 25e6, 1e9])
         bws = np.array([10e9, 2.5e9, 10e9])
-        batch = ring_allreduce_time_grid(payloads, 8, bws, 5e-6)
-        scalar = [ring_allreduce_time(float(b), 8, float(bw), 5e-6)
+        batch = ring_allreduce_time(payloads, 8, bws, 5e-6)
+        scalar = [ring_oracle(float(b), 8, float(bw), 5e-6)
                   for b, bw in zip(payloads, bws)]
         assert batch.tolist() == scalar
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
-            ring_allreduce_time_grid(np.array([1e6]), 8,
-                                     np.array([0.0]), 5e-6)
+            ring_allreduce_time(np.array([1e6]), 8,
+                                np.array([0.0]), 5e-6)

@@ -1,8 +1,9 @@
 """Grid kernel bit-identity and the exact crossover solver.
 
 The contract under test: every cell of a :class:`TimingGrid` is
-bit-identical (``==`` on float64, not approx) to the scalar model called
-with the same operands, across every axis and scheme family; and the
+bit-identical (``==`` on float64, not approx) to the one-point scalar
+oracle in ``tests/oracle.py`` called with the same operands, across
+every axis and scheme family; and the
 Brent-polished crossover solver agrees with the historical dense-sweep
 interpolation to within one sweep grid step.
 """
@@ -27,16 +28,13 @@ from repro.core import (
     TradeoffPoint,
     WhatIfPoint,
     bandwidth_sweep,
-    compressed_time,
     compressed_time_grid,
     compute_sweep,
     encode_tradeoff_grid,
     find_crossover_gbps,
     solve_crossover,
     sweep_crossings,
-    syncsgd_time,
     syncsgd_time_grid,
-    tradeoff_time,
     tradeoff_time_grid,
 )
 from repro.analysis import candidate_grid
@@ -44,6 +42,8 @@ from repro.errors import ConfigurationError
 from repro.hardware import V100
 from repro.models import available_models, get_model
 from repro.units import gbps_to_bytes_per_s
+
+from .oracle import compressed_time, syncsgd_time, tradeoff_time
 
 #: One scheme per cost-model family: dense baseline, fp16 DDP-overlap
 #: bucket compression, low-rank all-reducible, sparse gather-based, and

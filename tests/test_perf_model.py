@@ -1,5 +1,6 @@
 """Analytic performance model (§4)."""
 
+import numpy as np
 import pytest
 
 from repro.compression import (
@@ -11,15 +12,20 @@ from repro.compression import (
 from repro.compute import ComputeModel
 from repro.core import (
     PerfModelInputs,
+    PredictedTime,
     compressed_time,
+    compressed_time_grid,
     predict,
     speedup_over_syncsgd,
     syncsgd_time,
+    tradeoff_time_grid,
 )
 from repro.errors import ConfigurationError
 from repro.hardware import V100
 from repro.models import get_model
 from repro.units import gbps_to_bytes_per_s
+
+from . import oracle
 
 BW10 = gbps_to_bytes_per_s(10)
 
@@ -100,7 +106,7 @@ class TestCompressedModel:
 
     def test_syncsgd_scheme_routes_to_baseline(self, rn50):
         via_predict = predict(rn50, SyncSGDScheme(), inputs(bs=64))
-        direct = syncsgd_time(rn50, inputs(bs=64))
+        direct = oracle.syncsgd_time(rn50, inputs(bs=64))
         assert via_predict.total == pytest.approx(direct.total)
 
     def test_signsgd_comm_linear_in_p(self, rn50):
@@ -124,10 +130,9 @@ class TestCompressedModel:
         # The deliberate omission behind the Figure 8 signSGD error: the
         # analytic all-gather term equals the cost-model value with
         # incast_factor == 1.
-        from repro.collectives import allgather_time
         pred = compressed_time(rn50, SignSGDScheme(), inputs(p=96, bs=64))
         cost = SignSGDScheme().cost(rn50, 96)
-        expected = allgather_time(cost.wire_bytes, 96, BW10, 10e-6)
+        expected = oracle.allgather_time(cost.wire_bytes, 96, BW10, 10e-6)
         assert pred.comm_exposed == pytest.approx(expected)
 
 
@@ -157,3 +162,65 @@ class TestPaperShapeClaims:
                                    inputs(p=64, bs=64))
         assert s16 > s64
         assert s16 > 0.2
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInputs:
+    """NaN passes every ``<`` guard: these used to price to NaN (or, for
+    ``gamma``, to a NaN syncSGD time beside a finite PowerSGD one)."""
+
+    @pytest.mark.parametrize("field,label", [
+        ("world_size", "world_size"),
+        ("bandwidth_bytes_per_s", "bandwidth"),
+        ("alpha_s", "alpha"),
+        ("gamma", "gamma"),
+        ("bucket_cap_bytes", "bucket_cap_bytes"),
+    ])
+    @pytest.mark.parametrize("bad", [NAN, INF])
+    def test_inputs_rejected(self, field, label, bad):
+        kwargs = {"world_size": 8, "bandwidth_bytes_per_s": BW10,
+                  field: bad}
+        with pytest.raises(ConfigurationError, match=label):
+            PerfModelInputs(**kwargs)
+
+    @pytest.mark.parametrize("axis,label", [
+        ("bandwidth_bytes_per_s", "bandwidth"),
+        ("compute_factor", "compute factors"),
+    ])
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("scheme", [SyncSGDScheme(), PowerSGDScheme(4)],
+                             ids=lambda s: s.label)
+    def test_grid_axes_rejected(self, rn50, scheme, axis, label, bad):
+        with pytest.raises(ConfigurationError, match=label):
+            compressed_time_grid(rn50, scheme, inputs(bs=64),
+                                 **{axis: np.array([2.0, bad])})
+
+    @pytest.mark.parametrize("k,l", [(NAN, 1.0), (1.0, NAN), (INF, 1.0)])
+    def test_tradeoff_axes_rejected(self, rn50, k, l):
+        with pytest.raises(ConfigurationError, match="must be"):
+            tradeoff_time_grid(rn50, PowerSGDScheme(4), np.array([k]),
+                               np.array([l]), inputs(bs=64))
+
+    @pytest.mark.parametrize("field", ["total", "compute", "encode_decode",
+                                       "comm_exposed"])
+    @pytest.mark.parametrize("bad", [NAN, INF, -1.0])
+    def test_predicted_time_rejects_non_finite(self, field, bad):
+        values = dict(total=1.0, compute=1.0, encode_decode=0.0,
+                      comm_exposed=0.0)
+        values[field] = bad
+        with pytest.raises(ConfigurationError, match=field):
+            PredictedTime(**values)
+
+
+class TestOneKernel:
+    def test_scalars_give_python_floats(self, rn50):
+        for scheme in (SyncSGDScheme(), PowerSGDScheme(4), TopKScheme(0.01)):
+            pred = predict(rn50, scheme, inputs(bs=64))
+            assert all(type(value) is float for value in (
+                pred.total, pred.compute, pred.comm_exposed))
+
+    def test_batch_size_validated(self, rn50):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            syncsgd_time(rn50, inputs(bs=-4))

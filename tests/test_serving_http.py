@@ -165,6 +165,27 @@ class TestHostileInput:
         assert error["code"] == "bad_request"
         assert "wait_s" in error["message"]
 
+    @pytest.mark.parametrize("path,field", [
+        ("/v1/whatif", "bandwidth"), ("/v1/whatif", "timeout_s"),
+        ("/v1/simulate", "bandwidth"), ("/v1/simulate", "timeout_s"),
+        ("/v1/advise", "bandwidth"), ("/v1/advise", "timeout_s"),
+        ("/v1/advise", "min_bandwidth_gbps"),
+        ("/v1/advise", "max_bandwidth_gbps")])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_400(self, server, path, field, literal):
+        # json.loads parses these non-standard literals into floats that
+        # pass a plain `<= 0` guard; the raw body carries them verbatim.
+        body = f'{{"model": "resnet50", "gpus": 8, "{field}": {literal}}}'
+        request = urllib.request.Request(
+            server + path, data=body.encode("utf-8"),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["code"] == "bad_request"
+        assert field in error["message"]
+
     def test_infeasible_whatif_400(self, server):
         # No candidate fits this batch in GPU memory: `repro recommend`
         # exits 2 for it, so the service answers 400, not 500.

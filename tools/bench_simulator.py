@@ -24,10 +24,11 @@ Two entry modes:
 
 The **what-if section** times dense (512-point) closed-form sweeps on
 the fig11/fig12 workloads, evaluated once through the vectorized grid
-kernel (:mod:`repro.core.grid`) and once as a scalar per-point loop.  The
-recorded ``speedup`` (scalar wall / grid wall) is the grid kernel's
-advantage; ``--check`` gates on the same machine-independent ratio
-plus a hard 5x floor.
+kernel (:mod:`repro.core.grid`) and once as a per-point loop of the
+scalar reference model in ``tests/oracle.py``.  The recorded
+``speedup`` (scalar wall / grid wall) is the grid kernel's advantage;
+``--check`` gates on the same machine-independent ratio plus a hard 5x
+floor.
 
 A **traced section** measures what run tracing costs: the full
 ``repro experiment fig4`` sweep (serial, no cache) with ``--trace-run``
@@ -93,6 +94,7 @@ from typing import Dict, List, Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.insert(0, REPO_ROOT)  # tests.oracle: the scalar what-if reference
 
 import numpy as np  # noqa: E402
 
@@ -105,7 +107,6 @@ from repro.core.grid import (  # noqa: E402
     compressed_time_grid,
     syncsgd_time_grid,
 )
-from repro.core.perf_model import compressed_time, syncsgd_time  # noqa: E402
 from repro.engine import ExperimentEngine, SimulationCache  # noqa: E402
 from repro.engine.cache import (  # noqa: E402
     outcome_to_payload,
@@ -116,6 +117,7 @@ from repro.cli import main as repro_main  # noqa: E402
 from repro.hardware.gpus import V100  # noqa: E402
 from repro.models import get_model  # noqa: E402
 from repro.units import gbps_to_bytes_per_s  # noqa: E402
+from tests.oracle import compressed_time, syncsgd_time  # noqa: E402
 
 DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_simulator.json")
 
