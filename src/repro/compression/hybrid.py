@@ -21,8 +21,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..models import LayerSpec, ModelSpec
-from ..units import FLOAT32_BYTES
-from .kernel_cost import KernelProfile, _effective_rank, v100_kernel_profile
+from .kernel_cost import KernelProfile, hybrid_powersgd_cost
 from .schemes import PowerSGDScheme, Scheme, SchemeCost
 
 
@@ -68,22 +67,8 @@ class HybridPowerSGDScheme(Scheme):
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        compressed, dense = self.partition(model)
-
-        wire = 0.0
-        encode = 0.0
-        for layer in compressed:
-            m, n = layer.matrix_shape
-            r = _effective_rank(self.rank, m, n)
-            wire += (r * (m + n) + layer.extra_params) * FLOAT32_BYTES
-            encode += prof.tensor_overhead_s
-            encode += 6.0 * m * n * r / prof.matmul_flops_per_s
-            encode += (m + n) * r * r / prof.orth_elems_per_s
-        dense_params = sum(layer.num_params for layer in dense)
-        wire += dense_params * FLOAT32_BYTES
-        encode += dense_params / prof.elementwise_elems_per_s
-
+        wire, encode, compressed = hybrid_powersgd_cost(
+            model, self.rank, self.min_layer_params, self._profile(profile))
         return SchemeCost(
             wire_bytes=wire,
             messages=2 if compressed else 1,

@@ -29,18 +29,28 @@ Structure of each method's cost (all per iteration, seconds):
 The profile scales linearly with GPU speed (`scaled`), which is exactly
 the assumption the paper's Figure 12 what-if makes ("as compute gets
 faster, the encode-decode time also reduces by the same factor").
+
+The layer-walking costs (PowerSGD, ATOMO and the hybrid policy's wire
+bytes and encode time) read one table per model spec: its trainable
+layers' shapes as arrays, plus per-rank work arrays, built once
+(:func:`repro.memo.per_object`).  A cost call divides the work arrays by
+the profile's throughputs and folds the per-layer terms with a
+sequential ``cumsum`` in the per-layer loop's order, so every result —
+scalar, or array-valued under the grid's swept profiles — equals the
+loop's left-to-right float sum bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import CalibrationError, ConfigurationError
+from ..memo import per_object
 from ..models import ModelSpec, get_model
-from ..units import seconds_from_ms
+from ..units import FLOAT32_BYTES, seconds_from_ms
 
 #: Table 2 of the paper: the calibration targets (ms).
 TABLE2_POWERSGD_MS = {4: 45.0, 8: 64.0, 16: 130.0}
@@ -110,32 +120,161 @@ class KernelProfile:
         )
 
 
+# ----- per-model layer tables ------------------------------------------------
+
+
+def _fold(terms: np.ndarray) -> Any:
+    """``0.0`` plus every term along axis 0, in order: what a loop over
+    layers adding each term to a running float computes.
+
+    Integer terms become floats first, as ``float += int`` converts
+    them.  A 1-D fold is a ``cumsum``, which accumulates strictly in
+    sequence, so its last partial sum is the loop's sum bit for bit
+    (returned as a Python float).  Trailing axes (the grid's swept
+    profile axes) are folded elementwise, one layer row at a time:
+    ``cumsum`` along the leading axis of a wide grid is several times
+    slower than the row loop.
+    """
+    if terms.shape[0] == 0:
+        return 0.0
+    if terms.ndim == 1:
+        return float(np.cumsum(terms, dtype=float)[-1])
+    total = terms[0].astype(float)
+    for row in terms[1:]:
+        total += row
+    return total
+
+
+def _layer_terms(overhead: Any, *work: Tuple[np.ndarray, Any]) -> Any:
+    """Per-layer ``overhead, work / throughput, ...`` terms, folded
+    layer by layer in that order.
+
+    ``work`` pairs a per-layer array with the profile throughput that
+    divides it.  Profile fields may be scalars or the grid's swept
+    arrays; the layer axis goes in front of all of them.
+    """
+    swept = np.broadcast_shapes(np.shape(overhead),
+                                *(np.shape(rate) for _, rate in work))
+    layers = work[0][0].size
+    terms = np.empty((layers, 1 + len(work)) + swept)
+    terms[:, 0] = overhead
+    for column, (values, rate) in enumerate(work, start=1):
+        terms[:, column] = values.reshape((layers,) + (1,) * len(swept)) / rate
+    return _fold(terms.reshape((-1,) + swept))
+
+
+class _RankTable:
+    """One model's work at one rank: per matrix layer, the effective
+    rank ``r' = min(r, m, n)`` and the FLOPs it costs; and the wire
+    bytes of the low-rank schemes."""
+
+    def __init__(self, table: "_LayerTable", rank: int) -> None:
+        m, n = table.mat_m, table.mat_n
+        # No layer's side exceeds the widest one, so capping the rank
+        # there changes no r' and keeps a huge rank within int64.
+        rank = min(rank, int(m.max(initial=1)))
+        self.r = np.maximum(1, np.minimum(np.minimum(rank, m), n))
+        self.matmul = 6.0 * m * n * self.r
+        self.orth = (m + n) * self.r * self.r
+        self.atomo_recon = 2.0 * m * n * self.r
+        mask = table.is_matrix
+        r = np.ones_like(table.params)
+        r[mask] = self.r
+        dense = table.params * FLOAT32_BYTES
+        self.powersgd_wire = _fold(np.stack((
+            np.where(mask, r * (table.m + table.n) * FLOAT32_BYTES, dense),
+            np.where(mask, table.extra * FLOAT32_BYTES, 0)), axis=1).ravel())
+        self.atomo_wire = _fold(np.where(
+            mask, (r * (table.m + table.n + 1) + table.extra) * FLOAT32_BYTES,
+            dense))
+
+
+class _LayerTable:
+    """One model's trainable layers as arrays, in layer order."""
+
+    def __init__(self, model: ModelSpec) -> None:
+        layers = model.trainable_layers
+        self.is_matrix = np.array([layer.has_matrix for layer in layers],
+                                  dtype=bool)
+        shapes = np.array([layer.matrix_shape for layer in layers],
+                          dtype=np.int64).reshape(-1, 2)
+        self.m, self.n = shapes[:, 0], shapes[:, 1]
+        self.extra = np.array([layer.extra_params for layer in layers],
+                              dtype=np.int64)
+        self.params = np.array([layer.num_params for layer in layers],
+                               dtype=np.int64)
+        self.mat_m = self.m[self.is_matrix]
+        self.mat_n = self.n[self.is_matrix]
+        self.svd = (8.0 * self.mat_m * self.mat_n
+                    * np.minimum(self.mat_m, self.mat_n))
+        #: Parameters PowerSGD sends uncompressed: matrix layers'
+        #: extras and every non-matrix layer.
+        self.uncompressed = int(self.extra[self.is_matrix].sum()
+                                + self.params[~self.is_matrix].sum())
+        self.ranks: Dict[int, _RankTable] = {}
+
+    def rank(self, rank: int) -> _RankTable:
+        """The work at ``rank`` (built once per rank)."""
+        if rank < 1:
+            raise ConfigurationError(f"rank must be >= 1, got {rank}")
+        table = self.ranks.get(rank)
+        if table is None:
+            table = self.ranks[rank] = _RankTable(self, rank)
+        return table
+
+
+_layer_table = per_object(_LayerTable)
+
+
 # ----- per-method cost functions ---------------------------------------------
 
 
-def _effective_rank(rank: int, m: int, n: int) -> int:
-    return max(1, min(rank, m, n))
+def powersgd_wire_bytes(model: ModelSpec, rank: int) -> float:
+    """PowerSGD(rank) payload bytes: P/Q factors of every matrix layer,
+    its extras and every non-matrix layer in fp32."""
+    return _layer_table(model).rank(rank).powersgd_wire
+
+
+def atomo_wire_bytes(model: ModelSpec, rank: int) -> float:
+    """ATOMO(rank) payload bytes: rank-``r`` atoms plus singular values
+    per matrix layer, non-matrix layers in fp32."""
+    return _layer_table(model).rank(rank).atomo_wire
+
+
+def hybrid_powersgd_cost(model: ModelSpec, rank: int, min_layer_params: int,
+                         profile: KernelProfile) -> Tuple[float, Any, int]:
+    """``(wire bytes, encode+decode seconds, compressed layer count)``
+    of PowerSGD on the matrix layers with at least
+    ``min_layer_params`` parameters, the rest sent dense in fp32."""
+    table = _layer_table(model)
+    ranked = table.rank(rank)
+    # Capped one above the largest layer (the same choice, within int64).
+    threshold = min(min_layer_params, int(table.params.max(initial=0)) + 1)
+    chosen = table.is_matrix & (table.params >= threshold)
+    on = chosen[table.is_matrix]
+    dense = int(table.params[~chosen].sum())
+    wire = (ranked.r[on] * (table.mat_m[on] + table.mat_n[on])
+            + table.extra[chosen]) * FLOAT32_BYTES
+    encode = _layer_terms(
+        profile.tensor_overhead_s,
+        (ranked.matmul[on], profile.matmul_flops_per_s),
+        (ranked.orth[on], profile.orth_elems_per_s))
+    return (_fold(wire) + dense * FLOAT32_BYTES,
+            encode + dense / profile.elementwise_elems_per_s,
+            int(on.sum()))
 
 
 def powersgd_encode_decode_time(model: ModelSpec, rank: int,
                                 profile: KernelProfile) -> float:
-    """PowerSGD encode+decode seconds for one iteration."""
-    if rank < 1:
-        raise ConfigurationError(f"rank must be >= 1, got {rank}")
-    total = 0.0
-    extras = 0
-    for layer in model.trainable_layers:
-        if layer.has_matrix:
-            m, n = layer.matrix_shape
-            r = _effective_rank(rank, m, n)
-            total += profile.tensor_overhead_s
-            total += 6.0 * m * n * r / profile.matmul_flops_per_s
-            total += (m + n) * r * r / profile.orth_elems_per_s
-            extras += layer.extra_params
-        else:
-            extras += layer.num_params
-    total += extras / profile.elementwise_elems_per_s
-    return total
+    """PowerSGD encode+decode seconds for one iteration: per matrix
+    layer a launch, ``6·m·n·r'`` matmul FLOPs and ``(m+n)·r'^2``
+    orthogonalization; one elementwise pass over the rest."""
+    table = _layer_table(model)
+    ranked = table.rank(rank)
+    total = _layer_terms(profile.tensor_overhead_s,
+                         (ranked.matmul, profile.matmul_flops_per_s),
+                         (ranked.orth, profile.orth_elems_per_s))
+    return total + table.uncompressed / profile.elementwise_elems_per_s
 
 
 def topk_encode_decode_time(model: ModelSpec, fraction: float,
@@ -237,17 +376,12 @@ def atomo_encode_decode_time(model: ModelSpec, rank: int,
                              world_size: int) -> float:
     """ATOMO: a full SVD per matrix layer (the expensive part), plus a
     rank-``r`` reconstruction per gathered payload."""
-    if rank < 1:
-        raise ConfigurationError(f"rank must be >= 1, got {rank}")
+    table = _layer_table(model)
+    ranked = table.rank(rank)
     _check_world(world_size)
-    total = 0.0
-    for layer in model.matrix_layers:
-        m, n = layer.matrix_shape
-        r = _effective_rank(rank, m, n)
-        total += profile.tensor_overhead_s
-        total += 8.0 * m * n * min(m, n) / profile.svd_flops_per_s
-        total += 2.0 * m * n * r * world_size / profile.matmul_flops_per_s
-    return total
+    return _layer_terms(
+        profile.tensor_overhead_s, (table.svd, profile.svd_flops_per_s),
+        (ranked.atomo_recon * world_size, profile.matmul_flops_per_s))
 
 
 def gradiveq_encode_decode_time(model: ModelSpec, block: int, dims: int,
@@ -290,19 +424,10 @@ def calibrate_v100_profile(reference: Optional[ModelSpec] = None) -> KernelProfi
 
     # --- PowerSGD: t(r) = overhead_count*x + matmul_work(r)*y + orth_work(r)*z
     ranks = sorted(TABLE2_POWERSGD_MS)
-    rows = []
-    for rank in ranks:
-        n_tensors = 0
-        matmul_work = 0.0
-        orth_work = 0.0
-        for layer in model.matrix_layers:
-            m, n = layer.matrix_shape
-            r = _effective_rank(rank, m, n)
-            n_tensors += 1
-            matmul_work += 6.0 * m * n * r
-            orth_work += (m + n) * r * r
-        rows.append((n_tensors, matmul_work, orth_work))
-    a = np.array(rows, dtype=np.float64)
+    table = _layer_table(model)
+    a = np.array([(table.mat_m.size, _fold(table.rank(rank).matmul),
+                   _fold(table.rank(rank).orth)) for rank in ranks],
+                 dtype=np.float64)
     b = np.array([seconds_from_ms(TABLE2_POWERSGD_MS[r]) for r in ranks])
     try:
         x, y, z = np.linalg.solve(a, b)

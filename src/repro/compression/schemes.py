@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,17 @@ from ..models import ModelSpec
 from ..units import FLOAT32_BYTES
 from . import kernel_cost as kc
 from .kernel_cost import KernelProfile, v100_kernel_profile
+
+
+def _any_below(value: Any, bound: float, or_equal: bool = False) -> bool:
+    """Whether a scalar, or any element of an array, is below ``bound``
+    (or equal to it).  The grid engine (repro.core.grid) prices schemes
+    with array-valued kernel profiles, making ``encode_decode_s`` an
+    array along the swept axis; scalars skip the array round trip."""
+    if not isinstance(value, (int, float)):
+        value = np.asarray(value)
+        return bool(np.any(value <= bound if or_equal else value < bound))
+    return value <= bound if or_equal else value < bound
 
 
 @dataclass(frozen=True)
@@ -54,10 +65,7 @@ class SchemeCost:
     gather_stack_bytes: float
 
     def __post_init__(self) -> None:
-        # np.any instead of plain comparisons: the grid engine
-        # (repro.core.grid) prices schemes with array-valued kernel
-        # profiles, making encode_decode_s an array along the swept axis.
-        if np.any(np.asarray(self.wire_bytes) <= 0):
+        if _any_below(self.wire_bytes, 0, or_equal=True):
             raise ConfigurationError(
                 f"scheme produced non-positive wire bytes "
                 f"({self.wire_bytes})")
@@ -65,10 +73,10 @@ class SchemeCost:
             raise ConfigurationError(
                 f"messages must be a positive integer, got "
                 f"{self.messages!r}")
-        if np.any(np.asarray(self.encode_decode_s) < 0):
+        if _any_below(self.encode_decode_s, 0):
             raise ConfigurationError(
                 f"encode_decode_s must be >= 0, got {self.encode_decode_s}")
-        if np.any(np.asarray(self.gather_stack_bytes) < 0):
+        if _any_below(self.gather_stack_bytes, 0):
             raise ConfigurationError(
                 f"gather_stack_bytes must be >= 0, "
                 f"got {self.gather_stack_bytes}")
@@ -184,17 +192,8 @@ class PowerSGDScheme(Scheme):
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
         prof = self._profile(profile)
-        wire = 0.0
-        for layer in model.trainable_layers:
-            if layer.has_matrix:
-                m, n = layer.matrix_shape
-                r = max(1, min(self.rank, m, n))
-                wire += r * (m + n) * FLOAT32_BYTES
-                wire += layer.extra_params * FLOAT32_BYTES
-            else:
-                wire += layer.num_params * FLOAT32_BYTES
         return SchemeCost(
-            wire_bytes=wire,
+            wire_bytes=kc.powersgd_wire_bytes(model, self.rank),
             messages=2,
             encode_decode_s=kc.powersgd_encode_decode_time(
                 model, self.rank, prof),
@@ -345,16 +344,8 @@ class ATOMOScheme(Scheme):
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
         prof = self._profile(profile)
-        wire = 0.0
-        for layer in model.trainable_layers:
-            if layer.has_matrix:
-                m, n = layer.matrix_shape
-                r = max(1, min(self.rank, m, n))
-                wire += (r * (m + n + 1) + layer.extra_params) * FLOAT32_BYTES
-            else:
-                wire += layer.num_params * FLOAT32_BYTES
         return SchemeCost(
-            wire_bytes=wire,
+            wire_bytes=kc.atomo_wire_bytes(model, self.rank),
             messages=3,
             encode_decode_s=kc.atomo_encode_decode_time(
                 model, self.rank, prof, world_size),

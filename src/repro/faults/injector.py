@@ -20,8 +20,9 @@ Determinism rules:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -423,19 +424,32 @@ class FaultInjector:
 
     # ----- reporting --------------------------------------------------------
 
-    def record_iteration(self, state: IterationFaults) -> None:
-        """Mirror one iteration's fault state into telemetry (enabled
-        registries only; pure counter writes, no RNG interaction)."""
+    def record_iterations(self, states: Sequence[IterationFaults]) -> None:
+        """Mirror iterations' fault state into telemetry (enabled
+        registries only; pure counter writes, no RNG interaction).
+
+        Counts are summed per counter before one increment each, which
+        adds exactly what per-iteration increments would; stall
+        seconds are added one by one, in iteration order.
+        """
         registry = get_registry()
-        if not registry.enabled or not state.degraded:
+        if not registry.enabled:
             return
-        registry.counter("sim_fault_degraded_iterations_total").inc()
-        for label in state.active:
-            # "crash-restart" -> "crash": keep label cardinality tiny.
-            kind = label.split("-")[0]
-            registry.counter("sim_faults_active_total", kind=kind).inc()
-        if state.stall_s > 0:
-            registry.counter("sim_fault_stall_s_total").inc(state.stall_s)
+        degraded = [state for state in states if state.degraded]
+        if not degraded:
+            return
+        registry.counter("sim_fault_degraded_iterations_total").inc(
+            len(degraded))
+        # "crash-restart" -> "crash": keep label cardinality tiny.
+        kinds = Counter(label.split("-")[0]
+                        for state in degraded for label in state.active)
+        for kind, count in kinds.items():
+            registry.counter("sim_faults_active_total", kind=kind).inc(count)
+        stalls = [state.stall_s for state in degraded if state.stall_s > 0]
+        if stalls:
+            stall_total = registry.counter("sim_fault_stall_s_total")
+            for stall_s in stalls:
+                stall_total.inc(stall_s)
 
     def summary(self) -> str:
         """One-line post-run summary for the CLI."""

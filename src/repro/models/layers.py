@@ -236,10 +236,11 @@ class ModelSpec:
         """Layers in the order their gradients become available."""
         return _tables(self).backward
 
-    @property
+    @cached_property
     def largest_layer_grad_bytes(self) -> int:
         """Gradient bytes of the biggest single layer (the unit of
-        ``"layer"``-granularity gather stacking)."""
+        ``"layer"``-granularity gather stacking).  Cached: every gather
+        scheme's cost reads it."""
         return max(layer.grad_bytes for layer in self.trainable_layers)
 
     def gradient_buckets(self, bucket_cap_bytes: float = 25 * MIB,

@@ -17,10 +17,19 @@ leans on to explain its measurements:
   reproduces the Figure-8 error ordering.
 
 Bandwidth values are bytes/second; times are seconds.
+
+The jittered matrix is a pure function of (node count, NIC speed,
+cluster seed, jitter σ), so it is drawn once per distinct tuple and
+shared read-only by every fabric built with it: a sweep builds hundreds
+of fabrics over a dozen clusters.  :meth:`Fabric.degrade_link` and
+:meth:`Fabric.degrade_node` copy the shared matrix before their first
+write, so degrading one fabric never reaches another.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -70,38 +79,24 @@ class Fabric:
                                            repr=False)
 
     def __post_init__(self) -> None:
-        if self.alpha_s < 0:
-            raise ConfigurationError(f"alpha_s must be >= 0, got {self.alpha_s}")
-        if self.bandwidth_jitter < 0:
-            raise ConfigurationError(
-                f"bandwidth_jitter must be >= 0, got {self.bandwidth_jitter}")
-        if self.incast_per_sender < 0:
-            raise ConfigurationError(
-                f"incast_per_sender must be >= 0, got {self.incast_per_sender}")
-        self._pair_bw = self._draw_bandwidth_matrix()
+        for name in ("alpha_s", "bandwidth_jitter", "incast_per_sender"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {value}")
+        self._pair_bw = _bandwidth_matrix(
+            self.cluster.num_nodes, self.cluster.instance.network_bytes_per_s,
+            self.cluster.seed, self.bandwidth_jitter)
 
     def __getstate__(self) -> Dict[str, Any]:
         # Pickle without the memo, so a pool job carrying this fabric
         # is the same size before and after a run.
         return {**self.__dict__, "_min_bw_cache": None}
 
-    def _draw_bandwidth_matrix(self) -> np.ndarray:
-        """Symmetric per-node-pair bandwidth matrix (bytes/s).
-
-        Jitter is multiplicative lognormal, capped at the NIC's nominal
-        speed: real links underdeliver, they never overdeliver.
-        """
-        n = self.cluster.num_nodes
-        nominal = self.cluster.instance.network_bytes_per_s
-        rng = np.random.default_rng(self.cluster.seed)
-        matrix = np.full((n, n), nominal)
-        if self.bandwidth_jitter > 0 and n > 1:
-            draws = rng.lognormal(
-                mean=0.0, sigma=self.bandwidth_jitter, size=(n, n))
-            draws = np.minimum(np.tril(draws, -1) + np.tril(draws, -1).T, 1.0)
-            np.fill_diagonal(draws, 1.0)
-            matrix = matrix * draws
-        return matrix
+    def _own_matrix(self) -> None:
+        """Copy a shared (read-only) matrix before the first write."""
+        if not self._pair_bw.flags.writeable:
+            self._pair_bw = self._pair_bw.copy()
 
     # ----- bandwidth queries ------------------------------------------------
 
@@ -167,6 +162,7 @@ class Fabric:
         if not 0 < factor <= 1:
             raise ConfigurationError(
                 f"factor must be in (0, 1], got {factor}")
+        self._own_matrix()
         self._pair_bw[node_a, node_b] *= factor
         self._pair_bw[node_b, node_a] *= factor
         self._min_bw_cache = None
@@ -177,6 +173,7 @@ class Fabric:
         if not 0 < factor <= 1:
             raise ConfigurationError(
                 f"factor must be in (0, 1], got {factor}")
+        self._own_matrix()
         for other in range(self.cluster.num_nodes):
             if other != node:
                 self._pair_bw[node, other] *= factor
@@ -187,3 +184,25 @@ class Fabric:
         if not 0 <= node < self.cluster.num_nodes:
             raise ConfigurationError(
                 f"node {node} out of range for {self.cluster.num_nodes} nodes")
+
+
+@functools.lru_cache(maxsize=64)
+def _bandwidth_matrix(num_nodes: int, nominal: float, seed: int,
+                      jitter: float) -> np.ndarray:
+    """Symmetric per-node-pair bandwidth matrix (bytes/s), read-only.
+
+    Jitter is multiplicative lognormal, capped at the NIC's nominal
+    speed: real links underdeliver, they never overdeliver.  Memoized
+    per argument tuple; the fabric rejects NaN parameters, so a key
+    always equals itself.
+    """
+    rng = np.random.default_rng(seed)
+    matrix = np.full((num_nodes, num_nodes), nominal)
+    if jitter > 0 and num_nodes > 1:
+        draws = rng.lognormal(mean=0.0, sigma=jitter,
+                              size=(num_nodes, num_nodes))
+        draws = np.minimum(np.tril(draws, -1) + np.tril(draws, -1).T, 1.0)
+        np.fill_diagonal(draws, 1.0)
+        matrix = matrix * draws
+    matrix.flags.writeable = False
+    return matrix

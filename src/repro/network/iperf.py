@@ -41,6 +41,7 @@ class BandwidthReport:
 
     @property
     def num_nodes(self) -> int:
+        """Number of nodes probed (the matrix's side)."""
         return self.matrix.shape[0]
 
 

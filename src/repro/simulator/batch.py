@@ -59,6 +59,7 @@ import numpy as np
 from ..collectives import ring_allreduce_time
 from ..errors import ConfigurationError
 from ..faults import ResolvedFaults
+from ..network import Fabric
 from ..telemetry.metrics import get_registry
 from .ddp import DDPSimulator, TimingResult
 
@@ -158,15 +159,19 @@ class _SlotLayout:
         The present cells are drawn in one flat lognormal call; boolean
         masking walks the matrix row-major, so the stream consumption
         order is exactly the event loop's sequential per-iteration
-        draws.
+        draws.  When every cell is present (the usual case) the call
+        draws at the broadcast ``(n, S)`` shape directly, which fills
+        row-major too: the same variates, with no gather or scatter.
         """
         n = present.shape[0]
         S = len(self.sigmas)
         if S == 0:
             return np.ones((n, 0))
-        J = np.ones((n, S))
         sigma = np.broadcast_to(np.asarray(self.sigmas, dtype=float),
                                 (n, S))
+        if present.all():
+            return rng.lognormal(mean=0.0, sigma=sigma)
+        J = np.ones((n, S))
         flat = sigma[present]
         if flat.size:
             J[present] = rng.lognormal(mean=0.0, sigma=flat)
@@ -222,11 +227,18 @@ def _combos(F: _FaultRows) -> List[Tuple[Tuple[int, float], np.ndarray]]:
 
     Fault schedules produce a handful of distinct degraded states over
     a run, so pricing once per combo through the scalar dispatchers is
-    both exact and cheap."""
-    groups: Dict[Tuple[int, float], List[int]] = {}
-    for i in range(F.p.size):
-        groups.setdefault((int(F.p[i]), float(F.bw[i])), []).append(i)
-    return [(key, np.asarray(rows)) for key, rows in groups.items()]
+    both exact and cheap.  Combos come in order of first appearance,
+    so the pricing calls (and the collective telemetry they record)
+    happen in row order."""
+    if (F.p == F.p[0]).all() and (F.bw == F.bw[0]).all():
+        return [((int(F.p[0]), float(F.bw[0])), np.arange(F.p.size))]
+    keys = np.stack((F.p.astype(float), F.bw), axis=1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return [((int(F.p[i]), float(F.bw[i])),
+             np.flatnonzero(inverse == inverse[i]))
+            for i in np.sort(first)]
 
 
 def _per_p(F: _FaultRows, fn: Callable[[int], float]) -> np.ndarray:
@@ -556,6 +568,37 @@ def _evaluate(sims: Sequence[DDPSimulator], bs: int, iterations: int,
     return members, kernel(J, F, members, record=record)
 
 
+def _same_fabric(a: Fabric, b: Fabric) -> bool:
+    """Whether two fabrics price every transfer alike."""
+    return a is b or (
+        a.alpha_s == b.alpha_s
+        and a.bandwidth_jitter == b.bandwidth_jitter
+        and a.incast_per_sender == b.incast_per_sender
+        and (a._pair_bw is b._pair_bw
+             or np.array_equal(a._pair_bw, b._pair_bw)))
+
+
+def _differing_input(sim: DDPSimulator, lead: DDPSimulator) -> Optional[str]:
+    """The first structural input the kernel prices once from ``lead``
+    that ``sim`` does not share, by content; ``None`` when all match.
+
+    The cluster carries the GPU and the NIC; a scheme is its class and
+    parameters, since labels round (``topk(0%)``).
+    """
+    pairs = (("model", sim.model, lead.model),
+             ("cluster", sim.cluster, lead.cluster),
+             ("scheme", (type(sim.scheme), vars(sim.scheme)),
+              (type(lead.scheme), vars(lead.scheme))),
+             ("config", sim.config, lead.config),
+             ("kernel profile", sim.profile, lead.profile))
+    for name, a, b in pairs:
+        if a is not b and a != b:
+            return name
+    if not _same_fabric(sim.fabric, lead.fabric):
+        return "fabric"
+    return None
+
+
 def run_batch_many(sims: Sequence[DDPSimulator],
                    batch_size: Optional[int] = None,
                    iterations: int = 110, warmup: int = 10,
@@ -564,9 +607,10 @@ def run_batch_many(sims: Sequence[DDPSimulator],
                    ) -> List[TimingResult]:
     """Evaluate one or more runs — faulted or not — in one kernel call.
 
-    Every simulator must share the structural state the kernel prices
-    once (model, cluster size, scheme, config); members may differ in
-    fault schedule and seed.  This is the cross-config batch dimension:
+    Every simulator must share, by content, the structural state the
+    kernel prices once from the first member (model, cluster, scheme,
+    fabric, config, kernel profile); members may differ in fault
+    schedule and seed.  This is the cross-config batch dimension:
     an engine job family (for example the reliability exhibit's
     clean/NIC-straggler/compute-straggler triplets) evaluates as one
     stacked array computation instead of one kernel call per job.
@@ -598,13 +642,12 @@ def run_batch_many(sims: Sequence[DDPSimulator],
             f"iterations ({iterations}) must exceed warmup ({warmup})")
     lead = sims[0]
     for sim in sims[1:]:
-        if (sim.model.name != lead.model.name
-                or sim.cluster.world_size != lead.cluster.world_size
-                or sim.scheme.label != lead.scheme.label
-                or sim.config != lead.config):
+        differs = _differing_input(sim, lead)
+        if differs is not None:
             raise ConfigurationError(
-                "run_batch_many members must share model, cluster size, "
-                "scheme and config (only faults and seeds may differ)")
+                f"run_batch_many members must share model, cluster, "
+                f"scheme, fabric, config and kernel profile (only faults "
+                f"and seeds may differ); a member's {differs} differs")
     bs = batch_size if batch_size is not None else lead.model.default_batch_size
     members, (fwd_end, sync_end, iter_end, wire, delays, replays) = \
         _evaluate(sims, bs, iterations, seeds, record=record)
@@ -630,21 +673,21 @@ def run_batch_many(sims: Sequence[DDPSimulator],
                 injector.retransmit_delay_s = float(
                     np.cumsum(member_delays)[-1])
             if registry.enabled:
-                for idx in np.flatnonzero(member_replays):
+                if total_replays:
+                    # Integer counts: one sum adds what per-transfer
+                    # increments would, exactly.
                     registry.counter("sim_fault_retransmits_total").inc(
-                        int(member_replays[idx]))
+                        total_replays)
                     registry.histogram(
-                        "sim_fault_retransmit_delay_s").observe(
-                        float(member_delays[idx]))
-                for state in resolved.states:
-                    injector.record_iteration(state)
+                        "sim_fault_retransmit_delay_s").observe_many(
+                        member_delays[member_replays > 0])
+                injector.record_iterations(resolved.states)
         if registry.enabled:
             label = sim.scheme.label
             registry.counter("sim_iterations_total",
                              scheme=label).inc(iterations)
-            hist = registry.histogram("sim_sync_time_s", scheme=label)
-            for value in member_sync:
-                hist.observe(float(value))
+            registry.histogram("sim_sync_time_s",
+                               scheme=label).observe_many(member_sync)
             wire_total = float(wire[sl].sum())
             if wire_total > 0:
                 registry.counter("sim_wire_bytes_total",
@@ -654,8 +697,8 @@ def run_batch_many(sims: Sequence[DDPSimulator],
             scheme=sim.scheme.label,
             world_size=sim.cluster.world_size,
             batch_size=bs,
-            sync_times=tuple(float(x) for x in member_sync[warmup:]),
-            iteration_times=tuple(float(x) for x in member_iter[warmup:]),
+            sync_times=tuple(member_sync[warmup:].tolist()),
+            iteration_times=tuple(member_iter[warmup:].tolist()),
         ))
     return results
 

@@ -146,14 +146,17 @@ class TimingResult:
 
     @property
     def mean(self) -> float:
+        """Mean per-iteration sync time (the paper's reported metric)."""
         return float(np.mean(self.sync_times))
 
     @property
     def std(self) -> float:
+        """Population standard deviation of the sync times."""
         return float(np.std(self.sync_times))
 
     @property
     def mean_iteration(self) -> float:
+        """Mean full-iteration time, optimizer step included."""
         return float(np.mean(self.iteration_times))
 
 
@@ -166,6 +169,19 @@ class DDPSimulator:
                  config: Optional[DDPConfig] = None,
                  kernel_profile: Optional[KernelProfile] = None,
                  faults: Optional[FaultSchedule] = None):
+        """Bind a model, cluster and scheme (syncSGD by default).
+
+        ``fabric`` defaults to a fresh :class:`~repro.network.Fabric`
+        of ``cluster`` (its jittered matrix is shared with every other
+        fabric of that cluster), ``config`` to :class:`DDPConfig()`,
+        ``kernel_profile`` to the Table-2 V100 profile; a non-empty
+        ``faults`` schedule attaches a
+        :class:`~repro.faults.FaultInjector`.
+
+        Raises:
+            ConfigurationError: ``fabric`` was built for a cluster with
+                a different node count or instance type.
+        """
         self.model = model
         self.cluster = cluster
         self.scheme: Scheme = scheme if scheme is not None else SyncSGDScheme()
@@ -322,7 +338,7 @@ class DDPSimulator:
                                       record["replays"][0].tolist()):
                 if replays:
                     self._injector.count_retransmits(delay, replays)
-            self._injector.record_iteration(record["resolved"].states[0])
+            self._injector.record_iterations(record["resolved"].states)
         registry = get_registry()
         if registry.enabled:
             self._record_iteration(registry, trace)

@@ -46,6 +46,7 @@ class Span:
 
     @property
     def duration(self) -> float:
+        """Seconds the span occupies its stream."""
         return self.end - self.start
 
 
@@ -69,6 +70,7 @@ class IterationTrace:
     iteration_end: float = 0.0
 
     def add(self, span: Span) -> None:
+        """Append one span (spans are kept in insertion order)."""
         self.spans.append(span)
 
     def stream_spans(self, stream: str) -> List[Span]:

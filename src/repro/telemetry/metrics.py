@@ -27,6 +27,8 @@ import math
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
 
 #: Histograms keep at most this many raw samples for percentiles; the
@@ -190,6 +192,34 @@ class Histogram:
         if len(self._samples) < MAX_HISTOGRAM_SAMPLES:
             self._samples.append(value)
 
+    def observe_many(self, values: Any) -> None:
+        """:meth:`observe` each value in order, in bulk.
+
+        The running total is accumulated with a sequential ``cumsum``
+        from the current total, so its bits equal the one-at-a-time
+        loop's; min and max skip NaN exactly as the loop's comparisons
+        do, and the retained samples fill up to the same cap.
+        """
+        values = np.asarray(values, dtype=float).ravel()
+        if not values.size:
+            return
+        self.count += values.size
+        self.total = float(np.cumsum(
+            np.concatenate(([self.total], values)))[-1])
+        finite = values[~np.isnan(values)]
+        if finite.size:
+            # argmin/argmax pick the first extreme, as the loop's strict
+            # comparisons do (0.0 and -0.0 compare equal).
+            low = float(finite[np.argmin(finite)])
+            high = float(finite[np.argmax(finite)])
+            if low < self.min:
+                self.min = low
+            if high > self.max:
+                self.max = high
+        room = MAX_HISTOGRAM_SAMPLES - len(self._samples)
+        if room > 0:
+            self._samples.extend(values[:room].tolist())
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -235,6 +265,9 @@ class _NullMetric:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values: Any) -> None:
         pass
 
 

@@ -9,16 +9,19 @@ paper's protocol, so tests can assert that the kernel reproduces it
 bit for bit.
 
 It also keeps the reference cache-key builders, the advisor sweep's
-unsharded reduction, the training substrate's step-by-step loops and
-the one-point scalar form of the §4 performance model and its α+β
-collectives (below).
+unsharded reduction, the training substrate's step-by-step loops, the
+one-point scalar form of the §4 performance model and its α+β
+collectives, the per-layer scheme-cost walks, the fabric's unshared
+bandwidth draw, the masked jitter draw and the one-value-at-a-time
+histogram (below).
 """
 
 import hashlib
 import heapq
 import itertools
 import json
-from dataclasses import asdict
+import math
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -28,8 +31,14 @@ from repro.analysis.advisor import (
     pareto_mask,
     plan_sweep,
 )
+from repro.compression.hybrid import HybridPowerSGDScheme
 from repro.compression.kernel_cost import v100_kernel_profile
-from repro.compression.schemes import SyncSGDScheme
+from repro.compression.schemes import (
+    ATOMOScheme,
+    PowerSGDScheme,
+    SchemeCost,
+    SyncSGDScheme,
+)
 from repro.compute import ComputeModel
 from repro.core.advisor import recommend_for_inputs
 from repro.core.grid import compressed_time_grid
@@ -47,8 +56,8 @@ from repro.simulator import (
     Span,
     TimingResult,
 )
-from repro.telemetry.metrics import get_registry
-from repro.units import GIGA
+from repro.telemetry.metrics import MAX_HISTOGRAM_SAMPLES, get_registry
+from repro.units import FLOAT32_BYTES, GIGA
 
 
 # ----- simulator oracle ------------------------------------------------------
@@ -154,7 +163,7 @@ def event_iteration(sim, bs, rng, iteration=0):
         if ifaults.active:
             trace.add(Span(FAULT_STREAM, "+".join(ifaults.active),
                            0.0, trace.iteration_end))
-        injector.record_iteration(ifaults)
+        injector.record_iterations((ifaults,))
     registry = get_registry()
     if registry.enabled:
         sim._record_iteration(registry, trace)
@@ -1003,3 +1012,182 @@ def tradeoff_time(model, base_scheme, k, l, inputs, gpu=V100,
                 inputs.alpha_s)
         comm = single * base_cost.messages
     return t_comp + enc + comm
+
+
+# ----- scheme-cost oracle ------------------------------------------------------
+#
+# The layer-walking scheme costs as they read before the per-model
+# tables: one Python pass over the trainable layers per call, adding
+# each term to a running float.  The tables must reproduce every
+# SchemeCost field bit for bit, scalar and array-valued profiles alike.
+
+
+def _effective_rank(rank, m, n):
+    return max(1, min(rank, m, n))
+
+
+def powersgd_encode_decode_oracle(model, rank, profile):
+    """PowerSGD encode+decode seconds, one layer at a time."""
+    if rank < 1:
+        raise ConfigurationError(f"rank must be >= 1, got {rank}")
+    total = 0.0
+    extras = 0
+    for layer in model.trainable_layers:
+        if layer.has_matrix:
+            m, n = layer.matrix_shape
+            r = _effective_rank(rank, m, n)
+            total += profile.tensor_overhead_s
+            total += 6.0 * m * n * r / profile.matmul_flops_per_s
+            total += (m + n) * r * r / profile.orth_elems_per_s
+            extras += layer.extra_params
+        else:
+            extras += layer.num_params
+    total += extras / profile.elementwise_elems_per_s
+    return total
+
+
+def atomo_encode_decode_oracle(model, rank, profile, world_size):
+    """ATOMO encode+decode seconds, one matrix layer at a time."""
+    if rank < 1:
+        raise ConfigurationError(f"rank must be >= 1, got {rank}")
+    if world_size < 1:
+        raise ConfigurationError(
+            f"world_size must be >= 1, got {world_size}")
+    total = 0.0
+    for layer in model.matrix_layers:
+        m, n = layer.matrix_shape
+        r = _effective_rank(rank, m, n)
+        total += profile.tensor_overhead_s
+        total += 8.0 * m * n * min(m, n) / profile.svd_flops_per_s
+        total += 2.0 * m * n * r * world_size / profile.matmul_flops_per_s
+    return total
+
+
+def _powersgd_cost(scheme, model, profile):
+    wire = 0.0
+    for layer in model.trainable_layers:
+        if layer.has_matrix:
+            m, n = layer.matrix_shape
+            r = max(1, min(scheme.rank, m, n))
+            wire += r * (m + n) * FLOAT32_BYTES
+            wire += layer.extra_params * FLOAT32_BYTES
+        else:
+            wire += layer.num_params * FLOAT32_BYTES
+    return SchemeCost(
+        wire_bytes=wire, messages=2,
+        encode_decode_s=powersgd_encode_decode_oracle(
+            model, scheme.rank, profile),
+        all_reducible=True, gather_stack_bytes=0.0)
+
+
+def _atomo_cost(scheme, model, world_size, profile):
+    wire = 0.0
+    for layer in model.trainable_layers:
+        if layer.has_matrix:
+            m, n = layer.matrix_shape
+            r = max(1, min(scheme.rank, m, n))
+            wire += (r * (m + n + 1) + layer.extra_params) * FLOAT32_BYTES
+        else:
+            wire += layer.num_params * FLOAT32_BYTES
+    return SchemeCost(
+        wire_bytes=wire, messages=3,
+        encode_decode_s=atomo_encode_decode_oracle(
+            model, scheme.rank, profile, world_size),
+        all_reducible=False, gather_stack_bytes=_stack_bytes(scheme, model))
+
+
+def _hybrid_cost(scheme, model, profile):
+    compressed, dense = scheme.partition(model)
+    wire = 0.0
+    encode = 0.0
+    for layer in compressed:
+        m, n = layer.matrix_shape
+        r = _effective_rank(scheme.rank, m, n)
+        wire += (r * (m + n) + layer.extra_params) * FLOAT32_BYTES
+        encode += profile.tensor_overhead_s
+        encode += 6.0 * m * n * r / profile.matmul_flops_per_s
+        encode += (m + n) * r * r / profile.orth_elems_per_s
+    dense_params = sum(layer.num_params for layer in dense)
+    wire += dense_params * FLOAT32_BYTES
+    encode += dense_params / profile.elementwise_elems_per_s
+    return SchemeCost(
+        wire_bytes=wire, messages=2 if compressed else 1,
+        encode_decode_s=encode, all_reducible=True, gather_stack_bytes=0.0)
+
+
+def _stack_bytes(scheme, model):
+    if scheme.all_reducible:
+        return 0.0
+    if model.gather_granularity == "layer":
+        return float(max(layer.grad_bytes
+                         for layer in model.trainable_layers))
+    return float(model.grad_bytes)
+
+
+def scheme_cost_oracle(scheme, model, world_size, profile):
+    """``scheme.cost(model, world_size, profile)`` with every layer walk
+    done per call: PowerSGD, ATOMO and the hybrid policy walk the
+    trainable layers, and gather schemes rescan the largest layer."""
+    if isinstance(scheme, HybridPowerSGDScheme):
+        return _hybrid_cost(scheme, model, profile)
+    if isinstance(scheme, PowerSGDScheme):
+        return _powersgd_cost(scheme, model, profile)
+    if isinstance(scheme, ATOMOScheme):
+        return _atomo_cost(scheme, model, world_size, profile)
+    cost = scheme.cost(model, world_size, profile)
+    return replace(cost, gather_stack_bytes=_stack_bytes(scheme, model))
+
+
+# ----- fabric, jitter-draw and histogram oracles -------------------------------
+
+
+def bandwidth_matrix_oracle(fabric):
+    """A fresh, private draw of ``fabric``'s pairwise bandwidth matrix."""
+    n = fabric.cluster.num_nodes
+    nominal = fabric.cluster.instance.network_bytes_per_s
+    rng = np.random.default_rng(fabric.cluster.seed)
+    matrix = np.full((n, n), nominal)
+    if fabric.bandwidth_jitter > 0 and n > 1:
+        draws = rng.lognormal(
+            mean=0.0, sigma=fabric.bandwidth_jitter, size=(n, n))
+        draws = np.minimum(np.tril(draws, -1) + np.tril(draws, -1).T, 1.0)
+        np.fill_diagonal(draws, 1.0)
+        matrix = matrix * draws
+    return matrix
+
+
+def masked_draw_oracle(sigmas, rng, present):
+    """One member's ``(n, S)`` jitter matrix through the boolean gather
+    and scatter, whatever the presence mask."""
+    n = present.shape[0]
+    S = len(sigmas)
+    if S == 0:
+        return np.ones((n, 0))
+    J = np.ones((n, S))
+    sigma = np.broadcast_to(np.asarray(sigmas, dtype=float), (n, S))
+    flat = sigma[present]
+    if flat.size:
+        J[present] = rng.lognormal(mean=0.0, sigma=flat)
+    return J
+
+
+class HistogramOracle:
+    """``Histogram.observe`` one value at a time."""
+
+    def __init__(self):
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        self.samples = []
+
+    def observe(self, value):
+        value = float(value)
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if len(self.samples) < MAX_HISTOGRAM_SAMPLES:
+            self.samples.append(value)

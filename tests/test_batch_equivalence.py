@@ -36,6 +36,7 @@ from repro.simulator import DDPConfig, DDPSimulator, write_run_trace
 from repro.simulator import batch as batch_module
 from repro.telemetry import disable_tracing, enable_tracing
 
+from . import oracle
 from .oracle import event_iteration, event_run
 from .oracle import ring_allreduce_time as ring_oracle
 
@@ -245,6 +246,50 @@ class TestVectorizedPrimitives:
     def test_negative_payload_rejected(self):
         with pytest.raises(ConfigurationError):
             ring_allreduce_time(np.array([-1.0]), 8, 10e9, 5e-6)
+
+
+class TestJitterDraw:
+    """``_SlotLayout.draw`` draws an all-present matrix at its broadcast
+    shape; it must consume the generator exactly like the masked
+    gather it skips, and partly-present rows keep the masked path."""
+
+    @staticmethod
+    def layout(rng):
+        layout = batch_module._SlotLayout()
+        for _ in range(int(rng.integers(0, 12))):
+            sigma = float(rng.choice([0.0, 0.015, 0.05,
+                                      rng.uniform(0.001, 0.3)]))
+            if rng.random() < 0.3:
+                layout.slots(sigma, int(rng.integers(0, 5)))
+            else:
+                layout.slot(sigma)
+        return layout
+
+    def test_draw_matches_masked_oracle_in_values_and_state(self):
+        rng = np.random.default_rng(2504)
+        for case in range(60):
+            layout = self.layout(rng)
+            n, S = int(rng.integers(1, 40)), len(layout.sigmas)
+            kind = case % 3
+            if kind == 0:
+                present = np.ones((n, S), dtype=bool)
+            elif kind == 1:
+                present = rng.random((n, S)) < 0.7
+            else:
+                present = np.ones((n, S), dtype=bool)
+                if S:
+                    present[int(rng.integers(0, n)), :] = False
+            seed = int(rng.integers(0, 2**32))
+            got_rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = layout.draw(got_rng, present)
+            want = oracle.masked_draw_oracle(layout.sigmas, want_rng,
+                                             present)
+            assert got.shape == want.shape == (n, S)
+            assert got.tobytes() == want.tobytes()
+            assert (got[~present] == 1.0).all()
+            assert got_rng.bit_generator.state == \
+                want_rng.bit_generator.state
 
 
 # ----- randomized property: run() == event_run over the config space --------

@@ -1,15 +1,18 @@
 """Experiment harness: result containers and quick runs of each module."""
 
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from repro.engine import ExperimentEngine
 from repro.errors import ConfigurationError
 from repro.experiments import (
     EXPERIMENTS,
+    EXTRA_EXPERIMENTS,
     ExperimentResult,
     run_fig3,
     run_fig7,
@@ -172,16 +175,44 @@ class TestSimulatedExperimentsQuick:
         assert s16 > s64
 
 
+def bench_reference():
+    """The benchmark's reference digests (read only)."""
+    return json.loads(
+        (Path(__file__).parents[1] / "bench" / "expected.json")
+        .read_text(encoding="utf-8"))
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestTrainedExperiment:
     def test_ext_tta_bytes_match_bench_reference(self):
         """The ten-step time-to-accuracy run trains through every codec,
         aggregator and numeric collective; its bytes are pinned by the
         benchmark's reference digest."""
-        expected = json.loads(
-            (Path(__file__).parents[1] / "bench" / "expected.json")
-            .read_text(encoding="utf-8"))["tta"]
         text = run_ext_tta(steps=10).to_json()
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+        assert sha256(text) == bench_reference()["tta"]
+
+
+class TestExhibitDigests:
+    def test_every_exhibit_matches_bench_reference(self):
+        """Every paper exhibit but ext-tta, plus reliability, rendered
+        as ``repro experiment`` renders it on one fresh serial engine,
+        has the bytes the benchmark's reference pins."""
+        expected = bench_reference()["exhibits"]
+        runners = {**EXPERIMENTS, **EXTRA_EXPERIMENTS}
+        exhibits = [exp_id for exp_id in runners if exp_id != "ext-tta"]
+        assert sorted(exhibits) == sorted(expected)
+        engine = ExperimentEngine(jobs=1)
+        for exp_id in exhibits:
+            runner = runners[exp_id]
+            if "engine" in inspect.signature(runner).parameters:
+                result = runner(engine=engine)
+            else:
+                result = runner()
+            result.render_table("{:.2f}")
+            assert sha256(result.to_json()) == expected[exp_id], exp_id
 
 
 class TestResultPersistence:

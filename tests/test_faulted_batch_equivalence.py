@@ -13,6 +13,7 @@ one kernel call, and the engine's automatic family batching of
 cache-missing ``SimJob``s.
 """
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -36,8 +37,16 @@ from repro.faults import (
     RetransmitFault,
     StragglerFault,
 )
-from repro.hardware import P3_2XLARGE, ClusterConfig, cluster_for_gpus
-from repro.models import get_model
+from repro.compression.kernel_cost import v100_kernel_profile
+from repro.hardware import (
+    A100,
+    P3_2XLARGE,
+    P3_8XLARGE,
+    ClusterConfig,
+    cluster_for_gpus,
+)
+from repro.models import get_model, mlp_model
+from repro.network import Fabric
 from repro.simulator import DDPConfig, DDPSimulator
 from repro.simulator.batch import run_batch_many
 
@@ -225,6 +234,77 @@ class TestRunBatchMany:
         with pytest.raises(ConfigurationError, match="share"):
             run_batch_many(sims, iterations=12, warmup=2, seeds=(0, 0))
 
+    @staticmethod
+    def _reject(sims, differs):
+        with pytest.raises(ConfigurationError, match=differs):
+            run_batch_many(sims, iterations=12, warmup=2,
+                           seeds=(0,) * len(sims))
+
+    def test_clusters_differing_in_nic_rejected(self, rn50):
+        # 16 GPUs at 25 and at 1 Gbit/s: the second member used to get
+        # the first one's bandwidth (a mean of 0.226 s, not 1.627 s).
+        sims = [DDPSimulator(rn50, ClusterConfig(
+                    instance=P3_8XLARGE.with_network_gbps(gbps),
+                    num_nodes=4))
+                for gbps in (25, 1)]
+        self._reject(sims, "cluster")
+
+    def test_clusters_differing_in_gpu_rejected(self, rn50):
+        sims = [DDPSimulator(rn50, ClusterConfig(instance=instance,
+                                                 num_nodes=4))
+                for instance in (P3_8XLARGE,
+                                 P3_8XLARGE.with_gpu(A100))]
+        self._reject(sims, "cluster")
+
+    def test_models_sharing_a_name_rejected(self):
+        cluster = cluster_for_gpus(8)
+        sims = [DDPSimulator(mlp_model("x", 64, hidden, 10), cluster)
+                for hidden in ((32,), (4096, 4096))]
+        self._reject(sims, "model")
+
+    def test_schemes_sharing_a_label_rejected(self, rn50):
+        schemes = [TopKScheme(fraction=0.001), TopKScheme(fraction=0.004)]
+        assert schemes[0].label == schemes[1].label
+        self._reject([make_sim(rn50, scheme, 16) for scheme in schemes],
+                     "scheme")
+
+    def test_kernel_profiles_rejected(self, rn50):
+        cluster = cluster_for_gpus(16)
+        sims = [DDPSimulator(rn50, cluster, scheme=PowerSGDScheme(rank=4),
+                             kernel_profile=profile)
+                for profile in (v100_kernel_profile(),
+                                v100_kernel_profile().scaled(2.0))]
+        self._reject(sims, "kernel profile")
+
+    @pytest.mark.parametrize("change", [
+        {"alpha_s": 2e-5}, {"bandwidth_jitter": 0.05},
+        {"incast_per_sender": 0.02}, "degraded"])
+    def test_fabric_pricing_state_rejected(self, rn50, change):
+        cluster = cluster_for_gpus(16)
+        if change == "degraded":
+            other = Fabric(cluster)
+            other.degrade_link(0, 1, 0.5)
+        else:
+            other = Fabric(cluster, **change)
+        sims = [DDPSimulator(rn50, cluster, fabric=fabric)
+                for fabric in (Fabric(cluster), other)]
+        self._reject(sims, "fabric")
+
+    def test_equal_content_in_distinct_objects_accepted(self, rn50):
+        """Members are compared by content: a copied model, a second
+        equal scheme and a second fabric of the same cluster stack."""
+        copy = pickle.loads(pickle.dumps(rn50))
+        sims = [make_sim(model, PowerSGDScheme(rank=4), 16,
+                         faults=faults)
+                for model, faults in ((rn50, None),
+                                      (copy, SCHEDULES["nic-straggler"]))]
+        got = run_batch_many(sims, iterations=14, warmup=3, seeds=(3, 3))
+        for sim, result in zip(sims, got):
+            assert result == event_run(
+                make_sim(rn50, PowerSGDScheme(rank=4), 16,
+                         faults=sim.faults),
+                iterations=14, warmup=3, seed=3)
+
     def test_seed_count_must_match(self, rn50):
         sims = [make_sim(rn50, PowerSGDScheme(rank=4), 16)]
         with pytest.raises(ConfigurationError, match="seeds"):
@@ -279,6 +359,18 @@ class TestEngineFamilyBatching:
         got = [o.unwrap() for o in pooled.run_outcomes(self._jobs(rn50))]
         assert got == self._unbatched(rn50)
         assert pooled.jobs_batched == 6
+
+    def test_families_keyed_by_content_still_stack(self, rn50):
+        """Jobs built from distinct but equal specs share a family key,
+        and the content guard lets their family run as one stack."""
+        jobs = [replace(job, model=pickle.loads(pickle.dumps(rn50)),
+                        cluster=cluster_for_gpus(job.cluster.world_size),
+                        scheme=PowerSGDScheme(rank=4))
+                for job in self._jobs(rn50)]
+        engine = ExperimentEngine()
+        got = [o.unwrap() for o in engine.run_outcomes(jobs)]
+        assert got == self._unbatched(rn50)
+        assert engine.jobs_batched == 6
 
     def test_stats_report_jobs_batched(self, rn50):
         engine = ExperimentEngine()

@@ -1,10 +1,13 @@
 """Network fabric and iperf-style probing."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware import ClusterConfig
+from repro.hardware import P3_8XLARGE, ClusterConfig
 from repro.network import (
     BandwidthReport,
     Fabric,
@@ -12,6 +15,8 @@ from repro.network import (
     measure_cluster,
     measure_pair,
 )
+
+from . import oracle
 
 
 @pytest.fixture
@@ -89,6 +94,78 @@ class TestTransferPricing:
             Fabric(ClusterConfig(num_nodes=2), alpha_s=-1.0)
         with pytest.raises(ConfigurationError):
             Fabric(ClusterConfig(num_nodes=2), incast_per_sender=-0.1)
+
+    @pytest.mark.parametrize("field", ["alpha_s", "bandwidth_jitter",
+                                       "incast_per_sender"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            Fabric(ClusterConfig(num_nodes=8), **{field: value})
+
+
+def random_cluster(rng):
+    """One of a few (nodes, NIC, seed) combinations, so draws repeat."""
+    instance = P3_8XLARGE.with_network_gbps(float(rng.choice([1, 10, 25])))
+    return ClusterConfig(instance=instance,
+                         num_nodes=int(rng.choice([1, 2, 5, 8])),
+                         seed=int(rng.integers(0, 3)))
+
+
+class TestSharedMatrix:
+    """Fabrics of one (nodes, NIC, seed, jitter) share one read-only
+    matrix; degrading a fabric copies it first."""
+
+    def test_every_matrix_equals_a_fresh_draw(self):
+        rng = np.random.default_rng(2502)
+        for _ in range(40):
+            fabric = Fabric(random_cluster(rng), bandwidth_jitter=float(
+                rng.choice([0.0, 0.005, rng.uniform(0.001, 0.2)])))
+            want = oracle.bandwidth_matrix_oracle(fabric)
+            assert fabric._pair_bw.tobytes() == want.tobytes()
+            n = fabric.cluster.num_nodes
+            scan = (fabric.cluster.instance.intra_node_bytes_per_s if n == 1
+                    else float(want[~np.eye(n, dtype=bool)].min()))
+            assert fabric.min_bandwidth() == scan
+
+    def test_equal_inputs_share_one_read_only_matrix(self):
+        a = Fabric(ClusterConfig(num_nodes=6, seed=4))
+        b = Fabric(ClusterConfig(num_nodes=6, seed=4))
+        assert a._pair_bw is b._pair_bw
+        assert not a._pair_bw.flags.writeable
+        assert Fabric(ClusterConfig(num_nodes=6, seed=5))._pair_bw \
+            is not a._pair_bw
+
+    @pytest.mark.parametrize("round_trip", [False, True])
+    def test_degrading_one_fabric_leaves_the_others(self, round_trip):
+        rng = np.random.default_rng([2503, round_trip])
+        for _ in range(10):
+            cluster = random_cluster(rng)
+            if cluster.num_nodes == 1:
+                continue
+            before = Fabric(cluster)
+            victim = Fabric(cluster)
+            if round_trip:
+                victim = pickle.loads(pickle.dumps(victim))
+            a, b = (int(x) for x in rng.choice(cluster.num_nodes, size=2,
+                                                replace=False))
+            fresh = oracle.bandwidth_matrix_oracle(victim)
+            victim.min_bandwidth()
+            if rng.random() < 0.5:
+                victim.degrade_link(a, b, 0.5)
+            else:
+                victim.degrade_node(a, 0.5)
+            assert victim.min_bandwidth() < before.min_bandwidth()
+            assert victim._pair_bw.tobytes() != fresh.tobytes()
+            after = Fabric(cluster)
+            for other in (before, after):
+                assert other._pair_bw.tobytes() == fresh.tobytes()
+                assert other.min_bandwidth() == float(
+                    fresh[~np.eye(cluster.num_nodes, dtype=bool)].min())
+            # A second degradation writes to the fabric's own copy.
+            own = victim._pair_bw
+            victim.degrade_link(a, b, 0.5)
+            assert victim._pair_bw is own
+            assert after._pair_bw.tobytes() == fresh.tobytes()
 
 
 class TestIperfProbe:

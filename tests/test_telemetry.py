@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.engine.fingerprint import digest
@@ -29,6 +30,8 @@ from repro.telemetry import (
 from repro.telemetry import logs as telemetry_logs
 from repro.telemetry import metrics as telemetry_metrics
 from repro.telemetry.metrics import MAX_HISTOGRAM_SAMPLES
+
+from . import oracle
 
 
 @pytest.fixture(autouse=True)
@@ -120,6 +123,77 @@ class TestHistogram:
         assert h.count == MAX_HISTOGRAM_SAMPLES + 1
         assert h.max == 7.0
         assert len(h._samples) == MAX_HISTOGRAM_SAMPLES
+
+
+def same_state(hist, ref):
+    return (hist.count == ref.count
+            and np.float64(hist.total).tobytes()
+            == np.float64(ref.total).tobytes()
+            and np.float64(hist.min).tobytes() == np.float64(ref.min).tobytes()
+            and np.float64(hist.max).tobytes() == np.float64(ref.max).tobytes()
+            and np.asarray(hist._samples).tobytes()
+            == np.asarray(ref.samples).tobytes())
+
+
+class TestObserveMany:
+    """``observe_many`` equals a loop of ``observe``: count, total bits,
+    min, max and retained samples, NaN and the sample cap included."""
+
+    @staticmethod
+    def batch(rng):
+        size = int(rng.integers(0, 300))
+        values = rng.choice([rng.normal(0.0, 1e3, size),
+                             rng.lognormal(-8.0, 2.0, size),
+                             rng.integers(-5, 5, size).astype(float)])
+        if size and rng.random() < 0.4:
+            values[rng.random(size) < 0.2] = np.nan
+        if size and rng.random() < 0.2:
+            values[int(rng.integers(0, size))] = float(
+                rng.choice([np.inf, -np.inf, -0.0]))
+        return values
+
+    def test_matches_observe_loop(self):
+        rng = np.random.default_rng(2505)
+        for _ in range(40):
+            hist, ref = Histogram(), oracle.HistogramOracle()
+            for _ in range(int(rng.integers(1, 6))):
+                values = self.batch(rng)
+                if rng.random() < 0.3:
+                    for v in values:
+                        hist.observe(v)
+                else:
+                    hist.observe_many(values)
+                for v in values:
+                    ref.observe(v)
+                assert same_state(hist, ref)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0], [-0.0, 0.0], [np.nan, -0.0, 0.0, np.nan], [np.nan]])
+    def test_ties_keep_the_first_extreme(self, values):
+        """0.0 and -0.0 compare equal: the loop keeps whichever came
+        first (NumPy's min and max return the last)."""
+        hist, ref = Histogram(), oracle.HistogramOracle()
+        hist.observe_many(values)
+        for v in values:
+            ref.observe(v)
+        assert same_state(hist, ref)
+
+    def test_fills_to_the_sample_cap(self):
+        rng = np.random.default_rng(2506)
+        hist, ref = Histogram(), oracle.HistogramOracle()
+        start = MAX_HISTOGRAM_SAMPLES - 7
+        hist._samples = [1.0] * start
+        ref.samples = [1.0] * start
+        for _ in range(3):
+            values = rng.normal(size=5)
+            hist.observe_many(values)
+            for v in values:
+                ref.observe(v)
+            assert same_state(hist, ref)
+        assert len(hist._samples) == MAX_HISTOGRAM_SAMPLES
+
+    def test_null_metric_accepts_bulk(self):
+        NullRegistry().histogram("x").observe_many([1.0, 2.0])
 
 
 class TestMetricsRegistry:

@@ -10,7 +10,7 @@ when it declares parameters beyond ``self`` (constructor parameters
 are API surface).
 
 Usage: python tools/check_docstrings.py [package-dir ...]
-Defaults to the packages the reliability PR introduced or reworked.
+Defaults to the fault, engine, serving, simulator and network packages.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ DEFAULT_TARGETS = (
     os.path.join("src", "repro", "faults"),
     os.path.join("src", "repro", "engine"),
     os.path.join("src", "repro", "serving"),
+    os.path.join("src", "repro", "simulator"),
+    os.path.join("src", "repro", "network"),
 )
 
 
