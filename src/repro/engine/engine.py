@@ -81,10 +81,10 @@ from .fingerprint import (
     digest,
     fabric_payload,
     faults_payload,
-    model_digest,
     model_fragment,
     profile_fragment,
     scheme_payload,
+    sim_family_key,
 )
 from .modeljobs import ModelEvalJob, ModelEvalOutcome, evaluate_family
 
@@ -153,23 +153,6 @@ class SimJob:
                 f"iterations ({self.iterations}) must exceed warmup "
                 f"({self.warmup})")
 
-    def _family_payload(self, model: str) -> Dict[str, Any]:
-        """Every structural input: the key payload minus seed and faults.
-        ``model`` is the model's fragment or, in the family key, its
-        digest."""
-        return {
-            "version": FINGERPRINT_VERSION,
-            "model": model,
-            "cluster": cluster_fragment(self.cluster),
-            "scheme": scheme_payload(self.scheme),
-            "fabric": fabric_payload(self.fabric),
-            "config": config_fragment(self.config),
-            "profile": profile_fragment(self.profile),
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-        }
-
     def fingerprint(self) -> str:
         """Content hash identifying this job's outcome.
 
@@ -178,8 +161,19 @@ class SimJob:
         had before fault injection existed, so no cache directory is
         invalidated by upgrading.
         """
-        payload = self._family_payload(model_fragment(self.model))
-        payload["seed"] = self.seed
+        payload = {
+            "version": FINGERPRINT_VERSION,
+            "model": model_fragment(self.model),
+            "cluster": cluster_fragment(self.cluster),
+            "scheme": scheme_payload(self.scheme),
+            "fabric": fabric_payload(self.fabric),
+            "config": config_fragment(self.config),
+            "profile": profile_fragment(self.profile),
+            "batch_size": self.batch_size,
+            "iterations": self.iterations,
+            "warmup": self.warmup,
+            "seed": self.seed,
+        }
         fault_payload = faults_payload(self.faults)
         if fault_payload is not None:
             payload["faults"] = fault_payload
@@ -195,9 +189,12 @@ class SimJob:
         :func:`repro.simulator.batch.run_batch_many` stacks into one
         kernel call.  The key is *not* a cache key (it deliberately
         drops ``faults`` and ``seed``); outcomes are still cached per
-        job under :meth:`fingerprint`.
+        job under :meth:`fingerprint`.  It hashes per-spec memoized
+        fragments (:func:`~repro.engine.fingerprint.sim_family_key`).
         """
-        return digest(self._family_payload(model_digest(self.model)))
+        return sim_family_key(
+            self.model, self.cluster, self.scheme, self.fabric, self.config,
+            self.profile, [self.batch_size, self.iterations, self.warmup])
 
     def build_simulator(self) -> DDPSimulator:
         """Construct the fully-configured simulator this job describes."""

@@ -27,9 +27,11 @@ when the spec dies, so nothing is stored on the spec itself and a
 pickled spec stays the size it was.  The mutable inputs are rendered on
 every call: the scheme (its parameters are read from ``vars()``), the
 fabric (``degrade_link`` rewrites its live bandwidth matrix) and the
-fault schedule.  Family keys, which are never persisted, carry the model
+fault schedule.  Family keys are never persisted.  They carry the model
 as :func:`model_digest`, the memoized SHA-256 of its fragment, instead
-of the fragment itself.
+of the fragment itself; a simulation's family key
+(:func:`sim_family_key`) hashes the memoized fragments as they are
+instead of encoding one payload per job.
 
 :func:`canonical_json` splices a top-level :class:`Fragment` member in
 verbatim.  Because a fragment *is* the canonical JSON of its payload,
@@ -107,9 +109,13 @@ def canonical_json(payload: Any) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def digest(payload: Any) -> str:
     """SHA-256 hex digest of the canonical JSON of ``payload``."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return _sha256(canonical_json(payload))
 
 
 _Spec = TypeVar("_Spec")
@@ -155,7 +161,7 @@ def model_digest(model: ModelSpec) -> str:
     gives an equal key, but grouping a sweep no longer hashes a
     hundred-layer rendering per job.  Cache keys keep the fragment.
     """
-    return hashlib.sha256(model_fragment(model).encode("utf-8")).hexdigest()
+    return _sha256(model_fragment(model))
 
 
 def _gpu_payload(gpu: GPUSpec) -> Dict[str, Any]:
@@ -261,6 +267,30 @@ def fabric_payload(fabric: Optional[Fabric]) -> Dict[str, Any]:
         "pair_bw_sha256": hashlib.sha256(
             fabric._pair_bw.tobytes()).hexdigest(),
     }
+
+
+def sim_family_key(model: ModelSpec, cluster: ClusterConfig,
+                   scheme: Optional[Scheme], fabric: Optional[Fabric],
+                   config: Optional[DDPConfig],
+                   profile: Optional[KernelProfile],
+                   protocol: List[Any]) -> str:
+    """Content key of a simulation family, without re-encoding spec JSON.
+
+    The SHA-256 of one line per input: the model's memoized digest, the
+    memoized fragments of the other frozen inputs (cluster, config,
+    profile), and the canonical JSON of the mutable inputs (scheme,
+    fabric) and of ``protocol`` (batch size, iterations, warmup),
+    rendered on every call.  Equal content gives an equal key.
+    """
+    return _sha256("\n".join((
+        f"sim-family/{FINGERPRINT_VERSION}",
+        model_digest(model),
+        cluster_fragment(cluster),
+        _ENCODER.encode(scheme_payload(scheme)),
+        _ENCODER.encode(fabric_payload(fabric)),
+        config_fragment(config),
+        profile_fragment(profile),
+        _ENCODER.encode(protocol))))
 
 
 def faults_payload(faults: Optional[FaultSchedule],

@@ -14,23 +14,27 @@ Determinism rules:
   generator seeded by ``(schedule seed, iteration, transfer index)``,
   never from the simulator's jitter stream, so attaching faults does
   not perturb jitter and parallel sweeps replay identically;
-* everything else is a pure function of the schedule and the iteration
-  index, memoized per iteration.
+* everything else is a pure function of the schedule, the cluster, the
+  fabric's bandwidth matrix and the iteration index: a range of
+  iterations is resolved once per distinct pattern of active faults,
+  memoized per range, and shared between injectors that bind the same
+  schedule object to the same cluster and shared fabric matrix.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..hardware import ClusterConfig
+from ..memo import per_object
 from ..network import Fabric
 from ..telemetry.metrics import get_registry
-from .schedule import FaultSchedule, RetransmitFault
+from .schedule import FaultSchedule, LinkFault, NodeFault, RetransmitFault
 
 #: Stream name for fault-window spans in iteration traces; the Perfetto
 #: exporter allocates it a track automatically, so fault windows show up
@@ -82,8 +86,8 @@ class ResolvedFaults:
     is the array form :meth:`FaultInjector.resolve_range` returns.  The
     arrays are parallel over iterations ``start .. start + n - 1`` and
     each element is exactly the corresponding scalar field of
-    :meth:`FaultInjector.faults_for` — same memoized resolution, just
-    packed.
+    :meth:`FaultInjector.faults_for`.  A resolution may be shared by
+    several injectors, so its arrays are read-only.
 
     Attributes:
         start: First (0-based absolute) iteration of the range.
@@ -112,6 +116,20 @@ class ResolvedFaults:
                    for s in self.states)
 
 
+#: One shared resolution table: the cluster and the read-only fabric
+#: matrix it was resolved against (held, so their ids stay valid), and
+#: the resolved ranges keyed by ``(start, stop)``.
+_Table = Tuple[ClusterConfig, np.ndarray,
+               Dict[Tuple[int, int], ResolvedFaults]]
+
+
+@per_object
+def _shared_tables(schedule: FaultSchedule) -> Dict[Tuple[int, int], _Table]:
+    """Per schedule object: its resolution tables, keyed by the ids of
+    the cluster and the shared fabric matrix they bind it to."""
+    return {}
+
+
 class FaultInjector:
     """Binds a :class:`FaultSchedule` to one cluster + fabric.
 
@@ -119,6 +137,12 @@ class FaultInjector:
     straggler on worker 12 of an 8-GPU job is a spec error, not a
     silent no-op) and snapshots the fault-free minimum bandwidth so
     per-iteration scales are computed against the true baseline.
+
+    Resolution is a pure function of the schedule, the cluster and the
+    fabric's bandwidth matrix, so injectors that bind one schedule
+    object to one cluster object and one shared (read-only) matrix
+    share their resolved ranges, read-only.  A degraded fabric owns a
+    private matrix and resolves on its own.
     """
 
     def __init__(self, schedule: FaultSchedule, cluster: ClusterConfig,
@@ -129,8 +153,7 @@ class FaultInjector:
         self.fabric = fabric
         self._validate_topology()
         self._base_min_bw = fabric.min_bandwidth()
-        self._cache: Dict[int, IterationFaults] = {}
-        self._bw_cache: Dict[tuple, float] = {}
+        self._private: Dict[Tuple[int, int], ResolvedFaults] = {}
         #: Counters the CLI prints after a faulted run; mirrored into
         #: telemetry when a registry is enabled.  They describe the most
         #: recent run: :meth:`reset_run_counters` zeroes them at the
@@ -187,51 +210,119 @@ class FaultInjector:
                 raise ConfigurationError(
                     f"node factor must be > 0, got {node.factor}")
 
-    # ----- per-iteration resolution ----------------------------------------
+    # ----- resolution ---------------------------------------------------------
 
     def faults_for(self, iteration: int) -> IterationFaults:
         """The resolved fault state of ``iteration`` (memoized)."""
-        state = self._cache.get(iteration)
-        if state is None:
-            state = self._resolve(iteration)
-            self._cache[iteration] = state
-        return state
+        return self.resolve_range(iteration, iteration + 1).states[0]
 
     def resolve_range(self, start: int, stop: int) -> ResolvedFaults:
         """Resolve iterations ``[start, stop)`` into parallel arrays.
 
-        The array API of :meth:`faults_for`: one pass over the memoized
-        per-iteration resolution, packed into the :class:`ResolvedFaults`
-        form the batch fast path applies as masks and broadcasts.
+        The array API of :meth:`faults_for`, in the
+        :class:`ResolvedFaults` form the batch fast path applies as
+        masks and broadcasts.  Memoized per range and shared with every
+        injector binding this schedule object to this cluster object
+        and this fabric's shared matrix; the arrays are read-only.
         """
         if stop < start:
             raise ConfigurationError(
                 f"resolve_range: stop ({stop}) must be >= start ({start})")
-        states = tuple(self.faults_for(i) for i in range(start, stop))
-        return ResolvedFaults(
-            start=start,
-            states=states,
-            compute_slowdown=np.array(
-                [s.compute_slowdown for s in states], dtype=float),
-            bandwidth_scale=np.array(
-                [s.bandwidth_scale for s in states], dtype=float),
-            world_size=np.array(
-                [s.world_size for s in states], dtype=np.int64),
-            stall_s=np.array([s.stall_s for s in states], dtype=float),
-        )
+        ranges = self._ranges()
+        resolved = ranges.get((start, stop))
+        if resolved is None:
+            resolved = ranges[(start, stop)] = self._resolve(start, stop)
+        return resolved
 
-    def _resolve(self, iteration: int) -> IterationFaults:
-        """Compute one iteration's fault state from the schedule."""
+    def _ranges(self) -> Dict[Tuple[int, int], ResolvedFaults]:
+        """The range table this injector reads and fills."""
+        matrix = self.fabric._pair_bw
+        if matrix.flags.writeable:
+            # A degraded fabric's private matrix: never shared.
+            return self._private
+        tables = _shared_tables(self.schedule)
+        key = (id(self.cluster), id(matrix))
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = (self.cluster, matrix, {})
+        return table[2]
+
+    def _resolve(self, start: int, stop: int) -> ResolvedFaults:
+        """Resolve ``[start, stop)`` once per distinct activity pattern.
+
+        Every fault's activity over the range is one boolean column;
+        rows (iterations) with equal columns have equal fault state, so
+        each distinct row is resolved once and fanned out.
+        """
+        sched = self.schedule
+        its = np.arange(start, stop)
+        n = its.size
+        columns = ([f.active(its) for f in sched.stragglers]
+                   + [f.active(its) for f in sched.links]
+                   + [f.active(its) for f in sched.nodes]
+                   + [f.active(its) for f in sched.retransmits]
+                   + [its == c.at_iteration for c in sched.crashes]
+                   + [its >= c.at_iteration for c in sched.crashes])
+        if columns and n:
+            pattern = np.stack(columns, axis=1)
+            _, first, inverse = np.unique(pattern, axis=0, return_index=True,
+                                          return_inverse=True)
+            rows = pattern[first].tolist()
+            inverse = inverse.reshape(-1)
+        else:
+            # No faults (one empty pattern) or no iterations (none).
+            rows = [[]] if n else []
+            inverse = np.zeros(n, dtype=np.int64)
+        bw_memo: Dict[tuple, float] = {}
+        fields = [self._resolve_pattern(row, bw_memo) for row in rows]
+        states = tuple(IterationFaults(start + r, *fields[k])
+                       for r, k in enumerate(inverse.tolist()))
+
+        def column(index: int, dtype: type) -> np.ndarray:
+            values = np.array([f[index] for f in fields], dtype=dtype)[inverse]
+            values.flags.writeable = False
+            return values
+
+        return ResolvedFaults(
+            start=start, states=states,
+            compute_slowdown=column(0, float),
+            bandwidth_scale=column(1, float),
+            world_size=column(2, np.int64),
+            stall_s=column(3, float))
+
+    def _resolve_pattern(self, flags: List[bool],
+                         bw_memo: Dict[tuple, float]) -> tuple:
+        """Every :class:`IterationFaults` field but ``iteration`` for one
+        activity pattern, in declaration order.
+
+        ``flags`` holds, in schedule order: each straggler's, link's,
+        node's and retransmit's activity, whether each crash hits this
+        iteration, and whether each crash has happened by it.
+        """
+        sched = self.schedule
+        it = iter(flags)
+        strag_on = [next(it) for _ in sched.stragglers]
+        link_on = [next(it) for _ in sched.links]
+        node_on = [next(it) for _ in sched.nodes]
+        retx_on = [next(it) for _ in sched.retransmits]
+        crash_hit = [next(it) for _ in sched.crashes]
+        crash_past = [next(it) for _ in sched.crashes]
         active = []
 
+        # A worker that left elastically stops straggling.
+        departed = {c.worker for c, past in zip(sched.crashes, crash_past)
+                    if past and c.recovery == "elastic"}
         slowdown = 1.0
-        for s in self.schedule.stragglers:
-            if s.active(iteration) and not self._crashed_out(
-                    s.worker, iteration):
+        for s, on in zip(sched.stragglers, strag_on):
+            if on and s.worker not in departed:
                 slowdown = max(slowdown, s.slowdown)
                 active.append("straggler")
 
-        bw_scale = self._bandwidth_scale(iteration)
+        pattern = (tuple(f for f, on in zip(sched.links, link_on) if on),
+                   tuple(f for f, on in zip(sched.nodes, node_on) if on))
+        bw_scale = bw_memo.get(pattern)
+        if bw_scale is None:
+            bw_scale = bw_memo[pattern] = self._bandwidth_scale(*pattern)
         if bw_scale < 1.0:
             active.append("degraded-link")
 
@@ -239,8 +330,8 @@ class FaultInjector:
         stall_s = 0.0
         stall_label = None
         elastic_gone: set = set()
-        for c in self.schedule.crashes:
-            if (c.recovery == "elastic" and iteration >= c.at_iteration
+        for c, hit, past in zip(sched.crashes, crash_hit, crash_past):
+            if (c.recovery == "elastic" and past
                     and c.worker not in elastic_gone):
                 # Decrement once per *departed worker*, not per entry:
                 # the schedule validates against duplicate elastic
@@ -248,15 +339,15 @@ class FaultInjector:
                 # the world twice for one physical departure.
                 elastic_gone.add(c.worker)
                 world -= 1
-            if iteration == c.at_iteration:
+            if hit:
                 stall_s += c.stall_s
                 stall_label = f"crash-{c.recovery}"
                 active.append(f"crash-{c.recovery}")
         world = max(1, world)
 
         retransmit = None
-        for r in self.schedule.retransmits:
-            if r.active(iteration):
+        for r, on in zip(sched.retransmits, retx_on):
+            if on:
                 # With several overlapping policies the harshest wins —
                 # modelling independent loss processes would need a
                 # combined rate anyway, and one policy is the 99% case.
@@ -265,62 +356,31 @@ class FaultInjector:
         if retransmit is not None:
             active.append("retransmit-risk")
 
-        return IterationFaults(
-            iteration=iteration,
-            compute_slowdown=slowdown,
-            bandwidth_scale=bw_scale,
-            world_size=world,
-            stall_s=stall_s,
-            stall_label=stall_label,
-            retransmit=retransmit,
-            active=tuple(sorted(set(active))),
-        )
+        return (slowdown, bw_scale, world, stall_s, stall_label, retransmit,
+                tuple(sorted(set(active))))
 
-    def _crashed_out(self, worker: int, iteration: int) -> bool:
-        """Whether ``worker`` has been elastically dropped by now (a
-        dropped straggler stops straggling — the silver lining)."""
-        return any(c.worker == worker and c.recovery == "elastic"
-                   and iteration >= c.at_iteration
-                   for c in self.schedule.crashes)
-
-    def _bandwidth_scale(self, iteration: int) -> float:
-        """Effective min-bandwidth multiplier after active link faults.
+    def _bandwidth_scale(self, links: Tuple[LinkFault, ...],
+                         nodes: Tuple[NodeFault, ...]) -> float:
+        """Effective min-bandwidth multiplier under active link faults.
 
         Applies every active link/NIC factor to a copy of the fabric's
         pairwise matrix and re-takes the minimum — exactly the paper's
         probe-and-take-minimum methodology, run against the degraded
-        fabric.  Clusters are small (<= a few dozen nodes), so the
-        O(n^2) copy per *distinct* fault pattern is negligible — the
-        scale is memoized by active-fault pattern, since a schedule
-        spends whole windows in the same handful of patterns.
+        fabric.
         """
         n = self.cluster.num_nodes
-        if n <= 1:
+        if n <= 1 or not (links or nodes):
             return 1.0
-        active_links = tuple(f for f in self.schedule.links
-                             if f.active(iteration))
-        active_nodes = tuple(f for f in self.schedule.nodes
-                             if f.active(iteration))
-        if not active_links and not active_nodes:
-            return 1.0
-        pattern = (active_links, active_nodes)
-        cached = self._bw_cache.get(pattern)
-        if cached is not None:
-            return cached
-        matrix = np.array(
-            [[self.fabric.pair_bandwidth(a, b) if a != b else np.inf
-              for b in range(n)] for a in range(n)])
-        for link in active_links:
+        matrix = np.array(self.fabric._pair_bw, dtype=float)
+        np.fill_diagonal(matrix, np.inf)
+        for link in links:
             matrix[link.node_a, link.node_b] *= link.factor
             matrix[link.node_b, link.node_a] *= link.factor
-        for node in active_nodes:
-            for other in range(n):
-                if other != node.node:
-                    matrix[node.node, other] *= node.factor
-                    matrix[other, node.node] *= node.factor
-        scale = float(matrix.min()) / self._base_min_bw
-        self._bw_cache[pattern] = scale
-        return scale
+        for node in nodes:
+            others = np.arange(n) != node.node
+            matrix[node.node, others] *= node.factor
+            matrix[others, node.node] *= node.factor
+        return float(matrix.min()) / self._base_min_bw
 
     # ----- retransmits ------------------------------------------------------
 
@@ -393,8 +453,9 @@ class FaultInjector:
         # drop rate and retry schedule are shared), while each row keeps
         # its own seeded stream.
         groups: Dict[RetransmitFault, list] = {}
+        states = self.resolve_range(start, stop).states
         for row in range(n):
-            policy = self.faults_for(start + row).retransmit
+            policy = states[row].retransmit
             # The event path never rolls the dice for an idle policy or
             # a zero-length transfer (duration <= 0 skips retransmits).
             if policy is None or policy.drop_rate == 0.0 or durs[row] <= 0:

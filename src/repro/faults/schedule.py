@@ -64,15 +64,20 @@ def _check_window(name: str, start: int, duration: Optional[int],
                 f"is simply persistent")
 
 
-def _window_active(iteration: int, start: int, duration: Optional[int],
-                   period: Optional[int] = None) -> bool:
-    """Whether a (start, duration, period) window covers ``iteration``."""
-    if iteration < start:
-        return False
-    offset = iteration - start
-    if period is not None:
-        offset %= period
-    return duration is None or offset < duration
+def _window_active(iteration: Any, start: int, duration: Optional[int],
+                   period: Optional[int] = None) -> Any:
+    """Whether a (start, duration, period) window covers ``iteration``.
+
+    ``iteration`` is an int or an integer array (elementwise mask); a
+    negative offset's modulus is masked out by ``iteration >= start``.
+    """
+    active = iteration >= start
+    if duration is not None:
+        offset = iteration - start
+        if period is not None:
+            offset = offset % period
+        active = active & (offset < duration)
+    return active
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,8 @@ class StragglerFault:
                       self.duration_iterations)
 
     def active(self, iteration: int) -> bool:
-        """Whether this fault affects ``iteration``."""
+        """Whether this fault affects ``iteration`` (elementwise
+        over an integer array)."""
         return _window_active(iteration, self.start_iteration,
                               self.duration_iterations)
 
@@ -151,7 +157,8 @@ class LinkFault:
                       self.duration_iterations, self.period_iterations)
 
     def active(self, iteration: int) -> bool:
-        """Whether the link is degraded during ``iteration``."""
+        """Whether the link is degraded during ``iteration`` (elementwise
+        over an integer array)."""
         return _window_active(iteration, self.start_iteration,
                               self.duration_iterations,
                               self.period_iterations)
@@ -189,7 +196,8 @@ class NodeFault:
                       self.duration_iterations, self.period_iterations)
 
     def active(self, iteration: int) -> bool:
-        """Whether the NIC is degraded during ``iteration``."""
+        """Whether the NIC is degraded during ``iteration`` (elementwise
+        over an integer array)."""
         return _window_active(iteration, self.start_iteration,
                               self.duration_iterations,
                               self.period_iterations)
@@ -240,7 +248,8 @@ class RetransmitFault:
                       self.duration_iterations)
 
     def active(self, iteration: int) -> bool:
-        """Whether transfers can drop during ``iteration``."""
+        """Whether transfers can drop during ``iteration`` (elementwise
+        over an integer array)."""
         return _window_active(iteration, self.start_iteration,
                               self.duration_iterations)
 

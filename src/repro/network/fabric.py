@@ -20,10 +20,11 @@ Bandwidth values are bytes/second; times are seconds.
 
 The jittered matrix is a pure function of (node count, NIC speed,
 cluster seed, jitter σ), so it is drawn once per distinct tuple and
-shared read-only by every fabric built with it: a sweep builds hundreds
-of fabrics over a dozen clusters.  :meth:`Fabric.degrade_link` and
-:meth:`Fabric.degrade_node` copy the shared matrix before their first
-write, so degrading one fabric never reaches another.
+shared read-only by every fabric built with it, and so is its pairwise
+minimum: a sweep builds hundreds of fabrics over a dozen clusters.
+:meth:`Fabric.degrade_link` and :meth:`Fabric.degrade_node` copy the
+shared matrix before their first write, so degrading one fabric never
+reaches another.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..hardware import ClusterConfig
+from ..memo import per_object
 
 #: Default α: effective per-hop latency of a pipelined ring step.  NCCL
 #: rings over TCP sustain ~10 us per hop once the pipeline is warm; the
@@ -115,13 +117,14 @@ class Fabric:
         returned so downstream formulas stay finite.
         """
         if self._min_bw_cache is None:
-            n = self.cluster.num_nodes
-            if n == 1:
+            if self.cluster.num_nodes == 1:
                 self._min_bw_cache = (
                     self.cluster.instance.intra_node_bytes_per_s)
+            elif self._pair_bw.flags.writeable:
+                # A degraded fabric's private matrix.
+                self._min_bw_cache = _off_diagonal_min(self._pair_bw)
             else:
-                off_diag = self._pair_bw[~np.eye(n, dtype=bool)]
-                self._min_bw_cache = float(off_diag.min())
+                self._min_bw_cache = _shared_min(self._pair_bw)
         return self._min_bw_cache
 
     def nominal_bandwidth(self) -> float:
@@ -184,6 +187,15 @@ class Fabric:
         if not 0 <= node < self.cluster.num_nodes:
             raise ConfigurationError(
                 f"node {node} out of range for {self.cluster.num_nodes} nodes")
+
+
+def _off_diagonal_min(matrix: np.ndarray) -> float:
+    """The minimum over every pair of distinct nodes."""
+    return float(matrix[~np.eye(matrix.shape[0], dtype=bool)].min())
+
+
+#: :func:`_off_diagonal_min` once per shared (read-only) matrix.
+_shared_min = per_object(_off_diagonal_min)
 
 
 @functools.lru_cache(maxsize=64)

@@ -10,7 +10,6 @@ simulated fabric, including the measurement being a finite-length transfer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -63,14 +62,18 @@ def measure_cluster(fabric: Fabric,
 
     Single-node clusters have no inter-node links; the report's minimum
     falls back to NVLink bandwidth so downstream formulas stay finite.
+    Every pair is priced in one elementwise expression, the arithmetic
+    of :func:`measure_pair` on each cell.
     """
     n = fabric.cluster.num_nodes
     matrix = np.full((n, n), np.nan)
-    for a in range(n):
-        for b in range(a + 1, n):
-            bw = measure_pair(fabric, a, b, probe_bytes)
-            matrix[a, b] = matrix[b, a] = bw
     if n > 1:
+        if probe_bytes <= 0:
+            raise ConfigurationError(
+                f"probe_bytes must be > 0, got {probe_bytes}")
+        upper = np.triu_indices(n, 1)
+        elapsed = fabric.alpha_s + probe_bytes / fabric._pair_bw[upper]
+        matrix[upper] = matrix[upper[::-1]] = probe_bytes / elapsed
         min_bw = float(np.nanmin(matrix))
     else:
         min_bw = fabric.min_bandwidth()

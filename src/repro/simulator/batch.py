@@ -198,6 +198,13 @@ def _stack_member_faults(sims: Sequence[DDPSimulator], n: int,
                          start: int) -> Tuple[_FaultRows, List[_Member]]:
     """Resolve every member's fault schedule over iterations
     ``[start, start + n)`` into stacked row arrays."""
+    if len(sims) == 1 and sims[0]._injector is None:
+        # The common case: one fault-free member is the identity mask.
+        sim = sims[0]
+        F = _FaultRows(np.ones(n), np.ones(n),
+                       np.full(n, sim.cluster.world_size, dtype=np.int64),
+                       np.zeros(n))
+        return F, [(sim, slice(0, n), None)]
     slows, bws, ps, stalls = [], [], [], []
     members: List[_Member] = []
     row = 0

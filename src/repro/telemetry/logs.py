@@ -95,11 +95,13 @@ class StructuredLogger:
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
+        """Bind the logger to a non-empty ``name``."""
         if not name:
             raise ConfigurationError("logger name must be non-empty")
         self.name = name
 
     def log(self, level: str, event: str, **fields: Any) -> None:
+        """Emit ``event`` with ``fields`` at ``level``."""
         self._emit(level, event, fields)
 
     def _emit(self, level: str, event: str,
@@ -124,15 +126,19 @@ class StructuredLogger:
     # parameters of ``log``.
 
     def debug(self, event: str, **fields: Any) -> None:
+        """Emit ``event`` at debug level."""
         self._emit("debug", event, fields)
 
     def info(self, event: str, **fields: Any) -> None:
+        """Emit ``event`` at info level."""
         self._emit("info", event, fields)
 
     def warning(self, event: str, **fields: Any) -> None:
+        """Emit ``event`` at warning level."""
         self._emit("warning", event, fields)
 
     def error(self, event: str, **fields: Any) -> None:
+        """Emit ``event`` at error level."""
         self._emit("error", event, fields)
 
 

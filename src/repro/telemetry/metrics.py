@@ -139,6 +139,7 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (>= 0)."""
         if amount < 0:
             raise ConfigurationError(
                 f"counters only go up; got increment {amount}")
@@ -154,12 +155,15 @@ class Gauge:
         self.value = 0.0
 
     def set(self, value: float) -> None:
+        """Set the gauge to ``value``."""
         self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
+        """Raise the gauge by ``amount``."""
         self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
+        """Lower the gauge by ``amount``."""
         self.value -= amount
 
 
@@ -182,6 +186,7 @@ class Histogram:
         self._samples: List[float] = []
 
     def observe(self, value: float) -> None:
+        """Record one value."""
         value = float(value)
         self.count += 1
         self.total += value
@@ -222,6 +227,7 @@ class Histogram:
 
     @property
     def mean(self) -> float:
+        """Mean of every observed value (0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
@@ -235,6 +241,7 @@ class Histogram:
         return ordered[rank]
 
     def summary(self) -> Dict[str, float]:
+        """Count, total, mean, min, max and the reported percentiles."""
         if self.count == 0:
             return {"count": 0, "total": 0.0, "mean": 0.0,
                     "min": 0.0, "max": 0.0,
@@ -285,49 +292,77 @@ class NullRegistry:
     enabled = False
 
     def counter(self, name: str, **labels: Any) -> _NullMetric:
+        """The shared no-op handle."""
         return _NULL_METRIC
 
     def gauge(self, name: str, **labels: Any) -> _NullMetric:
+        """The shared no-op handle."""
         return _NULL_METRIC
 
     def histogram(self, name: str, **labels: Any) -> _NullMetric:
+        """The shared no-op handle."""
         return _NULL_METRIC
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
+        """Empty sections: nothing is ever recorded."""
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 class MetricsRegistry:
     """Live metrics store: creates metrics on first use, keyed by
-    name + labels."""
+    name + labels.
+
+    Lookups go through a per-registry cache keyed by the call itself —
+    its metric type, name and labels in the order given — in front of
+    :func:`metric_key`, so a hot call site pays one tuple hash instead
+    of a sort and a ``str`` per label.  Only calls whose label values
+    are all ``str`` are cached: ``1``, ``1.0`` and ``True`` are equal
+    dict keys but different label values.  Any other call, including one
+    with an unhashable label value, takes the canonical path; metric
+    identity is :func:`metric_key` either way.
+    """
 
     enabled = True
 
     def __init__(self) -> None:
+        """Start with no metrics."""
         self._counters: Dict[MetricKey, Counter] = {}
         self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
+        self._calls: Dict[tuple, Any] = {}
+
+    def _lookup(self, metrics: Dict[MetricKey, Any], kind: type,
+                name: str, labels: Dict[str, Any]) -> Any:
+        """The ``kind`` metric ``name{labels}``, created on first use."""
+        call: Optional[tuple] = (kind, name, *labels.items())
+        try:
+            return self._calls[call]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable label value
+            call = None
+        key = metric_key(name, labels)
+        metric = metrics.get(key)
+        if metric is None:
+            # setdefault, not a store: threads racing to create one
+            # metric must all get (and cache) the one that is kept.
+            metric = metrics.setdefault(key, kind())
+        if call is not None and all(
+                type(value) is str for value in labels.values()):
+            self._calls[call] = metric
+        return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        key = metric_key(name, labels)
-        metric = self._counters.get(key)
-        if metric is None:
-            metric = self._counters[key] = Counter()
-        return metric
+        """The counter ``name{labels}``, created at 0 on first use."""
+        return self._lookup(self._counters, Counter, name, labels)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = metric_key(name, labels)
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge()
-        return metric
+        """The gauge ``name{labels}``, created at 0 on first use."""
+        return self._lookup(self._gauges, Gauge, name, labels)
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        key = metric_key(name, labels)
-        metric = self._histograms.get(key)
-        if metric is None:
-            metric = self._histograms[key] = Histogram()
-        return metric
+        """The histogram ``name{labels}``, created empty on first use."""
+        return self._lookup(self._histograms, Histogram, name, labels)
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Plain-dict rendering of every metric, JSON-serializable,

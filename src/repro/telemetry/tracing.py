@@ -82,6 +82,7 @@ class TraceSpan:
 
     @property
     def duration_s(self) -> float:
+        """Wall seconds from start to end."""
         return self.end_unix_s - self.start_unix_s
 
 
@@ -99,6 +100,7 @@ class ActiveSpan:
     def __init__(self, tracer: "TraceRecorder", name: str, track: str,
                  parent_id: Optional[str],
                  labels: Dict[str, Any]) -> None:
+        """Start the span now, with a fresh span id."""
         self._tracer = tracer
         self.name = name
         self.track = track
@@ -156,33 +158,37 @@ class NullTracer:
 
     def span(self, name: str, track: str = "engine",
              **labels: Any) -> _NullSpan:
+        """The shared no-op span."""
         return _NULL_SPAN
 
     def begin(self, name: str, track: str = "engine",
               parent_id: Optional[str] = None, **labels: Any) -> _NullSpan:
+        """The shared no-op span."""
         return _NULL_SPAN
 
     def finish(self, span: Any, **labels: Any) -> None:
-        pass
+        """Record nothing."""
 
     def add_span(self, name: str, track: str, start_unix_s: float,
                  end_unix_s: float, parent_id: Optional[str] = None,
                  **labels: Any) -> None:
-        pass
+        """Record nothing."""
 
     def add_iteration_trace(self, trace: Any, base_unix_s: float,
                             parent_id: Optional[str] = None,
                             track_prefix: str = "sim:") -> None:
-        pass
+        """Record nothing."""
 
     def merge(self, spans: Iterable[TraceSpan]) -> None:
-        pass
+        """Drop ``spans``."""
 
     def drain(self) -> Tuple[TraceSpan, ...]:
+        """No spans."""
         return ()
 
     @property
     def spans(self) -> Tuple[TraceSpan, ...]:
+        """No spans."""
         return ()
 
 
@@ -198,6 +204,7 @@ class TraceRecorder:
 
     def __init__(self, trace_id: Optional[str] = None,
                  root_parent_id: Optional[str] = None) -> None:
+        """Start an empty recorder (a fresh trace id unless given)."""
         self.trace_id = trace_id if trace_id else _new_trace_id()
         self.root_parent_id = root_parent_id
         self._spans: List[TraceSpan] = []
@@ -228,6 +235,7 @@ class TraceRecorder:
         return ActiveSpan(self, name, track, parent_id, labels)
 
     def finish(self, span: ActiveSpan, **labels: Any) -> TraceSpan:
+        """End ``span`` now, with ``labels`` added, and record it."""
         if labels:
             span.annotate(**labels)
         done = TraceSpan(
@@ -287,6 +295,7 @@ class TraceRecorder:
 
     @property
     def spans(self) -> Tuple[TraceSpan, ...]:
+        """Every recorded span, in completion order."""
         return tuple(self._spans)
 
     def merge(self, spans: Iterable[TraceSpan]) -> None:

@@ -12,8 +12,9 @@ It also keeps the reference cache-key builders, the advisor sweep's
 unsharded reduction, the training substrate's step-by-step loops, the
 one-point scalar form of the §4 performance model and its α+β
 collectives, the per-layer scheme-cost walks, the fabric's unshared
-bandwidth draw, the masked jitter draw and the one-value-at-a-time
-histogram (below).
+bandwidth draw, the masked jitter draw, the one-value-at-a-time
+histogram, the per-iteration fault resolution and the uncached metric
+lookup (below).
 """
 
 import hashlib
@@ -21,6 +22,7 @@ import heapq
 import itertools
 import json
 import math
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -46,7 +48,7 @@ from repro.core.perf_model import PredictedTime
 from repro.core.whatif import solve_crossover
 from repro.engine import AdvisorShardResult
 from repro.errors import ConfigurationError, SimulationError
-from repro.faults import FAULT_STREAM
+from repro.faults import FAULT_STREAM, IterationFaults
 from repro.hardware import V100
 from repro.simulator import (
     COMM_STREAM,
@@ -56,7 +58,15 @@ from repro.simulator import (
     Span,
     TimingResult,
 )
-from repro.telemetry.metrics import MAX_HISTOGRAM_SAMPLES, get_registry
+from repro.telemetry.metrics import (
+    MAX_HISTOGRAM_SAMPLES,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    get_registry,
+    metric_key,
+)
 from repro.units import FLOAT32_BYTES, GIGA
 
 
@@ -150,7 +160,8 @@ def event_iteration(sim, bs, rng, iteration=0):
     if sim.config.check_memory:
         sim.check_memory(bs)
     injector = sim.injector
-    ifaults = injector.faults_for(iteration) if injector is not None else None
+    ifaults = (_oracle_faults(injector, iteration)
+               if injector is not None else None)
     if sim._is_baseline or sim.scheme.ddp_overlap:
         # ddp_overlap schemes (fp16) compress inside the bucket hook:
         # same event structure as syncSGD with scaled payloads.
@@ -193,6 +204,157 @@ def event_run(sim, batch_size=None, iterations=110, warmup=10, seed=0):
         sync_times=tuple(t.sync_time() for t in measured),
         iteration_times=tuple(t.iteration_end for t in measured),
     )
+
+
+class FaultResolutionOracle:
+    """Per-iteration fault resolution: the injector's resolution as it
+    was before ranges were resolved per activity pattern and shared.
+
+    Binds a schedule to a cluster and a fabric like
+    :class:`~repro.faults.FaultInjector`; :meth:`faults_for` resolves
+    one iteration at a time, reading the fabric's matrix one pair at a
+    time, with the bandwidth scale memoized per active-fault pattern.
+    """
+
+    def __init__(self, schedule, cluster, fabric):
+        self.schedule = schedule
+        self.cluster = cluster
+        self.fabric = fabric
+        self._base_min_bw = fabric.min_bandwidth()
+        self._cache = {}
+        self._bw_cache = {}
+
+    def faults_for(self, iteration):
+        state = self._cache.get(iteration)
+        if state is None:
+            state = self._resolve(iteration)
+            self._cache[iteration] = state
+        return state
+
+    def _resolve(self, iteration: int) -> IterationFaults:
+        """Compute one iteration's fault state from the schedule."""
+        active = []
+
+        slowdown = 1.0
+        for s in self.schedule.stragglers:
+            if s.active(iteration) and not self._crashed_out(
+                    s.worker, iteration):
+                slowdown = max(slowdown, s.slowdown)
+                active.append("straggler")
+
+        bw_scale = self._bandwidth_scale(iteration)
+        if bw_scale < 1.0:
+            active.append("degraded-link")
+
+        world = self.cluster.world_size
+        stall_s = 0.0
+        stall_label = None
+        elastic_gone: set = set()
+        for c in self.schedule.crashes:
+            if (c.recovery == "elastic" and iteration >= c.at_iteration
+                    and c.worker not in elastic_gone):
+                # Decrement once per *departed worker*, not per entry:
+                # the schedule validates against duplicate elastic
+                # crashes, but a hand-built duplicate must not shrink
+                # the world twice for one physical departure.
+                elastic_gone.add(c.worker)
+                world -= 1
+            if iteration == c.at_iteration:
+                stall_s += c.stall_s
+                stall_label = f"crash-{c.recovery}"
+                active.append(f"crash-{c.recovery}")
+        world = max(1, world)
+
+        retransmit = None
+        for r in self.schedule.retransmits:
+            if r.active(iteration):
+                # With several overlapping policies the harshest wins —
+                # modelling independent loss processes would need a
+                # combined rate anyway, and one policy is the 99% case.
+                if retransmit is None or r.drop_rate > retransmit.drop_rate:
+                    retransmit = r
+        if retransmit is not None:
+            active.append("retransmit-risk")
+
+        return IterationFaults(
+            iteration=iteration,
+            compute_slowdown=slowdown,
+            bandwidth_scale=bw_scale,
+            world_size=world,
+            stall_s=stall_s,
+            stall_label=stall_label,
+            retransmit=retransmit,
+            active=tuple(sorted(set(active))),
+        )
+
+    def _crashed_out(self, worker: int, iteration: int) -> bool:
+        """Whether ``worker`` has been elastically dropped by now (a
+        dropped straggler stops straggling — the silver lining)."""
+        return any(c.worker == worker and c.recovery == "elastic"
+                   and iteration >= c.at_iteration
+                   for c in self.schedule.crashes)
+
+    def _bandwidth_scale(self, iteration: int) -> float:
+        """Effective min-bandwidth multiplier after active link faults.
+
+        Applies every active link/NIC factor to a copy of the fabric's
+        pairwise matrix and re-takes the minimum — exactly the paper's
+        probe-and-take-minimum methodology, run against the degraded
+        fabric.  Clusters are small (<= a few dozen nodes), so the
+        O(n^2) copy per *distinct* fault pattern is negligible — the
+        scale is memoized by active-fault pattern, since a schedule
+        spends whole windows in the same handful of patterns.
+        """
+        n = self.cluster.num_nodes
+        if n <= 1:
+            return 1.0
+        active_links = tuple(f for f in self.schedule.links
+                             if f.active(iteration))
+        active_nodes = tuple(f for f in self.schedule.nodes
+                             if f.active(iteration))
+        if not active_links and not active_nodes:
+            return 1.0
+        pattern = (active_links, active_nodes)
+        cached = self._bw_cache.get(pattern)
+        if cached is not None:
+            return cached
+        matrix = np.array(
+            [[self.fabric.pair_bandwidth(a, b) if a != b else np.inf
+              for b in range(n)] for a in range(n)])
+        for link in active_links:
+            matrix[link.node_a, link.node_b] *= link.factor
+            matrix[link.node_b, link.node_a] *= link.factor
+        for node in active_nodes:
+            for other in range(n):
+                if other != node.node:
+                    matrix[node.node, other] *= node.factor
+                    matrix[other, node.node] *= node.factor
+        scale = float(matrix.min()) / self._base_min_bw
+        self._bw_cache[pattern] = scale
+        return scale
+
+
+def window_active_oracle(iteration, start, duration, period=None):
+    """Whether a (start, duration, period) window covers one iteration."""
+    if iteration < start:
+        return False
+    offset = iteration - start
+    if period is not None:
+        offset %= period
+    return duration is None or offset < duration
+
+
+#: One resolution oracle per injector, so the event loop resolves each
+#: iteration once per run, as the per-iteration injector did.
+_FAULT_ORACLES = weakref.WeakKeyDictionary()
+
+
+def _oracle_faults(injector, iteration):
+    oracle = _FAULT_ORACLES.get(injector)
+    if oracle is None:
+        oracle = _FAULT_ORACLES[injector] = FaultResolutionOracle(
+            injector.schedule, injector.cluster, injector.fabric)
+    return oracle.faults_for(iteration)
 
 
 def _jitter(rng, sigma):
@@ -652,10 +814,28 @@ def oracle_fingerprint(job):
     return _sha(_canonical(_KEY_PAYLOADS[type(job).__name__][0](job)))
 
 
+def sim_family_key_oracle(job):
+    """What ``SimJob.family_key()`` must return: the SHA-256 of one line
+    per input — the SHA-256 of the model's canonical rendering, and the
+    canonical rendering of every other input and of the protocol."""
+    return _sha("\n".join((
+        "sim-family/1",
+        _sha(_canonical(model_payload(job.model))),
+        _canonical(cluster_payload(job.cluster)),
+        _canonical(scheme_payload(job.scheme)),
+        _canonical(fabric_payload(job.fabric)),
+        _canonical(config_payload(job.config)),
+        _canonical(profile_payload(job.profile)),
+        _canonical([job.batch_size, job.iterations, job.warmup]))))
+
+
 def oracle_family_key(job):
-    """What ``job.family_key()`` must return: the digest of the family
-    payload, for every job kind, with the model given by the SHA-256
-    of its canonical rendering."""
+    """What ``job.family_key()`` must return: for a ``SimJob``
+    :func:`sim_family_key_oracle`, for the other kinds the digest of the
+    family payload with the model given by the SHA-256 of its canonical
+    rendering."""
+    if type(job).__name__ == "SimJob":
+        return sim_family_key_oracle(job)
     payload = _KEY_PAYLOADS[type(job).__name__][1](job)
     payload["model"] = _sha(_canonical(payload["model"]))
     return _sha(_canonical(payload))
@@ -928,9 +1108,12 @@ def syncsgd_time(model, inputs, gpu=V100):
     )
 
 
-def compressed_time(model, scheme, inputs, gpu=V100, profile=None):
+def compressed_time(model, scheme, inputs, gpu=V100, profile=None,
+                    scheme_cost=None):
     """§4.2 model for sequential compression; DDP-hook schemes use the
-    overlap structure of :func:`syncsgd_time` on scaled buckets."""
+    overlap structure of :func:`syncsgd_time` on scaled buckets.  The
+    scheme is priced by ``scheme_cost(scheme, model, world_size,
+    profile)``, by default the production ``Scheme.cost``."""
     if isinstance(scheme, SyncSGDScheme):
         return syncsgd_time(model, inputs, gpu)
     prof = profile if profile is not None else v100_kernel_profile()
@@ -938,7 +1121,10 @@ def compressed_time(model, scheme, inputs, gpu=V100, profile=None):
     bs = inputs.batch_size or model.default_batch_size
     t_comp = compute.backward_time(bs)
     p = inputs.world_size
-    cost = scheme.cost(model, p, prof)
+    if scheme_cost is None:
+        cost = scheme.cost(model, p, prof)
+    else:
+        cost = scheme_cost(scheme, model, p, prof)
 
     if scheme.ddp_overlap:
         if p == 1:
@@ -1191,3 +1377,29 @@ class HistogramOracle:
             self.max = value
         if len(self.samples) < MAX_HISTOGRAM_SAMPLES:
             self.samples.append(value)
+
+
+class UncachedRegistry(MetricsRegistry):
+    """A registry that derives every lookup's canonical key, as the
+    registry did before its per-call lookup cache."""
+
+    def counter(self, name, **labels):
+        key = metric_key(name, labels)
+        metric = self._counters.get(key)
+        if metric is None:
+            metric = self._counters[key] = Counter()
+        return metric
+
+    def gauge(self, name, **labels):
+        key = metric_key(name, labels)
+        metric = self._gauges.get(key)
+        if metric is None:
+            metric = self._gauges[key] = Gauge()
+        return metric
+
+    def histogram(self, name, **labels):
+        key = metric_key(name, labels)
+        metric = self._histograms.get(key)
+        if metric is None:
+            metric = self._histograms[key] = Histogram()
+        return metric

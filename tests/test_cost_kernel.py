@@ -204,6 +204,24 @@ def test_allgather_array_call_records_one_call_per_cell(incast_factor):
     assert got['collective_calls_total{algorithm="allgather"}'] == 9
 
 
+@pytest.mark.parametrize("incast_factor", [1.0, 1.5])
+@pytest.mark.parametrize("p", [1, 8])
+def test_payload_array_call_records_one_call_per_payload(p, incast_factor):
+    """Only the payloads vary, as in the batch kernel's bucket pricing."""
+    payloads = np.array([1e3, 2.5e6, 1e9, 7.0])
+    got = collective_counters(lambda: (
+        allgather_time(payloads, p, 1.25e9, 25e-6,
+                       incast_factor=incast_factor),
+        ring_allreduce_time(payloads, p, 1.25e9, 25e-6),
+        ring_allreduce_time(payloads[:0], p, 1.25e9, 25e-6)))
+
+    def loop():
+        for n in payloads:
+            oracle.allgather_time(float(n), p, 1.25e9, 25e-6, incast_factor)
+            oracle.ring_allreduce_time(float(n), p, 1.25e9, 25e-6)
+    assert_same_counters(got, collective_counters(loop))
+
+
 def test_ring_scalar_call_records_like_the_oracle():
     got = collective_counters(
         lambda: ring_allreduce_time(2**20, 8, 1.25e9, 25e-6))

@@ -180,6 +180,31 @@ class TestIperfProbe:
         with pytest.raises(ConfigurationError):
             measure_pair(fabric, 2, 2)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cluster_report_equals_pair_by_pair_probes(self, seed):
+        """One elementwise pricing of every pair gives each pair's
+        ``measure_pair`` bits, on healthy and degraded fabrics."""
+        rng = np.random.default_rng([2604, seed])
+        for _ in range(12):
+            cluster = random_cluster(rng)
+            n = cluster.num_nodes
+            fabric = Fabric(cluster)
+            if n > 1 and rng.random() < 0.5:
+                fabric.degrade_node(int(rng.integers(n)),
+                                    float(rng.uniform(0.1, 1.0)))
+            probe = float(rng.choice([1.0, 3.5e5, 128 * 2 ** 20, 1e9]))
+            expected = np.full((n, n), np.nan)
+            for a in range(n):
+                for b in range(a + 1, n):
+                    expected[a, b] = expected[b, a] = measure_pair(
+                        fabric, a, b, probe)
+            report = measure_cluster(fabric, probe)
+            assert report.matrix.tobytes() == expected.tobytes()
+            if n > 1:
+                assert report.min_bandwidth == float(np.nanmin(expected))
+                with pytest.raises(ConfigurationError):
+                    measure_cluster(fabric, 0.0)
+
     def test_cluster_report_shape(self, fabric):
         report = measure_cluster(fabric)
         assert isinstance(report, BandwidthReport)

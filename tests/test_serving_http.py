@@ -22,6 +22,11 @@ from repro.telemetry.metrics import validate_prometheus_text
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
+#: How often the test servers' ``serve_forever`` loop checks for
+#: ``shutdown()``; the default 0.5 s makes every teardown wait that long.
+POLL_INTERVAL_S = 0.05
+
+
 @pytest.fixture
 def server():
     """An in-process server on an ephemeral port; yields its base URL."""
@@ -31,7 +36,9 @@ def server():
                                  quota_rps=1000.0, quota_burst=1000.0)
     http_server = make_server(scheduler, port=0)
     host, port = http_server.server_address[:2]
-    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
+    thread = threading.Thread(target=http_server.serve_forever,
+                              kwargs={"poll_interval": POLL_INTERVAL_S},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://{host}:{port}"
@@ -213,7 +220,9 @@ def test_accepted_connections_disable_nagle():
     http_server = make_server(scheduler, port=0)
     http_server.RequestHandlerClass = Probe
     host, port = http_server.server_address[:2]
-    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
+    thread = threading.Thread(target=http_server.serve_forever,
+                              kwargs={"poll_interval": POLL_INTERVAL_S},
+                              daemon=True)
     thread.start()
     try:
         status, _ = get(f"http://{host}:{port}", "/healthz")
@@ -260,8 +269,9 @@ class TestWorkflows:
                                      quota_rps=0.001, quota_burst=1.0)
         http_server = make_server(scheduler, port=0)
         host, port = http_server.server_address[:2]
-        thread = threading.Thread(target=http_server.serve_forever,
-                                  daemon=True)
+        thread = threading.Thread(
+            target=http_server.serve_forever,
+            kwargs={"poll_interval": POLL_INTERVAL_S}, daemon=True)
         thread.start()
         base = f"http://{host}:{port}"
         try:

@@ -224,6 +224,136 @@ class TestMetricsRegistry:
         json.dumps(reg.snapshot())
 
 
+#: Engine metrics that read the wall clock, so differ between runs.
+WALL_CLOCK_METRICS = ("engine_job_exec_s", "engine_queue_wait_s",
+                      "engine_pool_utilization")
+
+
+def _deterministic_snapshot(registry):
+    snap = registry.snapshot()
+    return json.dumps(
+        {section: {key: value for key, value in metrics.items()
+                   if not key.startswith(WALL_CLOCK_METRICS)}
+         for section, metrics in snap.items()},
+        sort_keys=True)
+
+
+class TestLookupCache:
+    """The per-call lookup cache in front of ``metric_key`` changes no
+    metric's identity."""
+
+    def test_label_order_shares_a_metric(self):
+        reg = MetricsRegistry()
+        first = reg.counter("c", a="x", b="y")
+        assert reg.counter("c", b="y", a="x") is first
+        assert reg.counter("c", a="x", b="y") is first
+        assert list(reg.snapshot()["counters"]) == ['c{a="x",b="y"}']
+
+    def test_int_and_str_values_share_a_metric(self):
+        for order in ((1, "1"), ("1", 1)):
+            reg = MetricsRegistry()
+            handles = [reg.histogram("h", n=value)
+                       for value in order + order]
+            assert all(h is handles[0] for h in handles)
+            assert list(reg.snapshot()["histograms"]) == ['h{n="1"}']
+
+    def test_equal_keys_with_different_text_stay_apart(self):
+        # 1 == 1.0 == True as dict keys, but their label texts differ.
+        reg = MetricsRegistry()
+        for value in (1, 1, "1", True, True, 1.0, 1.0, "True"):
+            reg.counter("c", n=value).inc()
+        assert reg.snapshot()["counters"] == {
+            'c{n="1"}': 3.0, 'c{n="1.0"}': 2.0, 'c{n="True"}': 3.0}
+
+    def test_unhashable_label_takes_the_canonical_path(self):
+        reg = MetricsRegistry()
+        reg.counter("c", v=[1, 2]).inc()
+        reg.counter("c", v=[1, 2]).inc()
+        reg.counter("c", v="[1, 2]").inc()
+        assert reg.snapshot()["counters"] == {'c{v="[1, 2]"}': 3.0}
+
+    def test_kinds_do_not_share_handles(self):
+        reg = MetricsRegistry()
+        assert reg.counter("m", k="a") is not reg.histogram("m", k="a")
+        assert reg.gauge("m", k="a") is reg.gauge("m", k="a")
+
+    def test_empty_name_still_rejected(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                reg.counter("", k="a")
+
+    def test_threads_racing_to_create_get_the_kept_metric(self):
+        """Every thread's handle, cached or not, is the one the registry
+        keeps, so no thread counts into an orphan."""
+        import sys
+        import threading
+        reg = MetricsRegistry()
+        threads, barrier = 8, threading.Barrier(8)
+        seen = [[] for _ in range(threads)]
+
+        def worker(index):
+            barrier.wait(timeout=10)
+            for round_ in range(200):
+                labels = {"a": str(round_), "b": "x"}
+                if index % 2:
+                    labels = dict(reversed(list(labels.items())))
+                seen[index].append(reg.counter("race", **labels))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker, args=(i,))
+                    for i in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        for round_ in range(200):
+            kept = reg.counter("race", a=str(round_), b="x")
+            assert all(handles[round_] is kept for handles in seen)
+
+    def test_random_calls_snapshot_like_the_uncached_registry(self):
+        rng = np.random.default_rng(26)
+        values = ("a", "b", 1, "1", 2.5, True, None, "x\"y")
+        cached, uncached = MetricsRegistry(), oracle.UncachedRegistry()
+        for _ in range(3000):
+            name = ("m_a", "m_b", "m_c")[int(rng.integers(3))]
+            keys = list(rng.permutation(["k1", "k2", "k3"])
+                        [:int(rng.integers(0, 4))])
+            labels = {str(k): values[int(rng.integers(len(values)))]
+                      for k in keys}
+            if rng.random() < 0.05:
+                labels["k4"] = [int(rng.integers(3))]
+            kind = int(rng.integers(3))
+            amount = float(rng.random())
+            for reg in (cached, uncached):
+                if kind == 0:
+                    reg.counter(name, **labels).inc(amount)
+                elif kind == 1:
+                    reg.gauge(name, **labels).set(amount)
+                else:
+                    reg.histogram(name, **labels).observe(amount)
+        assert json.dumps(cached.snapshot()) \
+            == json.dumps(uncached.snapshot())
+
+    def test_exhibit_snapshots_match_the_uncached_registry(self):
+        from repro.experiments import run_fig4, run_fig8, run_reliability
+        snapshots = []
+        for reg in (MetricsRegistry(), oracle.UncachedRegistry()):
+            set_registry(reg)
+            run_reliability()
+            run_fig4()
+            run_fig8()
+            snapshots.append(_deterministic_snapshot(reg))
+        assert snapshots[0] == snapshots[1]
+        assert '"sim_faults_active_total{kind=\\"degraded\\"}"' \
+            in snapshots[0]
+
+
 class TestNullRegistry:
     def test_disabled_and_inert(self):
         reg = NullRegistry()

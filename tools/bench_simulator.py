@@ -25,7 +25,9 @@ Two entry modes:
 The **what-if section** times dense (512-point) closed-form sweeps on
 the fig11/fig12 workloads, evaluated once through the vectorized grid
 kernel (:mod:`repro.core.grid`) and once as a per-point loop of the
-scalar reference model in ``tests/oracle.py``.  The recorded
+scalar reference model in ``tests/oracle.py``, whose schemes are priced
+by ``scheme_cost_oracle`` (the per-call layer walk), so the reference
+shares no cost code with the kernel it is timed against.  The recorded
 ``speedup`` (scalar wall / grid wall) is the grid kernel's advantage;
 ``--check`` gates on the same machine-independent ratio plus a hard 5x
 floor.
@@ -117,7 +119,11 @@ from repro.cli import main as repro_main  # noqa: E402
 from repro.hardware.gpus import V100  # noqa: E402
 from repro.models import get_model  # noqa: E402
 from repro.units import gbps_to_bytes_per_s  # noqa: E402
-from tests.oracle import compressed_time, syncsgd_time  # noqa: E402
+from tests.oracle import (  # noqa: E402
+    compressed_time,
+    scheme_cost_oracle,
+    syncsgd_time,
+)
 
 DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_simulator.json")
 
@@ -211,7 +217,8 @@ def measure_whatif(points: int = WHATIF_POINTS) -> Dict[str, dict]:
         for bw in bandwidths:
             point = replace(inputs, bandwidth_bytes_per_s=float(bw))
             syncsgd_time(model, point)
-            compressed_time(model, scheme, point)
+            compressed_time(model, scheme, point,
+                            scheme_cost=scheme_cost_oracle)
 
     def grid_compute() -> None:
         syncsgd_time_grid(model, inputs, compute_factor=factors)
@@ -222,7 +229,8 @@ def measure_whatif(points: int = WHATIF_POINTS) -> Dict[str, dict]:
             gpu = V100.scaled(float(factor))
             syncsgd_time(model, inputs, gpu)
             compressed_time(model, scheme, inputs, gpu,
-                            profile.scaled(float(factor)))
+                            profile.scaled(float(factor)),
+                            scheme_cost=scheme_cost_oracle)
 
     sweeps = {
         "fig11_bandwidth": (grid_bandwidth, scalar_bandwidth),

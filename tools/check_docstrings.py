@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Docstring-coverage gate for the public fault, engine and serving APIs.
+"""Docstring-coverage gate for the public fault, engine, serving and
+telemetry APIs.
 
 ``make lint`` runs this after ruff.  It walks the AST of every module
 under the audited packages and fails (exit 1, one line per offender)
@@ -10,7 +11,8 @@ when it declares parameters beyond ``self`` (constructor parameters
 are API surface).
 
 Usage: python tools/check_docstrings.py [package-dir ...]
-Defaults to the fault, engine, serving, simulator and network packages.
+Defaults to the fault, engine, serving, simulator, network and telemetry
+packages.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ DEFAULT_TARGETS = (
     os.path.join("src", "repro", "serving"),
     os.path.join("src", "repro", "simulator"),
     os.path.join("src", "repro", "network"),
+    os.path.join("src", "repro", "telemetry"),
 )
 
 
