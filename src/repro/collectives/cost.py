@@ -91,18 +91,9 @@ def _record(algorithm: str, num_bytes, p, bandwidth=1.0, alpha=0.0,
     if not get_registry().enabled:
         return
     operands = (num_bytes, p, bandwidth, alpha)
-    arrays = [x for x in operands if isinstance(x, np.ndarray)]
-    if not arrays:
+    if not any(isinstance(x, np.ndarray) for x in operands):
         count_collectives(algorithm, 1, num_bytes,
                           int(incast_factor > 1.0 and p > 1))
-        return
-    if len(arrays) == 1 and arrays[0] is num_bytes:
-        # Only the payloads vary (the batch kernel's bucket pricing):
-        # one cell per payload, summed as the broadcast view would be.
-        cells = num_bytes.size
-        if cells:
-            count_collectives(algorithm, cells, float(num_bytes.sum()),
-                              cells if incast_factor > 1.0 and p > 1 else 0)
         return
     shape = np.broadcast_shapes(*(np.shape(x) for x in operands))
     cells = math.prod(shape)

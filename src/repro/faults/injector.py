@@ -154,6 +154,7 @@ class FaultInjector:
         self._validate_topology()
         self._base_min_bw = fabric.min_bandwidth()
         self._private: Dict[Tuple[int, int], ResolvedFaults] = {}
+        self._states: Dict[int, IterationFaults] = {}
         #: Counters the CLI prints after a faulted run; mirrored into
         #: telemetry when a registry is enabled.  They describe the most
         #: recent run: :meth:`reset_run_counters` zeroes them at the
@@ -213,8 +214,22 @@ class FaultInjector:
     # ----- resolution ---------------------------------------------------------
 
     def faults_for(self, iteration: int) -> IterationFaults:
-        """The resolved fault state of ``iteration`` (memoized)."""
-        return self.resolve_range(iteration, iteration + 1).states[0]
+        """The resolved fault state of ``iteration`` (memoized).
+
+        Read from a resolved range holding ``iteration`` when there is
+        one; otherwise resolved alone and kept in this injector's own
+        memo, so per-iteration callers never grow the shared range table.
+        """
+        state = self._states.get(iteration)
+        if state is None:
+            for (start, stop), resolved in self._ranges().items():
+                if start <= iteration < stop:
+                    state = resolved.states[iteration - start]
+                    break
+            else:
+                state = self._resolve(iteration, iteration + 1).states[0]
+            self._states[iteration] = state
+        return state
 
     def resolve_range(self, start: int, stop: int) -> ResolvedFaults:
         """Resolve iterations ``[start, stop)`` into parallel arrays.

@@ -198,13 +198,6 @@ def _stack_member_faults(sims: Sequence[DDPSimulator], n: int,
                          start: int) -> Tuple[_FaultRows, List[_Member]]:
     """Resolve every member's fault schedule over iterations
     ``[start, start + n)`` into stacked row arrays."""
-    if len(sims) == 1 and sims[0]._injector is None:
-        # The common case: one fault-free member is the identity mask.
-        sim = sims[0]
-        F = _FaultRows(np.ones(n), np.ones(n),
-                       np.full(n, sim.cluster.world_size, dtype=np.int64),
-                       np.zeros(n))
-        return F, [(sim, slice(0, n), None)]
     slows, bws, ps, stalls = [], [], [], []
     members: List[_Member] = []
     row = 0
@@ -224,8 +217,9 @@ def _stack_member_faults(sims: Sequence[DDPSimulator], n: int,
             stalls.append(resolved.stall_s)
         members.append((sim, sl, resolved))
         row += n
-    F = _FaultRows(np.concatenate(slows), np.concatenate(bws),
-                   np.concatenate(ps), np.concatenate(stalls))
+    # A lone member (the usual call) needs no copy: rows are read-only.
+    join = (lambda parts: parts[0]) if len(sims) == 1 else np.concatenate
+    F = _FaultRows(join(slows), join(bws), join(ps), join(stalls))
     return F, members
 
 

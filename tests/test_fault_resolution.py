@@ -277,6 +277,22 @@ class TestSharing:
         assert a.resolve_range(0, 20) is not b.resolve_range(0, 20)
         assert _typed(a.faults_for(4)) == _typed(b.faults_for(4))
 
+    def test_iteration_lookups_leave_the_shared_table_alone(
+            self, small_cluster):
+        """``faults_for`` reads a resolved range that holds the
+        iteration and resolves any other iteration privately."""
+        schedule = _nic_schedule()
+        injector = FaultInjector(schedule, small_cluster,
+                                 Fabric(small_cluster))
+        resolved = injector.resolve_range(0, 10)
+        assert injector.faults_for(4) is resolved.states[4]
+        oracle = FaultResolutionOracle(schedule, small_cluster,
+                                       Fabric(small_cluster))
+        for i in (10, 13, 40):
+            assert _typed(injector.faults_for(i)) \
+                == _typed(oracle.faults_for(i))
+        assert list(injector._ranges()) == [(0, 10)]
+
     def test_shared_arrays_are_read_only(self, small_cluster):
         injector = FaultInjector(_nic_schedule(), small_cluster,
                                  Fabric(small_cluster))
