@@ -103,6 +103,9 @@ def main() -> None:
                           seed=3))
     trainer = DistributedTrainer(model, dataset, num_workers=4, lr=0.2,
                                  seed=3)
+    # The trainer reuses its gradient buffers every step: an aggregator
+    # (or a codec inside one) sees them only during its step() call and
+    # must copy anything it keeps.  ChunkMean keeps nothing.
     trainer.aggregators = {
         name: MeanAllReduceAggregator(4, ChunkMeanCompressor(4))
         for name in model.param_names()}

@@ -17,7 +17,7 @@ aggregate genuinely compressed gradients.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,8 +44,8 @@ def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
-def ring_allreduce(arrays: Sequence[np.ndarray],
-                   op: ReduceOp = _add) -> List[np.ndarray]:
+def ring_allreduce(arrays: Sequence[np.ndarray], op: ReduceOp = _add,
+                   out: Optional[np.ndarray] = None) -> List[np.ndarray]:
     """Ring all-reduce: reduce-scatter then all-gather over a ring.
 
     Each worker's flat buffer is split into ``p`` chunks at
@@ -71,28 +71,37 @@ def ring_allreduce(arrays: Sequence[np.ndarray],
             default is addition.  Passing a non-associative op is allowed
             (tests use it to demonstrate why such ops are incompatible
             with all-reduce) but produces order-dependent output.
+        out: Optional ``(p, n)`` buffer of the inputs' dtype (``n``
+            elements per input) to fold in, so a caller that reduces
+            same-sized gradients every step reuses one buffer.  For
+            ``p > 1`` the returned arrays are its rows.
 
     Returns:
         One fully reduced array per rank (all equal after the all-gather).
     """
     _check_inputs(arrays)
-    p = len(arrays)
+    p, n, dtype = len(arrays), arrays[0].size, arrays[0].dtype
+    if out is not None and (out.shape != (p, n) or out.dtype != dtype):
+        raise CollectiveError(f"out must be a {(p, n)} {dtype} buffer, "
+                              f"got {out.shape} {out.dtype}")
     if p == 1:
         return [arrays[0].copy()]
 
     shape = arrays[0].shape
     flats = [np.asarray(a).reshape(-1) for a in arrays]
-    n = flats[0].size
     bounds = np.linspace(0, n, p + 1).astype(int)
 
     # Row s holds what chunk c meets at reduce-scatter step s - 1.
-    z = np.empty((p, n), dtype=arrays[0].dtype)
+    z = np.empty((p, n), dtype=dtype) if out is None else out
     for c in range(p):
         lo, hi = bounds[c], bounds[c + 1]
         for s in range(p):
             z[s, lo:hi] = flats[(c + s) % p][lo:hi]
     for s in range(1, p):
-        z[s] = op(z[s], z[s - 1])
+        if op is _add:  # the same sums, without a temporary per step
+            np.add(z[s], z[s - 1], out=z[s])
+        else:
+            z[s] = op(z[s], z[s - 1])
 
     # All-gather: every rank's row receives the reduced buffer.
     z[:p - 1] = z[p - 1]

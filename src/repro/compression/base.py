@@ -142,10 +142,27 @@ class Aggregator(abc.ABC):
             raise CompressionError(
                 f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
+        self._buffers: Dict[str, np.ndarray] = {}
 
     @abc.abstractmethod
     def step(self, worker_grads: Sequence[np.ndarray]) -> AggregationResult:
-        """Aggregate one round of per-worker gradients."""
+        """Aggregate one round of per-worker gradients.
+
+        The worker gradients are valid only for the duration of the
+        call: the trainer writes the next step's gradients into the same
+        buffers.  Whatever an aggregator keeps past the call (error
+        feedback residuals, warm starts) must be a copy, and the update
+        it returns must not share memory with the inputs.
+        """
+
+    def _buffer(self, key: str, shape: Tuple[int, ...]) -> np.ndarray:
+        """A float64 array of ``shape`` that this aggregator reuses from
+        step to step, for values that never leave :meth:`step`; its
+        contents on entry are undefined."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[key] = np.empty(shape)
+        return buf
 
     def _check_round(self, worker_grads: Sequence[np.ndarray]) -> List[np.ndarray]:
         if len(worker_grads) != self.num_workers:

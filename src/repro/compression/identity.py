@@ -16,26 +16,47 @@ from .base import Compressor, Payload
 #: Smallest normal fp16, 2**-14; below it every half is ``m * 2**-24``.
 _HALF_TINY = 2.0 ** -14
 
+#: The exponent field of a float64.
+_EXPONENT = np.uint64(0x7FF0_0000_0000_0000)
+
 #: ``astype(np.float64)`` of every fp16 bit pattern, indexed by the bits.
 _HALF_TO_DOUBLE = (np.arange(1 << 16, dtype=np.uint16).view(np.float16)
                    .astype(np.float64))
 
 
 def to_half(arr: np.ndarray) -> np.ndarray:
-    """``arr.astype(np.float16)``, bit for bit, without numpy's slow path.
+    """``arr.astype(np.float16)``, bit for bit, without numpy's scalar
+    cast loop.
 
-    numpy's cast goes scalar whenever a result is an fp16 subnormal, and
-    most gradients are that small.  Those halves are built directly:
-    scaling by 2**24 is exact and ``rint`` rounds half to even, so
-    ``rint(|x| * 2**24)`` is the subnormal's mantissa (1024 being the
-    bits of 2**-14 itself).  Everything else keeps ``astype``.
+    With ``e`` the half's exponent of ``|x|`` (at least -14, which the
+    subnormals share), adding ``c = 2**(e + 42)`` rounds ``|x|`` to a
+    multiple of the half's unit ``2**(e - 10)``, half to even, and leaves
+    that multiple ``m`` (1024 to 2048 for normals, below 1024 for
+    subnormals) in the sum's low mantissa bits.  The half is then
+    ``(e + 14) << 10`` plus ``m``: a carry to ``m = 2048`` bumps the
+    exponent, and magnitudes clamped to 65536 come out as infinity.
+    NaNs keep ``astype``.  ``arr`` is not written.
     """
+    arr = np.asarray(arr, dtype=np.float64)
     mag = np.abs(arr)
-    small = mag < _HALF_TINY
-    normal = np.where(small, _HALF_TINY, arr).astype(np.float16)
-    sub = (np.rint(np.fmin(mag, _HALF_TINY) * 2.0 ** 24).astype(np.uint16)
-           | (np.signbit(arr).astype(np.uint16) << 15))
-    return np.where(small, sub, normal.view(np.uint16)).view(np.float16)
+    np.fmin(mag, 65536.0, out=mag)
+    scale = np.fmax(mag, _HALF_TINY).view(np.uint64)
+    scale &= _EXPONENT
+    scale += np.uint64(42 << 52)
+    mag += scale.view(np.float64)
+    bits = mag.view(np.uint64)
+    bits &= np.uint64(0xFFF)
+    scale >>= np.uint64(42)
+    bits += scale
+    bits -= np.uint64(1051 << 10)  # (1023 - 14 + 42) << 10
+    sign = np.right_shift(arr.view(np.uint64), np.uint64(48), out=scale)
+    sign &= np.uint64(0x8000)
+    bits |= sign
+    half = bits.astype(np.uint16).view(np.float16)
+    nan = np.isnan(arr)
+    if nan.any():
+        half[nan] = arr[nan].astype(np.float16)
+    return half
 
 
 def as_float64(arr: np.ndarray, copy: bool = True) -> np.ndarray:

@@ -245,7 +245,8 @@ class PowerSGDAggregator(Aggregator):
 
         if self.error_feedback is not None:
             for rank_idx, mat in enumerate(matrices):
-                residual = mat.reshape(shape) - update
+                residual = mat.reshape(shape)
+                residual -= update
                 self.error_feedback.store(rank_idx, residual)
         self._q = q_mean
 
@@ -280,7 +281,7 @@ class GatherDecodeAggregator(Aggregator):
 
     def step(self, worker_grads: Sequence[np.ndarray]) -> AggregationResult:
         grads = self._check_round(worker_grads)
-        decoded = []
+        decoded = self._buffer("decoded", (self.num_workers, *grads[0].shape))
         wire = 0.0
         for rank_idx, grad in enumerate(grads):
             if self.error_feedback is not None:
@@ -289,9 +290,10 @@ class GatherDecodeAggregator(Aggregator):
                 corrected = grad
             payload = self.codec.encode(corrected)
             approx = self.codec.decode(payload)
+            decoded[rank_idx] = approx
             if self.error_feedback is not None:
-                self.error_feedback.store(rank_idx, corrected - approx)
-            decoded.append(approx)
+                corrected -= approx
+                self.error_feedback.store(rank_idx, corrected)
             wire = max(wire, payload.wire_bytes)
         update = np.mean(decoded, axis=0)
         return AggregationResult(

@@ -22,6 +22,10 @@ from ..errors import CompressionError
 from .base import AggregationResult, Aggregator, Compressor, Payload
 
 
+#: The decoded value of a sign bit: 0 is -1.0, 1 is +1.0.
+_SIGNS = np.array([-1.0, 1.0])
+
+
 class SignSGDCompressor(Compressor):
     """Bit-packed sign compressor.
 
@@ -50,8 +54,7 @@ class SignSGDCompressor(Compressor):
     def decode(self, payload: Payload) -> np.ndarray:
         numel = int(payload.meta["numel"])
         bits = np.unpackbits(payload.arrays[0], count=numel)
-        signs = np.where(bits.astype(bool), 1.0, -1.0)
-        return signs.reshape(payload.shape)
+        return _SIGNS[bits].reshape(payload.shape)
 
 
 def majority_vote(sign_tensors: Sequence[np.ndarray]) -> np.ndarray:
@@ -82,7 +85,9 @@ class MajorityVoteAggregator(Aggregator):
         grads = self._check_round(worker_grads)
         payloads = [self._codec.encode(g) for g in grads]
         # All-gather: every worker receives every other worker's payload.
-        decoded = [self._codec.decode(p) for p in payloads]
+        decoded = self._buffer("decoded", (self.num_workers, *grads[0].shape))
+        for rank, payload in enumerate(payloads):
+            decoded[rank] = self._codec.decode(payload)
         update = majority_vote(decoded)
         wire = payloads[0].wire_bytes
         return AggregationResult(

@@ -197,7 +197,7 @@ class SparseGatherAggregator(Aggregator):
 
     def step(self, worker_grads: Sequence[np.ndarray]) -> AggregationResult:
         grads = self._check_round(worker_grads)
-        decoded = []
+        decoded = self._buffer("decoded", (self.num_workers, *grads[0].shape))
         sent = 0.0
         for rank, grad in enumerate(grads):
             if self.error_feedback is not None:
@@ -206,9 +206,10 @@ class SparseGatherAggregator(Aggregator):
                 corrected = grad
             payload = self.codec.encode(corrected)
             approx = self.codec.decode(payload)
+            decoded[rank] = approx
             if self.error_feedback is not None:
-                self.error_feedback.store(rank, corrected - approx)
-            decoded.append(approx)
+                corrected -= approx
+                self.error_feedback.store(rank, corrected)
             sent = max(sent, payload.wire_bytes)
         update = np.mean(decoded, axis=0)
         return AggregationResult(
@@ -246,9 +247,11 @@ class MeanAllReduceAggregator(Aggregator):
         # The ring leaves its inputs untouched, so float64 payloads (the
         # fp32 codec's copy, Random-K's values) are passed without a copy.
         value_arrays = [as_float64(p.arrays[0], copy=False) for p in payloads]
-        summed = ring_allreduce(value_arrays)[0]
+        ring = self._buffer("ring", (self.num_workers, value_arrays[0].size))
+        summed = ring_allreduce(value_arrays, out=ring)[0]
+        summed /= self.num_workers
         mean_payload = Payload(
-            arrays=(summed / self.num_workers,),
+            arrays=(summed,),
             wire_bytes=payloads[0].wire_bytes,
             shape=payloads[0].shape,
             meta=dict(payloads[0].meta),

@@ -34,14 +34,17 @@ class Dataset:
 
     @property
     def num_samples(self) -> int:
+        """Number of rows of ``x``."""
         return self.x.shape[0]
 
     @property
     def num_features(self) -> int:
+        """Number of columns of ``x``."""
         return self.x.shape[1]
 
     @property
     def num_classes(self) -> int:
+        """One more than the largest label."""
         return int(self.y.max()) + 1
 
     def shard(self, rank: int, num_shards: int) -> "Dataset":

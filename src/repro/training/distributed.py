@@ -39,12 +39,14 @@ class TrainHistory:
 
     @property
     def final_loss(self) -> float:
+        """Mean worker loss of the last step."""
         if not self.losses:
             raise ConfigurationError("no steps recorded")
         return self.losses[-1]
 
     @property
     def final_accuracy(self) -> float:
+        """Accuracy on the whole dataset after the last step."""
         if not self.accuracies:
             raise ConfigurationError("no accuracy recorded")
         return self.accuracies[-1]
@@ -64,6 +66,13 @@ class DistributedTrainer:
                  method_params: Optional[Dict] = None,
                  lr: float = 0.1, seed: int = 0,
                  optimizer: Optional[Optimizer] = None):
+        """Shard ``dataset`` over ``num_workers`` logical workers and
+        build one ``method`` aggregator per parameter of ``model``.
+
+        ``method_params`` go to :func:`~repro.compression.make_aggregator`;
+        ``seed`` draws the mini-batches; ``optimizer`` defaults to plain
+        SGD at ``lr``.
+        """
         if num_workers < 1:
             raise ConfigurationError(
                 f"num_workers must be >= 1, got {num_workers}")
@@ -85,6 +94,13 @@ class DistributedTrainer:
             name: make_aggregator(method, num_workers, **params)
             for name in model.param_names()
         }
+        # The gradient workspace: rank r's gradients live in row r of
+        # these stacks, and every step overwrites them.
+        self._grads: Grads = {
+            name: np.empty((num_workers, *value.shape))
+            for name, value in model.params.items()}
+        self._rank_grads = [{name: g[rank] for name, g in self._grads.items()}
+                            for rank in range(num_workers)]
 
     def _worker_grads(self, batch_size: int,
                       step: int) -> Tuple[float, List[Grads]]:
@@ -93,7 +109,8 @@ class DistributedTrainer:
         Equal-sized mini-batches go through one stacked
         :meth:`MLP.loss_and_grads` call; otherwise each rank calls it on
         its own batch.  Either way rank ``r`` gets exactly the gradients
-        of its batch alone.
+        of its batch alone, written into the trainer's gradient
+        workspace: they stay valid until the next call.
         """
         xs, ys = [], []
         for rank, shard in enumerate(self.shards):
@@ -104,12 +121,13 @@ class DistributedTrainer:
             xs.append(shard.x[idx])
             ys.append(shard.y[idx])
         if len({y.size for y in ys}) == 1:
-            losses, stacked = self.model.loss_and_grads(np.stack(xs),
-                                                        np.stack(ys))
+            losses, stacked = self.model.loss_and_grads(
+                np.stack(xs), np.stack(ys), out=self._grads)
             all_grads = [{name: g[rank] for name, g in stacked.items()}
                          for rank in range(self.num_workers)]
         else:
-            losses, all_grads = zip(*map(self.model.loss_and_grads, xs, ys))
+            losses, all_grads = zip(*map(self.model.loss_and_grads, xs, ys,
+                                         self._rank_grads))
         return float(np.mean(losses)), list(all_grads)
 
     def step(self, batch_size: int, step_index: int,
@@ -128,22 +146,18 @@ class DistributedTrainer:
         self.optimizer.step(self.model.params, updates)
         return loss
 
-    def train(self, steps: int, batch_size: int = 32,
-              eval_every: int = 10) -> TrainHistory:
-        """Run ``steps`` synchronous iterations; returns the history."""
+    def train(self, steps: int, batch_size: int = 32) -> TrainHistory:
+        """Run ``steps`` synchronous iterations, then measure accuracy on
+        the whole dataset once; returns the history."""
         if steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {steps}")
-        if eval_every < 1:
-            raise ConfigurationError(
-                f"eval_every must be >= 1, got {eval_every}")
         history = TrainHistory()
         for step_index in range(steps):
             loss = self.step(batch_size, step_index, history)
             history.losses.append(loss)
             history.steps += 1
-            if step_index % eval_every == 0 or step_index == steps - 1:
-                history.accuracies.append(
-                    self.model.accuracy(self.dataset.x, self.dataset.y))
+        history.accuracies.append(
+            self.model.accuracy(self.dataset.x, self.dataset.y))
         return history
 
 

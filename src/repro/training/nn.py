@@ -14,7 +14,7 @@ same granularity the aggregators operate at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -72,6 +72,8 @@ class MLP:
     """
 
     def __init__(self, config: MLPConfig):
+        """He-initialized weights and zero biases, drawn from
+        ``config.seed``."""
         self.config = config
         rng = np.random.default_rng(config.seed)
         dims = (config.input_dim, *config.hidden_dims, config.num_classes)
@@ -100,8 +102,10 @@ class MLP:
         inputs = [x]
         h = x
         for i in range(self.num_layers):
-            z = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
-            h = np.maximum(z, 0.0) if i < self.num_layers - 1 else z
+            h = h @ self.params[f"w{i}"]
+            h += self.params[f"b{i}"]
+            if i < self.num_layers - 1:
+                np.maximum(h, 0.0, out=h)
             inputs.append(h)
         return h, inputs
 
@@ -115,6 +119,7 @@ class MLP:
         return float((self.predict(x) == y).mean())
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
+                       out: Optional[Grads] = None,
                        ) -> Tuple[Union[float, np.ndarray], Grads]:
         """Mean cross-entropy loss and its gradient w.r.t. every param.
 
@@ -122,6 +127,11 @@ class MLP:
         ``(W, n, F)`` with labels ``(W, n)``.  A stack gives one loss per
         batch and gradients with a leading ``W`` axis; each batch's slice
         is bit for bit what that batch alone gives.
+
+        ``out`` maps every parameter name to a float64 buffer of its
+        gradient's shape; the gradients are written there (the same bits)
+        and the returned dictionary holds those buffers.  Without it each
+        call returns fresh arrays.
         """
         if x.shape[:-1] != y.shape:
             raise ConfigurationError(
@@ -134,11 +144,13 @@ class MLP:
         delta = probs - (y[..., None] == np.arange(probs.shape[-1]))
         delta /= x.shape[-2]
 
+        buffers = out or {}
         grads: Grads = {}
         for i in reversed(range(self.num_layers)):
-            layer_in = inputs[i]
-            grads[f"w{i}"] = np.swapaxes(layer_in, -1, -2) @ delta
-            grads[f"b{i}"] = delta.sum(axis=-2)
+            w, b = f"w{i}", f"b{i}"
+            grads[w] = np.matmul(np.swapaxes(inputs[i], -1, -2), delta,
+                                 out=buffers.get(w))
+            grads[b] = delta.sum(axis=-2, out=buffers.get(b))
             if i > 0:
                 delta = delta @ self.params[f"w{i}"].T
                 delta *= (inputs[i] > 0.0)  # ReLU mask

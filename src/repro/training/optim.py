@@ -37,11 +37,13 @@ class ConstantLR(LRSchedule):
     """Fixed learning rate."""
 
     def __init__(self, lr: float):
+        """``lr`` must be positive."""
         if lr <= 0:
             raise ConfigurationError(f"lr must be > 0, got {lr}")
         self.lr = lr
 
     def lr_at(self, step: int) -> float:
+        """``lr`` at every step."""
         self._check_step(step)
         return self.lr
 
@@ -51,6 +53,7 @@ class StepDecayLR(LRSchedule):
     classic ImageNet staircase)."""
 
     def __init__(self, lr: float, every: int, factor: float = 0.1):
+        """Start at ``lr``; ``factor`` must be in (0, 1]."""
         if lr <= 0 or every < 1 or not 0 < factor <= 1:
             raise ConfigurationError(
                 f"invalid schedule (lr={lr}, every={every}, factor={factor})")
@@ -59,6 +62,7 @@ class StepDecayLR(LRSchedule):
         self.factor = factor
 
     def lr_at(self, step: int) -> float:
+        """``lr * factor ** (step // every)``."""
         self._check_step(step)
         return self.lr * self.factor ** (step // self.every)
 
@@ -67,6 +71,8 @@ class WarmupCosineLR(LRSchedule):
     """Linear warm-up then cosine decay to zero (the BERT recipe)."""
 
     def __init__(self, lr: float, warmup_steps: int, total_steps: int):
+        """Peak rate ``lr`` after ``warmup_steps``, zero at
+        ``total_steps``."""
         if lr <= 0 or warmup_steps < 0 or total_steps <= warmup_steps:
             raise ConfigurationError(
                 f"invalid schedule (lr={lr}, warmup={warmup_steps}, "
@@ -76,6 +82,8 @@ class WarmupCosineLR(LRSchedule):
         self.total_steps = total_steps
 
     def lr_at(self, step: int) -> float:
+        """Linear ramp to ``lr`` during warm-up, cosine decay after it,
+        zero from ``total_steps`` on."""
         self._check_step(step)
         if self.warmup_steps and step < self.warmup_steps:
             return self.lr * (step + 1) / self.warmup_steps
@@ -89,11 +97,13 @@ class Optimizer(abc.ABC):
     """Stateful optimizer over a named-parameter dictionary."""
 
     def __init__(self, schedule: LRSchedule):
+        """Start at step 0 of ``schedule``."""
         self.schedule = schedule
         self._step = 0
 
     @property
     def steps_taken(self) -> int:
+        """Number of :meth:`step` calls so far."""
         return self._step
 
     def step(self, params: Params, updates: Grads) -> None:
@@ -122,6 +132,7 @@ class SGD(Optimizer):
     def __init__(self, lr: float = 0.1, momentum: float = 0.0,
                  weight_decay: float = 0.0,
                  schedule: Optional[LRSchedule] = None):
+        """``schedule`` overrides the constant ``lr``."""
         super().__init__(schedule if schedule is not None
                          else ConstantLR(lr))
         if not 0 <= momentum < 1:
@@ -153,6 +164,7 @@ class Adam(Optimizer):
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8,
                  schedule: Optional[LRSchedule] = None):
+        """``schedule`` overrides the constant ``lr``."""
         super().__init__(schedule if schedule is not None
                          else ConstantLR(lr))
         if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:

@@ -13,6 +13,7 @@ import pytest
 from repro.collectives import ring_allreduce
 from repro.compression import FP16Compressor
 from repro.compression.identity import as_float64, to_half
+from repro.errors import CollectiveError
 from repro.experiments.ext_time_to_accuracy import (
     EXT_TTA_FEATURES,
     EXT_TTA_HIDDEN,
@@ -69,6 +70,31 @@ def test_ring_matches_step_by_step_loop(op_name, dtype):
             assert len(got) == p
             for g, w in zip(got, want):
                 assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_default_ring_matches_step_by_step_additions(dtype):
+    rng = np.random.default_rng(21)
+    for p in range(1, 10):
+        for n in (0, p - 1, p + 1, 257):
+            arrays = _ring_inputs(rng, p, n, dtype)
+            for g, w in zip(ring_allreduce(arrays),
+                            ring_allreduce_oracle(arrays, np.add)):
+                assert_same_bits(g, w)
+
+
+def test_ring_folds_into_a_given_buffer(rng):
+    for p in (1, 2, 5):
+        arrays = [rng.normal(size=(3, 7)) for _ in range(p)]
+        buffer = np.full((p, 21), np.nan)
+        got = ring_allreduce(arrays, out=buffer)
+        for g, w in zip(got, ring_allreduce_oracle(arrays)):
+            assert_same_bits(g, w)
+        if p > 1:
+            assert all(np.shares_memory(g, buffer) for g in got)
+        for bad in (np.empty((p, 20)), np.empty((p, 21), np.float32)):
+            with pytest.raises(CollectiveError):
+                ring_allreduce(arrays, out=bad)
 
 
 def test_ring_keeps_shapes_of_nd_and_scalar_inputs(rng):
@@ -160,6 +186,22 @@ def test_every_half_decodes_as_astype():
     payload = codec.encode(values)
     assert_same_bits(codec.decode(payload),
                      payload.arrays[0].astype(np.float64))
+
+
+def test_to_half_matches_astype_at_every_rounding_boundary():
+    """Every finite half, the midpoints between neighbours (the ties) and
+    the doubles either side of each, both signs, up to and past the
+    overflow threshold."""
+    halves = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+    exact = np.unique(np.abs(halves[np.isfinite(halves)]).astype(np.float64))
+    edges = np.concatenate([exact, (exact[:-1] + exact[1:]) / 2,
+                            [65520.0, 65536.0, 1e300]])
+    values = np.concatenate([edges, np.nextafter(edges, np.inf),
+                             np.nextafter(edges, 0.0)])
+    values = np.concatenate([values, -values])
+    with np.errstate(over="ignore"):
+        want = values.astype(np.float16)
+    assert_same_bits(to_half(values).view(np.uint16), want.view(np.uint16))
 
 
 def test_as_float64_copies_like_astype(rng):

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Docstring-coverage gate for the public fault, engine, serving and
-telemetry APIs.
+"""Docstring-coverage gate for the public fault, engine, serving,
+telemetry and training APIs.
 
 ``make lint`` runs this after ruff.  It walks the AST of every module
 under the audited packages and fails (exit 1, one line per offender)
@@ -11,8 +11,8 @@ when it declares parameters beyond ``self`` (constructor parameters
 are API surface).
 
 Usage: python tools/check_docstrings.py [package-dir ...]
-Defaults to the fault, engine, serving, simulator, network and telemetry
-packages.
+Defaults to the fault, engine, serving, simulator, network, telemetry,
+training and collectives packages.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ DEFAULT_TARGETS = (
     os.path.join("src", "repro", "simulator"),
     os.path.join("src", "repro", "network"),
     os.path.join("src", "repro", "telemetry"),
+    os.path.join("src", "repro", "training"),
+    os.path.join("src", "repro", "collectives"),
 )
 
 
