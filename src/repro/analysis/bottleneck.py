@@ -46,6 +46,7 @@ class TimeBreakdown:
     total: float
 
     def as_dict(self) -> Dict[str, float]:
+        """The six phases by name, in seconds (``total`` left out)."""
         return {
             "forward": self.forward,
             "backward": self.backward,
@@ -56,6 +57,7 @@ class TimeBreakdown:
         }
 
     def render(self) -> str:
+        """Each phase in ms with its share of the total, as a bar."""
         lines = [f"iteration total: {self.total * 1e3:.1f} ms"]
         for name, value in self.as_dict().items():
             share = value / self.total if self.total > 0 else 0.0
@@ -122,6 +124,8 @@ class BlockedTimeReport:
         return max(("network", "encode", "compute"), key=self.speedup_if)
 
     def render(self) -> str:
+        """The speedup if each resource were free, and the dominant
+        bottleneck."""
         lines = [f"baseline iteration: {self.baseline_s * 1e3:.1f} ms"]
         for what in ("network", "encode", "compute"):
             lines.append(

@@ -41,6 +41,7 @@ class Sensitivities:
     encode: float
 
     def as_dict(self) -> Dict[str, float]:
+        """Each input's elasticity by name."""
         return {"bandwidth": self.bandwidth, "alpha": self.alpha,
                 "gamma": self.gamma, "compute": self.compute,
                 "encode": self.encode}
@@ -50,6 +51,7 @@ class Sensitivities:
         return max(self.as_dict(), key=lambda k: abs(self.as_dict()[k]))
 
     def render(self) -> str:
+        """The elasticities, largest magnitude first."""
         lines = ["prediction elasticities (dT/T per dx/x):"]
         for name, value in sorted(self.as_dict().items(),
                                   key=lambda kv: -abs(kv[1])):

@@ -43,6 +43,7 @@ class CalibrationReport:
     alpha_s: float
 
     def describe(self) -> str:
+        """One line of the measured inputs, in display units."""
         return (
             f"BW = {self.min_bandwidth_bytes_per_s * 8 / 1e9:.2f} Gbit/s "
             f"(pairwise min), alpha = {self.alpha_s * 1e6:.1f} us, "

@@ -33,7 +33,7 @@ this purpose).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -169,10 +169,23 @@ def _axes(model: ModelSpec, inputs: PerfModelInputs,
     return bw, p, factor, bs
 
 
-def _timing_grid(terms, shape: Tuple[int, ...]) -> TimingGrid:
-    """The kernel's four terms, materialized at the full grid shape."""
-    return TimingGrid(*(np.broadcast_to(term, shape).copy()
-                        for term in terms))
+def _timing_grid(terms, shape: Tuple[int, ...],
+                 inputs: Tuple[np.ndarray, ...] = ()) -> TimingGrid:
+    """The kernel's four terms, materialized at the full grid shape.
+
+    A term the kernel already produced as a fresh full-shape array — it
+    owns its writable data and is neither one of ``inputs`` nor another
+    term — is kept as it is; every other term is broadcast and copied.
+    So each returned array is writable and aliases nothing else.
+    """
+    kept: List[np.ndarray] = []
+    for term in terms:
+        if not (isinstance(term, np.ndarray) and term.shape == shape
+                and term.flags.owndata and term.flags.writeable
+                and not any(term is other for other in (*inputs, *kept))):
+            term = np.broadcast_to(term, shape).copy()
+        kept.append(term)
+    return TimingGrid(*kept)
 
 
 def backward_time_grid(model: ModelSpec, gpu: GPUSpec,
@@ -220,7 +233,8 @@ def _model_grid(model: ModelSpec, scheme: Optional[Scheme],
             profile if profile is not None else v100_kernel_profile(),
             factor)
     return _timing_grid(_evaluate(model, scheme, inputs, gpu, profile,
-                                  bw, p, factor, bs), shape)
+                                  bw, p, factor, bs), shape,
+                        (bw, p, factor, bs))
 
 
 def syncsgd_time_grid(model: ModelSpec, inputs: PerfModelInputs,
@@ -276,4 +290,5 @@ def tradeoff_time_grid(model: ModelSpec, base_scheme: Scheme,
     enc = base_cost.encode_decode_s / k_arr
     return _timing_grid(
         _sequential(t_comp, wire, enc, base_cost, p,
-                    inputs.bandwidth_bytes_per_s, inputs.alpha_s), shape)
+                    inputs.bandwidth_bytes_per_s, inputs.alpha_s), shape,
+        (k_arr, l_arr))

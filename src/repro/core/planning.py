@@ -41,10 +41,12 @@ class EpochEstimate:
 
     @property
     def epoch_s(self) -> float:
+        """Seconds for one epoch: iterations × iteration time."""
         return self.iterations * self.iteration_s
 
     @property
     def samples_per_s(self) -> float:
+        """Training throughput across every GPU."""
         return (self.world_size * self.per_gpu_batch) / self.iteration_s
 
 
@@ -110,6 +112,7 @@ class CostEstimate:
     total_usd: float
 
     def render(self) -> str:
+        """One line: epochs, wall clock, node-hours and dollars."""
         return (f"{self.epochs} epochs in "
                 f"{self.wall_clock_s / 3600:.2f} h wall clock = "
                 f"{self.node_hours:.1f} node-hours = "

@@ -51,12 +51,14 @@ class ValidationCurve:
 
     @property
     def median_error(self) -> float:
+        """Median relative error over the sweep (NaN when empty)."""
         if not self.points:
             return float("nan")
         return float(np.median([p.relative_error for p in self.points]))
 
     @property
     def max_error(self) -> float:
+        """Largest relative error over the sweep (NaN when empty)."""
         if not self.points:
             return float("nan")
         return float(max(p.relative_error for p in self.points))

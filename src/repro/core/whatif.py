@@ -150,6 +150,8 @@ class TradeoffPoint:
 
     @property
     def speedup(self) -> float:
+        """Fractional speedup over syncSGD: positive when the
+        hypothetical scheme helps."""
         return (self.syncsgd_s - self.predicted_s) / self.syncsgd_s
 
 

@@ -18,10 +18,11 @@ Two properties make shards engine citizens like
   :class:`~repro.engine.cache.SimulationCache` without pricing
   anything;
 * **families** — shards of one candidate share a
-  :meth:`AdvisorShardJob.family_key`; the engine runs each family as
-  one task, and :func:`evaluate_advisor_family` prices the members'
-  world sizes × bandwidth span in one grid call (split only where it
-  would exceed the bound) and cuts each member's slice out of it.
+  :meth:`AdvisorShardJob.family_key`; the engine runs each family
+  inside one task, and :func:`evaluate_advisor_family` prices the
+  members' world sizes × bandwidth span in one grid call (split only
+  where it would exceed the bound) and reduces every member's slice of
+  it in one pass.
 
 The in-shard reduction is exact: a shard holds one candidate at one
 world size, so its compression error is one constant and its Pareto
@@ -37,8 +38,7 @@ byte-identical to serial per-shard evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -54,11 +54,9 @@ from ..units import GIGA
 from .fingerprint import (
     FINGERPRINT_VERSION,
     digest,
-    gpu_fragment,
     model_digest,
     model_fragment,
-    profile_fragment,
-    scheme_payload,
+    spec_payload,
 )
 
 
@@ -147,25 +145,16 @@ class AdvisorShardJob:
                 world_size=world_size)
         return grid.total
 
-    def _spec_payload(self, model: str) -> Dict[str, Any]:
-        """The members fingerprint and family key share; ``model`` is
-        the model's fragment or, in the family key, its digest."""
-        return {
-            "kind": "advisor-shard",
-            "model": model,
-            "scheme": scheme_payload(self.scheme),
-            "gpu": gpu_fragment(self.gpu),
-            "profile": profile_fragment(self.profile),
-        }
-
     def fingerprint(self) -> str:
         """Content hash identifying this shard's result.
 
         Shares the cache namespace with simulation and model-eval jobs
         without colliding: the payload leads with a distinct ``kind``.
         """
-        payload = self._spec_payload(model_fragment(self.model))
+        payload = spec_payload(model_fragment(self.model), self.scheme,
+                               self.gpu, self.profile)
         payload.update({
+            "kind": "advisor-shard",
             "version": FINGERPRINT_VERSION,
             "inputs": {
                 "alpha_s": self.inputs.alpha_s,
@@ -184,15 +173,23 @@ class AdvisorShardJob:
         })
         return digest(payload)
 
+    def family_inputs(self) -> tuple:
+        """Every object :meth:`family_key` reads, and nothing else: jobs
+        holding the same objects have the same key."""
+        return (self.model, self.scheme, self.gpu, self.profile,
+                self.inputs)
+
     def family_key(self) -> str:
         """Grouping key: one candidate's shards across world sizes and
-        slices, which the pool path submits as a single task."""
-        payload = self._spec_payload(model_digest(self.model))
+        slices, which the engine evaluates as one family."""
+        model, scheme, gpu, profile, inputs = self.family_inputs()
+        payload = spec_payload(model_digest(model), scheme, gpu, profile)
         payload.update({
-            "alpha_s": self.inputs.alpha_s,
-            "gamma": self.inputs.gamma,
-            "batch_size": self.inputs.batch_size,
-            "bucket_cap_bytes": self.inputs.bucket_cap_bytes,
+            "kind": "advisor-shard",
+            "alpha_s": inputs.alpha_s,
+            "gamma": inputs.gamma,
+            "batch_size": inputs.batch_size,
+            "bucket_cap_bytes": inputs.bucket_cap_bytes,
         })
         return digest(payload)
 
@@ -263,6 +260,44 @@ def _shard_result(totals: np.ndarray) -> AdvisorShardResult:
                               total_s=tuple(totals[keep].tolist()))
 
 
+def _block_results(totals: np.ndarray,
+                   cells: Sequence[Tuple[int, int, int]],
+                   ) -> List[AdvisorShardResult]:
+    """:func:`_shard_result` of every member of one priced block, in
+    one pass: member ``j`` is ``totals[row, start:start + count]`` for
+    ``cells[j] == (row, start, count)``.
+
+    The members' cells are taken back to back — the block itself when
+    the members tile it in row-major order, else a copy — so repeated
+    or overlapping members (coalesced requests) are each reduced on
+    their own cells.  Each keeps the cells equal to its NaN-skipping
+    minimum, or its first cell when all are NaN: :func:`shard_minimum`,
+    member by member.
+    """
+    width = totals.shape[1]
+    counts = np.array([count for _, _, count in cells])
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    if ends[-1] == totals.size and all(
+            row * width + start == begin
+            for (row, start, _), begin in zip(cells, begins.tolist())):
+        values = totals.ravel()
+    else:
+        values = np.concatenate([totals[row, start:start + count]
+                                 for row, start, count in cells])
+    lows = np.fmin.reduceat(values, begins)
+    keep = values == np.repeat(lows, counts)
+    keep[begins[np.isnan(lows)]] = True
+    hits = np.flatnonzero(keep)
+    offsets = (hits - begins[np.searchsorted(ends, hits, side="right")]
+               ).tolist()
+    kept = values[hits].tolist()
+    bounds = [0, *np.searchsorted(hits, ends).tolist()]
+    return [AdvisorShardResult(priced=count, offsets=tuple(offsets[a:b]),
+                               total_s=tuple(kept[a:b]))
+            for count, a, b in zip(counts.tolist(), bounds, bounds[1:])]
+
+
 def _fused_blocks(jobs: Sequence[AdvisorShardJob], members: List[int],
                   ) -> Iterator[List[int]]:
     """Cut one axis group into runs whose fused grid — unique world
@@ -325,10 +360,10 @@ def evaluate_advisor_family(jobs: Sequence[AdvisorShardJob],
             totals = lead._price(lead._axis_slice(lo, hi)[None, :],
                                  np.asarray(sizes)[:, None])
             row = {p: r for r, p in enumerate(sizes)}
-            for i in block:
-                job = jobs[i]
-                offset = job.start - lo
-                results[i] = _shard_result(
-                    totals[row[job.world_size],
-                           offset:offset + job.count])
+            block.sort(key=lambda i: (row[jobs[i].world_size],
+                                      jobs[i].start))
+            cells = [(row[jobs[i].world_size], jobs[i].start - lo,
+                      jobs[i].count) for i in block]
+            for i, result in zip(block, _block_results(totals, cells)):
+                results[i] = result
     return results  # type: ignore[return-value]

@@ -37,6 +37,7 @@ default to when no engine is passed.
 
 from __future__ import annotations
 
+import heapq
 import io
 import math
 import os
@@ -60,7 +61,7 @@ from ..models import ModelSpec
 from ..network import Fabric
 from ..simulator import DDPConfig, DDPSimulator, TimingResult
 from ..telemetry.logs import get_logger
-from ..telemetry.metrics import get_registry
+from ..telemetry.metrics import disable as disable_metrics, get_registry
 from ..telemetry.tracing import (
     TraceContext,
     TraceRecorder,
@@ -179,6 +180,13 @@ class SimJob:
             payload["faults"] = fault_payload
         return digest(payload)
 
+    def family_inputs(self) -> tuple:
+        """Every object :meth:`family_key` reads, and nothing else: jobs
+        holding the same objects have the same key."""
+        return (self.model, self.cluster, self.scheme, self.fabric,
+                self.config, self.profile, self.batch_size, self.iterations,
+                self.warmup)
+
     def family_key(self) -> str:
         """Grouping key for cross-config batch execution.
 
@@ -192,9 +200,8 @@ class SimJob:
         job under :meth:`fingerprint`.  It hashes per-spec memoized
         fragments (:func:`~repro.engine.fingerprint.sim_family_key`).
         """
-        return sim_family_key(
-            self.model, self.cluster, self.scheme, self.fabric, self.config,
-            self.profile, [self.batch_size, self.iterations, self.warmup])
+        inputs = self.family_inputs()
+        return sim_family_key(*inputs[:6], list(inputs[6:]))
 
     def build_simulator(self) -> DDPSimulator:
         """Construct the fully-configured simulator this job describes."""
@@ -364,8 +371,9 @@ def run_advisor_family(jobs: Sequence[AdvisorShardJob]) -> List[Tag]:
 @dataclass(frozen=True)
 class _Task:
     """One unit of execution: families run back to back by their kind's
-    family executor.  A task is one family of two or more members, or a
-    run of singletons (families of one) packed to amortize pool IPC."""
+    family executor.  On the pool a task carries several families,
+    packed to amortize IPC; serially, and under a per-job timeout, it
+    carries one."""
 
     run_family: Callable[[Sequence], List[Tag]]
     families: Tuple[tuple, ...]
@@ -379,7 +387,8 @@ class _Task:
         """Short human label for spans and logs."""
         lead = self.families[0][0].describe()
         if len(self.families) > 1:
-            return f"{len(self.families)} singletons [{lead}, ...]"
+            return (f"{len(self.families)} families of {self.size} jobs "
+                    f"[{lead}, ...]")
         if self.size > 1:
             return f"family of {self.size} jobs [{lead}]"
         return lead
@@ -439,7 +448,9 @@ def _run_task(task: _Task, ctx: Optional[TraceContext]) -> Any:
 # so a model of hundreds of layers crosses the process boundary once per
 # worker rather than once per task, and every task a worker runs shares
 # one spec object and so its memoized tables.  Mutable inputs (schemes,
-# fabrics, fault schedules) still travel inside each task.
+# fabrics, fault schedules) still travel inside each task.  A task ships
+# each family as columns: what every member holds as one object ships
+# once, the rest as one row per member.
 
 #: Types shipped through the spec table, deduplicated by identity.
 #: Frozen dataclasses only: a shared object must never change.
@@ -473,6 +484,11 @@ class _SpecPickler(pickle.Pickler):
         self._index = index
 
     def reducer_override(self, obj: object) -> Any:
+        if type(obj) is _Task:
+            columns = [_family_columns(family) for family in obj.families]
+            if any(column is None for column in columns):
+                return NotImplemented
+            return _rebuild_task, (obj.run_family, tuple(columns))
         if not isinstance(obj, _SHARED_SPECS):
             return NotImplemented
         position = self._index.get(id(obj))
@@ -480,6 +496,40 @@ class _SpecPickler(pickle.Pickler):
             position = self._index[id(obj)] = len(self._table)
             self._table.append(obj)
         return _shared_spec, (position,)
+
+
+def _family_columns(family: tuple) -> Optional[tuple]:
+    """``family`` as ``(class, shared, names, rows)``: the attributes
+    every member holds as the same object, once, then the others' names
+    and one row of their values per member.  ``None`` unless every
+    member has one class and one set of attributes."""
+    cls = type(family[0])
+    states = [vars(job) for job in family]
+    lead = states[0]
+    if any(type(job) is not cls for job in family) or any(
+            state.keys() != lead.keys() for state in states):
+        return None
+    shared = {name: value for name, value in lead.items()
+              if all(state[name] is value for state in states)}
+    names = tuple(name for name in lead if name not in shared)
+    return cls, shared, names, tuple(
+        tuple(state[name] for name in names) for state in states)
+
+
+def _rebuild_task(run_family: Callable, columns: tuple) -> _Task:
+    """Unpickling side of :func:`_family_columns`: the task's families,
+    each member rebuilt as pickle rebuilds a dataclass, without
+    ``__init__``."""
+    families = []
+    for cls, shared, names, rows in columns:
+        members = []
+        for row in rows:
+            job = cls.__new__(cls)
+            vars(job).update(shared)
+            vars(job).update(zip(names, row))
+            members.append(job)
+        families.append(tuple(members))
+    return _Task(run_family, tuple(families))
 
 
 def _ship(tasks: Sequence[_Task],
@@ -502,9 +552,18 @@ def _ship(tasks: Sequence[_Task],
 
 
 def _install_specs(table: Tuple[object, ...]) -> None:
-    """Pool initializer: this worker's spec table for the dispatch."""
+    """Install this worker's spec table for the dispatch."""
     global _worker_specs
     _worker_specs = table
+
+
+def _init_worker(table: Tuple[object, ...]) -> None:
+    """Pool initializer: the dispatch's spec table, and the null metrics
+    backend.  Metrics a worker records die with it, so a forked worker
+    records nothing, as a ``spawn`` worker already does; the parent
+    records every engine-level metric."""
+    _install_specs(table)
+    disable_metrics()
 
 
 def _run_shipped(blob: bytes, ctx: Optional[TraceContext]) -> Any:
@@ -536,9 +595,9 @@ class _Kind:
     ``hit_types`` screens cache hits (a key collision with another
     outcome kind reads as a miss); ``stacked`` kinds count their
     multi-job families in ``jobs_batched`` (one stacked simulation
-    kernel call), every other multi-job task counts in
-    ``jobs_chunked``; ``give_up`` builds the outcome's ``error`` from a
-    failure reason and attempt count.
+    kernel call) wherever they are packed, every other job of a
+    multi-job task counts in ``jobs_chunked``; ``give_up`` builds the
+    outcome's ``error`` from a failure reason and attempt count.
     """
 
     run_family: Callable[[Sequence], List[Tag]]
@@ -704,9 +763,9 @@ class ExperimentEngine:
         self.failures = 0
         #: Executions killed for exceeding ``job_timeout_s``.
         self.timeouts = 0
-        #: Jobs that ran in a multi-job task other than a stacked
-        #: simulation family: a packed run of singletons, or a
-        #: model-eval or advisor family of more than one job.
+        #: Jobs that ran in a multi-job task other than as members of
+        #: a stacked simulation family: a family packed with others,
+        #: or a model-eval or advisor family of more than one job.
         self.jobs_chunked = 0
         #: Jobs evaluated through a stacked cross-config kernel call
         #: (a :class:`SimJob` family of more than one job).
@@ -753,10 +812,11 @@ class ExperimentEngine:
         """Evaluate advisor pricing shards; outcomes in input order.
 
         Same contract as :meth:`run_model_outcomes` — per-shard cache
-        entries, one task per candidate family, and one grid call per
-        family: the members' world sizes × bandwidth span, split only
-        where it would exceed :data:`~repro.core.grid.MAX_GRID_POINTS`
-        (see :func:`~repro.engine.advisorjobs.evaluate_advisor_family`).
+        entries, candidate families packed into a few pool tasks, and
+        one grid call per family: the members' world sizes × bandwidth
+        span, split only where it would exceed
+        :data:`~repro.core.grid.MAX_GRID_POINTS` (see
+        :func:`~repro.engine.advisorjobs.evaluate_advisor_family`).
         Reentrant: the advisor pricer may run inside a scheduler batch
         that already holds the submission lock.
         """
@@ -827,11 +887,11 @@ class ExperimentEngine:
             store_entries: List[Tuple[str, object]] = []
             for task, positions, tags, attempt in zip(tasks, members,
                                                       results, attempts):
-                if task.size > 1:
-                    if kind.stacked and len(task.families) == 1:
-                        self.jobs_batched += task.size
-                    else:
-                        self.jobs_chunked += task.size
+                for family in task.families:
+                    if kind.stacked and len(family) > 1:
+                        self.jobs_batched += len(family)
+                    elif task.size > 1:
+                        self.jobs_chunked += len(family)
                 for k, tag in zip(positions, tags):
                     i = misses[k]
                     outcome = self._outcome(kind, jobs[i], tag, attempt,
@@ -863,8 +923,8 @@ class ExperimentEngine:
             for name in _COUNTER_METRICS})
         return outcomes
 
-    def _chunk_size(self, n_singletons: int, workers: int) -> int:
-        """How many singleton families one pool task should carry.
+    def _chunk_size(self, n_families: int, workers: int) -> int:
+        """How many families one pool task should carry.
 
         Targets ~4 tasks per worker (enough slack for load balancing)
         and degrades to 1 — no packing — for small batches, on the
@@ -874,27 +934,44 @@ class ExperimentEngine:
         """
         if self.jobs == 1 or self.job_timeout_s is not None:
             return 1
-        return max(1, math.ceil(n_singletons / (workers * 4)))
+        return max(1, math.ceil(n_families / (workers * 4)))
 
     def _plan(self, kind: _Kind, jobs: Sequence,
               ) -> Tuple[List[_Task], List[List[int]]]:
         """Group misses into families and pack families into tasks.
 
-        A family of two or more is one task; singletons are packed into
-        runs of :meth:`_chunk_size`.  Under ``job_timeout_s`` every job
-        is its own family.  Returns the tasks and, per task, the
-        positions in ``jobs`` of its members in execution order.
+        Families are packed into ``ceil(families / _chunk_size)`` tasks,
+        each family onto the task with the fewest members so far,
+        families of two or more first; with a chunk size of 1 every
+        family is its own task, in that order.  Under ``job_timeout_s``
+        every job is its own family.  Jobs whose ``family_inputs()``
+        are the same objects share one ``family_key()`` call.  Returns
+        the tasks and, per task, the positions in ``jobs`` of its
+        members in execution order.
         """
         groups: Dict[object, List[int]] = {}
+        keys: Dict[Tuple[int, ...], str] = {}
         for k, job in enumerate(jobs):
-            key = k if self.job_timeout_s is not None else job.family_key()
+            if self.job_timeout_s is not None:
+                key: object = k
+            else:
+                # The jobs keep every input alive, so an id is never
+                # reused within this call.
+                same = tuple(map(id, job.family_inputs()))
+                key = keys.get(same)
+                if key is None:
+                    key = keys[same] = job.family_key()
             groups.setdefault(key, []).append(k)
-        families = [group for group in groups.values() if len(group) > 1]
-        singles = [group for group in groups.values() if len(group) == 1]
-        size = self._chunk_size(len(singles),
+        families = sorted(groups.values(), key=lambda group: len(group) == 1)
+        size = self._chunk_size(len(families),
                                 min(self.jobs, os.cpu_count() or 1))
-        packs = [[family] for family in families] + [
-            singles[i:i + size] for i in range(0, len(singles), size)]
+        packs: List[List[List[int]]] = [
+            [] for _ in range(math.ceil(len(families) / size))]
+        loads = [(0, t) for t in range(len(packs))]
+        for family in families:
+            load, t = heapq.heappop(loads)
+            packs[t].append(family)
+            heapq.heappush(loads, (load + len(family), t))
         tasks = [_Task(kind.run_family,
                        tuple(tuple(jobs[k] for k in family)
                              for family in pack))
@@ -1005,7 +1082,7 @@ class ExperimentEngine:
 
         def new_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_install_specs,
+                                       initializer=_init_worker,
                                        initargs=(specs,))
 
         pending = []
@@ -1151,19 +1228,27 @@ class ExperimentEngine:
         registry = get_registry()
         if not registry.enabled:
             return
-        for outcome in outcomes:
-            registry.counter(
-                "engine_jobs_total",
-                cached=str(outcome.cached).lower()).inc()
-            if getattr(outcome, "oom", None) is not None:
-                registry.counter("engine_oom_outcomes_total").inc()
-            if outcome.error is not None:
-                registry.counter("engine_failed_jobs_total").inc()
-            if not outcome.cached:
-                registry.histogram("engine_job_exec_s").observe(
-                    outcome.exec_s)
-                registry.histogram("engine_queue_wait_s").observe(
-                    outcome.queue_wait_s)
+        executed = [outcome for outcome in outcomes if not outcome.cached]
+        # Per-label counts and bulk observations: the same values the
+        # one-outcome-at-a-time calls record (``observe_many`` is
+        # bit-identical to an ``observe`` loop), and no metric that
+        # would have stayed untouched is created.
+        for metric, labels, count in (
+                ("engine_jobs_total", {"cached": "true"},
+                 len(outcomes) - len(executed)),
+                ("engine_jobs_total", {"cached": "false"}, len(executed)),
+                ("engine_oom_outcomes_total", {},
+                 sum(getattr(outcome, "oom", None) is not None
+                     for outcome in outcomes)),
+                ("engine_failed_jobs_total", {},
+                 sum(outcome.error is not None for outcome in outcomes))):
+            if count:
+                registry.counter(metric, **labels).inc(count)
+        if executed:
+            registry.histogram("engine_job_exec_s").observe_many(
+                [outcome.exec_s for outcome in executed])
+            registry.histogram("engine_queue_wait_s").observe_many(
+                [outcome.queue_wait_s for outcome in executed])
         for name, delta in deltas.items():
             if delta:
                 registry.counter(_COUNTER_METRICS[name]).inc(delta)

@@ -250,6 +250,19 @@ def scheme_payload(scheme: Optional[Scheme]) -> Dict[str, Any]:
     }
 
 
+def spec_payload(model: str, scheme: Optional[Scheme], gpu: GPUSpec,
+                 profile: Optional[KernelProfile]) -> Dict[str, Any]:
+    """The members a closed-form job's fingerprint and family key share
+    (model-eval points, advisor shards); ``model`` is the model's
+    fragment or, in a family key, its digest."""
+    return {
+        "model": model,
+        "scheme": scheme_payload(scheme),
+        "gpu": gpu_fragment(gpu),
+        "profile": profile_fragment(profile),
+    }
+
+
 def fabric_payload(fabric: Optional[Fabric]) -> Dict[str, Any]:
     """Fabric pricing parameters plus the live bandwidth matrix.
 

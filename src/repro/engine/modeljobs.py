@@ -25,7 +25,7 @@ byte-identical to :meth:`ModelEvalJob.evaluate` run point by point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -48,11 +48,9 @@ from ..models import ModelSpec
 from .fingerprint import (
     FINGERPRINT_VERSION,
     digest,
-    gpu_fragment,
     model_digest,
     model_fragment,
-    profile_fragment,
-    scheme_payload,
+    spec_payload,
 )
 
 
@@ -103,23 +101,14 @@ class ModelEvalJob:
         """Whether this job prices a Figure-13 hypothetical scheme."""
         return self.tradeoff_k is not None
 
-    def _spec_payload(self, model: str) -> Dict[str, Any]:
-        """The members fingerprint and family key share; ``model`` is
-        the model's fragment or, in the family key, its digest."""
-        return {
-            "model": model,
-            "scheme": scheme_payload(self.scheme),
-            "gpu": gpu_fragment(self.gpu),
-            "profile": profile_fragment(self.profile),
-        }
-
     def fingerprint(self) -> str:
         """Content hash identifying this evaluation's prediction.
 
         Shares the cache namespace with simulation jobs without ever
         colliding: the payload leads with a distinct ``kind``.
         """
-        payload = self._spec_payload(model_fragment(self.model))
+        payload = spec_payload(model_fragment(self.model), self.scheme,
+                               self.gpu, self.profile)
         payload.update({
             "kind": "model-eval",
             "version": FINGERPRINT_VERSION,
@@ -137,6 +126,12 @@ class ModelEvalJob:
         })
         return digest(payload)
 
+    def family_inputs(self) -> tuple:
+        """Every object :meth:`family_key` reads, and nothing else: jobs
+        holding the same objects have the same key."""
+        return (self.model, self.scheme, self.gpu, self.profile,
+                self.inputs, self.is_tradeoff)
+
     def family_key(self) -> str:
         """Grouping key: jobs with equal keys differ only along axes the
         grid kernel vectorizes, so the engine may evaluate them in one
@@ -146,18 +141,19 @@ class ModelEvalJob:
         compute factor; tradeoff jobs vectorize ``(k, l)`` and therefore
         pin the sweep axes instead.
         """
-        payload = self._spec_payload(model_digest(self.model))
+        model, scheme, gpu, profile, inputs, is_tradeoff = \
+            self.family_inputs()
+        payload = spec_payload(model_digest(model), scheme, gpu, profile)
         payload.update({
-            "alpha_s": self.inputs.alpha_s,
-            "gamma": self.inputs.gamma,
-            "bucket_cap_bytes": self.inputs.bucket_cap_bytes,
+            "alpha_s": inputs.alpha_s,
+            "gamma": inputs.gamma,
+            "bucket_cap_bytes": inputs.bucket_cap_bytes,
         })
-        if self.is_tradeoff:
+        if is_tradeoff:
             payload["kind"] = "tradeoff"
-            payload["world_size"] = self.inputs.world_size
-            payload["bandwidth_bytes_per_s"] = \
-                self.inputs.bandwidth_bytes_per_s
-            payload["batch_size"] = self.inputs.batch_size
+            payload["world_size"] = inputs.world_size
+            payload["bandwidth_bytes_per_s"] = inputs.bandwidth_bytes_per_s
+            payload["batch_size"] = inputs.batch_size
         else:
             payload["kind"] = "sweep"
         return digest(payload)

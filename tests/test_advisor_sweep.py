@@ -36,7 +36,7 @@ from repro.engine import (
     SimulationCache,
     evaluate_advisor_family,
 )
-from repro.engine.advisorjobs import shard_minimum
+from repro.engine.advisorjobs import _block_results, shard_minimum
 from repro.engine.cache import outcome_to_payload, payload_to_outcome
 from repro.errors import ConfigurationError
 from repro.hardware import cluster_for_gpus
@@ -447,6 +447,49 @@ class TestShardMinimum:
         t[rng.random(t.size) < 0.2] = np.nan
         want = np.flatnonzero(pareto_mask(t, np.zeros(t.size)))
         assert shard_minimum(t).tolist() == want.tolist()
+
+
+def draw_block(rng):
+    """A random priced block and members cut out of it: ties, NaN cells,
+    all-NaN members, and members that tile the block or a prefix of
+    it, leave gaps, overlap or repeat."""
+    rows, width = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+    totals = rng.integers(0, 3, size=(rows, width)).astype(float)
+    totals[rng.random(totals.shape) < 0.25] = np.nan
+    if rng.random() < 0.5:
+        totals[int(rng.integers(rows))] = np.nan
+    if rng.random() < 0.5:
+        # Whole rows cut into runs, in row-major order: a tiling.
+        cuts = sorted({0, width, *rng.integers(0, width, size=3).tolist()})
+        cells = [(row, lo, hi - lo) for row in range(rows)
+                 for lo, hi in zip(cuts, cuts[1:])]
+        if rng.random() < 0.5:
+            # Back to back from the first cell, short of the last.
+            cells = cells[:int(rng.integers(1, len(cells) + 1))]
+    else:
+        cells = []
+        for _ in range(int(rng.integers(1, 10))):
+            start = int(rng.integers(width))
+            count = int(rng.integers(1, width - start + 1))
+            cells.append((int(rng.integers(rows)), start, count))
+        cells += [cells[int(rng.integers(len(cells)))]]
+    return totals, cells
+
+
+class TestBlockReduction:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_shard_minimum_member_by_member(self, seed):
+        totals, cells = draw_block(np.random.default_rng([11, seed]))
+        results = _block_results(totals, cells)
+        assert len(results) == len(cells)
+        for (row, start, count), result in zip(cells, results):
+            shard = totals[row, start:start + count]
+            keep = shard_minimum(shard)
+            assert result.priced == count
+            assert list(result.offsets) == keep.tolist()
+            assert all(type(offset) is int for offset in result.offsets)
+            assert np.asarray(result.total_s).tobytes() \
+                == shard[keep].tobytes()
 
 
 class TestSweepSemantics:

@@ -3,11 +3,13 @@
 Seeded draws of mixed batches — simulation families and singletons
 (faulted schedules and deterministic OOMs among them), model-eval
 points with one failing member, advisor shards — go through a serial
-engine, a pooled engine and a warm-cache rerun.  Whatever the family
-grouping and task packing do, they are execution details: outcomes come
-back equal and in input order, the pack segments the serial and pooled
-runs write are byte-identical, and a failing member fails alone and is
-never cached.
+engine, a pooled engine and a warm-cache rerun.  Each batch has more
+families than the pool has tasks, so pooled tasks carry several
+multi-member families of every kind.  Whatever the family grouping and
+task packing do, they are execution details: outcomes come back equal
+and in input order, the pack segments the serial and pooled runs write
+are byte-identical, stacked simulation families count as batched
+either way, and a failing member fails alone and is never cached.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.compression.schemes import (
     SignSGDScheme,
     TopKScheme,
 )
+from repro.analysis import candidate_grid
 from repro.core import PerfModelInputs
 from repro.engine import (
     AdvisorShardJob,
@@ -26,6 +29,7 @@ from repro.engine import (
     SimJob,
     SimulationCache,
 )
+from repro.engine.engine import _ADVISOR_KIND, _MODEL_KIND, _SIM_KIND
 from repro.faults import FaultSchedule, NodeFault, StragglerFault
 from repro.hardware import cluster_for_gpus
 from repro.models import get_model
@@ -39,6 +43,7 @@ SCHEDULES = (
                                            start_iteration=1)]),
 )
 SCHEMES = (None, PowerSGDScheme(rank=4), TopKScheme(0.01), SignSGDScheme())
+KINDS = (_SIM_KIND, _MODEL_KIND, _ADVISOR_KIND)
 
 
 class BrokenScheme(PowerSGDScheme):
@@ -54,23 +59,23 @@ def models():
 
 
 def draw_sim_jobs(rng, models):
-    """Families (one structural config, several seeds and schedules)
-    plus singletons, one of each an OOM."""
+    """More families (one structural config, several seeds and
+    schedules) than the pool has tasks, plus singletons, one of each an
+    OOM."""
     rn50, bert = models["resnet50"], models["bert-base"]
     jobs = []
-    for _ in range(int(rng.integers(1, 3))):
+    for family in range(int(rng.integers(9, 12))):
         scheme = SCHEMES[int(rng.integers(len(SCHEMES)))]
         gpus = int(rng.choice([4, 8]))
         for seed in rng.choice(50, size=int(rng.integers(2, 4)),
                                replace=False):
             jobs.append(SimJob(
                 model=rn50, cluster=cluster_for_gpus(gpus), scheme=scheme,
-                batch_size=32, iterations=6, warmup=2, seed=int(seed),
+                batch_size=64 + family, iterations=6, warmup=2,
+                seed=int(seed),
                 faults=SCHEDULES[int(rng.integers(len(SCHEDULES)))]))
-    # Enough singletons that the pooled engine packs several per task.
-    n_singletons = int(rng.integers(9, 13))
-    for batch_size in rng.choice(np.arange(8, 64), size=n_singletons,
-                                 replace=False):
+    for batch_size in rng.choice(np.arange(8, 64), size=int(
+            rng.integers(5, 9)), replace=False):
         jobs.append(SimJob(
             model=rn50, cluster=cluster_for_gpus(8),
             scheme=SCHEMES[int(rng.integers(len(SCHEMES)))],
@@ -88,16 +93,26 @@ def draw_sim_jobs(rng, models):
     return [jobs[i] for i in order]
 
 
+def draw_candidates(rng):
+    """Nine to twelve distinct advisor candidates: as many families."""
+    grid = candidate_grid()
+    picks = rng.choice(len(grid), size=int(rng.integers(9, 13)),
+                       replace=False)
+    return [grid[int(i)] for i in picks]
+
+
 def draw_model_jobs(rng, models):
-    """Bandwidth-sweep families with one failing member inside."""
+    """One bandwidth-sweep family per candidate, with one failing
+    member inside."""
     rn50 = models["resnet50"]
+    schemes = (None, *draw_candidates(rng))
     jobs = []
-    for gbps in rng.uniform(1.0, 30.0, size=int(rng.integers(3, 6))):
+    for gbps in rng.uniform(1.0, 30.0, size=int(rng.integers(2, 4))):
         inputs = PerfModelInputs(
             world_size=int(rng.choice([8, 16, 64])),
             bandwidth_bytes_per_s=gbps_to_bytes_per_s(float(gbps)),
             batch_size=32)
-        for scheme in (None, PowerSGDScheme(rank=4)):
+        for scheme in schemes:
             jobs.append(ModelEvalJob(model=rn50, scheme=scheme,
                                      inputs=inputs))
     failing = ModelEvalJob(model=rn50, scheme=BrokenScheme(rank=4),
@@ -107,13 +122,14 @@ def draw_model_jobs(rng, models):
 
 
 def draw_advisor_jobs(rng, models):
-    """Shards of a few candidates over a 64-point bandwidth axis."""
+    """Shards of nine to twelve candidates over a 64-point bandwidth
+    axis."""
     rn50 = models["resnet50"]
     inputs = PerfModelInputs(world_size=16,
                              bandwidth_bytes_per_s=gbps_to_bytes_per_s(10.0),
                              batch_size=32)
     jobs = []
-    for scheme in SCHEMES[:int(rng.integers(2, len(SCHEMES) + 1))]:
+    for scheme in draw_candidates(rng):
         for p in rng.choice([4, 16, 64], size=2, replace=False):
             for start in range(0, 64, 16):
                 jobs.append(AdvisorShardJob(
@@ -156,7 +172,16 @@ def test_dispatch_is_invisible(seed, models, tmp_path):
     shards = draw_advisor_jobs(rng, models)
     batches = (sims, model_jobs, shards)
 
-    runs = {}
+    # The pool packs several multi-member families into one task, of
+    # every kind; the serial engine runs each family on its own.
+    for kind, batch in zip(KINDS, batches):
+        pooled_tasks, _ = ExperimentEngine(jobs=2)._plan(kind, batch)
+        assert any(sum(len(family) > 1 for family in task.families) > 1
+                   for task in pooled_tasks)
+        serial_tasks, _ = ExperimentEngine()._plan(kind, batch)
+        assert all(len(task.families) == 1 for task in serial_tasks)
+
+    runs, batched = {}, {}
     for jobs in (1, 2):
         cache = SimulationCache(str(tmp_path / f"jobs{jobs}"))
         engine = ExperimentEngine(jobs=jobs, cache=cache)
@@ -164,10 +189,12 @@ def test_dispatch_is_invisible(seed, models, tmp_path):
         cache.close()
         assert engine.executed == sum(len(b) for b in batches)
         assert engine.retries == 0
-        # Simulation families were stacked; only the pool packs
-        # singletons.
+        # Simulation families were stacked, and count as batched
+        # wherever they ran; only the pool packs singletons.
         assert engine.jobs_batched > 0
+        batched[jobs] = engine.jobs_batched
         assert (packed > 0) == (jobs > 1)
+    assert batched[1] == batched[2]
 
     # Equal outcomes, in input order, serial vs pooled.
     for batch, serial, pooled in zip(batches, runs[1], runs[2]):

@@ -1,12 +1,15 @@
 """Engine statistics and the telemetry recorded across the stack."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.analysis import SweepSpec, advise
 from repro.collectives import allgather_time, ring_allreduce_time
 from repro.engine import EngineStats, ExperimentEngine, SimJob, SimulationCache
+from repro.engine.engine import _COUNTER_METRICS, JobOutcome, _init_worker
 from repro.errors import OutOfMemoryError
 from repro.hardware import cluster_for_gpus
 from repro.models import get_model
@@ -124,6 +127,81 @@ class TestEngineTelemetry:
             "counters": {}, "gauges": {}, "histograms": {}}
         # ...but the engine's own counters still work.
         assert engine.stats().executed == 1
+
+
+def record_per_outcome(registry, outcomes, deltas):
+    """The one-outcome-at-a-time recording ``_record_batch`` bulks."""
+    for outcome in outcomes:
+        registry.counter("engine_jobs_total",
+                         cached=str(outcome.cached).lower()).inc()
+        if getattr(outcome, "oom", None) is not None:
+            registry.counter("engine_oom_outcomes_total").inc()
+        if outcome.error is not None:
+            registry.counter("engine_failed_jobs_total").inc()
+        if not outcome.cached:
+            registry.histogram("engine_job_exec_s").observe(outcome.exec_s)
+            registry.histogram("engine_queue_wait_s").observe(
+                outcome.queue_wait_s)
+    for name, delta in deltas.items():
+        if delta:
+            registry.counter(_COUNTER_METRICS[name]).inc(delta)
+    registry.gauge("engine_pool_utilization").set(0.0)
+
+
+def _registry_enabled():
+    return telemetry_metrics.get_registry().enabled
+
+
+class TestBatchRecord:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bulk_record_equals_per_outcome_loop(self, rn50, seed):
+        rng = np.random.default_rng([17, seed])
+        job = jobs_for(rn50, 1)[0]
+        oom = OutOfMemoryError("does not fit", required_bytes=2,
+                               budget_bytes=1)
+        outcomes = []
+        for _ in range(int(rng.integers(1, 40))):
+            cached = bool(rng.random() < 0.4)
+            kind = int(rng.integers(3))
+            outcomes.append(JobOutcome(
+                job=job, cached=cached,
+                oom=oom if kind == 1 else None,
+                error="gave up" if kind == 2 and not cached else None,
+                exec_s=0.0 if cached else float(rng.random() * 10.0
+                                                ** rng.integers(-6, 1)),
+                queue_wait_s=0.0 if cached else float(rng.random())))
+        deltas = {name: int(rng.integers(0, 3)) for name in _COUNTER_METRICS}
+        bulk = telemetry_metrics.enable()
+        ExperimentEngine()._record_batch(outcomes, deltas)
+        loop = telemetry_metrics.MetricsRegistry()
+        record_per_outcome(loop, outcomes, deltas)
+        assert bulk.snapshot() == loop.snapshot()
+
+
+class TestPoolWorkerTelemetry:
+    def test_pool_workers_record_into_the_null_registry(self):
+        telemetry_metrics.enable()
+        with ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
+                                 initargs=((),)) as pool:
+            assert pool.submit(_registry_enabled).result() is False
+        assert telemetry_metrics.get_registry().enabled
+
+    def test_pooled_outcomes_unchanged_with_telemetry_on(self, rn50):
+        spec = SweepSpec(world_sizes=(8, 16), bandwidth_points=32,
+                         shard_points=16)
+        cluster = cluster_for_gpus(32)
+        want = advise(rn50, cluster, spec=spec).render()
+        sims = jobs_for(rn50, 3)
+        want_sims = [o.unwrap() for o in ExperimentEngine().run_outcomes(
+            sims)]
+        registry = telemetry_metrics.enable()
+        engine = ExperimentEngine(jobs=2)
+        assert advise(rn50, cluster, spec=spec,
+                      engine=engine).render() == want
+        assert [o.unwrap() for o in engine.run_outcomes(sims)] == want_sims
+        counters = registry.snapshot()["counters"]
+        assert counters['engine_jobs_total{cached="false"}'] \
+            == engine.jobs_completed
 
 
 class TestSimulatorTelemetry:

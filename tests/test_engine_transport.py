@@ -20,7 +20,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -49,6 +49,13 @@ from repro.network import Fabric
 from repro.units import gbps_to_bytes_per_s
 
 from .oracle import legacy_family_key
+
+@dataclass(frozen=True, eq=False)
+class LabelledSimJob(SimJob):
+    """A job kind with one field more than its base."""
+
+    label: str = "extra"
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -107,6 +114,47 @@ class TestSharing:
         assert first.fingerprint() == jobs[0].fingerprint()
         assert second.fingerprint() == jobs[1].fingerprint()
 
+    def test_family_columns_keep_the_object_graph(self, tiny_model,
+                                                  installed):
+        # One family: members share one fabric object, and hold equal
+        # but distinct fault schedules; shipping keeps both so.
+        cluster = cluster_for_gpus(8)
+        fabric = Fabric(cluster)
+        jobs = [SimJob(model=tiny_model, cluster=cluster, fabric=fabric,
+                       faults=FaultSchedule(seed=1, stragglers=[
+                           StragglerFault(worker=0, slowdown=2.0)]),
+                       batch_size=4, iterations=6, warmup=1, seed=seed)
+                for seed in range(3)]
+        tasks, _ = ExperimentEngine(jobs=2)._plan(_SIM_KIND, jobs)
+        assert [len(family) for family in tasks[0].families] == [3]
+        blobs, table = _ship(tasks)
+        installed(table)
+        shipped = pickle.loads(blobs[0]).families[0]
+        assert [type(job) for job in shipped] == [SimJob] * 3
+        assert [job.fingerprint() for job in shipped] == [
+            job.fingerprint() for job in jobs]
+        assert [job.seed for job in shipped] == [0, 1, 2]
+        assert shipped[0].fabric is shipped[1].fabric is shipped[2].fabric
+        assert shipped[0].faults == shipped[1].faults
+        assert shipped[0].faults is not shipped[1].faults
+
+
+    def test_family_of_mixed_job_classes_ships_whole(self, tiny_model,
+                                                      installed):
+        # A subclass with an extra field shares its base's family key;
+        # such a family ships member by member, classes intact.
+        jobs = [cls(model=tiny_model, cluster=cluster_for_gpus(8),
+                    batch_size=4, iterations=6, warmup=1, seed=seed)
+                for seed, cls in enumerate((SimJob, LabelledSimJob))]
+        tasks, _ = ExperimentEngine(jobs=2)._plan(_SIM_KIND, jobs)
+        assert [len(family) for family in tasks[0].families] == [2]
+        blobs, table = _ship(tasks)
+        installed(table)
+        shipped = pickle.loads(blobs[0]).families[0]
+        assert [type(job) for job in shipped] == [SimJob, LabelledSimJob]
+        assert shipped[1].label == "extra"
+        assert [job.fingerprint() for job in shipped] == [
+            job.fingerprint() for job in jobs]
 
     def test_unpicklable_task_fails_alone(self, tiny_model):
         # Tasks are pickled in the parent before submission; one that

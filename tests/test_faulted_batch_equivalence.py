@@ -28,6 +28,7 @@ from repro.compression import (
     TopKScheme,
 )
 from repro.engine import ExperimentEngine, SimJob
+from repro.engine.engine import _SIM_KIND
 from repro.errors import ConfigurationError
 from repro.faults import (
     CrashFault,
@@ -359,6 +360,25 @@ class TestEngineFamilyBatching:
         got = [o.unwrap() for o in pooled.run_outcomes(self._jobs(rn50))]
         assert got == self._unbatched(rn50)
         assert pooled.jobs_batched == 6
+
+    def test_packed_pool_tasks_keep_families_batched(self, rn50):
+        """With more stacked families than the pool's ~4 tasks per
+        worker, tasks carry several families; each still runs as one
+        stack and counts as batched, and nothing counts as chunked."""
+        jobs = [SimJob(model=rn50, cluster=cluster_for_gpus(gpus),
+                       scheme=PowerSGDScheme(rank=rank), iterations=8,
+                       warmup=2, faults=faults)
+                for gpus in (8, 16) for rank in (1, 2, 4, 8, 16)
+                for faults in (None, SCHEDULES["nic-straggler"])]
+        pooled = ExperimentEngine(jobs=2)
+        tasks, _ = pooled._plan(_SIM_KIND, jobs)
+        assert len(tasks) < 10
+        assert max(len(task.families) for task in tasks) > 1
+        got = [o.unwrap() for o in pooled.run_outcomes(jobs)]
+        assert got == [ExperimentEngine().run_outcomes([job])[0].unwrap()
+                       for job in jobs]
+        assert pooled.jobs_batched == len(jobs)
+        assert pooled.jobs_chunked == 0
 
     def test_families_keyed_by_content_still_stack(self, rn50):
         """Jobs built from distinct but equal specs share a family key,

@@ -38,6 +38,7 @@ from repro.core import (
     tradeoff_time_grid,
 )
 from repro.analysis import candidate_grid
+from repro.core.grid import _timing_grid
 from repro.errors import ConfigurationError
 from repro.hardware import V100
 from repro.models import available_models, get_model
@@ -95,6 +96,71 @@ class TestTimingGridAPI:
         with pytest.raises(ConfigurationError, match="shape"):
             TimingGrid(total=np.zeros(3), compute=np.zeros(2),
                        encode_decode=np.zeros(3), comm_exposed=np.zeros(3))
+
+
+def draw_terms(rng, shape):
+    """Four kernel terms of every kind ``_timing_grid`` may receive,
+    and the axis inputs some of them are."""
+    full = rng.random(shape)
+    inputs = (full, rng.random(shape[-1:]))
+    terms = []
+    for _ in range(4):
+        kind = int(rng.integers(7))
+        if kind == 0:
+            term = float(rng.random())
+        elif kind == 1:
+            term = rng.random(tuple(1 if rng.random() < 0.5 else n
+                                    for n in shape))
+        elif kind == 2:
+            term = rng.random(shape)  # fresh: may be kept as it is
+        elif kind == 3:
+            term = rng.random((2, *shape))[1]  # a view
+        elif kind == 4:
+            term = rng.random(shape)
+            term.flags.writeable = False
+        elif kind == 5:
+            term = inputs[int(rng.integers(2))]
+        else:
+            term = terms[-1] if terms else full  # a repeat
+        terms.append(term)
+    return terms, inputs
+
+
+class TestTimingGridTerms:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_terms_are_owned_writable_and_unaliased(self, seed):
+        rng = np.random.default_rng([13, seed])
+        shape = tuple(int(n) for n in rng.integers(1, 5, size=2))
+        terms, inputs = draw_terms(rng, shape)
+        want = [np.broadcast_to(term, shape).copy() for term in terms]
+        grid = _timing_grid(terms, shape, inputs)
+        arrays = (grid.total, grid.compute, grid.encode_decode,
+                  grid.comm_exposed)
+        for k, (got, expected) in enumerate(zip(arrays, want)):
+            assert got.shape == shape
+            assert got.tobytes() == expected.tobytes()
+            assert got.flags.writeable and got.flags.owndata
+            assert not any(np.shares_memory(got, other)
+                           for other in (*inputs, *arrays[:k]))
+
+    def test_grid_components_do_not_share_memory(self, rn50):
+        bw = np.linspace(1e9, 4e9, 8)[None, :].repeat(3, axis=0)
+        sizes = np.asarray([1, 8, 64])[:, None]
+        for scheme in (None, *SCHEMES):
+            if scheme is None:
+                grid = syncsgd_time_grid(rn50, inputs_at(),
+                                         bandwidth_bytes_per_s=bw,
+                                         world_size=sizes)
+            else:
+                grid = compressed_time_grid(rn50, scheme, inputs_at(),
+                                            bandwidth_bytes_per_s=bw,
+                                            world_size=sizes)
+            arrays = (grid.total, grid.compute, grid.encode_decode,
+                      grid.comm_exposed)
+            for k, got in enumerate(arrays):
+                assert got.flags.writeable and got.flags.owndata
+                assert not any(np.shares_memory(got, other)
+                               for other in (bw, sizes, *arrays[:k]))
 
 
 class TestAxisValidation:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Docstring-coverage gate for the public fault, engine, serving,
-telemetry and training APIs.
+"""Docstring-coverage gate for the public analysis, core, fault,
+engine, serving, telemetry and training APIs.
 
 ``make lint`` runs this after ruff.  It walks the AST of every module
 under the audited packages and fails (exit 1, one line per offender)
@@ -11,8 +11,8 @@ when it declares parameters beyond ``self`` (constructor parameters
 are API surface).
 
 Usage: python tools/check_docstrings.py [package-dir ...]
-Defaults to the fault, engine, serving, simulator, network, telemetry,
-training and collectives packages.
+Defaults to the analysis, core, fault, engine, serving, simulator,
+network, telemetry, training and collectives packages.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from typing import Iterator, List, Tuple
 #: Directories audited when no arguments are given, relative to the
 #: repository root (this file's parent's parent).
 DEFAULT_TARGETS = (
+    os.path.join("src", "repro", "analysis"),
+    os.path.join("src", "repro", "core"),
     os.path.join("src", "repro", "faults"),
     os.path.join("src", "repro", "engine"),
     os.path.join("src", "repro", "serving"),
