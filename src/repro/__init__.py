@@ -34,21 +34,9 @@ Quickstart::
     print(base.mean, comp.mean)
 """
 
-from . import (
-    analysis,
-    collectives,
-    compression,
-    core,
-    experiments,
-    hardware,
-    models,
-    network,
-    reporting,
-    simulator,
-    telemetry,
-    training,
-)
-from .compute import ComputeModel
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 from .errors import (
     CalibrationError,
     CollectiveError,
@@ -58,6 +46,23 @@ from .errors import (
     ReproError,
     SimulationError,
 )
+
+if TYPE_CHECKING:
+    from . import (
+        analysis,
+        collectives,
+        compression,
+        core,
+        experiments,
+        hardware,
+        models,
+        network,
+        reporting,
+        simulator,
+        telemetry,
+        training,
+    )
+    from .compute import ComputeModel
 
 __version__ = "1.1.0"
 
@@ -71,3 +76,13 @@ __all__ = [
     "CalibrationError",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": (), ".models": (), ".hardware": (), ".network": (),
+    ".collectives": (), ".compression": (), ".simulator": (),
+    ".training": (), ".experiments": (), ".analysis": (),
+    ".reporting": (), ".telemetry": (),
+    ".engine": (), ".faults": (), ".serving": (), ".memo": (),
+    ".units": (),
+    ".compute": ("ComputeModel",),
+})

@@ -1,26 +1,35 @@
 """Post-hoc analyses: blocked-time bottlenecks, model sensitivity, and
 the auto-advisor's sharded Pareto sweep."""
 
-from .advisor import (
-    AdvisorReport,
-    FrontierPoint,
-    SweepPlan,
-    SweepSpec,
-    advise,
-    candidate_grid,
-    compression_error,
-    finish_sweep,
-    merge_frontiers,
-    pareto_mask,
-    plan_sweep,
-)
-from .bottleneck import (
-    BlockedTimeReport,
-    TimeBreakdown,
-    blocked_time_analysis,
-    time_breakdown,
-)
-from .sensitivity import DEFAULT_EPSILON, Sensitivities, model_sensitivities
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .advisor import (
+        AdvisorReport,
+        FrontierPoint,
+        SweepPlan,
+        SweepSpec,
+        advise,
+        candidate_grid,
+        compression_error,
+        finish_sweep,
+        merge_frontiers,
+        pareto_mask,
+        plan_sweep,
+    )
+    from .bottleneck import (
+        BlockedTimeReport,
+        TimeBreakdown,
+        blocked_time_analysis,
+        time_breakdown,
+    )
+    from .sensitivity import (
+        DEFAULT_EPSILON,
+        Sensitivities,
+        model_sensitivities,
+    )
 
 __all__ = [
     "TimeBreakdown", "time_breakdown",
@@ -31,3 +40,18 @@ __all__ = [
     "candidate_grid", "compression_error", "merge_frontiers",
     "pareto_mask",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".advisor": (
+        "AdvisorReport", "FrontierPoint", "SweepPlan", "SweepSpec", "advise",
+        "candidate_grid", "compression_error", "finish_sweep",
+        "merge_frontiers", "pareto_mask", "plan_sweep",
+    ),
+    ".bottleneck": (
+        "BlockedTimeReport", "TimeBreakdown", "blocked_time_analysis",
+        "time_breakdown",
+    ),
+    ".sensitivity": (
+        "DEFAULT_EPSILON", "Sensitivities", "model_sensitivities",
+    ),
+})

@@ -38,6 +38,9 @@ Everything prints plain text; use ``--markdown`` on ``experiment`` for
 paste-ready tables.  Global flags: ``--version``, ``--log-level``/
 ``--log-json`` (structured stderr logging), ``--no-telemetry`` (skip
 the metrics registry the CLI otherwise enables).
+
+Each command imports its modules in its handler, so ``--help`` and
+``--version`` load no numpy and a command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -47,44 +50,15 @@ import inspect
 import json
 import os
 import time
+from collections import ChainMap
 from typing import List, Optional
 
 from . import __version__
-from .compression import scheme_from_spec
-from .core import (
-    PerfModelInputs,
-    bandwidth_sweep,
-    compute_sweep,
-    find_crossover_gbps,
-    recommend,
-)
-from .engine import ExperimentEngine, SimulationCache
 from .errors import ReproError
 from .experiments import EXPERIMENTS, EXTRA_EXPERIMENTS
-from .faults import FaultSchedule
-from .hardware import cluster_for_gpus
-from .models import available_models, get_model
-from .reporting import render_metrics, to_markdown
-from .simulator import (
-    DDPConfig,
-    DDPSimulator,
-    reconstruct_traces,
-    write_run_trace,
-    write_trace_spans,
-)
-from .telemetry import (
-    MANIFEST_FILENAME,
-    build_manifest,
-    disable_tracing,
-    enable_tracing,
-    get_logger,
-    get_tracer,
-    render_prometheus,
-    write_manifest,
-)
+from .models import available_models
+from .telemetry import get_logger
 from .telemetry import logs as telemetry_logs
-from .telemetry import metrics as telemetry_metrics
-from .units import gbps_to_bytes_per_s
 
 #: Prometheus snapshot written beside the manifest.
 PROM_FILENAME = "metrics.prom"
@@ -106,6 +80,8 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 def _parse_scheme(spec: str):
     """Parse 'name' or 'name:key=value,key=value' into a Scheme."""
+    from .compression import scheme_from_spec
+
     return scheme_from_spec(spec)
 
 
@@ -122,13 +98,27 @@ def _accepts_engine(runner) -> bool:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from .engine import ExperimentEngine, SimulationCache
+    from .reporting import render_metrics, to_markdown
+    from .simulator import write_trace_spans
+    from .telemetry import (
+        MANIFEST_FILENAME,
+        build_manifest,
+        disable_tracing,
+        enable_tracing,
+        get_tracer,
+        render_prometheus,
+        write_manifest,
+    )
+    from .telemetry import metrics as telemetry_metrics
+
     cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
              if args.cache else None)
     engine = ExperimentEngine(jobs=args.jobs, cache=cache)
     # "all" covers only the paper's own exhibits; extras (reliability)
     # run by explicit id so the canonical output stays stable.
     ids = list(EXPERIMENTS) if args.id == "all" else [args.id]
-    runners = {**EXPERIMENTS, **EXTRA_EXPERIMENTS}
+    runners = ChainMap(EXPERIMENTS, EXTRA_EXPERIMENTS)
     run_started = time.perf_counter()
     if args.trace_run:
         enable_tracing()
@@ -213,6 +203,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    from .core import recommend
+    from .hardware import cluster_for_gpus
+    from .models import get_model
+
     model = get_model(args.model)
     cluster = cluster_for_gpus(args.gpus)
     if args.bandwidth is not None:
@@ -231,6 +225,9 @@ def cmd_advise(args: argparse.Namespace) -> int:
     gates diff it directly.
     """
     from .analysis import SweepSpec, advise
+    from .engine import ExperimentEngine, SimulationCache
+    from .hardware import cluster_for_gpus
+    from .models import get_model
 
     model = get_model(args.model)
     cluster = cluster_for_gpus(args.gpus)
@@ -252,6 +249,15 @@ def cmd_advise(args: argparse.Namespace) -> int:
 
 
 def cmd_whatif(args: argparse.Namespace) -> int:
+    from .core import (
+        PerfModelInputs,
+        bandwidth_sweep,
+        compute_sweep,
+        find_crossover_gbps,
+    )
+    from .models import get_model
+    from .units import gbps_to_bytes_per_s
+
     model = get_model(args.model)
     scheme = _parse_scheme(args.scheme)
     inputs = PerfModelInputs(
@@ -280,6 +286,18 @@ def cmd_whatif(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     import numpy as np
+
+    from .faults import FaultSchedule
+    from .hardware import cluster_for_gpus
+    from .models import get_model
+    from .reporting import render_metrics
+    from .simulator import (
+        DDPConfig,
+        DDPSimulator,
+        reconstruct_traces,
+        write_run_trace,
+    )
+    from .telemetry import metrics as telemetry_metrics
 
     model = get_model(args.model)
     cluster = cluster_for_gpus(args.gpus)
@@ -325,6 +343,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Re-render a written manifest's metrics snapshot."""
+    from .reporting import render_metrics
+    from .telemetry import MANIFEST_FILENAME, render_prometheus
+
     manifest_path = args.manifest
     if manifest_path is None and args.cache:
         manifest_path = os.path.join(args.cache, MANIFEST_FILENAME)
@@ -349,6 +370,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the persistent what-if/simulation service until interrupted."""
+    from .engine import ExperimentEngine, SimulationCache
     from .serving import ServingScheduler, make_server
 
     cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
@@ -386,6 +408,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Offline cache maintenance: ``stats``, ``compact``, ``verify``."""
+    from .engine import SimulationCache
+
     if not os.path.isdir(args.cache):
         raise ReproError(f"cache directory {args.cache!r} does not exist")
     cache = SimulationCache(args.cache)
@@ -637,6 +661,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Imported after parsing: the metrics module loads numpy, which
+    # ``--help`` and ``--version`` exit without.
+    from .telemetry import metrics as telemetry_metrics
+
     telemetry_logs.configure(level=args.log_level,
                              json_mode=args.log_json)
     if args.no_telemetry:

@@ -1,28 +1,33 @@
 """Communication collectives: analytic cost models + numeric algorithms."""
 
-from .cost import (
-    TREE_BLOCK_BYTES,
-    allgather_time,
-    broadcast_time,
-    double_tree_allreduce_time,
-    parameter_server_time,
-    pick_allreduce_time,
-    reduce_scatter_time,
-    ring_allreduce_time,
-)
-from .hierarchical import (
-    hierarchical_allreduce,
-    hierarchical_allreduce_time,
-)
-from .numeric import (
-    allgather,
-    broadcast,
-    is_allreduce_safe,
-    parameter_server_reduce,
-    reduce_scatter,
-    ring_allreduce,
-    tree_allreduce,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .cost import (
+        TREE_BLOCK_BYTES,
+        allgather_time,
+        broadcast_time,
+        double_tree_allreduce_time,
+        parameter_server_time,
+        pick_allreduce_time,
+        reduce_scatter_time,
+        ring_allreduce_time,
+    )
+    from .hierarchical import (
+        hierarchical_allreduce,
+        hierarchical_allreduce_time,
+    )
+    from .numeric import (
+        allgather,
+        broadcast,
+        is_allreduce_safe,
+        parameter_server_reduce,
+        reduce_scatter,
+        ring_allreduce,
+        tree_allreduce,
+    )
 
 __all__ = [
     "ring_allreduce_time", "double_tree_allreduce_time", "allgather_time",
@@ -32,3 +37,17 @@ __all__ = [
     "broadcast", "parameter_server_reduce", "is_allreduce_safe",
     "hierarchical_allreduce", "hierarchical_allreduce_time",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cost": (
+        "TREE_BLOCK_BYTES", "allgather_time", "broadcast_time",
+        "double_tree_allreduce_time", "parameter_server_time",
+        "pick_allreduce_time", "reduce_scatter_time", "ring_allreduce_time",
+    ),
+    ".hierarchical": ("hierarchical_allreduce", "hierarchical_allreduce_time"),
+    ".numeric": (
+        "allgather", "broadcast", "is_allreduce_safe",
+        "parameter_server_reduce", "reduce_scatter", "ring_allreduce",
+        "tree_allreduce",
+    ),
+})

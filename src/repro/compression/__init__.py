@@ -1,63 +1,76 @@
 """Gradient compression: codecs, distributed aggregators, cost schemes."""
 
-from .base import AggregationResult, Aggregator, Compressor, Payload
-from .error_feedback import ErrorFeedback
-from .hybrid import HybridPowerSGDScheme
-from .identity import FP16Compressor, FP32Compressor
-from .kernel_cost import (
-    TABLE2_POWERSGD_MS,
-    TABLE2_SIGNSGD_MS,
-    TABLE2_TOPK_MS,
-    TABLE2_WORLD_SIZE,
-    KernelProfile,
-    calibrate_v100_profile,
-    v100_kernel_profile,
-)
-from .lowrank import (
-    ATOMOCompressor,
-    GatherDecodeAggregator,
-    GradiVeqCompressor,
-    PowerSGDAggregator,
-    PowerSGDCompressor,
-    orthonormalize,
-)
-from .natural import EFSignCompressor, NaturalCompressor
-from .quantization import OneBitCompressor, QSGDCompressor, TernGradCompressor
-from .registry import (
-    available_methods,
-    available_schemes,
-    make_aggregator,
-    make_compressor,
-    make_scheme,
-    scheme_from_spec,
-)
-from .schemes import (
-    ATOMOScheme,
-    DGCScheme,
-    EFSignScheme,
-    FP16Scheme,
-    GradiVeqScheme,
-    NaturalScheme,
-    OneBitScheme,
-    PowerSGDScheme,
-    QSGDScheme,
-    RandomKScheme,
-    Scheme,
-    SchemeCost,
-    SignSGDScheme,
-    SyncSGDScheme,
-    TernGradScheme,
-    TopKScheme,
-    table1_schemes,
-)
-from .signsgd import MajorityVoteAggregator, SignSGDCompressor, majority_vote
-from .sparsification import (
-    DGCCompressor,
-    MeanAllReduceAggregator,
-    RandomKCompressor,
-    SparseGatherAggregator,
-    TopKCompressor,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .base import AggregationResult, Aggregator, Compressor, Payload
+    from .error_feedback import ErrorFeedback
+    from .hybrid import HybridPowerSGDScheme
+    from .identity import FP16Compressor, FP32Compressor
+    from .kernel_cost import (
+        TABLE2_POWERSGD_MS,
+        TABLE2_SIGNSGD_MS,
+        TABLE2_TOPK_MS,
+        TABLE2_WORLD_SIZE,
+        KernelProfile,
+        calibrate_v100_profile,
+        v100_kernel_profile,
+    )
+    from .lowrank import (
+        ATOMOCompressor,
+        GatherDecodeAggregator,
+        GradiVeqCompressor,
+        PowerSGDAggregator,
+        PowerSGDCompressor,
+        orthonormalize,
+    )
+    from .natural import EFSignCompressor, NaturalCompressor
+    from .quantization import (
+        OneBitCompressor,
+        QSGDCompressor,
+        TernGradCompressor,
+    )
+    from .registry import (
+        available_methods,
+        available_schemes,
+        make_aggregator,
+        make_compressor,
+        make_scheme,
+        scheme_from_spec,
+    )
+    from .schemes import (
+        ATOMOScheme,
+        DGCScheme,
+        EFSignScheme,
+        FP16Scheme,
+        GradiVeqScheme,
+        NaturalScheme,
+        OneBitScheme,
+        PowerSGDScheme,
+        QSGDScheme,
+        RandomKScheme,
+        Scheme,
+        SchemeCost,
+        SignSGDScheme,
+        SyncSGDScheme,
+        TernGradScheme,
+        TopKScheme,
+        table1_schemes,
+    )
+    from .signsgd import (
+        MajorityVoteAggregator,
+        SignSGDCompressor,
+        majority_vote,
+    )
+    from .sparsification import (
+        DGCCompressor,
+        MeanAllReduceAggregator,
+        RandomKCompressor,
+        SparseGatherAggregator,
+        TopKCompressor,
+    )
 
 __all__ = [
     "Compressor", "Payload", "Aggregator", "AggregationResult",
@@ -81,3 +94,40 @@ __all__ = [
     "make_compressor", "make_scheme", "make_aggregator", "available_methods",
     "available_schemes", "scheme_from_spec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("AggregationResult", "Aggregator", "Compressor", "Payload"),
+    ".error_feedback": ("ErrorFeedback",),
+    ".hybrid": ("HybridPowerSGDScheme",),
+    ".identity": ("FP16Compressor", "FP32Compressor"),
+    ".kernel_cost": (
+        "TABLE2_POWERSGD_MS", "TABLE2_SIGNSGD_MS", "TABLE2_TOPK_MS",
+        "TABLE2_WORLD_SIZE", "KernelProfile", "calibrate_v100_profile",
+        "v100_kernel_profile",
+    ),
+    ".lowrank": (
+        "ATOMOCompressor", "GatherDecodeAggregator", "GradiVeqCompressor",
+        "PowerSGDAggregator", "PowerSGDCompressor", "orthonormalize",
+    ),
+    ".natural": ("EFSignCompressor", "NaturalCompressor"),
+    ".quantization": (
+        "OneBitCompressor", "QSGDCompressor", "TernGradCompressor",
+    ),
+    ".registry": (
+        "available_methods", "available_schemes", "make_aggregator",
+        "make_compressor", "make_scheme", "scheme_from_spec",
+    ),
+    ".schemes": (
+        "ATOMOScheme", "DGCScheme", "EFSignScheme", "FP16Scheme",
+        "GradiVeqScheme", "NaturalScheme", "OneBitScheme", "PowerSGDScheme",
+        "QSGDScheme", "RandomKScheme", "Scheme", "SchemeCost", "SignSGDScheme",
+        "SyncSGDScheme", "TernGradScheme", "TopKScheme", "table1_schemes",
+    ),
+    ".signsgd": (
+        "MajorityVoteAggregator", "SignSGDCompressor", "majority_vote",
+    ),
+    ".sparsification": (
+        "DGCCompressor", "MeanAllReduceAggregator", "RandomKCompressor",
+        "SparseGatherAggregator", "TopKCompressor",
+    ),
+})

@@ -8,21 +8,11 @@ single-tensor codec, the distributed aggregator, and the cost scheme.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 from ..errors import ConfigurationError
-from .base import Aggregator, Compressor
 from .hybrid import HybridPowerSGDScheme
-from .identity import FP16Compressor, FP32Compressor
-from .lowrank import (
-    ATOMOCompressor,
-    GatherDecodeAggregator,
-    GradiVeqCompressor,
-    PowerSGDAggregator,
-    PowerSGDCompressor,
-)
-from .natural import EFSignCompressor, NaturalCompressor
-from .quantization import OneBitCompressor, QSGDCompressor, TernGradCompressor
 from .schemes import (
     ATOMOScheme,
     DGCScheme,
@@ -40,30 +30,27 @@ from .schemes import (
     TernGradScheme,
     TopKScheme,
 )
-from .signsgd import MajorityVoteAggregator, SignSGDCompressor
-from .sparsification import (
-    DGCCompressor,
-    MeanAllReduceAggregator,
-    RandomKCompressor,
-    SparseGatherAggregator,
-    TopKCompressor,
-)
 
-_COMPRESSORS: Dict[str, Callable[..., Compressor]] = {
-    "fp32": FP32Compressor,
-    "fp16": FP16Compressor,
-    "signsgd": SignSGDCompressor,
-    "topk": TopKCompressor,
-    "randomk": RandomKCompressor,
-    "dgc": DGCCompressor,
-    "qsgd": QSGDCompressor,
-    "terngrad": TernGradCompressor,
-    "onebit": OneBitCompressor,
-    "powersgd": PowerSGDCompressor,
-    "atomo": ATOMOCompressor,
-    "gradiveq": GradiVeqCompressor,
-    "natural": NaturalCompressor,
-    "efsignsgd": EFSignCompressor,
+if TYPE_CHECKING:
+    from .base import Aggregator, Compressor
+
+#: Codec class per method, by its name in :mod:`repro.compression`:
+#: naming the methods imports none of the numeric codecs.
+_COMPRESSORS: Dict[str, str] = {
+    "fp32": "FP32Compressor",
+    "fp16": "FP16Compressor",
+    "signsgd": "SignSGDCompressor",
+    "topk": "TopKCompressor",
+    "randomk": "RandomKCompressor",
+    "dgc": "DGCCompressor",
+    "qsgd": "QSGDCompressor",
+    "terngrad": "TernGradCompressor",
+    "onebit": "OneBitCompressor",
+    "powersgd": "PowerSGDCompressor",
+    "atomo": "ATOMOCompressor",
+    "gradiveq": "GradiVeqCompressor",
+    "natural": "NaturalCompressor",
+    "efsignsgd": "EFSignCompressor",
 }
 
 _SCHEMES: Dict[str, Callable[..., Scheme]] = {
@@ -85,12 +72,17 @@ _SCHEMES: Dict[str, Callable[..., Scheme]] = {
 }
 
 
+def _codec(class_name: str) -> Callable[..., Any]:
+    """A codec or aggregator class; imports only the module defining it."""
+    return getattr(import_module(__package__), class_name)
+
+
 def make_compressor(name: str, **params: Any) -> Compressor:
     """Construct the single-tensor codec registered under ``name``."""
     if name not in _COMPRESSORS:
         raise ConfigurationError(
             f"unknown compressor {name!r}; available: {available_methods()}")
-    return _COMPRESSORS[name](**params)
+    return _codec(_COMPRESSORS[name])(**params)
 
 
 def make_scheme(name: str, **params: Any) -> Scheme:
@@ -148,23 +140,23 @@ def make_aggregator(name: str, num_workers: int, **params: Any) -> Aggregator:
     feedback for the biased sparsifiers, matching the reference systems).
     """
     if name == "powersgd":
-        return PowerSGDAggregator(num_workers, **params)
+        return _codec("PowerSGDAggregator")(num_workers, **params)
     if name == "signsgd":
         if params:
             raise ConfigurationError(
                 f"signsgd aggregator takes no parameters, got {params}")
-        return MajorityVoteAggregator(num_workers)
+        return _codec("MajorityVoteAggregator")(num_workers)
     if name in ("fp32", "fp16", "randomk", "gradiveq"):
-        return MeanAllReduceAggregator(
+        return _codec("MeanAllReduceAggregator")(
             num_workers, make_compressor(name, **params))
     if name in ("topk", "dgc"):
-        return SparseGatherAggregator(
+        return _codec("SparseGatherAggregator")(
             num_workers, make_compressor(name, **params),
             use_error_feedback=True)
     if name in ("qsgd", "terngrad", "atomo", "onebit", "natural",
                 "efsignsgd"):
         use_ef = name in ("atomo", "onebit", "efsignsgd")  # the biased ones
-        return GatherDecodeAggregator(
+        return _codec("GatherDecodeAggregator")(
             num_workers, make_compressor(name, **params),
             use_error_feedback=use_ef)
     raise ConfigurationError(

@@ -45,17 +45,14 @@ import pickle
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
 from ..core.perf_model import PerfModelInputs, PredictedTime
 from ..errors import ConfigurationError, EngineError, OutOfMemoryError
-from ..faults import FaultSchedule
 from ..hardware import ClusterConfig, GPUSpec
 from ..models import ModelSpec
 from ..network import Fabric
@@ -88,6 +85,11 @@ from .fingerprint import (
     sim_family_key,
 )
 from .modeljobs import ModelEvalJob, ModelEvalOutcome, evaluate_family
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ..faults import FaultSchedule
 
 #: Environment variable for chaos testing the engine itself: set it to a
 #: sentinel file path and the first pooled worker to pick up a task
@@ -1063,6 +1065,15 @@ class ExperimentEngine:
         come back aligned with ``tasks`` regardless of completion
         order.
         """
+        # Imported here, not at the top: a serial engine (``jobs=1``,
+        # every CLI command's default) never loads the pool machinery.
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+        from concurrent.futures.process import BrokenProcessPool
+
         tracer = get_tracer()
         results: List[Optional[List[Tag]]] = [None] * len(tasks)
         attempt_counts = [0] * len(tasks)

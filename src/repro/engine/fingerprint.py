@@ -53,16 +53,18 @@ import hashlib
 import json
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, TypeVar
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
-from ..faults import FaultSchedule
 from ..hardware import ClusterConfig, GPUSpec
 from ..memo import per_object
 from ..models import ModelSpec
 from ..network import Fabric
 from ..simulator import DDPConfig
+
+if TYPE_CHECKING:
+    from ..faults import FaultSchedule
 
 #: Bump when the simulator's output semantics change incompatibly, so
 #: stale cache directories are never silently reused across versions.

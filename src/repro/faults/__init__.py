@@ -23,20 +23,25 @@ bit-identical to no schedule at all** — no extra RNG draws, no changed
 cache keys.
 """
 
-from .injector import (
-    FAULT_STREAM,
-    FaultInjector,
-    IterationFaults,
-    ResolvedFaults,
-)
-from .schedule import (
-    CrashFault,
-    FaultSchedule,
-    LinkFault,
-    NodeFault,
-    RetransmitFault,
-    StragglerFault,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .injector import (
+        FAULT_STREAM,
+        FaultInjector,
+        IterationFaults,
+        ResolvedFaults,
+    )
+    from .schedule import (
+        CrashFault,
+        FaultSchedule,
+        LinkFault,
+        NodeFault,
+        RetransmitFault,
+        StragglerFault,
+    )
 
 __all__ = [
     "FaultSchedule",
@@ -44,3 +49,13 @@ __all__ = [
     "RetransmitFault", "CrashFault",
     "FaultInjector", "IterationFaults", "ResolvedFaults", "FAULT_STREAM",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".injector": (
+        "FAULT_STREAM", "FaultInjector", "IterationFaults", "ResolvedFaults",
+    ),
+    ".schedule": (
+        "CrashFault", "FaultSchedule", "LinkFault", "NodeFault",
+        "RetransmitFault", "StragglerFault",
+    ),
+})

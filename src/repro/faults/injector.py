@@ -33,13 +33,11 @@ from ..errors import ConfigurationError
 from ..hardware import ClusterConfig
 from ..memo import per_object
 from ..network import Fabric
+# Re-exported as ``repro.faults.FAULT_STREAM``, the stream fault
+# windows are drawn on.
+from ..simulator.trace import FAULT_STREAM  # noqa: F401
 from ..telemetry.metrics import get_registry
 from .schedule import FaultSchedule, LinkFault, NodeFault, RetransmitFault
-
-#: Stream name for fault-window spans in iteration traces; the Perfetto
-#: exporter allocates it a track automatically, so fault windows show up
-#: as a third timeline row next to ``compute`` and ``comm``.
-FAULT_STREAM = "faults"
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
 """Terminal and markdown rendering of experiment outputs."""
 
-from .charts import bar_chart, line_chart, scaling_chart
-from .markdown import comparison_table, to_markdown
-from .metrics_report import metrics_to_markdown, render_metrics
-from .reliability import (
-    DEFAULT_PENALTY_MARGIN,
-    fault_penalty_gap,
-    fault_penalty_threshold,
-    reliability_findings,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .charts import bar_chart, line_chart, scaling_chart
+    from .markdown import comparison_table, to_markdown
+    from .metrics_report import metrics_to_markdown, render_metrics
+    from .reliability import (
+        DEFAULT_PENALTY_MARGIN,
+        fault_penalty_gap,
+        fault_penalty_threshold,
+        reliability_findings,
+    )
 
 __all__ = [
     "line_chart", "bar_chart", "scaling_chart",
@@ -17,3 +22,13 @@ __all__ = [
     "fault_penalty_gap", "fault_penalty_threshold",
     "reliability_findings", "DEFAULT_PENALTY_MARGIN",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".charts": ("bar_chart", "line_chart", "scaling_chart"),
+    ".markdown": ("comparison_table", "to_markdown"),
+    ".metrics_report": ("metrics_to_markdown", "render_metrics"),
+    ".reliability": (
+        "DEFAULT_PENALTY_MARGIN", "fault_penalty_gap",
+        "fault_penalty_threshold", "reliability_findings",
+    ),
+})

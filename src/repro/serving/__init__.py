@@ -8,16 +8,26 @@ back per request.  See ``docs/serving.md`` for the API reference and
 operational semantics.
 """
 
-from .http import MAX_BODY_BYTES, ServingHandler, ServingHTTPServer, make_server
-from .quota import AdmissionError, TenantQuotas, TokenBucket
-from .requests import (
-    MAX_SEEDS_PER_REQUEST,
-    AdviseRequest,
-    SimulateRequest,
-    WhatIfRequest,
-    parse_request,
-)
-from .scheduler import TERMINAL_STATES, RequestState, ServingScheduler
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .http import (
+        MAX_BODY_BYTES,
+        ServingHandler,
+        ServingHTTPServer,
+        make_server,
+    )
+    from .quota import AdmissionError, TenantQuotas, TokenBucket
+    from .requests import (
+        MAX_SEEDS_PER_REQUEST,
+        AdviseRequest,
+        SimulateRequest,
+        WhatIfRequest,
+        parse_request,
+    )
+    from .scheduler import TERMINAL_STATES, RequestState, ServingScheduler
 
 __all__ = [
     "AdmissionError", "TokenBucket", "TenantQuotas",
@@ -27,3 +37,15 @@ __all__ = [
     "ServingHandler", "ServingHTTPServer", "make_server",
     "MAX_BODY_BYTES",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".http": (
+        "MAX_BODY_BYTES", "ServingHandler", "ServingHTTPServer", "make_server",
+    ),
+    ".quota": ("AdmissionError", "TenantQuotas", "TokenBucket"),
+    ".requests": (
+        "MAX_SEEDS_PER_REQUEST", "AdviseRequest", "SimulateRequest",
+        "WhatIfRequest", "parse_request",
+    ),
+    ".scheduler": ("TERMINAL_STATES", "RequestState", "ServingScheduler"),
+})

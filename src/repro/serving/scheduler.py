@@ -60,6 +60,12 @@ from ..core import (
 )
 from ..engine import AdvisorShardJob, ExperimentEngine, SimJob
 from ..errors import ConfigurationError
+# The simulator imports its kernel and span reconstruction on first use
+# (they import it back).  The routes run both — simulate runs the
+# kernel, calibration replays an iteration — so they load with the
+# server instead of on its first request.
+from ..simulator import batch as _batch  # noqa: F401
+from ..simulator import reconstruct as _reconstruct  # noqa: F401
 from ..telemetry.logs import get_logger
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracing import get_tracer

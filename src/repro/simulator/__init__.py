@@ -8,28 +8,33 @@ per-iteration event loop that specifies the semantics lives in the
 test suite as the kernel's oracle.
 """
 
-from .ddp import DDPConfig, DDPSimulator, TimingResult
-from .batch import run_batch
-from .export import (
-    allocate_track_ids,
-    events_to_chrome_json,
-    run_to_events,
-    trace_to_chrome_json,
-    trace_to_events,
-    tracer_spans_to_events,
-    traces_to_events,
-    write_chrome_trace,
-    write_run_trace,
-    write_trace_spans,
-)
-from .reconstruct import reconstruct_traces
-from .trace import (
-    COMM_STREAM,
-    COMPUTE_STREAM,
-    IterationTrace,
-    Span,
-    estimate_gamma,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .ddp import DDPConfig, DDPSimulator, TimingResult
+    from .batch import run_batch
+    from .export import (
+        allocate_track_ids,
+        events_to_chrome_json,
+        run_to_events,
+        trace_to_chrome_json,
+        trace_to_events,
+        tracer_spans_to_events,
+        traces_to_events,
+        write_chrome_trace,
+        write_run_trace,
+        write_trace_spans,
+    )
+    from .reconstruct import reconstruct_traces
+    from .trace import (
+        COMM_STREAM,
+        COMPUTE_STREAM,
+        IterationTrace,
+        Span,
+        estimate_gamma,
+    )
 
 __all__ = [
     "Span", "IterationTrace", "estimate_gamma",
@@ -41,3 +46,19 @@ __all__ = [
     "trace_to_chrome_json", "write_chrome_trace", "write_run_trace",
     "tracer_spans_to_events", "write_trace_spans", "reconstruct_traces",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".ddp": ("DDPConfig", "DDPSimulator", "TimingResult"),
+    ".batch": ("run_batch",),
+    ".export": (
+        "allocate_track_ids", "events_to_chrome_json", "run_to_events",
+        "trace_to_chrome_json", "trace_to_events", "tracer_spans_to_events",
+        "traces_to_events", "write_chrome_trace", "write_run_trace",
+        "write_trace_spans",
+    ),
+    ".reconstruct": ("reconstruct_traces",),
+    ".trace": (
+        "COMM_STREAM", "COMPUTE_STREAM", "IterationTrace", "Span",
+        "estimate_gamma",
+    ),
+})

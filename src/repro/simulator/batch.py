@@ -51,17 +51,19 @@ event-identical :class:`~repro.simulator.trace.IterationTrace` objects.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 from ..collectives import ring_allreduce_time
 from ..errors import ConfigurationError
-from ..faults import ResolvedFaults
 from ..network import Fabric
 from ..telemetry.metrics import get_registry
 from .ddp import DDPSimulator, TimingResult
+
+if TYPE_CHECKING:
+    from ..faults import ResolvedFaults
 
 
 def _col(J: np.ndarray, idx: Optional[int], n: int) -> np.ndarray:
@@ -191,7 +193,7 @@ class _FaultRows:
 
 #: One member of a stacked batch call: its simulator, its row slice,
 #: and its resolved fault range (``None`` for a fault-free member).
-_Member = Tuple[DDPSimulator, slice, Optional[ResolvedFaults]]
+_Member = Tuple[DDPSimulator, slice, Optional["ResolvedFaults"]]
 
 
 def _stack_member_faults(sims: Sequence[DDPSimulator], n: int,

@@ -35,7 +35,7 @@ computation and synchronization").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from ..collectives import (
 )
 from ..compute import ComputeModel
 from ..errors import ConfigurationError, OutOfMemoryError
-from ..faults import FAULT_STREAM, FaultInjector, FaultSchedule
 from ..hardware import ClusterConfig
 from ..models import ModelSpec
 from ..network import Fabric
@@ -57,7 +56,10 @@ from ..compression.schemes import Scheme, SchemeCost, SyncSGDScheme
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracing import get_tracer
 from ..units import MIB
-from .trace import COMM_STREAM, IterationTrace
+from .trace import COMM_STREAM, FAULT_STREAM, IterationTrace
+
+if TYPE_CHECKING:
+    from ..faults import FaultInjector, FaultSchedule
 
 
 @dataclass(frozen=True)
@@ -200,9 +202,10 @@ class DDPSimulator:
         # An empty schedule is the identity — no injector, so the code
         # path (and therefore the RNG stream and every cache key) is
         # exactly the fault-free one.
-        self._injector: Optional[FaultInjector] = (
-            FaultInjector(faults, cluster, self.fabric)
-            if faults is not None and not faults.is_empty else None)
+        self._injector: Optional[FaultInjector] = None
+        if faults is not None and not faults.is_empty:
+            from ..faults.injector import FaultInjector
+            self._injector = FaultInjector(faults, cluster, self.fabric)
         #: Public handle on the fault injector (``None`` when the run
         #: is fault-free); the CLI prints its post-run summary.
         self.injector = self._injector

@@ -30,15 +30,23 @@ disturbing its telemetry.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..faults import FAULT_STREAM, IterationFaults
 from .batch import _FaultRows, _evaluate
 from .ddp import DDPSimulator
-from .trace import COMM_STREAM, COMPUTE_STREAM, IterationTrace, Span
+from .trace import (
+    COMM_STREAM,
+    COMPUTE_STREAM,
+    FAULT_STREAM,
+    IterationTrace,
+    Span,
+)
+
+if TYPE_CHECKING:
+    from ..faults import IterationFaults
 
 
 def reconstruct_traces(sim: DDPSimulator,

@@ -18,6 +18,11 @@ from ..errors import SimulationError
 COMPUTE_STREAM = "compute"
 COMM_STREAM = "comm"
 
+#: Stream name for fault-window spans in iteration traces; the Perfetto
+#: exporter allocates it a track automatically, so fault windows show up
+#: as a third timeline row next to ``compute`` and ``comm``.
+FAULT_STREAM = "faults"
+
 
 @dataclass(frozen=True)
 class Span:

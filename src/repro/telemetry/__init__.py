@@ -9,41 +9,46 @@ shared no-op handle — zero allocations, no RNG interaction, bit-identical
 simulated timelines.
 """
 
-from .logs import LEVELS, StructuredLogger, configure, get_logger
-from .manifest import (
-    MANIFEST_FILENAME,
-    MANIFEST_VERSION,
-    build_manifest,
-    read_manifest,
-    verify_manifest,
-    write_manifest,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    disable,
-    enable,
-    escape_label_value,
-    format_key,
-    get_registry,
-    metric_key,
-    parse_key,
-    render_prometheus,
-    set_registry,
-    validate_prometheus_text,
-)
-from .tracing import (
-    NullTracer,
-    TraceRecorder,
-    TraceSpan,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    set_tracer,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .logs import LEVELS, StructuredLogger, configure, get_logger
+    from .manifest import (
+        MANIFEST_FILENAME,
+        MANIFEST_VERSION,
+        build_manifest,
+        read_manifest,
+        verify_manifest,
+        write_manifest,
+    )
+    from .metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        NullRegistry,
+        disable,
+        enable,
+        escape_label_value,
+        format_key,
+        get_registry,
+        metric_key,
+        parse_key,
+        render_prometheus,
+        set_registry,
+        validate_prometheus_text,
+    )
+    from .tracing import (
+        NullTracer,
+        TraceRecorder,
+        TraceSpan,
+        disable_tracing,
+        enable_tracing,
+        get_tracer,
+        set_tracer,
+    )
 
 __all__ = [
     "Counter", "Gauge", "Histogram",
@@ -57,3 +62,21 @@ __all__ = [
     "MANIFEST_FILENAME", "MANIFEST_VERSION",
     "build_manifest", "write_manifest", "read_manifest", "verify_manifest",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".logs": ("LEVELS", "StructuredLogger", "configure", "get_logger"),
+    ".manifest": (
+        "MANIFEST_FILENAME", "MANIFEST_VERSION", "build_manifest",
+        "read_manifest", "verify_manifest", "write_manifest",
+    ),
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
+        "disable", "enable", "escape_label_value", "format_key",
+        "get_registry", "metric_key", "parse_key", "render_prometheus",
+        "set_registry", "validate_prometheus_text",
+    ),
+    ".tracing": (
+        "NullTracer", "TraceRecorder", "TraceSpan", "disable_tracing",
+        "enable_tracing", "get_tracer", "set_tracer",
+    ),
+})

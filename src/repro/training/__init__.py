@@ -1,17 +1,26 @@
 """Numeric training substrate: numpy NN + distributed compressed training."""
 
-from .data import Dataset, concentric_rings, gaussian_blobs, sparse_logits
-from .distributed import DistributedTrainer, TrainHistory, train_with_method
-from .nn import MLP, MLPConfig, cross_entropy, softmax
-from .optim import (
-    SGD,
-    Adam,
-    ConstantLR,
-    LRSchedule,
-    Optimizer,
-    StepDecayLR,
-    WarmupCosineLR,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .data import Dataset, concentric_rings, gaussian_blobs, sparse_logits
+    from .distributed import (
+        DistributedTrainer,
+        TrainHistory,
+        train_with_method,
+    )
+    from .nn import MLP, MLPConfig, cross_entropy, softmax
+    from .optim import (
+        SGD,
+        Adam,
+        ConstantLR,
+        LRSchedule,
+        Optimizer,
+        StepDecayLR,
+        WarmupCosineLR,
+    )
 
 __all__ = [
     "MLP", "MLPConfig", "softmax", "cross_entropy",
@@ -20,3 +29,17 @@ __all__ = [
     "Optimizer", "SGD", "Adam",
     "LRSchedule", "ConstantLR", "StepDecayLR", "WarmupCosineLR",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".data": (
+        "Dataset", "concentric_rings", "gaussian_blobs", "sparse_logits",
+    ),
+    ".distributed": (
+        "DistributedTrainer", "TrainHistory", "train_with_method",
+    ),
+    ".nn": ("MLP", "MLPConfig", "cross_entropy", "softmax"),
+    ".optim": (
+        "SGD", "Adam", "ConstantLR", "LRSchedule", "Optimizer", "StepDecayLR",
+        "WarmupCosineLR",
+    ),
+})
