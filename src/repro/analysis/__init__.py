@@ -15,7 +15,6 @@ if TYPE_CHECKING:
         candidate_grid,
         compression_error,
         finish_sweep,
-        merge_frontiers,
         pareto_mask,
         plan_sweep,
     )
@@ -37,15 +36,14 @@ __all__ = [
     "Sensitivities", "model_sensitivities", "DEFAULT_EPSILON",
     "AdvisorReport", "FrontierPoint", "SweepPlan", "SweepSpec",
     "advise", "plan_sweep", "finish_sweep",
-    "candidate_grid", "compression_error", "merge_frontiers",
-    "pareto_mask",
+    "candidate_grid", "compression_error", "pareto_mask",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".advisor": (
         "AdvisorReport", "FrontierPoint", "SweepPlan", "SweepSpec", "advise",
         "candidate_grid", "compression_error", "finish_sweep",
-        "merge_frontiers", "pareto_mask", "plan_sweep",
+        "pareto_mask", "plan_sweep",
     ),
     ".bottleneck": (
         "BlockedTimeReport", "TimeBreakdown", "blocked_time_analysis",

@@ -132,26 +132,6 @@ def pareto_mask(times: np.ndarray, errors: np.ndarray) -> np.ndarray:
     return mask
 
 
-def merge_frontiers(frontiers: Sequence[Tuple[np.ndarray, np.ndarray]],
-                    ) -> np.ndarray:
-    """Pareto mask over concatenated per-shard frontiers.
-
-    Exact because ``Pareto(S₁ ∪ S₂) = Pareto(Pareto(S₁) ∪ Pareto(S₂))``
-    — a point dominated in the union is dominated by some frontier
-    point of its own shard or another's, and that dominator (or a
-    duplicate of it) survives its shard's sweep.  Holds with duplicates
-    under the strict-dominance rule above, which the randomized merge
-    tests exercise.
-    """
-    times = np.concatenate([np.asarray(t, dtype=float)
-                            for t, _ in frontiers]) if frontiers \
-        else np.zeros(0)
-    errors = np.concatenate([np.asarray(e, dtype=float)
-                             for _, e in frontiers]) if frontiers \
-        else np.zeros(0)
-    return pareto_mask(times, errors)
-
-
 def compression_error(model: ModelSpec, scheme: Scheme, world_size: int,
                       profile=None) -> float:
     """The sweep's error proxy: wire volume removed, in ``[0, 1]``."""

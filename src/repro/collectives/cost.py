@@ -135,23 +135,29 @@ def ring_allreduce_time(num_bytes, p, bandwidth, alpha):
     return _ring_allreduce(num_bytes, p, bandwidth, alpha)
 
 
-def double_tree_allreduce_time(num_bytes: float, p: int, bandwidth: float,
+def double_tree_allreduce_time(num_bytes, p: int, bandwidth: float,
                                alpha: float,
-                               block_bytes: float = TREE_BLOCK_BYTES) -> float:
+                               block_bytes: float = TREE_BLOCK_BYTES):
     """Double-binary-tree all-reduce [50]: ``2α·log2(p)`` latency, the
     same ``2n(p-1)/(p·BW)`` bandwidth, plus a pipeline-fill penalty of one
     block per tree level (the "high overhead at small scale" NCCL
     documents).
+
+    ``num_bytes`` may be an array (the batch kernel prices a model's
+    gradient buckets in one call); a Python scalar gives a Python
+    float.  A world size of 1 has no tree levels and prices to exactly
+    ``+0.0``.
     """
     _validate(num_bytes, p, bandwidth, alpha)
     validate_bound("block_bytes", block_bytes, 0, strict=True)
     _record("double_tree_allreduce", num_bytes, p)
-    if p == 1:
-        return 0.0
     levels = math.ceil(math.log2(p))
     latency = 2.0 * alpha * levels
     transfer = 2.0 * num_bytes * (p - 1) / (p * bandwidth)
-    pipeline_fill = levels * min(block_bytes, num_bytes) / bandwidth
+    block = (np.minimum(block_bytes, num_bytes)
+             if isinstance(num_bytes, np.ndarray)
+             else min(block_bytes, num_bytes))
+    pipeline_fill = levels * block / bandwidth
     return latency + transfer + pipeline_fill
 
 
@@ -188,16 +194,18 @@ def broadcast_time(num_bytes: float, p: int, bandwidth: float,
     return levels * (alpha + num_bytes / bandwidth)
 
 
-def parameter_server_time(num_bytes: float, p: int, bandwidth: float,
-                          alpha: float, incast_factor: float = 1.0) -> float:
+def parameter_server_time(num_bytes, p: int, bandwidth: float,
+                          alpha: float, incast_factor: float = 1.0):
     """Central parameter server: the server ingests ``n`` bytes from each
     of ``p-1`` workers through one NIC, then broadcasts back — the
-    topology all-reduce displaced (§2.2)."""
+    topology all-reduce displaced (§2.2).  ``num_bytes`` may be an
+    array, like :func:`double_tree_allreduce_time`."""
     _validate(num_bytes, p, bandwidth, alpha)
     validate_bound("incast_factor", incast_factor, 1)
     _record("parameter_server", num_bytes, p, incast_factor=incast_factor)
     if p == 1:
-        return 0.0
+        # No server round-trip at all, not two bare latencies.
+        return num_bytes * 0.0
     gather = alpha + num_bytes * (p - 1) / bandwidth * incast_factor
     scatter = alpha + num_bytes * (p - 1) / bandwidth
     return gather + scatter

@@ -25,25 +25,23 @@ from typing import List, Sequence
 import numpy as np
 
 from ..errors import CollectiveError, ConfigurationError
-from .cost import ring_allreduce_time
+from .cost import ring_allreduce_time, validate_bound
 from .numeric import ReduceOp, _add, ring_allreduce
 
 
-def hierarchical_allreduce_time(num_bytes: float, num_nodes: int,
+def hierarchical_allreduce_time(num_bytes, num_nodes: int,
                                 gpus_per_node: int,
                                 nic_bytes_per_s: float,
                                 nvlink_bytes_per_s: float,
-                                alpha_s: float) -> float:
-    """Two-level all-reduce cost (seconds)."""
-    if num_bytes < 0:
-        raise ConfigurationError(f"num_bytes must be >= 0, got {num_bytes}")
-    if num_nodes < 1 or gpus_per_node < 1:
-        raise ConfigurationError(
-            f"invalid topology: {num_nodes} nodes x {gpus_per_node} GPUs")
-    if nic_bytes_per_s <= 0 or nvlink_bytes_per_s <= 0:
-        raise ConfigurationError("bandwidths must be > 0")
-    if alpha_s < 0:
-        raise ConfigurationError(f"alpha must be >= 0, got {alpha_s}")
+                                alpha_s: float):
+    """Two-level all-reduce cost (seconds).  ``num_bytes`` may be an
+    array, like :func:`~repro.collectives.cost.ring_allreduce_time`."""
+    validate_bound("num_bytes", num_bytes, 0)
+    validate_bound("num_nodes", num_nodes, 1)
+    validate_bound("gpus_per_node", gpus_per_node, 1)
+    validate_bound("NIC bandwidth", nic_bytes_per_s, 0, strict=True)
+    validate_bound("NVLink bandwidth", nvlink_bytes_per_s, 0, strict=True)
+    validate_bound("alpha", alpha_s, 0)
 
     intra = 0.0
     if gpus_per_node > 1:

@@ -47,6 +47,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..collectives.cost import validate_bound
 from ..errors import CalibrationError, ConfigurationError
 from ..memo import per_object
 from ..models import ModelSpec, get_model
@@ -102,14 +103,21 @@ class KernelProfile:
                     f"{self.name}: {field_name} must be > 0, "
                     f"got {getattr(self, field_name)}")
 
-    def scaled(self, compute_factor: float) -> "KernelProfile":
-        """A profile for hardware ``compute_factor`` times faster."""
-        if compute_factor <= 0:
-            raise ConfigurationError(
-                f"compute_factor must be > 0, got {compute_factor}")
+    def scaled(self, compute_factor) -> "KernelProfile":
+        """A profile for hardware ``compute_factor`` times faster.
+
+        ``compute_factor`` may be an array — the grid's compute-factor
+        axis — and then every throughput field becomes an array of the
+        same per-cell products, so each cell equals the scalar call.
+        Only the name differs: ``-x{factor}`` for a scalar, ``-grid``
+        for an array (``{:g}`` cannot format one).
+        """
+        validate_bound("compute_factor", compute_factor, 0, strict=True)
+        suffix = ("grid" if isinstance(compute_factor, np.ndarray)
+                  else f"x{compute_factor:g}")
         return replace(
             self,
-            name=f"{self.name}-x{compute_factor:g}",
+            name=f"{self.name}-{suffix}",
             tensor_overhead_s=self.tensor_overhead_s / compute_factor,
             matmul_flops_per_s=self.matmul_flops_per_s * compute_factor,
             orth_elems_per_s=self.orth_elems_per_s * compute_factor,

@@ -45,6 +45,32 @@ def _backward_tables(model: ModelSpec) -> Tuple[np.ndarray, _TimeTables]:
     return flops, {}
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ConfigurationError(
+            f"batch_size must be >= 1, got {batch_size}")
+
+
+def _backward_time(model: ModelSpec, gpu: GPUSpec, batch_size,
+                   compute_factor):
+    """``T_comp`` for scalar or array batch sizes and compute factors.
+
+    The one definition of the backward-pass time: the §4 model's kernel
+    (:mod:`repro.core.perf_model`), its grids (:mod:`repro.core.grid`)
+    and :meth:`ComputeModel.backward_time` (compute factor 1) all call
+    it.  Python scalars in give a Python float out; arrays broadcast.
+    Scaling the peak by ``compute_factor`` here equals pricing on
+    ``gpu.scaled(compute_factor)``: both compute
+    ``(((peak·f)·eff_train)·eff_model)·saturation`` and divide
+    ``bs · bwd_flops(1)`` by it (``x·1.0`` is exact).  Batch sizes are
+    not validated here; callers check them first.
+    """
+    saturation = 1.0 / (1.0 + model.batch_half_saturation / batch_size)
+    eff = (gpu.peak_fp32_flops * compute_factor * gpu.training_efficiency
+           * model.compute_efficiency * saturation)
+    return batch_size * model.bwd_flops(1) / eff
+
+
 @dataclass(frozen=True)
 class ComputeModel:
     """Timing/memory model for one ``(model, gpu)`` pair.
@@ -59,9 +85,7 @@ class ComputeModel:
 
     def effective_flops(self, batch_size: int) -> float:
         """Sustained FLOP/s for this model at this batch size."""
-        if batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {batch_size}")
+        _check_batch_size(batch_size)
         saturation = 1.0 / (1.0 + self.model.batch_half_saturation / batch_size)
         return (self.gpu.effective_training_flops
                 * self.model.compute_efficiency * saturation)
@@ -71,8 +95,10 @@ class ComputeModel:
         return self.model.fwd_flops(batch_size) / self.effective_flops(batch_size)
 
     def backward_time(self, batch_size: int) -> float:
-        """Seconds for one backward pass — the paper's ``T_comp``."""
-        return self.model.bwd_flops(batch_size) / self.effective_flops(batch_size)
+        """Seconds for one backward pass — the paper's ``T_comp``
+        (:func:`_backward_time` at compute factor 1)."""
+        _check_batch_size(batch_size)
+        return _backward_time(self.model, self.gpu, batch_size, 1.0)
 
     def layer_backward_time(self, layer: LayerSpec, batch_size: int) -> float:
         """Seconds for the backward pass of one layer of this model.

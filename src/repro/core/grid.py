@@ -25,14 +25,14 @@ World size deserves a note: the per-scheme cost model
 size (gather decodes are linear in ``p``), so the kernel prices each
 *unique* world size once and mask-fills the results — still one NumPy
 kernel per distinct ``p``, not one per point.  The compute-factor axis
-rides through :class:`repro.compression.kernel_cost.KernelProfile`
-fields as arrays (the dataclass validation is array-aware for exactly
-this purpose).
+rides through :meth:`repro.compression.kernel_cost.KernelProfile.scaled`,
+which scales the profile's fields by the factor array (the dataclass
+validation is array-aware for exactly this purpose).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -40,6 +40,7 @@ import numpy as np
 from ..collectives.cost import validate_bound
 from ..compression.kernel_cost import KernelProfile, v100_kernel_profile
 from ..compression.schemes import Scheme
+from ..compute import _backward_time
 from ..errors import ConfigurationError
 from ..hardware import GPUSpec, V100
 from ..models import ModelSpec
@@ -47,7 +48,6 @@ from ..telemetry.metrics import get_registry
 from .perf_model import (
     PerfModelInputs,
     PredictedTime,
-    _backward_time,
     _evaluate,
     _sequential,
 )
@@ -197,25 +197,6 @@ def backward_time_grid(model: ModelSpec, gpu: GPUSpec,
     return _backward_time(model, gpu, batch_size, compute_factor)
 
 
-def _scaled_profile_grid(profile: KernelProfile,
-                         compute_factor: np.ndarray) -> KernelProfile:
-    """Array-factor form of :meth:`KernelProfile.scaled` (same per-field
-    arithmetic; the name stays a plain string because ``{:g}`` cannot
-    format an array)."""
-    return replace(
-        profile,
-        name=f"{profile.name}-grid",
-        tensor_overhead_s=profile.tensor_overhead_s / compute_factor,
-        matmul_flops_per_s=profile.matmul_flops_per_s * compute_factor,
-        orth_elems_per_s=profile.orth_elems_per_s * compute_factor,
-        select_elems_per_s=profile.select_elems_per_s * compute_factor,
-        pack_elems_per_s=profile.pack_elems_per_s * compute_factor,
-        elementwise_elems_per_s=(profile.elementwise_elems_per_s
-                                 * compute_factor),
-        svd_flops_per_s=profile.svd_flops_per_s * compute_factor,
-    )
-
-
 def _model_grid(model: ModelSpec, scheme: Optional[Scheme],
                 inputs: PerfModelInputs, gpu: GPUSpec,
                 profile: Optional[KernelProfile], bandwidth_bytes_per_s,
@@ -227,11 +208,9 @@ def _model_grid(model: ModelSpec, scheme: Optional[Scheme],
     _count_grid_points(shape, _axis_sizes(bw, p, factor, bs))
     if compute_factor is not None:
         # The scalar compute sweep prices encode/decode on
-        # profile.scaled(factor); ride the factor axis through the
-        # profile fields (same per-field multiply/divide).
-        profile = _scaled_profile_grid(
-            profile if profile is not None else v100_kernel_profile(),
-            factor)
+        # profile.scaled(factor); so does every cell here.
+        profile = (profile if profile is not None
+                   else v100_kernel_profile()).scaled(factor)
     return _timing_grid(_evaluate(model, scheme, inputs, gpu, profile,
                                   bw, p, factor, bs), shape,
                         (bw, p, factor, bs))

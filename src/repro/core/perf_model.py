@@ -48,6 +48,7 @@ from ..collectives.cost import (
 )
 from ..compression.kernel_cost import KernelProfile, v100_kernel_profile
 from ..compression.schemes import Scheme, SchemeCost, SyncSGDScheme
+from ..compute import _backward_time
 from ..errors import ConfigurationError
 from ..hardware import GPUSpec, V100
 from ..models import ModelSpec
@@ -127,22 +128,6 @@ def _maximum(a, b):
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.maximum(a, b)
     return max(a, b)
-
-
-def _backward_time(model: ModelSpec, gpu: GPUSpec, batch_size,
-                   compute_factor):
-    """``T_comp`` for scalar or array batch sizes and compute factors.
-
-    Equals :meth:`repro.compute.ComputeModel.backward_time` on
-    ``gpu.scaled(factor)`` exactly: that path computes
-    ``(((peak·f)·eff_train)·eff_model)·saturation`` and divides
-    ``bs · bwd_flops(1)`` by it, and so does this one (``x·1.0`` is
-    exact, so the unscaled case matches too).
-    """
-    saturation = 1.0 / (1.0 + model.batch_half_saturation / batch_size)
-    eff = (gpu.peak_fp32_flops * compute_factor * gpu.training_efficiency
-           * model.compute_efficiency * saturation)
-    return batch_size * model.bwd_flops(1) / eff
 
 
 def _scheme_cost(model: ModelSpec, scheme: Scheme, p,

@@ -19,12 +19,15 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme, SyncSGDScheme
 from ..compute import ComputeModel
 from ..errors import ConfigurationError
 from ..hardware import GPUSpec, V100
 from ..models import ModelSpec
+from .grid import compressed_time_grid
 from .perf_model import PerfModelInputs, predict
 
 
@@ -168,7 +171,9 @@ def strong_scaling_sweep(model: ModelSpec, scheme: Scheme,
     Under strong scaling the per-GPU batch shrinks with the worker
     count, so compute stops hiding communication — the regime the paper
     (§7 "workload trends") predicts compression becomes useful in.
-    World sizes must divide the global batch.
+    World sizes must divide the global batch.  The points are one
+    :func:`~repro.core.grid.compressed_time_grid` call over zipped
+    world-size and per-GPU batch axes.
     """
     if global_batch < 1:
         raise ConfigurationError(
@@ -176,22 +181,18 @@ def strong_scaling_sweep(model: ModelSpec, scheme: Scheme,
     ordered = sorted(set(world_sizes))
     if not ordered:
         raise ConfigurationError("world_sizes must be non-empty")
-    times: List[Tuple[int, int, float]] = []
     for p in ordered:
         if p < 1 or global_batch % p != 0:
             raise ConfigurationError(
                 f"world size {p} does not divide global batch "
                 f"{global_batch}")
-        bs = global_batch // p
-        inputs = PerfModelInputs(
-            world_size=p,
-            bandwidth_bytes_per_s=base_inputs.bandwidth_bytes_per_s,
-            alpha_s=base_inputs.alpha_s, gamma=base_inputs.gamma,
-            batch_size=bs, bucket_cap_bytes=base_inputs.bucket_cap_bytes)
-        times.append((p, bs, predict(model, scheme, inputs, gpu).total))
-    base_time = times[0][2]
+    sizes = np.array(ordered)
+    batches = global_batch // sizes
+    totals = compressed_time_grid(model, scheme, base_inputs, gpu,
+                                  world_size=sizes,
+                                  batch_size=batches).total.tolist()
     return tuple(
         StrongScalingPoint(world_size=p, per_gpu_batch=bs,
                            iteration_s=t,
-                           speedup_vs_min_world=base_time / t)
-        for p, bs, t in times)
+                           speedup_vs_min_world=totals[0] / t)
+        for p, bs, t in zip(sizes.tolist(), batches.tolist(), totals))

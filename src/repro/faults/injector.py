@@ -1,12 +1,14 @@
 """Resolving a :class:`FaultSchedule` into per-iteration fault state.
 
-The :class:`~repro.simulator.DDPSimulator` asks the injector one
-question per iteration — :meth:`FaultInjector.faults_for` — and gets
-back an :class:`IterationFaults`: the compute stretch the slowest
-straggler imposes, the effective bandwidth scale after every active
-link/NIC fault is applied to the fabric's matrix, the surviving world
-size under elastic recovery, any recovery stall, and the active
-retransmit policy.
+The :class:`~repro.simulator.DDPSimulator` asks the injector for a
+range of iterations at once — :meth:`FaultInjector.resolve_range` — and
+gets back a :class:`ResolvedFaults`: one :class:`IterationFaults` per
+iteration (the compute stretch the slowest straggler imposes, the
+effective bandwidth scale after every active link/NIC fault is applied
+to the fabric's matrix, the surviving world size under elastic
+recovery, any recovery stall, and the active retransmit policy), plus
+the numeric fields as parallel arrays.  A single iteration is the
+one-row range ``resolve_range(i, i + 1)``.
 
 Determinism rules:
 
@@ -83,8 +85,8 @@ class ResolvedFaults:
     broadcasts rather than one :class:`IterationFaults` at a time; this
     is the array form :meth:`FaultInjector.resolve_range` returns.  The
     arrays are parallel over iterations ``start .. start + n - 1`` and
-    each element is exactly the corresponding scalar field of
-    :meth:`FaultInjector.faults_for`.  A resolution may be shared by
+    each element is exactly the corresponding field of that
+    iteration's entry in ``states``.  A resolution may be shared by
     several injectors, so its arrays are read-only.
 
     Attributes:
@@ -152,7 +154,6 @@ class FaultInjector:
         self._validate_topology()
         self._base_min_bw = fabric.min_bandwidth()
         self._private: Dict[Tuple[int, int], ResolvedFaults] = {}
-        self._states: Dict[int, IterationFaults] = {}
         #: Counters the CLI prints after a faulted run; mirrored into
         #: telemetry when a registry is enabled.  They describe the most
         #: recent run: :meth:`reset_run_counters` zeroes them at the
@@ -211,29 +212,10 @@ class FaultInjector:
 
     # ----- resolution ---------------------------------------------------------
 
-    def faults_for(self, iteration: int) -> IterationFaults:
-        """The resolved fault state of ``iteration`` (memoized).
-
-        Read from a resolved range holding ``iteration`` when there is
-        one; otherwise resolved alone and kept in this injector's own
-        memo, so per-iteration callers never grow the shared range table.
-        """
-        state = self._states.get(iteration)
-        if state is None:
-            for (start, stop), resolved in self._ranges().items():
-                if start <= iteration < stop:
-                    state = resolved.states[iteration - start]
-                    break
-            else:
-                state = self._resolve(iteration, iteration + 1).states[0]
-            self._states[iteration] = state
-        return state
-
     def resolve_range(self, start: int, stop: int) -> ResolvedFaults:
         """Resolve iterations ``[start, stop)`` into parallel arrays.
 
-        The array API of :meth:`faults_for`, in the
-        :class:`ResolvedFaults` form the batch fast path applies as
+        The :class:`ResolvedFaults` form the batch kernel applies as
         masks and broadcasts.  Memoized per range and shared with every
         injector binding this schedule object to this cluster object
         and this fabric's shared matrix; the arrays are read-only.
@@ -397,36 +379,6 @@ class FaultInjector:
 
     # ----- retransmits ------------------------------------------------------
 
-    def retransmit_delay(self, iteration: int, transfer_index: int,
-                         base_duration_s: float) -> Tuple[float, int]:
-        """Extra seconds a transfer pays to loss this iteration.
-
-        Returns ``(delay_s, replays)``.  Each attempt drops with the
-        policy's ``drop_rate``; attempt *k*'s failure costs a timeout of
-        ``timeout_s * backoff**(k-1)`` plus a full replay of the
-        transfer (the α+β cost again).  After ``max_retries`` failures
-        the transfer is forced through.  The draw stream is seeded by
-        ``(schedule seed, iteration, transfer_index)``, so it is
-        reproducible and independent of the jitter RNG.
-        """
-        state = self.faults_for(iteration)
-        policy = state.retransmit
-        if policy is None or policy.drop_rate == 0.0:
-            return 0.0, 0
-        rng = np.random.default_rng(
-            (self.schedule.seed, iteration, transfer_index))
-        delay = 0.0
-        replays = 0
-        while replays < policy.max_retries:
-            if rng.random() >= policy.drop_rate:
-                break
-            delay += (policy.timeout_s * policy.backoff ** replays
-                      + base_duration_s)
-            replays += 1
-        if replays:
-            self.count_retransmits(delay, replays)
-        return delay, replays
-
     def count_retransmits(self, delay_s: float, replays: int) -> None:
         """Add one transfer's retransmits to the run counters, mirrored
         into telemetry when a registry is enabled."""
@@ -442,21 +394,23 @@ class FaultInjector:
                                transfer_index: int,
                                base_durations_s: np.ndarray,
                                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`retransmit_delay` over ``[start, stop)``
-        for one transfer index.
+        """Extra seconds one transfer pays to loss, for every iteration
+        in ``[start, stop)``.
 
-        Returns ``(delay_s, replays)`` arrays of length ``stop - start``
-        whose elements are bit-identical to the scalar call: each
-        iteration's draws come from the same
-        ``(schedule seed, iteration, transfer_index)``-seeded generator
-        (batched draws consume the stream in the same order as the
-        scalar loop's sequential ones), and the per-retry delay terms
-        accumulate in the scalar loop's order.
+        Returns ``(delay_s, replays)`` arrays of length ``stop - start``.
+        Each attempt drops with the active policy's ``drop_rate``;
+        attempt *k*'s failure costs a timeout of
+        ``timeout_s * backoff**(k-1)`` plus a full replay of the
+        transfer (its base duration again).  After ``max_retries``
+        failures the transfer is forced through.  Each iteration's draws
+        come from a generator seeded by ``(schedule seed, iteration,
+        transfer_index)``, so they are reproducible and independent of
+        the jitter RNG; the delay terms accumulate retry by retry, as
+        the scalar per-transfer loop in ``tests/oracle.py`` adds them.
 
-        Unlike the scalar method this is *pure*: the run counters and
-        telemetry are untouched — the batch path mirrors them itself
-        after assembling every transfer, preserving the event path's
-        accumulation order.
+        This is *pure*: the run counters and telemetry are untouched —
+        the batch kernel mirrors them through :meth:`count_retransmits`
+        after assembling every transfer, in the event loop's order.
         """
         n = stop - start
         durs = np.asarray(base_durations_s, dtype=float)

@@ -18,6 +18,7 @@ as a pure multiplier).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
@@ -79,6 +80,9 @@ class GPUSpec:
         streaming bandwidth and launch overhead together, exactly as the
         paper assumes encode/decode time shrinks with faster compute.
         """
+        if not math.isfinite(compute_factor):
+            raise ConfigurationError(
+                f"compute_factor must be finite, got {compute_factor}")
         if compute_factor <= 0:
             raise ConfigurationError(
                 f"compute_factor must be > 0, got {compute_factor}")

@@ -56,7 +56,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
 
 import numpy as np
 
-from ..collectives import ring_allreduce_time
 from ..errors import ConfigurationError
 from ..network import Fabric
 from ..telemetry.metrics import get_registry
@@ -83,26 +82,6 @@ def _cols(J: np.ndarray, sl: Optional[slice], n: int,
     return J[:, sl]
 
 
-def _allreduce_times(sim: DDPSimulator, payloads: np.ndarray,
-                     p: int, bw_scale: float = 1.0) -> np.ndarray:
-    """Vectorized ``sim._allreduce_time`` over an array of payloads.
-
-    Ring (the paper's forced algorithm and the default) broadcasts in
-    one expression; the ablation algorithms price per payload through
-    the scalar dispatcher — the bucket count is small, and the scalar
-    path keeps their exact arithmetic without duplicating it here.
-    ``bw_scale`` is the fault injector's degraded-bandwidth multiplier
-    (1.0 healthy), applied exactly as the scalar dispatcher applies it.
-    """
-    if sim.config.allreduce_algorithm == "ring":
-        return ring_allreduce_time(
-            payloads, p, sim.fabric.min_bandwidth() * bw_scale,
-            sim.fabric.alpha_s)
-    return np.asarray(
-        [sim._allreduce_time(float(b), p, bw_scale) for b in payloads],
-        dtype=float)
-
-
 # ----- kernel builders ---------------------------------------------------------
 #
 # Each builder prices everything iteration-independent once, registers
@@ -122,8 +101,9 @@ def _allreduce_times(sim: DDPSimulator, payloads: np.ndarray,
 #   replays exactly the draws the event loop would have made, in its
 #   order;
 # * per-(world size, bandwidth-scale) combo pricing: collective costs
-#   are computed once per distinct degraded state through the *scalar*
-#   dispatchers (exact for every algorithm) and scattered to rows.
+#   are computed once per distinct degraded state through the
+#   simulator's dispatchers — one array call over every bucket for the
+#   all-reduce, whatever the algorithm — and scattered to rows.
 
 
 class _SlotLayout:
@@ -229,8 +209,8 @@ def _combos(F: _FaultRows) -> List[Tuple[Tuple[int, float], np.ndarray]]:
     """Rows grouped by distinct (world size, bandwidth scale) state.
 
     Fault schedules produce a handful of distinct degraded states over
-    a run, so pricing once per combo through the scalar dispatchers is
-    both exact and cheap.  Combos come in order of first appearance,
+    a run, so pricing once per combo through the dispatchers is both
+    exact and cheap.  Combos come in order of first appearance,
     so the pricing calls (and the collective telemetry they record)
     happen in row order."""
     if (F.p == F.p[0]).all() and (F.bw == F.bw[0]).all():
@@ -353,8 +333,8 @@ def _plan_baseline(lead: DDPSimulator, bs: int, layout: _SlotLayout,
         durs = np.zeros((N, nb))
         for (p, bw), rows in _combos(F):
             if p > 1:
-                durs[rows] = _allreduce_times(
-                    lead, sizes * wire_scale_at(p), p, bw)
+                durs[rows] = lead._allreduce_time(
+                    sizes * wire_scale_at(p), p, bw)
         durations = durs * _cols(J, sl_comm, N, nb)
         delays, replays = _retransmit_arrays(members, durations)
         # The FIFO comm-stream recurrence, with each bucket's

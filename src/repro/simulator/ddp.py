@@ -255,9 +255,16 @@ class DDPSimulator:
 
     # ----- communication pricing ----------------------------------------------
 
-    def _allreduce_time(self, num_bytes: float,
+    def _allreduce_time(self, num_bytes,
                         world_size: Optional[int] = None,
-                        bw_scale: float = 1.0) -> float:
+                        bw_scale: float = 1.0):
+        """All-reduce seconds under the configured algorithm.
+
+        ``num_bytes`` is one payload or an array of them (the batch
+        kernel prices every gradient bucket in one call, whatever the
+        algorithm); ``bw_scale`` is the fault injector's degraded
+        bandwidth multiplier (1.0 healthy).
+        """
         p = world_size if world_size is not None else self.cluster.world_size
         bw = self.fabric.min_bandwidth() * bw_scale
         alpha = self.fabric.alpha_s

@@ -27,8 +27,6 @@ import math
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import ConfigurationError
 
 #: Histograms keep at most this many raw samples for percentiles; the
@@ -205,6 +203,8 @@ class Histogram:
         loop's; min and max skip NaN exactly as the loop's comparisons
         do, and the retained samples fill up to the same cap.
         """
+        import numpy as np  # deferred: `repro metrics` loads no numpy
+
         values = np.asarray(values, dtype=float).ravel()
         if not values.size:
             return

@@ -10,11 +10,12 @@ bit for bit.
 
 It also keeps the reference cache-key builders, the advisor sweep's
 unsharded reduction, the training substrate's step-by-step loops, the
-one-point scalar form of the §4 performance model and its α+β
-collectives, the per-layer scheme-cost walks, the fabric's unshared
-bandwidth draw, the masked jitter draw, the one-value-at-a-time
-histogram, the per-iteration fault resolution and the uncached metric
-lookup (below).
+one-point scalar form of the §4 performance model with its ``T_comp``,
+its α+β collectives (every all-reduce algorithm) and its per-point
+strong-scaling loop, the per-layer scheme-cost walks, the fabric's
+unshared bandwidth draw, the masked jitter draw, the one-value-at-a-time
+histogram, the per-iteration fault resolution and retransmit draw, and
+the uncached metric lookup (below).
 """
 
 import hashlib
@@ -41,10 +42,9 @@ from repro.compression.schemes import (
     SchemeCost,
     SyncSGDScheme,
 )
-from repro.compute import ComputeModel
 from repro.core.advisor import recommend_for_inputs
 from repro.core.grid import compressed_time_grid
-from repro.core.perf_model import PredictedTime
+from repro.core.perf_model import PredictedTime, predict
 from repro.core.whatif import solve_crossover
 from repro.engine import AdvisorShardResult
 from repro.errors import ConfigurationError, SimulationError
@@ -357,6 +357,37 @@ def _oracle_faults(injector, iteration):
     return oracle.faults_for(iteration)
 
 
+def retransmit_delay(injector, iteration, transfer_index, base_duration_s):
+    """Extra seconds one transfer pays to loss at ``iteration``: the
+    scalar form of ``FaultInjector.retransmit_delay_range``.
+
+    Returns ``(delay_s, replays)``.  The policy comes from the
+    oracle's own per-iteration resolution; each attempt drops with its
+    ``drop_rate``, attempt *k*'s failure costs
+    ``timeout_s * backoff**(k-1)`` plus a replay of the transfer, and
+    after ``max_retries`` failures the transfer is forced through.  The
+    draws come from a ``(schedule seed, iteration, transfer_index)``
+    generator.  Unlike the range form it counts what it injects, through
+    ``injector.count_retransmits``, as a stepped iteration does.
+    """
+    policy = _oracle_faults(injector, iteration).retransmit
+    if policy is None or policy.drop_rate == 0.0:
+        return 0.0, 0
+    rng = np.random.default_rng(
+        (injector.schedule.seed, iteration, transfer_index))
+    delay = 0.0
+    replays = 0
+    while replays < policy.max_retries:
+        if rng.random() >= policy.drop_rate:
+            break
+        delay += (policy.timeout_s * policy.backoff ** replays
+                  + base_duration_s)
+        replays += 1
+    if replays:
+        injector.count_retransmits(delay, replays)
+    return delay, replays
+
+
 def _jitter(rng, sigma):
     return float(rng.lognormal(mean=0.0, sigma=sigma)) if sigma > 0 else 1.0
 
@@ -393,8 +424,8 @@ def _retransmit(sim, trace, ifaults, transfer_index, label, end, duration,
     finished at ``end``; returns the new completion instant."""
     if ifaults is None or ifaults.retransmit is None or duration <= 0:
         return end
-    delay, replays = sim.injector.retransmit_delay(
-        ifaults.iteration, transfer_index, duration)
+    delay, replays = retransmit_delay(
+        sim.injector, ifaults.iteration, transfer_index, duration)
     if delay <= 0:
         return end
     trace.add(Span(COMM_STREAM, label, end, end + delay,
@@ -489,7 +520,7 @@ def _simulate_compressed_sequential(sim, bs, rng, ifaults):
     trace.add(Span(COMPUTE_STREAM, "forward", t0, t0 + t_fwd))
     trace.forward_end = t0 + t_fwd
 
-    t_bwd = (sim.compute.backward_time(bs) * slow
+    t_bwd = (backward_time(sim.model, sim.compute.gpu, bs) * slow
              * _jitter(rng, cfg.compute_jitter))
     trace.backward_end = trace.forward_end + t_bwd
     trace.add(Span(COMPUTE_STREAM, "backward", trace.forward_end,
@@ -537,7 +568,7 @@ def _simulate_compressed_overlapped(sim, bs, rng, ifaults):
     trace.add(Span(COMPUTE_STREAM, "forward", t0, fwd_end))
     trace.forward_end = fwd_end
 
-    t_bwd = (sim.compute.backward_time(bs) * slow
+    t_bwd = (backward_time(sim.model, sim.compute.gpu, bs) * slow
              * _jitter(rng, cfg.compute_jitter))
     enc_dec = ((cost.encode_decode_s + sim._hook_overhead()) * slow
                * _jitter(rng, cfg.compute_jitter))
@@ -1082,11 +1113,80 @@ def allgather_time(num_bytes, p, bandwidth, alpha, incast_factor=1.0):
     return latency + transfer
 
 
+def double_tree_allreduce_time(num_bytes, p, bandwidth, alpha,
+                               block_bytes=512 * 1024):
+    """Double-binary-tree all-reduce: ``2α·log2(p)`` latency, the ring's
+    bandwidth term, and one pipeline-fill block per tree level."""
+    _validate_collective(num_bytes, p, bandwidth, alpha)
+    if block_bytes <= 0:
+        raise ConfigurationError(
+            f"block_bytes must be > 0, got {block_bytes}")
+    _record_collective("double_tree_allreduce", num_bytes, p)
+    if p == 1:
+        return 0.0
+    levels = math.ceil(math.log2(p))
+    latency = 2.0 * alpha * levels
+    transfer = 2.0 * num_bytes * (p - 1) / (p * bandwidth)
+    pipeline_fill = levels * min(block_bytes, num_bytes) / bandwidth
+    return latency + transfer + pipeline_fill
+
+
+def parameter_server_time(num_bytes, p, bandwidth, alpha,
+                          incast_factor=1.0):
+    """Parameter server: ``p-1`` uploads through one NIC (incast-scaled),
+    then the broadcast back."""
+    _validate_collective(num_bytes, p, bandwidth, alpha)
+    if incast_factor < 1.0:
+        raise ConfigurationError(
+            f"incast_factor must be >= 1, got {incast_factor}")
+    _record_collective("parameter_server", num_bytes, p, incast_factor)
+    if p == 1:
+        return 0.0
+    gather = alpha + num_bytes * (p - 1) / bandwidth * incast_factor
+    scatter = alpha + num_bytes * (p - 1) / bandwidth
+    return gather + scatter
+
+
+def hierarchical_allreduce_time(num_bytes, num_nodes, gpus_per_node,
+                                nic_bytes_per_s, nvlink_bytes_per_s,
+                                alpha_s):
+    """Two-level all-reduce: ring within the node over NVLink, ring
+    across nodes over the NIC, broadcast back over NVLink."""
+    if num_bytes < 0:
+        raise ConfigurationError(f"num_bytes must be >= 0, got {num_bytes}")
+    if num_nodes < 1 or gpus_per_node < 1:
+        raise ConfigurationError(
+            f"invalid topology: {num_nodes} nodes x {gpus_per_node} GPUs")
+    if nic_bytes_per_s <= 0 or nvlink_bytes_per_s <= 0:
+        raise ConfigurationError("bandwidths must be > 0")
+    if alpha_s < 0:
+        raise ConfigurationError(f"alpha must be >= 0, got {alpha_s}")
+    intra = 0.0
+    if gpus_per_node > 1:
+        intra = (2.0 * num_bytes * (gpus_per_node - 1)
+                 / (gpus_per_node * nvlink_bytes_per_s))
+    inter = ring_allreduce_time(num_bytes, num_nodes, nic_bytes_per_s,
+                                alpha_s)
+    bcast = num_bytes / nvlink_bytes_per_s if gpus_per_node > 1 else 0.0
+    return intra + inter + bcast
+
+
+def backward_time(model, gpu, batch_size):
+    """``T_comp`` as ``ComputeModel`` wrote it: the whole batch's
+    backward FLOPs over the sustained FLOP/s at that batch size."""
+    if batch_size < 1:
+        raise ConfigurationError(
+            f"batch_size must be >= 1, got {batch_size}")
+    saturation = 1.0 / (1.0 + model.batch_half_saturation / batch_size)
+    rate = (gpu.effective_training_flops * model.compute_efficiency
+            * saturation)
+    return model.bwd_flops(batch_size) / rate
+
+
 def syncsgd_time(model, inputs, gpu=V100):
     """§4.1 model for synchronous SGD with bucketing and overlap."""
-    compute = ComputeModel(model, gpu)
     bs = inputs.batch_size or model.default_batch_size
-    t_comp = compute.backward_time(bs)
+    t_comp = backward_time(model, gpu, bs)
     p = inputs.world_size
     if p == 1:
         return PredictedTime(total=t_comp, compute=t_comp,
@@ -1117,9 +1217,8 @@ def compressed_time(model, scheme, inputs, gpu=V100, profile=None,
     if isinstance(scheme, SyncSGDScheme):
         return syncsgd_time(model, inputs, gpu)
     prof = profile if profile is not None else v100_kernel_profile()
-    compute = ComputeModel(model, gpu)
     bs = inputs.batch_size or model.default_batch_size
-    t_comp = compute.backward_time(bs)
+    t_comp = backward_time(model, gpu, bs)
     p = inputs.world_size
     if scheme_cost is None:
         cost = scheme.cost(model, p, prof)
@@ -1176,9 +1275,8 @@ def tradeoff_time(model, base_scheme, k, l, inputs, gpu=V100,
     if l < 1:
         raise ConfigurationError(f"l must be >= 1, got {l}")
     prof = profile if profile is not None else v100_kernel_profile()
-    compute = ComputeModel(model, gpu)
     bs = inputs.batch_size or model.default_batch_size
-    t_comp = compute.backward_time(bs)
+    t_comp = backward_time(model, gpu, bs)
     p = inputs.world_size
     base_cost = base_scheme.cost(model, p, prof)
     wire = min(base_cost.wire_bytes * l * k,
@@ -1198,6 +1296,18 @@ def tradeoff_time(model, base_scheme, k, l, inputs, gpu=V100,
                 inputs.alpha_s)
         comm = single * base_cost.messages
     return t_comp + enc + comm
+
+
+def strong_scaling_sweep(model, scheme, base_inputs, global_batch,
+                         world_sizes, gpu=V100):
+    """``(world size, per-GPU batch, iteration seconds)`` per sorted
+    distinct world size: one ``predict`` call each."""
+    points = []
+    for p in sorted(set(world_sizes)):
+        bs = global_batch // p
+        inputs = replace(base_inputs, world_size=p, batch_size=bs)
+        points.append((p, bs, predict(model, scheme, inputs, gpu).total))
+    return points
 
 
 # ----- scheme-cost oracle ------------------------------------------------------

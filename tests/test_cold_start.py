@@ -19,6 +19,7 @@ import textwrap
 import pytest
 
 import repro
+from repro.telemetry.metrics import MetricsRegistry
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 PACKAGE_DIR = os.path.join(SRC, "repro")
@@ -226,6 +227,17 @@ def test_version_and_help_load_no_numpy():
         loaded = _loaded(_run(COMMAND, *argv))
         assert "numpy" not in loaded, argv
         assert "repro.cli" in loaded
+
+
+def test_metrics_from_a_manifest_loads_no_numpy(tmp_path):
+    registry = MetricsRegistry()
+    registry.counter("sim_runs_total").inc(3)
+    registry.histogram("sim_iteration_s").observe_many([0.25, 0.5])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"metrics": registry.snapshot()}))
+    stdout = _run(COMMAND, "metrics", "--manifest", str(manifest))
+    assert "sim_runs_total = 3" in stdout
+    assert "numpy" not in _loaded(stdout)
 
 
 def test_an_exhibit_loads_neither_the_server_nor_training_nor_the_advisor():

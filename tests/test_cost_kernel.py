@@ -6,11 +6,14 @@ the one-point functions (``syncsgd_time``, ``compressed_time``,
 broadcast arrays.  ``tests/oracle.py`` keeps the one-point scalar code
 they replaced.  Two contracts are checked here:
 
-* a seeded property — one-point calls, grid cells and tradeoff cells
+* seeded properties — one-point calls, grid cells and tradeoff cells
   equal the oracles bit for bit, over every model and every scheme of
-  the advisor's candidate grid (world size 1 included);
+  the advisor's candidate grid (world size 1 included); so do
+  ``T_comp``, every all-reduce algorithm priced over a payload array,
+  and the strong-scaling sweep's one grid call;
 * telemetry — one public call advances the collective counters by what
-  the oracle loop records (calls exactly; bytes up to summation order).
+  the oracle loop records (calls exactly; bytes up to summation order,
+  exactly for whole-byte payloads).
 """
 
 from dataclasses import replace
@@ -19,19 +22,29 @@ import numpy as np
 import pytest
 
 from repro.analysis import candidate_grid
-from repro.collectives import allgather_time, ring_allreduce_time
+from repro.collectives import (
+    allgather_time,
+    double_tree_allreduce_time,
+    hierarchical_allreduce_time,
+    parameter_server_time,
+    ring_allreduce_time,
+)
 from repro.compression import FP16Scheme, PowerSGDScheme, TopKScheme
 from repro.compression.kernel_cost import v100_kernel_profile
+from repro.compute import ComputeModel
 from repro.core import (
     PerfModelInputs,
+    backward_time_grid,
     compressed_time,
     compressed_time_grid,
     predict,
+    strong_scaling_sweep,
     syncsgd_time,
     syncsgd_time_grid,
     tradeoff_time_grid,
 )
-from repro.hardware import V100
+from repro.core.advisor import default_candidates
+from repro.hardware import P100, T4, V100
 from repro.models import available_models, get_model
 from repro.telemetry import metrics as telemetry_metrics
 from repro.units import MIB
@@ -116,6 +129,96 @@ def test_kernel_matches_oracles_bit_for_bit(model_name):
                 for j, l in enumerate(ls):
                     assert grid.total[i, j] == oracle.tradeoff_time(
                         model, scheme, float(k), float(l), point)
+
+
+@pytest.mark.parametrize("gpu", [V100, T4, P100], ids=lambda g: g.name)
+def test_t_comp_is_the_compute_model_formula(gpu):
+    """``ComputeModel.backward_time`` and the kernel's ``T_comp`` grid
+    equal ``ComputeModel``'s old formula, for every zoo model."""
+    rng = np.random.default_rng([30, [V100, T4, P100].index(gpu)])
+    batches = np.concatenate(([1, 2, 1022], rng.integers(1, 1023, size=40)))
+    for name in available_models():
+        model = get_model(name)
+        compute = ComputeModel(model, gpu)
+        grid = backward_time_grid(model, gpu, batches, np.asarray(1.0))
+        for bs, cell in zip(batches.tolist(), grid.tolist()):
+            expected = oracle.backward_time(model, gpu, bs)
+            got = compute.backward_time(bs)
+            assert type(got) is float
+            assert got == expected == cell, (name, bs)
+
+
+def _draw_payloads(rng):
+    """Whole-byte payloads (zero included), as the simulator's buckets
+    are, so the summed bytes counter is exact in any order."""
+    n = int(rng.integers(1, 12))
+    payloads = np.floor(rng.uniform(0, 2e8, size=n))
+    payloads[rng.random(n) < 0.2] = 0.0
+    return payloads
+
+
+def _world(rng, high):
+    """A world size in ``[1, high)``, exactly 1 in a tenth of draws."""
+    return 1 if rng.random() < 0.1 else int(rng.integers(1, high))
+
+
+ALLREDUCE_CASES = {
+    "double_tree": lambda rng: (
+        double_tree_allreduce_time, oracle.double_tree_allreduce_time,
+        (_world(rng, 257), float(rng.uniform(1e8, 4e10)),
+         float(rng.choice([0.0, rng.uniform(0, 1e-4)])))),
+    "parameter_server": lambda rng: (
+        parameter_server_time, oracle.parameter_server_time,
+        (_world(rng, 257), float(rng.uniform(1e8, 4e10)),
+         float(rng.choice([0.0, rng.uniform(0, 1e-4)])),
+         float(rng.choice([1.0, rng.uniform(1.0, 3.0)])))),
+    "hierarchical": lambda rng: (
+        hierarchical_allreduce_time, oracle.hierarchical_allreduce_time,
+        (_world(rng, 33), _world(rng, 9),
+         float(rng.uniform(1e8, 4e10)), float(rng.uniform(1e10, 3e11)),
+         float(rng.choice([0.0, rng.uniform(0, 1e-4)])))),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALLREDUCE_CASES))
+def test_allreduce_payload_array_matches_scalar_loop(algorithm):
+    """An array of payloads prices each one exactly as the old scalar
+    formula did, returns Python floats for scalars, and advances the
+    collective counters by what the scalar loop records."""
+    rng = np.random.default_rng([30, sorted(ALLREDUCE_CASES).index(
+        algorithm)])
+    for _ in range(200):
+        fn, scalar, args = ALLREDUCE_CASES[algorithm](rng)
+        payloads = _draw_payloads(rng)
+        priced = {}
+        got = collective_counters(
+            lambda: priced.setdefault("array", fn(payloads, *args)))
+        want = collective_counters(lambda: priced.setdefault(
+            "loop", [scalar(float(n), *args) for n in payloads]))
+        assert priced["array"].tolist() == priced["loop"]
+        assert got == want
+        one = fn(float(payloads[0]), *args)
+        assert type(one) is float and one == priced["loop"][0]
+
+
+def test_strong_scaling_sweep_is_one_grid_call_equal_to_the_predict_loop():
+    rng = np.random.default_rng(30)
+    global_batch = 384
+    divisors = [d for d in range(1, global_batch + 1)
+                if global_batch % d == 0]
+    for name in ("resnet50", "resnet101", "vgg16", "bert-base"):
+        model = get_model(name)
+        for scheme in default_candidates():
+            base = random_inputs(rng)
+            sizes = rng.choice(divisors, size=8, replace=False).tolist()
+            points = strong_scaling_sweep(model, scheme, base, global_batch,
+                                          sizes)
+            expected = oracle.strong_scaling_sweep(model, scheme, base,
+                                                   global_batch, sizes)
+            assert [(pt.world_size, pt.per_gpu_batch, pt.iteration_s)
+                    for pt in points] == expected
+            assert [pt.speedup_vs_min_world for pt in points] == [
+                expected[0][2] / t for _, _, t in expected]
 
 
 # ----- telemetry contract ----------------------------------------------------

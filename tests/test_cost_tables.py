@@ -24,7 +24,6 @@ from repro.compression.kernel_cost import (
     v100_kernel_profile,
 )
 from repro.core.advisor import default_candidates
-from repro.core.grid import _scaled_profile_grid
 from repro.errors import ConfigurationError
 from repro.models import available_models, get_model
 
@@ -47,8 +46,8 @@ def profiles(rng):
     return {
         "default": base,
         "scaled": base.scaled(float(rng.uniform(0.5, 4.0))),
-        "array": _scaled_profile_grid(base, factors),
-        "array-2d": _scaled_profile_grid(base, factors.reshape(3, 1) * [1, 2]),
+        "array": base.scaled(factors),
+        "array-2d": base.scaled(factors.reshape(3, 1) * [1, 2]),
     }
 
 

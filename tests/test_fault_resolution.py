@@ -150,8 +150,8 @@ class TestResolutionProperty:
                 resolved = injector.resolve_range(start, stop)
                 assert_matches_oracle(resolved, oracle, start, stop)
             probe = int(rng.integers(0, 60))
-            assert _typed(injector.faults_for(probe)) \
-                == _typed(oracle.faults_for(probe))
+            assert_matches_oracle(injector.resolve_range(probe, probe + 1),
+                                  oracle, probe, probe + 1)
         assert one_node > 0
 
     def test_windows_match_the_scalar_rule(self):
@@ -275,23 +275,23 @@ class TestSharing:
         a = FaultInjector(first, small_cluster, Fabric(small_cluster))
         b = FaultInjector(second, small_cluster, Fabric(small_cluster))
         assert a.resolve_range(0, 20) is not b.resolve_range(0, 20)
-        assert _typed(a.faults_for(4)) == _typed(b.faults_for(4))
+        assert _typed(a.resolve_range(4, 5).states[0]) \
+            == _typed(b.resolve_range(4, 5).states[0])
 
-    def test_iteration_lookups_leave_the_shared_table_alone(
-            self, small_cluster):
-        """``faults_for`` reads a resolved range that holds the
-        iteration and resolves any other iteration privately."""
+    def test_single_iteration_ranges_match_the_oracle(self, small_cluster):
+        """A one-row range, as ``simulate_iteration`` resolves, inside
+        and outside a longer resolved range."""
         schedule = _nic_schedule()
         injector = FaultInjector(schedule, small_cluster,
                                  Fabric(small_cluster))
         resolved = injector.resolve_range(0, 10)
-        assert injector.faults_for(4) is resolved.states[4]
         oracle = FaultResolutionOracle(schedule, small_cluster,
                                        Fabric(small_cluster))
-        for i in (10, 13, 40):
-            assert _typed(injector.faults_for(i)) \
-                == _typed(oracle.faults_for(i))
-        assert list(injector._ranges()) == [(0, 10)]
+        for i in (0, 3, 4, 9, 10, 13, 40):
+            single = injector.resolve_range(i, i + 1)
+            assert_matches_oracle(single, oracle, i, i + 1)
+            if i < 10:
+                assert single.states[0] == resolved.states[i]
 
     def test_shared_arrays_are_read_only(self, small_cluster):
         injector = FaultInjector(_nic_schedule(), small_cluster,

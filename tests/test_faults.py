@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -21,7 +22,13 @@ from repro.hardware import cluster_for_gpus
 from repro.network import Fabric
 from repro.simulator import DDPSimulator
 
+from . import oracle
 from .oracle import event_run
+
+
+def state_at(injector, iteration):
+    """One iteration's resolved fault state: a one-row range."""
+    return injector.resolve_range(iteration, iteration + 1).states[0]
 
 
 class TestScheduleValidation:
@@ -253,14 +260,14 @@ class TestInjector:
             StragglerFault(worker=0, slowdown=1.5),
             StragglerFault(worker=1, slowdown=3.0),
         ]))
-        state = inj.faults_for(0)
+        state = state_at(inj, 0)
         assert state.compute_slowdown == 3.0
         assert "straggler" in state.active
 
     def test_clean_iteration_is_identity(self, small_cluster):
         inj = self._injector(small_cluster, FaultSchedule(stragglers=[
             StragglerFault(worker=0, slowdown=2.0, start_iteration=50)]))
-        state = inj.faults_for(0)
+        state = state_at(inj, 0)
         assert state.compute_slowdown == 1.0
         assert state.bandwidth_scale == 1.0
         assert state.stall_s == 0.0
@@ -271,25 +278,25 @@ class TestInjector:
         # minimum by exactly the fault's factor.
         inj = self._injector(small_cluster, FaultSchedule(nodes=[
             NodeFault(node=0, factor=0.25)]))
-        state = inj.faults_for(0)
+        state = state_at(inj, 0)
         assert state.bandwidth_scale == pytest.approx(0.25)
         assert "degraded-link" in state.active
 
     def test_link_fault_scales_bandwidth(self, small_cluster):
         inj = self._injector(small_cluster, FaultSchedule(links=[
             LinkFault(node_a=0, node_b=1, factor=0.5)]))
-        assert inj.faults_for(0).bandwidth_scale == pytest.approx(0.5)
+        assert state_at(inj, 0).bandwidth_scale == pytest.approx(0.5)
 
     def test_elastic_crash_shrinks_world(self, small_cluster):
         inj = self._injector(small_cluster, FaultSchedule(crashes=[
             CrashFault(worker=2, at_iteration=5, recovery="elastic",
                        stall_s=0.5)]))
-        assert inj.faults_for(4).world_size == 8
-        at = inj.faults_for(5)
+        assert state_at(inj, 4).world_size == 8
+        at = state_at(inj, 5)
         assert at.world_size == 7
         assert at.stall_s == 0.5
         assert "crash-elastic" in at.active
-        after = inj.faults_for(6)
+        after = state_at(inj, 6)
         assert after.world_size == 7
         assert after.stall_s == 0.0
 
@@ -297,10 +304,10 @@ class TestInjector:
         inj = self._injector(small_cluster, FaultSchedule(crashes=[
             CrashFault(worker=2, at_iteration=5, recovery="restart",
                        stall_s=1.0)]))
-        at = inj.faults_for(5)
+        at = state_at(inj, 5)
         assert at.world_size == 8
         assert at.stall_s == 1.0
-        assert inj.faults_for(6).world_size == 8
+        assert state_at(inj, 6).world_size == 8
 
     def test_elastically_dropped_straggler_stops_straggling(
             self, small_cluster):
@@ -308,30 +315,35 @@ class TestInjector:
             stragglers=[StragglerFault(worker=2, slowdown=4.0)],
             crashes=[CrashFault(worker=2, at_iteration=10,
                                 recovery="elastic")]))
-        assert inj.faults_for(9).compute_slowdown == 4.0
-        assert inj.faults_for(10).compute_slowdown == 1.0
+        assert state_at(inj, 9).compute_slowdown == 4.0
+        assert state_at(inj, 10).compute_slowdown == 1.0
 
     def test_harshest_retransmit_policy_wins(self, small_cluster):
         inj = self._injector(small_cluster, FaultSchedule(retransmits=[
             RetransmitFault(drop_rate=0.01),
             RetransmitFault(drop_rate=0.2),
         ]))
-        assert inj.faults_for(0).retransmit.drop_rate == 0.2
+        assert state_at(inj, 0).retransmit.drop_rate == 0.2
 
     def test_retransmit_delay_deterministic(self, small_cluster):
         schedule = FaultSchedule(seed=11, retransmits=[
             RetransmitFault(drop_rate=0.5)])
         a = self._injector(small_cluster, schedule)
         b = self._injector(small_cluster, schedule)
-        draws_a = [a.retransmit_delay(3, t, 1e-3) for t in range(50)]
-        draws_b = [b.retransmit_delay(3, t, 1e-3) for t in range(50)]
-        assert draws_a == draws_b
-        assert any(replays for _, replays in draws_a)  # rate 0.5: some drop
+        draws_a = [a.retransmit_delay_range(3, 4, t, np.array([1e-3]))
+                   for t in range(50)]
+        draws_b = [b.retransmit_delay_range(3, 4, t, np.array([1e-3]))
+                   for t in range(50)]
+        assert [(d.tolist(), r.tolist()) for d, r in draws_a] \
+            == [(d.tolist(), r.tolist()) for d, r in draws_b]
+        assert any(r[0] for _, r in draws_a)  # rate 0.5: some drop
 
     def test_retransmit_zero_rate_is_free(self, small_cluster):
         inj = self._injector(small_cluster, FaultSchedule(retransmits=[
             RetransmitFault(drop_rate=0.0)]))
-        assert inj.retransmit_delay(0, 0, 1e-3) == (0.0, 0)
+        delays, replays = inj.retransmit_delay_range(
+            0, 1, 0, np.array([1e-3]))
+        assert delays.tolist() == [0.0] and replays.tolist() == [0]
 
     def test_topology_validation(self, small_cluster):
         # 8 workers, 2 nodes.
@@ -383,7 +395,6 @@ class TestSimulatorIntegration:
             stragglers=[StragglerFault(worker=0, slowdown=2.0,
                                        start_iteration=2,
                                        duration_iterations=1)]))
-        import numpy as np
         rng = np.random.default_rng(0)
         clean_trace = sim.simulate_iteration(64, rng, iteration=1)
         hurt_trace = sim.simulate_iteration(64, rng, iteration=2)
@@ -488,7 +499,7 @@ class TestInjectorHardening:
         schedule = FaultSchedule(crashes=[crash])
         object.__setattr__(schedule, "crashes", (crash, crash))
         inj = self._injector(small_cluster, schedule)
-        assert inj.faults_for(5).world_size == \
+        assert state_at(inj, 5).world_size == \
             small_cluster.world_size - 1
 
     def test_restart_then_elastic_sequence_resolves(self, small_cluster):
@@ -498,8 +509,8 @@ class TestInjectorHardening:
             CrashFault(worker=0, at_iteration=6, recovery="elastic"),
         ])
         inj = self._injector(small_cluster, schedule)
-        assert inj.faults_for(3).world_size == small_cluster.world_size
-        assert inj.faults_for(7).world_size == \
+        assert state_at(inj, 3).world_size == small_cluster.world_size
+        assert state_at(inj, 7).world_size == \
             small_cluster.world_size - 1
 
     def test_counters_reset_between_runs(self, resnet50, small_cluster):
@@ -531,7 +542,7 @@ class TestInjectorHardening:
 
 
 class TestResolveRange:
-    """The injector's array API mirrors the scalar one exactly."""
+    """The injector's range API matches the per-iteration oracle."""
 
     def _injector(self, cluster, schedule):
         return FaultInjector(schedule, cluster, Fabric(cluster))
@@ -548,8 +559,10 @@ class TestResolveRange:
         inj = self._injector(small_cluster, schedule)
         resolved = inj.resolve_range(0, 12)
         assert len(resolved) == 12
+        want = oracle.FaultResolutionOracle(schedule, small_cluster,
+                                            inj.fabric)
         for i in range(12):
-            state = inj.faults_for(i)
+            state = want.faults_for(i)
             assert resolved.states[i] == state
             assert resolved.compute_slowdown[i] == state.compute_slowdown
             assert resolved.bandwidth_scale[i] == state.bandwidth_scale
@@ -576,18 +589,16 @@ class TestResolveRange:
         vec = self._injector(small_cluster, schedule)
         scalar = self._injector(small_cluster, schedule)
         durations = [1e-3 * (i + 1) for i in range(20)]
-        import numpy as np
         delays, replays = vec.retransmit_delay_range(
             0, 20, 1, np.asarray(durations))
         for i, dur in enumerate(durations):
-            d, r = scalar.retransmit_delay(i, 1, dur)
+            d, r = oracle.retransmit_delay(scalar, i, 1, dur)
             assert delays[i] == d  # bitwise
             assert replays[i] == r
 
     def test_retransmit_delay_range_is_pure(self, small_cluster):
         inj = self._injector(small_cluster, FaultSchedule(retransmits=[
             RetransmitFault(drop_rate=0.5)]))
-        import numpy as np
         inj.retransmit_delay_range(0, 10, 0, np.full(10, 1e-3))
         assert inj.retransmits_injected == 0
         assert inj.retransmit_delay_s == 0.0

