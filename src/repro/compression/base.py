@@ -92,10 +92,10 @@ class Compressor(abc.ABC):
         arr = np.asarray(grad)
         if arr.size == 0:
             raise CompressionError(f"{self.name}: cannot encode empty gradient")
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             raise CompressionError(
                 f"{self.name}: gradient must be floating point, got {arr.dtype}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise CompressionError(
                 f"{self.name}: gradient contains non-finite values")
         return arr.astype(np.float64, copy=False)

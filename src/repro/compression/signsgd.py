@@ -57,21 +57,28 @@ class SignSGDCompressor(Compressor):
         return _SIGNS[bits].reshape(payload.shape)
 
 
+def _vote(margin: np.ndarray) -> np.ndarray:
+    """The vote on a summed sign margin: +1 where it is at least 0 (ties
+    go to +1, consistent with the encoder's zero convention), else -1."""
+    return np.where(margin >= 0, 1.0, -1.0)
+
+
 def majority_vote(sign_tensors: Sequence[np.ndarray]) -> np.ndarray:
-    """``sign(sum_i sign_i)`` with ties broken toward +1 (consistent with
-    the encoder's zero convention)."""
+    """``sign(sum_i sign_i)`` with ties broken toward +1."""
     if len(sign_tensors) == 0:
         raise CompressionError("majority vote needs at least one worker")
-    total = np.sum(sign_tensors, axis=0)
-    return np.where(total >= 0.0, 1.0, -1.0)
+    return _vote(np.sum(sign_tensors, axis=0))
 
 
 class MajorityVoteAggregator(Aggregator):
     """Full signSGD aggregation: encode per worker, all-gather the packed
     sign vectors, unpack all ``p`` of them and vote.
 
-    The returned update is the voted sign pattern (unit magnitude).  Note
-    the received bytes: ``(p-1)`` payloads per worker — the linear term.
+    The vote counts set bits: with ``ones`` of the ``p`` signs +1 at a
+    coordinate, the sum of the decoded signs is exactly ``2 * ones - p``,
+    so no decoded ±1 tensor is built.  The returned update is the voted
+    sign pattern (unit magnitude).  Note the received bytes: ``(p-1)``
+    payloads per worker — the linear term.
     """
 
     name = "signsgd"
@@ -85,10 +92,12 @@ class MajorityVoteAggregator(Aggregator):
         grads = self._check_round(worker_grads)
         payloads = [self._codec.encode(g) for g in grads]
         # All-gather: every worker receives every other worker's payload.
-        decoded = self._buffer("decoded", (self.num_workers, *grads[0].shape))
-        for rank, payload in enumerate(payloads):
-            decoded[rank] = self._codec.decode(payload)
-        update = majority_vote(decoded)
+        numel = grads[0].size
+        ones = np.unpackbits(payloads[0].arrays[0], count=numel).astype(
+            np.int32)
+        for payload in payloads[1:]:
+            ones += np.unpackbits(payload.arrays[0], count=numel)
+        update = _vote(2 * ones - self.num_workers).reshape(grads[0].shape)
         wire = payloads[0].wire_bytes
         return AggregationResult(
             update=update,

@@ -25,7 +25,6 @@ from ..errors import CompressionError
 from ..units import FLOAT32_BYTES, INT32_BYTES, INT64_BYTES
 from .base import AggregationResult, Aggregator, Compressor, Payload
 from .error_feedback import ErrorFeedback
-from .identity import as_float64
 
 
 def _index_bytes(numel: int) -> int:
@@ -244,9 +243,9 @@ class MeanAllReduceAggregator(Aggregator):
 
         grads = self._check_round(worker_grads)
         payloads = [self.codec.encode(g) for g in grads]
-        # The ring leaves its inputs untouched, so float64 payloads (the
-        # fp32 codec's copy, Random-K's values) are passed without a copy.
-        value_arrays = [as_float64(p.arrays[0], copy=False) for p in payloads]
+        # The ring leaves its inputs untouched, so the float64 payloads
+        # are passed without a copy.
+        value_arrays = [p.arrays[0] for p in payloads]
         ring = self._buffer("ring", (self.num_workers, value_arrays[0].size))
         summed = ring_allreduce(value_arrays, out=ring)[0]
         summed /= self.num_workers

@@ -154,6 +154,8 @@ class FaultInjector:
         self._validate_topology()
         self._base_min_bw = fabric.min_bandwidth()
         self._private: Dict[Tuple[int, int], ResolvedFaults] = {}
+        self._last: Optional[Tuple[dict, Tuple[int, int],
+                                  ResolvedFaults]] = None
         #: Counters the CLI prints after a faulted run; mirrored into
         #: telemetry when a registry is enabled.  They describe the most
         #: recent run: :meth:`reset_run_counters` zeroes them at the
@@ -219,11 +221,23 @@ class FaultInjector:
         masks and broadcasts.  Memoized per range and shared with every
         injector binding this schedule object to this cluster object
         and this fabric's shared matrix; the arrays are read-only.
+        Ranges of at most one iteration are not shared: the injector
+        keeps only its latest.
         """
         if stop < start:
             raise ConfigurationError(
                 f"resolve_range: stop ({stop}) must be >= start ({start})")
         ranges = self._ranges()
+        if stop - start <= 1:
+            # Stepping one iteration at a time must not grow the table:
+            # keep only the latest, which the per-transfer retransmit
+            # draws re-read, tied to its table (a late degrade swaps it).
+            last = self._last
+            if (last is None or last[0] is not ranges
+                    or last[1] != (start, stop)):
+                last = self._last = (ranges, (start, stop),
+                                     self._resolve(start, stop))
+            return last[2]
         resolved = ranges.get((start, stop))
         if resolved is None:
             resolved = ranges[(start, stop)] = self._resolve(start, stop)

@@ -969,9 +969,10 @@ def advise_oracle(model, cluster, spec, candidates=None, batch_size=None):
 # ----- training substrate oracle ---------------------------------------------
 #
 # The numeric training path as it ran before it was vectorized: the ring
-# all-reduce stepping chunk by chunk, fp16 encoded by numpy's own cast,
-# and one forward/backward per rank on 2-D batches.  The production
-# kernels must match these bit for bit.
+# all-reduce stepping chunk by chunk, fp16 encoded by numpy's own cast
+# and aggregated as halves widened through a table, signSGD voting on
+# decoded ±1 tensors, and one forward/backward per rank on 2-D batches.
+# The production kernels must match these bit for bit.
 
 
 def ring_allreduce_oracle(arrays, op=np.add):
@@ -1011,6 +1012,78 @@ def fp16_encode_oracle(arr):
     """What ``FP16Compressor`` puts on the wire for float64 ``arr``."""
     finfo = np.finfo(np.float16)
     return np.clip(arr, finfo.min, finfo.max).astype(np.float16)
+
+
+#: The fp16 codec's constants and widening table, as they read before it
+#: rounded onto the half grid in float64.
+_HALF_TINY = 2.0 ** -14
+_EXPONENT = np.uint64(0x7FF0_0000_0000_0000)
+_HALF_TO_DOUBLE = (np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+                   .astype(np.float64))
+
+
+def to_half_oracle(arr):
+    """``arr.astype(np.float16)`` for finite ``arr``, built from the
+    float64 bits: adding ``2**(e + 42)`` leaves the half's mantissa in
+    the sum's low bits (the fp16 codec's encoder before it kept float64)."""
+    arr = np.asarray(arr, dtype=np.float64)
+    mag = np.abs(arr)
+    np.fmin(mag, 65536.0, out=mag)
+    scale = np.fmax(mag, _HALF_TINY).view(np.uint64)
+    scale &= _EXPONENT
+    scale += np.uint64(42 << 52)
+    mag += scale.view(np.float64)
+    bits = mag.view(np.uint64)
+    bits &= np.uint64(0xFFF)
+    scale >>= np.uint64(42)
+    bits += scale
+    bits -= np.uint64(1051 << 10)  # (1023 - 14 + 42) << 10
+    sign = np.right_shift(arr.view(np.uint64), np.uint64(48), out=scale)
+    sign &= np.uint64(0x8000)
+    bits |= sign
+    half = bits.astype(np.uint16).view(np.float16)
+    nan = np.isnan(arr)
+    if nan.any():
+        half[nan] = arr[nan].astype(np.float16)
+    return half
+
+
+def fp16_mean_allreduce_oracle(grads):
+    """What ``MeanAllReduceAggregator(p, FP16Compressor()).step(grads)``
+    must return, as ``(update, sent, received, messages, collective)``:
+    each rank's gradient clipped and cast to halves, the halves widened
+    through the table, summed over the step-by-step ring and averaged."""
+    finfo = np.finfo(np.float16)
+    halves = [to_half_oracle(np.clip(np.asarray(g, dtype=np.float64),
+                                     finfo.min, finfo.max))
+              for g in grads]
+    values = [_HALF_TO_DOUBLE[h.view(np.uint16)] for h in halves]
+    summed = ring_allreduce_oracle(values)[0]
+    summed /= len(grads)
+    update = summed.astype(np.float64).reshape(np.shape(grads[0]))
+    wire = float(np.size(grads[0]) * 2)
+    return update, wire, wire, 1, "ring_allreduce"
+
+
+def majority_vote_oracle(grads):
+    """What ``MajorityVoteAggregator(p).step(grads)`` must return, as
+    ``(update, sent, received, messages, collective)``: every rank's
+    packed signs decoded to a ±1.0 tensor, the ``p`` tensors summed and
+    the sum's sign taken, ties toward +1."""
+    p = len(grads)
+    shape = np.shape(grads[0])
+    numel = int(np.prod(shape))
+    signs = np.array([-1.0, 1.0])
+    decoded = np.empty((p, *shape))
+    for rank, grad in enumerate(grads):
+        packed = np.packbits(np.asarray(grad, dtype=np.float64)
+                             .reshape(-1) >= 0.0)
+        decoded[rank] = signs[np.unpackbits(packed, count=numel)].reshape(
+            shape)
+    total = np.sum(decoded, axis=0)
+    update = np.where(total >= 0.0, 1.0, -1.0)
+    wire = float(np.ceil(numel / 8.0))
+    return update, wire, wire * (p - 1), 1, "allgather"
 
 
 def loss_and_grads_oracle(model, x, y):

@@ -327,16 +327,20 @@ class TestCodecValidation:
         with pytest.raises(CompressionError):
             codec.encode(np.array([]))
 
-    @pytest.mark.parametrize("name", ["fp32", "signsgd", "topk", "qsgd"])
+    @pytest.mark.parametrize("name", ["fp32", "fp16", "signsgd", "topk",
+                                      "qsgd"])
     def test_rejects_nonfinite(self, name, rng):
         codec = make_compressor(name)
-        g = rng.normal(size=10)
-        g[3] = np.nan
-        with pytest.raises(CompressionError, match="non-finite"):
-            codec.encode(g)
+        for bad in (np.nan, np.inf, -np.inf):
+            g = rng.normal(size=10)
+            g[3] = bad
+            with pytest.raises(CompressionError, match="non-finite"):
+                codec.encode(g)
 
     @pytest.mark.parametrize("name", ["fp32", "signsgd", "topk"])
     def test_rejects_integer_dtype(self, name):
         codec = make_compressor(name)
-        with pytest.raises(CompressionError, match="floating"):
-            codec.encode(np.arange(10))
+        for grad in (np.arange(10), np.arange(10) + 0j,
+                     np.ones(10, dtype=bool)):
+            with pytest.raises(CompressionError, match="floating"):
+                codec.encode(grad)

@@ -24,6 +24,7 @@ from repro.faults import (
 )
 from repro.hardware import P3_2XLARGE, P3_8XLARGE, ClusterConfig
 from repro.network import Fabric
+from repro.simulator import DDPSimulator
 
 from .oracle import FaultResolutionOracle, window_active_oracle
 
@@ -292,6 +293,36 @@ class TestSharing:
             assert_matches_oracle(single, oracle, i, i + 1)
             if i < 10:
                 assert single.states[0] == resolved.states[i]
+
+    def test_stepping_one_simulator_keeps_the_table_bounded(
+            self, tiny_model, small_cluster):
+        """One-row ranges stay out of the shared table, however many
+        iterations a faulted simulator steps through."""
+        schedule = FaultSchedule(
+            seed=1, nodes=(NodeFault(node=0, factor=0.25),),
+            retransmits=(RetransmitFault(drop_rate=0.3, timeout_s=1e-3),))
+        sim = DDPSimulator(tiny_model, small_cluster, faults=schedule)
+        rng = np.random.default_rng(0)
+        for i in range(200):
+            sim.simulate_iteration(4, rng, iteration=i)
+        assert len(sim.injector._ranges()) == 0
+        assert sim.injector.retransmits_injected > 0
+        sim.injector.resolve_range(0, 10)
+        assert len(sim.injector._ranges()) == 1
+
+    def test_single_iteration_follows_a_late_degrade(self):
+        cluster = ClusterConfig(instance=P3_8XLARGE, num_nodes=4)
+        fabric = Fabric(cluster)
+        injector = FaultInjector(_nic_schedule(), cluster, fabric)
+        before = injector.resolve_range(4, 5)
+        assert injector.resolve_range(4, 5) is before
+        assert len(injector.resolve_range(4, 4)) == 0
+        assert len(injector.resolve_range(4, 5)) == 1
+        before = injector.resolve_range(4, 5)
+        fabric.degrade_link(2, 3, 0.3)
+        after = injector.resolve_range(4, 5)
+        assert after is not before
+        assert after.states[0] == injector.resolve_range(0, 20).states[4]
 
     def test_shared_arrays_are_read_only(self, small_cluster):
         injector = FaultInjector(_nic_schedule(), small_cluster,

@@ -1,18 +1,22 @@
 """The vectorized training substrate against its step-by-step oracles.
 
-The ring all-reduce folds a stacked buffer, the fp16 codec builds
-subnormal halves from bits, and the trainer runs every rank's
-forward/backward in one stacked call.  Each must reproduce the loop it
-replaced (``tests/oracle.py``) bit for bit: same dtype, same shape, same
-bytes.
+The ring all-reduce folds a stacked buffer, the fp16 codec rounds onto
+the half grid in float64, signSGD votes from bit counts, and the trainer
+runs every rank's forward/backward in one stacked call.  Each must
+reproduce the loop it replaced (``tests/oracle.py``) bit for bit: same
+dtype, same shape, same bytes.
 """
 
 import numpy as np
 import pytest
 
 from repro.collectives import ring_allreduce
-from repro.compression import FP16Compressor
-from repro.compression.identity import as_float64, to_half
+from repro.compression import (
+    FP16Compressor,
+    MajorityVoteAggregator,
+    MeanAllReduceAggregator,
+)
+from repro.compression.identity import round_to_half
 from repro.errors import CollectiveError
 from repro.experiments.ext_time_to_accuracy import (
     EXT_TTA_FEATURES,
@@ -23,7 +27,9 @@ from repro.training import MLP, DistributedTrainer, MLPConfig, gaussian_blobs
 from repro.training.distributed import TrainHistory
 from .oracle import (
     fp16_encode_oracle,
+    fp16_mean_allreduce_oracle,
     loss_and_grads_oracle,
+    majority_vote_oracle,
     ring_allreduce_oracle,
     worker_grads_oracle,
 )
@@ -156,42 +162,34 @@ def test_fp16_encode_matches_astype():
     for shape in [values.shape, (2, values.size // 2)]:
         arr = values.reshape(shape)
         payload = codec.encode(arr)
-        want = fp16_encode_oracle(arr)
-        assert_same_bits(payload.arrays[0].view(np.uint16),
-                         want.view(np.uint16))
+        want = fp16_encode_oracle(arr).astype(np.float64)
+        assert_same_bits(payload.arrays[0], want)
 
 
 def test_fp16_encode_keeps_signed_zero_and_saturates():
-    half = FP16Compressor().encode(
+    values = FP16Compressor().encode(
         np.array([0.0, -0.0, 1e-30, -1e-30, 1e9, -1e9])).arrays[0]
-    assert list(half.view(np.uint16)) == [0x0000, 0x8000, 0x0000, 0x8000,
-                                          0x7BFF, 0xFBFF]
-
-
-def test_to_half_matches_astype_on_non_finite():
-    arr = np.array([np.inf, -np.inf, np.nan, 1e6, -1e6, 3e-8, -3e-8])
-    with np.errstate(over="ignore"):
-        want = arr.astype(np.float16)
-        got = to_half(arr)
-    assert_same_bits(got.view(np.uint16), want.view(np.uint16))
+    assert_same_bits(values,
+                     np.array([0.0, -0.0, 0.0, -0.0, 65504.0, -65504.0]))
 
 
 def test_every_half_decodes_as_astype():
-    bits = np.arange(1 << 16, dtype=np.uint16)
-    half = bits.view(np.float16)
-    assert_same_bits(as_float64(half).view(np.uint64),
-                     half.astype(np.float64).view(np.uint64))
+    """Every finite half is a fixed point of the rounding, and decode
+    returns the payload's values in a fresh array."""
+    half = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+    widened = half[np.isfinite(half)].astype(np.float64)
+    assert_same_bits(round_to_half(widened), widened)
     codec = FP16Compressor()
-    values = _fp16_probe_values()
-    payload = codec.encode(values)
-    assert_same_bits(codec.decode(payload),
-                     payload.arrays[0].astype(np.float64))
+    payload = codec.encode(_fp16_probe_values())
+    decoded = codec.decode(payload)
+    assert_same_bits(decoded, payload.arrays[0])
+    assert not np.shares_memory(decoded, payload.arrays[0])
 
 
-def test_to_half_matches_astype_at_every_rounding_boundary():
+def test_round_to_half_matches_astype_at_every_rounding_boundary():
     """Every finite half, the midpoints between neighbours (the ties) and
     the doubles either side of each, both signs, up to and past the
-    overflow threshold."""
+    saturation threshold."""
     halves = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
     exact = np.unique(np.abs(halves[np.isfinite(halves)]).astype(np.float64))
     edges = np.concatenate([exact, (exact[:-1] + exact[1:]) / 2,
@@ -199,17 +197,85 @@ def test_to_half_matches_astype_at_every_rounding_boundary():
     values = np.concatenate([edges, np.nextafter(edges, np.inf),
                              np.nextafter(edges, 0.0)])
     values = np.concatenate([values, -values])
-    with np.errstate(over="ignore"):
-        want = values.astype(np.float16)
-    assert_same_bits(to_half(values).view(np.uint16), want.view(np.uint16))
+    want = fp16_encode_oracle(values).astype(np.float64)
+    assert_same_bits(round_to_half(values), want)
 
 
-def test_as_float64_copies_like_astype(rng):
+def test_round_to_half_leaves_its_input_alone(rng):
     arr = rng.normal(size=8)
-    assert as_float64(arr, copy=False) is arr
-    assert not np.shares_memory(as_float64(arr), arr)
-    half = arr.astype(np.float16)
-    assert not np.shares_memory(as_float64(half, copy=False), half)
+    before = arr.copy()
+    out = round_to_half(arr)
+    assert_same_bits(arr, before)
+    assert not np.shares_memory(out, arr)
+
+
+def test_fp16_encodes_a_scalar_gradient():
+    codec = FP16Compressor()
+    for value in (0.3, -1e-6, 1e9):
+        arr = np.array(value)
+        decoded = codec.decode(codec.encode(arr))
+        assert_same_bits(decoded, fp16_encode_oracle(arr).astype(np.float64))
+
+
+# ----- fp16 and signSGD aggregation ------------------------------------------
+
+AGGREGATION_SHAPES = [(1,), (7,), (5, 3), (4, 2, 3)]
+
+
+def _aggregation_grads(rng, p, shape):
+    """``p`` gradients of ``shape`` whose magnitudes are log-uniform over
+    1e-12 to 1e6 (fp16 subnormals, underflow and saturation), salted
+    with exact half midpoints and signed zeros."""
+    n = int(np.prod(shape))
+    grads = []
+    for _ in range(p):
+        mag = np.exp(rng.uniform(np.log(1e-12), np.log(1e6), n))
+        special = rng.random(n)
+        # The midpoint between the half m * 2**-24 and its neighbour, and
+        # a normal-range midpoint (1 + (2k + 1) * 2**-11) * 2**e.
+        mag = np.where(special < 0.15,
+                       (rng.integers(0, 2048, n) + 0.5) * 2.0 ** -24, mag)
+        mag = np.where((special >= 0.15) & (special < 0.3),
+                       (1.0 + (2 * rng.integers(0, 1024, n) + 1) * 2.0 ** -11)
+                       * 2.0 ** rng.integers(-14, 16, n), mag)
+        mag = np.where((special >= 0.3) & (special < 0.4), 0.0, mag)
+        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        grads.append((sign * mag).reshape(shape))
+    return grads
+
+
+AGGREGATIONS = {
+    "fp16": (lambda p: MeanAllReduceAggregator(p, FP16Compressor()),
+             fp16_mean_allreduce_oracle),
+    "signsgd": (MajorityVoteAggregator, majority_vote_oracle),
+}
+
+
+@pytest.mark.parametrize("method", sorted(AGGREGATIONS))
+def test_aggregation_matches_the_oracle(method):
+    """Seeded draws of world size 1-9 (even ones tie votes) and shape:
+    three steps of one aggregator against the loop it replaced."""
+    make, oracle = AGGREGATIONS[method]
+    rng = np.random.default_rng(31)
+    ties = 0
+    for case in range(60):
+        p = int(rng.integers(1, 10))
+        shape = AGGREGATION_SHAPES[case % len(AGGREGATION_SHAPES)]
+        aggregator = make(p)
+        for _ in range(3):
+            grads = _aggregation_grads(rng, p, shape)
+            result = aggregator.step(grads)
+            update, sent, received, messages, collective = oracle(grads)
+            assert_same_bits(result.update, update)
+            assert result.bytes_sent_per_worker == sent
+            assert result.bytes_received_per_worker == received
+            assert result.messages == messages
+            assert result.collective == collective
+            if method == "signsgd":
+                ones = sum((g >= 0.0).astype(int) for g in grads)
+                ties += int((2 * ones == p).sum())
+    if method == "signsgd":
+        assert ties > 0
 
 
 # ----- stacked forward/backward ----------------------------------------------

@@ -277,8 +277,11 @@ def measure_traced() -> Dict[str, dict]:
             raise RuntimeError(
                 f"traced-section sweep exited with {code}")
 
-    plain_wall = _best_wall(lambda: run([]))
-    traced_wall = _best_wall(lambda: run(["--trace-run", trace_path]))
+    try:
+        plain_wall = _best_wall(lambda: run([]))
+        traced_wall = _best_wall(lambda: run(["--trace-run", trace_path]))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     overhead = (traced_wall / plain_wall if plain_wall > 0
                 else float("inf"))
     row = {
