@@ -52,37 +52,35 @@ if TYPE_CHECKING:
         analysis,
         collectives,
         compression,
+        compute,
         core,
+        engine,
         experiments,
+        faults,
         hardware,
+        memo,
         models,
         network,
         reporting,
+        serving,
         simulator,
         telemetry,
         training,
+        units,
     )
-    from .compute import ComputeModel
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "core", "models", "hardware", "network", "collectives", "compression",
-    "simulator", "training", "experiments", "analysis", "reporting",
-    "telemetry",
-    "ComputeModel",
-    "ReproError", "ConfigurationError", "OutOfMemoryError",
-    "CollectiveError", "CompressionError", "SimulationError",
-    "CalibrationError",
-    "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".core": (), ".models": (), ".hardware": (), ".network": (),
     ".collectives": (), ".compression": (), ".simulator": (),
     ".training": (), ".experiments": (), ".analysis": (),
     ".reporting": (), ".telemetry": (),
     ".engine": (), ".faults": (), ".serving": (), ".memo": (),
-    ".units": (),
-    ".compute": ("ComputeModel",),
+    ".units": (), ".compute": (),
 })
+__all__ += [
+    "ReproError", "ConfigurationError", "OutOfMemoryError",
+    "CollectiveError", "CompressionError", "SimulationError",
+    "CalibrationError", "__version__",
+]

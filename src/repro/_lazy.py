@@ -7,6 +7,10 @@ namespace: every access reads the defining module's current binding,
 so a name rebound there (a test's monkeypatch, a profiler's wrapper) is
 what the package returns, and restoring it there restores it
 everywhere.
+
+The table is the package's one runtime list of names: ``__all__``
+follows it, and the ``if TYPE_CHECKING:`` imports beside it are what
+static checkers read.
 """
 
 from __future__ import annotations
@@ -25,13 +29,16 @@ def _load(module: str) -> ModuleType:
 
 
 def lazy_exports(package: str, exports: Mapping[str, Sequence[str]],
-                 ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """The ``(__getattr__, __dir__)`` pair for ``package``.
+                 ) -> Tuple[Callable[[str], Any], Callable[[], List[str]],
+                            List[str]]:
+    """The ``(__getattr__, __dir__, __all__)`` triple for ``package``.
 
     ``exports`` maps each relative submodule (``".grid"``) to the names
     it defines.  The package resolves each such name to the submodule's
     attribute and the submodule's own name (``grid``) to the module;
-    any other name raises :class:`AttributeError`.
+    any other name raises :class:`AttributeError`.  ``__all__`` lists
+    the names in table order; a submodule listed with no names is
+    exported as itself.
     """
     submodules = {module[1:]: package + module for module in exports}
     where = {name: package + module for module, names in exports.items()
@@ -48,4 +55,6 @@ def lazy_exports(package: str, exports: Mapping[str, Sequence[str]],
     def __dir__() -> List[str]:
         return sorted({*vars(sys.modules[package]), *where, *submodules})
 
-    return __getattr__, __dir__
+    public = [name for module, names in exports.items()
+              for name in names or (module[1:],)]
+    return __getattr__, __dir__, public

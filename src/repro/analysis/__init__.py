@@ -7,9 +7,6 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .advisor import (
-        AdvisorReport,
-        FrontierPoint,
-        SweepPlan,
         SweepSpec,
         advise,
         candidate_grid,
@@ -18,38 +15,14 @@ if TYPE_CHECKING:
         pareto_mask,
         plan_sweep,
     )
-    from .bottleneck import (
-        BlockedTimeReport,
-        TimeBreakdown,
-        blocked_time_analysis,
-        time_breakdown,
-    )
-    from .sensitivity import (
-        DEFAULT_EPSILON,
-        Sensitivities,
-        model_sensitivities,
-    )
+    from .bottleneck import blocked_time_analysis, time_breakdown
+    from .sensitivity import model_sensitivities
 
-__all__ = [
-    "TimeBreakdown", "time_breakdown",
-    "BlockedTimeReport", "blocked_time_analysis",
-    "Sensitivities", "model_sensitivities", "DEFAULT_EPSILON",
-    "AdvisorReport", "FrontierPoint", "SweepPlan", "SweepSpec",
-    "advise", "plan_sweep", "finish_sweep",
-    "candidate_grid", "compression_error", "pareto_mask",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".advisor": (
-        "AdvisorReport", "FrontierPoint", "SweepPlan", "SweepSpec", "advise",
-        "candidate_grid", "compression_error", "finish_sweep",
-        "pareto_mask", "plan_sweep",
+        "SweepSpec", "advise", "candidate_grid", "compression_error",
+        "finish_sweep", "pareto_mask", "plan_sweep",
     ),
-    ".bottleneck": (
-        "BlockedTimeReport", "TimeBreakdown", "blocked_time_analysis",
-        "time_breakdown",
-    ),
-    ".sensitivity": (
-        "DEFAULT_EPSILON", "Sensitivities", "model_sensitivities",
-    ),
+    ".bottleneck": ("blocked_time_analysis", "time_breakdown"),
+    ".sensitivity": ("model_sensitivities",),
 })

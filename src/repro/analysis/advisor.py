@@ -59,6 +59,7 @@ from ..engine import AdvisorShardJob, ExperimentEngine
 from ..errors import ConfigurationError
 from ..hardware import ClusterConfig
 from ..models import ModelSpec
+from ..units import gbps_to_bytes_per_s
 
 #: Hyperparameter grid per registered scheme name.  Names absent from
 #: this table (and any scheme registered later) sweep their default
@@ -145,6 +146,12 @@ def _error_of(model: ModelSpec, cost: SchemeCost) -> float:
                               / model.grad_bytes)))
 
 
+#: Most bandwidth samples per (candidate, world size) pair, 128x the
+#: default: the sweep's work grows with it, so one flag or request body
+#: could otherwise occupy the engine indefinitely.
+MAX_BANDWIDTH_POINTS = 1 << 20
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Axes of one advisor sweep.
@@ -172,10 +179,12 @@ class SweepSpec:
             raise ConfigurationError(
                 f"need 0 < min < max bandwidth, got "
                 f"[{self.min_bandwidth_gbps}, {self.max_bandwidth_gbps}]")
-        if self.bandwidth_points < 2:
+        # Shards price the axis in bytes/s, so its top must convert.
+        gbps_to_bytes_per_s(self.max_bandwidth_gbps)
+        if not 2 <= self.bandwidth_points <= MAX_BANDWIDTH_POINTS:
             raise ConfigurationError(
-                f"bandwidth_points must be >= 2, got "
-                f"{self.bandwidth_points}")
+                f"bandwidth_points must be in [2, {MAX_BANDWIDTH_POINTS}], "
+                f"got {self.bandwidth_points}")
         if not 1 <= self.shard_points <= MAX_GRID_POINTS:
             raise ConfigurationError(
                 f"shard_points must be in [1, {MAX_GRID_POINTS}], got "

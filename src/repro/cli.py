@@ -54,7 +54,7 @@ from collections import ChainMap
 from typing import List, Optional
 
 from . import __version__
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 from .experiments import EXPERIMENTS, EXTRA_EXPERIMENTS
 from .models import available_models
 from .telemetry import get_logger
@@ -229,6 +229,8 @@ def cmd_advise(args: argparse.Namespace) -> int:
     from .hardware import cluster_for_gpus
     from .models import get_model
 
+    if args.top < 1:
+        raise ConfigurationError(f"--top must be >= 1, got {args.top}")
     model = get_model(args.model)
     cluster = cluster_for_gpus(args.gpus)
     if args.bandwidth is not None:
@@ -242,8 +244,12 @@ def cmd_advise(args: argparse.Namespace) -> int:
     cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
              if args.cache else None)
     engine = ExperimentEngine(jobs=args.jobs, cache=cache)
-    report = advise(model, cluster, batch_size=args.batch, spec=spec,
-                    engine=engine)
+    try:
+        report = advise(model, cluster, batch_size=args.batch, spec=spec,
+                        engine=engine)
+    finally:
+        if cache is not None:
+            cache.close()
     print(report.render(top=args.top))
     return 0
 
@@ -260,9 +266,10 @@ def cmd_whatif(args: argparse.Namespace) -> int:
 
     model = get_model(args.model)
     scheme = _parse_scheme(args.scheme)
+    gbps = 10.0 if args.bandwidth is None else args.bandwidth
     inputs = PerfModelInputs(
         world_size=args.gpus,
-        bandwidth_bytes_per_s=gbps_to_bytes_per_s(args.bandwidth or 10.0),
+        bandwidth_bytes_per_s=gbps_to_bytes_per_s(gbps),
         batch_size=args.batch)
     print(f"{model.name} x {scheme.label} at {args.gpus} GPUs\n")
     bws = [1, 2, 3, 5, 7, 9, 11, 13, 15, 20, 25, 30]
@@ -275,8 +282,8 @@ def cmd_whatif(args: argparse.Namespace) -> int:
     crossover = find_crossover_gbps(points)
     print(f"  crossover: "
           + (f"{crossover:.1f} Gbit/s" if crossover else "none in sweep"))
-    print("\ncompute sweep at "
-          f"{args.bandwidth or 10.0:g} Gbit/s (x V100 speed -> speedup):")
+    print(f"\ncompute sweep at {gbps:g} Gbit/s "
+          "(x V100 speed -> speedup):")
     for p in compute_sweep(model, scheme, [1, 2, 3, 4], inputs):
         print(f"  {p.x:4.1f}x  sync {p.syncsgd_s * 1e3:7.1f} ms | "
               f"{scheme.name} {p.compressed_s * 1e3:7.1f} ms | "
@@ -301,6 +308,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     model = get_model(args.model)
     cluster = cluster_for_gpus(args.gpus)
+    if args.trace and not 1 <= args.trace_workers <= cluster.world_size:
+        # Each exported worker is one simulated rank.
+        raise ConfigurationError(
+            f"--trace-workers must be in [1, {cluster.world_size}], "
+            f"got {args.trace_workers}")
     scheme = _parse_scheme(args.scheme) if args.scheme else None
     faults = FaultSchedule.load(args.faults) if args.faults else None
     sim = DDPSimulator(model, cluster, scheme=scheme, faults=faults)

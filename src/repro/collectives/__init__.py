@@ -6,7 +6,6 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .cost import (
-        TREE_BLOCK_BYTES,
         allgather_time,
         broadcast_time,
         double_tree_allreduce_time,
@@ -29,20 +28,11 @@ if TYPE_CHECKING:
         tree_allreduce,
     )
 
-__all__ = [
-    "ring_allreduce_time", "double_tree_allreduce_time", "allgather_time",
-    "reduce_scatter_time", "broadcast_time", "parameter_server_time",
-    "pick_allreduce_time", "TREE_BLOCK_BYTES",
-    "ring_allreduce", "tree_allreduce", "allgather", "reduce_scatter",
-    "broadcast", "parameter_server_reduce", "is_allreduce_safe",
-    "hierarchical_allreduce", "hierarchical_allreduce_time",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".cost": (
-        "TREE_BLOCK_BYTES", "allgather_time", "broadcast_time",
-        "double_tree_allreduce_time", "parameter_server_time",
-        "pick_allreduce_time", "reduce_scatter_time", "ring_allreduce_time",
+        "allgather_time", "broadcast_time", "double_tree_allreduce_time",
+        "parameter_server_time", "pick_allreduce_time", "reduce_scatter_time",
+        "ring_allreduce_time",
     ),
     ".hierarchical": ("hierarchical_allreduce", "hierarchical_allreduce_time"),
     ".numeric": (

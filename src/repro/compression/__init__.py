@@ -5,7 +5,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .base import AggregationResult, Aggregator, Compressor, Payload
+    from .base import Aggregator, Compressor, Payload
     from .error_feedback import ErrorFeedback
     from .hybrid import HybridPowerSGDScheme
     from .identity import FP16Compressor, FP32Compressor
@@ -72,31 +72,8 @@ if TYPE_CHECKING:
         TopKCompressor,
     )
 
-__all__ = [
-    "Compressor", "Payload", "Aggregator", "AggregationResult",
-    "ErrorFeedback",
-    "FP32Compressor", "FP16Compressor",
-    "SignSGDCompressor", "MajorityVoteAggregator", "majority_vote",
-    "TopKCompressor", "RandomKCompressor", "DGCCompressor",
-    "SparseGatherAggregator", "MeanAllReduceAggregator",
-    "QSGDCompressor", "TernGradCompressor", "OneBitCompressor",
-    "PowerSGDCompressor", "PowerSGDAggregator", "ATOMOCompressor",
-    "GradiVeqCompressor", "GatherDecodeAggregator", "orthonormalize",
-    "KernelProfile", "calibrate_v100_profile", "v100_kernel_profile",
-    "TABLE2_POWERSGD_MS", "TABLE2_TOPK_MS", "TABLE2_SIGNSGD_MS",
-    "TABLE2_WORLD_SIZE",
-    "Scheme", "SchemeCost", "SyncSGDScheme", "FP16Scheme", "PowerSGDScheme",
-    "TopKScheme", "SignSGDScheme", "QSGDScheme", "TernGradScheme",
-    "OneBitScheme", "ATOMOScheme", "RandomKScheme", "DGCScheme",
-    "GradiVeqScheme", "NaturalScheme", "EFSignScheme", "table1_schemes",
-    "HybridPowerSGDScheme",
-    "NaturalCompressor", "EFSignCompressor",
-    "make_compressor", "make_scheme", "make_aggregator", "available_methods",
-    "available_schemes", "scheme_from_spec",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    ".base": ("AggregationResult", "Aggregator", "Compressor", "Payload"),
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("Aggregator", "Compressor", "Payload"),
     ".error_feedback": ("ErrorFeedback",),
     ".hybrid": ("HybridPowerSGDScheme",),
     ".identity": ("FP16Compressor", "FP32Compressor"),

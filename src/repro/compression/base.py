@@ -9,7 +9,7 @@ Three layers, mirroring how the paper treats compression:
   through the *numeric collectives* (ring all-reduce when the method is
   associative, all-gather otherwise) and tracking how many bytes each
   worker put on the wire.  Stateful (error feedback, warm starts).
-* wire/cost planning (:mod:`repro.compression.wire`,
+* wire/cost planning (:mod:`repro.compression.schemes`,
   :mod:`repro.compression.kernel_cost`) — byte and time accounting from a
   :class:`~repro.models.ModelSpec` alone, for the performance model.
 

@@ -78,6 +78,8 @@ class PerfModelInputs:
 
     def __post_init__(self) -> None:
         validate_bound("world_size", self.world_size, 1)
+        if self.batch_size is not None:
+            validate_bound("batch_size", self.batch_size, 1)
         validate_bound("bandwidth", self.bandwidth_bytes_per_s, 0,
                        strict=True)
         validate_bound("alpha", self.alpha_s, 0)

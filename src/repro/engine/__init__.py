@@ -16,52 +16,24 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .advisorjobs import (
         AdvisorShardJob,
-        AdvisorShardOutcome,
         AdvisorShardResult,
         evaluate_advisor_family,
     )
     from .cache import CacheStats, SimulationCache
     from .engine import EngineStats, ExperimentEngine, JobOutcome, SimJob
     from .memcache import MemoryCache
-    from .pack import PackLocation, PackStore
-    from .fingerprint import (
-        FINGERPRINT_VERSION,
-        cluster_fragment,
-        config_fragment,
-        digest,
-        fabric_payload,
-        gpu_fragment,
-        model_fragment,
-        profile_fragment,
-        scheme_payload,
-    )
-    from .modeljobs import ModelEvalJob, ModelEvalOutcome, evaluate_family
+    from .pack import PackStore
+    from .fingerprint import FINGERPRINT_VERSION, model_fragment
+    from .modeljobs import ModelEvalJob, evaluate_family
 
-__all__ = [
-    "CacheStats", "SimulationCache",
-    "MemoryCache", "PackLocation", "PackStore",
-    "EngineStats", "ExperimentEngine", "JobOutcome", "SimJob",
-    "ModelEvalJob", "ModelEvalOutcome", "evaluate_family",
-    "AdvisorShardJob", "AdvisorShardOutcome", "AdvisorShardResult",
-    "evaluate_advisor_family",
-    "FINGERPRINT_VERSION", "digest",
-    "model_fragment", "cluster_fragment", "config_fragment",
-    "profile_fragment", "gpu_fragment", "scheme_payload", "fabric_payload",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".advisorjobs": (
-        "AdvisorShardJob", "AdvisorShardOutcome", "AdvisorShardResult",
-        "evaluate_advisor_family",
+        "AdvisorShardJob", "AdvisorShardResult", "evaluate_advisor_family",
     ),
     ".cache": ("CacheStats", "SimulationCache"),
     ".engine": ("EngineStats", "ExperimentEngine", "JobOutcome", "SimJob"),
     ".memcache": ("MemoryCache",),
-    ".pack": ("PackLocation", "PackStore"),
-    ".fingerprint": (
-        "FINGERPRINT_VERSION", "cluster_fragment", "config_fragment", "digest",
-        "fabric_payload", "gpu_fragment", "model_fragment", "profile_fragment",
-        "scheme_payload",
-    ),
-    ".modeljobs": ("ModelEvalJob", "ModelEvalOutcome", "evaluate_family"),
+    ".pack": ("PackStore",),
+    ".fingerprint": ("FINGERPRINT_VERSION", "model_fragment"),
+    ".modeljobs": ("ModelEvalJob", "evaluate_family"),
 })

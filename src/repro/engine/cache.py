@@ -39,6 +39,7 @@ round-trips.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -268,9 +269,10 @@ class SimulationCache:
         """
         if not directory:
             raise ConfigurationError("cache directory must be non-empty")
-        if memory_mb < 0:
+        budget = memory_mb * 1024 * 1024
+        if not 0 <= budget < math.inf:
             raise ConfigurationError(
-                f"memory_mb must be >= 0, got {memory_mb}")
+                f"memory_mb must be finite and >= 0, got {memory_mb}")
         self.directory = directory
         try:
             os.makedirs(directory, exist_ok=True)
@@ -278,9 +280,8 @@ class SimulationCache:
             raise ConfigurationError(
                 f"cannot use {directory!r} as a cache directory: {exc}")
         self.memory: Optional[MemoryCache] = None
-        if memory_mb > 0:
-            self.memory = MemoryCache(
-                max_bytes=int(memory_mb * 1024 * 1024), shards=shards)
+        if budget > 0:
+            self.memory = MemoryCache(max_bytes=int(budget), shards=shards)
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._evictions_seen = 0

@@ -43,14 +43,7 @@ if TYPE_CHECKING:
         StragglerFault,
     )
 
-__all__ = [
-    "FaultSchedule",
-    "StragglerFault", "LinkFault", "NodeFault",
-    "RetransmitFault", "CrashFault",
-    "FaultInjector", "IterationFaults", "ResolvedFaults", "FAULT_STREAM",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".injector": (
         "FAULT_STREAM", "FaultInjector", "IterationFaults", "ResolvedFaults",
     ),

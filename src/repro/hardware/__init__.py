@@ -10,27 +10,18 @@ if TYPE_CHECKING:
     from .instances import (
         P3_2XLARGE,
         P3_8XLARGE,
-        P3DN_24XLARGE,
-        P4D_24XLARGE,
         InstanceType,
         available_instances,
         get_instance,
     )
 
-__all__ = [
-    "GPUSpec", "V100", "A100", "T4", "P100", "get_gpu", "available_gpus",
-    "InstanceType", "P3_2XLARGE", "P3_8XLARGE", "P3DN_24XLARGE",
-    "P4D_24XLARGE", "get_instance", "available_instances",
-    "ClusterConfig", "cluster_for_gpus", "gpu_scaling_sweep",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".cluster": ("ClusterConfig", "cluster_for_gpus", "gpu_scaling_sweep"),
     ".gpus": (
         "A100", "P100", "T4", "V100", "GPUSpec", "available_gpus", "get_gpu",
     ),
     ".instances": (
-        "P3_2XLARGE", "P3_8XLARGE", "P3DN_24XLARGE", "P4D_24XLARGE",
-        "InstanceType", "available_instances", "get_instance",
+        "P3_2XLARGE", "P3_8XLARGE", "InstanceType", "available_instances",
+        "get_instance",
     ),
 })

@@ -14,6 +14,12 @@ from typing import List, Tuple
 from ..errors import ConfigurationError
 from .instances import P3_8XLARGE, InstanceType
 
+#: Most nodes one cluster may have.  The fabric holds a dense per-pair
+#: bandwidth matrix (8 MB at this bound) and memoizes up to 64 of
+#: them, so an unbounded count from a CLI flag or a request body could
+#: exhaust memory; the paper's largest cluster is 24 nodes.
+MAX_NODES = 1024
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -33,9 +39,10 @@ class ClusterConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
+        if not 1 <= self.num_nodes <= MAX_NODES:
             raise ConfigurationError(
-                f"num_nodes must be >= 1, got {self.num_nodes}")
+                f"num_nodes must be in [1, {MAX_NODES}], "
+                f"got {self.num_nodes}")
 
     @property
     def world_size(self) -> int:

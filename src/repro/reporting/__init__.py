@@ -9,26 +9,16 @@ if TYPE_CHECKING:
     from .markdown import comparison_table, to_markdown
     from .metrics_report import metrics_to_markdown, render_metrics
     from .reliability import (
-        DEFAULT_PENALTY_MARGIN,
         fault_penalty_gap,
         fault_penalty_threshold,
         reliability_findings,
     )
 
-__all__ = [
-    "line_chart", "bar_chart", "scaling_chart",
-    "to_markdown", "comparison_table",
-    "render_metrics", "metrics_to_markdown",
-    "fault_penalty_gap", "fault_penalty_threshold",
-    "reliability_findings", "DEFAULT_PENALTY_MARGIN",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".charts": ("bar_chart", "line_chart", "scaling_chart"),
     ".markdown": ("comparison_table", "to_markdown"),
     ".metrics_report": ("metrics_to_markdown", "render_metrics"),
     ".reliability": (
-        "DEFAULT_PENALTY_MARGIN", "fault_penalty_gap",
-        "fault_penalty_threshold", "reliability_findings",
+        "fault_penalty_gap", "fault_penalty_threshold", "reliability_findings",
     ),
 })

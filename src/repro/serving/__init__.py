@@ -13,39 +13,21 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .http import (
-        MAX_BODY_BYTES,
-        ServingHandler,
-        ServingHTTPServer,
-        make_server,
-    )
-    from .quota import AdmissionError, TenantQuotas, TokenBucket
+    from .http import ServingHandler, make_server
+    from .quota import AdmissionError, TokenBucket
     from .requests import (
-        MAX_SEEDS_PER_REQUEST,
         AdviseRequest,
         SimulateRequest,
         WhatIfRequest,
         parse_request,
     )
-    from .scheduler import TERMINAL_STATES, RequestState, ServingScheduler
+    from .scheduler import ServingScheduler
 
-__all__ = [
-    "AdmissionError", "TokenBucket", "TenantQuotas",
-    "WhatIfRequest", "SimulateRequest", "AdviseRequest", "parse_request",
-    "MAX_SEEDS_PER_REQUEST",
-    "RequestState", "ServingScheduler", "TERMINAL_STATES",
-    "ServingHandler", "ServingHTTPServer", "make_server",
-    "MAX_BODY_BYTES",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    ".http": (
-        "MAX_BODY_BYTES", "ServingHandler", "ServingHTTPServer", "make_server",
-    ),
-    ".quota": ("AdmissionError", "TenantQuotas", "TokenBucket"),
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".http": ("ServingHandler", "make_server"),
+    ".quota": ("AdmissionError", "TokenBucket"),
     ".requests": (
-        "MAX_SEEDS_PER_REQUEST", "AdviseRequest", "SimulateRequest",
-        "WhatIfRequest", "parse_request",
+        "AdviseRequest", "SimulateRequest", "WhatIfRequest", "parse_request",
     ),
-    ".scheduler": ("TERMINAL_STATES", "RequestState", "ServingScheduler"),
+    ".scheduler": ("ServingScheduler",),
 })

@@ -21,6 +21,7 @@ from ..compression.schemes import Scheme
 from ..errors import ConfigurationError
 from ..hardware import ClusterConfig, cluster_for_gpus
 from ..models import ModelSpec, available_models, get_model
+from ..simulator.batch import MAX_ITERATIONS
 
 #: Most seeds one simulate request may fan out to; keeps a single
 #: request from monopolizing a scheduler batch.
@@ -159,18 +160,19 @@ class SimulateRequest:
             scheme = scheme_from_spec(scheme_spec)
         iterations = body.get("iterations", 60)
         if not isinstance(iterations, int) or isinstance(iterations, bool) \
-                or not 10 < iterations <= 10_000:
+                or not 10 < iterations <= MAX_ITERATIONS:
             raise ConfigurationError(
-                "iterations must be an int in (10, 10000] "
+                f"iterations must be an int in (10, {MAX_ITERATIONS}] "
                 f"(warmup is 10), got {iterations!r}")
         if "seeds" in body and "seed" in body:
             raise ConfigurationError("pass either seed or seeds, not both")
         seeds_raw = body.get("seeds", [body.get("seed", 0)])
         if not isinstance(seeds_raw, list) or not seeds_raw or not all(
-                isinstance(s, int) and not isinstance(s, bool)
+                isinstance(s, int) and not isinstance(s, bool) and s >= 0
                 for s in seeds_raw):
             raise ConfigurationError(
-                f"seeds must be a non-empty list of ints, got {seeds_raw!r}")
+                "seeds must be a non-empty list of non-negative ints, "
+                f"got {seeds_raw!r}")
         if len(seeds_raw) > MAX_SEEDS_PER_REQUEST:
             raise ConfigurationError(
                 f"at most {MAX_SEEDS_PER_REQUEST} seeds per request, "

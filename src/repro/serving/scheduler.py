@@ -259,6 +259,9 @@ class ServingScheduler:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
+                    # A far deadline is no deadline; the lock cannot
+                    # wait longer than this.
+                    remaining = min(remaining, threading.TIMEOUT_MAX)
                 self._cv.wait(timeout=remaining)
             return state
 
@@ -459,6 +462,10 @@ class ServingScheduler:
                 state.error = "; ".join(
                     f"seed {r['seed']}: {r['error']}"
                     for r in rows if "error" in r)
+                # A simulated OOM is the configuration's answer (``repro
+                # simulate`` exits 2 for it), so the client's error.
+                state.invalid = all(o.ok or o.oom is not None
+                                    for o in outcomes)
             state.finished_unix = time.time()
             self._observe_latency(state)
             self._cv.notify_all()

@@ -17,7 +17,6 @@ if TYPE_CHECKING:
     from .batch import run_batch
     from .export import (
         allocate_track_ids,
-        events_to_chrome_json,
         run_to_events,
         trace_to_chrome_json,
         trace_to_events,
@@ -36,25 +35,13 @@ if TYPE_CHECKING:
         estimate_gamma,
     )
 
-__all__ = [
-    "Span", "IterationTrace", "estimate_gamma",
-    "COMPUTE_STREAM", "COMM_STREAM",
-    "DDPConfig", "DDPSimulator", "TimingResult",
-    "run_batch",
-    "trace_to_events", "traces_to_events", "run_to_events",
-    "allocate_track_ids", "events_to_chrome_json",
-    "trace_to_chrome_json", "write_chrome_trace", "write_run_trace",
-    "tracer_spans_to_events", "write_trace_spans", "reconstruct_traces",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".ddp": ("DDPConfig", "DDPSimulator", "TimingResult"),
     ".batch": ("run_batch",),
     ".export": (
-        "allocate_track_ids", "events_to_chrome_json", "run_to_events",
-        "trace_to_chrome_json", "trace_to_events", "tracer_spans_to_events",
-        "traces_to_events", "write_chrome_trace", "write_run_trace",
-        "write_trace_spans",
+        "allocate_track_ids", "run_to_events", "trace_to_chrome_json",
+        "trace_to_events", "tracer_spans_to_events", "traces_to_events",
+        "write_chrome_trace", "write_run_trace", "write_trace_spans",
     ),
     ".reconstruct": ("reconstruct_traces",),
     ".trace": (

@@ -64,6 +64,11 @@ from .ddp import DDPSimulator, TimingResult
 if TYPE_CHECKING:
     from ..faults import ResolvedFaults
 
+#: Most iterations one kernel call simulates.  Every array the kernel
+#: builds has a row per iteration, so an unbounded count (a CLI flag, a
+#: request body) would exhaust memory before the first row is priced.
+MAX_ITERATIONS = 10_000
+
 
 def _col(J: np.ndarray, idx: Optional[int], n: int) -> np.ndarray:
     """Jitter column ``idx``, or an all-ones vector for a skipped draw
@@ -623,6 +628,9 @@ def run_batch_many(sims: Sequence[DDPSimulator],
     if iterations <= warmup:
         raise ConfigurationError(
             f"iterations ({iterations}) must exceed warmup ({warmup})")
+    if iterations > MAX_ITERATIONS:
+        raise ConfigurationError(
+            f"iterations must be <= {MAX_ITERATIONS}, got {iterations}")
     lead = sims[0]
     for sim in sims[1:]:
         differs = _differing_input(sim, lead)

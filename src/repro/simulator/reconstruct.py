@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from .batch import _FaultRows, _evaluate
+from .batch import MAX_ITERATIONS, _FaultRows, _evaluate
 from .ddp import DDPSimulator
 from .trace import (
     COMM_STREAM,
@@ -69,9 +69,9 @@ def reconstruct_traces(sim: DDPSimulator,
         OutOfMemoryError: the deterministic OOM of the memory check,
             raised before simulating anything.
     """
-    if iterations < 1:
+    if not 1 <= iterations <= MAX_ITERATIONS:
         raise ConfigurationError(
-            f"iterations must be >= 1, got {iterations}")
+            f"iterations must be in [1, {MAX_ITERATIONS}], got {iterations}")
     bs = (batch_size if batch_size is not None
           else sim.model.default_batch_size)
     record: Dict[str, Any] = {}

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .logs import LEVELS, StructuredLogger, configure, get_logger
+    from .logs import StructuredLogger, get_logger
     from .manifest import (
         MANIFEST_FILENAME,
         MANIFEST_VERSION,
@@ -50,21 +50,8 @@ if TYPE_CHECKING:
         set_tracer,
     )
 
-__all__ = [
-    "Counter", "Gauge", "Histogram",
-    "MetricsRegistry", "NullRegistry",
-    "get_registry", "set_registry", "enable", "disable",
-    "metric_key", "format_key", "parse_key", "escape_label_value",
-    "render_prometheus", "validate_prometheus_text",
-    "NullTracer", "TraceRecorder", "TraceSpan",
-    "get_tracer", "set_tracer", "enable_tracing", "disable_tracing",
-    "StructuredLogger", "get_logger", "configure", "LEVELS",
-    "MANIFEST_FILENAME", "MANIFEST_VERSION",
-    "build_manifest", "write_manifest", "read_manifest", "verify_manifest",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    ".logs": ("LEVELS", "StructuredLogger", "configure", "get_logger"),
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".logs": ("StructuredLogger", "get_logger"),
     ".manifest": (
         "MANIFEST_FILENAME", "MANIFEST_VERSION", "build_manifest",
         "read_manifest", "verify_manifest", "write_manifest",

@@ -6,40 +6,15 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .data import Dataset, concentric_rings, gaussian_blobs, sparse_logits
-    from .distributed import (
-        DistributedTrainer,
-        TrainHistory,
-        train_with_method,
-    )
+    from .distributed import DistributedTrainer, train_with_method
     from .nn import MLP, MLPConfig, cross_entropy, softmax
-    from .optim import (
-        SGD,
-        Adam,
-        ConstantLR,
-        LRSchedule,
-        Optimizer,
-        StepDecayLR,
-        WarmupCosineLR,
-    )
+    from .optim import SGD, Adam, ConstantLR, StepDecayLR, WarmupCosineLR
 
-__all__ = [
-    "MLP", "MLPConfig", "softmax", "cross_entropy",
-    "Dataset", "gaussian_blobs", "concentric_rings", "sparse_logits",
-    "DistributedTrainer", "TrainHistory", "train_with_method",
-    "Optimizer", "SGD", "Adam",
-    "LRSchedule", "ConstantLR", "StepDecayLR", "WarmupCosineLR",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".data": (
         "Dataset", "concentric_rings", "gaussian_blobs", "sparse_logits",
     ),
-    ".distributed": (
-        "DistributedTrainer", "TrainHistory", "train_with_method",
-    ),
+    ".distributed": ("DistributedTrainer", "train_with_method"),
     ".nn": ("MLP", "MLPConfig", "cross_entropy", "softmax"),
-    ".optim": (
-        "SGD", "Adam", "ConstantLR", "LRSchedule", "Optimizer", "StepDecayLR",
-        "WarmupCosineLR",
-    ),
+    ".optim": ("SGD", "Adam", "ConstantLR", "StepDecayLR", "WarmupCosineLR"),
 })

@@ -16,6 +16,10 @@ unit bugs grep-able.
 
 from __future__ import annotations
 
+import math
+
+from .errors import ConfigurationError
+
 #: Bytes per kibibyte / mebibyte / gibibyte (binary prefixes, as used for
 #: buffer and model sizes, e.g. PyTorch's 25 MiB gradient buckets).
 KIB = 1024
@@ -42,16 +46,22 @@ def gbps_to_bytes_per_s(gbps: float) -> float:
     >>> gbps_to_bytes_per_s(10)
     1250000000.0
     """
-    if gbps < 0:
-        raise ValueError(f"bandwidth must be non-negative, got {gbps!r}")
-    return gbps * GIGA / 8.0
+    return _bandwidth(gbps, gbps * GIGA / 8.0)
 
 
 def bytes_per_s_to_gbps(bytes_per_s: float) -> float:
     """Convert bytes/second back to gigabits/second."""
-    if bytes_per_s < 0:
-        raise ValueError(f"bandwidth must be non-negative, got {bytes_per_s!r}")
-    return bytes_per_s * 8.0 / GIGA
+    return _bandwidth(bytes_per_s, bytes_per_s * 8.0 / GIGA)
+
+
+def _bandwidth(value: float, converted: float) -> float:
+    """``converted``, the bandwidth ``value`` in other units, if it is
+    non-negative and finite: NaN, infinity, a negative value and an
+    overflowing conversion all fail the one comparison."""
+    if not 0 <= converted < math.inf:
+        raise ConfigurationError(
+            f"bandwidth must be non-negative and finite, got {value!r}")
+    return converted
 
 
 def ms(seconds: float) -> float:

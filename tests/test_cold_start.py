@@ -122,7 +122,8 @@ class TestLazyNamespace:
         assert not hasattr(pkg, "no_such_name")
 
     def test_all_is_bound_statically(self, package):
-        # ruff's F822 (undefined name in __all__), which CI runs.
+        # ruff's F822 (undefined name in __all__) cannot see an __all__
+        # that lazy_exports derives from the table; this is that check.
         pkg = importlib.import_module(package)
         assert set(pkg.__all__) <= _static_bindings(package)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import units
+from repro.errors import ConfigurationError
 
 
 class TestBandwidthConversions:
@@ -17,10 +18,11 @@ class TestBandwidthConversions:
         assert units.gbps_to_bytes_per_s(0) == 0.0
 
     def test_negative_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            units.gbps_to_bytes_per_s(-1)
-        with pytest.raises(ValueError):
-            units.bytes_per_s_to_gbps(-1)
+        for bad in (-1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError):
+                units.gbps_to_bytes_per_s(bad)
+            with pytest.raises(ConfigurationError):
+                units.bytes_per_s_to_gbps(bad)
 
 
 class TestTimeConversions:

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Lint the documentation for dead links and phantom CLI invocations.
+"""Lint the documentation for dead links, phantom CLI invocations and
+Python names that do not resolve.
 
-Three checks over ``README.md`` and every ``docs/*.md`` page (wired
+Four checks over ``README.md`` and every ``docs/*.md`` page (wired
 into ``make lint`` and the CI lint job):
 
 1. **Relative links resolve** — every ``[text](target)`` markdown link
@@ -16,6 +17,12 @@ into ``make lint`` and the CI lint job):
    every ``--flag`` must be one the subcommand (or the top-level
    parser) accepts.  Docs describing flags that were renamed or never
    shipped fail the build instead of misleading readers.
+4. **Python names resolve** — every ``from repro... import ...`` and
+   every dotted ``repro.<pkg>.<Name>`` quoted anywhere must name
+   something that exists: the longest importable module prefix is
+   imported and the next component must be one of its attributes.
+   Pruning a package export or renaming a function then fails the
+   build instead of orphaning a doc example.
 
 Exits non-zero with one problem per line on stderr.
 """
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import importlib
 import os
 import re
 import sys
@@ -42,6 +50,13 @@ DOC_REF_RE = re.compile(r"docs/[A-Za-z0-9_.-]+\.md")
 
 #: A quoted CLI invocation, in inline code or a fenced block.
 CLI_RE = re.compile(r"(?:python -m )?\brepro\s+(?:-|[a-z])[^`\n]*")
+
+#: A quoted ``from repro... import ...``, one line or parenthesized.
+FROM_IMPORT_RE = re.compile(
+    r"from\s+(repro(?:\.\w+)*)\s+import\s+(\([^)]*\)|[\w \t,]+)")
+
+#: A dotted name under the package, e.g. ``repro.core.grid.TimingGrid``.
+DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 
 #: Tokens that end a shell command mid-line.
 SHELL_BREAKERS = ("|", ">", ">>", "<", "&&", "||", ";", "#", "&", "2>")
@@ -192,6 +207,54 @@ def _check_tokens(tokens: List[str], global_flags: Set[str],
     return problems
 
 
+def _import(module: str):
+    """The module, or None when it cannot be imported."""
+    try:
+        return importlib.import_module(module)
+    except ImportError:
+        return None
+
+
+def _has(module, name: str) -> bool:
+    """``from module import name`` would succeed."""
+    return (hasattr(module, name)
+            or _import(f"{module.__name__}.{name}") is not None)
+
+
+def _dotted_resolves(dotted: str) -> bool:
+    """The longest importable prefix of ``dotted`` has its next part."""
+    parts = dotted.split(".")
+    for end in range(len(parts), 0, -1):
+        module = _import(".".join(parts[:end]))
+        if module is not None:
+            return end == len(parts) or _has(module, parts[end])
+    return False
+
+
+def check_python_names(path: str, text: str) -> List[str]:
+    """Quoted ``repro`` imports and dotted names that do not resolve."""
+    problems = []
+    where = os.path.relpath(path, REPO_ROOT)
+    for match in FROM_IMPORT_RE.finditer(text):
+        line = text.count("\n", 0, match.start()) + 1
+        module = _import(match.group(1))
+        if module is None:
+            problems.append(f"{where}:{line}: no module "
+                            f"{match.group(1)!r}")
+            continue
+        for item in match.group(2).strip("()").split(","):
+            name = item.split("#")[0].split(" as ")[0].strip()
+            if name and not _has(module, name):
+                problems.append(f"{where}:{line}: {match.group(1)!r} "
+                                f"has no name {name!r}")
+    for match in DOTTED_RE.finditer(text):
+        if not _dotted_resolves(match.group(0)):
+            line = text.count("\n", 0, match.start()) + 1
+            problems.append(f"{where}:{line}: {match.group(0)!r} "
+                            f"does not resolve")
+    return problems
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns 0 when the docs check out."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -212,11 +275,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         problems += check_links(path, text)
         problems += check_doc_refs(path, text)
         problems += check_cli_invocations(path, text)
+        problems += check_python_names(path, text)
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:
         print(f"docs ok: {len(files)} file(s), links + cross-references "
-              f"+ CLI invocations verified")
+              f"+ CLI invocations + Python names verified")
     return 1 if problems else 0
 
 
