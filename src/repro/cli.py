@@ -46,12 +46,13 @@ Each command imports its modules in its handler, so ``--help`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
 import time
 from collections import ChainMap
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import __version__
 from .errors import ConfigurationError, ReproError
@@ -59,6 +60,9 @@ from .experiments import EXPERIMENTS, EXTRA_EXPERIMENTS
 from .models import available_models
 from .telemetry import get_logger
 from .telemetry import logs as telemetry_logs
+
+if TYPE_CHECKING:
+    from .engine import SimulationCache
 
 #: Prometheus snapshot written beside the manifest.
 PROM_FILENAME = "metrics.prom"
@@ -97,8 +101,28 @@ def _accepts_engine(runner) -> bool:
         return False
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    from .engine import ExperimentEngine, SimulationCache
+def _with_cache(command):
+    """Run ``command(args, cache)`` with the ``--cache`` directory open
+    (``None`` without ``--cache``), and close it however the command
+    ends."""
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        from .engine import SimulationCache
+
+        cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
+                 if args.cache else None)
+        try:
+            return command(args, cache)
+        finally:
+            if cache is not None:
+                cache.close()
+    return run
+
+
+@_with_cache
+def cmd_experiment(args: argparse.Namespace,
+                   cache: Optional[SimulationCache]) -> int:
+    from .engine import ExperimentEngine
     from .reporting import render_metrics, to_markdown
     from .simulator import write_trace_spans
     from .telemetry import (
@@ -112,8 +136,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     from .telemetry import metrics as telemetry_metrics
 
-    cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
-             if args.cache else None)
     engine = ExperimentEngine(jobs=args.jobs, cache=cache)
     # "all" covers only the paper's own exhibits; extras (reliability)
     # run by explicit id so the canonical output stays stable.
@@ -217,7 +239,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_advise(args: argparse.Namespace) -> int:
+@_with_cache
+def cmd_advise(args: argparse.Namespace,
+               cache: Optional[SimulationCache]) -> int:
     """Run the auto-advisor's sharded Pareto sweep and print the report.
 
     Output contains no timings or worker counts, so it is
@@ -225,7 +249,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
     gates diff it directly.
     """
     from .analysis import SweepSpec, advise
-    from .engine import ExperimentEngine, SimulationCache
+    from .engine import ExperimentEngine
     from .hardware import cluster_for_gpus
     from .models import get_model
 
@@ -241,15 +265,9 @@ def cmd_advise(args: argparse.Namespace) -> int:
                      max_bandwidth_gbps=args.max_bandwidth,
                      bandwidth_points=args.bandwidth_points,
                      shard_points=args.shard_points)
-    cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
-             if args.cache else None)
     engine = ExperimentEngine(jobs=args.jobs, cache=cache)
-    try:
-        report = advise(model, cluster, batch_size=args.batch, spec=spec,
-                        engine=engine)
-    finally:
-        if cache is not None:
-            cache.close()
+    report = advise(model, cluster, batch_size=args.batch, spec=spec,
+                    engine=engine)
     print(report.render(top=args.top))
     return 0
 
@@ -380,13 +398,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+@_with_cache
+def cmd_serve(args: argparse.Namespace,
+              cache: Optional[SimulationCache]) -> int:
     """Run the persistent what-if/simulation service until interrupted."""
-    from .engine import ExperimentEngine, SimulationCache
+    from .engine import ExperimentEngine
     from .serving import ServingScheduler, make_server
 
-    cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
-             if args.cache else None)
     if cache is not None and args.cache_preload:
         loaded = cache.preload(memory=args.cache_mem_mb > 0)
         print(f"cache preload: {loaded['entries']} pack entries indexed, "

@@ -78,11 +78,8 @@ def _engine_sweep(model: ModelSpec, scheme: Scheme, xs: Sequence[float],
     points: List[WhatIfPoint] = []
     for i, x in enumerate(xs):
         base, comp = outcomes[2 * i], outcomes[2 * i + 1]
-        for outcome in (base, comp):
-            if outcome.error is not None:
-                raise outcome.error
-        points.append(WhatIfPoint(x=x, syncsgd_s=base.result.total,
-                                  compressed_s=comp.result.total))
+        points.append(WhatIfPoint(x=x, syncsgd_s=base.unwrap().total,
+                                  compressed_s=comp.unwrap().total))
     return tuple(points)
 
 
@@ -187,10 +184,8 @@ def encode_tradeoff_grid(model: ModelSpec, base_scheme: Scheme,
             for l in ls:
                 outcome = outcomes[index]
                 index += 1
-                if outcome.error is not None:
-                    raise outcome.error
                 points.append(TradeoffPoint(
-                    k=k, l=l, predicted_s=outcome.result.total,
+                    k=k, l=l, predicted_s=outcome.unwrap().total,
                     syncsgd_s=baseline))
         return tuple(points)
     k_list, l_list = list(ks), list(ls)

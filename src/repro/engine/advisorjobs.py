@@ -207,32 +207,6 @@ class AdvisorShardJob:
                 f"{self.start + self.count}]")
 
 
-@dataclass
-class AdvisorShardOutcome:
-    """What one shard evaluation produced (mirror of
-    :class:`~repro.engine.modeljobs.ModelEvalOutcome`)."""
-
-    job: AdvisorShardJob
-    result: Optional[AdvisorShardResult] = None
-    error: Optional[Exception] = None
-    cached: bool = False
-    exec_s: float = 0.0
-    queue_wait_s: float = 0.0
-    attempts: int = 1
-
-    @property
-    def ok(self) -> bool:
-        """Whether the shard's survivors came back."""
-        return self.result is not None
-
-    def unwrap(self) -> AdvisorShardResult:
-        """The survivors, or re-raise the evaluation's failure."""
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
-
-
 def shard_minimum(totals: np.ndarray) -> np.ndarray:
     """Indices of a shard's Pareto survivors, ascending.
 

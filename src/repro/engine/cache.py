@@ -2,7 +2,7 @@
 
 Two tiers answer a lookup, cheapest first:
 
-* **hot** — a sharded in-process LRU of payloads
+* **hot** — an in-process LRU of payloads
   (:class:`~repro.engine.memcache.MemoryCache`), enabled by a byte
   budget (``--cache-mem-mb``).  Write-through: every pack hit and every
   store lands here, so repeat traffic in a long-lived process (the
@@ -30,10 +30,10 @@ deletes it as a duplicate.  A torn *pack* record drops its index entry
 key reads as a miss.
 
 Batched I/O (:meth:`SimulationCache.lookup_many` /
-:meth:`SimulationCache.store_many`) serves a whole engine batch in one
-pass under one lock acquisition — the engine and the serving
-scheduler's drain loop call these instead of looping single-key
-round-trips.
+:meth:`SimulationCache.store_many`) serves a whole engine batch, both
+tiers, in one pass under one lock acquisition — the engine and the
+serving scheduler's drain loop call these instead of looping
+single-key round-trips.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..core.perf_model import PredictedTime
 from ..errors import ConfigurationError, OutOfMemoryError
@@ -254,18 +255,16 @@ class SimulationCache:
         migrated: The :meth:`compact` report of the per-key files the
             open packed, or ``None`` when the directory held none.
 
-    Thread-safe: pack-tier access is serialized by one internal lock,
-    acquired **once** per batched call; the hot tier has its own
-    per-shard locks.
+    Thread-safe: both tiers are serialized by one internal lock,
+    acquired **once** per batched call.
     """
 
-    def __init__(self, directory: str, memory_mb: float = 0.0,
-                 shards: int = 8):
+    def __init__(self, directory: str, memory_mb: float = 0.0):
         """Open (creating if needed) the cache at ``directory``, packing
         any per-key files it still holds.
 
         ``memory_mb`` > 0 enables the write-through hot tier with that
-        byte budget, sharded ``shards`` ways.
+        byte budget.
         """
         if not directory:
             raise ConfigurationError("cache directory must be non-empty")
@@ -281,10 +280,9 @@ class SimulationCache:
                 f"cannot use {directory!r} as a cache directory: {exc}")
         self.memory: Optional[MemoryCache] = None
         if budget > 0:
-            self.memory = MemoryCache(max_bytes=int(budget), shards=shards)
+            self.memory = MemoryCache(max_bytes=int(budget))
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        self._evictions_seen = 0
         # Listed before the index loads: another process unlinks a
         # per-key file only once its pack record is durable, so a file
         # already gone here is in the index loaded below.
@@ -308,54 +306,52 @@ class SimulationCache:
                     ) -> Dict[str, CachedOutcome]:
         """Resolve a whole batch of keys: hot tier, then pack tier.
 
-        The hot tier is consulted with one lock acquisition per shard,
-        the pack tier with ONE acquisition of the cache lock for the
-        entire batch — this is what the engine and the serving
-        scheduler's drain loop call, so a 200-job batch costs one cache
-        pass, not 200.  Returns ``{key: outcome}`` for the hits; every
-        *occurrence* in ``keys`` counts one hit or one miss.  A pack
-        record that does not rehydrate is a miss.
+        Both tiers are consulted under ONE acquisition of the cache
+        lock for the entire batch — this is what the engine and the
+        serving scheduler's drain loop call, so a 200-job batch costs
+        one cache pass, not 200.  Returns ``{key: outcome}`` for the
+        hits; every *occurrence* in ``keys`` counts one hit or one
+        miss.  A pack record that does not rehydrate is a miss.
         """
         unique = list(dict.fromkeys(keys))
         outcomes: Dict[str, CachedOutcome] = {}
         tiers: Dict[str, str] = {}
-        if self.memory is not None and unique:
-            for key, payload in self.memory.get_many(unique).items():
-                # Hot-tier payloads were validated on the way in.
-                outcomes[key] = payload_to_outcome(payload)
-                tiers[key] = "memory"
-        remaining = [k for k in unique if k not in outcomes]
-        writeback: List[Tuple[str, dict, Optional[int]]] = []
-        if remaining:
-            with self._lock:
-                for key in remaining:
-                    payload = self.packs.lookup(key)
-                    if payload is None:
-                        continue
-                    try:
-                        outcomes[key] = payload_to_outcome(payload)
-                    except (KeyError, TypeError):
-                        continue
-                    tiers[key] = "pack"
-                    writeback.append((key, payload, None))
-        if self.memory is not None and writeback:
-            self.memory.put_many(writeback)
-            self._note_evictions()
-        # Per-occurrence accounting, aggregated into one counter
-        # increment per tier, so the bookkeeping stays O(tiers).
-        tier_counts = {"memory": 0, "pack": 0}
-        misses = 0
-        for key in keys:
-            tier = tiers.get(key)
-            if tier is None:
-                misses += 1
-            else:
-                tier_counts[tier] += 1
-        hits = len(keys) - misses
-        self.stats.misses += misses
-        self.stats.hits += hits
-        self.stats.memory_hits += tier_counts["memory"]
-        self.stats.pack_hits += tier_counts["pack"]
+        with self._lock:
+            if self.memory is not None and unique:
+                for key, payload in self.memory.get_many(unique).items():
+                    # Hot-tier payloads were validated on the way in.
+                    outcomes[key] = payload_to_outcome(payload)
+                    tiers[key] = "memory"
+            writeback: List[Tuple[str, dict, Optional[int]]] = []
+            for key in unique:
+                if key in outcomes:
+                    continue
+                payload = self.packs.lookup(key)
+                if payload is None:
+                    continue
+                try:
+                    outcomes[key] = payload_to_outcome(payload)
+                except (KeyError, TypeError):
+                    continue
+                tiers[key] = "pack"
+                writeback.append((key, payload, None))
+            if writeback:
+                self._remember(writeback)
+            # Per-occurrence accounting, aggregated into one counter
+            # increment per tier, so the bookkeeping stays O(tiers).
+            tier_counts = {"memory": 0, "pack": 0}
+            misses = 0
+            for key in keys:
+                tier = tiers.get(key)
+                if tier is None:
+                    misses += 1
+                else:
+                    tier_counts[tier] += 1
+            hits = len(keys) - misses
+            self.stats.misses += misses
+            self.stats.hits += hits
+            self.stats.memory_hits += tier_counts["memory"]
+            self.stats.pack_hits += tier_counts["pack"]
         registry = get_registry()
         if misses:
             registry.counter("cache_misses_total").inc(misses)
@@ -382,27 +378,25 @@ class SimulationCache:
                     for key, outcome in entries]
         with self._lock:
             written = self.packs.append_many(payloads)
-        if self.memory is not None:
             sizes = dict(written)
-            self.memory.put_many(
-                (key, payload, sizes.get(key))
-                for key, payload in payloads)
-            self._note_evictions()
-        self.stats.stores += len(payloads)
+            self._remember((key, payload, sizes.get(key))
+                           for key, payload in payloads)
+            self.stats.stores += len(payloads)
         registry = get_registry()
         registry.counter("cache_stores_total").inc(len(payloads))
         registry.counter("cache_pack_appends_total").inc()
 
-    def _note_evictions(self) -> None:
-        """Mirror hot-tier evictions into stats and telemetry."""
-        assert self.memory is not None
-        total = self.memory.evictions
-        delta = total - self._evictions_seen
-        if delta:
-            self._evictions_seen = total
-            self.stats.evictions += delta
+    def _remember(self, items: Iterable[Tuple[str, dict, Optional[int]]],
+                  ) -> None:
+        """Write entries through to the hot tier, if there is one, and
+        count what its budget evicted (cache lock held)."""
+        if self.memory is None:
+            return
+        evicted = self.memory.put_many(items)
+        if evicted:
+            self.stats.evictions += evicted
             get_registry().counter(
-                "cache_memory_evictions_total").inc(delta)
+                "cache_memory_evictions_total").inc(evicted)
 
     # ----- warm start --------------------------------------------------------
 
@@ -412,8 +406,9 @@ class SimulationCache:
         The pack index is already resident (loaded at open); this
         touches every indexed record so a cold server's first burst
         reads pre-faulted pages, and with ``memory=True`` (and the hot
-        tier enabled) loads payloads into the hot tier until its budget
-        is full.  Returns counters for the CLI to print.
+        tier enabled) loads payloads into the hot tier while they fit
+        its budget, so preloading never evicts.  Returns counters for
+        the CLI to print.
         """
         memory = memory and self.memory is not None
         loaded = 0
@@ -428,18 +423,12 @@ class SimulationCache:
                 loaded += 1
                 if not memory:
                     continue
-                # Best-effort hot-tier fill: stop charging once the
-                # global budget would overflow (per-shard eviction may
-                # still trim a little — preload warms, it does not
-                # guarantee pinning).
                 assert self.memory is not None
                 nbytes = payload_nbytes(payload)
                 if self.memory.current_bytes + nbytes \
                         <= self.memory.max_bytes:
-                    self.memory.put(key, payload, nbytes)
+                    self.memory.put_many([(key, payload, nbytes)])
                     mem_loaded += 1
-        if self.memory is not None:
-            self._note_evictions()
         return {"entries": loaded, "memory_entries": mem_loaded,
                 "skipped": skipped}
 
@@ -592,9 +581,9 @@ class SimulationCache:
 
     def __contains__(self, key: str) -> bool:
         """Membership probe that does not disturb the stats."""
-        if self.memory is not None and key in self.memory:
-            return True
-        return key in self.packs
+        with self._lock:
+            return (self.memory is not None and key in self.memory) \
+                or key in self.packs
 
     def __len__(self) -> int:
         """Distinct keys in the pack tier (the hot tier is a subset)."""

@@ -28,7 +28,8 @@ executor (:func:`run_sim_family`, :func:`run_model_family`,
 ``run_*_outcomes`` entry points: one batched cache lookup, misses
 grouped into families and packed into tasks, serial or pooled execution
 (retries, timeouts and pool rebuilds written once), fan-out to per-job
-outcomes, one batched cache store.
+outcomes, one batched cache store.  All three return the one outcome
+type, :class:`JobOutcome`.
 
 ``ExperimentEngine()`` with no arguments is a serial, cache-less
 drop-in for the old inline loops, which is what experiment runners
@@ -67,7 +68,6 @@ from ..telemetry.tracing import (
 )
 from .advisorjobs import (
     AdvisorShardJob,
-    AdvisorShardOutcome,
     AdvisorShardResult,
     evaluate_advisor_family,
 )
@@ -84,7 +84,7 @@ from .fingerprint import (
     scheme_payload,
     sim_family_key,
 )
-from .modeljobs import ModelEvalJob, ModelEvalOutcome, evaluate_family
+from .modeljobs import ModelEvalJob, evaluate_family
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -230,21 +230,28 @@ class SimJob:
 
 @dataclass
 class JobOutcome:
-    """What one job produced: a timing result, a deterministic OOM, or
-    — after exhausting the engine's retry budget — a failure.
+    """What one job of any kind produced: a result (a
+    :class:`~repro.simulator.TimingResult`, a
+    :class:`~repro.core.perf_model.PredictedTime` or an
+    :class:`~repro.engine.advisorjobs.AdvisorShardResult`), a
+    deterministic simulated OOM, or an error.
 
-    ``exec_s`` is the simulation's own wall time inside its worker (0
-    for cache hits); ``queue_wait_s`` is how long the job sat between
-    submission and a worker picking it up (across retries, it spans
-    submission to the *successful* attempt's start).  ``attempts``
-    counts executions: 1 for the normal case, more when the engine
-    retried a crashed/timed-out worker.
+    ``error`` is the exception a model-eval or advisor member's
+    evaluation raised (an invalid configuration, typically), or — once
+    the engine exhausted its retry budget on a crashed, timed-out or
+    unshippable execution — the reason it gave up, as text.  Neither
+    is cached.  ``exec_s`` is the job's share of its execution's wall
+    time inside its worker (0 for cache hits); ``queue_wait_s`` is how
+    long the job sat between submission and a worker picking it up
+    (across retries, it spans submission to the *successful* attempt's
+    start).  ``attempts`` counts executions: 1 for the normal case,
+    more when the engine retried.
     """
 
-    job: SimJob
-    result: Optional[TimingResult] = None
+    job: Any
+    result: Any = None
     oom: Optional[OutOfMemoryError] = None
-    error: Optional[str] = None
+    error: Union[str, Exception, None] = None
     cached: bool = False
     exec_s: float = 0.0
     queue_wait_s: float = 0.0
@@ -252,18 +259,21 @@ class JobOutcome:
 
     @property
     def ok(self) -> bool:
-        """Whether a timing result came back."""
+        """Whether a result came back."""
         return self.result is not None
 
     @property
     def failed(self) -> bool:
-        """Whether the engine gave up on this job (crash/timeout/error
-        through every retry) — distinct from a deterministic OOM, which
-        is a *simulation* outcome, not an engine failure."""
+        """Whether the job ended in an error — distinct from a
+        deterministic OOM, which is a *simulation* outcome."""
         return self.error is not None
 
-    def unwrap(self) -> TimingResult:
-        """The result, or re-raise the OOM / engine failure."""
+    def unwrap(self) -> Any:
+        """The result, or raise why there is none: the evaluation's own
+        exception, an :class:`~repro.errors.EngineError` naming the
+        job when the engine gave up, or the OOM."""
+        if isinstance(self.error, Exception):
+            raise self.error
         if self.error is not None:
             raise EngineError(
                 f"{self.job.describe()} failed after {self.attempts} "
@@ -584,12 +594,6 @@ def _status(tags: Sequence[Tag]) -> str:
     return "/".join(sorted({tag[0] for tag in tags}))
 
 
-def _engine_failure(job: Any, reason: str, attempts: int) -> EngineError:
-    """The exception an eval outcome carries when the engine gave up."""
-    return EngineError(f"{job.describe()} failed after {attempts} "
-                       f"attempt(s): {reason}")
-
-
 @dataclass(frozen=True)
 class _Kind:
     """What the dispatcher needs to know about one job kind.
@@ -598,25 +602,19 @@ class _Kind:
     outcome kind reads as a miss); ``stacked`` kinds count their
     multi-job families in ``jobs_batched`` (one stacked simulation
     kernel call) wherever they are packed, every other job of a
-    multi-job task counts in ``jobs_chunked``; ``give_up`` builds the
-    outcome's ``error`` from a failure reason and attempt count.
+    multi-job task counts in ``jobs_chunked``.
     """
 
     run_family: Callable[[Sequence], List[Tag]]
-    outcome_cls: type
     hit_types: Tuple[type, ...]
     stacked: bool
-    give_up: Callable[[Any, str, int], object]
 
 
-_SIM_KIND = _Kind(run_sim_family, JobOutcome,
-                  (TimingResult, OutOfMemoryError), stacked=True,
-                  give_up=lambda job, reason, attempts: reason)
-_MODEL_KIND = _Kind(run_model_family, ModelEvalOutcome, (PredictedTime,),
-                    stacked=False, give_up=_engine_failure)
-_ADVISOR_KIND = _Kind(run_advisor_family, AdvisorShardOutcome,
-                      (AdvisorShardResult,), stacked=False,
-                      give_up=_engine_failure)
+_SIM_KIND = _Kind(run_sim_family, (TimingResult, OutOfMemoryError),
+                  stacked=True)
+_MODEL_KIND = _Kind(run_model_family, (PredictedTime,), stacked=False)
+_ADVISOR_KIND = _Kind(run_advisor_family, (AdvisorShardResult,),
+                      stacked=False)
 
 #: Engine counters mirrored into telemetry as per-batch deltas.
 _COUNTER_METRICS = {
@@ -795,7 +793,7 @@ class ExperimentEngine:
         return self._dispatch(_SIM_KIND, batch)
 
     def run_model_outcomes(self, batch: Sequence[ModelEvalJob],
-                           ) -> List[ModelEvalOutcome]:
+                           ) -> List[JobOutcome]:
         """Evaluate model jobs; outcomes come back in input order.
 
         Cache hits are served per point.  Misses are grouped into
@@ -810,7 +808,7 @@ class ExperimentEngine:
         return self._dispatch(_MODEL_KIND, batch)
 
     def run_advisor_outcomes(self, batch: Sequence[AdvisorShardJob],
-                             ) -> List[AdvisorShardOutcome]:
+                             ) -> List[JobOutcome]:
         """Evaluate advisor pricing shards; outcomes in input order.
 
         Same contract as :meth:`run_model_outcomes` — per-shard cache
@@ -830,7 +828,7 @@ class ExperimentEngine:
 
     # ----- the dispatcher ----------------------------------------------------
 
-    def _dispatch(self, kind: _Kind, batch: Sequence) -> List:
+    def _dispatch(self, kind: _Kind, batch: Sequence) -> List[JobOutcome]:
         """The one batch body behind every ``run_*_outcomes`` method.
 
         One batched cache lookup; misses grouped into families and
@@ -846,7 +844,7 @@ class ExperimentEngine:
                 return self._dispatch_locked(kind, list(batch), tracer)
 
     def _dispatch_locked(self, kind: _Kind, jobs: List,
-                         tracer: Any) -> List:
+                         tracer: Any) -> List[JobOutcome]:
         """:meth:`_dispatch` with the submission lock held."""
         start = time.perf_counter()
         outcomes: List[Any] = [None] * len(jobs)
@@ -865,11 +863,10 @@ class ExperimentEngine:
                 if not isinstance(hit, kind.hit_types):
                     misses.append(i)
                 elif isinstance(hit, OutOfMemoryError):
-                    outcomes[i] = kind.outcome_cls(job=job, oom=hit,
-                                                   cached=True)
+                    outcomes[i] = JobOutcome(job=job, oom=hit, cached=True)
                 else:
-                    outcomes[i] = kind.outcome_cls(job=job, result=hit,
-                                                   cached=True)
+                    outcomes[i] = JobOutcome(job=job, result=hit,
+                                             cached=True)
             tracer.finish(lookup_span, hits=str(len(jobs) - len(misses)))
 
         before = {name: getattr(self, name) for name in _COUNTER_METRICS}
@@ -896,7 +893,7 @@ class ExperimentEngine:
                         self.jobs_chunked += len(family)
                 for k, tag in zip(positions, tags):
                     i = misses[k]
-                    outcome = self._outcome(kind, jobs[i], tag, attempt,
+                    outcome = self._outcome(jobs[i], tag, attempt,
                                             submitted_unix)
                     outcomes[i] = outcome
                     self.exec_s_total += outcome.exec_s
@@ -981,9 +978,9 @@ class ExperimentEngine:
         members = [[k for family in pack for k in family] for pack in packs]
         return tasks, members
 
-    def _outcome(self, kind: _Kind, job: Any, tag: Tag, attempts: int,
-                 submitted_unix: float) -> Any:
-        """Rehydrate one member's tag into its kind's outcome."""
+    def _outcome(self, job: Any, tag: Tag, attempts: int,
+                 submitted_unix: float) -> JobOutcome:
+        """Rehydrate one member's tag into its outcome."""
         status, payload, exec_s, started_unix = tag
         fields: Dict[str, Any] = {}
         if status == "ok":
@@ -992,15 +989,16 @@ class ExperimentEngine:
             message, required, budget = payload  # type: ignore[misc]
             fields["oom"] = OutOfMemoryError(
                 message, required_bytes=required, budget_bytes=budget)
-        elif status == "error":
-            self.failures += 1
-            self._log.warning("engine.job_failed", job=job.describe(),
-                              reason=f"{type(payload).__name__}: {payload}")
-            fields["error"] = payload
         else:
+            # "error" carries the member's exception, "failed" the
+            # reason the engine gave up (already logged as it did).
             self.failures += 1
-            fields["error"] = kind.give_up(job, payload, attempts)
-        return kind.outcome_cls(
+            if status == "error":
+                self._log.warning(
+                    "engine.job_failed", job=job.describe(),
+                    reason=f"{type(payload).__name__}: {payload}")
+            fields["error"] = payload
+        return JobOutcome(
             job=job, exec_s=exec_s, attempts=attempts,
             queue_wait_s=max(0.0, started_unix - submitted_unix), **fields)
 
@@ -1232,7 +1230,7 @@ class ExperimentEngine:
             if proc.is_alive():
                 proc.terminate()
 
-    def _record_batch(self, outcomes: Sequence[Any],
+    def _record_batch(self, outcomes: Sequence[JobOutcome],
                       deltas: Dict[str, int]) -> None:
         """Mirror one batch's outcomes and counter deltas into the
         telemetry registry."""
@@ -1249,8 +1247,7 @@ class ExperimentEngine:
                  len(outcomes) - len(executed)),
                 ("engine_jobs_total", {"cached": "false"}, len(executed)),
                 ("engine_oom_outcomes_total", {},
-                 sum(getattr(outcome, "oom", None) is not None
-                     for outcome in outcomes)),
+                 sum(outcome.oom is not None for outcome in outcomes)),
                 ("engine_failed_jobs_total", {},
                  sum(outcome.error is not None for outcome in outcomes))):
             if count:

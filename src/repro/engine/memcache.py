@@ -1,4 +1,4 @@
-"""Sharded in-process hot tier for the simulation result cache.
+"""In-process hot tier for the simulation result cache.
 
 A warm disk hit still costs an ``open`` + ``json.load`` per key; for a
 long-lived process (the serving scheduler owns one engine for its whole
@@ -10,26 +10,18 @@ same payload→outcome rehydration a disk hit performs.  Because both
 tiers rehydrate through the identical converters, a hot hit is
 byte-for-byte the outcome a disk hit would have produced.
 
-Layout is a fixed array of *shards*, each an LRU ``OrderedDict`` behind
-its own lock, so concurrent serving threads rarely contend on the same
-lock and a batched ``get_many``/``put_many`` acquires each shard's lock
-at most once per call instead of once per key.  Eviction is per shard
-(budget divided evenly): strict global LRU would need a global lock,
-which is exactly what sharding exists to avoid.
+The tier is one LRU ``OrderedDict`` with no lock of its own:
+:class:`~repro.engine.cache.SimulationCache` serializes it under the
+same lock as the pack tier, taken once per batched call.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-
-#: Default shard count; a small power of two keeps the modulo cheap and
-#: is plenty to spread the serving scheduler's handful of threads.
-DEFAULT_SHARDS = 8
 
 
 def payload_nbytes(payload: dict) -> int:
@@ -43,172 +35,82 @@ def payload_nbytes(payload: dict) -> int:
     return len(json.dumps(payload, separators=(",", ":")))
 
 
-class _Shard:
-    """One LRU slice of the cache: an ``OrderedDict`` behind a lock."""
-
-    __slots__ = ("lock", "entries", "bytes")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        #: key -> (payload, nbytes); insertion order is recency order.
-        self.entries: "OrderedDict[str, Tuple[dict, int]]" = OrderedDict()
-        self.bytes = 0
-
-
 class MemoryCache:
-    """Byte-budgeted, sharded, thread-safe LRU of cache payloads.
+    """Byte-budgeted LRU of cache payloads (not thread-safe by itself).
 
     Attributes:
-        max_bytes: Total budget across all shards; each shard evicts
-            its own least-recently-used entries past
-            ``max_bytes / shards``.  Entries larger than a whole
-            shard's budget are never admitted (they would evict
-            everything for one key).
-        shards: Shard count (fixed at construction).
+        max_bytes: The budget; least-recently-used entries are evicted
+            past it.  An entry larger than the whole budget is never
+            admitted (it would evict everything for one key).
+        current_bytes: Bytes currently held.
+        evictions: Entries evicted over the cache's lifetime.
     """
 
-    def __init__(self, max_bytes: int, shards: int = DEFAULT_SHARDS):
-        """Validate the budget and allocate the shard array."""
+    def __init__(self, max_bytes: int):
+        """Validate the budget."""
         if max_bytes <= 0:
             raise ConfigurationError(
                 f"max_bytes must be positive, got {max_bytes}")
-        if shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {shards}")
         self.max_bytes = int(max_bytes)
-        self.shards = shards
-        self._shard_budget = max(1, self.max_bytes // shards)
-        self._shards = [_Shard() for _ in range(shards)]
-        self._evictions = 0
-        self._eviction_lock = threading.Lock()
-
-    # ----- shard routing -----------------------------------------------------
-
-    def _shard_for(self, key: str) -> _Shard:
-        # Cache keys are uniform hex digests, so their builtin hash
-        # spreads evenly; no need for anything fancier.
-        return self._shards[hash(key) % self.shards]
-
-    # ----- single-key operations ---------------------------------------------
-
-    def get(self, key: str) -> Optional[dict]:
-        """The stored payload for ``key``, refreshed as most recent;
-        ``None`` when absent (the caller falls through to disk)."""
-        shard = self._shard_for(key)
-        with shard.lock:
-            entry = shard.entries.get(key)
-            if entry is None:
-                return None
-            shard.entries.move_to_end(key)
-            return entry[0]
-
-    def put(self, key: str, payload: dict,
-            nbytes: Optional[int] = None) -> None:
-        """Insert (or refresh) ``key``; evicts LRU entries past budget.
-
-        ``nbytes`` lets callers that already serialized the payload (the
-        pack writer) skip re-encoding it for the size charge.
-        """
-        if nbytes is None:
-            nbytes = payload_nbytes(payload)
-        shard = self._shard_for(key)
-        with shard.lock:
-            self._put_locked(shard, key, payload, nbytes)
-
-    # ----- batched operations ------------------------------------------------
+        self.current_bytes = 0
+        self.evictions = 0
+        #: key -> (payload, nbytes); insertion order is recency order.
+        self._entries: "OrderedDict[str, Tuple[dict, int]]" = OrderedDict()
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, dict]:
-        """Look up many keys with one lock acquisition per shard.
-
-        Returns only the present keys; order of the input is
-        irrelevant (the caller re-aligns by key).
-        """
-        by_shard: Dict[int, List[str]] = {}
-        for key in keys:
-            by_shard.setdefault(hash(key) % self.shards, []).append(key)
+        """The present keys' payloads, each refreshed as most recent in
+        the order of ``keys`` (absent keys fall through to disk)."""
         found: Dict[str, dict] = {}
-        for shard_idx, shard_keys in by_shard.items():
-            shard = self._shards[shard_idx]
-            with shard.lock:
-                for key in shard_keys:
-                    entry = shard.entries.get(key)
-                    if entry is not None:
-                        shard.entries.move_to_end(key)
-                        found[key] = entry[0]
+        for key in keys:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                found[key] = entry[0]
         return found
 
     def put_many(self, items: Iterable[Tuple[str, dict, Optional[int]]],
-                 ) -> None:
-        """Insert many ``(key, payload, nbytes-or-None)`` entries with
-        one lock acquisition per shard."""
-        by_shard: Dict[int, List[Tuple[str, dict, int]]] = {}
+                 ) -> int:
+        """Insert (or refresh) ``(key, payload, nbytes-or-None)`` entries
+        in order; returns how many entries the budget evicted.
+
+        ``nbytes`` lets callers that already serialized the payload (the
+        pack writer) skip re-encoding it for the size charge.  An
+        oversized entry still drops the key's older payload, so the
+        cold tiers answer for it.
+        """
+        evicted = 0
         for key, payload, nbytes in items:
             if nbytes is None:
                 nbytes = payload_nbytes(payload)
-            by_shard.setdefault(hash(key) % self.shards, []).append(
-                (key, payload, nbytes))
-        for shard_idx, shard_items in by_shard.items():
-            shard = self._shards[shard_idx]
-            with shard.lock:
-                for key, payload, nbytes in shard_items:
-                    self._put_locked(shard, key, payload, nbytes)
-
-    # ----- internals ---------------------------------------------------------
-
-    def _put_locked(self, shard: _Shard, key: str, payload: dict,
-                    nbytes: int) -> None:
-        """Insert under ``shard.lock``; runs the shard's LRU eviction."""
-        if nbytes > self._shard_budget:
-            # One oversized entry would flush the whole shard for a
-            # single key; skip it — the cold tiers still hold it.
-            return
-        old = shard.entries.pop(key, None)
-        if old is not None:
-            shard.bytes -= old[1]
-        shard.entries[key] = (payload, nbytes)
-        shard.bytes += nbytes
-        evicted = 0
-        while shard.bytes > self._shard_budget:
-            _, (_, dropped) = shard.entries.popitem(last=False)
-            shard.bytes -= dropped
-            evicted += 1
-        if evicted:
-            with self._eviction_lock:
-                self._evictions += evicted
-
-    # ----- introspection -----------------------------------------------------
-
-    @property
-    def evictions(self) -> int:
-        """Entries evicted over the cache's lifetime."""
-        with self._eviction_lock:
-            return self._evictions
-
-    @property
-    def current_bytes(self) -> int:
-        """Bytes currently held across all shards."""
-        return sum(shard.bytes for shard in self._shards)
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.current_bytes -= old[1]
+            if nbytes > self.max_bytes:
+                continue
+            self._entries[key] = (payload, nbytes)
+            self.current_bytes += nbytes
+            while self.current_bytes > self.max_bytes:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.current_bytes -= dropped
+                evicted += 1
+        self.evictions += evicted
+        return evicted
 
     def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        shard = self._shard_for(key)
-        with shard.lock:
-            return key in shard.entries
+        return key in self._entries
 
     def clear(self) -> None:
         """Drop every entry (budget and eviction counter persist)."""
-        for shard in self._shards:
-            with shard.lock:
-                shard.entries.clear()
-                shard.bytes = 0
+        self._entries.clear()
+        self.current_bytes = 0
 
     def info(self) -> dict:
         """JSON-serializable snapshot (manifests, ``repro cache stats``)."""
         return {
             "max_bytes": self.max_bytes,
-            "shards": self.shards,
             "entries": len(self),
             "bytes": self.current_bytes,
             "evictions": self.evictions,

@@ -188,40 +188,6 @@ class ModelEvalJob:
                 f"{self.inputs.world_size} GPUs")
 
 
-@dataclass
-class ModelEvalOutcome:
-    """What one model evaluation produced.
-
-    ``exec_s`` is the job's share of its family's evaluation wall time
-    (0 for cache hits); ``error`` carries the exception of a failed
-    evaluation (an invalid configuration, typically, or an
-    :class:`~repro.errors.EngineError` when the engine gave up) so
-    sweep code can re-raise it at the offending point.
-    ``queue_wait_s`` and ``attempts`` mean what they mean on
-    :class:`~repro.engine.engine.JobOutcome`.
-    """
-
-    job: ModelEvalJob
-    result: Optional[PredictedTime] = None
-    error: Optional[Exception] = None
-    cached: bool = False
-    exec_s: float = 0.0
-    queue_wait_s: float = 0.0
-    attempts: int = 1
-
-    @property
-    def ok(self) -> bool:
-        """Whether a prediction came back."""
-        return self.result is not None
-
-    def unwrap(self) -> PredictedTime:
-        """The prediction, or re-raise the evaluation's failure."""
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
-
-
 def evaluate_family(jobs: Sequence[ModelEvalJob]) -> List[PredictedTime]:
     """Evaluate one family in a single grid-kernel call.
 

@@ -49,6 +49,12 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+# numpy loads ``numpy.random`` (every seeded draw) and ``numpy.ma``
+# (``np.unique`` asks it) on first attribute access.  Every route uses
+# both, so they load with the server, like the simulator modules below.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from ..analysis.advisor import SweepPlan, SweepSpec, finish_sweep, plan_sweep
 from ..compression.schemes import SyncSGDScheme
 from ..core import (
@@ -444,7 +450,7 @@ class ServingScheduler:
             elif outcome.oom is not None:
                 row["error"] = str(outcome.oom)
             else:
-                row["error"] = outcome.error or "engine failure"
+                row["error"] = str(outcome.error)
             rows.append(row)
         scheme_label = request.scheme.label if request.scheme else "syncsgd"
         result = {

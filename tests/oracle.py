@@ -14,8 +14,9 @@ one-point scalar form of the §4 performance model with its ``T_comp``,
 its α+β collectives (every all-reduce algorithm) and its per-point
 strong-scaling loop, the per-layer scheme-cost walks, the fabric's
 unshared bandwidth draw, the masked jitter draw, the one-value-at-a-time
-histogram, the per-iteration fault resolution and retransmit draw, and
-the uncached metric lookup (below).
+histogram, the per-iteration fault resolution and retransmit draw, the
+uncached metric lookup, and the cache's byte-budgeted LRU hot tier
+(below).
 """
 
 import hashlib
@@ -24,6 +25,7 @@ import itertools
 import json
 import math
 import weakref
+from collections import OrderedDict
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -1586,3 +1588,48 @@ class UncachedRegistry(MetricsRegistry):
         if metric is None:
             metric = self._histograms[key] = Histogram()
         return metric
+
+
+class LRUOracle:
+    """The hot tier's byte-budgeted LRU, with its byte count summed
+    from the entries at every step instead of kept as a running total.
+
+    ``entries`` maps key -> (payload, charged bytes), least recent
+    first.  An entry larger than the whole budget is refused, after
+    dropping the key's older payload.
+    """
+
+    def __init__(self, max_bytes):
+        self.max_bytes = max_bytes
+        self.entries = OrderedDict()
+        self.evictions = 0
+
+    @property
+    def current_bytes(self):
+        return sum(nbytes for _, nbytes in self.entries.values())
+
+    def get_many(self, keys):
+        found = {}
+        for key in keys:
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                found[key] = self.entries[key][0]
+        return found
+
+    def put_many(self, items):
+        evicted = 0
+        for key, payload, nbytes in items:
+            if nbytes is None:
+                nbytes = len(json.dumps(payload, separators=(",", ":")))
+            self.entries.pop(key, None)
+            if nbytes > self.max_bytes:
+                continue
+            self.entries[key] = (payload, nbytes)
+            while self.current_bytes > self.max_bytes:
+                self.entries.popitem(last=False)
+                evicted += 1
+        self.evictions += evicted
+        return evicted
+
+    def clear(self):
+        self.entries.clear()

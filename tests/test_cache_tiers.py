@@ -4,6 +4,7 @@ open, batched I/O, chaos."""
 import json
 import multiprocessing
 import os
+import sys
 import threading
 
 import numpy as np
@@ -135,10 +136,16 @@ class TestBatchedIO:
 
     def test_concurrent_batches_like_the_scheduler(self, tmp_path):
         """Hammer lookup_many/store_many from threads the way the
-        serving scheduler's drain loop and HTTP workers do."""
-        cache = SimulationCache(str(tmp_path), memory_mb=2, shards=4)
+        serving scheduler's drain loop and HTTP workers do, with a hot
+        tier small enough to evict and a switch interval short enough
+        to interleave its bookkeeping."""
+        cache = SimulationCache(str(tmp_path), memory_mb=16 / 1024)
         errors = []
         per_thread = 40
+        # Every thread re-stores these each round, so the same key is
+        # written by several threads at once.
+        shared = _keys(20, prefix=99)
+        lookups = 20
 
         def worker(tid):
             try:
@@ -146,28 +153,45 @@ class TestBatchedIO:
                 cache.store_many(
                     [(k, _predicted(i)) for i, k in enumerate(keys)])
                 for _ in range(5):
-                    found = cache.lookup_many(keys)
-                    assert set(found) == set(keys)
-                    for i, key in enumerate(keys):
-                        assert found[key] == _predicted(i)
+                    cache.store_many(
+                        [(k, _predicted(i)) for i, k in enumerate(shared)])
+                    for _ in range(lookups):
+                        found = cache.lookup_many(keys + shared)
+                        assert set(found) == set(keys + shared)
+                        for i, key in enumerate(keys):
+                            assert found[key] == _predicted(i)
+                        for i, key in enumerate(shared):
+                            assert found[key] == _predicted(i)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
         threads = [threading.Thread(target=worker, args=(tid,))
                    for tid in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         stats = cache.stats
-        assert stats.stores == 6 * per_thread
-        assert stats.hits == 6 * 5 * per_thread
+        assert stats.stores == 6 * (per_thread + 5 * len(shared))
+        assert stats.hits == 6 * 5 * lookups * (per_thread + len(shared))
         assert stats.misses == 0
+        # No lost update in the hot tier's bookkeeping.
+        memory = cache.memory
+        assert memory.current_bytes == sum(
+            nbytes for _, nbytes in memory._entries.values())
+        assert 0 < memory.current_bytes <= memory.max_bytes
+        assert 0 < memory.evictions == stats.evictions
         cache.close()
         # Everything the threads wrote is durable and healthy.
         reopened = SimulationCache(str(tmp_path))
-        assert len(reopened) == 6 * per_thread
+        assert len(reopened) == 6 * per_thread + len(shared)
         assert reopened.verify()["corrupt"] == 0
 
 
@@ -322,8 +346,7 @@ class TestTierStats:
         payload = outcome_to_payload(_predicted(0))
         nbytes = len(json.dumps(payload, separators=(",", ":")))
         cache = SimulationCache(str(tmp_path),
-                                memory_mb=2 * nbytes / (1024 * 1024),
-                                shards=1)
+                                memory_mb=2 * nbytes / (1024 * 1024))
         keys = _keys(6)
         cache.store_many(
             [(k, _predicted(0)) for k in keys])

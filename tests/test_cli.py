@@ -1,9 +1,11 @@
 """Command-line interface."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -255,6 +257,21 @@ class TestExperimentManifest:
         assert "cache_memory_hits" in engine_stats
         assert "cache_pack_hits" in engine_stats
         assert "cache_evictions" in engine_stats
+
+
+class TestCacheIsClosed:
+    def test_experiment_leaves_no_pack_segment_open(self, capsys,
+                                                     tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["experiment", "fig7", "--cache",
+                         str(tmp_path)]) == 0
+            gc.collect()
+        assert (tmp_path / "pack-000001.jsonl").exists()
+        unclosed = [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)
+                    and "pack-000001.jsonl" in str(w.message)]
+        assert unclosed == []
 
 
 class TestCacheSubcommand:

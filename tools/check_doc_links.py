@@ -48,8 +48,10 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: Bare cross-references to documentation pages.
 DOC_REF_RE = re.compile(r"docs/[A-Za-z0-9_.-]+\.md")
 
-#: A quoted CLI invocation, in inline code or a fenced block.
-CLI_RE = re.compile(r"(?:python -m )?\brepro\s+(?:-|[a-z])[^`\n]*")
+#: A quoted CLI invocation, in inline code or a fenced block; a Python
+#: ``from repro import ...`` or ``import repro ...`` is not one.
+CLI_RE = re.compile(
+    r"(?:python -m )?(?<!from )(?<!import )\brepro\s+(?:-|[a-z])[^`\n]*")
 
 #: A quoted ``from repro... import ...``, one line or parenthesized.
 FROM_IMPORT_RE = re.compile(
