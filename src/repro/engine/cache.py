@@ -44,8 +44,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.perf_model import PredictedTime
 from ..errors import ConfigurationError, OutOfMemoryError
@@ -322,7 +321,7 @@ class SimulationCache:
                     # Hot-tier payloads were validated on the way in.
                     outcomes[key] = payload_to_outcome(payload)
                     tiers[key] = "memory"
-            writeback: List[Tuple[str, dict, Optional[int]]] = []
+            writeback: List[Tuple[str, dict]] = []
             for key in unique:
                 if key in outcomes:
                     continue
@@ -334,7 +333,7 @@ class SimulationCache:
                 except (KeyError, TypeError):
                     continue
                 tiers[key] = "pack"
-                writeback.append((key, payload, None))
+                writeback.append((key, payload))
             if writeback:
                 self._remember(writeback)
             # Per-occurrence accounting, aggregated into one counter
@@ -377,22 +376,21 @@ class SimulationCache:
         payloads = [(key, outcome_to_payload(outcome))
                     for key, outcome in entries]
         with self._lock:
-            written = self.packs.append_many(payloads)
-            sizes = dict(written)
-            self._remember((key, payload, sizes.get(key))
-                           for key, payload in payloads)
+            self.packs.append_many(payloads)
+            self._remember(payloads)
             self.stats.stores += len(payloads)
         registry = get_registry()
         registry.counter("cache_stores_total").inc(len(payloads))
         registry.counter("cache_pack_appends_total").inc()
 
-    def _remember(self, items: Iterable[Tuple[str, dict, Optional[int]]],
-                  ) -> None:
-        """Write entries through to the hot tier, if there is one, and
-        count what its budget evicted (cache lock held)."""
+    def _remember(self, items: Sequence[Tuple[str, dict]]) -> None:
+        """Write ``(key, payload)`` entries through to the hot tier, if
+        there is one, each charged :func:`payload_nbytes` however it
+        arrived, and count what its budget evicted (cache lock held)."""
         if self.memory is None:
             return
-        evicted = self.memory.put_many(items)
+        evicted = self.memory.put_many(
+            (key, payload, None) for key, payload in items)
         if evicted:
             self.stats.evictions += evicted
             get_registry().counter(

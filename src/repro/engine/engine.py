@@ -27,8 +27,8 @@ executor (:func:`run_sim_family`, :func:`run_model_family`,
 :func:`run_advisor_family`).  One dispatcher serves all three
 ``run_*_outcomes`` entry points: one batched cache lookup, misses
 grouped into families and packed into tasks, serial or pooled execution
-(retries, timeouts and pool rebuilds written once), fan-out to per-job
-outcomes, one batched cache store.  All three return the one outcome
+(one wave loop owns retries for both), fan-out to per-job outcomes, one
+batched cache store.  All three return the one outcome
 type, :class:`JobOutcome`.
 
 ``ExperimentEngine()`` with no arguments is a serial, cache-less
@@ -47,8 +47,8 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
@@ -87,46 +87,36 @@ from .fingerprint import (
 from .modeljobs import ModelEvalJob, evaluate_family
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
-
     from ..faults import FaultSchedule
 
 #: Environment variable for chaos testing the engine itself: set it to a
 #: sentinel file path and the first pooled worker to pick up a task
-#: SIGKILLs itself (once — creating the sentinel claims the kill).  The
-#: reliability test suite uses this to prove a sweep survives a dying
-#: worker; it is a no-op unless explicitly set.
+#: SIGKILLs itself (once — creating the sentinel claims the kill, and
+#: ``O_CREAT | O_EXCL`` lets exactly one process win).  The reliability
+#: test suite uses this to prove a sweep survives a dying worker; it is
+#: a no-op unless explicitly set.
 CHAOS_KILL_ENV = "REPRO_CHAOS_KILL_ONCE"
 
-#: Chaos hook for timeout testing: ``<sentinel-path>:<seconds>`` makes
-#: the first executor to claim the sentinel sleep that long before
-#: evaluating, which a per-job timeout then catches.
-CHAOS_SLEEP_ENV = "REPRO_CHAOS_SLEEP_ONCE"
+#: How many times a failed task execution (a crashed pool worker, an
+#: unexpected exception) is retried before its jobs degrade to failure
+#: outcomes.  A hung worker is not timed out: it hangs its dispatch.
+MAX_RETRIES = 2
+
+#: Base of the exponential backoff slept before retry wave *k*:
+#: ``RETRY_BACKOFF_S * 2**(k-1)`` seconds.
+RETRY_BACKOFF_S = 0.05
 
 
 def _chaos_hook() -> None:
-    """Honour the chaos-testing environment hooks (see the two
-    ``REPRO_CHAOS_*`` constants).  Exactly-once semantics come from
-    ``O_CREAT | O_EXCL`` on the sentinel: one process wins the claim,
-    every other execution proceeds normally."""
-    kill_path = os.environ.get(CHAOS_KILL_ENV)
-    if kill_path and _claim_sentinel(kill_path):
-        os.kill(os.getpid(), signal.SIGKILL)
-    sleep_spec = os.environ.get(CHAOS_SLEEP_ENV)
-    if sleep_spec:
-        path, _, seconds = sleep_spec.rpartition(":")
-        if path and _claim_sentinel(path):
-            time.sleep(float(seconds))
-
-
-def _claim_sentinel(path: str) -> bool:
-    """Atomically create ``path``; True only for the single winner."""
+    """Honour :data:`CHAOS_KILL_ENV`."""
+    path = os.environ.get(CHAOS_KILL_ENV)
+    if not path:
+        return
     try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
     except OSError:
-        return False
-    os.close(fd)
-    return True
+        return
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,8 +374,7 @@ def run_advisor_family(jobs: Sequence[AdvisorShardJob]) -> List[Tag]:
 class _Task:
     """One unit of execution: families run back to back by their kind's
     family executor.  On the pool a task carries several families,
-    packed to amortize IPC; serially, and under a per-job timeout, it
-    carries one."""
+    packed to amortize IPC; serially it carries one."""
 
     run_family: Callable[[Sequence], List[Tag]]
     families: Tuple[tuple, ...]
@@ -407,7 +396,7 @@ class _Task:
 
 
 def _execute_task(task: _Task) -> List[Tag]:
-    """Pool (and serial) entry point: honour the chaos hooks, then run
+    """Pool (and serial) entry point: honour the chaos hook, then run
     every family of the task in order."""
     _chaos_hook()
     return [tag for family in task.families
@@ -594,6 +583,89 @@ def _status(tags: Sequence[Tag]) -> str:
     return "/".join(sorted({tag[0] for tag in tags}))
 
 
+# ----- wave runners ----------------------------------------------------------
+
+#: One execution as a wave runner reports it: ``(task index, output,
+#: failure, retryable)``.  Either ``output`` is what :func:`_run_task`
+#: returned and ``failure`` is ``None``, or ``output`` is ``None`` and
+#: ``failure`` says why the execution failed; ``retryable`` is False
+#: for a failure every attempt would repeat.
+Ran = Tuple[int, Any, Optional[str], bool]
+
+
+def _serial_wave(tasks: Sequence[_Task], pending: Sequence[int],
+                 context: Callable[[int], Optional[TraceContext]],
+                 ) -> Iterator[Ran]:
+    """Run each pending task in-process, in order, taking its trace
+    context as it starts."""
+    for idx in pending:
+        try:
+            out = _run_task(tasks[idx], context(idx))
+        except Exception as exc:  # noqa: BLE001 - retried
+            yield idx, None, f"{type(exc).__name__}: {exc}", True
+        else:
+            yield idx, out, None, True
+
+
+class _Pool:
+    """The pooled wave runner: ships the tasks once (:func:`_ship`),
+    keeps one process pool across waves, and rebuilds it after a wave
+    in which a worker died."""
+
+    def __init__(self, tasks: Sequence[_Task], workers: int):
+        # Imported here, not at the top: a serial engine (``jobs=1``,
+        # every CLI command's default) never loads the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._blobs, specs = _ship(tasks)
+        self._new_pool = lambda: ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker,
+            initargs=(specs,))
+        self._pool = self._new_pool()
+
+    def wave(self, pending: Sequence[int],
+             context: Callable[[int], Optional[TraceContext]],
+             ) -> Iterator[Ran]:
+        """Submit every pending task, then yield each as it completes.
+        A dead worker breaks the pool, which fails every task still in
+        flight."""
+        from concurrent.futures import as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        futures = {}
+        for idx in pending:
+            blob = self._blobs[idx]
+            if isinstance(blob, bytes):
+                futures[self._pool.submit(_run_shipped, blob,
+                                          context(idx))] = idx
+            else:
+                # No worker can receive it, and a retry would fail the
+                # same way.
+                yield (idx, None,
+                       f"cannot ship: {type(blob).__name__}: {blob}", False)
+        died = False
+        for future in as_completed(futures):
+            try:
+                out = future.result()
+            except BrokenProcessPool:
+                died = True
+                yield futures[future], None, "a pool worker died", True
+            except Exception as exc:  # noqa: BLE001 - retried
+                yield (futures[future], None,
+                       f"{type(exc).__name__}: {exc}", True)
+            else:
+                yield futures[future], out, None, True
+        if died:
+            self.close()
+            self._pool = self._new_pool()
+
+    def close(self) -> None:
+        """Shut the pool down, dropping tasks that never started.  Idle
+        workers exit in the background: joining them would add their
+        interpreter teardown to every pooled batch's wall."""
+        self._pool.shutdown(wait=False, cancel_futures=True)
+
+
 @dataclass(frozen=True)
 class _Kind:
     """What the dispatcher needs to know about one job kind.
@@ -619,7 +691,6 @@ _ADVISOR_KIND = _Kind(run_advisor_family, (AdvisorShardResult,),
 #: Engine counters mirrored into telemetry as per-batch deltas.
 _COUNTER_METRICS = {
     "retries": "engine_retries_total",
-    "timeouts": "engine_timeouts_total",
     "jobs_batched": "engine_jobs_batched_total",
     "jobs_chunked": "engine_jobs_chunked_total",
 }
@@ -643,7 +714,6 @@ class EngineStats:
     worker_s_total: float
     retries: int = 0
     failures: int = 0
-    timeouts: int = 0
     jobs_chunked: int = 0
     jobs_batched: int = 0
 
@@ -679,7 +749,6 @@ class EngineStats:
             "pool_utilization": self.pool_utilization,
             "retries": self.retries,
             "failures": self.failures,
-            "timeouts": self.timeouts,
             "jobs_chunked": self.jobs_chunked,
             "jobs_batched": self.jobs_batched,
         }
@@ -704,45 +773,18 @@ class ExperimentEngine:
         jobs: Worker process count; 1 (the default) runs in-process.
         cache: A :class:`SimulationCache`, or ``None`` to recompute
             everything.
-        max_retries: How many times a failed execution (crashed pool
-            worker, timeout, unexpected exception) is retried before
-            its jobs degrade to failure outcomes.  0 disables retries.
-        retry_backoff_s: Base of the exponential backoff slept before
-            retry *k* (``retry_backoff_s * 2**(k-1)`` seconds).
-        job_timeout_s: Wall-clock budget for one executed job, or
-            ``None`` (default) for no limit.  Under a budget every job
-            runs as its own task, so the budget means per job.  On the
-            pool path it is charged per submission wave: a job queued
-            behind ``k`` others on the same worker gets ``(k+1)``
-            budgets, so queue wait does not count against it.
+
+    Failed executions are retried per :data:`MAX_RETRIES` and
+    :data:`RETRY_BACKOFF_S`.
     """
 
     def __init__(self, jobs: int = 1,
-                 cache: Optional[SimulationCache] = None,
-                 max_retries: int = 2,
-                 retry_backoff_s: float = 0.05,
-                 job_timeout_s: Optional[float] = None):
-        """Validate and store the execution policy (see class docstring
-        for what each knob controls)."""
+                 cache: Optional[SimulationCache] = None):
+        """Validate and store the worker count and the cache."""
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {max_retries}")
-        # Negated comparisons, so NaN (which compares false) fails too.
-        if not 0 <= retry_backoff_s < math.inf:
-            raise ConfigurationError(
-                f"retry_backoff_s must be >= 0 and finite, got "
-                f"{retry_backoff_s}")
-        if job_timeout_s is not None and not 0 < job_timeout_s < math.inf:
-            raise ConfigurationError(
-                f"job_timeout_s must be positive and finite (None for no "
-                f"limit), got {job_timeout_s}")
         self.jobs = jobs
         self.cache = cache
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.job_timeout_s = job_timeout_s
         #: Jobs actually executed (cache misses) over the engine's
         #: lifetime.
         self.executed = 0
@@ -761,8 +803,6 @@ class ExperimentEngine:
         #: Jobs that ended in an error outcome: the engine gave up on
         #: them, or their evaluation failed deterministically.
         self.failures = 0
-        #: Executions killed for exceeding ``job_timeout_s``.
-        self.timeouts = 0
         #: Jobs that ran in a multi-job task other than as members of
         #: a stacked simulation family: a family packed with others,
         #: or a model-eval or advisor family of more than one job.
@@ -875,13 +915,8 @@ class ExperimentEngine:
             tasks, members = self._plan(kind, [jobs[i] for i in misses])
             submitted_unix = time.time()
             if self.jobs > 1:
-                # A pooled engine keeps pool semantics even for a lone
-                # task: execution (and the chaos hooks) must never run
-                # in the parent process.
                 workers = min(self.jobs, len(tasks), os.cpu_count() or 1)
-                results, attempts = self._run_parallel(tasks, workers)
-            else:
-                results, attempts = self._run_serial(tasks)
+            results, attempts = self._execute(tasks, workers)
             self.executed += len(misses)
             store_entries: List[Tuple[str, object]] = []
             for task, positions, tags, attempt in zip(tasks, members,
@@ -926,12 +961,10 @@ class ExperimentEngine:
         """How many families one pool task should carry.
 
         Targets ~4 tasks per worker (enough slack for load balancing)
-        and degrades to 1 — no packing — for small batches, on the
-        serial path (there is no IPC to amortize), and under a per-job
-        timeout (whose budget accounting is per task and must keep
-        meaning per job).
+        and degrades to 1 — no packing — for small batches and on the
+        serial path (there is no IPC to amortize).
         """
-        if self.jobs == 1 or self.job_timeout_s is not None:
+        if self.jobs == 1:
             return 1
         return max(1, math.ceil(n_families / (workers * 4)))
 
@@ -942,24 +975,20 @@ class ExperimentEngine:
         Families are packed into ``ceil(families / _chunk_size)`` tasks,
         each family onto the task with the fewest members so far,
         families of two or more first; with a chunk size of 1 every
-        family is its own task, in that order.  Under ``job_timeout_s``
-        every job is its own family.  Jobs whose ``family_inputs()``
-        are the same objects share one ``family_key()`` call.  Returns
-        the tasks and, per task, the positions in ``jobs`` of its
-        members in execution order.
+        family is its own task, in that order.  Jobs whose
+        ``family_inputs()`` are the same objects share one
+        ``family_key()`` call.  Returns the tasks and, per task, the
+        positions in ``jobs`` of its members in execution order.
         """
-        groups: Dict[object, List[int]] = {}
+        groups: Dict[str, List[int]] = {}
         keys: Dict[Tuple[int, ...], str] = {}
         for k, job in enumerate(jobs):
-            if self.job_timeout_s is not None:
-                key: object = k
-            else:
-                # The jobs keep every input alive, so an id is never
-                # reused within this call.
-                same = tuple(map(id, job.family_inputs()))
-                key = keys.get(same)
-                if key is None:
-                    key = keys[same] = job.family_key()
+            # The jobs keep every input alive, so an id is never reused
+            # within this call.
+            same = tuple(map(id, job.family_inputs()))
+            key = keys.get(same)
+            if key is None:
+                key = keys[same] = job.family_key()
             groups.setdefault(key, []).append(k)
         families = sorted(groups.values(), key=lambda group: len(group) == 1)
         size = self._chunk_size(len(families),
@@ -1004,231 +1033,80 @@ class ExperimentEngine:
 
     # ----- task execution (serial / pooled, with retries) --------------------
 
-    @staticmethod
-    def _context(tracer: Any, span: Any) -> Optional[TraceContext]:
-        """The trace context an execution under ``span`` records into,
-        or ``None`` when the tracer is off."""
-        if span is None:
-            return None
-        return (tracer.trace_id, span.span_id, time.time())
-
-    def _run_serial(self, tasks: Sequence[_Task],
-                    ) -> Tuple[List[List[Tag]], List[int]]:
-        """Execute tasks in-process, retrying unexpected exceptions.
+    def _execute(self, tasks: Sequence[_Task], workers: int,
+                 ) -> Tuple[List[List[Tag]], List[int]]:
+        """Run ``tasks`` in waves: in-process, or on a pool of
+        ``workers`` when the engine is pooled.
 
         Returns ``(per-task member tags, attempt counts)`` aligned with
         ``tasks``.  OOM and per-member evaluation errors never retry
-        (family executors return them as tags); anything else gets
-        ``max_retries`` fresh attempts with exponential backoff before
-        the task's members degrade to ``"failed"`` tags.
+        (family executors return them as tags).  A failed execution — an
+        unexpected exception, or a pool worker that died — is retried in
+        the next wave after exponential backoff, until it has had
+        :data:`MAX_RETRIES` retries; then its members degrade to
+        ``"failed"`` tags.  While traced, each task has one span on track
+        ``engine`` from its first start to its final result, and every
+        attempt records under it.
         """
         tracer = get_tracer()
         results: List[Optional[List[Tag]]] = [None] * len(tasks)
-        attempt_counts = [0] * len(tasks)
-        for idx, task in enumerate(tasks):
-            span = (tracer.begin(task.describe(), track="engine")
-                    if tracer.enabled else None)
-            while results[idx] is None:
-                if attempt_counts[idx]:
-                    time.sleep(self.retry_backoff_s
-                               * 2 ** (attempt_counts[idx] - 1))
-                attempt_counts[idx] += 1
-                try:
-                    out = _run_task(task, self._context(tracer, span))
-                except Exception as exc:  # noqa: BLE001 - retried
-                    self._register_failure(idx, attempt_counts, tasks,
-                                           results, [],
-                                           f"{type(exc).__name__}: {exc}")
-                    continue
-                if span is not None:
-                    out, spans = out
-                    tracer.merge(spans)
-                results[idx] = out
-            if span is not None:
-                tracer.finish(span, attempts=str(attempt_counts[idx]),
-                              outcome=_status(results[idx]))
-        return results, attempt_counts  # type: ignore[return-value]
+        attempts = [0] * len(tasks)
+        spans: List[Any] = [None] * len(tasks)
 
-    def _run_parallel(self, tasks: Sequence[_Task], workers: int,
-                      ) -> Tuple[List[List[Tag]], List[int]]:
-        """Execute tasks on a process pool that survives dying workers.
+        def context(idx: int) -> Optional[TraceContext]:
+            """The trace context of an attempt at task ``idx`` starting
+            now (``None`` when the tracer is off)."""
+            if not tracer.enabled:
+                return None
+            if spans[idx] is None:
+                spans[idx] = tracer.begin(tasks[idx].describe(),
+                                          track="engine")
+            return (tracer.trace_id, spans[idx].span_id, time.time())
 
-        Tasks are submitted in waves; a wave's tasks that failed
-        (``BrokenProcessPool``, an exception, or a blown
-        ``job_timeout_s`` deadline) are retried in the next wave after
-        exponential backoff, until their attempt budget runs out.  A
-        broken or deadlocked pool is killed and rebuilt between waves,
-        and tasks that were merely queued behind a hung one are
-        resubmitted without it counting against their budget.  Results
-        come back aligned with ``tasks`` regardless of completion
-        order.
-        """
-        # Imported here, not at the top: a serial engine (``jobs=1``,
-        # every CLI command's default) never loads the pool machinery.
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
-        )
-        from concurrent.futures.process import BrokenProcessPool
-
-        tracer = get_tracer()
-        results: List[Optional[List[Tag]]] = [None] * len(tasks)
-        attempt_counts = [0] * len(tasks)
-        # One open span per task while traced; a retried task keeps its
-        # span (attempts land as sibling children under it), and the
-        # span closes at the moment its result becomes final.
-        task_spans: List[Any] = [None] * len(tasks)
-
-        def _close_span(idx: int) -> None:
-            span = task_spans[idx]
-            if span is not None and results[idx] is not None:
-                tracer.finish(span, attempts=str(attempt_counts[idx]),
-                              outcome=_status(results[idx]))
-                task_spans[idx] = None
-
-        blobs, specs = _ship(tasks)
-
-        def new_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_init_worker,
-                                       initargs=(specs,))
-
-        pending = []
-        for idx, blob in enumerate(blobs):
-            if isinstance(blob, bytes):
-                pending.append(idx)
-                continue
-            # No worker can receive it, and a retry would fail the same
-            # way: the task's members fail now, on their first attempt.
-            attempt_counts[idx] = 1
-            reason = f"cannot ship: {type(blob).__name__}: {blob}"
-            self._log.warning("engine.job_failed", job=tasks[idx].describe(),
-                              attempts=1, reason=reason)
-            results[idx] = _failed(tasks[idx], reason)
+        # A pooled engine keeps pool semantics even for a lone task:
+        # execution (and the chaos hook) must never run in the parent.
+        pool = _Pool(tasks, workers) if self.jobs > 1 else None
+        pending = list(range(len(tasks)))
         wave = 0
-        pool = new_pool()
         try:
             while pending:
                 if wave:
-                    time.sleep(self.retry_backoff_s * 2 ** (wave - 1))
+                    time.sleep(RETRY_BACKOFF_S * 2 ** (wave - 1))
                 wave += 1
-                future_to_idx = {}
-                deadlines: Dict[object, float] = {}
-                now = time.monotonic()
-                for k, idx in enumerate(pending):
-                    attempt_counts[idx] += 1
-                    if tracer.enabled and task_spans[idx] is None:
-                        task_spans[idx] = tracer.begin(
-                            tasks[idx].describe(), track="engine")
-                    future = pool.submit(
-                        _run_shipped, blobs[idx],
-                        self._context(tracer, task_spans[idx]))
-                    future_to_idx[future] = idx
-                    if self.job_timeout_s is not None:
-                        # Queue position k lands ~(k // workers) tasks
-                        # deep on its worker; grant a budget per slot so
-                        # queue wait is not charged against the task.
-                        deadlines[future] = now + self.job_timeout_s * (
-                            k // workers + 1)
+                for idx in pending:
+                    attempts[idx] += 1
                 retry: List[int] = []
-                not_done = set(future_to_idx)
-                rebuild = False
-                while not_done:
-                    timeout = None
-                    if deadlines:
-                        next_deadline = min(deadlines[f] for f in not_done)
-                        timeout = max(0.0, next_deadline - time.monotonic())
-                    done, not_done = wait(not_done, timeout=timeout,
-                                          return_when=FIRST_COMPLETED)
-                    broken = False
-                    for future in done:
-                        idx = future_to_idx[future]
-                        try:
-                            out = future.result()
-                            if tracer.enabled:
-                                out, spans = out
-                                tracer.merge(spans)
-                            results[idx] = out
-                        except BrokenProcessPool:
-                            broken = True
-                            self._register_failure(
-                                idx, attempt_counts, tasks, results,
-                                retry, "a pool worker died")
-                        except Exception as exc:  # noqa: BLE001
-                            self._register_failure(
-                                idx, attempt_counts, tasks, results,
-                                retry, f"{type(exc).__name__}: {exc}")
-                        _close_span(idx)
-                    if broken:
-                        # The pool is unusable; every in-flight future is
-                        # lost with it.  Fail them over to the next wave.
-                        for future in not_done:
-                            self._register_failure(
-                                future_to_idx[future], attempt_counts,
-                                tasks, results, retry, "a pool worker died")
-                            _close_span(future_to_idx[future])
-                        not_done = set()
-                        rebuild = True
-                    elif not done and not_done:
-                        # wait() timed out: at least one deadline blew.
-                        now = time.monotonic()
-                        for future in list(not_done):
-                            if deadlines.get(future, float("inf")) <= now:
-                                idx = future_to_idx[future]
-                                self.timeouts += 1
-                                self._register_failure(
-                                    idx, attempt_counts, tasks, results,
-                                    retry, f"timed out after "
-                                           f"{self.job_timeout_s:g} s")
-                                _close_span(idx)
-                                not_done.discard(future)
-                        # The hung worker still holds its process; only a
-                        # pool teardown reclaims it.  Collateral tasks
-                        # are resubmitted for free.
-                        for future in not_done:
-                            idx = future_to_idx[future]
-                            attempt_counts[idx] -= 1
-                            retry.append(idx)
-                        not_done = set()
-                        rebuild = True
-                if rebuild:
-                    self._kill_pool(pool)
-                    pool = new_pool()
+                ran = (pool.wave(pending, context) if pool is not None
+                       else _serial_wave(tasks, pending, context))
+                for idx, out, failure, retryable in ran:
+                    task = tasks[idx]
+                    if failure is None:
+                        if tracer.enabled:
+                            out, recorded = out
+                            tracer.merge(recorded)
+                        results[idx] = out
+                    elif retryable and attempts[idx] <= MAX_RETRIES:
+                        self.retries += 1
+                        self._log.warning("engine.job_retry",
+                                          job=task.describe(),
+                                          attempt=attempts[idx],
+                                          reason=failure)
+                        retry.append(idx)
+                        continue
+                    else:
+                        self._log.warning("engine.job_failed",
+                                          job=task.describe(),
+                                          attempts=attempts[idx],
+                                          reason=failure)
+                        results[idx] = _failed(task, failure)
+                    if spans[idx] is not None:
+                        tracer.finish(spans[idx], attempts=str(attempts[idx]),
+                                      outcome=_status(results[idx]))
                 pending = sorted(retry)
         finally:
-            self._kill_pool(pool)
-            if tracer.enabled:
-                # Safety net for abnormal exits: no span stays open.
-                for idx in range(len(tasks)):
-                    _close_span(idx)
-        return results, attempt_counts  # type: ignore[return-value]
-
-    def _register_failure(self, idx: int, attempt_counts: List[int],
-                          tasks: Sequence[_Task],
-                          results: List[Optional[List[Tag]]],
-                          retry: List[int], reason: str) -> None:
-        """Route one failed task execution: resubmit it, or give up and
-        degrade its members to ``"failed"`` tags."""
-        task = tasks[idx]
-        if attempt_counts[idx] > self.max_retries:
-            self._log.warning("engine.job_failed", job=task.describe(),
-                              attempts=attempt_counts[idx], reason=reason)
-            results[idx] = _failed(task, reason)
-        else:
-            self.retries += 1
-            self._log.warning("engine.job_retry", job=task.describe(),
-                              attempt=attempt_counts[idx], reason=reason)
-            retry.append(idx)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down without waiting on hung or dead workers."""
-        pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
-            if proc.is_alive():
-                proc.terminate()
+            if pool is not None:
+                pool.close()
+        return results, attempts  # type: ignore[return-value]
 
     def _record_batch(self, outcomes: Sequence[JobOutcome],
                       deltas: Dict[str, int]) -> None:
@@ -1283,7 +1161,6 @@ class ExperimentEngine:
             worker_s_total=self.worker_s_total,
             retries=self.retries,
             failures=self.failures,
-            timeouts=self.timeouts,
             jobs_chunked=self.jobs_chunked,
             jobs_batched=self.jobs_batched,
         )

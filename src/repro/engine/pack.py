@@ -266,8 +266,7 @@ class PackStore:
         ``flush`` + ``fsync`` makes the whole batch durable, then the
         index lines are appended (and fsynced) — segment-first ordering
         is what makes a mid-flush kill detectable instead of corrupting.
-        Returns ``(key, serialized-record-bytes)`` pairs so callers can
-        charge the hot tier without re-encoding.
+        Returns ``(key, serialized-record-bytes)`` pairs.
         """
         # Sort by key so the same set of stores produces byte-identical
         # segments regardless of batch-internal ordering (family

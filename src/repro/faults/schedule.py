@@ -203,6 +203,15 @@ class NodeFault:
                               self.period_iterations)
 
 
+#: Most retransmits one transfer may attempt.  Pricing a transfer draws
+#: ``max_retries`` float64s for each iteration row it covers: at the
+#: kernel's ``MAX_ITERATIONS`` (10,000 rows) this bound holds the draw
+#: matrix to 8 MB per transfer, where an unbounded count (a JSON field)
+#: would exhaust memory before the first row is priced.  Real stacks
+#: give up far sooner (Linux's ``tcp_retries2`` defaults to 15).
+MAX_RETRANSMIT_RETRIES = 100
+
+
 @dataclass(frozen=True)
 class RetransmitFault:
     """Gradient transfers that occasionally need to be re-sent.
@@ -219,7 +228,9 @@ class RetransmitFault:
         timeout_s: Detection timeout before the first retransmit.
         backoff: Multiplier on the timeout per consecutive failure (>= 1).
         max_retries: Attempts after which the transfer is forced through
-            (the fabric eventually delivers; training never wedges).
+            (the fabric eventually delivers; training never wedges), at
+            most :data:`MAX_RETRANSMIT_RETRIES`.  The last timeout,
+            ``timeout_s * backoff**(max_retries-1)``, must be finite.
         start_iteration: First affected iteration.
         duration_iterations: Window length; ``None`` = persistent.
     """
@@ -244,6 +255,19 @@ class RetransmitFault:
             raise ConfigurationError(
                 f"backoff must be >= 1, got {self.backoff}")
         _check_int("max_retries", self.max_retries, 1)
+        if self.max_retries > MAX_RETRANSMIT_RETRIES:
+            raise ConfigurationError(
+                f"max_retries must be <= {MAX_RETRANSMIT_RETRIES}, got "
+                f"{self.max_retries}")
+        try:
+            last = self.timeout_s * self.backoff ** (self.max_retries - 1)
+        except OverflowError:
+            last = math.inf
+        if not math.isfinite(last):
+            raise ConfigurationError(
+                f"retransmit timeout_s * backoff**(max_retries-1) must be "
+                f"finite, got {self.timeout_s} * {self.backoff}**"
+                f"{self.max_retries - 1}")
         _check_window("retransmit", self.start_iteration,
                       self.duration_iterations)
 

@@ -28,10 +28,10 @@ model executor alive behind one.  A single background thread loops:
 Admission control happens in :meth:`ServingScheduler.submit`, on the
 caller's thread: per-tenant token buckets and the queue-depth cap
 reject before any work is queued (:mod:`repro.serving.quota`).
-Deadlines reuse the engine's ``job_timeout_s`` semantics one level up:
-a request carries a wall-clock budget from submission, checked when the
-batch is formed — a request that waited out its budget in the queue is
-expired, never executed.
+Deadlines are a wall-clock budget per request from submission, checked
+when the batch is formed — a request that waited out its budget in the
+queue is expired, never executed.  A batch already running is not
+interrupted.
 
 Scheduler state is observable through the PR-7 telemetry registry:
 ``serving_queue_depth`` and ``serving_batch_occupancy`` gauges,

@@ -57,3 +57,33 @@ def small_cluster():
 @pytest.fixture
 def small_fabric(small_cluster):
     return Fabric(small_cluster)
+
+
+@pytest.fixture
+def retry_policy(monkeypatch):
+    """Set the engine's retry constants for one test:
+    ``retry_policy(max_retries=0)``.  Backoff defaults to 0 here, so
+    retries cost no sleep."""
+    import repro.engine.engine as engine_module
+
+    def set_policy(max_retries=engine_module.MAX_RETRIES, backoff_s=0.0):
+        monkeypatch.setattr(engine_module, "MAX_RETRIES", max_retries)
+        monkeypatch.setattr(engine_module, "RETRY_BACKOFF_S", backoff_s)
+    return set_policy
+
+
+@pytest.fixture
+def open_cache():
+    """Open caches for one test; each is closed at teardown (closing
+    one twice is harmless)."""
+    from repro.engine import SimulationCache
+
+    opened = []
+
+    def open_(*args, **kwargs):
+        cache = SimulationCache(*args, **kwargs)
+        opened.append(cache)
+        return cache
+    yield open_
+    for cache in opened:
+        cache.close()

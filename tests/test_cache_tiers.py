@@ -55,7 +55,7 @@ def _per_key_files(directory):
 
 
 class TestTierEquivalence:
-    def test_hits_identical_across_all_tiers(self, tmp_path):
+    def test_hits_identical_across_all_tiers(self, tmp_path, open_cache):
         """The same key must rehydrate byte-identically whether it is
         served hot, from a pack, or from a legacy file packed on open."""
         key = "a" * 64
@@ -63,17 +63,17 @@ class TestTierEquivalence:
 
         legacy_dir = tmp_path / "legacy"
         _write_legacy(legacy_dir, key, outcome)
-        migrated = SimulationCache(str(legacy_dir))
+        migrated = open_cache(str(legacy_dir))
         from_legacy = migrated.get(key)
         assert migrated.stats.pack_hits == 1
 
         pack_dir = tmp_path / "pack"
-        packed = SimulationCache(str(pack_dir))
+        packed = open_cache(str(pack_dir))
         packed.store_many([(key, outcome)])
         packed.close()
-        from_pack = SimulationCache(str(pack_dir)).get(key)
+        from_pack = open_cache(str(pack_dir)).get(key)
 
-        hot = SimulationCache(str(tmp_path / "hot"), memory_mb=4)
+        hot = open_cache(str(tmp_path / "hot"), memory_mb=4)
         hot.store_many([(key, outcome)])
         from_memory = hot.get(key)
         assert hot.stats.memory_hits == 1
@@ -82,8 +82,8 @@ class TestTierEquivalence:
         assert from_pack == outcome
         assert from_memory == outcome
 
-    def test_oom_round_trips_through_packs(self, tmp_path):
-        cache = SimulationCache(str(tmp_path))
+    def test_oom_round_trips_through_packs(self, tmp_path, open_cache):
+        cache = open_cache(str(tmp_path))
         oom = OutOfMemoryError("boom", required_bytes=10, budget_bytes=5)
         cache.store_many([("b" * 64, oom)])
         hit = cache.get("b" * 64)
@@ -96,11 +96,11 @@ class TestTierEquivalence:
 
 
 class TestBatchedIO:
-    def test_lookup_many_mixes_tiers(self, tmp_path):
+    def test_lookup_many_mixes_tiers(self, tmp_path, open_cache):
         keys = _keys(6)
         for i, key in enumerate(keys[2:4], start=2):
             _write_legacy(tmp_path, key, _predicted(i))  # packed on open
-        cache = SimulationCache(str(tmp_path), memory_mb=4)
+        cache = open_cache(str(tmp_path), memory_mb=4)
         cache.store_many(
             [(k, _predicted(i)) for i, k in enumerate(keys[:2])])
         found = cache.lookup_many(keys)
@@ -110,16 +110,16 @@ class TestBatchedIO:
         assert cache.stats.memory_hits == 2
         assert cache.stats.pack_hits == 2
 
-    def test_lookup_many_counts_per_occurrence(self, tmp_path):
-        cache = SimulationCache(str(tmp_path))
+    def test_lookup_many_counts_per_occurrence(self, tmp_path, open_cache):
+        cache = open_cache(str(tmp_path))
         key = "c" * 64
         cache.store_many([(key, _predicted(0))])
         cache.lookup_many([key, key, "d" * 64])
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
 
-    def test_lookup_many_writes_back_to_hot_tier(self, tmp_path):
-        cache = SimulationCache(str(tmp_path), memory_mb=4)
+    def test_lookup_many_writes_back_to_hot_tier(self, tmp_path, open_cache):
+        cache = open_cache(str(tmp_path), memory_mb=4)
         key = "e" * 64
         cache.store_many([(key, _predicted(1))])
         cache.memory.clear()  # simulate a restart's cold hot-tier
@@ -128,18 +128,18 @@ class TestBatchedIO:
         cache.lookup_many([key])
         assert cache.stats.memory_hits == 1
 
-    def test_store_many_duplicate_keys_last_wins(self, tmp_path):
-        cache = SimulationCache(str(tmp_path))
+    def test_store_many_duplicate_keys_last_wins(self, tmp_path, open_cache):
+        cache = open_cache(str(tmp_path))
         key = "f" * 64
         cache.store_many([(key, _predicted(1)), (key, _predicted(2))])
         assert cache.get(key) == _predicted(2)
 
-    def test_concurrent_batches_like_the_scheduler(self, tmp_path):
+    def test_concurrent_batches_like_the_scheduler(self, tmp_path, open_cache):
         """Hammer lookup_many/store_many from threads the way the
         serving scheduler's drain loop and HTTP workers do, with a hot
         tier small enough to evict and a switch interval short enough
         to interleave its bookkeeping."""
-        cache = SimulationCache(str(tmp_path), memory_mb=16 / 1024)
+        cache = open_cache(str(tmp_path), memory_mb=16 / 1024)
         errors = []
         per_thread = 40
         # Every thread re-stores these each round, so the same key is
@@ -190,16 +190,17 @@ class TestBatchedIO:
         assert 0 < memory.evictions == stats.evictions
         cache.close()
         # Everything the threads wrote is durable and healthy.
-        reopened = SimulationCache(str(tmp_path))
+        reopened = open_cache(str(tmp_path))
         assert len(reopened) == 6 * per_thread + len(shared)
         assert reopened.verify()["corrupt"] == 0
 
 
 class TestChaos:
-    def test_killed_mid_flush_is_detected_not_served(self, tmp_path):
+    def test_killed_mid_flush_is_detected_not_served(self, tmp_path,
+                                                     open_cache):
         """A pack segment torn by a mid-flush kill must read as misses,
         be reported by verify, and never rehydrate into an outcome."""
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         keys = _keys(8)
         cache.store_many(
             [(k, _result(i)) for i, k in enumerate(keys)])
@@ -208,7 +209,7 @@ class TestChaos:
         raw = seg.read_bytes()
         seg.write_bytes(raw[:int(len(raw) * 0.6)])  # the "kill"
 
-        survivor = SimulationCache(str(tmp_path))
+        survivor = open_cache(str(tmp_path))
         report = survivor.verify()
         assert report["pack_truncated"] > 0
         assert report["corrupt"] > 0
@@ -218,14 +219,15 @@ class TestChaos:
         for key in served:  # survivors rehydrate cleanly
             assert isinstance(survivor.get(key), TimingResult)
 
-    def test_killed_mid_index_append_keeps_prior_entries(self, tmp_path):
-        cache = SimulationCache(str(tmp_path))
+    def test_killed_mid_index_append_keeps_prior_entries(self, tmp_path,
+                                                         open_cache):
+        cache = open_cache(str(tmp_path))
         cache.store_many([(k, _predicted(i))
                           for i, k in enumerate(_keys(3))])
         cache.close()
         with open(tmp_path / INDEX_FILENAME, "ab") as handle:
             handle.write(b'{"k":"torn')
-        survivor = SimulationCache(str(tmp_path))
+        survivor = open_cache(str(tmp_path))
         assert len(survivor) == 3
         assert survivor.verify()["pack_truncated"] == 1
 
@@ -237,9 +239,9 @@ class TestMaintenance:
             _write_legacy(tmp_path, key, _predicted(i))
         return keys
 
-    def test_compact_then_reserve_roundtrip(self, tmp_path):
+    def test_compact_then_reserve_roundtrip(self, tmp_path, open_cache):
         keys = self._legacy_cache(tmp_path)
-        cache = SimulationCache(str(tmp_path))  # packs on open
+        cache = open_cache(str(tmp_path))  # packs on open
         assert cache.migrated["packed"] == len(keys)
         assert cache.migrated["corrupt"] == 0
         assert cache.compact()["packed"] == 0  # nothing left to pack
@@ -247,16 +249,16 @@ class TestMaintenance:
         cache.close()
         # No legacy files remain, yet every key still serves.
         assert not _per_key_files(tmp_path)
-        reopened = SimulationCache(str(tmp_path))
+        reopened = open_cache(str(tmp_path))
         assert reopened.migrated is None
         for i, key in enumerate(keys):
             assert reopened.get(key) == _predicted(i)
 
-    def test_compact_leaves_corrupt_files_in_place(self, tmp_path):
+    def test_compact_leaves_corrupt_files_in_place(self, tmp_path, open_cache):
         keys = self._legacy_cache(tmp_path, n=3)
         bad = keys[1]
         _write_legacy(tmp_path, bad, "{ nope")
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         assert cache.migrated["packed"] == 2
         assert cache.migrated["corrupt"] == 1
         assert os.path.exists(cache.path_for(bad))  # left for forensics
@@ -266,34 +268,35 @@ class TestMaintenance:
         # as a duplicate and the directory verifies clean.
         cache.store_many([(bad, _predicted(1))])
         cache.close()
-        reopened = SimulationCache(str(tmp_path))
+        reopened = open_cache(str(tmp_path))
         assert not os.path.exists(reopened.path_for(bad))
         assert reopened.verify()["corrupt"] == 0
         assert reopened.get(bad) == _predicted(1)
 
-    def test_compact_drops_duplicates_without_repacking(self, tmp_path):
+    def test_compact_drops_duplicates_without_repacking(self, tmp_path,
+                                                        open_cache):
         key = "a" * 64
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         cache.store_many([(key, _predicted(1))])  # already packed
         cache.close()
         packed_bytes = (tmp_path / segment_name(1)).read_bytes()
         _write_legacy(tmp_path, key, _predicted(1))  # legacy duplicate
-        reopened = SimulationCache(str(tmp_path))
+        reopened = open_cache(str(tmp_path))
         assert reopened.migrated["packed"] == 1
         assert not os.path.exists(reopened.path_for(key))
         assert reopened.packs.info()["segments"] == 1
         assert (tmp_path / segment_name(1)).read_bytes() == packed_bytes
         assert reopened.get(key) == _predicted(1)
 
-    def test_preload_warms_pack_index_and_memory(self, tmp_path):
-        cache = SimulationCache(str(tmp_path), memory_mb=4)
+    def test_preload_warms_pack_index_and_memory(self, tmp_path, open_cache):
+        cache = open_cache(str(tmp_path), memory_mb=4)
         keys = _keys(4)
         cache.store_many(
             [(k, _predicted(i)) for i, k in enumerate(keys)])
         cache.close()
         _write_legacy(tmp_path, "b" * 64, _predicted(9))  # legacy-only
 
-        warm = SimulationCache(str(tmp_path), memory_mb=4)
+        warm = open_cache(str(tmp_path), memory_mb=4)
         report = warm.preload(memory=True)
         assert report["entries"] == 5
         assert report["memory_entries"] == 5
@@ -301,16 +304,17 @@ class TestMaintenance:
         warm.lookup_many(keys + ["b" * 64])
         assert warm.stats.memory_hits == 5  # served without disk I/O
 
-    def test_preload_without_memory_touches_packs_only(self, tmp_path):
-        cache = SimulationCache(str(tmp_path))
+    def test_preload_without_memory_touches_packs_only(self, tmp_path,
+                                                       open_cache):
+        cache = open_cache(str(tmp_path))
         cache.store_many([("a" * 64, _predicted(1))])
         report = cache.preload()
         assert report == {"entries": 1, "memory_entries": 0,
                           "skipped": 0}
 
-    def test_info_snapshot_shape(self, tmp_path):
+    def test_info_snapshot_shape(self, tmp_path, open_cache):
         _write_legacy(tmp_path, "c" * 64, "{ nope")  # left in place
-        cache = SimulationCache(str(tmp_path), memory_mb=1)
+        cache = open_cache(str(tmp_path), memory_mb=1)
         cache.store_many([("a" * 64, _predicted(1)),
                           ("b" * 64, _predicted(2))])
         info = cache.info()
@@ -342,10 +346,10 @@ class TestTierStats:
         assert delta.pack_hits == 0
         assert delta.evictions == 1
 
-    def test_evictions_mirrored_into_stats(self, tmp_path):
+    def test_evictions_mirrored_into_stats(self, tmp_path, open_cache):
         payload = outcome_to_payload(_predicted(0))
         nbytes = len(json.dumps(payload, separators=(",", ":")))
-        cache = SimulationCache(str(tmp_path),
+        cache = open_cache(str(tmp_path),
                                 memory_mb=2 * nbytes / (1024 * 1024))
         keys = _keys(6)
         cache.store_many(
@@ -369,11 +373,12 @@ def _open_and_lookup(directory, keys, barrier, results):
 class TestLegacyMigration:
     @pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
     def test_non_object_entry_is_corrupt_not_a_crash(self, tmp_path,
+                                                     open_cache,
                                                      text):
         key = "a" * 64
         _write_legacy(tmp_path, key, text)
         _write_legacy(tmp_path, "b" * 64, _predicted(2))
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         assert cache.migrated["packed"] == 1
         assert cache.migrated["corrupt"] == 1
         assert cache.get(key) is None
@@ -384,12 +389,12 @@ class TestLegacyMigration:
             payload_to_outcome(json.loads(text))
 
     def test_vanished_file_is_skipped_and_other_packs_become_hits(
-            self, tmp_path):
+            self, tmp_path, open_cache):
         """Another process packs (and unlinks) a per-key file between
         this process's listing and its read: the file is not counted as
         corrupt, and the key the other process packed is a hit here."""
-        here = SimulationCache(str(tmp_path))
-        other = SimulationCache(str(tmp_path))
+        here = open_cache(str(tmp_path))
+        other = open_cache(str(tmp_path))
         gone = "e" * 64
         other.store_many([(gone, _predicted(5))])
         other.close()
@@ -400,7 +405,7 @@ class TestLegacyMigration:
         assert report == {"packed": 0, "corrupt": 0, "segments": 1}
         assert here.get(gone) == _predicted(5)
 
-    def test_two_processes_migrate_one_directory(self, tmp_path):
+    def test_two_processes_migrate_one_directory(self, tmp_path, open_cache):
         keys = _keys(600)
         for i, key in enumerate(keys):
             _write_legacy(tmp_path, key, _predicted(i))
@@ -418,14 +423,14 @@ class TestLegacyMigration:
             assert proc.exitcode == 0
         assert reports == [(len(keys), len(keys), 0, True)] * 2
         assert not _per_key_files(tmp_path)
-        after = SimulationCache(str(tmp_path))
+        after = open_cache(str(tmp_path))
         report = after.verify()
         assert report["corrupt"] == 0
         assert report["legacy_ok"] == 0
         assert len(after) == len(keys)
 
     @pytest.mark.parametrize("case", range(6))
-    def test_mixed_directory_property(self, tmp_path, case):
+    def test_mixed_directory_property(self, tmp_path, open_cache, case):
         """Seeded directories mixing legacy-only, pack-only and
         both-tier keys, corrupt and non-object per-key files, and a torn
         pack tail: after open every valid key rehydrates to what was
@@ -443,7 +448,7 @@ class TestLegacyMigration:
                   if kind in ("pack", "both", "corrupt+pack")]
         torn = [k for k, kind in zip(keys, kinds) if kind.startswith("torn")]
 
-        seed = SimulationCache(str(tmp_path))
+        seed = open_cache(str(tmp_path))
         seed.store_many([(k, written[k]) for k in packed])
         if torn:
             seed.store_many([(k, written[k]) for k in torn])
@@ -466,7 +471,7 @@ class TestLegacyMigration:
                 _write_legacy(tmp_path, key,
                               garbage[int(rng.integers(len(garbage)))])
 
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         missing = {k for k, kind in zip(keys, kinds)
                    if kind == "corrupt"
                    or (kind == "torn" and k in cut_keys)}
@@ -481,6 +486,6 @@ class TestLegacyMigration:
         assert report["pack_truncated"] == len(cut_keys)
         cache.close()
 
-        again = SimulationCache(str(tmp_path))
+        again = open_cache(str(tmp_path))
         assert (again.migrated or {"packed": 0})["packed"] == 0
         assert set(again.lookup_many(keys)) == set(keys) - missing

@@ -222,6 +222,3 @@ class TestSimJobChunking:
         assert engine._chunk_size(3, 4) == 1
         # The serial path has no IPC to amortize.
         assert ExperimentEngine()._chunk_size(32, 4) == 1
-        # Per-job timeout budgeting is incompatible with packing.
-        assert ExperimentEngine(jobs=4, job_timeout_s=30.0)._chunk_size(
-            32, 4) == 1

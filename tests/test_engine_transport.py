@@ -167,7 +167,7 @@ class TestSharing:
                        warmup=1)
                 for candidate, batch in ((scheme, 4),
                                          (PowerSGDScheme(rank=2), 5))]
-        engine = ExperimentEngine(jobs=2, retry_backoff_s=0.0)
+        engine = ExperimentEngine(jobs=2)
         bad, good = engine.run_outcomes(jobs)
         assert bad.failed and "cannot ship" in bad.error
         assert bad.attempts == 1

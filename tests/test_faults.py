@@ -18,6 +18,7 @@ from repro.faults import (
     RetransmitFault,
     StragglerFault,
 )
+from repro.faults.schedule import MAX_RETRANSMIT_RETRIES
 from repro.hardware import cluster_for_gpus
 from repro.network import Fabric
 from repro.simulator import DDPSimulator
@@ -192,6 +193,13 @@ class TestScheduleSerialization:
         '{"crashes": [{"worker": 0, "at_iteration": 1, "stall_s": NaN}]}',
         '{"retransmits": [{"drop_rate": 0.1, "backoff": NaN}]}',
         '{"retransmits": [{"drop_rate": 0.1, "max_retries": 1.5}]}',
+        # Unpriceable: backoff**k overflows a float, and max_retries
+        # sizes a draw per iteration row.
+        '{"retransmits": [{"drop_rate": 0.9999, "max_retries": 2000}]}',
+        '{"retransmits": [{"drop_rate": 0.5, "timeout_s": 1e308, '
+        '"backoff": 1e308}]}',
+        '{"retransmits": [{"drop_rate": 0.5, "backoff": 1, '
+        '"max_retries": 101}]}',
         '{"links": [{"node_a": 0, "node_b": "1", "factor": 0.5}]}',
         '{"nodes": {"node": 0, "factor": 0.5}}',
         '{"nodes": [[0, 0.5]]}',
@@ -595,6 +603,19 @@ class TestResolveRange:
             d, r = oracle.retransmit_delay(scalar, i, 1, dur)
             assert delays[i] == d  # bitwise
             assert replays[i] == r
+
+    def test_retransmit_at_the_retry_bound_prices(self, small_cluster):
+        schedule = FaultSchedule(seed=5, retransmits=[RetransmitFault(
+            drop_rate=0.9999, timeout_s=1e-3, backoff=1.0,
+            max_retries=MAX_RETRANSMIT_RETRIES)])
+        vec = self._injector(small_cluster, schedule)
+        scalar = self._injector(small_cluster, schedule)
+        delays, replays = vec.retransmit_delay_range(
+            0, 4, 0, np.full(4, 1e-3))
+        assert replays.max() == MAX_RETRANSMIT_RETRIES
+        for i in range(4):
+            assert (delays[i], replays[i]) == oracle.retransmit_delay(
+                scalar, i, 0, 1e-3)
 
     def test_retransmit_delay_range_is_pure(self, small_cluster):
         inj = self._injector(small_cluster, FaultSchedule(retransmits=[

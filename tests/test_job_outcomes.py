@@ -146,12 +146,14 @@ def test_bad_whatif_point_raises_as_itself(resnet50):
 
 
 @pytest.mark.parametrize("kind", sorted(RUN))
-def test_engine_give_up(kind, resnet50, tmp_path, monkeypatch):
+def test_engine_give_up(kind, resnet50, tmp_path, monkeypatch,
+                        retry_policy):
     # The chaos hook SIGKILLs the pool worker that picks up the task;
     # with no retry budget the engine gives up on its first attempt.
     monkeypatch.setenv(CHAOS_KILL_ENV, str(tmp_path / "kill.sentinel"))
     job = make_job(kind, resnet50)
-    engine = ExperimentEngine(jobs=2, max_retries=0, retry_backoff_s=0.0)
+    retry_policy(max_retries=0)
+    engine = ExperimentEngine(jobs=2)
     outcome = run_one(kind, engine, job)
     assert (tmp_path / "kill.sentinel").exists()
     assert summary(outcome) == expected(

@@ -175,22 +175,13 @@ def _shard(rng):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_cache_evictions_match_the_lru_oracle(seed, tmp_path):
-    """Through :class:`SimulationCache`: stores charge the pack record
-    length, pack hits write back at the payload's, and ``stats`` counts
-    every eviction the oracle makes."""
+    """Through :class:`SimulationCache`: stores and pack hits both write
+    back at the payload's length, and ``stats`` counts every eviction
+    the oracle makes."""
     rng = np.random.default_rng([34, seed])
     budget = int(rng.integers(400, 3000))
     cache = SimulationCache(str(tmp_path), memory_mb=budget / 2 ** 20)
     oracle = LRUOracle(budget)
-    written = {}
-    append = cache.packs.append_many
-
-    def spy(entries):
-        sizes = append(entries)
-        written.update(sizes)
-        return sizes
-
-    cache.packs.append_many = spy
     stored = {}
     for _ in range(150):
         keys = [KEYS[int(i)] for i in
@@ -200,7 +191,7 @@ def test_cache_evictions_match_the_lru_oracle(seed, tmp_path):
             cache.store_many(entries)
             payloads = [(key, outcome_to_payload(shard))
                         for key, shard in entries]
-            oracle.put_many((key, payload, written[key])
+            oracle.put_many((key, payload, None)
                             for key, payload in payloads)
             stored.update(entries)
         else:
@@ -219,3 +210,19 @@ def test_cache_evictions_match_the_lru_oracle(seed, tmp_path):
         assert cache.memory.current_bytes == oracle.current_bytes
         assert cache.stats.evictions == oracle.evictions
     cache.close()
+
+
+def test_store_and_pack_writeback_charge_the_same(tmp_path):
+    """One entry costs the hot tier the same whether it was stored or
+    written back from a pack hit."""
+    key, shard = KEYS[0], _shard(np.random.default_rng(34))
+    stored = SimulationCache(str(tmp_path), memory_mb=1)
+    stored.store_many([(key, shard)])
+    stored_bytes = stored.memory.current_bytes
+    stored.close()
+    reopened = SimulationCache(str(tmp_path), memory_mb=1)
+    assert reopened.lookup_many([key]) == {key: shard}
+    assert reopened.stats.pack_hits == 1
+    assert reopened.memory.current_bytes == stored_bytes == payload_nbytes(
+        outcome_to_payload(shard))
+    reopened.close()

@@ -301,13 +301,15 @@ class TestEngineTracing:
         assert get_tracer().drain() == ()
 
     def test_chaos_kill_yields_one_coherent_trace(self, singleton_jobs,
-                                                  tmp_path, monkeypatch):
+                                                  tmp_path, monkeypatch,
+                                                  retry_policy):
         """A killed worker's retry lands as a sibling attempt: the dead
         attempt ships no spans, the successful one parents normally, and
         the whole run stays a single trace."""
         monkeypatch.setenv(CHAOS_KILL_ENV, str(tmp_path / "kill.sentinel"))
         tracer = enable_tracing()
-        engine = ExperimentEngine(jobs=2, retry_backoff_s=0.0)
+        retry_policy()
+        engine = ExperimentEngine(jobs=2)
         small_jobs = singleton_jobs
         outcomes = engine.run_outcomes(small_jobs)
         spans = tracer.drain()
