@@ -66,12 +66,11 @@ advise-smoke:
 	$(PYTHON) tools/check_advise.py
 
 ## the tiered-cache roundtrip on a real cache directory: a cold sweep
-## populates packs, the same entries replayed from a legacy-era layout
-## (packed on open: all pack hits, same digest), `repro cache compact`
-## + `verify`, a re-serve from the packed layout (same digest again), a
-## `repro serve --cache-preload` boot whose /healthz shows the hot
-## tier warm before any request, and a legacy-era directory with a
-## non-object entry (verify exits 1 cleanly, runs keep the digest)
+## populates packs, a warm re-run is all pack hits with the same
+## digest, `repro cache verify` is clean, a `repro serve
+## --cache-preload` boot's /healthz shows the hot tier warm before any
+## request, and a pack record whose payload is not an object fails
+## verify (exit 1, no traceback) while runs keep the digest
 cache-smoke:
 	$(PYTHON) tools/check_cache.py
 

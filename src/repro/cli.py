@@ -30,9 +30,7 @@ Eight subcommands mirror the library's main workflows:
   ``--cache-mem-mb`` adds an in-process hot tier in front of the disk
   cache and ``--cache-preload`` warm-starts from the pack index;
 * ``cache`` — offline maintenance for a cache directory: ``stats``
-  (tier sizes), ``compact`` (report the per-key files that opening the
-  directory packed into append-only segments), ``verify`` (detect
-  corruption; exit 1 if any).
+  (tier sizes), ``verify`` (detect corruption; exit 1 if any).
 
 Everything prints plain text; use ``--markdown`` on ``experiment`` for
 paste-ready tables.  Global flags: ``--version``, ``--log-level``/
@@ -437,7 +435,7 @@ def cmd_serve(args: argparse.Namespace,
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    """Offline cache maintenance: ``stats``, ``compact``, ``verify``."""
+    """Offline cache maintenance: ``stats``, ``verify``."""
     from .engine import SimulationCache
 
     if not os.path.isdir(args.cache):
@@ -447,23 +445,14 @@ def cmd_cache(args: argparse.Namespace) -> int:
         if args.action == "stats":
             info = cache.info()
             print(f"cache {args.cache}")
-            print(f"  legacy: {info['legacy']['entries']} entries, "
-                  f"{info['legacy']['bytes']} bytes")
             print(f"  pack:   {info['pack']['entries']} entries in "
                   f"{info['pack']['segments']} segment(s), "
                   f"{info['pack']['bytes']} bytes, "
                   f"{info['pack']['truncated']} truncated")
             print(f"  total:  {len(cache)} distinct keys")
-        elif args.action == "compact":
-            report = cache.migrated or cache.compact()
-            print(f"compacted {report['packed']} legacy entries into "
-                  f"{report['segments']} segment(s); "
-                  f"{report['corrupt']} corrupt left in place")
-        elif args.action == "verify":
+        else:  # verify
             report = cache.verify()
             print(f"verify {args.cache}")
-            print(f"  legacy: {report['legacy_ok']} ok, "
-                  f"{report['legacy_corrupt']} corrupt")
             print(f"  pack:   {report['pack_ok']} ok, "
                   f"{report['pack_corrupt']} corrupt, "
                   f"{report['pack_truncated']} truncated")
@@ -673,13 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser("cache",
                              help="inspect and maintain a simulation "
                                   "result cache directory")
-    p_cache.add_argument("action", choices=("stats", "compact", "verify"),
-                         help="stats: tier sizes and counters; compact: "
-                              "report the legacy per-key files that "
-                              "opening the directory packed into "
-                              "append-only segments; verify: re-read "
-                              "every entry and report corruption (exit "
-                              "1 if any)")
+    p_cache.add_argument("action", choices=("stats", "verify"),
+                         help="stats: tier sizes and counters; verify: "
+                              "re-read every entry and report corruption "
+                              "(exit 1 if any)")
     p_cache.add_argument("--cache", required=True, metavar="DIR",
                          help="cache directory to operate on")
     p_cache.set_defaults(fn=cmd_cache)

@@ -20,14 +20,12 @@ deterministically raises, a closed-form
 :class:`~repro.core.perf_model.PredictedTime`, or an advisor pricing
 shard.
 
-A directory from before the pack tier holds one ``<sha256>.json``
-file per key.  Opening it packs those files (:meth:`SimulationCache.
-compact`) once, so lookups never read a per-key file.  An unreadable
-per-key file is left in place and never served: ``repro cache verify``
-counts it, and once its key is re-stored to the pack the next open
-deletes it as a duplicate.  A torn *pack* record drops its index entry
-(the segments are append-only, so there is nothing to move) and the
-key reads as a miss.
+The pack is the one on-disk format.  Any other file in the directory
+(a ``manifest.json`` sidecar, a per-key ``<sha256>.json`` file from an
+older layout) is never read, served or deleted: its key is a miss, and
+the engine re-executes it and stores it to the pack.  A torn pack
+record drops its index entry (the segments are append-only, so there
+is nothing to move) and the key reads as a miss.
 
 Batched I/O (:meth:`SimulationCache.lookup_many` /
 :meth:`SimulationCache.store_many`) serves a whole engine batch, both
@@ -38,10 +36,8 @@ single-key round-trips.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import re
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -59,10 +55,6 @@ from .pack import PackStore
 #: an advisor shard's Pareto survivors (``AdvisorShardJob`` entries).
 CachedOutcome = Union[TimingResult, OutOfMemoryError, PredictedTime,
                       AdvisorShardResult]
-
-#: Legacy per-key entries are ``<sha256-hex>.json`` — the pattern keeps
-#: sidecar files (``manifest.json``) out of entry counts and compaction.
-LEGACY_ENTRY_PATTERN = re.compile(r"^[0-9a-f]{64}\.json$")
 
 
 @dataclass
@@ -245,22 +237,18 @@ class SimulationCache:
     """Maps fingerprint keys to simulation outcomes across two tiers.
 
     Attributes:
-        directory: The cache directory (pack segments, the pack index
-            and any per-key files left from before the pack tier).
+        directory: The cache directory (pack segments and their index).
         memory: The hot tier, or ``None`` when no byte budget was
             given — in which case every lookup reads the pack tier.
         packs: The pack tier (always constructed; empty for a fresh
             directory).
-        migrated: The :meth:`compact` report of the per-key files the
-            open packed, or ``None`` when the directory held none.
 
     Thread-safe: both tiers are serialized by one internal lock,
     acquired **once** per batched call.
     """
 
     def __init__(self, directory: str, memory_mb: float = 0.0):
-        """Open (creating if needed) the cache at ``directory``, packing
-        any per-key files it still holds.
+        """Open (creating if needed) the cache at ``directory``.
 
         ``memory_mb`` > 0 enables the write-through hot tier with that
         byte budget.
@@ -282,18 +270,7 @@ class SimulationCache:
             self.memory = MemoryCache(max_bytes=int(budget))
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        # Listed before the index loads: another process unlinks a
-        # per-key file only once its pack record is durable, so a file
-        # already gone here is in the index loaded below.
-        legacy = self._legacy_keys()
         self.packs = PackStore(directory)
-        self.migrated: Optional[Dict[str, int]] = (
-            self.compact() if legacy else None)
-
-    def path_for(self, key: str) -> str:
-        """Filesystem path of ``key``'s per-key file (whether or not it
-        exists)."""
-        return os.path.join(self.directory, f"{key}.json")
 
     # ----- lookups -----------------------------------------------------------
 
@@ -432,130 +409,32 @@ class SimulationCache:
 
     # ----- maintenance (repro cache …) ---------------------------------------
 
-    def _legacy_keys(self) -> List[str]:
-        """Keys with a per-key file (sidecars excluded)."""
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return []
-        return [name[:-len(".json")] for name in names
-                if LEGACY_ENTRY_PATTERN.match(name)]
-
-    def _read_legacy(self, key: str) -> Optional[dict]:
-        """``key``'s per-key payload, or ``None`` when the file is gone
-        (another process packed it).  Raises ``OSError``,
-        ``ValueError``, ``KeyError`` or ``TypeError`` when the file does
-        not hold a valid entry."""
-        try:
-            with open(self.path_for(key), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return None
-        payload_to_outcome(payload)  # validates structure
-        return payload
-
-    def compact(self, batch_size: int = 256) -> Dict[str, int]:
-        """Pack the per-key files and delete them (run by every open of
-        a directory that holds any).
-
-        Entries are read, appended to pack segments in ``batch_size``
-        batches (one fsync each), and their per-key files removed only
-        after the batch is durable — a kill mid-compaction loses no
-        data, it just leaves some files for the next open.  A file
-        whose key the pack already serves is a duplicate and is
-        deleted; an unreadable file is counted as ``corrupt`` and left
-        in place; a file that vanished was packed by another process.
-        The index is then reloaded under the pack lock, so keys that
-        process packed are hits here too.  Returns counters for
-        ``repro cache compact``.
-        """
-        packed = 0
-        corrupt = 0
-        with self._lock:
-            batch: List[Tuple[str, dict]] = []
-
-            def unlink(key: str) -> bool:
-                try:
-                    os.unlink(self.path_for(key))
-                except OSError:
-                    return False
-                return True
-
-            def flush() -> int:
-                if not batch:
-                    return 0
-                self.packs.append_many(batch)
-                for key, _ in batch:
-                    unlink(key)
-                n = len(batch)
-                batch.clear()
-                return n
-
-            for key in self._legacy_keys():
-                if self.packs.lookup(key) is not None:
-                    packed += unlink(key)
-                    continue
-                try:
-                    payload = self._read_legacy(key)
-                except (OSError, ValueError, KeyError, TypeError):
-                    corrupt += 1
-                    continue
-                if payload is None:
-                    continue
-                batch.append((key, payload))
-                if len(batch) >= batch_size:
-                    packed += flush()
-            packed += flush()
-            self.packs.reload()
-        return {"packed": packed, "corrupt": corrupt,
-                "segments": self.packs.info()["segments"]}
-
     def verify(self) -> Dict[str, int]:
-        """Re-read every entry on disk; mutate nothing.
+        """Re-read every pack record; mutate nothing.
 
-        Returns counters: per-key ``ok``/``corrupt`` (files an open
-        left in place), the pack tier's
-        :meth:`~repro.engine.pack.PackStore.verify` report, and the
-        total.  ``repro cache verify`` exits non-zero when anything is
-        corrupt or truncated, which is how the chaos tests prove a
-        killed pack flush is *detected*, not served.
+        Returns the pack tier's :meth:`~repro.engine.pack.PackStore.
+        verify` counters under ``pack_*`` names, plus the ``entries``
+        and ``corrupt`` (corrupt or truncated) totals.  ``repro cache
+        verify`` exits non-zero when anything is corrupt or truncated,
+        which is how the chaos tests prove a killed pack flush is
+        *detected*, not served.
         """
-        legacy_ok = 0
-        legacy_corrupt = 0
         with self._lock:
-            for key in self._legacy_keys():
-                try:
-                    if self._read_legacy(key) is not None:
-                        legacy_ok += 1
-                except (OSError, ValueError, KeyError, TypeError):
-                    legacy_corrupt += 1
-            pack_report = self.packs.verify()
+            report = self.packs.verify()
         return {
-            "legacy_ok": legacy_ok,
-            "legacy_corrupt": legacy_corrupt,
-            "pack_entries": pack_report["entries"],
-            "pack_ok": pack_report["ok"],
-            "pack_corrupt": pack_report["corrupt"],
-            "pack_truncated": pack_report["truncated"],
-            "entries": legacy_ok + legacy_corrupt
-            + pack_report["entries"],
-            "corrupt": legacy_corrupt + pack_report["corrupt"]
-            + pack_report["truncated"],
+            "pack_entries": report["entries"],
+            "pack_ok": report["ok"],
+            "pack_corrupt": report["corrupt"],
+            "pack_truncated": report["truncated"],
+            "entries": report["entries"],
+            "corrupt": report["corrupt"] + report["truncated"],
         }
 
     def info(self) -> dict:
         """JSON-serializable tier snapshot (manifests, ``cache stats``)."""
         with self._lock:
-            legacy = self._legacy_keys()
-            legacy_bytes = 0
-            for key in legacy:
-                try:
-                    legacy_bytes += os.path.getsize(self.path_for(key))
-                except OSError:
-                    continue
-            payload = {
+            return {
                 "directory": self.directory,
-                "legacy": {"entries": len(legacy), "bytes": legacy_bytes},
                 "pack": self.packs.info(),
                 "memory": (self.memory.info()
                            if self.memory is not None else None),
@@ -568,7 +447,6 @@ class SimulationCache:
                     "evictions": self.stats.evictions,
                 },
             }
-        return payload
 
     def close(self) -> None:
         """Release pack file handles (safe to call more than once)."""

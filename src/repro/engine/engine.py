@@ -228,8 +228,8 @@ class JobOutcome:
 
     ``error`` is the exception a model-eval or advisor member's
     evaluation raised (an invalid configuration, typically), or — once
-    the engine exhausted its retry budget on a crashed, timed-out or
-    unshippable execution — the reason it gave up, as text.  Neither
+    the engine exhausted its retry budget on a crashed or unshippable
+    execution — the reason it gave up, as text.  Neither
     is cached.  ``exec_s`` is the job's share of its execution's wall
     time inside its worker (0 for cache hits); ``queue_wait_s`` is how
     long the job sat between submission and a worker picking it up

@@ -1,9 +1,8 @@
 """Packed cold tier: append-only segments plus an offset index.
 
-One JSON file per key (the layout before this tier, which an open
-now packs) costs a 200-job engine batch 200 ``open``/``write``/
-``rename`` round-trips to store its misses.  The pack tier amortizes
-that to **one segment append and one fsync per batch**:
+The cache's one on-disk format.  Storing a 200-job engine batch's
+misses costs **one segment append and one fsync per batch**, not one
+file per key:
 
 * ``pack-000001.jsonl`` … — append-only *segments*.  Each line is a
   self-describing record ``{"k": <key>, "p": <payload>}`` in compact
@@ -20,8 +19,7 @@ or (b) index lines pointing past the segment's end — both are detected
 at load time (offsets validated against segment sizes, the torn last
 index line dropped) and surface as plain misses plus a ``truncated``
 count, never as corrupt outcomes.
-``verify`` goes further and re-reads every record; ``scan`` rebuilds
-index entries straight from the segments.
+``verify`` goes further and re-reads every record.
 
 Processes sharing one directory (``repro serve --cache D`` next to
 ``repro experiment --cache D``) coordinate through an advisory
@@ -31,9 +29,8 @@ fsync happen under it, so two appenders never pick the same new
 segment, never record each other's bytes as their own offsets, and
 never interleave index lines.  Each process still appends only to
 segments it created, so a segment torn by a killed process is never
-appended to.  A process's index is loaded once, at open;
-:meth:`PackStore.reload` re-reads it under the same lock to pick up
-what other processes appended since.
+appended to.  A process's index is loaded once, at open: records
+another process appends later are misses here until the next open.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ INDEX_FILENAME = "pack-index.jsonl"
 LOCK_FILENAME = "pack.lock"
 
 #: Roll to a fresh segment once the current one crosses this size, so
-#: compaction and verification work in bounded pieces.
+#: verification reads bounded pieces.
 DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
 
 
@@ -159,14 +156,6 @@ class PackStore:
                 continue
             self.index[key] = location
 
-    def reload(self) -> None:
-        """Re-read the index under the append lock, picking up the
-        records other processes appended since this store loaded it."""
-        with self._append_lock():
-            self.index = {}
-            self.truncated = 0
-            self._load_index()
-
     # ----- reads -------------------------------------------------------------
 
     def __contains__(self, key: str) -> bool:
@@ -258,15 +247,13 @@ class PackStore:
         self._append_segment = name
         return handle, name
 
-    def append_many(self, entries: Iterable[Tuple[str, dict]],
-                    ) -> List[Tuple[str, int]]:
+    def append_many(self, entries: Iterable[Tuple[str, dict]]) -> None:
         """Append ``(key, payload)`` records as ONE segment flush.
 
         Every record is buffered into the open segment, then a single
         ``flush`` + ``fsync`` makes the whole batch durable, then the
         index lines are appended (and fsynced) — segment-first ordering
         is what makes a mid-flush kill detectable instead of corrupting.
-        Returns ``(key, serialized-record-bytes)`` pairs.
         """
         # Sort by key so the same set of stores produces byte-identical
         # segments regardless of batch-internal ordering (family
@@ -274,12 +261,12 @@ class PackStore:
         # disk).
         entries = sorted(entries, key=lambda item: item[0])
         if not entries:
-            return []
+            return
         with self._append_lock():
             handle, segment = self._open_for_append()
             # The real end of file, not this handle's idea of it.
             offset = os.fstat(handle.fileno()).st_size
-            written: List[Tuple[str, PackLocation, int]] = []
+            written: List[Tuple[str, PackLocation]] = []
             for key, payload in entries:
                 line = json.dumps({"k": key, "p": payload},
                                   separators=(",", ":")).encode("utf-8") \
@@ -287,23 +274,20 @@ class PackStore:
                 handle.write(line)
                 written.append((key, PackLocation(segment=segment,
                                                   offset=offset,
-                                                  length=len(line)),
-                                len(line)))
+                                                  length=len(line))))
                 offset += len(line)
             handle.flush()
             os.fsync(handle.fileno())
             index_path = os.path.join(self.directory, INDEX_FILENAME)
             with open(index_path, "ab") as index_handle:
-                for key, location, _ in written:
+                for key, location in written:
                     index_handle.write(json.dumps(
                         {"k": key, "s": location.segment,
                          "o": location.offset, "l": location.length},
                         separators=(",", ":")).encode("utf-8") + b"\n")
                 index_handle.flush()
                 os.fsync(index_handle.fileno())
-        for key, location, _ in written:
-            self.index[key] = location
-        return [(key, nbytes) for key, _, nbytes in written]
+        self.index.update(written)
 
     def close(self) -> None:
         """Close every open segment handle (reads and the appender)."""
@@ -317,33 +301,6 @@ class PackStore:
         self._append_handle = None
 
     # ----- maintenance -------------------------------------------------------
-
-    def scan(self) -> Iterator[Tuple[str, dict]]:
-        """Yield every readable ``(key, payload)`` straight from the
-        segments, newest record winning per key — the ground truth the
-        index summarizes, used by compaction and index rebuilds."""
-        latest: Dict[str, dict] = {}
-        for name in sorted(self._segment_sizes()):
-            path = os.path.join(self.directory, name)
-            try:
-                with open(path, "rb") as handle:
-                    for raw in handle:
-                        if not raw.endswith(b"\n"):
-                            break  # torn tail: nothing after it is safe
-                        try:
-                            record = json.loads(raw)
-                        except ValueError:
-                            break
-                        if not isinstance(record, dict):
-                            break
-                        key = record.get("k")
-                        payload = record.get("p")
-                        if isinstance(key, str) \
-                                and isinstance(payload, dict):
-                            latest[key] = payload
-            except OSError:
-                continue
-        yield from latest.items()
 
     def verify(self) -> Dict[str, int]:
         """Re-read every indexed record; report (don't mutate) health.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
 from typing import Any, Dict, Optional, Tuple
@@ -211,6 +212,19 @@ class NodeFault:
 #: give up far sooner (Linux's ``tcp_retries2`` defaults to 15).
 MAX_RETRANSMIT_RETRIES = 100
 
+#: Most timeout seconds one transfer may accumulate before it is forced
+#: through: ``timeout_s * backoff**k`` summed over ``k < max_retries``.
+#: It is the square root of the float limit less 64 binary orders of
+#: magnitude.  A priced run adds a transfer's delay into sums over at
+#: most ``MAX_ITERATIONS`` (10,000 < 2**14) rows and every transfer of
+#: an iteration, and the reported spread (``np.std``) squares those
+#: sums' deviations, so its sum of squares stays finite up to 2**57
+#: transfers per iteration.  Nearer the limit the run overflowed:
+#: ``timeout_s=1e307`` with ``backoff=10`` summed to ``inf`` and
+#: rendered the trace as ``NaN``, and a 1e288 s total reported a spread
+#: of ``inf`` over 10,000 iterations.
+MAX_RETRANSMIT_DELAY_S = math.sqrt(sys.float_info.max) / 2.0 ** 64
+
 
 @dataclass(frozen=True)
 class RetransmitFault:
@@ -229,8 +243,9 @@ class RetransmitFault:
         backoff: Multiplier on the timeout per consecutive failure (>= 1).
         max_retries: Attempts after which the transfer is forced through
             (the fabric eventually delivers; training never wedges), at
-            most :data:`MAX_RETRANSMIT_RETRIES`.  The last timeout,
-            ``timeout_s * backoff**(max_retries-1)``, must be finite.
+            most :data:`MAX_RETRANSMIT_RETRIES`.  The timeouts of all
+            ``max_retries`` attempts together may not exceed
+            :data:`MAX_RETRANSMIT_DELAY_S`.
         start_iteration: First affected iteration.
         duration_iterations: Window length; ``None`` = persistent.
     """
@@ -260,14 +275,18 @@ class RetransmitFault:
                 f"max_retries must be <= {MAX_RETRANSMIT_RETRIES}, got "
                 f"{self.max_retries}")
         try:
-            last = self.timeout_s * self.backoff ** (self.max_retries - 1)
+            # The injector's own terms: ``backoff ** k`` raises
+            # OverflowError even when ``timeout_s`` is zero.
+            worst = sum(self.timeout_s * self.backoff ** k
+                        for k in range(self.max_retries))
         except OverflowError:
-            last = math.inf
-        if not math.isfinite(last):
+            worst = math.inf
+        if not worst <= MAX_RETRANSMIT_DELAY_S:
             raise ConfigurationError(
-                f"retransmit timeout_s * backoff**(max_retries-1) must be "
-                f"finite, got {self.timeout_s} * {self.backoff}**"
-                f"{self.max_retries - 1}")
+                f"retransmit timeouts over max_retries={self.max_retries} "
+                f"attempts must total <= {MAX_RETRANSMIT_DELAY_S:g} s, got "
+                f"{worst:g} s (timeout_s={self.timeout_s}, "
+                f"backoff={self.backoff})")
         _check_window("retransmit", self.start_iteration,
                       self.duration_iterations)
 

@@ -46,6 +46,7 @@ import math
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -83,6 +84,12 @@ Request = Union[WhatIfRequest, SimulateRequest, AdviseRequest]
 #: Terminal request states; :meth:`ServingScheduler.wait` returns when
 #: one is reached.
 TERMINAL_STATES = ("done", "failed", "expired")
+
+#: Calibrations a scheduler keeps, least recently used evicted first.
+#: The key holds the requested bandwidth, so without a bound the memo
+#: would grow with every distinct client input for the server's life.
+#: The bench's serve-mixed mix cycles through 64 what-if configs.
+CALIBRATION_MEMO_SIZE = 256
 
 
 @dataclass
@@ -191,8 +198,8 @@ class ServingScheduler:
         self._log = get_logger("serving")
         # Calibration is deterministic per (model, cluster, batch), so
         # repeat what-if traffic skips the trace-based gamma estimate.
-        self._calibrations: Dict[Tuple[str, str, Optional[int]],
-                                 CalibrationReport] = {}
+        self._calibrations: OrderedDict[Tuple[str, str, Optional[int]],
+                                        CalibrationReport] = OrderedDict()
         self._thread = threading.Thread(target=self._run,
                                         name="repro-serving-scheduler",
                                         daemon=True)
@@ -385,10 +392,14 @@ class ServingScheduler:
         key = (request.model.name, request.cluster.describe(),
                request.batch_size)
         report = self._calibrations.get(key)
-        if report is None:
-            report = calibrate(request.model, request.cluster,
-                               batch_size=request.batch_size)
-            self._calibrations[key] = report
+        if report is not None:
+            self._calibrations.move_to_end(key)
+            return report
+        report = calibrate(request.model, request.cluster,
+                           batch_size=request.batch_size)
+        self._calibrations[key] = report
+        if len(self._calibrations) > CALIBRATION_MEMO_SIZE:
+            self._calibrations.popitem(last=False)
         return report
 
     def _plan_whatif(self, request: WhatIfRequest,

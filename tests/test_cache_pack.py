@@ -1,6 +1,5 @@
 """Pack tier: append-only segments, offset index, crash tolerance."""
 
-import json
 import multiprocessing
 import os
 
@@ -28,9 +27,8 @@ class TestAppendAndLookup:
     def test_roundtrip(self, tmp_path):
         store = PackStore(str(tmp_path))
         keys = _keys(5)
-        written = store.append_many(
-            (k, _payload(i)) for i, k in enumerate(keys))
-        assert len(written) == 5
+        store.append_many((k, _payload(i)) for i, k in enumerate(keys))
+        assert len(store) == 5
         for i, key in enumerate(keys):
             assert store.lookup(key) == _payload(i)
         assert store.lookup("f" * 64) is None
@@ -143,17 +141,6 @@ class TestCrashTolerance:
         store = PackStore(str(tmp_path))
         assert len(store) == 0
         assert store.truncated == 4
-        store.close()
-
-    def test_scan_stops_at_torn_tail(self, tmp_path):
-        self._populate(tmp_path)
-        seg = tmp_path / segment_name(1)
-        raw = seg.read_bytes()
-        seg.write_bytes(raw[:-3])  # tear the final record
-        store = PackStore(str(tmp_path))
-        recovered = dict(store.scan())
-        assert len(recovered) == 3
-        assert all(json.dumps(p) for p in recovered.values())
         store.close()
 
 

@@ -1,8 +1,7 @@
-"""Tiered cache: hot/pack interplay, packing legacy directories on
-open, batched I/O, chaos."""
+"""Tiered cache: hot/pack interplay, stray per-key files, batched I/O,
+chaos."""
 
 import json
-import multiprocessing
 import os
 import sys
 import threading
@@ -10,8 +9,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.perf_model import PredictedTime
-from repro.engine import SimulationCache
+from repro.engine import ExperimentEngine, SimJob, SimulationCache
 from repro.engine.cache import (
     CacheStats,
     outcome_to_payload,
@@ -19,6 +19,7 @@ from repro.engine.cache import (
 )
 from repro.engine.pack import INDEX_FILENAME, segment_name
 from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.hardware import cluster_for_gpus
 from repro.simulator import TimingResult
 
 
@@ -37,10 +38,10 @@ def _keys(n, prefix=0):
     return [f"{prefix:032x}{i:032x}" for i in range(n)]
 
 
-def _write_legacy(directory, key, entry):
-    """Write ``key``'s per-key file the way a cache from before the
-    pack tier did: an outcome's JSON payload, or ``entry`` verbatim
-    when it is already text."""
+def _write_per_key(directory, key, entry):
+    """Write a stray ``<key>.json`` file in the per-key layout of older
+    caches: an outcome's JSON payload, or ``entry`` verbatim when it is
+    already text.  The cache never reads such a file."""
     os.makedirs(directory, exist_ok=True)
     text = entry if isinstance(entry, str) \
         else json.dumps(outcome_to_payload(entry))
@@ -50,37 +51,35 @@ def _write_legacy(directory, key, entry):
 
 
 def _per_key_files(directory):
-    return [n for n in os.listdir(directory)
-            if n.endswith(".json") and len(n) == 69]
+    """``{name: bytes}`` of the per-key files in ``directory``."""
+    return {n: (directory / n).read_bytes() for n in os.listdir(directory)
+            if n.endswith(".json") and len(n) == 69}
 
 
 class TestTierEquivalence:
     def test_hits_identical_across_all_tiers(self, tmp_path, open_cache):
         """The same key must rehydrate byte-identically whether it is
-        served hot, from a pack, or from a legacy file packed on open."""
+        served hot or from a pack."""
         key = "a" * 64
         outcome = _result(3)
-
-        legacy_dir = tmp_path / "legacy"
-        _write_legacy(legacy_dir, key, outcome)
-        migrated = open_cache(str(legacy_dir))
-        from_legacy = migrated.get(key)
-        assert migrated.stats.pack_hits == 1
 
         pack_dir = tmp_path / "pack"
         packed = open_cache(str(pack_dir))
         packed.store_many([(key, outcome)])
         packed.close()
-        from_pack = open_cache(str(pack_dir)).get(key)
+        reopened = open_cache(str(pack_dir))
+        from_pack = reopened.get(key)
+        assert reopened.stats.pack_hits == 1
 
         hot = open_cache(str(tmp_path / "hot"), memory_mb=4)
         hot.store_many([(key, outcome)])
         from_memory = hot.get(key)
         assert hot.stats.memory_hits == 1
 
-        assert from_legacy == outcome
         assert from_pack == outcome
         assert from_memory == outcome
+        assert payload_to_outcome(outcome_to_payload(from_pack)) \
+            == from_memory
 
     def test_oom_round_trips_through_packs(self, tmp_path, open_cache):
         cache = open_cache(str(tmp_path))
@@ -98,8 +97,10 @@ class TestTierEquivalence:
 class TestBatchedIO:
     def test_lookup_many_mixes_tiers(self, tmp_path, open_cache):
         keys = _keys(6)
-        for i, key in enumerate(keys[2:4], start=2):
-            _write_legacy(tmp_path, key, _predicted(i))  # packed on open
+        seed = open_cache(str(tmp_path))
+        seed.store_many(
+            [(k, _predicted(i)) for i, k in enumerate(keys[2:4], start=2)])
+        seed.close()
         cache = open_cache(str(tmp_path), memory_mb=4)
         cache.store_many(
             [(k, _predicted(i)) for i, k in enumerate(keys[:2])])
@@ -233,76 +234,22 @@ class TestChaos:
 
 
 class TestMaintenance:
-    def _legacy_cache(self, tmp_path, n=5):
-        keys = _keys(n)
-        for i, key in enumerate(keys):
-            _write_legacy(tmp_path, key, _predicted(i))
-        return keys
-
-    def test_compact_then_reserve_roundtrip(self, tmp_path, open_cache):
-        keys = self._legacy_cache(tmp_path)
-        cache = open_cache(str(tmp_path))  # packs on open
-        assert cache.migrated["packed"] == len(keys)
-        assert cache.migrated["corrupt"] == 0
-        assert cache.compact()["packed"] == 0  # nothing left to pack
-        assert cache.verify()["corrupt"] == 0
-        cache.close()
-        # No legacy files remain, yet every key still serves.
-        assert not _per_key_files(tmp_path)
-        reopened = open_cache(str(tmp_path))
-        assert reopened.migrated is None
-        for i, key in enumerate(keys):
-            assert reopened.get(key) == _predicted(i)
-
-    def test_compact_leaves_corrupt_files_in_place(self, tmp_path, open_cache):
-        keys = self._legacy_cache(tmp_path, n=3)
-        bad = keys[1]
-        _write_legacy(tmp_path, bad, "{ nope")
-        cache = open_cache(str(tmp_path))
-        assert cache.migrated["packed"] == 2
-        assert cache.migrated["corrupt"] == 1
-        assert os.path.exists(cache.path_for(bad))  # left for forensics
-        assert cache.verify()["legacy_corrupt"] == 1
-        assert cache.get(bad) is None  # never served
-        # Once the key is re-stored, the next open drops the bad file
-        # as a duplicate and the directory verifies clean.
-        cache.store_many([(bad, _predicted(1))])
-        cache.close()
-        reopened = open_cache(str(tmp_path))
-        assert not os.path.exists(reopened.path_for(bad))
-        assert reopened.verify()["corrupt"] == 0
-        assert reopened.get(bad) == _predicted(1)
-
-    def test_compact_drops_duplicates_without_repacking(self, tmp_path,
-                                                        open_cache):
-        key = "a" * 64
-        cache = open_cache(str(tmp_path))
-        cache.store_many([(key, _predicted(1))])  # already packed
-        cache.close()
-        packed_bytes = (tmp_path / segment_name(1)).read_bytes()
-        _write_legacy(tmp_path, key, _predicted(1))  # legacy duplicate
-        reopened = open_cache(str(tmp_path))
-        assert reopened.migrated["packed"] == 1
-        assert not os.path.exists(reopened.path_for(key))
-        assert reopened.packs.info()["segments"] == 1
-        assert (tmp_path / segment_name(1)).read_bytes() == packed_bytes
-        assert reopened.get(key) == _predicted(1)
-
     def test_preload_warms_pack_index_and_memory(self, tmp_path, open_cache):
         cache = open_cache(str(tmp_path), memory_mb=4)
         keys = _keys(4)
         cache.store_many(
             [(k, _predicted(i)) for i, k in enumerate(keys)])
         cache.close()
-        _write_legacy(tmp_path, "b" * 64, _predicted(9))  # legacy-only
+        _write_per_key(tmp_path, "b" * 64, _predicted(9))  # never read
 
         warm = open_cache(str(tmp_path), memory_mb=4)
         report = warm.preload(memory=True)
-        assert report["entries"] == 5
-        assert report["memory_entries"] == 5
+        assert report["entries"] == 4
+        assert report["memory_entries"] == 4
         assert report["skipped"] == 0
         warm.lookup_many(keys + ["b" * 64])
-        assert warm.stats.memory_hits == 5  # served without disk I/O
+        assert warm.stats.memory_hits == 4  # served without disk I/O
+        assert warm.stats.misses == 1
 
     def test_preload_without_memory_touches_packs_only(self, tmp_path,
                                                        open_cache):
@@ -313,12 +260,11 @@ class TestMaintenance:
                           "skipped": 0}
 
     def test_info_snapshot_shape(self, tmp_path, open_cache):
-        _write_legacy(tmp_path, "c" * 64, "{ nope")  # left in place
         cache = open_cache(str(tmp_path), memory_mb=1)
         cache.store_many([("a" * 64, _predicted(1)),
                           ("b" * 64, _predicted(2))])
         info = cache.info()
-        assert info["legacy"]["entries"] == 1
+        assert set(info) == {"directory", "pack", "memory", "stats"}
         assert info["pack"]["entries"] == 2
         assert info["memory"]["entries"] == 2
         assert info["stats"]["stores"] == 2
@@ -358,91 +304,90 @@ class TestTierStats:
         assert cache.memory.evictions == cache.stats.evictions
 
 
-def _open_and_lookup(directory, keys, barrier, results):
-    """One of two processes opening a legacy-era directory together:
-    reports how many of ``keys`` it served as hits."""
-    barrier.wait()
-    cache = SimulationCache(directory)
-    found = cache.lookup_many(keys)
-    results.put((len(found), cache.stats.hits, cache.stats.misses,
-                 all(found[k] == _predicted(i) for i, k in enumerate(keys)
-                     if k in found)))
-    cache.close()
-
-
 class TestLegacyMigration:
+    """A directory from before the pack tier holds one ``<sha>.json``
+    file per key.  It is not migrated file by file: those files are
+    never read, served or deleted, their keys miss, and the engine's
+    re-execution stores them to the pack."""
+
+    def test_stray_files_ignored_and_jobs_reexecuted(self, tmp_path,
+                                                     open_cache,
+                                                     tiny_model, capsys):
+        """A directory holding ``<sha>.json`` files in the older per-key
+        layout: ``stats`` and ``verify`` do not count them, lookups do
+        not serve them, nothing deletes them, and an engine run over
+        the directory re-executes its job to the uncached outcome."""
+        job = SimJob(model=tiny_model, cluster=cluster_for_gpus(4),
+                     batch_size=4, iterations=6, warmup=1)
+        expected = ExperimentEngine().run_outcomes([job])[0]
+        key = job.fingerprint()
+        # A valid-looking entry with a wrong timing, plus garbage.
+        _write_per_key(tmp_path, key, _result(7))
+        _write_per_key(tmp_path, "b" * 64, "{ torn")
+        _write_per_key(tmp_path, "c" * 64, "[]")
+        stray = _per_key_files(tmp_path)
+
+        cache = open_cache(str(tmp_path))
+        assert cache.get(key) is None
+        assert len(cache) == 0
+        assert cache.info()["pack"]["entries"] == 0
+        assert cache.verify() == {"pack_entries": 0, "pack_ok": 0,
+                                  "pack_corrupt": 0, "pack_truncated": 0,
+                                  "entries": 0, "corrupt": 0}
+        engine = ExperimentEngine(cache=cache)
+        outcome = engine.run_outcomes([job])[0]
+        assert engine.executed == 1
+        assert outcome.ok and outcome.result == expected.result
+        cache.close()
+
+        assert main(["cache", "stats", "--cache", str(tmp_path)]) == 0
+        assert main(["cache", "verify", "--cache", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 entries in 1 segment(s)" in out
+        assert "total:  1 distinct keys" in out
+        assert "OK: 1 entries healthy" in out
+        reopened = open_cache(str(tmp_path))
+        assert reopened.get(key) == expected.result
+        assert _per_key_files(tmp_path) == stray  # untouched
+
     @pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
     def test_non_object_entry_is_corrupt_not_a_crash(self, tmp_path,
-                                                     open_cache,
-                                                     text):
+                                                     open_cache, text):
+        """A key whose per-key file and pack record both hold a JSON
+        value that is not an object: it misses, verify counts the pack
+        record (and only it) as corrupt, and the record beside it and
+        the per-key file are untouched."""
         key = "a" * 64
-        _write_legacy(tmp_path, key, text)
-        _write_legacy(tmp_path, "b" * 64, _predicted(2))
+        _write_per_key(tmp_path, key, text)
+        stray = _per_key_files(tmp_path)
         cache = open_cache(str(tmp_path))
-        assert cache.migrated["packed"] == 1
-        assert cache.migrated["corrupt"] == 1
-        assert cache.get(key) is None
-        assert cache.get("b" * 64) == _predicted(2)
-        assert cache.verify()["legacy_corrupt"] == 1
-        assert cache.compact()["corrupt"] == 1
+        cache.packs.append_many([(key, json.loads(text))])
+        cache.store_many([("b" * 64, _predicted(2))])
+        cache.close()
+        reopened = open_cache(str(tmp_path))
+        assert reopened.get(key) is None
+        assert reopened.get("b" * 64) == _predicted(2)
+        assert reopened.verify()["corrupt"] == 1
+        assert _per_key_files(tmp_path) == stray
         with pytest.raises(TypeError):
             payload_to_outcome(json.loads(text))
 
-    def test_vanished_file_is_skipped_and_other_packs_become_hits(
-            self, tmp_path, open_cache):
-        """Another process packs (and unlinks) a per-key file between
-        this process's listing and its read: the file is not counted as
-        corrupt, and the key the other process packed is a hit here."""
-        here = open_cache(str(tmp_path))
-        other = open_cache(str(tmp_path))
-        gone = "e" * 64
-        other.store_many([(gone, _predicted(5))])
-        other.close()
-        assert gone not in here  # index loaded before the other append
-        listed = here._legacy_keys
-        here._legacy_keys = lambda: listed() + [gone]
-        report = here.compact()
-        assert report == {"packed": 0, "corrupt": 0, "segments": 1}
-        assert here.get(gone) == _predicted(5)
-
-    def test_two_processes_migrate_one_directory(self, tmp_path, open_cache):
-        keys = _keys(600)
-        for i, key in enumerate(keys):
-            _write_legacy(tmp_path, key, _predicted(i))
-        ctx = multiprocessing.get_context("spawn")
-        barrier = ctx.Barrier(2)
-        results = ctx.Queue()
-        procs = [ctx.Process(target=_open_and_lookup,
-                             args=(str(tmp_path), keys, barrier, results))
-                 for _ in range(2)]
-        for proc in procs:
-            proc.start()
-        reports = [results.get(timeout=120) for _ in procs]
-        for proc in procs:
-            proc.join(timeout=120)
-            assert proc.exitcode == 0
-        assert reports == [(len(keys), len(keys), 0, True)] * 2
-        assert not _per_key_files(tmp_path)
-        after = open_cache(str(tmp_path))
-        report = after.verify()
-        assert report["corrupt"] == 0
-        assert report["legacy_ok"] == 0
-        assert len(after) == len(keys)
-
     @pytest.mark.parametrize("case", range(6))
     def test_mixed_directory_property(self, tmp_path, open_cache, case):
-        """Seeded directories mixing legacy-only, pack-only and
-        both-tier keys, corrupt and non-object per-key files, and a torn
-        pack tail: after open every valid key rehydrates to what was
-        written, every corrupt key misses and is counted by verify, and
-        a second open packs nothing."""
+        """Seeded directories mixing pack-only keys, per-key files
+        (valid, corrupt and non-object) with and without a pack record,
+        and a torn pack tail: every packed record that survived
+        rehydrates to what was written, every other key misses, and
+        verify counts the pack alone.  Once the misses are re-stored,
+        as the engine does after re-executing them, the next open
+        serves every key, and the per-key files are as they were."""
         rng = np.random.default_rng([2022, case])
         keys = _keys(int(rng.integers(20, 60)), prefix=case)
         written = {k: _result(i) if rng.random() < 0.5 else _predicted(i)
                    for i, k in enumerate(keys)}
         garbage = ["{ torn", "[]", '"x"', "1", "null"]
-        kinds = rng.choice(["legacy", "pack", "both", "corrupt",
-                            "corrupt+pack", "torn", "torn+legacy"],
+        kinds = rng.choice(["stray", "pack", "both", "corrupt",
+                            "corrupt+pack", "torn", "torn+stray"],
                            size=len(keys))
         packed = [k for k, kind in zip(keys, kinds)
                   if kind in ("pack", "both", "corrupt+pack")]
@@ -465,27 +410,37 @@ class TestLegacyMigration:
             cut_keys = {k for k, loc in zip(torn, locations)
                         if loc.offset + loc.length > cut}
         for key, kind in zip(keys, kinds):
-            if kind in ("legacy", "both", "torn+legacy"):
-                _write_legacy(tmp_path, key, written[key])
+            if kind in ("stray", "both", "torn+stray"):
+                _write_per_key(tmp_path, key, written[key])
             elif kind in ("corrupt", "corrupt+pack"):
-                _write_legacy(tmp_path, key,
-                              garbage[int(rng.integers(len(garbage)))])
+                _write_per_key(tmp_path, key,
+                               garbage[int(rng.integers(len(garbage)))])
+        stray = _per_key_files(tmp_path)
 
         cache = open_cache(str(tmp_path))
-        missing = {k for k, kind in zip(keys, kinds)
-                   if kind == "corrupt"
-                   or (kind == "torn" and k in cut_keys)}
+        served = (set(packed) | set(torn)) - cut_keys
         found = cache.lookup_many(keys)
-        assert set(found) == set(keys) - missing
+        assert set(found) == served
         for key, outcome in found.items():
             assert outcome == payload_to_outcome(
                 outcome_to_payload(written[key]))
         report = cache.verify()
-        assert report["legacy_corrupt"] == sum(kinds == "corrupt")
-        assert report["legacy_ok"] == 0
+        assert report["entries"] == len(served)
+        assert report["pack_ok"] == len(served)
         assert report["pack_truncated"] == len(cut_keys)
         cache.close()
 
         again = open_cache(str(tmp_path))
-        assert (again.migrated or {"packed": 0})["packed"] == 0
-        assert set(again.lookup_many(keys)) == set(keys) - missing
+        assert set(again.lookup_many(keys)) == served
+        again.store_many([(k, written[k]) for k in keys if k not in served])
+        again.close()
+        migrated = open_cache(str(tmp_path))
+        found = migrated.lookup_many(keys)
+        assert found == {k: payload_to_outcome(outcome_to_payload(o))
+                         for k, o in written.items()}
+        report = migrated.verify()
+        assert report["pack_ok"] == len(keys)
+        # The torn records' index lines are still there, and still
+        # dropped at load.
+        assert report["pack_truncated"] == len(cut_keys)
+        assert _per_key_files(tmp_path) == stray

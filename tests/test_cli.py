@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ import pytest
 
 from repro import __version__
 from repro.cli import _parse_scheme, build_parser, main
+from repro.engine import PackStore
 from repro.telemetry import logs as telemetry_logs
 from repro.telemetry import metrics as telemetry_metrics
 
@@ -127,6 +129,38 @@ class TestCommands:
         assert main(["simulate", "--model", "resnet50", "--gpus", "8",
                      "--batch", "64", "--faults", str(spec)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_simulate_unpriceable_retransmits(self, capsys, tmp_path):
+        # Each timeout is finite, but priced delays this close to the
+        # float limit sum to inf, which the trace cannot render.
+        spec = tmp_path / "faults.json"
+        spec.write_text(json.dumps({"retransmits": [{
+            "drop_rate": 0.9999, "timeout_s": 1e307, "backoff": 10,
+            "max_retries": 2}]}))
+        assert main(["simulate", "--gpus", "8", "--iterations", "12",
+                     "--faults", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == err.splitlines()
+        assert "must total <=" in err
+
+    def test_simulate_at_the_delay_bound_stays_finite(self, capsys,
+                                                      tmp_path):
+        # The largest accepted policy, dropping nearly every transfer of
+        # the most iterations a run may have: no overflow warning, and
+        # no inf or NaN in the report.
+        from repro.faults.schedule import MAX_RETRANSMIT_DELAY_S
+        from repro.simulator.batch import MAX_ITERATIONS
+        spec = tmp_path / "faults.json"
+        spec.write_text(json.dumps({"retransmits": [{
+            "drop_rate": 0.9999, "timeout_s": MAX_RETRANSMIT_DELAY_S,
+            "backoff": 1, "max_retries": 1}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--gpus", "8", "--iterations",
+                         str(MAX_ITERATIONS), "--faults", str(spec)]) == 0
+        words = set(re.findall(r"[a-z]+", capsys.readouterr().out.lower()))
+        assert not words & {"nan", "inf"}
 
     @pytest.mark.parametrize("flag", ["--request-timeout-s",
                                       "--batch-window-ms", "--quota-rps"])
@@ -286,7 +320,7 @@ class TestCacheSubcommand:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache", str(cache_dir)]) == 0
         out = capsys.readouterr().out
-        assert "pack:" in out and "legacy:" in out
+        assert "pack:" in out and "legacy:" not in out
         assert "distinct keys" in out
 
     def test_verify_healthy(self, capsys, tmp_path):
@@ -304,38 +338,21 @@ class TestCacheSubcommand:
         assert main(["cache", "verify", "--cache", str(cache_dir)]) == 1
         assert "FAILED" in capsys.readouterr().out
 
-    @staticmethod
-    def _legacy_dir(tmp_path, entry):
-        """A cache directory from before the pack tier: one per-key
-        file holding ``entry`` verbatim."""
-        cache_dir = tmp_path / "legacy"
-        cache_dir.mkdir()
-        (cache_dir / ("a" * 64 + ".json")).write_text(entry)
-        return cache_dir
-
-    def test_compact_legacy_entries(self, capsys, tmp_path):
-        cache_dir = self._legacy_dir(tmp_path, json.dumps(
-            {"kind": "predicted", "total": 1.0, "compute": 0.5,
-             "encode_decode": 0.1, "comm_exposed": 0.4}))
-        assert main(["cache", "compact", "--cache",
-                     str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "compacted 1 legacy entries" in out
-        assert not (cache_dir / ("a" * 64 + ".json")).exists()
-
     @pytest.mark.parametrize("entry", ["[]", '"x"', "1", "null"])
-    def test_non_object_legacy_entry_fails_verify_cleanly(
+    def test_non_object_pack_record_fails_verify_cleanly(
             self, capsys, tmp_path, entry):
-        cache_dir = self._legacy_dir(tmp_path, entry)
-        assert main(["cache", "verify", "--cache", str(cache_dir)]) == 1
+        store = PackStore(str(tmp_path))
+        store.append_many([("a" * 64, json.loads(entry))])
+        store.close()
+        assert main(["cache", "verify", "--cache", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "1 corrupt" in out and "FAILED" in out
-        assert main(["cache", "compact", "--cache",
-                     str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "compacted 0 legacy entries" in out
-        assert "1 corrupt left in place" in out
-        assert (cache_dir / ("a" * 64 + ".json")).exists()
+
+    def test_compact_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["cache", "compact", "--cache", str(tmp_path)])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'compact'" in capsys.readouterr().err
 
     def test_missing_directory_is_an_error(self, capsys, tmp_path):
         assert main(["cache", "stats", "--cache",

@@ -12,6 +12,7 @@ from repro.engine import (
     SimJob,
     SimulationCache,
 )
+from repro.engine.pack import segment_name
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.hardware import cluster_for_gpus
 from repro.models import get_model
@@ -112,21 +113,29 @@ class TestCacheRoundTrip:
 
     def test_corrupt_entry_is_a_miss(self, base_job, tmp_path):
         key = base_job.fingerprint()
-        entry = tmp_path / f"{key}.json"  # a legacy per-key file
-        entry.write_text("{ not json")
+        seed = SimulationCache(str(tmp_path))
+        ExperimentEngine(cache=seed).run(base_job)
+        seed.close()
+        # Same length, broken JSON: the load-time size check passes, so
+        # only reading the record back finds the damage.
+        segment = tmp_path / segment_name(1)
+        raw = segment.read_bytes()
+        segment.write_bytes(b"X" + raw[1:])
         cache = SimulationCache(str(tmp_path))
+        assert cache.verify()["pack_corrupt"] == 1
         engine = ExperimentEngine(cache=cache)
         assert engine.run(base_job) is not None  # recomputed, re-stored
         assert engine.executed == 1
         assert cache.stats.misses == 1
-        assert cache.verify()["legacy_corrupt"] == 1
-        # The re-store lands in the pack tier: a fresh cache instance
-        # over the same directory serves the key without re-simulating,
-        # and drops the corrupt file as a duplicate.
+        cache.close()
+        # The re-store is appended and its index line wins: a fresh
+        # cache instance over the same directory serves the key without
+        # re-simulating, and the corrupt record is no longer indexed.
         reopened = SimulationCache(str(tmp_path))
         assert key in reopened
         assert reopened.get(key) is not None
-        assert not entry.exists()
+        assert reopened.verify()["corrupt"] == 0
+        reopened.close()
 
     def test_len_and_contains(self, base_job, tmp_path):
         cache = SimulationCache(str(tmp_path))

@@ -248,30 +248,35 @@ class TestCorruptCacheEntries:
         engine.run_outcomes([job])
         return job.fingerprint()
 
-    def test_corrupt_legacy_entry_missed_and_reexecuted(self, tiny_model,
+    def test_corrupt_pack_record_missed_and_reexecuted(self, tiny_model,
                                                         tmp_path, open_cache):
         cache = open_cache(tmp_path)
         job = SimJob(model=tiny_model, cluster=cluster_for_gpus(4),
                      batch_size=4, iterations=6, warmup=1)
         key = self._store_one(cache, job)
+        expected = cache.get(key)
+        location = cache.packs.index[key]
         cache.close()
-        # Strip the pack tier so the directory looks like a legacy-era
-        # cache whose only copy of the entry is the corrupt per-key file.
-        for pack_file in tmp_path.glob("pack-*"):
-            pack_file.unlink()
-        entry = tmp_path / f"{key}.json"
-        entry.write_text("{ truncated garbag")
+        # Garbage over the record's bytes, its length and newline kept,
+        # so only reading the record back can tell.
+        segment = tmp_path / location.segment
+        raw = bytearray(segment.read_bytes())
+        garbage = b"{ truncated garbag".ljust(location.length - 1, b"?")
+        raw[location.offset:location.offset + location.length - 1] = garbage
+        segment.write_bytes(bytes(raw))
 
         fresh = open_cache(tmp_path)
-        assert fresh.migrated["corrupt"] == 1
         assert fresh.get(key) is None
         assert fresh.stats.misses == 1
-        assert entry.exists()  # left in place, never served
-        # The engine treats it as a miss and repopulates.
+        # The engine treats it as a miss and re-stores it to the pack.
         engine = ExperimentEngine(cache=fresh)
-        assert engine.run_outcomes([job])[0].ok
+        outcome = engine.run_outcomes([job])[0]
+        assert outcome.ok and outcome.result == expected
         assert engine.executed == 1
-        assert fresh.get(key) is not None
+        fresh.close()
+        again = open_cache(tmp_path)
+        assert again.get(key) == expected
+        assert again.verify()["corrupt"] == 0
 
     def test_missing_entry_is_a_plain_miss(self, tmp_path, open_cache):
         cache = open_cache(tmp_path)

@@ -18,7 +18,10 @@ from repro.faults import (
     RetransmitFault,
     StragglerFault,
 )
-from repro.faults.schedule import MAX_RETRANSMIT_RETRIES
+from repro.faults.schedule import (
+    MAX_RETRANSMIT_DELAY_S,
+    MAX_RETRANSMIT_RETRIES,
+)
 from repro.hardware import cluster_for_gpus
 from repro.network import Fabric
 from repro.simulator import DDPSimulator
@@ -73,6 +76,29 @@ class TestScheduleValidation:
             RetransmitFault(drop_rate=0.1, backoff=0.5)
         with pytest.raises(ConfigurationError):
             RetransmitFault(drop_rate=0.1, max_retries=0)
+
+    def test_retransmit_total_delay_bounded(self):
+        """The timeouts of all attempts together are bounded: at the
+        bound and real stacks' shapes pass, just past it fails, and a
+        ``backoff**k`` that overflows fails even at a zero timeout."""
+        RetransmitFault(drop_rate=0.5, timeout_s=MAX_RETRANSMIT_DELAY_S,
+                        max_retries=1)
+        RetransmitFault(drop_rate=0.5, timeout_s=MAX_RETRANSMIT_DELAY_S / 128,
+                        backoff=1.0, max_retries=MAX_RETRANSMIT_RETRIES)
+        with pytest.raises(ConfigurationError):
+            RetransmitFault(drop_rate=0.5,
+                            timeout_s=MAX_RETRANSMIT_DELAY_S * 1.001,
+                            max_retries=1)
+        # Linux's default RTO shape (tcp_retries2 = 15), and a
+        # millisecond timeout doubled 30 times.
+        RetransmitFault(drop_rate=0.5, timeout_s=0.2, backoff=2.0,
+                        max_retries=15)
+        RetransmitFault(drop_rate=0.5, timeout_s=1e-3, backoff=2.0,
+                        max_retries=30)
+        for timeout_s in (0.0, 5e-324):
+            with pytest.raises(ConfigurationError):
+                RetransmitFault(drop_rate=0.5, timeout_s=timeout_s,
+                                backoff=1e308, max_retries=3)
 
     def test_crash_recovery_policy_checked(self):
         with pytest.raises(ConfigurationError):
@@ -200,6 +226,12 @@ class TestScheduleSerialization:
         '"backoff": 1e308}]}',
         '{"retransmits": [{"drop_rate": 0.5, "backoff": 1, '
         '"max_retries": 101}]}',
+        # Each timeout finite, their sum near the float limit.
+        '{"retransmits": [{"drop_rate": 0.9999, "timeout_s": 1e307, '
+        '"backoff": 10, "max_retries": 2}]}',
+        # A zero timeout does not hide a backoff**k that overflows.
+        '{"retransmits": [{"drop_rate": 0.9999, "backoff": 1e308, '
+        '"timeout_s": 0, "max_retries": 3}]}',
         '{"links": [{"node_a": 0, "node_b": "1", "factor": 0.5}]}',
         '{"nodes": {"node": 0, "factor": 0.5}}',
         '{"nodes": [[0, 0.5]]}',

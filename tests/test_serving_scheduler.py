@@ -18,6 +18,7 @@ from repro.engine import ExperimentEngine, SimulationCache
 from repro.errors import ConfigurationError
 from repro.hardware import cluster_for_gpus
 from repro.models import available_models, get_model
+from repro.serving import scheduler as scheduler_module
 from repro.serving import (
     AdmissionError,
     AdviseRequest,
@@ -337,6 +338,31 @@ class TestWhatIf:
             assert final.result["best"] == offline.best.scheme_label
         finally:
             sched.close()
+
+    def test_calibration_memo_is_bounded(self, monkeypatch):
+        """More distinct bandwidths than the memo holds: it keeps at
+        most its bound, and every answer, evicted keys re-asked
+        included, is still what ``repro recommend`` prints."""
+        monkeypatch.setattr(scheduler_module, "CALIBRATION_MEMO_SIZE", 4)
+        bandwidths = [1.5 + 2.5 * i for i in range(10)]
+        sched = make_scheduler()
+        try:
+            finals = []
+            for gbps in bandwidths + bandwidths[:3]:
+                state = sched.submit(WhatIfRequest.from_json(
+                    {"model": "resnet50", "gpus": 8, "bandwidth": gbps,
+                     "crossovers": False}))
+                finals.append(sched.wait(state.id, timeout_s=60.0))
+                assert len(sched._calibrations) <= 4
+        finally:
+            sched.close()
+        for gbps, final in zip(bandwidths + bandwidths[:3], finals):
+            cluster = cluster_for_gpus(8)
+            cluster = cluster.with_instance(
+                cluster.instance.with_network_gbps(gbps))
+            offline = recommend(get_model("resnet50"), cluster)
+            assert final.status == "done"
+            assert final.result["rendered"] == offline.render()
 
     def test_crossovers_reported_per_compressed_scheme(self):
         sched = make_scheduler()

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.engine import ExperimentEngine, SimJob, SimulationCache
+from repro.engine import ExperimentEngine, SimJob
 from repro.engine.engine import CHAOS_KILL_ENV
 from repro.errors import ConfigurationError
 from repro.hardware import cluster_for_gpus
@@ -241,20 +241,19 @@ class TestRenderPrometheus:
 
 
 class TestEngineTracing:
-    def run_traced(self, batch, tmp_path=None, **engine_kwargs):
+    def run_traced(self, batch, **engine_kwargs):
         tracer = enable_tracing()
-        cache = (SimulationCache(str(tmp_path / "cache"))
-                 if tmp_path is not None else None)
-        engine = ExperimentEngine(cache=cache, **engine_kwargs)
+        engine = ExperimentEngine(**engine_kwargs)
         outcomes = engine.run_outcomes(batch)
         spans = tracer.drain()
         disable_tracing()
         return outcomes, spans
 
     def test_serial_run_emits_nested_spans(self, singleton_jobs,
-                                           tmp_path):
+                                           tmp_path, open_cache):
         small_jobs = singleton_jobs
-        outcomes, spans = self.run_traced(small_jobs, tmp_path)
+        outcomes, spans = self.run_traced(
+            small_jobs, cache=open_cache(str(tmp_path / "cache")))
         assert all(o.ok for o in outcomes)
         by_id = {s.span_id: s for s in spans}
         names = [s.name for s in spans]
