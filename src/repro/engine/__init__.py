@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from .engine import EngineStats, ExperimentEngine, JobOutcome, SimJob
     from .memcache import MemoryCache
     from .pack import PackStore
-    from .fingerprint import FINGERPRINT_VERSION, model_fragment
+    from .fingerprint import FINGERPRINT_VERSION, model_digest
     from .modeljobs import ModelEvalJob, evaluate_family
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
@@ -34,6 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".engine": ("EngineStats", "ExperimentEngine", "JobOutcome", "SimJob"),
     ".memcache": ("MemoryCache",),
     ".pack": ("PackStore",),
-    ".fingerprint": ("FINGERPRINT_VERSION", "model_fragment"),
+    ".fingerprint": ("FINGERPRINT_VERSION", "model_digest"),
     ".modeljobs": ("ModelEvalJob", "evaluate_family"),
 })

@@ -54,8 +54,6 @@ from ..units import GIGA
 from .fingerprint import (
     FINGERPRINT_VERSION,
     digest,
-    model_digest,
-    model_fragment,
     spec_payload,
 )
 
@@ -151,8 +149,8 @@ class AdvisorShardJob:
         Shares the cache namespace with simulation and model-eval jobs
         without colliding: the payload leads with a distinct ``kind``.
         """
-        payload = spec_payload(model_fragment(self.model), self.scheme,
-                               self.gpu, self.profile)
+        payload = spec_payload(self.model, self.scheme, self.gpu,
+                               self.profile)
         payload.update({
             "kind": "advisor-shard",
             "version": FINGERPRINT_VERSION,
@@ -183,7 +181,7 @@ class AdvisorShardJob:
         """Grouping key: one candidate's shards across world sizes and
         slices, which the engine evaluates as one family."""
         model, scheme, gpu, profile, inputs = self.family_inputs()
-        payload = spec_payload(model_digest(model), scheme, gpu, profile)
+        payload = spec_payload(model, scheme, gpu, profile)
         payload.update({
             "kind": "advisor-shard",
             "alpha_s": inputs.alpha_s,

@@ -13,7 +13,14 @@ Two tiers answer a lookup, cheapest first:
 
 Both tiers store the same JSON payload and every hit rehydrates
 through the same converter, so a hot hit and a pack hit return
-byte-identical outcomes.  An entry stores either a full
+byte-identical outcomes.  Scalars are JSON numbers (``repr`` floats,
+exact); every float array — a result's ``sync_times`` and
+``iteration_times``, an advisor frontier's ``total_s`` — is one base64
+string of its little-endian float64 bytes, so a record's arrays decode
+in one call each and round-trip bit for bit (``-0.0``, subnormals and
+infinities included).  That array format arrived with
+``FINGERPRINT_VERSION`` 2, so no record of the older list format is
+ever looked up under a current key.  An entry stores either a full
 :class:`~repro.simulator.TimingResult`, the
 :class:`~repro.errors.OutOfMemoryError` the simulation
 deterministically raises, a closed-form
@@ -36,11 +43,14 @@ single-key round-trips.
 
 from __future__ import annotations
 
+import base64
 import math
 import os
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.perf_model import PredictedTime
 from ..errors import ConfigurationError, OutOfMemoryError
@@ -109,6 +119,20 @@ class CacheStats:
         return text
 
 
+def floats_to_text(values: Sequence[float]) -> str:
+    """Base64 of ``values`` as little-endian float64: exact, one call."""
+    return base64.b64encode(
+        np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def text_to_floats(text: str) -> Tuple[float, ...]:
+    """Inverse of :func:`floats_to_text`; raises ``ValueError`` on bad
+    base64 or a byte length that is not a multiple of 8, and
+    ``TypeError`` on a value that is not a string."""
+    raw = base64.b64decode(text, validate=True)
+    return tuple(np.frombuffer(raw, dtype="<f8").tolist())
+
+
 def result_to_payload(result: TimingResult) -> dict:
     """JSON-serializable form of a timing result cache entry."""
     return {
@@ -117,8 +141,8 @@ def result_to_payload(result: TimingResult) -> dict:
         "scheme": result.scheme,
         "world_size": result.world_size,
         "batch_size": result.batch_size,
-        "sync_times": list(result.sync_times),
-        "iteration_times": list(result.iteration_times),
+        "sync_times": floats_to_text(result.sync_times),
+        "iteration_times": floats_to_text(result.iteration_times),
     }
 
 
@@ -129,8 +153,8 @@ def payload_to_result(payload: dict) -> TimingResult:
         scheme=payload["scheme"],
         world_size=payload["world_size"],
         batch_size=payload["batch_size"],
-        sync_times=tuple(payload["sync_times"]),
-        iteration_times=tuple(payload["iteration_times"]),
+        sync_times=text_to_floats(payload["sync_times"]),
+        iteration_times=text_to_floats(payload["iteration_times"]),
     )
 
 
@@ -156,8 +180,9 @@ def payload_to_oom(payload: dict) -> OutOfMemoryError:
 def predicted_to_payload(predicted: PredictedTime) -> dict:
     """JSON-serializable form of a model-prediction cache entry.
 
-    Floats survive the JSON round trip exactly (``repr`` rendering), so
-    a warm-cache sweep reproduces its cold run byte for byte.
+    Its four floats survive the JSON round trip exactly (``repr``
+    rendering), so a warm-cache sweep reproduces its cold run byte for
+    byte.
     """
     return {
         "kind": "predicted",
@@ -181,17 +206,17 @@ def payload_to_predicted(payload: dict) -> PredictedTime:
 def advisor_shard_to_payload(shard: AdvisorShardResult) -> dict:
     """JSON-serializable form of an advisor shard's Pareto survivors.
 
-    Like :func:`predicted_to_payload`, the floats survive the JSON
-    round trip exactly, so a warm-cache ``repro advise`` reproduces its
-    cold run byte for byte.  The kind is ``advisor-frontier``: records
-    of the retired ``advisor-shard`` kind (every total of the shard)
-    do not rehydrate, so they read as misses and are re-priced.
+    ``total_s`` is stored by :func:`floats_to_text`, bit for bit, so a
+    warm-cache ``repro advise`` reproduces its cold run byte for byte.
+    The kind is ``advisor-frontier``: records of the retired
+    ``advisor-shard`` kind (every total of the shard) do not rehydrate,
+    so they read as misses and are re-priced.
     """
     return {
         "kind": "advisor-frontier",
         "priced": shard.priced,
         "offsets": list(shard.offsets),
-        "total_s": list(shard.total_s),
+        "total_s": floats_to_text(shard.total_s),
     }
 
 
@@ -199,7 +224,7 @@ def payload_to_advisor_shard(payload: dict) -> AdvisorShardResult:
     """Inverse of :func:`advisor_shard_to_payload`."""
     return AdvisorShardResult(priced=payload["priced"],
                               offsets=tuple(payload["offsets"]),
-                              total_s=tuple(payload["total_s"]))
+                              total_s=text_to_floats(payload["total_s"]))
 
 
 def outcome_to_payload(outcome: CachedOutcome) -> dict:
@@ -215,9 +240,10 @@ def outcome_to_payload(outcome: CachedOutcome) -> dict:
 
 def payload_to_outcome(payload: dict) -> CachedOutcome:
     """Rehydrate any tier's payload; raises ``KeyError`` on an unknown
-    kind or missing fields and ``TypeError`` on a payload that is not a
-    JSON object — every tier shares this one converter, which is what
-    makes hot and pack hits byte-identical."""
+    kind or missing fields, ``TypeError`` on a payload that is not a
+    JSON object or a field of the wrong type, and ``ValueError`` on a
+    float array that does not decode — every tier shares this one
+    converter, which is what makes hot and pack hits byte-identical."""
     if not isinstance(payload, dict):
         raise TypeError(
             f"cache payload must be an object, not {type(payload).__name__}")
@@ -231,6 +257,15 @@ def payload_to_outcome(payload: dict) -> CachedOutcome:
     if kind == "advisor-frontier":
         return payload_to_advisor_shard(payload)
     raise KeyError(kind)
+
+
+def _rehydrate(payload: dict) -> Optional[CachedOutcome]:
+    """:func:`payload_to_outcome`, or ``None`` for a payload that does
+    not rehydrate (the cache reads it as a miss)."""
+    try:
+        return payload_to_outcome(payload)
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 class SimulationCache:
@@ -303,12 +338,10 @@ class SimulationCache:
                 if key in outcomes:
                     continue
                 payload = self.packs.lookup(key)
-                if payload is None:
+                outcome = None if payload is None else _rehydrate(payload)
+                if outcome is None:
                     continue
-                try:
-                    outcomes[key] = payload_to_outcome(payload)
-                except (KeyError, TypeError):
-                    continue
+                outcomes[key] = outcome
                 tiers[key] = "pack"
                 writeback.append((key, payload))
             if writeback:
@@ -382,8 +415,10 @@ class SimulationCache:
         touches every indexed record so a cold server's first burst
         reads pre-faulted pages, and with ``memory=True`` (and the hot
         tier enabled) loads payloads into the hot tier while they fit
-        its budget, so preloading never evicts.  Returns counters for
-        the CLI to print.
+        its budget, so preloading never evicts.  A record that does not
+        read back or does not rehydrate is counted in ``skipped`` and
+        stays out of the hot tier, so it reads as a miss exactly as it
+        would without a preload.  Returns counters for the CLI to print.
         """
         memory = memory and self.memory is not None
         loaded = 0
@@ -392,7 +427,7 @@ class SimulationCache:
         with self._lock:
             for key in list(self.packs.index):
                 payload = self.packs.lookup(key)
-                if payload is None:
+                if payload is None or _rehydrate(payload) is None:
                     skipped += 1
                     continue
                 loaded += 1

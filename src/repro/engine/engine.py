@@ -74,15 +74,14 @@ from .advisorjobs import (
 from .cache import CacheStats, SimulationCache
 from .fingerprint import (
     FINGERPRINT_VERSION,
-    cluster_fragment,
-    config_fragment,
+    cluster_digest,
+    config_digest,
     digest,
     fabric_payload,
     faults_payload,
-    model_fragment,
-    profile_fragment,
+    model_digest,
+    profile_digest,
     scheme_payload,
-    sim_family_key,
 )
 from .modeljobs import ModelEvalJob, evaluate_family
 
@@ -149,24 +148,13 @@ class SimJob:
     def fingerprint(self) -> str:
         """Content hash identifying this job's outcome.
 
-        The ``faults`` field only enters the hash when a non-empty
-        schedule is attached: fault-free jobs keep the exact keys they
-        had before fault injection existed, so no cache directory is
-        invalidated by upgrading.
+        The family payload plus the seed; the ``faults`` field only
+        enters the hash when a non-empty schedule is attached, so an
+        empty schedule shares the fault-free key.  Keys hold only within
+        one ``FINGERPRINT_VERSION``: version 2 changed every key.
         """
-        payload = {
-            "version": FINGERPRINT_VERSION,
-            "model": model_fragment(self.model),
-            "cluster": cluster_fragment(self.cluster),
-            "scheme": scheme_payload(self.scheme),
-            "fabric": fabric_payload(self.fabric),
-            "config": config_fragment(self.config),
-            "profile": profile_fragment(self.profile),
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-            "seed": self.seed,
-        }
+        payload = self._family_payload()
+        payload["seed"] = self.seed
         fault_payload = faults_payload(self.faults)
         if fault_payload is not None:
             payload["faults"] = fault_payload
@@ -179,6 +167,21 @@ class SimJob:
                 self.config, self.profile, self.batch_size, self.iterations,
                 self.warmup)
 
+    def _family_payload(self) -> Dict[str, Any]:
+        """The key payload of every :meth:`family_inputs` member."""
+        return {
+            "version": FINGERPRINT_VERSION,
+            "model": model_digest(self.model),
+            "cluster": cluster_digest(self.cluster),
+            "scheme": scheme_payload(self.scheme),
+            "fabric": fabric_payload(self.fabric),
+            "config": config_digest(self.config),
+            "profile": profile_digest(self.profile),
+            "batch_size": self.batch_size,
+            "iterations": self.iterations,
+            "warmup": self.warmup,
+        }
+
     def family_key(self) -> str:
         """Grouping key for cross-config batch execution.
 
@@ -189,11 +192,9 @@ class SimJob:
         :func:`repro.simulator.batch.run_batch_many` stacks into one
         kernel call.  The key is *not* a cache key (it deliberately
         drops ``faults`` and ``seed``); outcomes are still cached per
-        job under :meth:`fingerprint`.  It hashes per-spec memoized
-        fragments (:func:`~repro.engine.fingerprint.sim_family_key`).
+        job under :meth:`fingerprint`.
         """
-        inputs = self.family_inputs()
-        return sim_family_key(*inputs[:6], list(inputs[6:]))
+        return digest(self._family_payload())
 
     def build_simulator(self) -> DDPSimulator:
         """Construct the fully-configured simulator this job describes."""

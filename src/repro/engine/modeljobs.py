@@ -48,8 +48,6 @@ from ..models import ModelSpec
 from .fingerprint import (
     FINGERPRINT_VERSION,
     digest,
-    model_digest,
-    model_fragment,
     spec_payload,
 )
 
@@ -107,8 +105,8 @@ class ModelEvalJob:
         Shares the cache namespace with simulation jobs without ever
         colliding: the payload leads with a distinct ``kind``.
         """
-        payload = spec_payload(model_fragment(self.model), self.scheme,
-                               self.gpu, self.profile)
+        payload = spec_payload(self.model, self.scheme, self.gpu,
+                               self.profile)
         payload.update({
             "kind": "model-eval",
             "version": FINGERPRINT_VERSION,
@@ -143,7 +141,7 @@ class ModelEvalJob:
         """
         model, scheme, gpu, profile, inputs, is_tradeoff = \
             self.family_inputs()
-        payload = spec_payload(model_digest(model), scheme, gpu, profile)
+        payload = spec_payload(model, scheme, gpu, profile)
         payload.update({
             "alpha_s": inputs.alpha_s,
             "gamma": inputs.gamma,

@@ -619,11 +619,13 @@ def _finish_optimizer(sim, trace, rng, slowdown=1.0):
 
 # ----- cache-key oracle ------------------------------------------------------
 #
-# The expanded dict-payload builders the engine's job kinds hashed before
-# their keys were composed from memoized fragments
-# (:mod:`repro.engine.fingerprint`).  Every key is the SHA-256 of
-# ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``; the
-# composed keys must stay byte-identical to these.
+# The expanded dict payloads of the engine's job kinds, built from scratch
+# on every call.  A key is the SHA-256 of
+# ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` after
+# each frozen member (model, cluster, config, profile, GPU) is replaced by
+# the SHA-256 of its own canonical JSON; the keys that
+# :mod:`repro.engine.fingerprint` composes from memoized digests must be
+# byte-identical to these.
 
 
 def _canonical(payload):
@@ -732,7 +734,7 @@ def faults_payload(faults):
 
 def sim_family_payload(job):
     return {
-        "version": 1,
+        "version": 2,
         "model": model_payload(job.model),
         "cluster": cluster_payload(job.cluster),
         "scheme": scheme_payload(job.scheme),
@@ -757,7 +759,7 @@ def sim_payload(job):
 def model_eval_payload(job):
     return {
         "kind": "model-eval",
-        "version": 1,
+        "version": 2,
         "model": model_payload(job.model),
         "scheme": scheme_payload(job.scheme),
         "gpu": gpu_payload(job.gpu),
@@ -799,7 +801,7 @@ def model_eval_family_payload(job):
 def advisor_payload(job):
     return {
         "kind": "advisor-shard",
-        "version": 1,
+        "version": 2,
         "model": model_payload(job.model),
         "scheme": scheme_payload(job.scheme),
         "gpu": gpu_payload(job.gpu),
@@ -842,36 +844,28 @@ _KEY_PAYLOADS = {
 }
 
 
+#: The payload members that stand for a frozen spec object.
+FROZEN_MEMBERS = ("model", "cluster", "config", "profile", "gpu")
+
+
+def with_digests(payload):
+    """``payload`` with every frozen member replaced by the SHA-256 of
+    its canonical JSON."""
+    return {key: _sha(_canonical(value)) if key in FROZEN_MEMBERS else value
+            for key, value in payload.items()}
+
+
 def oracle_fingerprint(job):
     """What ``job.fingerprint()`` must return."""
-    return _sha(_canonical(_KEY_PAYLOADS[type(job).__name__][0](job)))
-
-
-def sim_family_key_oracle(job):
-    """What ``SimJob.family_key()`` must return: the SHA-256 of one line
-    per input — the SHA-256 of the model's canonical rendering, and the
-    canonical rendering of every other input and of the protocol."""
-    return _sha("\n".join((
-        "sim-family/1",
-        _sha(_canonical(model_payload(job.model))),
-        _canonical(cluster_payload(job.cluster)),
-        _canonical(scheme_payload(job.scheme)),
-        _canonical(fabric_payload(job.fabric)),
-        _canonical(config_payload(job.config)),
-        _canonical(profile_payload(job.profile)),
-        _canonical([job.batch_size, job.iterations, job.warmup]))))
+    payload = _KEY_PAYLOADS[type(job).__name__][0](job)
+    return _sha(_canonical(with_digests(payload)))
 
 
 def oracle_family_key(job):
-    """What ``job.family_key()`` must return: for a ``SimJob``
-    :func:`sim_family_key_oracle`, for the other kinds the digest of the
-    family payload with the model given by the SHA-256 of its canonical
-    rendering."""
-    if type(job).__name__ == "SimJob":
-        return sim_family_key_oracle(job)
+    """What ``job.family_key()`` must return: the digest of the family
+    payload, its frozen members given by their digests."""
     payload = _KEY_PAYLOADS[type(job).__name__][1](job)
-    payload["model"] = _sha(_canonical(payload["model"]))
-    return _sha(_canonical(payload))
+    return _sha(_canonical(with_digests(payload)))
 
 
 def legacy_family_key(job):

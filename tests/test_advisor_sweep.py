@@ -169,9 +169,10 @@ class TestShardCacheRoundtrip:
         result = AdvisorShardResult(priced=4096, offsets=(7, 4095),
                                     total_s=(0.125, 0.0625))
         payload = outcome_to_payload(result)
+        # total_s: base64 of the little-endian float64 bytes.
         assert payload == {"kind": "advisor-frontier", "priced": 4096,
                            "offsets": [7, 4095],
-                           "total_s": [0.125, 0.0625]}
+                           "total_s": "AAAAAAAAwD8AAAAAAACwPw=="}
         back = payload_to_outcome(payload)
         assert back == result
         assert isinstance(back.offsets, tuple)

@@ -259,6 +259,35 @@ class TestMaintenance:
         assert report == {"entries": 1, "memory_entries": 0,
                           "skipped": 0}
 
+    @pytest.mark.parametrize("payload", [
+        {"kind": "advisor-shard", "total_s": [0.125, 0.25]},
+        {"kind": "advisor-frontier", "priced": 2, "offsets": [0],
+         "total_s": "not base64!"},
+        {"kind": "advisor-frontier", "priced": 2, "offsets": [0],
+         "total_s": "AAAAAAAAwD8A"},
+        {"kind": "result", "model": "m", "scheme": "s", "world_size": 8,
+         "batch_size": 32, "sync_times": [0.1], "iteration_times": [0.2]},
+    ], ids=["retired-kind", "bad-base64", "ragged-bytes", "list-array"])
+    @pytest.mark.parametrize("preload", [False, True])
+    def test_bad_record_reads_as_a_miss(self, tmp_path, open_cache,
+                                        payload, preload):
+        """A pack record that does not rehydrate misses whether or not
+        a preload ran first: preload counts it as skipped and keeps it
+        out of the hot tier."""
+        seed = open_cache(str(tmp_path))
+        seed.packs.append_many([("a" * 64, payload)])
+        seed.store_many([("b" * 64, _predicted(1))])
+        seed.close()
+        cache = open_cache(str(tmp_path), memory_mb=8)
+        if preload:
+            assert cache.preload(memory=True) == {
+                "entries": 1, "memory_entries": 1, "skipped": 1}
+        found = cache.lookup_many(["a" * 64, "b" * 64])
+        assert found == {"b" * 64: _predicted(1)}
+        assert cache.stats.misses == 1
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            payload_to_outcome(payload)
+
     def test_info_snapshot_shape(self, tmp_path, open_cache):
         cache = open_cache(str(tmp_path), memory_mb=1)
         cache.store_many([("a" * 64, _predicted(1)),

@@ -253,7 +253,7 @@ def test_an_exhibit_loads_neither_the_server_nor_training_nor_the_advisor():
 #: records the loaded modules, then serves one request per route and
 #: records them again before interrupting the server.
 SERVE = """
-    import _thread, io, json, sys, threading, urllib.request
+    import _thread, io, json, signal, sys, threading, urllib.request
 
     seen = {}
 
@@ -286,6 +286,9 @@ SERVE = """
             return len(text)
 
     from repro.cli import main
+    # interrupt_main() stops the server through the default SIGINT
+    # handler; a child that inherited SIGINT ignored would never stop.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     sys.stdout = Watch()
     main(["serve", "--port", "0"])
     sys.stdout = sys.__stdout__

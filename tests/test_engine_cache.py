@@ -83,11 +83,12 @@ class TestFingerprintSensitivity:
 
 
 class TestCacheRoundTrip:
-    def test_cached_result_identical_to_fresh(self, base_job, tmp_path):
+    def test_cached_result_identical_to_fresh(self, base_job, tmp_path,
+                                              open_cache):
         fresh = base_job.build_simulator().run(
             base_job.batch_size, iterations=base_job.iterations,
             warmup=base_job.warmup, seed=base_job.seed)
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         engine = ExperimentEngine(cache=cache)
         first = engine.run(base_job)
         cached = engine.run(base_job)
@@ -96,12 +97,12 @@ class TestCacheRoundTrip:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
-    def test_oom_outcome_cached(self, tmp_path):
+    def test_oom_outcome_cached(self, tmp_path, open_cache):
         bert = get_model("bert-base")
         job = SimJob(model=bert, cluster=cluster_for_gpus(48),
                      scheme=SignSGDScheme(), batch_size=12,
                      iterations=5, warmup=1)
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         engine = ExperimentEngine(cache=cache)
         with pytest.raises(OutOfMemoryError):
             engine.run(job)
@@ -111,9 +112,9 @@ class TestCacheRoundTrip:
         assert engine.executed == executed_after_first  # served from disk
         assert exc_info.value.required_bytes > 0
 
-    def test_corrupt_entry_is_a_miss(self, base_job, tmp_path):
+    def test_corrupt_entry_is_a_miss(self, base_job, tmp_path, open_cache):
         key = base_job.fingerprint()
-        seed = SimulationCache(str(tmp_path))
+        seed = open_cache(str(tmp_path))
         ExperimentEngine(cache=seed).run(base_job)
         seed.close()
         # Same length, broken JSON: the load-time size check passes, so
@@ -121,7 +122,7 @@ class TestCacheRoundTrip:
         segment = tmp_path / segment_name(1)
         raw = segment.read_bytes()
         segment.write_bytes(b"X" + raw[1:])
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         assert cache.verify()["pack_corrupt"] == 1
         engine = ExperimentEngine(cache=cache)
         assert engine.run(base_job) is not None  # recomputed, re-stored
@@ -131,14 +132,14 @@ class TestCacheRoundTrip:
         # The re-store is appended and its index line wins: a fresh
         # cache instance over the same directory serves the key without
         # re-simulating, and the corrupt record is no longer indexed.
-        reopened = SimulationCache(str(tmp_path))
+        reopened = open_cache(str(tmp_path))
         assert key in reopened
         assert reopened.get(key) is not None
         assert reopened.verify()["corrupt"] == 0
         reopened.close()
 
-    def test_len_and_contains(self, base_job, tmp_path):
-        cache = SimulationCache(str(tmp_path))
+    def test_len_and_contains(self, base_job, tmp_path, open_cache):
+        cache = open_cache(str(tmp_path))
         key = base_job.fingerprint()
         assert key not in cache
         assert len(cache) == 0

@@ -27,7 +27,6 @@ from repro.engine import (
     ExperimentEngine,
     ModelEvalJob,
     SimJob,
-    SimulationCache,
 )
 from repro.engine.engine import _ADVISOR_KIND, _MODEL_KIND, _SIM_KIND
 from repro.faults import FaultSchedule, NodeFault, StragglerFault
@@ -165,7 +164,7 @@ def pack_bytes(directory):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_dispatch_is_invisible(seed, models, tmp_path):
+def test_dispatch_is_invisible(seed, models, tmp_path, open_cache):
     rng = np.random.default_rng(seed)
     sims = draw_sim_jobs(rng, models)
     model_jobs, failing = draw_model_jobs(rng, models)
@@ -183,7 +182,7 @@ def test_dispatch_is_invisible(seed, models, tmp_path):
 
     runs, batched = {}, {}
     for jobs in (1, 2):
-        cache = SimulationCache(str(tmp_path / f"jobs{jobs}"))
+        cache = open_cache(str(tmp_path / f"jobs{jobs}"))
         engine = ExperimentEngine(jobs=jobs, cache=cache)
         runs[jobs], packed = run_all(engine, *batches)
         cache.close()
@@ -214,7 +213,7 @@ def test_dispatch_is_invisible(seed, models, tmp_path):
     assert sum(o.oom is not None for o in runs[1][0]) == 3
 
     # Warm rerun: everything but the failure is served from the cache.
-    cache = SimulationCache(str(tmp_path / "jobs1"))
+    cache = open_cache(str(tmp_path / "jobs1"))
     warm_engine = ExperimentEngine(jobs=1, cache=cache)
     warm, _ = run_all(warm_engine, *batches)
     cache.close()

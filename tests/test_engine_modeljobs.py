@@ -15,7 +15,6 @@ from repro.core import PerfModelInputs
 from repro.engine import (
     ExperimentEngine,
     ModelEvalJob,
-    SimulationCache,
     evaluate_family,
 )
 from repro.errors import ConfigurationError
@@ -171,9 +170,9 @@ class TestEngineModelOutcomes:
         fanned = ExperimentEngine(jobs=4).run_model_outcomes(jobs)
         assert [o.result for o in fanned] == [o.result for o in serial]
 
-    def test_warm_cache_all_hits(self, rn50, tmp_path):
+    def test_warm_cache_all_hits(self, rn50, tmp_path, open_cache):
         jobs = sweep_jobs(rn50)
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         engine = ExperimentEngine(cache=cache)
         cold = engine.run_model_outcomes(jobs)
         assert not any(o.cached for o in cold)
@@ -184,12 +183,12 @@ class TestEngineModelOutcomes:
         assert delta.misses == 0 and delta.hits == len(jobs)
         assert [o.result for o in warm] == [o.result for o in cold]
 
-    def test_failing_job_isolated_not_cached(self, rn50, tmp_path):
+    def test_failing_job_isolated_not_cached(self, rn50, tmp_path, open_cache):
         good = ModelEvalJob(model=rn50, scheme=PowerSGDScheme(rank=4),
                             inputs=inputs_at())
         bad = ModelEvalJob(model=rn50, scheme=BrokenScheme(rank=4),
                            inputs=inputs_at())
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         engine = ExperimentEngine(cache=cache)
         outcomes = engine.run_model_outcomes([good, bad])
         assert outcomes[0].ok and outcomes[0].result is not None

@@ -7,7 +7,7 @@ from repro.compression.schemes import (
     SignSGDScheme,
     TopKScheme,
 )
-from repro.engine import ExperimentEngine, SimJob, SimulationCache
+from repro.engine import ExperimentEngine, SimJob
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.experiments.scaling import run_scaling_sweep
 from repro.hardware import cluster_for_gpus
@@ -52,9 +52,10 @@ class TestParallelEquivalence:
         fanned = ExperimentEngine(jobs=4).run_outcomes(small_grid)
         assert _comparable(serial) == _comparable(fanned)
 
-    def test_parallel_with_cache_identical(self, small_grid, tmp_path):
+    def test_parallel_with_cache_identical(self, small_grid, tmp_path,
+                                           open_cache):
         serial = ExperimentEngine().run_outcomes(small_grid)
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         engine = ExperimentEngine(jobs=4, cache=cache)
         cold = engine.run_outcomes(small_grid)
         warm = engine.run_outcomes(small_grid)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis import SweepSpec, advise
 from repro.collectives import allgather_time, ring_allreduce_time
-from repro.engine import EngineStats, ExperimentEngine, SimJob, SimulationCache
+from repro.engine import EngineStats, ExperimentEngine, SimJob
 from repro.engine.engine import _COUNTER_METRICS, JobOutcome, _init_worker
 from repro.errors import OutOfMemoryError
 from repro.hardware import cluster_for_gpus
@@ -53,8 +53,9 @@ class TestEngineStats:
         # batch, so utilization approaches (and never exceeds) 1.
         assert 0.0 < engine.stats().pool_utilization <= 1.0
 
-    def test_cache_hits_do_not_count_as_executed(self, rn50, tmp_path):
-        cache = SimulationCache(str(tmp_path))
+    def test_cache_hits_do_not_count_as_executed(self, rn50, tmp_path,
+                                                 open_cache):
+        cache = open_cache(str(tmp_path))
         engine = ExperimentEngine(cache=cache)
         batch = jobs_for(rn50, 2)
         engine.run_outcomes(batch)
@@ -98,9 +99,9 @@ class TestEngineStats:
 
 
 class TestEngineTelemetry:
-    def test_jobs_recorded_by_cache_status(self, rn50, tmp_path):
+    def test_jobs_recorded_by_cache_status(self, rn50, tmp_path, open_cache):
         registry = telemetry_metrics.enable()
-        cache = SimulationCache(str(tmp_path))
+        cache = open_cache(str(tmp_path))
         engine = ExperimentEngine(cache=cache)
         batch = jobs_for(rn50, 2)
         engine.run_outcomes(batch)

@@ -101,9 +101,9 @@ class TestCacheKeyBehaviour:
             stragglers=[StragglerFault(worker=0, slowdown=2.0)]))
         assert mk(1).fingerprint() != mk(2).fingerprint()
 
-    def test_faulted_results_cached_separately(self, resnet50, tmp_path):
-        from repro.engine import SimulationCache
-        engine = ExperimentEngine(cache=SimulationCache(tmp_path))
+    def test_faulted_results_cached_separately(self, resnet50, tmp_path,
+                                               open_cache):
+        engine = ExperimentEngine(cache=open_cache(tmp_path))
         bare = self._job(resnet50)
         faulted = self._job(resnet50, faults=_schedule())
         first = engine.run_outcomes([bare, faulted])

@@ -1,24 +1,30 @@
-"""Cache keys: pinned values, the expanded-payload oracle, memo hygiene.
+"""Cache keys: pinned values, the digest oracle, memo hygiene.
 
-Job keys are composed from per-spec fragments that
-:mod:`repro.engine.fingerprint` renders once and reuses.  Three things
-keep that safe:
+Job keys are composed from per-spec SHA-256 digests that
+:mod:`repro.engine.fingerprint` computes once per spec object.  Four
+things keep that safe:
 
 * **golden keys** — literal ``fingerprint()`` values that every cache
-  directory on disk was written under; a drifted composer would
+  directory on disk is written under; a drifted composer would
   silently orphan them all;
 * **the oracle property** — over seeded random jobs of every kind, the
   composed ``fingerprint()`` and ``family_key()`` equal the digests of
-  the expanded dict payloads in ``tests/oracle.py``, including after a
-  scheme attribute or the fabric's bandwidth matrix changes;
+  the expanded dict payloads in ``tests/oracle.py`` with each frozen
+  member replaced by its digest, including after a scheme attribute or
+  the fabric's bandwidth matrix changes;
+* **key identity** — equal specs built as distinct objects give equal
+  keys, and specs that differ in any one field give different keys;
 * **memo hygiene** — fingerprinting never grows a pickled job or model
-  (pooled tasks ship them) and never keeps a spec alive.
+  (pooled tasks ship them), never keeps a spec alive, renders each
+  model once however many jobs read it, and hashes a small payload.
 """
 
+import copy
 import gc
+import json
 import pickle
 import weakref
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -30,10 +36,13 @@ from repro.core import PerfModelInputs
 from repro.engine import (
     FINGERPRINT_VERSION,
     AdvisorShardJob,
+    AdvisorShardResult,
     ModelEvalJob,
     SimJob,
-    model_fragment,
+    model_digest,
 )
+import repro.engine.fingerprint as fingerprint_module
+from repro.engine.cache import outcome_to_payload, payload_to_outcome
 from repro.faults import (
     FaultSchedule,
     LinkFault,
@@ -43,7 +52,7 @@ from repro.faults import (
 from repro.hardware import available_gpus, available_instances, cluster_for_gpus
 from repro.models import get_model
 from repro.network import Fabric
-from repro.simulator import DDPConfig
+from repro.simulator import DDPConfig, TimingResult
 from repro.units import gbps_to_bytes_per_s
 
 from .oracle import oracle_family_key, oracle_fingerprint
@@ -91,35 +100,36 @@ def golden_jobs():
 
 
 #: ``fingerprint()`` of each :func:`golden_jobs` entry, as written into
-#: cache directories since fingerprint version 1.  Never edit one to
-#: make a test pass: a changed value orphans every cache entry.
+#: cache directories since fingerprint version 2 (digest-composed
+#: keys).  Never edit one to make a test pass: a changed value orphans
+#: every cache entry.
 GOLDEN_KEYS = {
     "sim-default":
-        "72be0ca53fb594a3a29bf67b53ccf14883a0d7080a327133ec2b2559ed6c46e4",
+        "e5bb452da051c3606a0d0c47c9b1ed42c693668f38ca2ea16f138b5dca008521",
     "sim-faulted":
-        "2c2aa12cad4522ecd516b3c2bd20aa3474c68ad66b3a27189cabca39f62311ef",
+        "00f455ebe0fc024233e30f81f42ed8bee053e336d7d9a795768052f039bb4a9c",
     "sim-degraded":
-        "f9e4d5cede6563ef405dadb5572f21acdfdba26ef5c129c3b6986dce1381291c",
+        "e5756c6ec18157250c221db53bac90117e3834bc57016414e931c30ec7571663",
     "sim-bert-powersgd":
-        "96b6a1546a2b810ce2a5830152fbde5ff229633227b0a5b5b1c8b4d06c0b14a4",
+        "776393730c0f77c7a9edb773e5e29160f1ecdd8022382af7640132bac3f9f5f3",
     "eval-sweep":
-        "57e34af48618d5727231a901ed4437b6886ad9aec6554177ab009e6105d57712",
+        "1bb2f785df6058eb257e8e25e7d11a71551404b40cd8471923159d341176d648",
     "eval-tradeoff":
-        "3440efe38b200f6f94341e2fe8c905cee0c2df210ae5fccef1bb677a41f3355d",
+        "1d65eaae0966a8ba5635e8c7536ef70f1f3dc206c02a492e87bb74470e9e1b35",
     "advisor-shard":
-        "eaaa79e0a2b2e04cc5a7038b0358dad46085f5eea537650fa7e62faa0e36d217",
+        "11de864df74f0b9ef289f5d553e959112edb9ba53de06fc54bfb1368edbc6e31",
 }
 
 
 class TestGoldenKeys:
     def test_version_is_unchanged(self):
-        assert FINGERPRINT_VERSION == 1
+        assert FINGERPRINT_VERSION == 2
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
     def test_fingerprint_is_pinned(self, name):
         job = golden_jobs()[name]
         assert job.fingerprint() == GOLDEN_KEYS[name]
-        # Twice: the second call is served from the fragment memo.
+        # Twice: the second call is served from the digest memo.
         assert job.fingerprint() == GOLDEN_KEYS[name]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
@@ -280,7 +290,7 @@ def test_composed_keys_equal_the_expanded_oracle(seed):
     for _ in range(60):
         job = draw_job(rng)
         assert_matches_oracle(job)
-        # The second computation reads every frozen fragment from the
+        # The second computation reads every frozen digest from the
         # memo and must not differ from the first.
         assert_matches_oracle(job)
 
@@ -318,6 +328,126 @@ def test_mutable_inputs_are_rendered_on_every_call(seed):
         assert_matches_oracle(job)
         assert job.fingerprint() != sim_before[0]
         assert job.family_key() != sim_before[1]
+
+
+# ----- key identity -----------------------------------------------------------
+
+#: The spec members of each job kind, and the default each ``None``
+#: member stands for.
+SPEC_MEMBERS = {
+    SimJob: ("model", "cluster", "config", "profile"),
+    ModelEvalJob: ("model", "gpu", "profile"),
+    AdvisorShardJob: ("model", "gpu", "profile"),
+}
+DEFAULT_SPECS = {"config": DDPConfig, "profile": v100_kernel_profile}
+
+#: Fields no output depends on, which the key leaves out by design.
+UNKEYED = {("ModelSpec", "sample_description"),
+           ("InstanceType", "hourly_usd")}
+
+
+def changed_values(value, rng):
+    """``(path, new value)`` for every way of changing one leaf of
+    ``value``: each keyed field of a dataclass, and one drawn element
+    of a tuple (an empty one gains an element)."""
+    if is_dataclass(value):
+        for field in fields(value):
+            if (type(value).__name__, field.name) in UNKEYED:
+                continue
+            for path, new in changed_values(getattr(value, field.name), rng):
+                twin = copy.copy(value)
+                object.__setattr__(twin, field.name, new)
+                yield f".{field.name}{path}", twin
+    elif value == ():
+        yield "", (1,)
+    elif isinstance(value, tuple):
+        i = int(rng.integers(len(value)))
+        for path, new in changed_values(value[i], rng):
+            yield f"[{i}]{path}", value[:i] + (new,) + value[i + 1:]
+    elif isinstance(value, bool):
+        yield "", not value
+    elif isinstance(value, int):
+        yield "", value + int(rng.integers(1, 4))
+    elif isinstance(value, float):
+        scale = float(rng.uniform(0.01, 1.0))
+        yield "", value * (1.0 + scale) + scale
+    elif isinstance(value, str):
+        yield "", value + "~"
+    else:
+        raise AssertionError(f"no way to change a {type(value).__name__}")
+
+
+def spec_members(job):
+    """The job's spec members, ``None`` ones given their default."""
+    return {name: getattr(job, name) if getattr(job, name) is not None
+            else DEFAULT_SPECS[name]()
+            for name in SPEC_MEMBERS[type(job)]}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_equal_specs_as_distinct_objects_give_equal_keys(seed):
+    rng = np.random.default_rng(200 + seed)
+    for _ in range(20):
+        job = draw_job(rng)
+        twin = copy.deepcopy(job)
+        for name in SPEC_MEMBERS[type(job)]:
+            if getattr(job, name) is not None:
+                assert getattr(twin, name) is not getattr(job, name)
+        assert twin.fingerprint() == job.fingerprint(), job.describe()
+        assert twin.family_key() == job.family_key(), job.describe()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_specs_differing_in_one_field_give_different_keys(seed):
+    rng = np.random.default_rng(300 + seed)
+    for _ in range(6):
+        job = draw_job(rng)
+        members = spec_members(job)
+        job = replace(job, **members)
+        key, family = job.fingerprint(), job.family_key()
+        seen = {key}
+        for name, spec in members.items():
+            for path, changed in changed_values(spec, rng):
+                variant = replace(job, **{name: changed})
+                where = f"{job.describe()}: {name}{path}"
+                assert variant.fingerprint() not in seen, where
+                assert variant.family_key() != family, where
+                seen.add(variant.fingerprint())
+        # Only the unkeyed fields leave a key where it was.
+        model = copy.copy(job.model)
+        object.__setattr__(model, "sample_description", "changed")
+        assert replace(job, model=model).fingerprint() == key
+
+
+def test_array_payloads_round_trip_bit_for_bit():
+    """Random float64 bit patterns (NaNs aside: no result holds one)
+    plus the special values survive a payload's JSON round trip."""
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+               float("inf"), float("-inf"), 1.7976931348623157e308]
+    for n in (0, 1, 7, 200):
+        bits = rng.integers(0, 2**64, size=n, dtype=np.uint64,
+                            endpoint=False)
+        values = bits.view(np.float64)
+        values = np.where(np.isnan(values), -0.0, values)
+        values = tuple(values.tolist()) + tuple(special)
+        result = TimingResult(model="m", scheme="s", world_size=8,
+                              batch_size=32, sync_times=values,
+                              iteration_times=values[::-1])
+        shard = AdvisorShardResult(priced=n, offsets=tuple(range(len(values))),
+                                   total_s=values)
+        for outcome in (result, shard):
+            payload = json.loads(json.dumps(outcome_to_payload(outcome)))
+            back = payload_to_outcome(payload)
+            for name in ("sync_times", "iteration_times", "total_s"):
+                if not hasattr(outcome, name):
+                    continue
+                got = getattr(back, name)
+                assert type(got) is tuple
+                assert all(type(v) is float for v in got)
+                assert (np.asarray(got).view(np.uint64).tolist()
+                        == np.asarray(getattr(outcome, name))
+                        .view(np.uint64).tolist())
 
 
 # ----- memo hygiene -----------------------------------------------------------
@@ -365,9 +495,46 @@ def test_memo_does_not_keep_specs_alive():
     assert all(ref() is None for ref in refs)
 
 
-def test_fragment_is_rendered_once_per_spec():
+def test_model_digest_is_computed_once_per_spec():
     model, _ = fresh_jobs()
-    assert model_fragment(model) is model_fragment(model)
-    # An equal but distinct spec renders to the same text.
+    assert model_digest(model) is model_digest(model)
+    # An equal but distinct spec digests to the same value.
     twin = replace(model)
-    assert model_fragment(twin) == model_fragment(model)
+    assert model_digest(twin) == model_digest(model)
+
+
+def test_one_model_rendering_serves_100_jobs(monkeypatch):
+    """Fingerprinting 100 jobs of every kind over one model renders the
+    model's layer JSON once; every other payload hashed stays small."""
+    rendered = []
+    canonical_json = fingerprint_module.canonical_json
+
+    def recording(payload):
+        text = canonical_json(payload)
+        rendered.append(text)
+        return text
+
+    monkeypatch.setattr(fingerprint_module, "canonical_json", recording)
+    model, _ = fresh_jobs()
+    cluster = cluster_for_gpus(16)
+    jobs = []
+    for i in range(100):
+        inputs = PerfModelInputs(
+            world_size=16, bandwidth_bytes_per_s=gbps_to_bytes_per_s(1.0 + i))
+        jobs.append(
+            SimJob(model=model, cluster=cluster, scheme=TopKScheme(0.01),
+                   fabric=Fabric(cluster), seed=i) if i % 3 == 0 else
+            ModelEvalJob(model=model, scheme=PowerSGDScheme(4),
+                         inputs=inputs) if i % 3 == 1 else
+            AdvisorShardJob(model=model, scheme=None, inputs=inputs,
+                            world_size=16, bw_lo_gbps=1.0, bw_hi_gbps=50.0,
+                            bw_points=128, start=i, count=1))
+    keys = {job.fingerprint() for job in jobs}
+    assert len(keys) == 100
+    for job in jobs:
+        job.family_key()
+    layer_renderings = [text for text in rendered if '"layers":' in text]
+    assert len(layer_renderings) == 1
+    assert len(layer_renderings[0]) > 10_000
+    assert max(len(text) for text in rendered
+               if text is not layer_renderings[0]) < 2048

@@ -14,7 +14,7 @@ from repro.core import (
     recommend,
     solve_crossover,
 )
-from repro.engine import ExperimentEngine, SimulationCache
+from repro.engine import ExperimentEngine
 from repro.errors import ConfigurationError
 from repro.hardware import cluster_for_gpus
 from repro.models import available_models, get_model
@@ -200,8 +200,8 @@ class TestCoalescing:
         finally:
             sched.close()
 
-    def test_concurrent_clients_share_cache(self, tmp_path):
-        cache = SimulationCache(str(tmp_path / "cache"))
+    def test_concurrent_clients_share_cache(self, tmp_path, open_cache):
+        cache = open_cache(str(tmp_path / "cache"))
         sched = make_scheduler(engine=ExperimentEngine(cache=cache),
                                batch_window_s=0.05)
         try:
@@ -233,8 +233,8 @@ class TestCoalescing:
         finally:
             sched.close()
 
-    def test_stats_expose_cache_tiers(self, tmp_path):
-        cache = SimulationCache(str(tmp_path / "cache"), memory_mb=8)
+    def test_stats_expose_cache_tiers(self, tmp_path, open_cache):
+        cache = open_cache(str(tmp_path / "cache"), memory_mb=8)
         sched = make_scheduler(engine=ExperimentEngine(cache=cache),
                                batch_window_s=0.02)
         try:
@@ -402,8 +402,8 @@ class TestWhatIfInPlace:
     """What-ifs are priced in place: the scheduler answers them with the
     offline advisor's own call and never touches the engine."""
 
-    def test_whatifs_make_no_engine_call(self, tmp_path):
-        cache = SimulationCache(str(tmp_path / "cache"))
+    def test_whatifs_make_no_engine_call(self, tmp_path, open_cache):
+        cache = open_cache(str(tmp_path / "cache"))
         sched = make_scheduler(engine=ExperimentEngine(cache=cache),
                                batch_window_s=0.1)
         try:

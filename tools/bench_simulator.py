@@ -404,12 +404,13 @@ def measure_cache(requests: int = CACHE_BURST_REQUESTS) -> Dict[str, dict]:
 
     **lookup** — ``CACHE_LOOKUP_ENTRIES`` entries are written in the
     one-file-per-key layout and read back per key
-    (:func:`_per_key_lookup`: ``open`` + ``json.load``).  Opening a
-    cache over that directory packs them; the same batched
-    ``lookup_many`` then resolves every key through a preloaded hot
-    tier (sharded dict probes), and, for information, through the pack
-    tier alone.  Identical outcomes every way, so the wall ratios are
-    pure tier advantage.
+    (:func:`_per_key_lookup`: ``open`` + ``json.load``), the disk
+    reference.  The cache never reads that layout, so the same outcomes
+    are then stored to a cache's pack tier with ``store_many``; one
+    batched ``lookup_many`` resolves every key through a preloaded hot
+    tier (one LRU), and, for information, through the pack tier alone.
+    Identical outcomes every way, so the wall ratios are pure tier
+    advantage.
 
     **preload_burst** — a simulate burst populates a cache directory,
     then two fresh schedulers replay it: one plainly warm (first
@@ -423,18 +424,20 @@ def measure_cache(requests: int = CACHE_BURST_REQUESTS) -> Dict[str, dict]:
     lookup_dir = tempfile.mkdtemp(prefix="bench-cache-lookup-")
     try:
         keys = [f"{i:064x}" for i in range(CACHE_LOOKUP_ENTRIES)]
-        for i, key in enumerate(keys):
+        outcomes = [PredictedTime(total=1.0 + i, compute=0.5,
+                                  encode_decode=0.1, comm_exposed=0.4)
+                    for i in range(CACHE_LOOKUP_ENTRIES)]
+        for key, outcome in zip(keys, outcomes):
             with open(os.path.join(lookup_dir, f"{key}.json"), "w",
                       encoding="utf-8") as handle:
-                json.dump(outcome_to_payload(PredictedTime(
-                    total=1.0 + i, compute=0.5, encode_decode=0.1,
-                    comm_exposed=0.4)), handle)
+                json.dump(outcome_to_payload(outcome), handle)
 
         disk_wall = _best_wall(lambda: _per_key_lookup(lookup_dir, keys))
         if len(_per_key_lookup(lookup_dir, keys)) != len(keys):
             raise RuntimeError("disk lookup lost entries")
 
-        pack_cache = SimulationCache(lookup_dir)  # packs the files
+        pack_cache = SimulationCache(lookup_dir)
+        pack_cache.store_many(list(zip(keys, outcomes)))
         pack_wall = _best_wall(lambda: pack_cache.lookup_many(keys))
         if len(pack_cache.lookup_many(keys)) != len(keys):
             raise RuntimeError("pack lookup lost entries")
