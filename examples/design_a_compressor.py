@@ -9,6 +9,8 @@ group of 4 consecutive gradient values (4x ratio, one elementwise pass,
 linear and therefore all-reducible) — and walks it through the full
 evaluation pipeline:
 
+  0. one Method row in the compression registry, naming its codec,
+     aggregator and scheme,
   1. numeric codec + convergence on the training substrate,
   2. a Scheme for the cost model,
   3. headroom check against Figure 10,
@@ -20,8 +22,9 @@ Run:  python examples/design_a_compressor.py
 import numpy as np
 
 from repro.compression import (
-    MeanAllReduceAggregator,
+    METHODS,
     Compressor,
+    Method,
     Payload,
     PowerSGDScheme,
     Scheme,
@@ -41,8 +44,6 @@ class ChunkMeanCompressor(Compressor):
     """
 
     name = "chunkmean"
-    all_reducible = True
-    layerwise = True
 
     def __init__(self, chunk: int = 4):
         self.chunk = chunk
@@ -70,7 +71,7 @@ class ChunkMeanScheme(Scheme):
     """Cost model: ~4x ratio, one message, two elementwise passes."""
 
     name = "chunkmean"
-    all_reducible = True
+    all_reducible = True  # Table 1: linear, so payloads sum
     layerwise = True
 
     def __init__(self, chunk: int = 4):
@@ -94,6 +95,12 @@ class ChunkMeanScheme(Scheme):
         )
 
 
+#: 0 --- the method's one registry row: from here on the stack builds
+#: it by name (make_aggregator("chunkmean", ...), --scheme chunkmean).
+METHODS["chunkmean"] = Method("chunkmean", ChunkMeanScheme,
+                              ChunkMeanCompressor, "MeanAllReduceAggregator")
+
+
 def main() -> None:
     # 1 --- does it train? (It is biased, so pair it with the mean
     # all-reduce path and watch convergence.)
@@ -101,14 +108,12 @@ def main() -> None:
                              num_classes=4, seed=3)
     model = MLP(MLPConfig(input_dim=16, hidden_dims=(32,), num_classes=4,
                           seed=3))
-    trainer = DistributedTrainer(model, dataset, num_workers=4, lr=0.2,
-                                 seed=3)
     # The trainer reuses its gradient buffers every step: an aggregator
     # (or a codec inside one) sees them only during its step() call and
     # must copy anything it keeps.  ChunkMean keeps nothing.
-    trainer.aggregators = {
-        name: MeanAllReduceAggregator(4, ChunkMeanCompressor(4))
-        for name in model.param_names()}
+    trainer = DistributedTrainer(model, dataset, num_workers=4,
+                                 method="chunkmean",
+                                 method_params={"chunk": 4}, lr=0.2, seed=3)
     history = trainer.train(steps=150, batch_size=32)
     print(f"1. convergence: loss {history.losses[0]:.3f} -> "
           f"{history.final_loss:.3f}, accuracy "

@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compression.kernel_cost import v100_kernel_profile
-from ..compression.registry import available_schemes, make_scheme
+from ..compression.registry import METHODS
 from ..compression.schemes import Scheme, SchemeCost, SyncSGDScheme
 from ..compute import ComputeModel
 from ..core.advisor import Recommendation, recommend_for_inputs
@@ -61,39 +61,16 @@ from ..hardware import ClusterConfig
 from ..models import ModelSpec
 from ..units import gbps_to_bytes_per_s
 
-#: Hyperparameter grid per registered scheme name.  Names absent from
-#: this table (and any scheme registered later) sweep their default
-#: construction only, so a new registry entry appears in the sweep
-#: without touching this module.
-_HYPERPARAMETERS: Dict[str, Tuple[Dict[str, Any], ...]] = {
-    "powersgd": tuple({"rank": r} for r in (1, 2, 4, 8, 16, 32)),
-    "atomo": tuple({"rank": r} for r in (1, 2, 4, 8)),
-    "topk": tuple({"fraction": f}
-                  for f in (0.001, 0.005, 0.01, 0.05, 0.1)),
-    "randomk": tuple({"fraction": f}
-                     for f in (0.001, 0.005, 0.01, 0.05, 0.1)),
-    "dgc": tuple({"fraction": f} for f in (0.0005, 0.001, 0.005, 0.01)),
-    "qsgd": tuple({"levels": lv} for lv in (4, 16, 64, 256)),
-    "gradiveq": ({"block": 256, "dims": 32}, {"block": 512, "dims": 64},
-                 {"block": 1024, "dims": 128}),
-    "hybrid-powersgd": tuple({"rank": r, "min_layer_params": m}
-                             for r in (2, 4, 8)
-                             for m in (50_000, 100_000, 500_000)),
-}
-
-
 def candidate_grid() -> List[Scheme]:
     """Every registered scheme crossed with its hyperparameter grid.
 
-    Drawn from :func:`repro.compression.registry.available_schemes`
-    (sorted names, so the order — and therefore advisor output — is
-    deterministic), not a hardcoded class list.
+    Drawn from the :class:`~repro.compression.registry.Method` rows,
+    sorted by name so that the order — and therefore advisor output —
+    is deterministic; a row's ``grid`` defaults to its scheme's default
+    construction.
     """
-    out: List[Scheme] = []
-    for name in available_schemes():
-        for params in _HYPERPARAMETERS.get(name, ({},)):
-            out.append(make_scheme(name, **params))
-    return out
+    return [METHODS[name].scheme(**params) for name in sorted(METHODS)
+            for params in METHODS[name].grid]
 
 
 def pareto_mask(times: np.ndarray, errors: np.ndarray) -> np.ndarray:

@@ -33,6 +33,8 @@ if TYPE_CHECKING:
         TernGradCompressor,
     )
     from .registry import (
+        METHODS,
+        Method,
         available_methods,
         available_schemes,
         make_aggregator,
@@ -57,7 +59,6 @@ if TYPE_CHECKING:
         SyncSGDScheme,
         TernGradScheme,
         TopKScheme,
-        table1_schemes,
     )
     from .signsgd import (
         MajorityVoteAggregator,
@@ -91,14 +92,15 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "OneBitCompressor", "QSGDCompressor", "TernGradCompressor",
     ),
     ".registry": (
-        "available_methods", "available_schemes", "make_aggregator",
-        "make_compressor", "make_scheme", "scheme_from_spec",
+        "METHODS", "Method", "available_methods", "available_schemes",
+        "make_aggregator", "make_compressor", "make_scheme",
+        "scheme_from_spec",
     ),
     ".schemes": (
         "ATOMOScheme", "DGCScheme", "EFSignScheme", "FP16Scheme",
         "GradiVeqScheme", "NaturalScheme", "OneBitScheme", "PowerSGDScheme",
         "QSGDScheme", "RandomKScheme", "Scheme", "SchemeCost", "SignSGDScheme",
-        "SyncSGDScheme", "TernGradScheme", "TopKScheme", "table1_schemes",
+        "SyncSGDScheme", "TernGradScheme", "TopKScheme",
     ),
     ".signsgd": (
         "MajorityVoteAggregator", "SignSGDCompressor", "majority_vote",

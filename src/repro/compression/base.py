@@ -28,6 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import CompressionError
+from .registry import get_method
 
 
 @dataclass(frozen=True)
@@ -57,21 +58,13 @@ class Payload:
 class Compressor(abc.ABC):
     """Single-tensor lossy codec.
 
-    Subclasses set three class attributes the paper's Table 1 classifies
-    methods by:
-
-    * ``name`` — registry key;
-    * ``all_reducible`` — whether aggregation is associative, i.e. the
-      payloads of two workers can be combined *before* decoding without
-      changing the result (enables ring/tree all-reduce);
-    * ``layerwise`` — whether the method operates on one layer's gradient
-      at a time (enabling per-bucket overlap) or needs the whole flat
-      gradient.
+    Subclasses set ``name``, the codec's name in the method registry.
+    The paper's Table 1 flags (``all_reducible``, ``layerwise``) belong
+    to the method, not the codec: its :class:`~repro.compression.
+    registry.Method` row reads them from the scheme class.
     """
 
     name: str = "abstract"
-    all_reducible: bool = False
-    layerwise: bool = True
 
     @abc.abstractmethod
     def encode(self, grad: np.ndarray) -> Payload:
@@ -135,6 +128,8 @@ class Aggregator(abc.ABC):
     """
 
     name: str = "abstract"
+    #: Whether this aggregator sums payloads by all-reduce; a codec it
+    #: wraps must have the same Table 1 flag (:meth:`_check_codec`).
     all_reducible: bool = False
 
     def __init__(self, num_workers: int):
@@ -154,6 +149,17 @@ class Aggregator(abc.ABC):
         feedback residuals, warm starts) must be a copy, and the update
         it returns must not share memory with the inputs.
         """
+
+    def _check_codec(self, codec: Compressor) -> Compressor:
+        """``codec``, if its method row's all-reduce flag is this
+        aggregator's."""
+        if get_method(codec.name).all_reducible == self.all_reducible:
+            return codec
+        if self.all_reducible:
+            raise CompressionError(
+                f"{codec.name} is not all-reducible; use a gather aggregator")
+        raise CompressionError(
+            f"{codec.name} is all-reducible; use MeanAllReduceAggregator")
 
     def _buffer(self, key: str, shape: Tuple[int, ...]) -> np.ndarray:
         """A float64 array of ``shape`` that this aggregator reuses from

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..errors import ConfigurationError
 from ..models import LayerSpec, ModelSpec
 from .kernel_cost import KernelProfile, hybrid_powersgd_cost
-from .schemes import PowerSGDScheme, Scheme, SchemeCost
+from .schemes import Scheme, SchemeCost, check_count
 
 
 class HybridPowerSGDScheme(Scheme):
@@ -37,16 +36,11 @@ class HybridPowerSGDScheme(Scheme):
 
     name = "hybrid-powersgd"
     all_reducible = True
-    layerwise = True
 
     def __init__(self, rank: int = 4, min_layer_params: int = 100_000):
-        if rank < 1:
-            raise ConfigurationError(f"rank must be >= 1, got {rank}")
-        if min_layer_params < 0:
-            raise ConfigurationError(
-                f"min_layer_params must be >= 0, got {min_layer_params}")
-        self.rank = rank
-        self.min_layer_params = min_layer_params
+        self.rank = check_count("rank", rank)
+        self.min_layer_params = check_count(
+            "min_layer_params", min_layer_params, minimum=0)
 
     @property
     def label(self) -> str:
@@ -69,13 +63,7 @@ class HybridPowerSGDScheme(Scheme):
              profile: Optional[KernelProfile] = None) -> SchemeCost:
         wire, encode, compressed = hybrid_powersgd_cost(
             model, self.rank, self.min_layer_params, self._profile(profile))
-        return SchemeCost(
-            wire_bytes=wire,
-            messages=2 if compressed else 1,
-            encode_decode_s=encode,
-            all_reducible=True,
-            gather_stack_bytes=0.0,
-        )
+        return self._cost(model, wire, 2 if compressed else 1, encode)
 
     def coverage(self, model: ModelSpec) -> float:
         """Fraction of parameters that get compressed."""

@@ -50,8 +50,6 @@ class FP32Compressor(Compressor):
     """Identity codec: the gradient itself (the syncSGD baseline)."""
 
     name = "fp32"
-    all_reducible = True
-    layerwise = True
 
     def encode(self, grad: np.ndarray) -> Payload:
         arr = self._require_floating(grad)

@@ -57,8 +57,6 @@ class PowerSGDCompressor(Compressor):
     """
 
     name = "powersgd"
-    all_reducible = True
-    layerwise = True
 
     def __init__(self, rank: int = 4, seed: int = 0):
         if rank < 1:
@@ -95,8 +93,6 @@ class ATOMOCompressor(Compressor):
     """
 
     name = "atomo"
-    all_reducible = False
-    layerwise = True
 
     def __init__(self, rank: int = 4):
         if rank < 1:
@@ -133,8 +129,6 @@ class GradiVeqCompressor(Compressor):
     """
 
     name = "gradiveq"
-    all_reducible = True
-    layerwise = True
 
     def __init__(self, block: int = 512, dims: int = 64, seed: int = 0):
         if block < 1 or dims < 1:
@@ -271,10 +265,7 @@ class GatherDecodeAggregator(Aggregator):
     def __init__(self, num_workers: int, codec: Compressor,
                  use_error_feedback: bool = False, messages: int = 1):
         super().__init__(num_workers)
-        if codec.all_reducible:
-            raise CompressionError(
-                f"{codec.name} is all-reducible; use MeanAllReduceAggregator")
-        self.codec = codec
+        self.codec = self._check_codec(codec)
         self.messages = messages
         self.error_feedback: Optional[ErrorFeedback] = (
             ErrorFeedback(num_workers) if use_error_feedback else None)

@@ -34,8 +34,6 @@ class NaturalCompressor(Compressor):
     """
 
     name = "natural"
-    all_reducible = False
-    layerwise = True
 
     #: Reserved exponent code for exact zeros.
     _ZERO_CODE = -128
@@ -84,8 +82,6 @@ class EFSignCompressor(Compressor):
     transmission; the error-feedback state lives in the aggregator)."""
 
     name = "efsignsgd"
-    all_reducible = False
-    layerwise = True
 
     def encode(self, grad: np.ndarray) -> Payload:
         arr = self._require_floating(grad)

@@ -30,8 +30,6 @@ class QSGDCompressor(Compressor):
     """
 
     name = "qsgd"
-    all_reducible = False
-    layerwise = True
 
     def __init__(self, levels: int = 16, seed: int = 0):
         if levels < 1:
@@ -79,8 +77,6 @@ class TernGradCompressor(Compressor):
     """
 
     name = "terngrad"
-    all_reducible = False
-    layerwise = True
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
@@ -115,8 +111,6 @@ class OneBitCompressor(Compressor):
     """
 
     name = "onebit"
-    all_reducible = False
-    layerwise = True
 
     def encode(self, grad: np.ndarray) -> Payload:
         arr = self._require_floating(grad)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from numbers import Integral, Real
+from typing import Any, Optional
 
 import numpy as np
 
@@ -38,6 +39,25 @@ def _any_below(value: Any, bound: float, or_equal: bool = False) -> bool:
         value = np.asarray(value)
         return bool(np.any(value <= bound if or_equal else value < bound))
     return value <= bound if or_equal else value < bound
+
+
+def check_fraction(fraction: Any) -> Any:
+    """``fraction`` if it is a real number in ``(0, 1]``."""
+    if (isinstance(fraction, bool) or not isinstance(fraction, Real)
+            or not 0 < fraction <= 1):
+        raise ConfigurationError(
+            f"fraction must be in (0, 1], got {fraction}")
+    return fraction
+
+
+def check_count(name: str, value: Any, minimum: int = 1) -> Any:
+    """``value`` if it is an integer of at least ``minimum``: a rank,
+    level count or block length of 2.5 is a bad spec, not a price."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < minimum):
+        raise ConfigurationError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -91,7 +111,12 @@ class SchemeCost:
 
 
 class Scheme(abc.ABC):
-    """One gradient compression method, parameterized."""
+    """One gradient compression method, parameterized.
+
+    ``all_reducible`` and ``layerwise`` are the method's Table 1 row,
+    declared here once: the registry, the aggregators' codec guards and
+    every :class:`SchemeCost` read them from the scheme class.
+    """
 
     name: str = "abstract"
     all_reducible: bool = False
@@ -115,6 +140,15 @@ class Scheme(abc.ABC):
     def _profile(self, profile: Optional[KernelProfile]) -> KernelProfile:
         return profile if profile is not None else v100_kernel_profile()
 
+    def _cost(self, model: ModelSpec, wire_bytes: float, messages: int,
+              encode_decode_s: Any) -> SchemeCost:
+        """A :class:`SchemeCost` whose all-reduce flag and decode stack
+        come from this scheme's class."""
+        return SchemeCost(wire_bytes=wire_bytes, messages=messages,
+                          encode_decode_s=encode_decode_s,
+                          all_reducible=self.all_reducible,
+                          gather_stack_bytes=self._stack_bytes(model))
+
     def _stack_bytes(self, model: ModelSpec) -> float:
         """Dense-stacking unit for gather decodes (see ModelSpec docs)."""
         if self.all_reducible:
@@ -134,17 +168,10 @@ class SyncSGDScheme(Scheme):
 
     name = "syncsgd"
     all_reducible = True
-    layerwise = True
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return SchemeCost(
-            wire_bytes=float(model.grad_bytes),
-            messages=1,
-            encode_decode_s=0.0,
-            all_reducible=True,
-            gather_stack_bytes=0.0,
-        )
+        return self._cost(model, float(model.grad_bytes), 1, 0.0)
 
 
 class FP16Scheme(Scheme):
@@ -157,19 +184,13 @@ class FP16Scheme(Scheme):
 
     name = "fp16"
     all_reducible = True
-    layerwise = True
     ddp_overlap = True
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        return SchemeCost(
-            wire_bytes=model.grad_bytes / 2.0,
-            messages=1,
-            encode_decode_s=kc.fp16_encode_decode_time(model, prof),
-            all_reducible=True,
-            gather_stack_bytes=0.0,
-        )
+        return self._cost(
+            model, model.grad_bytes / 2.0, 1,
+            kc.fp16_encode_decode_time(model, self._profile(profile)))
 
 
 class PowerSGDScheme(Scheme):
@@ -178,12 +199,9 @@ class PowerSGDScheme(Scheme):
 
     name = "powersgd"
     all_reducible = True
-    layerwise = True
 
     def __init__(self, rank: int = 4):
-        if rank < 1:
-            raise ConfigurationError(f"rank must be >= 1, got {rank}")
-        self.rank = rank
+        self.rank = check_count("rank", rank)
 
     @property
     def label(self) -> str:
@@ -191,29 +209,21 @@ class PowerSGDScheme(Scheme):
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        return SchemeCost(
-            wire_bytes=kc.powersgd_wire_bytes(model, self.rank),
-            messages=2,
-            encode_decode_s=kc.powersgd_encode_decode_time(
-                model, self.rank, prof),
-            all_reducible=True,
-            gather_stack_bytes=0.0,
-        )
+        return self._cost(
+            model, kc.powersgd_wire_bytes(model, self.rank), 2,
+            kc.powersgd_encode_decode_time(
+                model, self.rank, self._profile(profile)))
 
 
 class TopKScheme(Scheme):
     """Top-K sparsification: values + indices, all-gather aggregation."""
 
     name = "topk"
-    all_reducible = False
-    layerwise = True
+    #: The encode+decode kernel, per (model, fraction, profile, p).
+    _encode_decode = staticmethod(kc.topk_encode_decode_time)
 
     def __init__(self, fraction: float = 0.01):
-        if not 0 < fraction <= 1:
-            raise ConfigurationError(
-                f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = fraction
+        self.fraction = check_fraction(fraction)
 
     @property
     def label(self) -> str:
@@ -221,50 +231,50 @@ class TopKScheme(Scheme):
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
         selected = self.fraction * model.num_params
         index_bytes = 4 if model.num_params < 2**31 else 8
-        return SchemeCost(
-            wire_bytes=selected * (FLOAT32_BYTES + index_bytes),
-            messages=2,
-            encode_decode_s=kc.topk_encode_decode_time(
-                model, self.fraction, prof, world_size),
-            all_reducible=False,
-            gather_stack_bytes=self._stack_bytes(model),
-        )
+        return self._cost(
+            model, selected * (FLOAT32_BYTES + index_bytes), 2,
+            self._encode_decode(model, self.fraction,
+                                self._profile(profile), world_size))
+
+
+class DGCScheme(TopKScheme):
+    """Deep Gradient Compression: threshold sparsification, values +
+    indices via all-gather — Top-K's wire format at a sampled
+    threshold's cheaper encode."""
+
+    name = "dgc"
+    _encode_decode = staticmethod(kc.dgc_encode_decode_time)
+
+    def __init__(self, fraction: float = 0.001):
+        super().__init__(fraction)
+
+    @property
+    def label(self) -> str:
+        return f"dgc({self.fraction:.1%})"
 
 
 class SignSGDScheme(Scheme):
     """signSGD with majority vote: 1 bit per coordinate, all-gather."""
 
     name = "signsgd"
-    all_reducible = False
-    layerwise = True
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        return SchemeCost(
-            wire_bytes=math.ceil(model.num_params / 8.0),
-            messages=1,
-            encode_decode_s=kc.signsgd_encode_decode_time(
-                model, prof, world_size),
-            all_reducible=False,
-            gather_stack_bytes=self._stack_bytes(model),
-        )
+        return self._cost(
+            model, math.ceil(model.num_params / 8.0), 1,
+            kc.signsgd_encode_decode_time(
+                model, self._profile(profile), world_size))
 
 
 class QSGDScheme(Scheme):
     """QSGD with ``levels`` quantization buckets, fixed-width coding."""
 
     name = "qsgd"
-    all_reducible = False
-    layerwise = True
 
     def __init__(self, levels: int = 16):
-        if levels < 1:
-            raise ConfigurationError(f"levels must be >= 1, got {levels}")
-        self.levels = levels
+        self.levels = check_count("levels", levels)
 
     @property
     def label(self) -> str:
@@ -272,56 +282,37 @@ class QSGDScheme(Scheme):
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
         bits = 1.0 + math.ceil(math.log2(self.levels + 1))
-        return SchemeCost(
-            wire_bytes=model.num_params * bits / 8.0 + FLOAT32_BYTES,
-            messages=1,
-            encode_decode_s=kc.qsgd_encode_decode_time(
-                model, prof, world_size),
-            all_reducible=False,
-            gather_stack_bytes=self._stack_bytes(model),
-        )
+        return self._cost(
+            model, model.num_params * bits / 8.0 + FLOAT32_BYTES, 1,
+            kc.qsgd_encode_decode_time(
+                model, self._profile(profile), world_size))
 
 
 class TernGradScheme(Scheme):
     """TernGrad: 2 bits per coordinate plus a scale, all-gather."""
 
     name = "terngrad"
-    all_reducible = False
-    layerwise = True
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        return SchemeCost(
-            wire_bytes=model.num_params / 4.0 + FLOAT32_BYTES,
-            messages=1,
-            encode_decode_s=kc.terngrad_encode_decode_time(
-                model, prof, world_size),
-            all_reducible=False,
-            gather_stack_bytes=self._stack_bytes(model),
-        )
+        return self._cost(
+            model, model.num_params / 4.0 + FLOAT32_BYTES, 1,
+            kc.terngrad_encode_decode_time(
+                model, self._profile(profile), world_size))
 
 
 class OneBitScheme(Scheme):
     """1-bit SGD: bit mask plus two centroids per tensor, all-gather."""
 
     name = "onebit"
-    all_reducible = False
-    layerwise = True
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        return SchemeCost(
-            wire_bytes=math.ceil(model.num_params / 8.0) + 2 * FLOAT32_BYTES,
-            messages=1,
-            encode_decode_s=kc.onebit_encode_decode_time(
-                model, prof, world_size),
-            all_reducible=False,
-            gather_stack_bytes=self._stack_bytes(model),
-        )
+        return self._cost(
+            model, math.ceil(model.num_params / 8.0) + 2 * FLOAT32_BYTES, 1,
+            kc.onebit_encode_decode_time(
+                model, self._profile(profile), world_size))
 
 
 class ATOMOScheme(Scheme):
@@ -329,13 +320,9 @@ class ATOMOScheme(Scheme):
     but per-worker factors do not align, so all-gather + expensive SVD."""
 
     name = "atomo"
-    all_reducible = False
-    layerwise = True
 
     def __init__(self, rank: int = 4):
-        if rank < 1:
-            raise ConfigurationError(f"rank must be >= 1, got {rank}")
-        self.rank = rank
+        self.rank = check_count("rank", rank)
 
     @property
     def label(self) -> str:
@@ -343,15 +330,10 @@ class ATOMOScheme(Scheme):
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        return SchemeCost(
-            wire_bytes=kc.atomo_wire_bytes(model, self.rank),
-            messages=3,
-            encode_decode_s=kc.atomo_encode_decode_time(
-                model, self.rank, prof, world_size),
-            all_reducible=False,
-            gather_stack_bytes=self._stack_bytes(model),
-        )
+        return self._cost(
+            model, kc.atomo_wire_bytes(model, self.rank), 3,
+            kc.atomo_encode_decode_time(
+                model, self.rank, self._profile(profile), world_size))
 
 
 class RandomKScheme(Scheme):
@@ -363,10 +345,7 @@ class RandomKScheme(Scheme):
     layerwise = False
 
     def __init__(self, fraction: float = 0.01):
-        if not 0 < fraction <= 1:
-            raise ConfigurationError(
-                f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = fraction
+        self.fraction = check_fraction(fraction)
 
     @property
     def label(self) -> str:
@@ -374,48 +353,10 @@ class RandomKScheme(Scheme):
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        return SchemeCost(
-            wire_bytes=self.fraction * model.num_params * FLOAT32_BYTES,
-            messages=1,
-            encode_decode_s=kc.randomk_encode_decode_time(
-                model, self.fraction, prof),
-            all_reducible=True,
-            gather_stack_bytes=0.0,
-        )
-
-
-class DGCScheme(Scheme):
-    """Deep Gradient Compression: threshold sparsification, values +
-    indices via all-gather."""
-
-    name = "dgc"
-    all_reducible = False
-    layerwise = True
-
-    def __init__(self, fraction: float = 0.001):
-        if not 0 < fraction <= 1:
-            raise ConfigurationError(
-                f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = fraction
-
-    @property
-    def label(self) -> str:
-        return f"dgc({self.fraction:.1%})"
-
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        selected = self.fraction * model.num_params
-        index_bytes = 4 if model.num_params < 2**31 else 8
-        return SchemeCost(
-            wire_bytes=selected * (FLOAT32_BYTES + index_bytes),
-            messages=2,
-            encode_decode_s=kc.dgc_encode_decode_time(
-                model, self.fraction, prof, world_size),
-            all_reducible=False,
-            gather_stack_bytes=self._stack_bytes(model),
-        )
+        return self._cost(
+            model, self.fraction * model.num_params * FLOAT32_BYTES, 1,
+            kc.randomk_encode_decode_time(
+                model, self.fraction, self._profile(profile)))
 
 
 class GradiVeqScheme(Scheme):
@@ -424,14 +365,13 @@ class GradiVeqScheme(Scheme):
 
     name = "gradiveq"
     all_reducible = True
-    layerwise = True
 
     def __init__(self, block: int = 512, dims: int = 64):
-        if block < 1 or dims < 1 or dims > block:
+        self.block = check_count("block", block)
+        self.dims = check_count("dims", dims)
+        if dims > block:
             raise ConfigurationError(
-                f"invalid block/dims ({block}, {dims})")
-        self.block = block
-        self.dims = dims
+                f"dims ({dims}) cannot exceed block length ({block})")
 
     @property
     def label(self) -> str:
@@ -439,16 +379,11 @@ class GradiVeqScheme(Scheme):
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
         blocks = math.ceil(model.num_params / self.block)
-        return SchemeCost(
-            wire_bytes=blocks * self.dims * FLOAT32_BYTES,
-            messages=1,
-            encode_decode_s=kc.gradiveq_encode_decode_time(
-                model, self.block, self.dims, prof),
-            all_reducible=True,
-            gather_stack_bytes=0.0,
-        )
+        return self._cost(
+            model, blocks * self.dims * FLOAT32_BYTES, 1,
+            kc.gradiveq_encode_decode_time(
+                model, self.block, self.dims, self._profile(profile)))
 
 
 class NaturalScheme(Scheme):
@@ -457,20 +392,13 @@ class NaturalScheme(Scheme):
     all-gather aggregation."""
 
     name = "natural"
-    all_reducible = False
-    layerwise = True
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        return SchemeCost(
-            wire_bytes=model.num_params * 9.0 / 8.0,
-            messages=1,
-            encode_decode_s=kc.qsgd_encode_decode_time(
-                model, prof, world_size),  # same elementwise structure
-            all_reducible=False,
-            gather_stack_bytes=self._stack_bytes(model),
-        )
+        return self._cost(
+            model, model.num_params * 9.0 / 8.0, 1,
+            kc.qsgd_encode_decode_time(  # same elementwise structure
+                model, self._profile(profile), world_size))
 
 
 class EFSignScheme(Scheme):
@@ -478,33 +406,10 @@ class EFSignScheme(Scheme):
     feedback restoring convergence; still all-gather-bound."""
 
     name = "efsignsgd"
-    all_reducible = False
-    layerwise = True
 
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
-        prof = self._profile(profile)
-        return SchemeCost(
-            wire_bytes=math.ceil(model.num_params / 8.0) + FLOAT32_BYTES,
-            messages=1,
-            encode_decode_s=kc.signsgd_encode_decode_time(
-                model, prof, world_size),
-            all_reducible=False,
-            gather_stack_bytes=self._stack_bytes(model),
-        )
-
-
-#: The Table-1 roster, in the paper's row order, with default parameters.
-def table1_schemes() -> List[Scheme]:
-    """All methods the paper's Table 1 classifies, as scheme objects."""
-    return [
-        SyncSGDScheme(),
-        GradiVeqScheme(),
-        PowerSGDScheme(rank=4),
-        RandomKScheme(fraction=0.01),
-        ATOMOScheme(rank=4),
-        SignSGDScheme(),
-        TernGradScheme(),
-        QSGDScheme(levels=16),
-        DGCScheme(fraction=0.001),
-    ]
+        return self._cost(
+            model, math.ceil(model.num_params / 8.0) + FLOAT32_BYTES, 1,
+            kc.signsgd_encode_decode_time(
+                model, self._profile(profile), world_size))

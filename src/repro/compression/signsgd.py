@@ -37,8 +37,6 @@ class SignSGDCompressor(Compressor):
     """
 
     name = "signsgd"
-    all_reducible = False
-    layerwise = True
 
     def encode(self, grad: np.ndarray) -> Payload:
         arr = self._require_floating(grad)

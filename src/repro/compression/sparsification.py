@@ -17,6 +17,7 @@ rest (a momentum-corrected error feedback).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,8 +54,6 @@ class TopKCompressor(Compressor):
     """
 
     name = "topk"
-    all_reducible = False
-    layerwise = True
 
     def __init__(self, fraction: float = 0.01):
         self.fraction = _check_fraction(fraction)
@@ -90,8 +89,6 @@ class RandomKCompressor(Compressor):
     """
 
     name = "randomk"
-    all_reducible = True
-    layerwise = False
 
     def __init__(self, fraction: float = 0.01, seed: int = 0):
         self.fraction = _check_fraction(fraction)
@@ -133,15 +130,19 @@ class DGCCompressor(Compressor):
     The threshold is the ``1 - fraction`` quantile of a random sample of
     the magnitudes (sampling the whole tensor is what makes exact Top-K
     expensive; DGC's sampled threshold trades exactness for speed, so the
-    actual density fluctuates around ``fraction``).
+    actual density fluctuates around ``fraction``).  The sample holds
+    enough values for about :attr:`SAMPLE_HITS` of them to pass the
+    threshold, so the density stays near ``fraction`` on small tensors
+    too; a tensor smaller than that is thresholded whole.
     """
 
     name = "dgc"
-    all_reducible = False
-    layerwise = True
 
     #: Fraction of coordinates sampled to estimate the threshold.
     SAMPLE_FRACTION = 0.01
+    #: Sampled values expected above the threshold: the sample holds at
+    #: least ``SAMPLE_HITS / fraction`` values.
+    SAMPLE_HITS = 64
 
     def __init__(self, fraction: float = 0.001, seed: int = 0):
         self.fraction = _check_fraction(fraction)
@@ -151,7 +152,8 @@ class DGCCompressor(Compressor):
         arr = self._require_floating(grad)
         flat = arr.reshape(-1)
         magnitudes = np.abs(flat)
-        sample_size = max(64, int(flat.size * self.SAMPLE_FRACTION))
+        sample_size = max(int(flat.size * self.SAMPLE_FRACTION),
+                          math.ceil(self.SAMPLE_HITS / self.fraction))
         sample_size = min(sample_size, flat.size)
         sample_idx = self._rng.choice(flat.size, size=sample_size, replace=False)
         threshold = np.quantile(magnitudes[sample_idx], 1.0 - self.fraction)
@@ -185,12 +187,9 @@ class SparseGatherAggregator(Aggregator):
     all_reducible = False
 
     def __init__(self, num_workers: int, codec: Compressor,
-                 use_error_feedback: bool = True):
+                 use_error_feedback: bool = False):
         super().__init__(num_workers)
-        if codec.all_reducible:
-            raise CompressionError(
-                f"{codec.name} is all-reducible; use MeanAllReduceAggregator")
-        self.codec = codec
+        self.codec = self._check_codec(codec)
         self.error_feedback: Optional[ErrorFeedback] = (
             ErrorFeedback(num_workers) if use_error_feedback else None)
 
@@ -233,10 +232,7 @@ class MeanAllReduceAggregator(Aggregator):
 
     def __init__(self, num_workers: int, codec: Compressor):
         super().__init__(num_workers)
-        if not codec.all_reducible:
-            raise CompressionError(
-                f"{codec.name} is not all-reducible; use a gather aggregator")
-        self.codec = codec
+        self.codec = self._check_codec(codec)
 
     def step(self, worker_grads: Sequence[np.ndarray]) -> AggregationResult:
         from ..collectives import ring_allreduce  # local import avoids cycle

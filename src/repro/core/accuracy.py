@@ -18,34 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from ..compression.registry import get_method
 from ..compression.schemes import Scheme, SyncSGDScheme
 from ..errors import ConfigurationError
 from ..hardware import GPUSpec, V100
 from ..models import ModelSpec
 from ..training import gaussian_blobs, train_with_method
 from .perf_model import PerfModelInputs, predict
-
-#: Method name -> (aggregator params, learning rate) used when measuring
-#: statistical efficiency on the reference problem.
-_MEASUREMENT_SETUPS: Dict[str, tuple] = {
-    "syncsgd": ({}, 0.2),
-    "fp32": ({}, 0.2),
-    "fp16": ({}, 0.2),
-    "powersgd": ({"rank": 2}, 0.2),
-    "topk": ({"fraction": 0.05}, 0.2),
-    "randomk": ({"fraction": 0.25}, 0.2),
-    "qsgd": ({"levels": 16}, 0.2),
-    "terngrad": ({}, 0.2),
-    "onebit": ({}, 0.05),
-    "signsgd": ({}, 0.01),
-    "gradiveq": ({"block": 16, "dims": 4}, 0.2),
-    "dgc": ({"fraction": 0.05}, 0.2),
-}
-
 
 def steps_to_loss(losses: Sequence[float], target: float) -> Optional[int]:
     """First step whose *running-average* loss is at or below ``target``
@@ -70,19 +53,19 @@ def measure_statistical_efficiency(method: str, target_loss: float = 0.1,
 
     Returns ``inf`` when the method never reaches the target within
     ``max_steps`` (e.g. heavily biased methods without error feedback).
+    The method's aggregator parameters and learning rate are its
+    registry row's ``measurement``.
     """
-    if method not in _MEASUREMENT_SETUPS:
+    if get_method(method).measurement is None:
         raise ConfigurationError(
-            f"no measurement setup for {method!r}; "
-            f"known: {sorted(_MEASUREMENT_SETUPS)}")
+            f"no measurement setup for {method!r}")
     dataset = gaussian_blobs(num_samples=512, num_features=16,
                              num_classes=4, seed=seed)
 
     def run(name: str) -> Optional[int]:
-        params, lr = _MEASUREMENT_SETUPS[name]
-        agg_name = "fp32" if name == "syncsgd" else name
+        params, lr = get_method(name).measurement
         history = train_with_method(
-            dataset, agg_name, params or None, num_workers=num_workers,
+            dataset, name, params or None, num_workers=num_workers,
             steps=max_steps, lr=lr, seed=seed)
         return steps_to_loss(history.losses, target_loss)
 

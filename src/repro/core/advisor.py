@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..compression.kernel_cost import KernelProfile, v100_kernel_profile
-from ..compression.registry import available_schemes, make_scheme
+from ..compression.registry import METHODS
 from ..compression.schemes import Scheme, SyncSGDScheme
 from ..compute import ComputeModel
 from ..errors import ConfigurationError
@@ -25,44 +25,16 @@ from ..network import Fabric
 from .calibration import calibrate
 from .perf_model import PerfModelInputs, predict, syncsgd_time
 
-#: The curated menu, as (registry name, constructor params) pairs.  Its
-#: order is the order verdicts are priced and rendered in, so it is part
-#: of the ``repro recommend`` byte-stable output contract — append, do
-#: not reorder.
-_MENU: Tuple[Tuple[str, Dict[str, Any]], ...] = (
-    ("syncsgd", {}),
-    ("fp16", {}),
-    ("powersgd", {"rank": 4}),
-    ("powersgd", {"rank": 8}),
-    ("topk", {"fraction": 0.01}),
-    ("signsgd", {}),
-)
-
-#: Registry names already considered (curated in or deliberately left
-#: out of ``_MENU``) when the menu was last reviewed.  A scheme
-#: registered after this snapshot is appended automatically with its
-#: default parameters, so new registrations surface in ``repro
-#: recommend`` without touching this module.
-_KNOWN_SCHEMES = frozenset({
-    "syncsgd", "fp16", "powersgd", "topk", "signsgd", "qsgd", "terngrad",
-    "onebit", "atomo", "randomk", "dgc", "gradiveq", "natural",
-    "efsignsgd", "hybrid-powersgd",
-})
-
-
 def default_candidates() -> List[Scheme]:
     """The menu a practitioner realistically chooses from.
 
-    Built from the compression registry: the curated ``_MENU`` entries
-    first (byte-stable order), then any scheme registered since the
-    menu's last review, with default parameters.  Registering a scheme
-    in :mod:`repro.compression.registry` is therefore all it takes for
-    it to appear here and in ``repro recommend``.
+    The ``menu`` entries of the :class:`~repro.compression.registry.
+    Method` rows, in row order.  That order is the order verdicts are
+    priced and rendered in, so it is part of the ``repro recommend``
+    byte-stable output contract: add rows after the existing ones.
     """
-    menu = [make_scheme(name, **params) for name, params in _MENU]
-    menu.extend(make_scheme(name) for name in available_schemes()
-                if name not in _KNOWN_SCHEMES)
-    return menu
+    return [row.scheme(**params) for row in METHODS.values()
+            for params in row.menu]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compression import make_scheme
+from ..compression.registry import get_method
 from ..core.accuracy import steps_to_loss
 from ..core.perf_model import PerfModelInputs, predict
 from ..errors import ConfigurationError
@@ -78,9 +79,8 @@ def run_ext_tta(bandwidths_gbps: Sequence[float] = (1.0, 10.0),
     rows: List[Dict[str, Any]] = []
     notes: List[str] = []
     for method, agg_params, scheme_params, lr in EXT_TTA_METHODS:
-        agg_name = "fp32" if method == "syncsgd" else method
         history = train_with_method(
-            dataset, agg_name, agg_params or None,
+            dataset, get_method(method).method_name, agg_params or None,
             hidden_dims=EXT_TTA_HIDDEN, num_workers=num_workers,
             steps=steps, batch_size=batch_size, lr=lr, seed=seed)
         reached = steps_to_loss(history.losses, target_loss)
@@ -97,8 +97,7 @@ def run_ext_tta(bandwidths_gbps: Sequence[float] = (1.0, 10.0),
             notes.append(
                 f"{method} did not reach loss {target_loss} in "
                 f"{steps} steps")
-        scheme = make_scheme(method if method != "syncsgd" else "syncsgd",
-                             **scheme_params)
+        scheme = make_scheme(method, **scheme_params)
         for gbps in bandwidths_gbps:
             inputs = PerfModelInputs(
                 world_size=num_workers,

@@ -21,8 +21,7 @@ from repro.analysis import (
     plan_sweep,
 )
 from repro.cli import main
-from repro.compression import available_schemes
-from repro.compression.registry import _SCHEMES
+from repro.compression import METHODS, Method, available_schemes
 from repro.compression.schemes import SyncSGDScheme
 from repro.core import PerfModelInputs
 from repro.core.advisor import default_candidates
@@ -72,7 +71,8 @@ class TestCandidateGrid:
         class MintScheme(SyncSGDScheme):
             name = "mint"
 
-        monkeypatch.setitem(_SCHEMES, "mint", MintScheme)
+        monkeypatch.setitem(METHODS, "mint",
+                            Method("mint", MintScheme, menu=({},)))
         assert "mint" in available_schemes()
         assert any(s.name == "mint" for s in candidate_grid())
         # ...and in the curated recommend menu too (satellite 1).

@@ -1,4 +1,5 @@
-"""Seeded fuzz of the two input boundaries: CLI flags and HTTP bodies.
+"""Seeded fuzz of the input boundaries: CLI flags, HTTP bodies and
+scheme specs.
 
 Each case replaces one flag of ``repro recommend|whatif|simulate|
 advise`` or one field of a ``POST /v1/whatif|simulate|advise`` body
@@ -10,11 +11,14 @@ traceback, a Python warning, or a ``500``.  Values no flag or field
 accepts (negative, NaN, infinite, wrong type, missing) must be
 rejected, and so must zero except where zero means "off".  Huge values
 must be rejected before anything is allocated for them: the cluster,
-iteration and sweep bounds keep each case small.
+iteration and sweep bounds keep each case small.  Every parameter of
+every registered scheme is fuzzed the same way through ``--scheme
+NAME:KEY=VALUE``, the spec syntax the CLI and the HTTP bodies share.
 """
 
 import contextlib
 import gc
+import inspect
 import json
 import random
 import threading
@@ -25,7 +29,9 @@ import warnings
 import pytest
 
 from repro.cli import main
+from repro.compression import METHODS, available_schemes, scheme_from_spec
 from repro.engine import ExperimentEngine
+from repro.errors import ConfigurationError
 from repro.serving import ServingScheduler, make_server
 from repro.telemetry import logs as telemetry_logs
 from repro.telemetry import metrics as telemetry_metrics
@@ -148,6 +154,39 @@ def test_cli_answers_every_bad_value_with_a_structured_error(
             assert "error:" in err, (where, err)
         if cls in ALWAYS_BAD or (cls == "zero" and flag not in ZERO_OK):
             assert status == 2, (where, "accepted")
+
+
+# ----- scheme specs ----------------------------------------------------------
+
+#: Spec values no scheme parameter accepts, per parameter type (the
+#: type of its default): NaN, infinities, negatives, and fractions
+#: where an integer belongs or beyond ``(0, 1]`` where a fraction does.
+SPEC_VALUES = {
+    int: ["nan", "inf", "-inf", "-1", "-7", "2.5", "0.5", "1e3", "abc"],
+    float: ["nan", "inf", "-inf", "-0.5", "-1", "0", "1.5", "abc"],
+}
+
+
+def _bad_specs(name):
+    """Every rejected spec of scheme ``name``: one per bad value of
+    each parameter, plus parameters the scheme does not take."""
+    specs = [f"{name}:bogus=1", f"{name}:rank=4,bogus=2", f"{name}:=1",
+             f"{name}:rank"]
+    for param in inspect.signature(METHODS[name].scheme).parameters.values():
+        specs.extend(f"{name}:{param.name}={value}"
+                     for value in SPEC_VALUES[type(param.default)])
+    return specs
+
+
+@pytest.mark.parametrize("name", available_schemes())
+def test_every_bad_scheme_spec_is_a_structured_error(name, capsys):
+    for spec in _bad_specs(name):
+        with pytest.raises(ConfigurationError):
+            scheme_from_spec(spec)
+        argv = ["whatif", "--gpus", "8", f"--scheme={spec}"]
+        status, err, caught = _run_cli(argv, capsys)
+        assert status == 2 and "error:" in err, (spec, status, err)
+        assert "Traceback" not in err and not caught, (spec, err, caught)
 
 
 # ----- HTTP bodies -----------------------------------------------------------

@@ -2,6 +2,7 @@
 end-to-end ``repro serve`` smoke with byte parity vs ``repro
 recommend``."""
 
+import io
 import json
 import os
 import socket
@@ -49,18 +50,31 @@ def server():
         telemetry_metrics.disable()
 
 
+def urlopen(request, timeout):
+    """``(status, body)`` of one request.  An error status raises its
+    ``HTTPError`` with the body read into memory and the connection
+    closed, so that a test that inspects it leaks no socket."""
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            body = exc.read()
+        raise urllib.error.HTTPError(exc.url, exc.code, exc.msg,
+                                     exc.headers, io.BytesIO(body)) from None
+
+
 def post(base, path, body, headers=None, timeout=60):
     data = json.dumps(body).encode("utf-8")
     request = urllib.request.Request(
         base + path, data=data,
         headers={"Content-Type": "application/json", **(headers or {})})
-    with urllib.request.urlopen(request, timeout=timeout) as resp:
-        return resp.status, json.loads(resp.read())
+    status, raw = urlopen(request, timeout)
+    return status, json.loads(raw)
 
 
 def get(base, path, timeout=30):
-    with urllib.request.urlopen(base + path, timeout=timeout) as resp:
-        return resp.status, resp.read()
+    return urlopen(base + path, timeout)
 
 
 class TestRoutes:
@@ -99,7 +113,7 @@ class TestRoutes:
             server + "/v1/whatif", data=b"{not json",
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
+            urlopen(request, timeout=30)
         assert excinfo.value.code == 400
 
     def test_bad_field_400(self, server):
@@ -128,7 +142,7 @@ class TestRoutes:
             server + "/v1/whatif", data=b" " * ((1 << 20) + 1),
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
+            urlopen(request, timeout=30)
         assert excinfo.value.code == 413
 
 
@@ -138,14 +152,14 @@ def raw_request(base, head, body=b"", timeout=3.0):
     host, port = base[len("http://"):].split(":")
     with socket.create_connection((host, int(port)), timeout=timeout) as sock:
         sock.sendall(head.encode("latin-1") + b"\r\n\r\n" + body)
-        reader = sock.makefile("rb")
-        status = int(reader.readline().split()[1])
-        length = 0
-        for line in iter(reader.readline, b"\r\n"):
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.lower() == "content-length":
-                length = int(value)
-        return status, json.loads(reader.read(length))
+        with sock.makefile("rb") as reader:
+            status = int(reader.readline().split()[1])
+            length = 0
+            for line in iter(reader.readline, b"\r\n"):
+                name, _, value = line.decode("latin-1").partition(":")
+                if name.lower() == "content-length":
+                    length = int(value)
+            return status, json.loads(reader.read(length))
 
 
 class TestHostileInput:
@@ -187,7 +201,7 @@ class TestHostileInput:
             server + path, data=body.encode("utf-8"),
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
+            urlopen(request, timeout=30)
         assert excinfo.value.code == 400
         error = json.loads(excinfo.value.read())["error"]
         assert error["code"] == "bad_request"
@@ -310,22 +324,24 @@ class TestServeCommandEndToEnd:
             capture_output=True, text=True, env=env, timeout=120)
         assert offline.returncode == 0, offline.stderr
 
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--cache", str(tmp_path / "cache")],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env)
-        try:
-            line = proc.stdout.readline()
-            assert "listening on" in line, line
-            base = line.strip().rsplit(" ", 1)[-1]
-            _, body = post(base, "/v1/whatif",
-                           {"model": "resnet50", "gpus": 8}, timeout=120)
-            assert body["status"] == "done"
-            assert body["result"]["rendered"] + "\n" == offline.stdout
-            # crossover bandwidths ride along with the ranking
-            assert any(c["crossings"]
-                       for c in body["result"]["crossovers"])
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+        # The context manager closes the child's pipes once it exits.
+        with subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--cache", str(tmp_path / "cache")],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env) as proc:
+            try:
+                line = proc.stdout.readline()
+                assert "listening on" in line, line
+                base = line.strip().rsplit(" ", 1)[-1]
+                _, body = post(base, "/v1/whatif",
+                               {"model": "resnet50", "gpus": 8},
+                               timeout=120)
+                assert body["status"] == "done"
+                assert body["result"]["rendered"] + "\n" == offline.stdout
+                # crossover bandwidths ride along with the ranking
+                assert any(c["crossings"]
+                           for c in body["result"]["crossovers"])
+            finally:
+                proc.terminate()
+                proc.wait(timeout=10)
