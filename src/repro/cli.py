@@ -107,8 +107,12 @@ def _with_cache(command):
     def run(args: argparse.Namespace) -> int:
         from .engine import SimulationCache
 
-        cache = (SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
-                 if args.cache else None)
+        if args.cache:
+            cache = SimulationCache(args.cache, memory_mb=args.cache_mem_mb)
+        else:
+            # Checked unused too, so a bad value is never let through.
+            SimulationCache.memory_budget(args.cache_mem_mb)
+            cache = None
         try:
             return command(args, cache)
         finally:
@@ -417,19 +421,22 @@ def cmd_serve(args: argparse.Namespace,
         batch_window_s=args.batch_window_ms / 1e3,
         max_batch_requests=args.max_batch_requests,
         default_timeout_s=args.request_timeout_s)
-    server = make_server(scheduler, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    # Parsed by scripts (the smoke gates, examples) to find an
-    # ephemeral port, so keep the "listening on" phrasing stable.
-    print(f"repro serve listening on http://{host}:{port}", flush=True)
-    get_logger("repro.cli").info("serve started", host=host, port=port,
-                                 jobs=args.jobs, cache=args.cache or "")
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        with make_server(scheduler, host=args.host,
+                         port=args.port) as server:
+            host, port = server.server_address[:2]
+            # Parsed by scripts (the smoke gates, examples) to find an
+            # ephemeral port, so keep the "listening on" phrasing stable.
+            print(f"repro serve listening on http://{host}:{port}",
+                  flush=True)
+            get_logger("repro.cli").info(
+                "serve started", host=host, port=port, jobs=args.jobs,
+                cache=args.cache or "")
+            try:
+                server.serve_forever()
+            except KeyboardInterrupt:
+                pass
     finally:
-        server.server_close()
         scheduler.close()
     return 0
 
@@ -646,8 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MS",
                        help="upper bound on how long a request "
                             "lingers, from its arrival, so concurrent "
-                            "requests coalesce into one engine batch "
-                            "(default: 20)")
+                            "requests coalesce into one engine batch; "
+                            "once every open connection is waiting on "
+                            "a queued request that is not its first, "
+                            "the window counts from when the previous "
+                            "batch formed, so batches form sooner but "
+                            "at most once a window (default: 20)")
     p_srv.add_argument("--max-batch-requests", type=int, default=8,
                        metavar="N",
                        help="most requests coalesced into one batch "

@@ -22,6 +22,7 @@ from ..errors import CompressionError
 from ..units import FLOAT32_BYTES
 from .base import AggregationResult, Aggregator, Compressor, Payload
 from .error_feedback import ErrorFeedback
+from .schemes import check_count, check_projection
 
 
 def _as_matrix(arr: np.ndarray) -> np.ndarray:
@@ -59,9 +60,7 @@ class PowerSGDCompressor(Compressor):
     name = "powersgd"
 
     def __init__(self, rank: int = 4, seed: int = 0):
-        if rank < 1:
-            raise CompressionError(f"rank must be >= 1, got {rank}")
-        self.rank = rank
+        self.rank = check_count("rank", rank, error=CompressionError)
         self.seed = seed
 
     def encode(self, grad: np.ndarray) -> Payload:
@@ -95,9 +94,7 @@ class ATOMOCompressor(Compressor):
     name = "atomo"
 
     def __init__(self, rank: int = 4):
-        if rank < 1:
-            raise CompressionError(f"rank must be >= 1, got {rank}")
-        self.rank = rank
+        self.rank = check_count("rank", rank, error=CompressionError)
 
     def encode(self, grad: np.ndarray) -> Payload:
         arr = self._require_floating(grad)
@@ -131,14 +128,8 @@ class GradiVeqCompressor(Compressor):
     name = "gradiveq"
 
     def __init__(self, block: int = 512, dims: int = 64, seed: int = 0):
-        if block < 1 or dims < 1:
-            raise CompressionError(
-                f"block and dims must be >= 1, got {block}, {dims}")
-        if dims > block:
-            raise CompressionError(
-                f"dims ({dims}) cannot exceed block length ({block})")
-        self.block = block
-        self.dims = dims
+        self.block, self.dims = check_projection(block, dims,
+                                                 error=CompressionError)
         self.seed = seed
         self._basis_cache: Dict[int, np.ndarray] = {}
 
@@ -200,9 +191,7 @@ class PowerSGDAggregator(Aggregator):
     def __init__(self, num_workers: int, rank: int = 4, seed: int = 0,
                  use_error_feedback: bool = True):
         super().__init__(num_workers)
-        if rank < 1:
-            raise CompressionError(f"rank must be >= 1, got {rank}")
-        self.rank = rank
+        self.rank = check_count("rank", rank, error=CompressionError)
         self.seed = seed
         self.error_feedback: Optional[ErrorFeedback] = (
             ErrorFeedback(num_workers) if use_error_feedback else None)

@@ -17,6 +17,7 @@ import numpy as np
 from ..errors import CompressionError
 from ..units import FLOAT32_BYTES
 from .base import Compressor, Payload
+from .schemes import check_count
 
 
 class QSGDCompressor(Compressor):
@@ -32,9 +33,7 @@ class QSGDCompressor(Compressor):
     name = "qsgd"
 
     def __init__(self, levels: int = 16, seed: int = 0):
-        if levels < 1:
-            raise CompressionError(f"levels must be >= 1, got {levels}")
-        self.levels = levels
+        self.levels = check_count("levels", levels, error=CompressionError)
         self._rng = np.random.default_rng(seed)
 
     def bits_per_element(self) -> float:

@@ -19,11 +19,11 @@ import abc
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Any, Optional
+from typing import Any, Optional, Tuple, Type
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 from ..models import ModelSpec
 from ..units import FLOAT32_BYTES
 from . import kernel_cost as kc
@@ -41,23 +41,36 @@ def _any_below(value: Any, bound: float, or_equal: bool = False) -> bool:
     return value <= bound if or_equal else value < bound
 
 
-def check_fraction(fraction: Any) -> Any:
-    """``fraction`` if it is a real number in ``(0, 1]``."""
+def check_fraction(fraction: Any,
+                   error: Type[ReproError] = ConfigurationError) -> Any:
+    """``fraction`` if it is a real number in ``(0, 1]``; otherwise
+    raise ``error`` (the codecs pass :class:`CompressionError`)."""
     if (isinstance(fraction, bool) or not isinstance(fraction, Real)
             or not 0 < fraction <= 1):
-        raise ConfigurationError(
-            f"fraction must be in (0, 1], got {fraction}")
+        raise error(f"fraction must be in (0, 1], got {fraction}")
     return fraction
 
 
-def check_count(name: str, value: Any, minimum: int = 1) -> Any:
+def check_count(name: str, value: Any, minimum: int = 1,
+                error: Type[ReproError] = ConfigurationError) -> Any:
     """``value`` if it is an integer of at least ``minimum``: a rank,
     level count or block length of 2.5 is a bad spec, not a price."""
     if (isinstance(value, bool) or not isinstance(value, Integral)
             or value < minimum):
-        raise ConfigurationError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def check_projection(block: Any, dims: Any,
+                     error: Type[ReproError] = ConfigurationError,
+                     ) -> Tuple[Any, Any]:
+    """``(block, dims)`` of a GradiVeq projection: two counts, with no
+    more dimensions than the block has elements."""
+    check_count("block", block, error=error)
+    check_count("dims", dims, error=error)
+    if dims > block:
+        raise error(f"dims ({dims}) cannot exceed block length ({block})")
+    return block, dims
 
 
 @dataclass(frozen=True)
@@ -367,11 +380,7 @@ class GradiVeqScheme(Scheme):
     all_reducible = True
 
     def __init__(self, block: int = 512, dims: int = 64):
-        self.block = check_count("block", block)
-        self.dims = check_count("dims", dims)
-        if dims > block:
-            raise ConfigurationError(
-                f"dims ({dims}) cannot exceed block length ({block})")
+        self.block, self.dims = check_projection(block, dims)
 
     @property
     def label(self) -> str:

@@ -26,18 +26,12 @@ from ..errors import CompressionError
 from ..units import FLOAT32_BYTES, INT32_BYTES, INT64_BYTES
 from .base import AggregationResult, Aggregator, Compressor, Payload
 from .error_feedback import ErrorFeedback
+from .schemes import check_fraction
 
 
 def _index_bytes(numel: int) -> int:
     """int32 indices cover tensors up to 2^31 elements, int64 beyond."""
     return INT32_BYTES if numel < 2**31 else INT64_BYTES
-
-
-def _check_fraction(fraction: float) -> float:
-    if not 0.0 < fraction <= 1.0:
-        raise CompressionError(
-            f"fraction must be in (0, 1], got {fraction}")
-    return fraction
 
 
 def _num_selected(numel: int, fraction: float) -> int:
@@ -56,7 +50,7 @@ class TopKCompressor(Compressor):
     name = "topk"
 
     def __init__(self, fraction: float = 0.01):
-        self.fraction = _check_fraction(fraction)
+        self.fraction = check_fraction(fraction, error=CompressionError)
 
     def encode(self, grad: np.ndarray) -> Payload:
         arr = self._require_floating(grad)
@@ -91,7 +85,7 @@ class RandomKCompressor(Compressor):
     name = "randomk"
 
     def __init__(self, fraction: float = 0.01, seed: int = 0):
-        self.fraction = _check_fraction(fraction)
+        self.fraction = check_fraction(fraction, error=CompressionError)
         self.seed = seed
         self._round = 0
 
@@ -145,7 +139,7 @@ class DGCCompressor(Compressor):
     SAMPLE_HITS = 64
 
     def __init__(self, fraction: float = 0.001, seed: int = 0):
-        self.fraction = _check_fraction(fraction)
+        self.fraction = check_fraction(fraction, error=CompressionError)
         self._rng = np.random.default_rng(seed)
 
     def encode(self, grad: np.ndarray) -> Payload:

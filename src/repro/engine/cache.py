@@ -290,10 +290,7 @@ class SimulationCache:
         """
         if not directory:
             raise ConfigurationError("cache directory must be non-empty")
-        budget = memory_mb * 1024 * 1024
-        if not 0 <= budget < math.inf:
-            raise ConfigurationError(
-                f"memory_mb must be finite and >= 0, got {memory_mb}")
+        budget = self.memory_budget(memory_mb)
         self.directory = directory
         try:
             os.makedirs(directory, exist_ok=True)
@@ -306,6 +303,16 @@ class SimulationCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self.packs = PackStore(directory)
+
+    @staticmethod
+    def memory_budget(memory_mb: float) -> float:
+        """The hot tier's byte budget for ``memory_mb`` megabytes;
+        :class:`ConfigurationError` unless it is finite and >= 0."""
+        budget = memory_mb * 1024 * 1024
+        if not 0 <= budget < math.inf:
+            raise ConfigurationError(
+                f"memory_mb must be finite and >= 0, got {memory_mb}")
+        return budget
 
     # ----- lookups -----------------------------------------------------------
 

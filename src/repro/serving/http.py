@@ -57,6 +57,11 @@ class ServingHandler(BaseHTTPRequestHandler):
     # Headers and body go out as two sends; without TCP_NODELAY, Nagle
     # holds the body until the client's delayed ACK (~40 ms a response).
     disable_nagle_algorithm = True
+    #: Requests answered on this connection.  Waiting on its first
+    #: request does not count the connection as blocked: a client that
+    #: has just connected may be one of several connecting together,
+    #: and the batch keeps its window for the others.
+    answered = 0
 
     @property
     def scheduler(self) -> ServingScheduler:
@@ -67,6 +72,11 @@ class ServingHandler(BaseHTTPRequestHandler):
         """Route per-request access logs to the structured logger at
         debug level instead of BaseHTTPRequestHandler's raw stderr."""
         get_logger("serving.http").debug(format % args)
+
+    def handle_one_request(self) -> None:
+        """Serve the connection's next request, and count it."""
+        super().handle_one_request()
+        self.answered += 1
 
     # ----- responses ---------------------------------------------------------
 
@@ -196,7 +206,8 @@ class ServingHandler(BaseHTTPRequestHandler):
         if request.wait:
             state = self.scheduler.wait(state.id,
                                         timeout_s=request.timeout_s or
-                                        self.scheduler.default_timeout_s)
+                                        self.scheduler.default_timeout_s,
+                                        connection=self.answered > 0)
         if state.status == "failed" and state.invalid:
             self._send_error_json(400, "bad_request", state.error)
             return
@@ -222,7 +233,8 @@ class ServingHandler(BaseHTTPRequestHandler):
                                       f"bad wait_s {wait_values[0]!r}")
                 return
             state = self.scheduler.wait(job_id,
-                                        timeout_s=min(wait_s, 300.0))
+                                        timeout_s=min(wait_s, 300.0),
+                                        connection=self.answered > 0)
         self._send_json(200, state.to_dict())
 
 
@@ -231,7 +243,10 @@ class ServingHTTPServer(ThreadingHTTPServer):
 
     ``daemon_threads`` so in-flight connections never block process
     exit; ``allow_reuse_address`` for fast restarts behind a load
-    balancer's health checks.
+    balancer's health checks.  The scheduler counts each connection
+    open from the moment it is accepted until its handler thread ends,
+    so that a batch forms early only when no open connection can add
+    to it.
     """
 
     daemon_threads = True
@@ -243,11 +258,34 @@ class ServingHTTPServer(ThreadingHTTPServer):
         super().__init__(address, ServingHandler)
         self.scheduler = scheduler
 
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Count the accepted connection, then hand it to a thread."""
+        self.scheduler.connection_opened()
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self.scheduler.connection_closed()
+            raise
+
+    def process_request_thread(self, request: Any,
+                               client_address: Any) -> None:
+        """Serve one connection; it stops counting once closed."""
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self.scheduler.connection_closed()
+
 
 def make_server(scheduler: ServingScheduler, host: str = "127.0.0.1",
                 port: int = 0) -> ServingHTTPServer:
     """Bind a server (``port=0`` picks an ephemeral port; read the
-    actual one from ``server.server_address``)."""
+    actual one from ``server.server_address``).  A port outside
+    ``0..65535`` raises :class:`ConfigurationError` before any socket
+    is made."""
+    if isinstance(port, bool) or not isinstance(port, int) \
+            or not 0 <= port <= 65535:
+        raise ConfigurationError(
+            f"port must be an integer in 0..65535, got {port!r}")
     try:
         return ServingHTTPServer((host, port), scheduler)
     except OSError as exc:

@@ -47,15 +47,20 @@ class AdmissionError(ReproError):
         self.retry_after_s = retry_after_s
 
 
-def _check_policy(rate_per_s: float, burst: float) -> None:
-    """Reject a rate that is not positive and finite, or a burst that is
-    not finite and >= 1 (negated comparisons, so NaN fails too)."""
-    if not 0 < rate_per_s < math.inf:
-        raise ConfigurationError(
-            f"rate_per_s must be positive and finite, got {rate_per_s}")
+def _check_burst(burst: float) -> None:
+    """Reject a burst that is not finite and >= 1 (a negated
+    comparison, so NaN fails too)."""
     if not 1 <= burst < math.inf:
         raise ConfigurationError(
             f"burst must be >= 1 and finite, got {burst}")
+
+
+def _check_policy(rate_per_s: float, burst: float) -> None:
+    """Reject a rate that is not positive and finite, or a bad burst."""
+    if not 0 < rate_per_s < math.inf:
+        raise ConfigurationError(
+            f"rate_per_s must be positive and finite, got {rate_per_s}")
+    _check_burst(burst)
 
 
 class TokenBucket:
@@ -112,9 +117,12 @@ class TenantQuotas:
     def __init__(self, rate_per_s: Optional[float], burst: float,
                  clock: Callable[[], float] = time.monotonic):
         """Shared policy for all tenants; buckets materialize lazily,
-        but the policy is checked here, so a bad one fails at start."""
+        but the policy is checked here, so a bad one fails at start —
+        the burst too when no rate enables it."""
         if rate_per_s is not None:
             _check_policy(rate_per_s, burst)
+        else:
+            _check_burst(burst)
         self.rate_per_s = rate_per_s
         self.burst = burst
         self._clock = clock

@@ -7,8 +7,19 @@ model executor alive behind one.  A single background thread loops:
 
 1. wait until the queue is non-empty, then linger until the oldest
    queued request is one *batch window* old (``batch_window_s``,
-   default 20 ms) so closely-spaced requests land in the same batch;
-   requests that queued behind a running batch drain at once;
+   default 20 ms) so closely-spaced requests land in the same batch.
+   The linger ends early once no open client connection can add to
+   the batch: the HTTP front end reports its open connections
+   (:meth:`ServingScheduler.connection_opened`) and which of them are
+   blocked waiting on a request that is not yet terminal
+   (``wait(..., connection=True)``), and when every one is, nothing
+   else can arrive.  The window then counts from when the previous
+   batch formed rather than from the oldest request's arrival, so
+   batches still form at most once a window and a closed loop of
+   clients is served at a pace the clock sets, not the host's speed.
+   It does not report a connection blocked on its first request,
+   since clients that connect together may not all be accepted yet.
+   Requests that queued behind a running batch drain at once;
 2. drain up to ``max_batch_requests`` requests, dropping any whose
    deadline expired while queued;
 3. price every what-if in place — the
@@ -36,8 +47,10 @@ interrupted.
 Scheduler state is observable through the PR-7 telemetry registry:
 ``serving_queue_depth`` and ``serving_batch_occupancy`` gauges,
 ``serving_requests_total`` / ``serving_rejected_total`` /
-``serving_requests_expired_total`` counters, and a
-``serving_request_latency_s`` histogram per request kind.
+``serving_requests_expired_total`` counters, a
+``serving_request_latency_s`` histogram per request kind, and a
+``serving_batch_linger_s`` histogram of how long each batch's oldest
+request waited in the queue.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ import math
 import threading
 import time
 import uuid
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -151,6 +164,9 @@ class ServingScheduler:
         batch_window_s: Upper bound on how long a request lingers,
             from its arrival, before its batch forms — the knob trading
             latency for coalescing opportunity on an idle scheduler.
+            Once every open client connection is blocked on a queued
+            request, the window counts from when the previous batch
+            formed instead, so the batch forms sooner.
         max_batch_requests: Most requests drained into one batch.
         default_timeout_s: Deadline applied to requests that do not
             carry their own ``timeout_s``; ``None`` disables deadlines.
@@ -176,9 +192,10 @@ class ServingScheduler:
         if max_batch_requests < 1:
             raise ConfigurationError(
                 f"max_batch_requests must be >= 1, got {max_batch_requests}")
-        if default_timeout_s is not None and not default_timeout_s > 0:
+        if default_timeout_s is not None \
+                and not 0 < default_timeout_s < math.inf:
             raise ConfigurationError(
-                f"default_timeout_s must be positive, got "
+                f"default_timeout_s must be positive and finite, got "
                 f"{default_timeout_s}")
         self.engine = engine if engine is not None else ExperimentEngine()
         self.queue_depth = queue_depth
@@ -195,6 +212,12 @@ class ServingScheduler:
         self._queue: List[RequestState] = []
         self._states: Dict[str, RequestState] = {}
         self._closed = False
+        # Open client connections, and per request id the connections
+        # blocked on it (see :meth:`_nothing_can_arrive`).
+        self._connections = 0
+        self._blocking: Counter[str] = Counter()
+        # When the last batch formed (see :meth:`_run`).
+        self._formed_monotonic = -math.inf
         self._log = get_logger("serving")
         # Calibration is deterministic per (model, cluster, batch), so
         # repeat what-if traffic skips the trace-based gamma estimate.
@@ -257,26 +280,53 @@ class ServingScheduler:
             return self._states.get(request_id)
 
     def wait(self, request_id: str, timeout_s: Optional[float] = None,
-             ) -> Optional[RequestState]:
+             connection: bool = False) -> Optional[RequestState]:
         """Block until the request reaches a terminal state (or the
-        wait times out — the state is returned as-is either way)."""
+        wait times out — the state is returned as-is either way).
+
+        ``connection=True`` says the caller is an open client
+        connection that can send nothing else until this returns, so
+        while the request is not terminal it counts as blocked.
+        """
         deadline = (time.monotonic() + timeout_s
                     if timeout_s is not None else None)
         with self._cv:
             state = self._states.get(request_id)
             if state is None:
                 return None
-            while state.status not in TERMINAL_STATES:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    # A far deadline is no deadline; the lock cannot
-                    # wait longer than this.
-                    remaining = min(remaining, threading.TIMEOUT_MAX)
-                self._cv.wait(timeout=remaining)
+            if connection:
+                self._blocking[request_id] += 1
+                self._cv.notify_all()
+            try:
+                while state.status not in TERMINAL_STATES:
+                    remaining = None
+                    if deadline is not None:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            break
+                        # A far deadline is no deadline; the lock cannot
+                        # wait longer than this.
+                        remaining = min(remaining, threading.TIMEOUT_MAX)
+                    self._cv.wait(timeout=remaining)
+            finally:
+                if connection:
+                    self._blocking[request_id] -= 1
+                    if not self._blocking[request_id]:
+                        del self._blocking[request_id]
             return state
+
+    def connection_opened(self) -> None:
+        """Count one more open client connection; the HTTP front end
+        calls this as it accepts one."""
+        with self._cv:
+            self._connections += 1
+
+    def connection_closed(self) -> None:
+        """Count one client connection fewer; a lingering batch may
+        now have every remaining connection waiting on it."""
+        with self._cv:
+            self._connections -= 1
+            self._cv.notify_all()
 
     def close(self, timeout_s: float = 5.0) -> None:
         """Stop the scheduler thread; queued requests are failed."""
@@ -295,26 +345,48 @@ class ServingScheduler:
 
     # ----- scheduler loop ----------------------------------------------------
 
+    def _nothing_can_arrive(self) -> bool:
+        """Whether every open client connection is blocked on a request
+        that is not terminal, so none can add to the next batch.  With
+        no connection (no HTTP front end, or none open) anything may
+        still arrive.  Called with the condition held."""
+        if self._connections <= 0:
+            return False
+        blocked = sum(count for request_id, count in self._blocking.items()
+                      if self._states[request_id].status
+                      not in TERMINAL_STATES)
+        return blocked >= self._connections
+
     def _run(self) -> None:
         while True:
             with self._cv:
-                while not self._queue and not self._closed:
-                    self._cv.wait()
-                if self._closed:
-                    return
                 # Linger until the oldest request has queued one batch
                 # window, so near-simultaneous requests coalesce; those
                 # that queued behind a running batch drain at once.
-                linger = (self._queue[0].submitted_monotonic
-                          + self.batch_window_s - time.monotonic())
-            if linger > 0:
-                time.sleep(linger)
-            with self._cv:
+                # Once no open connection can add to the batch, the
+                # window counts from when the previous batch formed:
+                # lingering buys no coalescing then, but batches still
+                # form at most once a window.
+                while not self._closed:
+                    if not self._queue:
+                        self._cv.wait()
+                        continue
+                    opened = self._queue[0].submitted_monotonic
+                    if self._nothing_can_arrive():
+                        opened = min(opened, self._formed_monotonic)
+                    linger = opened + self.batch_window_s - time.monotonic()
+                    if linger <= 0:
+                        break
+                    self._cv.wait(timeout=min(linger, threading.TIMEOUT_MAX))
+                if self._closed:
+                    return
                 batch = self._queue[:self.max_batch_requests]
                 del self._queue[:len(batch)]
-                get_registry().gauge("serving_queue_depth").set(
-                    len(self._queue))
-                now = time.monotonic()
+                registry = get_registry()
+                registry.gauge("serving_queue_depth").set(len(self._queue))
+                now = self._formed_monotonic = time.monotonic()
+                registry.histogram("serving_batch_linger_s").observe(
+                    now - batch[0].submitted_monotonic)
                 live: List[RequestState] = []
                 for state in batch:
                     if state.deadline_monotonic is not None \
@@ -322,7 +394,7 @@ class ServingScheduler:
                         state.status = "expired"
                         state.error = "deadline expired while queued"
                         state.finished_unix = time.time()
-                        get_registry().counter(
+                        registry.counter(
                             "serving_requests_expired_total").inc()
                         self._observe_latency(state)
                     else:

@@ -1,5 +1,7 @@
 """Single-tensor codecs: round trips, wire sizes, invariants."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,19 @@ from repro.compression import (
     TernGradCompressor,
     TopKCompressor,
     available_methods,
+    make_aggregator,
     make_compressor,
 )
-from repro.errors import CompressionError
+from repro.compression.registry import get_method
+from repro.errors import CompressionError, ConfigurationError
+
+#: Parameter values every scheme refuses, by the type of the
+#: parameter's default: fractions where an integer belongs, booleans,
+#: NaN, and counts or fractions out of range.
+BAD_PARAMS = {
+    int: [2.5, 8.5, 0, -1, True, float("nan")],
+    float: [0, -0.5, 1.5, True, float("nan")],
+}
 
 
 class TestFP32:
@@ -342,3 +354,26 @@ class TestCodecValidation:
                      np.ones(10, dtype=bool)):
             with pytest.raises(CompressionError, match="floating"):
                 codec.encode(grad)
+
+
+@pytest.mark.parametrize("name", [
+    name for name in available_methods()
+    if inspect.signature(get_method(name).scheme).parameters])
+def test_codec_refuses_what_its_scheme_refuses(name):
+    # The codec and aggregator share the scheme's parameter checks, so
+    # a bad value fails at construction, never in encode or step.
+    scheme = get_method(name).scheme
+    for param in inspect.signature(scheme).parameters.values():
+        for value in BAD_PARAMS[type(param.default)]:
+            params = {param.name: value}
+            with pytest.raises(ConfigurationError):
+                scheme(**params)
+            with pytest.raises(CompressionError):
+                make_compressor(name, **params)
+            with pytest.raises(CompressionError):
+                make_aggregator(name, 2, **params)
+
+
+def test_gradiveq_block_is_checked_before_dims():
+    with pytest.raises(CompressionError, match="block must be an integer"):
+        GradiVeqCompressor(block=8.5)

@@ -2,7 +2,7 @@
 scheme specs.
 
 Each case replaces one flag of ``repro recommend|whatif|simulate|
-advise`` or one field of a ``POST /v1/whatif|simulate|advise`` body
+advise|serve`` or one field of a ``POST /v1/whatif|simulate|advise`` body
 with a value of one class — negative, zero, NaN, infinite, huge, of the
 wrong type, or missing — drawn from a seeded generator.  Whatever the
 value, the answer is either a normal result or a structured error:
@@ -11,7 +11,10 @@ traceback, a Python warning, or a ``500``.  Values no flag or field
 accepts (negative, NaN, infinite, wrong type, missing) must be
 rejected, and so must zero except where zero means "off".  Huge values
 must be rejected before anything is allocated for them: the cluster,
-iteration and sweep bounds keep each case small.  Every parameter of
+iteration and sweep bounds keep each case small.  ``repro serve`` never
+binds a socket here: binding raises in its place, so a value the
+server accepts ends the run there, and a rejected one never gets that
+far.  Every parameter of
 every registered scheme is fuzzed the same way through ``--scheme
 NAME:KEY=VALUE``, the spec syntax the CLI and the HTTP bodies share.
 """
@@ -33,6 +36,7 @@ from repro.compression import METHODS, available_schemes, scheme_from_spec
 from repro.engine import ExperimentEngine
 from repro.errors import ConfigurationError
 from repro.serving import ServingScheduler, make_server
+from repro.serving.http import ServingHTTPServer
 from repro.telemetry import logs as telemetry_logs
 from repro.telemetry import metrics as telemetry_metrics
 
@@ -63,8 +67,9 @@ FLOAT_VALUES = {
 #: Classes no flag accepts.
 ALWAYS_BAD = {"negative", "nan", "inf", "wrong type", "missing"}
 
-#: Flags for which zero is a legitimate value ("off").
-ZERO_OK = {"--cache-mem-mb"}
+#: Flags for which zero is a legitimate value ("off", or for
+#: ``--port`` an ephemeral port).
+ZERO_OK = {"--cache-mem-mb", "--port", "--batch-window-ms"}
 
 #: Per command: a cheap valid invocation (``{tmp}`` is the test's
 #: temporary directory) and the type of each flag to fuzz.
@@ -90,6 +95,14 @@ COMMANDS = {
          "--max-bandwidth": float, "--bandwidth-points": int,
          "--shard-points": int, "--top": int, "--jobs": int,
          "--cache-mem-mb": float}),
+    # No --cache and no --quota-rps: the flags that qualify them are
+    # checked all the same.
+    "serve": (
+        ["serve", "--port", "0"],
+        {"--port": int, "--jobs": int, "--cache-mem-mb": float,
+         "--queue-depth": int, "--quota-rps": float,
+         "--quota-burst": float, "--batch-window-ms": float,
+         "--max-batch-requests": int, "--request-timeout-s": float}),
 }
 
 
@@ -127,21 +140,37 @@ def _isolate_telemetry():
     telemetry_logs.configure()
 
 
+class Bound(Exception):
+    """Raised where ``repro serve`` would bind its socket."""
+
+
+@pytest.fixture
+def no_bind(monkeypatch):
+    """``repro serve`` gets as far as binding, and no further."""
+    def refuse(self):
+        raise Bound()
+
+    monkeypatch.setattr(ServingHTTPServer, "server_bind", refuse)
+
+
 def _run_cli(argv, capsys):
-    """``(exit status, stderr, warnings)`` of one in-process run."""
+    """``(exit status, stderr, warnings)`` of one in-process run; a
+    server that reaches its bind counts as a run that succeeded."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             status = main(argv)
         except SystemExit as exc:  # argparse's own usage errors
             status = exc.code
+        except Bound:
+            status = 0
         gc.collect()  # an unclosed file warns when it is collected
     return status, capsys.readouterr().err, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("command,flag,draws", _cli_cases())
 def test_cli_answers_every_bad_value_with_a_structured_error(
-        command, flag, draws, tmp_path, capsys):
+        command, flag, draws, tmp_path, capsys, no_bind):
     base = [arg.format(tmp=tmp_path) for arg in COMMANDS[command][0]]
     for cls, value in draws:
         argv = _with(base, flag, value)
@@ -154,6 +183,14 @@ def test_cli_answers_every_bad_value_with_a_structured_error(
             assert "error:" in err, (where, err)
         if cls in ALWAYS_BAD or (cls == "zero" and flag not in ZERO_OK):
             assert status == 2, (where, "accepted")
+
+
+@pytest.mark.parametrize("port", ["-1", "65536", "70000"])
+def test_serve_port_out_of_range_is_a_structured_error(port, capsys,
+                                                       no_bind):
+    status, err, caught = _run_cli(["serve", f"--port={port}"], capsys)
+    assert status == 2 and "port must be" in err, (status, err)
+    assert "Traceback" not in err and not caught, (err, caught)
 
 
 # ----- scheme specs ----------------------------------------------------------

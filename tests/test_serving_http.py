@@ -2,6 +2,8 @@
 end-to-end ``repro serve`` smoke with byte parity vs ``repro
 recommend``."""
 
+import contextlib
+import http.client
 import io
 import json
 import os
@@ -311,6 +313,184 @@ class TestWorkflows:
             http_server.server_close()
             scheduler.close()
             telemetry_metrics.disable()
+
+
+@contextlib.contextmanager
+def serving(batch_window_s):
+    """An in-process server with the given window; yields the scheduler
+    and the port."""
+    telemetry_metrics.enable()
+    scheduler = ServingScheduler(engine=ExperimentEngine(),
+                                 batch_window_s=batch_window_s)
+    http_server = make_server(scheduler, port=0)
+    thread = threading.Thread(target=http_server.serve_forever,
+                              kwargs={"poll_interval": POLL_INTERVAL_S},
+                              daemon=True)
+    thread.start()
+    try:
+        yield scheduler, http_server.server_address[1]
+    finally:
+        http_server.shutdown()
+        http_server.server_close()
+        scheduler.close()
+        telemetry_metrics.disable()
+
+
+def keep_alive(port, clients):
+    """``clients`` keep-alive connections, each with one request
+    answered (a ``GET /healthz`` round trip) before it is returned."""
+    conns = []
+    for _ in range(clients):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        conn.request("GET", "/healthz")
+        conn.getresponse().read()
+        conns.append(conn)
+    return conns
+
+
+def timed_simulate(conn, seed, out, wait=True):
+    """POST one simulation on ``conn``; appends (status, body, seconds)."""
+    body = json.dumps({"model": "resnet50", "gpus": 8, "iterations": 20,
+                       "seed": seed, "wait": wait})
+    started = time.monotonic()
+    conn.request("POST", "/v1/simulate", body=body,
+                 headers={"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    out.append((resp.status, json.loads(resp.read()),
+                time.monotonic() - started))
+
+
+class TestEarlyClose:
+    """A batch forms as soon as no open connection can add to it, and
+    not before: windows are wide (>= 1 s), so "early" and "full window"
+    differ by far more than scheduling noise.  A connection counts as
+    blocked from its second request on."""
+
+    def _concurrent(self, conns, out):
+        threads = [threading.Thread(target=timed_simulate,
+                                    args=(conn, seed, out))
+                   for seed, conn in enumerate(conns)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+    def test_every_client_blocked_closes_the_window(self):
+        with serving(batch_window_s=5.0) as (scheduler, port):
+            conns = keep_alive(port, 2)
+            try:
+                out = []
+                self._concurrent(conns, out)
+            finally:
+                for conn in conns:
+                    conn.close()
+            assert [status for status, _, _ in out] == [200, 200]
+            assert all(seconds < 2.5 for _, _, seconds in out), out
+            assert scheduler.batches == 1
+            assert scheduler.requests_coalesced == 2
+
+    def test_first_requests_on_new_connections_keep_the_window(self):
+        # Clients that connect together may not all be accepted by the
+        # time the first one's request queues; their first requests
+        # still share one batch.
+        with serving(batch_window_s=1.0) as (scheduler, port):
+            conns = [http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=60)
+                     for _ in range(2)]
+            try:
+                out = []
+                self._concurrent(conns, out)
+            finally:
+                for conn in conns:
+                    conn.close()
+            assert [status for status, _, _ in out] == [200, 200]
+            assert all(seconds >= 0.9 for _, _, seconds in out), out
+            assert scheduler.batches == 1
+            assert scheduler.requests_coalesced == 2
+
+    def test_idle_connection_keeps_the_window(self):
+        with serving(batch_window_s=1.0) as (scheduler, port):
+            conns = keep_alive(port, 3)
+            try:
+                out = []
+                self._concurrent(conns[:2], out)
+            finally:
+                for conn in conns:
+                    conn.close()
+            assert [status for status, _, _ in out] == [200, 200]
+            assert all(seconds >= 0.9 for _, _, seconds in out), out
+            assert scheduler.batches == 1
+            assert scheduler.requests_coalesced == 2
+
+    def test_async_submit_keeps_the_window(self):
+        with serving(batch_window_s=1.0) as (scheduler, port):
+            conns = keep_alive(port, 1)
+            try:
+                out = []
+                timed_simulate(conns[0], 0, out, wait=False)
+            finally:
+                conns[0].close()
+            status, body, _ = out[0]
+            assert status == 202
+            state = scheduler.wait(body["id"], timeout_s=60.0)
+            assert state.status == "done"
+            assert state.finished_unix - state.submitted_unix >= 0.9
+
+    def test_counts_survive_many_racing_connections(self):
+        # More closed-loop clients than cores, switching threads often:
+        # a lost update to the connection or blocked counts would leave
+        # them nonzero once every connection has closed.  The window is
+        # short because blocked batches still form at most once a
+        # window.
+        clients, requests = 4, 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serving(batch_window_s=0.05) as (scheduler, port):
+                started = time.monotonic()
+                out = []
+
+                def loop(client):
+                    conn = keep_alive(port, 1)[0]
+                    try:
+                        for i in range(requests):
+                            timed_simulate(conn, client * requests + i, out)
+                    finally:
+                        conn.close()
+
+                threads = [threading.Thread(target=loop, args=(c,))
+                           for c in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=50)
+                    assert not thread.is_alive()
+                assert time.monotonic() - started < 30
+                assert [status for status, _, _ in out] \
+                    == [200] * clients * requests
+                deadline = time.monotonic() + 10
+                while scheduler._connections and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert scheduler._connections == 0
+                assert not scheduler._blocking
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_long_poll_counts_as_blocked(self):
+        with serving(batch_window_s=5.0) as (scheduler, port):
+            conns = keep_alive(port, 1)
+            try:
+                out = []
+                timed_simulate(conns[0], 0, out, wait=False)
+                job_id = out[0][1]["id"]
+                started = time.monotonic()
+                conns[0].request("GET", f"/v1/jobs/{job_id}?wait_s=30")
+                state = json.loads(conns[0].getresponse().read())
+            finally:
+                conns[0].close()
+            assert state["status"] == "done"
+            assert time.monotonic() - started < 2.5
 
 
 class TestServeCommandEndToEnd:

@@ -324,6 +324,159 @@ class TestStalls:
             sched.close()
 
 
+def _wait_in_thread(sched, state, connection=True):
+    """Wait on ``state`` from a thread, as a connection handler does;
+    returns the thread (already started)."""
+    thread = threading.Thread(
+        target=sched.wait, args=(state.id,),
+        kwargs={"timeout_s": 60.0, "connection": connection})
+    thread.start()
+    return thread
+
+
+def _join(*threads):
+    for thread in threads:
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+
+
+class TestEarlyClose:
+    """The batch window closes early once every open client connection
+    is blocked on a queued request.  The windows are wide (>= 1 s), so
+    "early" and "full window" differ by far more than scheduling noise."""
+
+    WINDOW_S = 1.0
+
+    # 1e300 s is past what a lock can wait for: the linger must clamp
+    # its wait, not kill the scheduler thread.
+    @pytest.mark.parametrize("window_s", [5.0, 1e300])
+    def test_batch_forms_once_every_connection_is_blocked(self, registry,
+                                                          window_s):
+        sched = make_scheduler(batch_window_s=window_s)
+        try:
+            for _ in range(2):
+                sched.connection_opened()
+            started = time.monotonic()
+            states = [sched.submit(simulate_request(seed=s))
+                      for s in range(2)]
+            _join(*[_wait_in_thread(sched, s) for s in states])
+            assert [sched.get(s.id).status for s in states] == ["done"] * 2
+            assert time.monotonic() - started < 2.5
+            assert sched.batches == 1 and sched.requests_coalesced == 2
+            linger = registry.snapshot()["histograms"][
+                "serving_batch_linger_s"]
+            assert linger["count"] == 1 and linger["max"] < 2.5
+        finally:
+            sched.close()
+
+    @pytest.mark.parametrize("connections,connection", [
+        (0, False),  # no HTTP front end
+        (1, False),  # an async submit: nobody is blocked on it
+        (2, True),   # the second connection is open but idle
+    ])
+    def test_window_is_kept_while_a_request_can_arrive(
+            self, connections, connection):
+        sched = make_scheduler(batch_window_s=self.WINDOW_S)
+        try:
+            for _ in range(connections):
+                sched.connection_opened()
+            state = sched.submit(simulate_request())
+            _join(_wait_in_thread(sched, state, connection=connection))
+            final = sched.get(state.id)
+            assert final.status == "done"
+            assert final.finished_unix - final.submitted_unix \
+                >= self.WINDOW_S * 0.9
+        finally:
+            sched.close()
+
+    def test_closed_connection_releases_the_batch(self):
+        sched = make_scheduler(batch_window_s=30.0)
+        try:
+            for _ in range(2):
+                sched.connection_opened()
+            state = sched.submit(simulate_request())
+            thread = _wait_in_thread(sched, state)
+            time.sleep(0.2)
+            assert sched.get(state.id).status == "queued"
+            sched.connection_closed()
+            _join(thread)
+            assert sched.get(state.id).status == "done"
+        finally:
+            sched.close()
+
+    def test_blocked_batches_still_form_at_most_once_a_window(
+            self, registry):
+        # The second request is blocked on from its arrival, 0.4 s after
+        # the first batch finished: its window counts from when the
+        # first batch formed, so it lingers what is left of that window
+        # rather than a full one, or none.
+        sched = make_scheduler(batch_window_s=self.WINDOW_S)
+        try:
+            sched.connection_opened()
+            first = sched.submit(simulate_request(seed=0))
+            _join(_wait_in_thread(sched, first))
+            time.sleep(0.4)
+            second = sched.submit(simulate_request(seed=1))
+            _join(_wait_in_thread(sched, second))
+            assert [sched.get(s.id).status for s in (first, second)] \
+                == ["done"] * 2
+            linger = registry.snapshot()["histograms"][
+                "serving_batch_linger_s"]
+            assert linger["count"] == 2
+            assert linger["min"] < 0.3
+            assert 0.3 <= linger["max"] < self.WINDOW_S * 0.9
+        finally:
+            sched.close()
+
+    def test_close_during_linger_returns_promptly(self):
+        sched = make_scheduler(batch_window_s=30.0)
+        state = sched.submit(simulate_request())
+        time.sleep(0.1)
+        started = time.monotonic()
+        sched.close(timeout_s=10.0)
+        assert time.monotonic() - started < 2.0
+        assert not sched._thread.is_alive()
+        assert sched.get(state.id).status == "failed"
+
+    def test_terminal_request_no_longer_counts_as_blocked(
+            self, monkeypatch):
+        # Connection A's request runs (held in the engine) while B's
+        # queues behind it.  Once A's request is done, A can send again,
+        # so B's request lingers its window even if A's waiter has not
+        # woken up yet when the scheduler looks.
+        engine = ExperimentEngine()
+        entered, release = threading.Event(), threading.Event()
+        started = []
+        run = engine.run_outcomes
+
+        def held(jobs):
+            started.append(time.monotonic())
+            if len(started) == 1:
+                entered.set()
+                assert release.wait(60.0)
+            return run(jobs)
+
+        monkeypatch.setattr(engine, "run_outcomes", held)
+        sched = make_scheduler(engine=engine,
+                               batch_window_s=self.WINDOW_S)
+        try:
+            sched.connection_opened()
+            first = sched.submit(simulate_request(seed=0))
+            a = _wait_in_thread(sched, first)
+            assert entered.wait(30.0)  # alone and blocked: no linger
+            sched.connection_opened()
+            second = sched.submit(simulate_request(seed=1))
+            b = _wait_in_thread(sched, second)
+            release.set()
+            _join(a, b)
+            assert sched.get(second.id).status == "done"
+            assert started[1] - second.submitted_monotonic \
+                >= self.WINDOW_S * 0.9
+        finally:
+            release.set()
+            sched.close()
+
+
 class TestWhatIf:
     def test_matches_offline_recommendation(self):
         sched = make_scheduler()
