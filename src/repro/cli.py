@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
-import json
 import os
 import time
 from collections import ChainMap
@@ -376,21 +375,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Re-render a written manifest's metrics snapshot."""
     from .reporting import render_metrics
-    from .telemetry import MANIFEST_FILENAME, render_prometheus
+    from .telemetry import MANIFEST_FILENAME, read_manifest, render_prometheus
 
     manifest_path = args.manifest
     if manifest_path is None and args.cache:
         manifest_path = os.path.join(args.cache, MANIFEST_FILENAME)
     if manifest_path is None:
         raise ReproError("metrics needs --manifest PATH or --cache DIR")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ReproError(
-            f"cannot read manifest {manifest_path!r}: {exc}")
-    snapshot = manifest.get("metrics")
-    if not isinstance(snapshot, dict):
+    snapshot = read_manifest(manifest_path).get("metrics")
+    if snapshot is None:
         raise ReproError(
             f"manifest {manifest_path!r} has no metrics snapshot")
     if args.format == "prom":

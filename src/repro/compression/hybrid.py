@@ -10,18 +10,20 @@ while giving up little compression, because parameter mass concentrates
 in a few large layers.
 
 :class:`HybridScheme` wraps any layer-wise base scheme with a parameter
-threshold; the cost model recomputes wire bytes and encode time over the
-partition.  Currently PowerSGD is the base scheme whose per-layer costs
+threshold; its ``_price`` prices wire bytes and encode time over the
+partition: PowerSGD's terms on the compressed layers, one elementwise
+pass and fp32 bytes for the rest.  Currently PowerSGD is the base scheme whose per-layer costs
 we can partition exactly, so that is what the constructor accepts.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..models import LayerSpec, ModelSpec
-from .kernel_cost import KernelProfile, hybrid_powersgd_cost
-from .schemes import Scheme, SchemeCost, check_count
+from ..units import FLOAT32_BYTES
+from .kernel_cost import fold, layer_table, layer_terms
+from .schemes import Scheme, check_count
 
 
 class HybridPowerSGDScheme(Scheme):
@@ -59,11 +61,24 @@ class HybridPowerSGDScheme(Scheme):
                 dense.append(layer)
         return compressed, dense
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        wire, encode, compressed = hybrid_powersgd_cost(
-            model, self.rank, self.min_layer_params, self._profile(profile))
-        return self._cost(model, wire, 2 if compressed else 1, encode)
+    def _price(self, model, world_size, profile):
+        table = layer_table(model)
+        ranked = table.rank(self.rank)
+        # Capped one above the largest layer (the same choice, within int64).
+        threshold = min(self.min_layer_params,
+                        int(table.params.max(initial=0)) + 1)
+        chosen = table.is_matrix & (table.params >= threshold)
+        on = chosen[table.is_matrix]
+        dense = int(table.params[~chosen].sum())
+        wire = (ranked.r[on] * (table.mat_m[on] + table.mat_n[on])
+                + table.extra[chosen]) * FLOAT32_BYTES
+        encode = layer_terms(
+            profile.tensor_overhead_s,
+            (ranked.matmul[on], profile.matmul_flops_per_s),
+            (ranked.orth[on], profile.orth_elems_per_s))
+        # One message when no layer is compressed: all of it is dense.
+        return (fold(wire) + dense * FLOAT32_BYTES, 2 if on.any() else 1,
+                encode + dense / profile.elementwise_elems_per_s)
 
     def coverage(self, model: ModelSpec) -> float:
         """Fraction of parameters that get compressed."""

@@ -1,4 +1,4 @@
-"""Encode/decode time model for compression kernels.
+"""The compression kernel profile, calibrated to the paper's Table 2.
 
 The paper's Table 2 measures ``T_encode-decode`` on V100s for ResNet-50 at
 4 machines (16 GPUs): PowerSGD rank 4/8/16 = 45/64/130 ms, Top-K
@@ -8,36 +8,22 @@ overheads, skinny-matmul throughput, orthogonalization throughput,
 selection and elementwise throughputs — by solving for the constants that
 make the model reproduce Table 2 exactly on our ResNet-50 spec.  The same
 constants then generalize to other models (ResNet-101, BERT) and other
-ranks/fractions, which is how the paper itself extrapolates.
-
-Structure of each method's cost (all per iteration, seconds):
-
-* **PowerSGD(r)**, per matrix layer ``(m, n)`` with effective rank
-  ``r' = min(r, m, n)``: one fixed launch overhead, ``6·m·n·r'`` matmul
-  FLOPs (two power-iteration products + reconstruction), and
-  ``(m+n)·r'^2`` orthogonalization work.  Extra (non-matrix) parameters
-  are charged one elementwise pass.
-* **Top-K(f)**: one selection scan over all ``N`` elements, plus
-  gather/pack of ``f·N`` selected values, plus — because aggregation is
-  an all-gather — a scatter-accumulate of ``f·N`` values *per received
-  payload*, i.e. ``f·N·p`` on the decode side.  This is why Table 2's
-  Top-K numbers barely depend on ``f``: the ``N``-sized scan dominates.
-* **signSGD**: one elementwise pass to sign+pack, and a vote pass over
-  all ``p`` unpacked sign vectors — ``N·(1+p)`` elementwise work, the
-  linear-in-``p`` decode the paper's BERT OOM/slowdown notes describe.
+ranks/fractions, which is how the paper itself extrapolates.  Each
+method's formula over these constants is its scheme class's ``cost``
+(:mod:`repro.compression.schemes`).
 
 The profile scales linearly with GPU speed (`scaled`), which is exactly
 the assumption the paper's Figure 12 what-if makes ("as compute gets
 faster, the encode-decode time also reduces by the same factor").
 
-The layer-walking costs (PowerSGD, ATOMO and the hybrid policy's wire
-bytes and encode time) read one table per model spec: its trainable
-layers' shapes as arrays, plus per-rank work arrays, built once
-(:func:`repro.memo.per_object`).  A cost call divides the work arrays by
-the profile's throughputs and folds the per-layer terms with a
-sequential ``cumsum`` in the per-layer loop's order, so every result —
-scalar, or array-valued under the grid's swept profiles — equals the
-loop's left-to-right float sum bit for bit.
+The layer-walking formulas (PowerSGD, ATOMO and the hybrid policy) read
+one table per model spec: its trainable layers' shapes as arrays, plus
+per-rank work arrays, built once (:func:`layer_table`).  A cost call
+divides the work arrays by the profile's throughputs and folds the
+per-layer terms with a sequential ``cumsum`` in the per-layer loop's
+order (:func:`fold`, :func:`layer_terms`), so every result — scalar, or
+array-valued under the grid's swept profiles — equals the loop's
+left-to-right float sum bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +37,7 @@ from ..collectives.cost import validate_bound
 from ..errors import CalibrationError, ConfigurationError
 from ..memo import per_object
 from ..models import ModelSpec, get_model
-from ..units import FLOAT32_BYTES, seconds_from_ms
+from ..units import seconds_from_ms
 
 #: Table 2 of the paper: the calibration targets (ms).
 TABLE2_POWERSGD_MS = {4: 45.0, 8: 64.0, 16: 130.0}
@@ -131,7 +117,7 @@ class KernelProfile:
 # ----- per-model layer tables ------------------------------------------------
 
 
-def _fold(terms: np.ndarray) -> Any:
+def fold(terms: np.ndarray) -> Any:
     """``0.0`` plus every term along axis 0, in order: what a loop over
     layers adding each term to a running float computes.
 
@@ -153,7 +139,7 @@ def _fold(terms: np.ndarray) -> Any:
     return total
 
 
-def _layer_terms(overhead: Any, *work: Tuple[np.ndarray, Any]) -> Any:
+def layer_terms(overhead: Any, *work: Tuple[np.ndarray, Any]) -> Any:
     """Per-layer ``overhead, work / throughput, ...`` terms, folded
     layer by layer in that order.
 
@@ -168,13 +154,12 @@ def _layer_terms(overhead: Any, *work: Tuple[np.ndarray, Any]) -> Any:
     terms[:, 0] = overhead
     for column, (values, rate) in enumerate(work, start=1):
         terms[:, column] = values.reshape((layers,) + (1,) * len(swept)) / rate
-    return _fold(terms.reshape((-1,) + swept))
+    return fold(terms.reshape((-1,) + swept))
 
 
 class _RankTable:
     """One model's work at one rank: per matrix layer, the effective
-    rank ``r' = min(r, m, n)`` and the FLOPs it costs; and the wire
-    bytes of the low-rank schemes."""
+    rank ``r' = min(r, m, n)`` and the FLOPs it costs."""
 
     def __init__(self, table: "_LayerTable", rank: int) -> None:
         m, n = table.mat_m, table.mat_n
@@ -185,16 +170,9 @@ class _RankTable:
         self.matmul = 6.0 * m * n * self.r
         self.orth = (m + n) * self.r * self.r
         self.atomo_recon = 2.0 * m * n * self.r
-        mask = table.is_matrix
-        r = np.ones_like(table.params)
-        r[mask] = self.r
-        dense = table.params * FLOAT32_BYTES
-        self.powersgd_wire = _fold(np.stack((
-            np.where(mask, r * (table.m + table.n) * FLOAT32_BYTES, dense),
-            np.where(mask, table.extra * FLOAT32_BYTES, 0)), axis=1).ravel())
-        self.atomo_wire = _fold(np.where(
-            mask, (r * (table.m + table.n + 1) + table.extra) * FLOAT32_BYTES,
-            dense))
+        #: ``r'`` per trainable layer, 1 for a layer with no matrix.
+        self.layer_r = np.ones_like(table.params)
+        self.layer_r[table.is_matrix] = self.r
 
 
 class _LayerTable:
@@ -223,190 +201,13 @@ class _LayerTable:
 
     def rank(self, rank: int) -> _RankTable:
         """The work at ``rank`` (built once per rank)."""
-        if rank < 1:
-            raise ConfigurationError(f"rank must be >= 1, got {rank}")
         table = self.ranks.get(rank)
         if table is None:
             table = self.ranks[rank] = _RankTable(self, rank)
         return table
 
 
-_layer_table = per_object(_LayerTable)
-
-
-# ----- per-method cost functions ---------------------------------------------
-
-
-def powersgd_wire_bytes(model: ModelSpec, rank: int) -> float:
-    """PowerSGD(rank) payload bytes: P/Q factors of every matrix layer,
-    its extras and every non-matrix layer in fp32."""
-    return _layer_table(model).rank(rank).powersgd_wire
-
-
-def atomo_wire_bytes(model: ModelSpec, rank: int) -> float:
-    """ATOMO(rank) payload bytes: rank-``r`` atoms plus singular values
-    per matrix layer, non-matrix layers in fp32."""
-    return _layer_table(model).rank(rank).atomo_wire
-
-
-def hybrid_powersgd_cost(model: ModelSpec, rank: int, min_layer_params: int,
-                         profile: KernelProfile) -> Tuple[float, Any, int]:
-    """``(wire bytes, encode+decode seconds, compressed layer count)``
-    of PowerSGD on the matrix layers with at least
-    ``min_layer_params`` parameters, the rest sent dense in fp32."""
-    table = _layer_table(model)
-    ranked = table.rank(rank)
-    # Capped one above the largest layer (the same choice, within int64).
-    threshold = min(min_layer_params, int(table.params.max(initial=0)) + 1)
-    chosen = table.is_matrix & (table.params >= threshold)
-    on = chosen[table.is_matrix]
-    dense = int(table.params[~chosen].sum())
-    wire = (ranked.r[on] * (table.mat_m[on] + table.mat_n[on])
-            + table.extra[chosen]) * FLOAT32_BYTES
-    encode = _layer_terms(
-        profile.tensor_overhead_s,
-        (ranked.matmul[on], profile.matmul_flops_per_s),
-        (ranked.orth[on], profile.orth_elems_per_s))
-    return (_fold(wire) + dense * FLOAT32_BYTES,
-            encode + dense / profile.elementwise_elems_per_s,
-            int(on.sum()))
-
-
-def powersgd_encode_decode_time(model: ModelSpec, rank: int,
-                                profile: KernelProfile) -> float:
-    """PowerSGD encode+decode seconds for one iteration: per matrix
-    layer a launch, ``6·m·n·r'`` matmul FLOPs and ``(m+n)·r'^2``
-    orthogonalization; one elementwise pass over the rest."""
-    table = _layer_table(model)
-    ranked = table.rank(rank)
-    total = _layer_terms(profile.tensor_overhead_s,
-                         (ranked.matmul, profile.matmul_flops_per_s),
-                         (ranked.orth, profile.orth_elems_per_s))
-    return total + table.uncompressed / profile.elementwise_elems_per_s
-
-
-def topk_encode_decode_time(model: ModelSpec, fraction: float,
-                            profile: KernelProfile,
-                            world_size: int) -> float:
-    """Top-K encode+decode seconds: selection scan + pack + per-payload
-    scatter on the all-gather decode path (linear in ``world_size``)."""
-    if not 0 < fraction <= 1:
-        raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-    _check_world(world_size)
-    numel = model.num_params
-    selected = fraction * numel
-    encode = (profile.tensor_overhead_s
-              + numel / profile.select_elems_per_s
-              + selected / profile.pack_elems_per_s)
-    decode = selected * world_size / profile.pack_elems_per_s
-    return encode + decode
-
-
-def signsgd_encode_decode_time(model: ModelSpec, profile: KernelProfile,
-                               world_size: int) -> float:
-    """signSGD encode+decode seconds: one sign/pack pass, then a majority
-    vote over all ``p`` gathered sign vectors."""
-    _check_world(world_size)
-    numel = model.num_params
-    return (profile.tensor_overhead_s
-            + numel * (1.0 + world_size) / profile.elementwise_elems_per_s)
-
-
-def fp16_encode_decode_time(model: ModelSpec,
-                            profile: KernelProfile) -> float:
-    """fp16 cast down + cast up: two elementwise passes, no p term
-    (the all-reduce sums halves directly)."""
-    return (profile.tensor_overhead_s
-            + 2.0 * model.num_params / profile.elementwise_elems_per_s)
-
-
-def qsgd_encode_decode_time(model: ModelSpec, profile: KernelProfile,
-                            world_size: int) -> float:
-    """QSGD: ~3 elementwise passes to normalize/round/pack, then a
-    dequantize pass per gathered payload."""
-    _check_world(world_size)
-    numel = model.num_params
-    return (profile.tensor_overhead_s
-            + numel * (3.0 + world_size) / profile.elementwise_elems_per_s)
-
-
-def terngrad_encode_decode_time(model: ModelSpec, profile: KernelProfile,
-                                world_size: int) -> float:
-    """TernGrad: ~2 elementwise passes encode, one per payload decode."""
-    _check_world(world_size)
-    numel = model.num_params
-    return (profile.tensor_overhead_s
-            + numel * (2.0 + world_size) / profile.elementwise_elems_per_s)
-
-
-def onebit_encode_decode_time(model: ModelSpec, profile: KernelProfile,
-                              world_size: int) -> float:
-    """1-bit SGD: two passes encode (threshold + means), per-payload
-    unpack on decode."""
-    _check_world(world_size)
-    numel = model.num_params
-    return (profile.tensor_overhead_s
-            + numel * (2.0 + world_size) / profile.elementwise_elems_per_s)
-
-
-def randomk_encode_decode_time(model: ModelSpec, fraction: float,
-                               profile: KernelProfile) -> float:
-    """Shared-seed Random-K: gather + scatter of ``f·N`` values; the
-    index draw is a counter-based RNG pass over the selection only.  No
-    ``p`` term — aggregation all-reduces."""
-    if not 0 < fraction <= 1:
-        raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-    selected = fraction * model.num_params
-    return (profile.tensor_overhead_s
-            + 3.0 * selected / profile.pack_elems_per_s)
-
-
-def dgc_encode_decode_time(model: ModelSpec, fraction: float,
-                           profile: KernelProfile,
-                           world_size: int) -> float:
-    """DGC: sampled-quantile threshold (cheap scan), mask+pack, and the
-    same linear-in-``p`` scatter decode as Top-K."""
-    if not 0 < fraction <= 1:
-        raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-    _check_world(world_size)
-    numel = model.num_params
-    selected = fraction * numel
-    encode = (profile.tensor_overhead_s
-              + numel / profile.elementwise_elems_per_s  # threshold mask
-              + 0.01 * numel / profile.select_elems_per_s  # sampled quantile
-              + selected / profile.pack_elems_per_s)
-    decode = selected * world_size / profile.pack_elems_per_s
-    return encode + decode
-
-
-def atomo_encode_decode_time(model: ModelSpec, rank: int,
-                             profile: KernelProfile,
-                             world_size: int) -> float:
-    """ATOMO: a full SVD per matrix layer (the expensive part), plus a
-    rank-``r`` reconstruction per gathered payload."""
-    table = _layer_table(model)
-    ranked = table.rank(rank)
-    _check_world(world_size)
-    return _layer_terms(
-        profile.tensor_overhead_s, (table.svd, profile.svd_flops_per_s),
-        (ranked.atomo_recon * world_size, profile.matmul_flops_per_s))
-
-
-def gradiveq_encode_decode_time(model: ModelSpec, block: int, dims: int,
-                                profile: KernelProfile) -> float:
-    """GradiVeq-style projection: encode+decode are two dense products
-    against the shared basis: ``4·N·dims`` FLOPs total."""
-    if block < 1 or dims < 1 or dims > block:
-        raise ConfigurationError(
-            f"invalid block/dims ({block}, {dims})")
-    return (profile.tensor_overhead_s
-            + 4.0 * model.num_params * dims / profile.matmul_flops_per_s)
-
-
-def _check_world(world_size: int) -> None:
-    if world_size < 1:
-        raise ConfigurationError(
-            f"world_size must be >= 1, got {world_size}")
+layer_table = per_object(_LayerTable)
 
 
 # ----- calibration -----------------------------------------------------------
@@ -432,9 +233,9 @@ def calibrate_v100_profile(reference: Optional[ModelSpec] = None) -> KernelProfi
 
     # --- PowerSGD: t(r) = overhead_count*x + matmul_work(r)*y + orth_work(r)*z
     ranks = sorted(TABLE2_POWERSGD_MS)
-    table = _layer_table(model)
-    a = np.array([(table.mat_m.size, _fold(table.rank(rank).matmul),
-                   _fold(table.rank(rank).orth)) for rank in ranks],
+    table = layer_table(model)
+    a = np.array([(table.mat_m.size, fold(table.rank(rank).matmul),
+                   fold(table.rank(rank).orth)) for rank in ranks],
                  dtype=np.float64)
     b = np.array([seconds_from_ms(TABLE2_POWERSGD_MS[r]) for r in ranks])
     try:

@@ -5,7 +5,9 @@ wire bytes per worker, number of collective messages, encode/decode
 seconds, whether all-reduce applies, and the decode working-set unit for
 the memory model.  This is what the performance model (§4 of the paper)
 and the what-if engine consume; the numeric compressors/aggregators in the
-sibling modules carry the actual math.
+sibling modules carry the actual math.  Each class's ``_price`` is the
+one place its method is priced, over the Table-2-calibrated
+:class:`~repro.compression.kernel_cost.KernelProfile`.
 
 The two Table-1 columns appear here as :attr:`Scheme.all_reducible` and
 :attr:`Scheme.layerwise`; ``benchmarks/test_table1_classification.py``
@@ -15,7 +17,6 @@ regenerates the table from these flags and the property tests verify the
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -26,8 +27,17 @@ import numpy as np
 from ..errors import ConfigurationError, ReproError
 from ..models import ModelSpec
 from ..units import FLOAT32_BYTES
-from . import kernel_cost as kc
-from .kernel_cost import KernelProfile, v100_kernel_profile
+from .kernel_cost import (
+    KernelProfile,
+    fold,
+    layer_table,
+    layer_terms,
+    v100_kernel_profile,
+)
+
+#: What a class's formula returns: wire bytes per worker, collective
+#: messages and encode+decode seconds (an array under a swept profile).
+Price = Tuple[float, int, Any]
 
 
 def _any_below(value: Any, bound: float, or_equal: bool = False) -> bool:
@@ -123,12 +133,16 @@ class SchemeCost:
         return self.gather_stack_bytes * world_size
 
 
-class Scheme(abc.ABC):
+class Scheme:
     """One gradient compression method, parameterized.
 
     ``all_reducible`` and ``layerwise`` are the method's Table 1 row,
     declared here once: the registry, the aggregators' codec guards and
     every :class:`SchemeCost` read them from the scheme class.
+
+    A subclass prices its method in :meth:`_price`; :meth:`cost` checks
+    the world size and resolves the profile for it.  A subclass may
+    instead override :meth:`cost` whole.
     """
 
     name: str = "abstract"
@@ -145,22 +159,28 @@ class Scheme(abc.ABC):
         """Display label, e.g. ``"powersgd(rank=4)"``."""
         return self.name
 
-    @abc.abstractmethod
     def cost(self, model: ModelSpec, world_size: int,
              profile: Optional[KernelProfile] = None) -> SchemeCost:
         """Price this scheme for one model and world size."""
+        if world_size < 1:
+            raise ConfigurationError(
+                f"world_size must be >= 1, got {world_size}")
+        wire_bytes, messages, seconds = self._price(
+            model, world_size, self._profile(profile))
+        return SchemeCost(wire_bytes=wire_bytes, messages=messages,
+                          encode_decode_s=seconds,
+                          all_reducible=self.all_reducible,
+                          gather_stack_bytes=self._stack_bytes(model))
+
+    def _price(self, model: ModelSpec, world_size: int,
+               profile: KernelProfile) -> Price:
+        """``(wire bytes, messages, encode+decode seconds)`` at a
+        checked world size and a resolved profile."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither _price nor cost")
 
     def _profile(self, profile: Optional[KernelProfile]) -> KernelProfile:
         return profile if profile is not None else v100_kernel_profile()
-
-    def _cost(self, model: ModelSpec, wire_bytes: float, messages: int,
-              encode_decode_s: Any) -> SchemeCost:
-        """A :class:`SchemeCost` whose all-reduce flag and decode stack
-        come from this scheme's class."""
-        return SchemeCost(wire_bytes=wire_bytes, messages=messages,
-                          encode_decode_s=encode_decode_s,
-                          all_reducible=self.all_reducible,
-                          gather_stack_bytes=self._stack_bytes(model))
 
     def _stack_bytes(self, model: ModelSpec) -> float:
         """Dense-stacking unit for gather decodes (see ModelSpec docs)."""
@@ -174,6 +194,16 @@ class Scheme(abc.ABC):
         return f"<Scheme {self.label}>"
 
 
+def _elementwise_s(model: ModelSpec, passes: float,
+                   profile: KernelProfile) -> Any:
+    """``tensor_overhead + N·passes / elementwise``: the encode+decode
+    seconds of a method whose kernels are ``passes`` elementwise sweeps
+    over all ``N`` coordinates.  A gather method's decode sweeps each of
+    the ``p`` received payloads, so its ``passes`` grows with ``p``."""
+    return (profile.tensor_overhead_s
+            + model.num_params * passes / profile.elementwise_elems_per_s)
+
+
 class SyncSGDScheme(Scheme):
     """The baseline: dense fp32 gradients, ring all-reduce, zero encode
     cost.  Bucketing/overlap are applied by the DDP performance model,
@@ -182,9 +212,8 @@ class SyncSGDScheme(Scheme):
     name = "syncsgd"
     all_reducible = True
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return self._cost(model, float(model.grad_bytes), 1, 0.0)
+    def _price(self, model, world_size, profile):
+        return float(model.grad_bytes), 1, 0.0
 
 
 class FP16Scheme(Scheme):
@@ -193,22 +222,28 @@ class FP16Scheme(Scheme):
     The cast is cheap enough to run inside the DDP bucket hook, so fp16
     keeps communication/computation overlap — which is exactly why the
     paper's first finding recommends it over aggressive compression.
+    It costs two elementwise passes, cast down and cast up, and no ``p``
+    term: the all-reduce sums halves directly.
     """
 
     name = "fp16"
     all_reducible = True
     ddp_overlap = True
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return self._cost(
-            model, model.grad_bytes / 2.0, 1,
-            kc.fp16_encode_decode_time(model, self._profile(profile)))
+    def _price(self, model, world_size, profile):
+        return model.grad_bytes / 2.0, 1, _elementwise_s(model, 2.0, profile)
 
 
 class PowerSGDScheme(Scheme):
     """PowerSGD(rank): low-rank P/Q factors, all-reduce compatible, two
-    messages; non-matrix parameters (biases, norms) travel uncompressed."""
+    messages; non-matrix parameters (biases, norms) travel uncompressed.
+
+    Per matrix layer ``(m, n)`` with effective rank ``r' = min(r, m, n)``
+    it sends ``r'·(m+n)`` fp32 values plus the layer's extras, and costs
+    one launch, ``6·m·n·r'`` matmul FLOPs (two power-iteration products
+    and the reconstruction) and ``(m+n)·r'^2`` orthogonalization work.
+    The uncompressed rest costs one elementwise pass.
+    """
 
     name = "powersgd"
     all_reducible = True
@@ -220,20 +255,31 @@ class PowerSGDScheme(Scheme):
     def label(self) -> str:
         return f"powersgd(rank={self.rank})"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return self._cost(
-            model, kc.powersgd_wire_bytes(model, self.rank), 2,
-            kc.powersgd_encode_decode_time(
-                model, self.rank, self._profile(profile)))
+    def _price(self, model, world_size, profile):
+        table = layer_table(model)
+        ranked = table.rank(self.rank)
+        mask = table.is_matrix
+        wire = fold(np.stack((
+            np.where(mask, ranked.layer_r * (table.m + table.n), table.params),
+            np.where(mask, table.extra, 0)), axis=1).ravel() * FLOAT32_BYTES)
+        encode = layer_terms(profile.tensor_overhead_s,
+                             (ranked.matmul, profile.matmul_flops_per_s),
+                             (ranked.orth, profile.orth_elems_per_s))
+        return (wire, 2,
+                encode + table.uncompressed / profile.elementwise_elems_per_s)
 
 
 class TopKScheme(Scheme):
-    """Top-K sparsification: values + indices, all-gather aggregation."""
+    """Top-K sparsification: values + indices, all-gather aggregation.
+
+    It costs one selection scan over all ``N`` coordinates, a pack of the
+    ``f·N`` selected values and, because aggregation is an all-gather, a
+    scatter-accumulate of ``f·N`` values per received payload: ``f·N·p``
+    on the decode side.  This is why Table 2's Top-K numbers barely
+    depend on ``f``: the ``N``-sized scan dominates.
+    """
 
     name = "topk"
-    #: The encode+decode kernel, per (model, fraction, profile, p).
-    _encode_decode = staticmethod(kc.topk_encode_decode_time)
 
     def __init__(self, fraction: float = 0.01):
         self.fraction = check_fraction(fraction)
@@ -242,23 +288,27 @@ class TopKScheme(Scheme):
     def label(self) -> str:
         return f"topk({self.fraction:.0%})"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        selected = self.fraction * model.num_params
-        index_bytes = 4 if model.num_params < 2**31 else 8
-        return self._cost(
-            model, selected * (FLOAT32_BYTES + index_bytes), 2,
-            self._encode_decode(model, self.fraction,
-                                self._profile(profile), world_size))
+    def _scan_s(self, numel: int, profile: KernelProfile) -> Any:
+        """The launch and the pass that finds what to send."""
+        return profile.tensor_overhead_s + numel / profile.select_elems_per_s
+
+    def _price(self, model, world_size, profile):
+        numel = model.num_params
+        selected = self.fraction * numel
+        index_bytes = 4 if numel < 2**31 else 8
+        encode = (self._scan_s(numel, profile)
+                  + selected / profile.pack_elems_per_s)
+        decode = selected * world_size / profile.pack_elems_per_s
+        return selected * (FLOAT32_BYTES + index_bytes), 2, encode + decode
 
 
 class DGCScheme(TopKScheme):
     """Deep Gradient Compression: threshold sparsification, values +
     indices via all-gather — Top-K's wire format at a sampled
-    threshold's cheaper encode."""
+    threshold's cheaper encode: an elementwise threshold mask and a
+    quantile of a 1% sample replace Top-K's selection scan."""
 
     name = "dgc"
-    _encode_decode = staticmethod(kc.dgc_encode_decode_time)
 
     def __init__(self, fraction: float = 0.001):
         super().__init__(fraction)
@@ -267,22 +317,31 @@ class DGCScheme(TopKScheme):
     def label(self) -> str:
         return f"dgc({self.fraction:.1%})"
 
+    def _scan_s(self, numel, profile):
+        return (profile.tensor_overhead_s
+                + numel / profile.elementwise_elems_per_s  # threshold mask
+                + 0.01 * numel / profile.select_elems_per_s)  # sampled quantile
+
 
 class SignSGDScheme(Scheme):
-    """signSGD with majority vote: 1 bit per coordinate, all-gather."""
+    """signSGD with majority vote: 1 bit per coordinate, all-gather.
+
+    One elementwise pass signs and packs, and the vote sweeps all ``p``
+    unpacked sign vectors: ``N·(1+p)`` elementwise work, the
+    linear-in-``p`` decode the paper's BERT OOM/slowdown notes describe.
+    """
 
     name = "signsgd"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return self._cost(
-            model, math.ceil(model.num_params / 8.0), 1,
-            kc.signsgd_encode_decode_time(
-                model, self._profile(profile), world_size))
+    def _price(self, model, world_size, profile):
+        return (math.ceil(model.num_params / 8.0), 1,
+                _elementwise_s(model, 1.0 + world_size, profile))
 
 
 class QSGDScheme(Scheme):
-    """QSGD with ``levels`` quantization buckets, fixed-width coding."""
+    """QSGD with ``levels`` quantization buckets, fixed-width coding:
+    ~3 elementwise passes normalize, round and pack, then one
+    dequantize pass per gathered payload."""
 
     name = "qsgd"
 
@@ -293,44 +352,40 @@ class QSGDScheme(Scheme):
     def label(self) -> str:
         return f"qsgd(levels={self.levels})"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
+    def _price(self, model, world_size, profile):
         bits = 1.0 + math.ceil(math.log2(self.levels + 1))
-        return self._cost(
-            model, model.num_params * bits / 8.0 + FLOAT32_BYTES, 1,
-            kc.qsgd_encode_decode_time(
-                model, self._profile(profile), world_size))
+        return (model.num_params * bits / 8.0 + FLOAT32_BYTES, 1,
+                _elementwise_s(model, 3.0 + world_size, profile))
 
 
 class TernGradScheme(Scheme):
-    """TernGrad: 2 bits per coordinate plus a scale, all-gather."""
+    """TernGrad: 2 bits per coordinate plus a scale, all-gather; ~2
+    elementwise passes encode, one per payload decodes."""
 
     name = "terngrad"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return self._cost(
-            model, model.num_params / 4.0 + FLOAT32_BYTES, 1,
-            kc.terngrad_encode_decode_time(
-                model, self._profile(profile), world_size))
+    def _price(self, model, world_size, profile):
+        return (model.num_params / 4.0 + FLOAT32_BYTES, 1,
+                _elementwise_s(model, 2.0 + world_size, profile))
 
 
 class OneBitScheme(Scheme):
-    """1-bit SGD: bit mask plus two centroids per tensor, all-gather."""
+    """1-bit SGD: bit mask plus two centroids per tensor, all-gather;
+    two passes encode (threshold, then the means), one unpack per
+    payload decodes."""
 
     name = "onebit"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return self._cost(
-            model, math.ceil(model.num_params / 8.0) + 2 * FLOAT32_BYTES, 1,
-            kc.onebit_encode_decode_time(
-                model, self._profile(profile), world_size))
+    def _price(self, model, world_size, profile):
+        return (math.ceil(model.num_params / 8.0) + 2 * FLOAT32_BYTES, 1,
+                _elementwise_s(model, 2.0 + world_size, profile))
 
 
 class ATOMOScheme(Scheme):
     """ATOMO with SVD atoms: like PowerSGD sizes plus singular values,
-    but per-worker factors do not align, so all-gather + expensive SVD."""
+    but per-worker factors do not align, so all-gather + expensive SVD:
+    a full SVD per matrix layer, plus a rank-``r`` reconstruction per
+    gathered payload."""
 
     name = "atomo"
 
@@ -341,17 +396,24 @@ class ATOMOScheme(Scheme):
     def label(self) -> str:
         return f"atomo(rank={self.rank})"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return self._cost(
-            model, kc.atomo_wire_bytes(model, self.rank), 3,
-            kc.atomo_encode_decode_time(
-                model, self.rank, self._profile(profile), world_size))
+    def _price(self, model, world_size, profile):
+        table = layer_table(model)
+        ranked = table.rank(self.rank)
+        wire = fold(np.where(
+            table.is_matrix,
+            ranked.layer_r * (table.m + table.n + 1) + table.extra,
+            table.params) * FLOAT32_BYTES)
+        return wire, 3, layer_terms(
+            profile.tensor_overhead_s, (table.svd, profile.svd_flops_per_s),
+            (ranked.atomo_recon * world_size, profile.matmul_flops_per_s))
 
 
 class RandomKScheme(Scheme):
     """Shared-seed Random-K: values only, all-reduce compatible, but the
-    shared draw spans the whole flat gradient (not layer-wise — Table 1)."""
+    shared draw spans the whole flat gradient (not layer-wise — Table 1).
+    It costs a gather and a scatter of ``f·N`` values; the index draw is
+    a counter-based RNG pass over the selection only.  No ``p`` term —
+    aggregation all-reduces."""
 
     name = "randomk"
     all_reducible = True
@@ -364,17 +426,18 @@ class RandomKScheme(Scheme):
     def label(self) -> str:
         return f"randomk({self.fraction:.0%})"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return self._cost(
-            model, self.fraction * model.num_params * FLOAT32_BYTES, 1,
-            kc.randomk_encode_decode_time(
-                model, self.fraction, self._profile(profile)))
+    def _price(self, model, world_size, profile):
+        selected = self.fraction * model.num_params
+        return (selected * FLOAT32_BYTES, 1,
+                profile.tensor_overhead_s
+                + 3.0 * selected / profile.pack_elems_per_s)
 
 
 class GradiVeqScheme(Scheme):
     """GradiVeq-style shared-basis projection: linear (all-reducible)
-    and layer-wise — Table 1's other "yes/yes" row besides PowerSGD."""
+    and layer-wise — Table 1's other "yes/yes" row besides PowerSGD.
+    Encode and decode are two dense products against the shared basis:
+    ``4·N·dims`` FLOPs in all."""
 
     name = "gradiveq"
     all_reducible = True
@@ -386,39 +449,34 @@ class GradiVeqScheme(Scheme):
     def label(self) -> str:
         return f"gradiveq({self.block}->{self.dims})"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
+    def _price(self, model, world_size, profile):
         blocks = math.ceil(model.num_params / self.block)
-        return self._cost(
-            model, blocks * self.dims * FLOAT32_BYTES, 1,
-            kc.gradiveq_encode_decode_time(
-                model, self.block, self.dims, self._profile(profile)))
+        return (blocks * self.dims * FLOAT32_BYTES, 1,
+                profile.tensor_overhead_s
+                + 4.0 * model.num_params * self.dims
+                / profile.matmul_flops_per_s)
 
 
 class NaturalScheme(Scheme):
     """Natural compression [30]: sign + 8-bit exponent per value (~3.6x),
     unbiased, nearly-free encode, but exponent payloads do not sum —
-    all-gather aggregation."""
+    all-gather aggregation.  Its passes are QSGD's: three to encode, one
+    per gathered payload to decode."""
 
     name = "natural"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return self._cost(
-            model, model.num_params * 9.0 / 8.0, 1,
-            kc.qsgd_encode_decode_time(  # same elementwise structure
-                model, self._profile(profile), world_size))
+    def _price(self, model, world_size, profile):
+        return (model.num_params * 9.0 / 8.0, 1,
+                _elementwise_s(model, 3.0 + world_size, profile))
 
 
 class EFSignScheme(Scheme):
     """EF-signSGD [35]: signSGD's wire format plus a scale, with error
-    feedback restoring convergence; still all-gather-bound."""
+    feedback restoring convergence; still all-gather-bound, at
+    signSGD's ``1 + p`` elementwise passes."""
 
     name = "efsignsgd"
 
-    def cost(self, model: ModelSpec, world_size: int,
-             profile: Optional[KernelProfile] = None) -> SchemeCost:
-        return self._cost(
-            model, math.ceil(model.num_params / 8.0) + FLOAT32_BYTES, 1,
-            kc.signsgd_encode_decode_time(
-                model, self._profile(profile), world_size))
+    def _price(self, model, world_size, profile):
+        return (math.ceil(model.num_params / 8.0) + FLOAT32_BYTES, 1,
+                _elementwise_s(model, 1.0 + world_size, profile))

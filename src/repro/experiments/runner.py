@@ -108,35 +108,31 @@ class ExperimentResult:
         from ..engine.fingerprint import digest  # deferred: keeps this
         # module importable without pulling in the simulator stack
 
-        def encode(value: Any) -> Any:
-            if isinstance(value, float) and not math.isfinite(value):
-                return {"__float__": str(value)}
-            return value
-
         return digest({
             "experiment_id": self.experiment_id,
             "columns": list(self.columns),
-            "rows": [{k: encode(v) for k, v in row.items()}
-                     for row in self.rows],
+            "rows": self._encoded_rows(),
             "notes": list(self.notes),
         })
 
     def to_json(self) -> str:
         """Serialize to JSON (NaN/inf encoded as strings, since strict
         JSON has no literals for them)."""
-        def encode(value: Any) -> Any:
-            if isinstance(value, float) and not math.isfinite(value):
-                return {"__float__": str(value)}
-            return value
-
         return json.dumps({
             "experiment_id": self.experiment_id,
             "title": self.title,
             "columns": list(self.columns),
-            "rows": [{k: encode(v) for k, v in row.items()}
-                     for row in self.rows],
+            "rows": self._encoded_rows(),
             "notes": list(self.notes),
         }, indent=1, allow_nan=False)
+
+    def _encoded_rows(self) -> List[Dict[str, Any]]:
+        """The rows with each non-finite float as ``{"__float__": str}``,
+        which :meth:`from_json` decodes."""
+        return [{k: ({"__float__": str(v)}
+                     if isinstance(v, float) and not math.isfinite(v) else v)
+                 for k, v in row.items()}
+                for row in self.rows]
 
     @classmethod
     def from_json(cls, payload: str) -> "ExperimentResult":

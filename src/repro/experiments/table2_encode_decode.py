@@ -1,6 +1,7 @@
 """Table 2: encode/decode times for ResNet-50 at 4 machines.
 
-Regenerated from the calibrated kernel-cost model.  Because the model's
+Regenerated from the calibrated kernel-cost model, priced through the
+three methods' schemes.  Because the model's
 constants were *solved from* these very rows, the PowerSGD entries
 reproduce exactly and the Top-K entries to within the least-squares
 residual — the table doubles as a calibration audit.  The ``measured``
@@ -21,13 +22,11 @@ from ..compression import (
     TABLE2_SIGNSGD_MS,
     TABLE2_TOPK_MS,
     TABLE2_WORLD_SIZE,
+    PowerSGDScheme,
+    SignSGDScheme,
+    TopKScheme,
     make_compressor,
     v100_kernel_profile,
-)
-from ..compression.kernel_cost import (
-    powersgd_encode_decode_time,
-    signsgd_encode_decode_time,
-    topk_encode_decode_time,
 )
 from ..models import get_model
 from .runner import ExperimentResult
@@ -61,8 +60,8 @@ def run_table2(measure_numeric: bool = False,
         rows.append({
             "method": "powersgd",
             "parameter": f"rank-{rank}",
-            "model_ms": powersgd_encode_decode_time(
-                model, rank, profile) * 1e3,
+            "model_ms": PowerSGDScheme(rank).cost(
+                model, p, profile).encode_decode_s * 1e3,
             "paper_ms": paper_ms,
             "numeric_cpu_ms": (
                 _time_numeric_codec("powersgd", {"rank": rank},
@@ -73,8 +72,8 @@ def run_table2(measure_numeric: bool = False,
         rows.append({
             "method": "topk",
             "parameter": f"{fraction:.0%}",
-            "model_ms": topk_encode_decode_time(
-                model, fraction, profile, p) * 1e3,
+            "model_ms": TopKScheme(fraction).cost(
+                model, p, profile).encode_decode_s * 1e3,
             "paper_ms": paper_ms,
             "numeric_cpu_ms": (
                 _time_numeric_codec("topk", {"fraction": fraction},
@@ -84,7 +83,8 @@ def run_table2(measure_numeric: bool = False,
     rows.append({
         "method": "signsgd",
         "parameter": "-",
-        "model_ms": signsgd_encode_decode_time(model, profile, p) * 1e3,
+        "model_ms": SignSGDScheme().cost(
+            model, p, profile).encode_decode_s * 1e3,
         "paper_ms": TABLE2_SIGNSGD_MS,
         "numeric_cpu_ms": (
             _time_numeric_codec("signsgd", {}, numeric_numel) * 1e3

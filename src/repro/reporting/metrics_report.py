@@ -3,34 +3,27 @@
 A snapshot (``repro.telemetry.MetricsRegistry.snapshot()``) is a plain
 dict of counters, gauges and histogram summaries; these renderers turn
 it into the ``--metrics`` CLI report and a paste-ready markdown table.
-Duck-typed on the dict shape so reporting does not import telemetry.
+Both check the snapshot's shape with
+:func:`repro.telemetry.metrics.check_snapshot` first.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict
 
-from ..errors import ConfigurationError
-
-_SECTIONS = ("counters", "gauges", "histograms")
-
-
-def _check_snapshot(snapshot: Dict[str, Any]) -> None:
-    missing = [s for s in _SECTIONS if s not in snapshot]
-    if missing:
-        raise ConfigurationError(
-            f"not a metrics snapshot: missing sections {missing}")
+from ..telemetry.metrics import check_snapshot
 
 
 def _fmt(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return f"{value:.6g}"
 
 
 def render_metrics(snapshot: Dict[str, Any]) -> str:
     """Plain-text metrics report, one metric per line, sorted."""
-    _check_snapshot(snapshot)
+    check_snapshot(snapshot)
     lines = ["metrics:"]
     for name, value in sorted(snapshot["counters"].items()):
         lines.append(f"  {name} = {_fmt(value)}")
@@ -48,7 +41,7 @@ def render_metrics(snapshot: Dict[str, Any]) -> str:
 
 def metrics_to_markdown(snapshot: Dict[str, Any]) -> str:
     """Markdown tables (scalars, then histogram summaries)."""
-    _check_snapshot(snapshot)
+    check_snapshot(snapshot)
     scalars = {**snapshot["counters"], **snapshot["gauges"]}
     lines = []
     if scalars:

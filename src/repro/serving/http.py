@@ -204,10 +204,11 @@ class ServingHandler(BaseHTTPRequestHandler):
                                   retry_after_s=exc.retry_after_s)
             return
         if request.wait:
+            # ``or state``: a state forgotten meanwhile was finished.
             state = self.scheduler.wait(state.id,
                                         timeout_s=request.timeout_s or
                                         self.scheduler.default_timeout_s,
-                                        connection=self.answered > 0)
+                                        connection=self.answered > 0) or state
         if state.status == "failed" and state.invalid:
             self._send_error_json(400, "bad_request", state.error)
             return
@@ -234,7 +235,7 @@ class ServingHandler(BaseHTTPRequestHandler):
                 return
             state = self.scheduler.wait(job_id,
                                         timeout_s=min(wait_s, 300.0),
-                                        connection=self.answered > 0)
+                                        connection=self.answered > 0) or state
         self._send_json(200, state.to_dict())
 
 

@@ -13,7 +13,7 @@ guarantee of ``POST /v1/whatif`` vs ``repro recommend`` meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..compression import scheme_from_spec
@@ -141,7 +141,6 @@ class SimulateRequest:
     seeds: Tuple[int, ...] = (0,)
     wait: bool = False
     timeout_s: Optional[float] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     kind = "simulate"
 

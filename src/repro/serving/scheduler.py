@@ -104,6 +104,14 @@ TERMINAL_STATES = ("done", "failed", "expired")
 #: The bench's serve-mixed mix cycles through 64 what-if configs.
 CALIBRATION_MEMO_SIZE = 256
 
+#: Finished requests a scheduler remembers for ``GET /v1/jobs/<id>``,
+#: the earliest finished forgotten first.  A queued or running request,
+#: or a finished one a waiter is still blocked on, is never forgotten.
+#: Far above what a closed loop holds between its submit and its poll
+#: (the bench's serve-mixed runs two clients); at the ~10 KiB an advise
+#: result keeps, the bound holds about 10 MiB.
+FINISHED_STATES_KEPT = 1024
+
 
 @dataclass
 class RequestState:
@@ -208,9 +216,13 @@ class ServingScheduler:
         self.batches = 0
         #: Requests that shared their batch with at least one other.
         self.requests_coalesced = 0
+        #: Requests admitted over the scheduler's lifetime.
+        self.requests_seen = 0
         self._cv = threading.Condition()
         self._queue: List[RequestState] = []
         self._states: Dict[str, RequestState] = {}
+        # Ids of the finished states in ``_states``, earliest first.
+        self._finished: OrderedDict[str, None] = OrderedDict()
         self._closed = False
         # Open client connections, and per request id the connections
         # blocked on it (see :meth:`_nothing_can_arrive`).
@@ -268,6 +280,7 @@ class ServingScheduler:
                     status=503, reason="queue_full")
             self._queue.append(state)
             self._states[state.id] = state
+            self.requests_seen += 1
             registry.counter("serving_requests_total",
                              kind=request.kind).inc()
             registry.gauge("serving_queue_depth").set(len(self._queue))
@@ -337,7 +350,7 @@ class ServingScheduler:
             for state in self._queue:
                 state.status = "failed"
                 state.error = "scheduler shut down"
-                state.finished_unix = time.time()
+                self._settle(state)
             self._queue.clear()
             get_registry().gauge("serving_queue_depth").set(0)
             self._cv.notify_all()
@@ -393,10 +406,9 @@ class ServingScheduler:
                             and now > state.deadline_monotonic:
                         state.status = "expired"
                         state.error = "deadline expired while queued"
-                        state.finished_unix = time.time()
                         registry.counter(
                             "serving_requests_expired_total").inc()
-                        self._observe_latency(state)
+                        self._settle(state)
                     else:
                         state.status = "running"
                         live.append(state)
@@ -507,8 +519,7 @@ class ServingScheduler:
             state.rows.extend(body["verdicts"])
             state.result = body
             state.status = "done"
-            state.finished_unix = time.time()
-            self._observe_latency(state)
+            self._settle(state)
             self._cv.notify_all()
 
     # ----- simulate expansion ------------------------------------------------
@@ -555,8 +566,7 @@ class ServingScheduler:
                 # simulate`` exits 2 for it), so the client's error.
                 state.invalid = all(o.ok or o.oom is not None
                                     for o in outcomes)
-            state.finished_unix = time.time()
-            self._observe_latency(state)
+            self._settle(state)
             self._cv.notify_all()
 
     # ----- advise expansion --------------------------------------------------
@@ -589,8 +599,7 @@ class ServingScheduler:
             state.rows.extend(body["frontier"])
             state.result = body
             state.status = "done"
-            state.finished_unix = time.time()
-            self._observe_latency(state)
+            self._settle(state)
             self._cv.notify_all()
 
     # ----- bookkeeping -------------------------------------------------------
@@ -604,25 +613,36 @@ class ServingScheduler:
             state.status = "failed"
             state.invalid = invalid
             state.error = f"{type(exc).__name__}: {exc}"
-            state.finished_unix = time.time()
-            self._observe_latency(state)
+            self._settle(state)
             self._cv.notify_all()
 
-    def _observe_latency(self, state: RequestState) -> None:
-        if state.finished_unix is not None:
-            get_registry().histogram(
-                "serving_request_latency_s", kind=state.kind).observe(
-                max(0.0, state.finished_unix - state.submitted_unix))
+    def _settle(self, state: RequestState) -> None:
+        """Stamp a state that has just reached a terminal status: its
+        finish time and latency, and its place among the finished states
+        kept, forgetting the earliest beyond :data:`FINISHED_STATES_KEPT`.
+        An earliest one with a waiter still blocked on it stays until a
+        later call (:meth:`_nothing_can_arrive` reads every blocked id).
+        Called with the condition held."""
+        state.finished_unix = time.time()
+        get_registry().histogram(
+            "serving_request_latency_s", kind=state.kind).observe(
+            max(0.0, state.finished_unix - state.submitted_unix))
+        self._finished[state.id] = None
+        while len(self._finished) > FINISHED_STATES_KEPT:
+            earliest = next(iter(self._finished))
+            if earliest in self._blocking:
+                break
+            del self._finished[earliest]
+            del self._states[earliest]
 
     def stats(self) -> Dict[str, Any]:
         """Point-in-time scheduler counters for ``/healthz``."""
         with self._cv:
             queued = len(self._queue)
-            total = len(self._states)
         payload: Dict[str, Any] = {
             "uptime_s": time.time() - self.started_unix,
             "queued": queued,
-            "requests_seen": total,
+            "requests_seen": self.requests_seen,
             "batches": self.batches,
             "requests_coalesced": self.requests_coalesced,
             "engine": self.engine.stats().to_dict(),

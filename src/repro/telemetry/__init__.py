@@ -29,6 +29,7 @@ if TYPE_CHECKING:
         Histogram,
         MetricsRegistry,
         NullRegistry,
+        check_snapshot,
         disable,
         enable,
         escape_label_value,
@@ -58,7 +59,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".metrics": (
         "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
-        "disable", "enable", "escape_label_value", "format_key",
+        "check_snapshot", "disable", "enable", "escape_label_value", "format_key",
         "get_registry", "metric_key", "parse_key", "render_prometheus",
         "set_registry", "validate_prometheus_text",
     ),

@@ -377,6 +377,61 @@ class MetricsRegistry:
         }
 
 
+#: The sections of a snapshot, in rendering order.
+SNAPSHOT_SECTIONS = ("counters", "gauges", "histograms")
+
+
+def _is_number(value: Any) -> bool:
+    """An ``int`` or ``float`` (not a ``bool``) that fits a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def check_snapshot(snapshot: Any) -> Dict[str, Dict[str, Any]]:
+    """``snapshot`` if it has the shape :meth:`MetricsRegistry.snapshot`
+    gives — an object with the three sections, counters and gauges
+    mapping to numbers, histograms to summaries of numbers — or raise
+    :class:`ConfigurationError` naming the first part that does not.
+
+    Every renderer of a snapshot checks it here, since one read back
+    from a manifest file is whatever that file holds.
+    """
+    if not isinstance(snapshot, dict):
+        raise ConfigurationError(
+            f"not a metrics snapshot: expected an object, got "
+            f"{type(snapshot).__name__}")
+    missing = [s for s in SNAPSHOT_SECTIONS if s not in snapshot]
+    if missing:
+        raise ConfigurationError(
+            f"not a metrics snapshot: missing sections {missing}")
+    fields = ("count", "total", "mean", "min", "max",
+              *(f"p{int(q)}" for q in SUMMARY_PERCENTILES))
+    for section in SNAPSHOT_SECTIONS:
+        entries = snapshot[section]
+        if not isinstance(entries, dict):
+            raise ConfigurationError(
+                f"not a metrics snapshot: {section} must be an object, "
+                f"got {type(entries).__name__}")
+        for name, value in entries.items():
+            if section != "histograms":
+                good = _is_number(value)
+            else:
+                good = isinstance(value, dict) and all(
+                    _is_number(value.get(field)) for field in fields)
+            if not good:
+                shape = ("a number" if section != "histograms"
+                         else f"a summary of numbers {list(fields)}")
+                raise ConfigurationError(
+                    f"not a metrics snapshot: {section} entry {name!r} "
+                    f"is {value!r}, not {shape}")
+    return snapshot
+
+
 #: Quantiles emitted for histogram summaries in Prometheus output,
 #: mapped to the snapshot percentile fields they come from.
 _PROM_QUANTILES = (("0.5", "p50"), ("0.9", "p90"), ("0.99", "p99"))
@@ -408,10 +463,7 @@ def render_prometheus(snapshot: Dict[str, Dict[str, Any]]) -> str:
     are grouped under one ``# TYPE`` line each; label values use
     :func:`escape_label_value`.
     """
-    for section in ("counters", "gauges", "histograms"):
-        if section not in snapshot:
-            raise ConfigurationError(
-                f"snapshot is missing the {section!r} section")
+    check_snapshot(snapshot)
     lines: List[str] = []
 
     def families(section: str) -> Dict[str, List[Tuple[MetricKey, Any]]]:

@@ -100,11 +100,6 @@ def mb(num_bytes: float) -> float:
     return num_bytes / MEGA
 
 
-def bytes_from_mb(megabytes: float) -> float:
-    """Convert a size given in decimal megabytes to bytes."""
-    return megabytes * MEGA
-
-
 def tflops_to_flops(tflops: float) -> float:
     """Convert teraFLOPS (spec-sheet unit) to FLOP/s."""
     if tflops < 0:

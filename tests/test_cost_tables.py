@@ -1,7 +1,7 @@
 """Per-model scheme-cost tables against the per-layer walks they replaced.
 
 PowerSGD, ATOMO and the hybrid policy price a model from one table of
-its trainable layers (``repro.compression.kernel_cost``), folding the
+its trainable layers (``repro.compression.kernel_cost.layer_table``), folding the
 per-layer terms with a sequential ``cumsum``.  ``tests/oracle.py``
 keeps the walks they replaced; every :class:`SchemeCost` field must
 equal the walk's bit for bit, for every model, every candidate scheme
@@ -18,11 +18,7 @@ import pytest
 from repro.analysis import candidate_grid
 from repro.compression import ATOMOScheme, PowerSGDScheme
 from repro.compression.hybrid import HybridPowerSGDScheme
-from repro.compression.kernel_cost import (
-    atomo_encode_decode_time,
-    powersgd_encode_decode_time,
-    v100_kernel_profile,
-)
+from repro.compression.kernel_cost import v100_kernel_profile
 from repro.core.advisor import default_candidates
 from repro.errors import ConfigurationError
 from repro.models import available_models, get_model
@@ -103,11 +99,11 @@ def test_layer_cost_functions_match_and_validate():
     model = get_model("resnet50")
     profile = v100_kernel_profile()
     for rank in (1, 4, 16):
-        assert powersgd_encode_decode_time(model, rank, profile) == \
-            oracle.powersgd_encode_decode_oracle(model, rank, profile)
+        assert PowerSGDScheme(rank).cost(model, 1, profile).encode_decode_s \
+            == oracle.powersgd_encode_decode_oracle(model, rank, profile)
     with pytest.raises(ConfigurationError, match="rank"):
-        powersgd_encode_decode_time(model, 0, profile)
+        PowerSGDScheme(0).cost(model, 1, profile)
     with pytest.raises(ConfigurationError, match="rank"):
-        atomo_encode_decode_time(model, 0, profile, 4)
+        ATOMOScheme(0).cost(model, 4, profile)
     with pytest.raises(ConfigurationError, match="world_size"):
-        atomo_encode_decode_time(model, 4, profile, 0)
+        ATOMOScheme(4).cost(model, 0, profile)

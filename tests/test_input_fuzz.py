@@ -2,7 +2,7 @@
 scheme specs.
 
 Each case replaces one flag of ``repro recommend|whatif|simulate|
-advise|serve`` or one field of a ``POST /v1/whatif|simulate|advise`` body
+advise|serve|experiment`` or one field of a ``POST /v1/whatif|simulate|advise`` body
 with a value of one class — negative, zero, NaN, infinite, huge, of the
 wrong type, or missing — drawn from a seeded generator.  Whatever the
 value, the answer is either a normal result or a structured error:
@@ -14,9 +14,13 @@ must be rejected before anything is allocated for them: the cluster,
 iteration and sweep bounds keep each case small.  ``repro serve`` never
 binds a socket here: binding raises in its place, so a value the
 server accepts ends the run there, and a rejected one never gets that
-far.  Every parameter of
+far.  ``repro experiment`` runs an exhibit that starts no worker, so
+no ``--jobs`` value starts a pool.  Every parameter of
 every registered scheme is fuzzed the same way through ``--scheme
 NAME:KEY=VALUE``, the spec syntax the CLI and the HTTP bodies share.
+``repro cache`` gets bad actions and directories, and ``repro metrics``
+hostile manifests: files that are not JSON objects, and snapshots of
+the wrong shape.
 """
 
 import contextlib
@@ -103,6 +107,11 @@ COMMANDS = {
          "--queue-depth": int, "--quota-rps": float,
          "--quota-burst": float, "--batch-window-ms": float,
          "--max-batch-requests": int, "--request-timeout-s": float}),
+    # table1 prices from the scheme classes alone: no engine job, so no
+    # --jobs value starts a worker.
+    "experiment": (
+        ["experiment", "table1", "--cache", "{tmp}/cache"],
+        {"--jobs": int, "--cache-mem-mb": float}),
 }
 
 
@@ -191,6 +200,107 @@ def test_serve_port_out_of_range_is_a_structured_error(port, capsys,
     status, err, caught = _run_cli(["serve", f"--port={port}"], capsys)
     assert status == 2 and "port must be" in err, (status, err)
     assert "Traceback" not in err and not caught, (err, caught)
+
+
+# ----- cache and metrics -------------------------------------------------------
+
+#: ``repro cache`` invocations no directory or action can satisfy
+#: (``{tmp}`` is the test's temporary directory, ``{file}`` a file in it).
+BAD_CACHE_ARGV = [
+    ["cache"],
+    ["cache", "stats"],
+    ["cache", "bogus", "--cache", "{tmp}"],
+    ["cache", "stats", "--cache"],
+    ["cache", "stats", "--cache="],
+    ["cache", "verify", "--cache", "{tmp}/missing"],
+    ["cache", "stats", "--cache", "{file}"],
+    ["cache", "verify", "--cache", "{file}"],
+]
+
+
+def test_cache_answers_every_bad_argument_with_a_structured_error(
+        tmp_path, capsys):
+    folder = tmp_path / "cache"
+    folder.mkdir()
+    (tmp_path / "file").write_text("not a cache")
+    for action in ("stats", "verify"):
+        status, err, caught = _run_cli(
+            ["cache", action, "--cache", str(folder)], capsys)
+        assert status == 0 and not caught, (action, status, err, caught)
+    for argv in BAD_CACHE_ARGV:
+        argv = [arg.format(tmp=tmp_path, file=tmp_path / "file")
+                for arg in argv]
+        status, err, caught = _run_cli(argv, capsys)
+        where = f"repro {' '.join(argv)}"
+        assert status == 2 and "error:" in err, (where, status, err)
+        assert "Traceback" not in err and not caught, (where, err, caught)
+
+
+def _snapshot(**sections):
+    """A snapshot with empty sections except those given."""
+    return {"metrics": {"counters": {}, "gauges": {}, "histograms": {},
+                        **sections}}
+
+
+SUMMARY = {"count": 1, "total": 1.0, "mean": 1.0, "min": 1.0, "max": 1.0,
+           "p50": 1.0, "p90": 1.0, "p99": 1.0}
+
+#: Manifest file contents ``repro metrics`` must refuse: JSON text as
+#: written to the file, or an object ``json.dumps`` writes.
+HOSTILE_MANIFESTS = {
+    "empty file": "",
+    "not json": "{",
+    "list": [1],
+    "string": "x",
+    "number": 7,
+    "null": None,
+    "no metrics": {},
+    "metrics null": {"metrics": None},
+    "metrics list": {"metrics": []},
+    "metrics string": {"metrics": "x"},
+    "missing sections": {"metrics": {"counters": {}}},
+    "counters number": _snapshot(counters=5),
+    "gauges list": _snapshot(gauges=[1]),
+    "histograms string": _snapshot(histograms="h"),
+    "counter string": _snapshot(counters={"x": "y"}),
+    "counter bool": _snapshot(counters={"x": True}),
+    "counter null": _snapshot(counters={"x": None}),
+    "counter too big": _snapshot(counters={"x": 10**400}),
+    "gauge object": _snapshot(gauges={"g": {"a": 1}}),
+    "histogram number": _snapshot(histograms={"h": 3}),
+    "histogram missing field": _snapshot(histograms={"h": {"count": 1}}),
+    "histogram string field": _snapshot(
+        histograms={"h": {**SUMMARY, "p50": "a"}}),
+    "histogram list": _snapshot(histograms={"h": [SUMMARY]}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "prom"])
+def test_every_hostile_manifest_is_a_structured_error(fmt, tmp_path, capsys):
+    for label, content in HOSTILE_MANIFESTS.items():
+        path = tmp_path / "manifest.json"
+        path.write_text(content if label in ("empty file", "not json")
+                        else json.dumps(content))
+        status, err, caught = _run_cli(
+            ["metrics", "--manifest", str(path), f"--format={fmt}"], capsys)
+        assert status == 2 and "error:" in err, (label, status, err)
+        assert "Traceback" not in err and not caught, (label, err, caught)
+    for path in (tmp_path / "missing.json", tmp_path):
+        status, err, _ = _run_cli(
+            ["metrics", "--manifest", str(path), f"--format={fmt}"], capsys)
+        assert status == 2 and "error:" in err, (path, status, err)
+
+
+def test_non_finite_metric_values_still_render(tmp_path, capsys):
+    """NaN and infinities are numbers a registry can hold."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(_snapshot(
+        counters={"c": float("nan")}, gauges={"g": float("inf")},
+        histograms={"h": {**SUMMARY, "max": float("inf")}})))
+    for fmt in ("text", "prom"):
+        status, err, caught = _run_cli(
+            ["metrics", "--manifest", str(path), f"--format={fmt}"], capsys)
+        assert status == 0 and not caught, (fmt, status, err, caught)
 
 
 # ----- scheme specs ----------------------------------------------------------

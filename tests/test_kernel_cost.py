@@ -1,4 +1,5 @@
-"""Kernel cost model: Table-2 calibration and extrapolation."""
+"""Kernel cost model: Table-2 calibration and extrapolation, priced
+through each method's scheme."""
 
 import dataclasses
 
@@ -14,21 +15,27 @@ from repro.compression import (
     calibrate_v100_profile,
     v100_kernel_profile,
 )
-from repro.compression.kernel_cost import (
-    atomo_encode_decode_time,
-    dgc_encode_decode_time,
-    fp16_encode_decode_time,
-    gradiveq_encode_decode_time,
-    onebit_encode_decode_time,
-    powersgd_encode_decode_time,
-    qsgd_encode_decode_time,
-    randomk_encode_decode_time,
-    signsgd_encode_decode_time,
-    terngrad_encode_decode_time,
-    topk_encode_decode_time,
+from repro.compression.schemes import (
+    ATOMOScheme,
+    DGCScheme,
+    FP16Scheme,
+    GradiVeqScheme,
+    OneBitScheme,
+    PowerSGDScheme,
+    QSGDScheme,
+    RandomKScheme,
+    SignSGDScheme,
+    TernGradScheme,
+    TopKScheme,
 )
 from repro.errors import ConfigurationError
 from repro.models import get_model
+
+
+def seconds(scheme, model, profile, world_size=1):
+    """The encode+decode seconds ``scheme`` prices; world-size-free
+    methods are priced at one worker."""
+    return scheme.cost(model, world_size, profile).encode_decode_s
 
 
 @pytest.fixture(scope="module")
@@ -44,20 +51,20 @@ def rn50():
 class TestTable2Calibration:
     def test_powersgd_rows_reproduced_exactly(self, profile, rn50):
         for rank, paper_ms in TABLE2_POWERSGD_MS.items():
-            model_ms = powersgd_encode_decode_time(rn50, rank, profile) * 1e3
+            model_ms = seconds(PowerSGDScheme(rank), rn50, profile) * 1e3
             # rel 1e-3: the cost adds a ~2 us elementwise pass for the
             # BN/bias extras that the 3x3 calibration solve leaves out.
             assert model_ms == pytest.approx(paper_ms, rel=1e-3)
 
     def test_topk_rows_within_lsq_residual(self, profile, rn50):
         for fraction, paper_ms in TABLE2_TOPK_MS.items():
-            model_ms = topk_encode_decode_time(
-                rn50, fraction, profile, TABLE2_WORLD_SIZE) * 1e3
+            model_ms = seconds(TopKScheme(fraction), rn50, profile,
+                               TABLE2_WORLD_SIZE) * 1e3
             assert model_ms == pytest.approx(paper_ms, rel=0.06)
 
     def test_signsgd_row(self, profile, rn50):
-        model_ms = signsgd_encode_decode_time(
-            rn50, profile, TABLE2_WORLD_SIZE) * 1e3
+        model_ms = seconds(SignSGDScheme(), rn50, profile,
+                           TABLE2_WORLD_SIZE) * 1e3
         assert model_ms == pytest.approx(TABLE2_SIGNSGD_MS, rel=0.05)
 
     def test_profile_constants_positive(self, profile):
@@ -77,8 +84,8 @@ class TestTable2Calibration:
 class TestScaling:
     def test_profile_scaled_halves_times(self, profile, rn50):
         fast = profile.scaled(2.0)
-        slow_t = powersgd_encode_decode_time(rn50, 4, profile)
-        fast_t = powersgd_encode_decode_time(rn50, 4, fast)
+        slow_t = seconds(PowerSGDScheme(4), rn50, profile)
+        fast_t = seconds(PowerSGDScheme(4), rn50, fast)
         assert fast_t == pytest.approx(slow_t / 2)
 
     def test_scaled_rejects_nonpositive(self, profile):
@@ -123,47 +130,47 @@ class TestScaling:
 class TestExtrapolation:
     def test_powersgd_grows_with_model(self, profile, rn50):
         rn101 = get_model("resnet101")
-        assert (powersgd_encode_decode_time(rn101, 4, profile)
-                > powersgd_encode_decode_time(rn50, 4, profile))
+        assert (seconds(PowerSGDScheme(4), rn101, profile)
+                > seconds(PowerSGDScheme(4), rn50, profile))
 
     def test_powersgd_grows_with_rank(self, profile, rn50):
-        times = [powersgd_encode_decode_time(rn50, r, profile)
+        times = [seconds(PowerSGDScheme(r), rn50, profile)
                  for r in (2, 4, 8, 16)]
         assert times == sorted(times)
 
     def test_signsgd_linear_in_p(self, profile, rn50):
-        t16 = signsgd_encode_decode_time(rn50, profile, 16)
-        t96 = signsgd_encode_decode_time(rn50, profile, 96)
+        t16 = seconds(SignSGDScheme(), rn50, profile, 16)
+        t96 = seconds(SignSGDScheme(), rn50, profile, 96)
         assert t96 / t16 == pytest.approx(97 / 17, rel=0.05)
 
     def test_topk_decode_dominated_by_p(self, profile, rn50):
-        t16 = topk_encode_decode_time(rn50, 0.01, profile, 16)
-        t96 = topk_encode_decode_time(rn50, 0.01, profile, 96)
+        t16 = seconds(TopKScheme(0.01), rn50, profile, 16)
+        t96 = seconds(TopKScheme(0.01), rn50, profile, 96)
         assert t96 > t16
 
     def test_fp16_cheapest(self, profile, rn50):
-        fp16 = fp16_encode_decode_time(rn50, profile)
-        assert fp16 < signsgd_encode_decode_time(rn50, profile, 16)
-        assert fp16 < powersgd_encode_decode_time(rn50, 4, profile)
+        fp16 = seconds(FP16Scheme(), rn50, profile)
+        assert fp16 < seconds(SignSGDScheme(), rn50, profile, 16)
+        assert fp16 < seconds(PowerSGDScheme(4), rn50, profile)
 
     def test_atomo_most_expensive(self, profile, rn50):
-        atomo = atomo_encode_decode_time(rn50, 4, profile, 16)
-        assert atomo > topk_encode_decode_time(rn50, 0.2, profile, 16)
+        atomo = seconds(ATOMOScheme(4), rn50, profile, 16)
+        assert atomo > seconds(TopKScheme(0.2), rn50, profile, 16)
 
     def test_all_methods_positive(self, profile, rn50):
-        assert qsgd_encode_decode_time(rn50, profile, 8) > 0
-        assert terngrad_encode_decode_time(rn50, profile, 8) > 0
-        assert onebit_encode_decode_time(rn50, profile, 8) > 0
-        assert randomk_encode_decode_time(rn50, 0.01, profile) > 0
-        assert dgc_encode_decode_time(rn50, 0.001, profile, 8) > 0
-        assert gradiveq_encode_decode_time(rn50, 512, 64, profile) > 0
+        assert seconds(QSGDScheme(), rn50, profile, 8) > 0
+        assert seconds(TernGradScheme(), rn50, profile, 8) > 0
+        assert seconds(OneBitScheme(), rn50, profile, 8) > 0
+        assert seconds(RandomKScheme(0.01), rn50, profile) > 0
+        assert seconds(DGCScheme(0.001), rn50, profile, 8) > 0
+        assert seconds(GradiVeqScheme(512, 64), rn50, profile) > 0
 
     def test_invalid_args_rejected(self, profile, rn50):
         with pytest.raises(ConfigurationError):
-            powersgd_encode_decode_time(rn50, 0, profile)
+            seconds(PowerSGDScheme(0), rn50, profile)
         with pytest.raises(ConfigurationError):
-            topk_encode_decode_time(rn50, 0.0, profile, 8)
+            seconds(TopKScheme(0.0), rn50, profile, 8)
         with pytest.raises(ConfigurationError):
-            topk_encode_decode_time(rn50, 0.1, profile, 0)
+            seconds(TopKScheme(0.1), rn50, profile, 0)
         with pytest.raises(ConfigurationError):
-            gradiveq_encode_decode_time(rn50, 8, 16, profile)
+            seconds(GradiVeqScheme(8, 16), rn50, profile)

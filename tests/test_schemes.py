@@ -18,6 +18,7 @@ from repro.compression import (
     SyncSGDScheme,
     TernGradScheme,
     TopKScheme,
+    available_schemes,
     make_scheme,
     scheme_from_spec,
 )
@@ -273,3 +274,11 @@ class TestSchemeSpecs:
             parsed += 1
             SimJob(model=rn50, cluster=cluster, scheme=scheme).fingerprint()
         assert parsed > 0
+
+
+@pytest.mark.parametrize("name", available_schemes())
+def test_cost_rejects_an_empty_world(name, rn50):
+    """Every registered scheme, the dense and all-reduce ones included,
+    refuses to price zero workers."""
+    with pytest.raises(ConfigurationError, match="world_size must be >= 1"):
+        make_scheme(name).cost(rn50, 0)

@@ -255,6 +255,64 @@ class TestCoalescing:
             sched.close()
 
 
+class TestRetention:
+    def test_finished_states_are_bounded_by_count(self, monkeypatch):
+        """More finished requests than the bound: the earliest are
+        forgotten, the rest still answer, and ``requests_seen`` counts
+        them all."""
+        monkeypatch.setattr(scheduler_module, "FINISHED_STATES_KEPT", 3)
+        sched = make_scheduler(batch_window_s=0.0)
+        try:
+            ids = []
+            for _ in range(7):
+                state = sched.submit(WhatIfRequest.from_json(
+                    {"model": "resnet50", "gpus": 8, "crossovers": False}))
+                assert sched.wait(state.id, timeout_s=60.0).status == "done"
+                ids.append(state.id)
+                assert len(sched._states) <= 3
+            assert [sched.get(i) is not None for i in ids] == \
+                [False] * 4 + [True] * 3
+            assert sched.stats()["requests_seen"] == 7
+        finally:
+            sched.close()
+
+    def test_queued_and_blocked_states_are_kept(self, monkeypatch):
+        """A queued request is never forgotten, and a finished one that
+        a connection is still blocked on keeps itself and every later
+        one until it is released."""
+        monkeypatch.setattr(scheduler_module, "FINISHED_STATES_KEPT", 1)
+        sched = make_scheduler(batch_window_s=3600.0)  # nothing drains
+        try:
+            queued = sched.submit(simulate_request(seed=1))
+
+            def finish(request_id):
+                state = scheduler_module.RequestState(
+                    id=request_id, request=queued.request, tenant="default",
+                    submitted_unix=0.0, submitted_monotonic=0.0,
+                    deadline_monotonic=None, status="done")
+                with sched._cv:
+                    sched._states[request_id] = state
+                    sched._settle(state)
+
+            finish("a")
+            sched.connection_opened()
+            with sched._cv:  # as a connection waiting in wait() does
+                sched._blocking["a"] += 1
+            finish("b")
+            finish("c")
+            assert all(sched.get(i) is not None for i in "abc")
+            with sched._cv:
+                assert not sched._nothing_can_arrive()
+                del sched._blocking["a"]
+            sched.connection_closed()
+            finish("d")
+            assert [sched.get(i) is not None for i in "abcd"] == \
+                [False, False, False, True]
+            assert sched.get(queued.id) is queued
+        finally:
+            sched.close()
+
+
 class TestStalls:
     def test_whatif_finishes_while_coalesced_advise_runs(self, monkeypatch):
         # One batch carries a what-if and an advise sweep; the sweep's
