@@ -29,7 +29,7 @@ left-to-right float sum bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -198,6 +198,7 @@ class _LayerTable:
         self.uncompressed = int(self.extra[self.is_matrix].sum()
                                 + self.params[~self.is_matrix].sum())
         self.ranks: Dict[int, _RankTable] = {}
+        self.wires: Dict[Tuple[Callable, int], float] = {}
 
     def rank(self, rank: int) -> _RankTable:
         """The work at ``rank`` (built once per rank)."""
@@ -205,6 +206,16 @@ class _LayerTable:
         if table is None:
             table = self.ranks[rank] = _RankTable(self, rank)
         return table
+
+    def wire(self, formula: Callable[["_LayerTable", _RankTable], float],
+             rank: int) -> float:
+        """``formula(self, self.rank(rank))``, a low-rank scheme's wire
+        bytes, computed once per formula and rank."""
+        key = (formula, rank)
+        value = self.wires.get(key)
+        if value is None:
+            value = self.wires[key] = formula(self, self.rank(rank))
+        return value
 
 
 layer_table = per_object(_LayerTable)

@@ -255,18 +255,34 @@ class PowerSGDScheme(Scheme):
     def label(self) -> str:
         return f"powersgd(rank={self.rank})"
 
+    @staticmethod
+    def _wire(table, ranked) -> float:
+        """The wire bytes above, folded in layer order (computed once
+        per rank by ``layer_table(model).wire``)."""
+        mask = table.is_matrix
+        return fold(np.stack((
+            np.where(mask, ranked.layer_r * (table.m + table.n), table.params),
+            np.where(mask, table.extra, 0)), axis=1).ravel() * FLOAT32_BYTES)
+
     def _price(self, model, world_size, profile):
         table = layer_table(model)
         ranked = table.rank(self.rank)
-        mask = table.is_matrix
-        wire = fold(np.stack((
-            np.where(mask, ranked.layer_r * (table.m + table.n), table.params),
-            np.where(mask, table.extra, 0)), axis=1).ravel() * FLOAT32_BYTES)
         encode = layer_terms(profile.tensor_overhead_s,
                              (ranked.matmul, profile.matmul_flops_per_s),
                              (ranked.orth, profile.orth_elems_per_s))
-        return (wire, 2,
+        return (table.wire(self._wire, self.rank), 2,
                 encode + table.uncompressed / profile.elementwise_elems_per_s)
+
+
+def _sparse_price(model: ModelSpec, fraction: float, world_size: int,
+                  profile: KernelProfile, scan_s: Any) -> Price:
+    """Top-K's price (:class:`TopKScheme`) after a ``scan_s``-second
+    launch and pass that finds the ``f·N`` values to send."""
+    selected = fraction * model.num_params
+    index_bytes = 4 if model.num_params < 2**31 else 8
+    encode = scan_s + selected / profile.pack_elems_per_s
+    decode = selected * world_size / profile.pack_elems_per_s
+    return selected * (FLOAT32_BYTES + index_bytes), 2, encode + decode
 
 
 class TopKScheme(Scheme):
@@ -288,18 +304,11 @@ class TopKScheme(Scheme):
     def label(self) -> str:
         return f"topk({self.fraction:.0%})"
 
-    def _scan_s(self, numel: int, profile: KernelProfile) -> Any:
-        """The launch and the pass that finds what to send."""
-        return profile.tensor_overhead_s + numel / profile.select_elems_per_s
-
     def _price(self, model, world_size, profile):
-        numel = model.num_params
-        selected = self.fraction * numel
-        index_bytes = 4 if numel < 2**31 else 8
-        encode = (self._scan_s(numel, profile)
-                  + selected / profile.pack_elems_per_s)
-        decode = selected * world_size / profile.pack_elems_per_s
-        return selected * (FLOAT32_BYTES + index_bytes), 2, encode + decode
+        return _sparse_price(
+            model, self.fraction, world_size, profile,
+            profile.tensor_overhead_s
+            + model.num_params / profile.select_elems_per_s)
 
 
 class DGCScheme(TopKScheme):
@@ -317,10 +326,13 @@ class DGCScheme(TopKScheme):
     def label(self) -> str:
         return f"dgc({self.fraction:.1%})"
 
-    def _scan_s(self, numel, profile):
-        return (profile.tensor_overhead_s
-                + numel / profile.elementwise_elems_per_s  # threshold mask
-                + 0.01 * numel / profile.select_elems_per_s)  # sampled quantile
+    def _price(self, model, world_size, profile):
+        numel = model.num_params
+        return _sparse_price(
+            model, self.fraction, world_size, profile,
+            profile.tensor_overhead_s
+            + numel / profile.elementwise_elems_per_s  # threshold mask
+            + 0.01 * numel / profile.select_elems_per_s)  # sampled quantile
 
 
 class SignSGDScheme(Scheme):
@@ -396,14 +408,19 @@ class ATOMOScheme(Scheme):
     def label(self) -> str:
         return f"atomo(rank={self.rank})"
 
-    def _price(self, model, world_size, profile):
-        table = layer_table(model)
-        ranked = table.rank(self.rank)
-        wire = fold(np.where(
+    @staticmethod
+    def _wire(table, ranked) -> float:
+        """The wire bytes above, folded in layer order (computed once
+        per rank by ``layer_table(model).wire``)."""
+        return fold(np.where(
             table.is_matrix,
             ranked.layer_r * (table.m + table.n + 1) + table.extra,
             table.params) * FLOAT32_BYTES)
-        return wire, 3, layer_terms(
+
+    def _price(self, model, world_size, profile):
+        table = layer_table(model)
+        ranked = table.rank(self.rank)
+        return table.wire(self._wire, self.rank), 3, layer_terms(
             profile.tensor_overhead_s, (table.svd, profile.svd_flops_per_s),
             (ranked.atomo_recon * world_size, profile.matmul_flops_per_s))
 

@@ -350,7 +350,8 @@ class ServingScheduler:
             for state in self._queue:
                 state.status = "failed"
                 state.error = "scheduler shut down"
-                self._settle(state)
+                state.finished_unix = time.time()
+                self._keep_finished(state)
             self._queue.clear()
             get_registry().gauge("serving_queue_depth").set(0)
             self._cv.notify_all()
@@ -618,15 +619,20 @@ class ServingScheduler:
 
     def _settle(self, state: RequestState) -> None:
         """Stamp a state that has just reached a terminal status: its
-        finish time and latency, and its place among the finished states
-        kept, forgetting the earliest beyond :data:`FINISHED_STATES_KEPT`.
-        An earliest one with a waiter still blocked on it stays until a
-        later call (:meth:`_nothing_can_arrive` reads every blocked id).
-        Called with the condition held."""
+        finish time and latency, and its place among the finished
+        states kept.  Called with the condition held."""
         state.finished_unix = time.time()
         get_registry().histogram(
             "serving_request_latency_s", kind=state.kind).observe(
             max(0.0, state.finished_unix - state.submitted_unix))
+        self._keep_finished(state)
+
+    def _keep_finished(self, state: RequestState) -> None:
+        """Keep a terminal state, forgetting the earliest beyond
+        :data:`FINISHED_STATES_KEPT`.  An earliest one with a waiter
+        still blocked on it stays until a later call
+        (:meth:`_nothing_can_arrive` reads every blocked id).  Called
+        with the condition held."""
         self._finished[state.id] = None
         while len(self._finished) > FINISHED_STATES_KEPT:
             earliest = next(iter(self._finished))

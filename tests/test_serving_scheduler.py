@@ -168,6 +168,19 @@ class TestAdmission:
             sched.submit(simulate_request())
         assert excinfo.value.reason == "closed"
 
+    def test_shutdown_failure_records_no_latency(self, registry):
+        # A request still queued at close() fails with a finish time but
+        # no latency sample: the histogram times requests that ran or
+        # expired, not the shutdown.
+        sched = make_scheduler(batch_window_s=60.0)
+        state = sched.submit(simulate_request())
+        sched.close()
+        final = sched.get(state.id)
+        assert final.status == "failed"
+        assert final.finished_unix is not None
+        assert not any(name.startswith("serving_request_latency_s")
+                       for name in registry.snapshot()["histograms"])
+
 
 class TestCoalescing:
     def test_seed_varied_requests_share_one_kernel_call(self, registry):
