@@ -45,7 +45,13 @@ def validate_bound(label: str, value, low: float, *,
     This is the one operand check of the α+β collectives and the §4
     model (:mod:`repro.core.perf_model`).
     """
-    if isinstance(value, np.ndarray):
+    if type(value) is float or type(value) is int:
+        # The common scalar case, accepted without the checks below
+        # (NaN fails both comparisons and takes them).
+        if (value > low if strict else value >= low) and value < math.inf:
+            return
+        worst = top = value
+    elif isinstance(value, np.ndarray):
         if not value.size:
             return
         worst, top = value.min(), value.max()

@@ -53,9 +53,22 @@ from ..models import ModelSpec
 from ..units import GIGA
 from .fingerprint import (
     FINGERPRINT_VERSION,
-    digest,
-    spec_payload,
+    compose,
+    spec_fragment,
+    spec_members,
 )
+
+
+@spec_fragment
+def _inputs_fragment(inputs: PerfModelInputs) -> dict:
+    """The :class:`PerfModelInputs` fields a shard reads beyond its own
+    world size and bandwidth axis."""
+    return {
+        "alpha_s": inputs.alpha_s,
+        "gamma": inputs.gamma,
+        "batch_size": inputs.batch_size,
+        "bucket_cap_bytes": inputs.bucket_cap_bytes,
+    }
 
 
 @dataclass(frozen=True)
@@ -149,17 +162,12 @@ class AdvisorShardJob:
         Shares the cache namespace with simulation and model-eval jobs
         without colliding: the payload leads with a distinct ``kind``.
         """
-        payload = spec_payload(self.model, self.scheme, self.gpu,
+        members = spec_members(self.model, self.scheme, self.gpu,
                                self.profile)
-        payload.update({
+        members.update({
             "kind": "advisor-shard",
             "version": FINGERPRINT_VERSION,
-            "inputs": {
-                "alpha_s": self.inputs.alpha_s,
-                "gamma": self.inputs.gamma,
-                "batch_size": self.inputs.batch_size,
-                "bucket_cap_bytes": self.inputs.bucket_cap_bytes,
-            },
+            "inputs": _inputs_fragment(self.inputs),
             "world_size": self.world_size,
             "axis": {
                 "lo_gbps": self.bw_lo_gbps,
@@ -169,7 +177,7 @@ class AdvisorShardJob:
                 "count": self.count,
             },
         })
-        return digest(payload)
+        return compose(members)
 
     def family_inputs(self) -> tuple:
         """Every object :meth:`family_key` reads, and nothing else: jobs
@@ -181,15 +189,15 @@ class AdvisorShardJob:
         """Grouping key: one candidate's shards across world sizes and
         slices, which the engine evaluates as one family."""
         model, scheme, gpu, profile, inputs = self.family_inputs()
-        payload = spec_payload(model, scheme, gpu, profile)
-        payload.update({
+        members = spec_members(model, scheme, gpu, profile)
+        members.update({
             "kind": "advisor-shard",
             "alpha_s": inputs.alpha_s,
             "gamma": inputs.gamma,
             "batch_size": inputs.batch_size,
             "bucket_cap_bytes": inputs.bucket_cap_bytes,
         })
-        return digest(payload)
+        return compose(members)
 
     def evaluate(self) -> AdvisorShardResult:
         """Price this shard with one bounded grid-kernel call and keep

@@ -58,7 +58,7 @@ from ..simulator import TimingResult
 from ..telemetry.metrics import get_registry
 from .advisorjobs import AdvisorShardResult
 from .memcache import MemoryCache, payload_nbytes
-from .pack import PackStore
+from .pack import READ_BATCH, PackStore
 
 #: What a cache lookup can yield: a simulated result, the deterministic
 #: OOM, a closed-form model prediction (``ModelEvalJob`` entries), or
@@ -147,14 +147,27 @@ def result_to_payload(result: TimingResult) -> dict:
 
 
 def payload_to_result(payload: dict) -> TimingResult:
-    """Inverse of :func:`result_to_payload`."""
+    """Inverse of :func:`result_to_payload`; raises ``ValueError`` unless
+    both samples are non-empty, of equal length and finite, as every
+    simulated result's are (a record that is not reads as a miss)."""
+    sync = base64.b64decode(payload["sync_times"], validate=True)
+    iterations = base64.b64decode(payload["iteration_times"], validate=True)
+    if not sync or len(sync) != len(iterations) or len(sync) % 8:
+        raise ValueError("a cached result needs non-empty samples of "
+                         "equal length")
+    # Both samples in one array: one finiteness check, one conversion.
+    both = np.frombuffer(sync + iterations, dtype="<f8")
+    if not np.isfinite(both).all():
+        raise ValueError("a cached result needs finite samples")
+    values = both.tolist()
+    half = len(values) // 2
     return TimingResult(
         model=payload["model"],
         scheme=payload["scheme"],
         world_size=payload["world_size"],
         batch_size=payload["batch_size"],
-        sync_times=text_to_floats(payload["sync_times"]),
-        iteration_times=text_to_floats(payload["iteration_times"]),
+        sync_times=tuple(values[:half]),
+        iteration_times=tuple(values[half:]),
     )
 
 
@@ -238,25 +251,28 @@ def outcome_to_payload(outcome: CachedOutcome) -> dict:
     return oom_to_payload(outcome)
 
 
+#: Each payload kind the cache serves, and its converter.  Records of
+#: any other kind (a retired one, such as ``advisor-shard``) are
+#: healthy records that read as misses.
+_FROM_PAYLOAD = {
+    "result": payload_to_result,
+    "oom": payload_to_oom,
+    "predicted": payload_to_predicted,
+    "advisor-frontier": payload_to_advisor_shard,
+}
+
+
 def payload_to_outcome(payload: dict) -> CachedOutcome:
     """Rehydrate any tier's payload; raises ``KeyError`` on an unknown
     kind or missing fields, ``TypeError`` on a payload that is not a
     JSON object or a field of the wrong type, and ``ValueError`` on a
-    float array that does not decode — every tier shares this one
-    converter, which is what makes hot and pack hits byte-identical."""
+    float array that does not decode or a result whose samples could
+    not have been simulated — every tier shares this one converter,
+    which is what makes hot and pack hits byte-identical."""
     if not isinstance(payload, dict):
         raise TypeError(
             f"cache payload must be an object, not {type(payload).__name__}")
-    kind = payload.get("kind")
-    if kind == "result":
-        return payload_to_result(payload)
-    if kind == "oom":
-        return payload_to_oom(payload)
-    if kind == "predicted":
-        return payload_to_predicted(payload)
-    if kind == "advisor-frontier":
-        return payload_to_advisor_shard(payload)
-    raise KeyError(kind)
+    return _FROM_PAYLOAD[payload.get("kind")](payload)
 
 
 def _rehydrate(payload: dict) -> Optional[CachedOutcome]:
@@ -266,6 +282,13 @@ def _rehydrate(payload: dict) -> Optional[CachedOutcome]:
         return payload_to_outcome(payload)
     except (KeyError, TypeError, ValueError):
         return None
+
+
+def _sound(payload: dict) -> bool:
+    """Whether ``repro cache verify`` passes a pack payload: one of a
+    served kind must rehydrate; one of another kind is a plain miss."""
+    return payload.get("kind") not in _FROM_PAYLOAD \
+        or _rehydrate(payload) is not None
 
 
 class SimulationCache:
@@ -341,11 +364,10 @@ class SimulationCache:
                     outcomes[key] = payload_to_outcome(payload)
                     tiers[key] = "memory"
             writeback: List[Tuple[str, dict]] = []
-            for key in unique:
-                if key in outcomes:
-                    continue
-                payload = self.packs.lookup(key)
-                outcome = None if payload is None else _rehydrate(payload)
+            stored = self.packs.lookup_many(
+                [key for key in unique if key not in outcomes])
+            for key, payload in stored.items():
+                outcome = _rehydrate(payload)
                 if outcome is None:
                     continue
                 outcomes[key] = outcome
@@ -432,20 +454,24 @@ class SimulationCache:
         mem_loaded = 0
         skipped = 0
         with self._lock:
-            for key in list(self.packs.index):
-                payload = self.packs.lookup(key)
-                if payload is None or _rehydrate(payload) is None:
-                    skipped += 1
-                    continue
-                loaded += 1
-                if not memory:
-                    continue
-                assert self.memory is not None
-                nbytes = payload_nbytes(payload)
-                if self.memory.current_bytes + nbytes \
-                        <= self.memory.max_bytes:
-                    self.memory.put_many([(key, payload, nbytes)])
-                    mem_loaded += 1
+            keys = list(self.packs.index)
+            for start in range(0, len(keys), READ_BATCH):
+                batch = keys[start:start + READ_BATCH]
+                stored = self.packs.lookup_many(batch)
+                skipped += len(batch) - len(stored)
+                for key, payload in stored.items():
+                    if _rehydrate(payload) is None:
+                        skipped += 1
+                        continue
+                    loaded += 1
+                    if not memory:
+                        continue
+                    assert self.memory is not None
+                    nbytes = payload_nbytes(payload)
+                    if self.memory.current_bytes + nbytes \
+                            <= self.memory.max_bytes:
+                        self.memory.put_many([(key, payload, nbytes)])
+                        mem_loaded += 1
         return {"entries": loaded, "memory_entries": mem_loaded,
                 "skipped": skipped}
 
@@ -462,7 +488,7 @@ class SimulationCache:
         *detected*, not served.
         """
         with self._lock:
-            report = self.packs.verify()
+            report = self.packs.verify(_sound)
         return {
             "pack_entries": report["entries"],
             "pack_ok": report["ok"],

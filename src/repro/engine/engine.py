@@ -75,13 +75,13 @@ from .cache import CacheStats, SimulationCache
 from .fingerprint import (
     FINGERPRINT_VERSION,
     cluster_digest,
+    compose,
     config_digest,
-    digest,
-    fabric_payload,
-    faults_payload,
+    fabric_fragment,
+    faults_fragment,
     model_digest,
     profile_digest,
-    scheme_payload,
+    scheme_fragment,
 )
 from .modeljobs import ModelEvalJob, evaluate_family
 
@@ -153,12 +153,12 @@ class SimJob:
         empty schedule shares the fault-free key.  Keys hold only within
         one ``FINGERPRINT_VERSION``: version 2 changed every key.
         """
-        payload = self._family_payload()
-        payload["seed"] = self.seed
-        fault_payload = faults_payload(self.faults)
-        if fault_payload is not None:
-            payload["faults"] = fault_payload
-        return digest(payload)
+        members = self._family_members()
+        members["seed"] = self.seed
+        faults = faults_fragment(self.faults)
+        if faults is not None:
+            members["faults"] = faults
+        return compose(members)
 
     def family_inputs(self) -> tuple:
         """Every object :meth:`family_key` reads, and nothing else: jobs
@@ -167,14 +167,14 @@ class SimJob:
                 self.config, self.profile, self.batch_size, self.iterations,
                 self.warmup)
 
-    def _family_payload(self) -> Dict[str, Any]:
-        """The key payload of every :meth:`family_inputs` member."""
+    def _family_members(self) -> Dict[str, Any]:
+        """The key members of every :meth:`family_inputs` member."""
         return {
             "version": FINGERPRINT_VERSION,
             "model": model_digest(self.model),
             "cluster": cluster_digest(self.cluster),
-            "scheme": scheme_payload(self.scheme),
-            "fabric": fabric_payload(self.fabric),
+            "scheme": scheme_fragment(self.scheme),
+            "fabric": fabric_fragment(self.fabric),
             "config": config_digest(self.config),
             "profile": profile_digest(self.profile),
             "batch_size": self.batch_size,
@@ -194,7 +194,7 @@ class SimJob:
         drops ``faults`` and ``seed``); outcomes are still cached per
         job under :meth:`fingerprint`.
         """
-        return digest(self._family_payload())
+        return compose(self._family_members())
 
     def build_simulator(self) -> DDPSimulator:
         """Construct the fully-configured simulator this job describes."""

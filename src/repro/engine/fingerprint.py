@@ -14,28 +14,49 @@ Two rules keep keys stable across processes and sessions:
   same value always serializes to the same text;
 * dict keys are sorted, so insertion order never leaks into the hash.
 
-**Digest-composed keys.**  A job's key payload is a small flat dict.
-Each frozen input — :class:`~repro.models.ModelSpec` (hundreds of
-layers), :class:`~repro.hardware.ClusterConfig`,
+**Digest-composed keys.**  A job's key is the SHA-256 of a small
+flat JSON object, assembled by :func:`compose` from the canonical JSON
+text of each member, in sorted-name order, without encoding the object
+as a dict.  Each frozen input — :class:`~repro.models.ModelSpec`
+(hundreds of layers), :class:`~repro.hardware.ClusterConfig`,
 :class:`~repro.simulator.DDPConfig`,
 :class:`~repro.compression.kernel_cost.KernelProfile` and
 :class:`~repro.hardware.GPUSpec` — enters it as the SHA-256 of its own
-canonical JSON, computed by a ``*_digest`` function once per spec
-object (:func:`~repro.memo.per_object`: keyed by identity, evicted by a
-weak reference when the spec dies, nothing stored on the spec).  So a
-key hashes a payload of well under 2 kB however large the model is,
-and equal content still gives an equal key.  The mutable inputs are
-rendered on every call: the scheme (its parameters are read from
-``vars()``), the fabric (``degrade_link`` rewrites its live bandwidth
-matrix) and the fault schedule.  Family keys, which only group misses
-inside one batch and are never persisted, are digests of the same
-members minus the axes a family stacks.
+canonical JSON, so a key hashes well under 2 kB however large the
+model is, and equal content still gives an equal key.
+
+**What is memoized, and why no key goes stale.**  Every memo is kept
+by :func:`~repro.memo.per_object`: keyed by identity, evicted by a weak
+reference when the object dies, nothing stored on the object.
+
+* The spec digests above, and the texts of a
+  :class:`~repro.faults.FaultSchedule` and of a job's
+  :class:`~repro.core.perf_model.PerfModelInputs` members: all of
+  these objects are frozen, so their text cannot change while they
+  live.
+* A scheme's text (:func:`scheme_fragment`).  Schemes are mutable, so
+  the memo also holds the scheme's class and a snapshot of its
+  ``vars()``, and the text is rendered again whenever the class, an
+  attribute name or any attribute value's identity differs.  Values
+  are compared by identity, not ``==``, so ``1``, ``1.0``, ``True``
+  and ``-0.0``/``0.0`` (which render differently) never pass for each
+  other.  A scheme holding any value that is not a plain scalar
+  (``int``, ``float``, ``str``, ``bool``, ``None``), which could change
+  in place, is rendered on every call.  A scheme's text must depend
+  only on its class and ``vars()``, as the built-in schemes' does.
+* Nothing about the fabric: ``degrade_link`` rewrites its live
+  bandwidth matrix, so it is rendered on every call.
+
+Family keys, which only group misses inside one batch and are never
+persisted, are composed from the same members minus the axes a family
+stacks.
 
 Version 2 of the key format introduced the digests (version 1 embedded
 each spec's full rendering), so a cache directory written under
 version 1 misses once, re-executes into the pack, and hits after that.
-``tests/oracle.py`` keeps the expanded dict builders; the key is their
-payload with every frozen member replaced by its digest.
+``tests/oracle.py`` keeps the expanded dict builders; the key is the
+digest of their payload with every frozen member replaced by its
+digest.
 
 Anything not captured here MUST NOT influence ``DDPSimulator.run`` —
 that is the cache's correctness contract, and what
@@ -47,8 +68,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import operator
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, TypeVar
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple, TypeVar)
 
 from ..compression.kernel_cost import KernelProfile
 from ..compression.schemes import Scheme
@@ -182,15 +206,64 @@ def profile_digest(profile: Optional[KernelProfile]) -> str:
     return _profile_digest(profile)
 
 
-def scheme_payload(scheme: Optional[Scheme]) -> Dict[str, Any]:
-    """Scheme identity: class, label, and all constructor parameters.
+class Fragment(str):
+    """Canonical JSON text of one key member, which :func:`compose`
+    splices into the key verbatim."""
 
-    ``None`` (the syncSGD default) hashes distinctly from an explicit
-    :class:`~repro.compression.schemes.SyncSGDScheme` label so the key
-    still matches what the simulator actually runs.
+    __slots__ = ()
+
+
+def spec_fragment(render: Callable[[_Spec], Any],
+                  ) -> Callable[[_Spec], Fragment]:
+    """Memoize the canonical JSON of ``render(spec)`` per spec object as
+    a :class:`Fragment` (:func:`~repro.memo.per_object`: only for
+    frozen specs)."""
+    return functools.wraps(render)(per_object(
+        lambda spec: Fragment(canonical_json(render(spec)))))
+
+
+#: Member names in sorted order with their JSON prefixes, per tuple of
+#: names as a job kind lists them.
+_ORDERS: Dict[Tuple[str, ...], List[Tuple[str, str]]] = {}
+
+
+def compose(members: Dict[str, Any]) -> str:
+    """SHA-256 of ``canonical_json(members)``, assembled from each
+    member's text in sorted-name order, without encoding the dict.
+
+    A :class:`Fragment` is spliced in as already rendered; strings,
+    ints, finite floats and ``None`` are rendered as
+    :func:`canonical_json` renders them, anything else by it.  Member
+    names must be plain identifiers.
     """
-    if scheme is None:
-        return {"name": "syncsgd", "label": "syncsgd", "params": {}}
+    names = tuple(members)
+    order = _ORDERS.get(names)
+    if order is None:
+        order = _ORDERS[names] = [(name, f'"{name}":')
+                                  for name in sorted(names)]
+    parts = []
+    for name, prefix in order:
+        value = members[name]
+        kind = type(value)
+        if kind is Fragment:
+            text = value
+        elif kind is str:
+            text = _json_string(value)
+        elif kind is int:
+            text = int.__repr__(value)
+        elif kind is float and value - value == 0.0:  # finite
+            text = float.__repr__(value)
+        elif value is None:
+            text = "null"
+        else:
+            text = canonical_json(value)
+        parts.append(prefix + text)
+    text = ",".join(parts)
+    return hashlib.sha256(f"{{{text}}}".encode("utf-8")).hexdigest()
+
+
+def _scheme_payload(scheme: Scheme) -> Dict[str, Any]:
+    """Scheme identity: class, label, and all constructor parameters."""
     return {
         "name": scheme.name,
         "label": scheme.label,
@@ -205,47 +278,90 @@ def scheme_payload(scheme: Optional[Scheme]) -> Dict[str, Any]:
     }
 
 
-def spec_payload(model: ModelSpec, scheme: Optional[Scheme], gpu: GPUSpec,
+#: ``None`` (the syncSGD default) hashes distinctly from an explicit
+#: :class:`~repro.compression.schemes.SyncSGDScheme` so the key still
+#: matches what the simulator actually runs.
+_DEFAULT_SCHEME = Fragment(canonical_json(
+    {"name": "syncsgd", "label": "syncsgd", "params": {}}))
+
+_PLAIN = frozenset({int, float, str, bool, type(None)})
+
+
+@per_object
+def _scheme_memo(scheme: Scheme) -> List[Any]:
+    """One slot per scheme: ``(class, names, values, text)`` of its last
+    rendering, stored as one tuple so threads never see a torn pair."""
+    return [None]
+
+
+def scheme_fragment(scheme: Optional[Scheme]) -> Fragment:
+    """The scheme's payload text, rendered again whenever its class or
+    ``vars()`` snapshot differs (see the module docstring)."""
+    if scheme is None:
+        return _DEFAULT_SCHEME
+    state = vars(scheme)
+    kind, names, values = type(scheme), tuple(state), tuple(state.values())
+    slot = _scheme_memo(scheme)
+    last = slot[0]
+    if last is not None and last[0] is kind and last[1] == names \
+            and all(map(operator.is_, last[2], values)):
+        return last[3]
+    text = Fragment(canonical_json(_scheme_payload(scheme)))
+    if all(type(value) in _PLAIN for value in values):
+        slot[0] = (kind, names, values, text)
+    return text
+
+
+def spec_members(model: ModelSpec, scheme: Optional[Scheme], gpu: GPUSpec,
                  profile: Optional[KernelProfile]) -> Dict[str, Any]:
     """The members a closed-form job's fingerprint and family key share
     (model-eval points, advisor shards)."""
     return {
         "model": model_digest(model),
-        "scheme": scheme_payload(scheme),
+        "scheme": scheme_fragment(scheme),
         "gpu": gpu_digest(gpu),
         "profile": profile_digest(profile),
     }
 
 
-def fabric_payload(fabric: Optional[Fabric]) -> Dict[str, Any]:
-    """Fabric pricing parameters plus the live bandwidth matrix.
+_DEFAULT_FABRIC = Fragment(canonical_json({"default": True}))
+
+
+def fabric_fragment(fabric: Optional[Fabric]) -> Fragment:
+    """Fabric pricing parameters plus the live bandwidth matrix,
+    rendered on every call.
 
     The matrix digest is what invalidates cache entries after
     ``degrade_link``/``degrade_node``: the same cluster with a limping
     link is a different experiment.
     """
     if fabric is None:
-        return {"default": True}
-    return {
+        return _DEFAULT_FABRIC
+    return Fragment(canonical_json({
         "default": False,
         "alpha_s": fabric.alpha_s,
         "bandwidth_jitter": fabric.bandwidth_jitter,
         "incast_per_sender": fabric.incast_per_sender,
         "pair_bw_sha256": hashlib.sha256(
             fabric._pair_bw.tobytes()).hexdigest(),
-    }
+    }))
 
 
-def faults_payload(faults: Optional[FaultSchedule],
-                   ) -> Optional[Dict[str, Any]]:
-    """The schedule's full payload, or ``None`` when there is nothing
-    to inject.
+@per_object
+def _faults_fragment(faults: FaultSchedule) -> Optional[Fragment]:
+    """The schedule's text; ``None``, remembered too, when it is empty."""
+    if faults.is_empty:
+        return None
+    return Fragment(canonical_json(faults.fingerprint_payload()))
+
+
+def faults_fragment(faults: Optional[FaultSchedule]) -> Optional[Fragment]:
+    """The schedule's full payload text, or ``None`` when there is
+    nothing to inject.
 
     ``None`` and an *empty* schedule both return ``None`` — the
     simulator treats them identically, so they must share a cache key
     (``SimJob.fingerprint`` omits the ``faults`` field entirely in that
     case).
     """
-    if faults is None or faults.is_empty:
-        return None
-    return faults.fingerprint_payload()
+    return None if faults is None else _faults_fragment(faults)

@@ -47,9 +47,23 @@ from ..hardware import GPUSpec, V100
 from ..models import ModelSpec
 from .fingerprint import (
     FINGERPRINT_VERSION,
-    digest,
-    spec_payload,
+    compose,
+    spec_fragment,
+    spec_members,
 )
+
+
+@spec_fragment
+def _inputs_fragment(inputs: PerfModelInputs) -> dict:
+    """Every :class:`PerfModelInputs` field a prediction reads."""
+    return {
+        "world_size": inputs.world_size,
+        "bandwidth_bytes_per_s": inputs.bandwidth_bytes_per_s,
+        "alpha_s": inputs.alpha_s,
+        "gamma": inputs.gamma,
+        "batch_size": inputs.batch_size,
+        "bucket_cap_bytes": inputs.bucket_cap_bytes,
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,24 +119,17 @@ class ModelEvalJob:
         Shares the cache namespace with simulation jobs without ever
         colliding: the payload leads with a distinct ``kind``.
         """
-        payload = spec_payload(self.model, self.scheme, self.gpu,
+        members = spec_members(self.model, self.scheme, self.gpu,
                                self.profile)
-        payload.update({
+        members.update({
             "kind": "model-eval",
             "version": FINGERPRINT_VERSION,
-            "inputs": {
-                "world_size": self.inputs.world_size,
-                "bandwidth_bytes_per_s": self.inputs.bandwidth_bytes_per_s,
-                "alpha_s": self.inputs.alpha_s,
-                "gamma": self.inputs.gamma,
-                "batch_size": self.inputs.batch_size,
-                "bucket_cap_bytes": self.inputs.bucket_cap_bytes,
-            },
+            "inputs": _inputs_fragment(self.inputs),
             "compute_factor": self.compute_factor,
             "tradeoff": (None if not self.is_tradeoff
                          else {"k": self.tradeoff_k, "l": self.tradeoff_l}),
         })
-        return digest(payload)
+        return compose(members)
 
     def family_inputs(self) -> tuple:
         """Every object :meth:`family_key` reads, and nothing else: jobs
@@ -141,20 +148,20 @@ class ModelEvalJob:
         """
         model, scheme, gpu, profile, inputs, is_tradeoff = \
             self.family_inputs()
-        payload = spec_payload(model, scheme, gpu, profile)
-        payload.update({
+        members = spec_members(model, scheme, gpu, profile)
+        members.update({
             "alpha_s": inputs.alpha_s,
             "gamma": inputs.gamma,
             "bucket_cap_bytes": inputs.bucket_cap_bytes,
         })
         if is_tradeoff:
-            payload["kind"] = "tradeoff"
-            payload["world_size"] = inputs.world_size
-            payload["bandwidth_bytes_per_s"] = inputs.bandwidth_bytes_per_s
-            payload["batch_size"] = inputs.batch_size
+            members["kind"] = "tradeoff"
+            members["world_size"] = inputs.world_size
+            members["bandwidth_bytes_per_s"] = inputs.bandwidth_bytes_per_s
+            members["batch_size"] = inputs.batch_size
         else:
-            payload["kind"] = "sweep"
-        return digest(payload)
+            members["kind"] = "sweep"
+        return compose(members)
 
     def evaluate(self) -> PredictedTime:
         """Price this single point (the per-point reference the family

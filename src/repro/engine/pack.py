@@ -41,8 +41,8 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from ..errors import ConfigurationError
 
@@ -55,6 +55,12 @@ INDEX_FILENAME = "pack-index.jsonl"
 #: The advisory lock file serializing appends across processes.
 LOCK_FILENAME = "pack.lock"
 
+#: Records a whole-pack pass (verify, preload) reads and parses at a
+#: time.
+READ_BATCH = 4096
+
+_DECODER = json.JSONDecoder()
+
 #: Roll to a fresh segment once the current one crosses this size, so
 #: verification reads bounded pieces.
 DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
@@ -65,13 +71,86 @@ def segment_name(seq: int) -> str:
     return f"pack-{seq:06d}.jsonl"
 
 
-@dataclass(frozen=True)
-class PackLocation:
+class PackLocation(NamedTuple):
     """Where one record lives: segment file, byte offset, byte length."""
 
     segment: str
     offset: int
     length: int
+
+
+def parse_records(raws: Sequence[Optional[bytes]]) -> List[Any]:
+    """``json.loads`` of each raw record, ``None`` for a missing one or
+    one that is not valid JSON, with one text decode for the batch.
+
+    A record that starts with ``{"`` (bytes ``json.loads`` reads as
+    UTF-8, as it reads every record this module writes) is parsed in
+    place inside the batch's text and must end, whitespace aside, at
+    its own last byte; any other record, and every record of a batch
+    holding non-ASCII bytes, goes through ``json.loads`` alone.
+    """
+    present = [raw for raw in raws if raw is not None]
+    try:
+        text: Optional[str] = b"".join(present).decode("utf-8",
+                                                       "surrogatepass")
+    except UnicodeDecodeError:
+        text = None
+    if text is not None and len(text) != sum(map(len, present)):
+        text = None  # multi-byte characters: offsets no longer line up
+    values: List[Any] = []
+    end = 0
+    for raw in raws:
+        if raw is None:
+            values.append(None)
+            continue
+        start, end = end, end + len(raw)
+        try:
+            if text is not None and raw.startswith(b'{"'):
+                value, stop = _DECODER.raw_decode(text, start)
+                if stop > end or text[stop:end].strip(" \t\n\r"):
+                    value = None
+            else:
+                value = json.loads(raw)
+        except ValueError:
+            value = None
+        values.append(value)
+    return values
+
+
+def parse_index_lines(text: str) -> List[Any]:
+    """One JSON value per non-empty line of ``text``; ``None`` for a
+    line that is not valid JSON.
+
+    An intact index is parsed in ONE ``json.loads``: its lines joined
+    as the elements of an array.  That is exact when every line is
+    one JSON value by itself, and the joined parse only stands when
+    nothing else can have happened: the newlines are kept (a JSON
+    string cannot span one), every line after the first starts with
+    ``{`` (so none can continue an object left open on the line
+    before), there is no ``[`` (nor an array left open), and the array
+    has exactly one element per line (so no line held two values).
+    Anything else — a torn tail above all — is parsed line by line.
+    """
+    body = text[:-1] if text.endswith("\n") else text
+    if not body:
+        return []
+    newlines = body.count("\n")
+    if "[" not in body and body.count("\n{") == newlines:
+        try:
+            values = json.loads("[" + body.replace("\n", ",\n") + "]")
+        except ValueError:
+            values = None
+        if values is not None and len(values) == newlines + 1:
+            return values
+    values = []
+    for line in text.split("\n"):
+        if not line:
+            continue
+        try:
+            values.append(json.loads(line))
+        except ValueError:
+            values.append(None)
+    return values
 
 
 class PackStore:
@@ -128,26 +207,25 @@ class PackStore:
         index_path = os.path.join(self.directory, INDEX_FILENAME)
         sizes = self._segment_sizes()
         try:
-            with open(index_path, "r", encoding="utf-8") as handle:
-                lines = handle.read().split("\n")
+            # A byte that is not UTF-8 spoils its line only.
+            with open(index_path, "r", encoding="utf-8",
+                      errors="replace") as handle:
+                text = handle.read()
         except OSError:
-            lines = []
-        for line in lines:
-            if not line:
-                continue
+            text = ""
+        for entry in parse_index_lines(text):
             try:
-                entry = json.loads(line)
                 key = entry["k"]
-                location = PackLocation(segment=entry["s"],
-                                        offset=int(entry["o"]),
-                                        length=int(entry["l"]))
-            except (ValueError, KeyError, TypeError):
+                location = PackLocation(entry["s"], int(entry["o"]),
+                                        int(entry["l"]))
+                size = sizes.get(location.segment)
+                hash(key)
+            except (ValueError, KeyError, TypeError, OverflowError):
                 # A torn index line (killed mid append).  Only the tail
                 # can tear, but counting every bad line keeps the load
                 # robust to hand-edited files too.
                 self.truncated += 1
                 continue
-            size = sizes.get(location.segment)
             if size is None or location.offset + location.length > size:
                 # The segment flush never completed (or the segment is
                 # gone): the record is unreadable, so the key stays a
@@ -172,25 +250,41 @@ class PackStore:
         return handle
 
     def lookup(self, key: str) -> Optional[dict]:
-        """The payload stored for ``key``, or ``None``.
+        """The payload stored for ``key``, or ``None``; a one-key
+        :meth:`lookup_many`."""
+        return self.lookup_many([key]).get(key)
+
+    def lookup_many(self, keys: Iterable[str]) -> Dict[str, dict]:
+        """The payloads stored for those of ``keys`` the index holds.
 
         A record that fails to read back (disappeared segment, torn
         bytes despite the load-time size check, malformed JSON) is
         dropped from the in-memory index and counted in ``truncated``;
-        the caller treats it as a miss.
+        the caller treats it as a miss, as it does a record whose
+        payload is not an object.
         """
-        location = self.index.get(key)
-        if location is None:
-            return None
-        record = self._read_record(location)
-        if record is None or record.get("k") != key:
-            del self.index[key]
-            self.truncated += 1
-            return None
-        payload = record.get("p")
-        return payload if isinstance(payload, dict) else None
+        found = [key for key in dict.fromkeys(keys) if key in self.index]
+        records = self._records([self.index[key] for key in found])
+        payloads: Dict[str, dict] = {}
+        for key, record in zip(found, records):
+            if record is None or record.get("k") != key:
+                del self.index[key]
+                self.truncated += 1
+                continue
+            payload = record.get("p")
+            if isinstance(payload, dict):
+                payloads[key] = payload
+        return payloads
 
-    def _read_record(self, location: PackLocation) -> Optional[dict]:
+    def _records(self, locations: Sequence[PackLocation],
+                 ) -> List[Optional[dict]]:
+        """The record at each location, or ``None`` where it does not
+        read back as a JSON object (:func:`parse_records`)."""
+        return [record if isinstance(record, dict) else None
+                for record in parse_records(
+                    [self._read_raw(location) for location in locations])]
+
+    def _read_raw(self, location: PackLocation) -> Optional[bytes]:
         try:
             handle = self._reader(location.segment)
             handle.seek(location.offset)
@@ -199,11 +293,7 @@ class PackStore:
             return None
         if len(raw) != location.length or not raw.endswith(b"\n"):
             return None
-        try:
-            record = json.loads(raw)
-        except ValueError:
-            return None
-        return record if isinstance(record, dict) else None
+        return raw
 
     # ----- appends -----------------------------------------------------------
 
@@ -272,9 +362,8 @@ class PackStore:
                                   separators=(",", ":")).encode("utf-8") \
                     + b"\n"
                 handle.write(line)
-                written.append((key, PackLocation(segment=segment,
-                                                  offset=offset,
-                                                  length=len(line))))
+                written.append((key, PackLocation(segment, offset,
+                                                  len(line))))
                 offset += len(line)
             handle.flush()
             os.fsync(handle.fileno())
@@ -302,25 +391,29 @@ class PackStore:
 
     # ----- maintenance -------------------------------------------------------
 
-    def verify(self) -> Dict[str, int]:
+    def verify(self, sound: Optional[Callable[[dict], bool]] = None,
+               ) -> Dict[str, int]:
         """Re-read every indexed record; report (don't mutate) health.
 
         Returns counters: ``entries`` checked, ``ok``, ``corrupt``
-        (indexed records that no longer read back cleanly), plus the
-        ``truncated`` count accumulated since load.  ``repro cache
-        verify`` renders this.
+        (indexed records that no longer read back cleanly, or whose
+        payload ``sound`` rejects), plus the ``truncated`` count
+        accumulated since load.  ``repro cache verify`` renders this.
         """
+        keys = list(self.index)
         ok = 0
-        corrupt = 0
-        for key, location in list(self.index.items()):
-            record = self._read_record(location)
-            if record is None or record.get("k") != key \
-                    or not isinstance(record.get("p"), dict):
-                corrupt += 1
-            else:
-                ok += 1
-        return {"entries": len(self.index), "ok": ok,
-                "corrupt": corrupt, "truncated": self.truncated}
+        for start in range(0, len(keys), READ_BATCH):
+            batch = keys[start:start + READ_BATCH]
+            records = self._records([self.index[key] for key in batch])
+            for key, record in zip(batch, records):
+                payload = (record.get("p")
+                           if record is not None and record.get("k") == key
+                           else None)
+                if isinstance(payload, dict) \
+                        and (sound is None or sound(payload)):
+                    ok += 1
+        return {"entries": len(keys), "ok": ok,
+                "corrupt": len(keys) - ok, "truncated": self.truncated}
 
     def info(self) -> dict:
         """JSON-serializable snapshot (manifests, ``repro cache stats``)."""

@@ -34,8 +34,9 @@ computation and synchronization").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,6 +131,21 @@ class DDPConfig:
             raise ConfigurationError("jitter sigmas must be >= 0")
 
 
+# ``np.mean``/``np.std`` spend most of a short sample's time in their
+# argument handling.  These do the same float64 pairwise sum
+# (``np.add.reduce``), division by the count, squared deviations and
+# correctly rounded square root, so they return the same bits.
+_sum = np.add.reduce
+
+
+def _floats(values: Sequence[float]) -> np.ndarray:
+    return np.fromiter(values, float, len(values))
+
+
+def _mean(values: Sequence[float]) -> float:
+    return float(_sum(_floats(values)) / len(values))
+
+
 @dataclass(frozen=True)
 class TimingResult:
     """Statistics over simulated iterations (after warm-up discard).
@@ -149,17 +165,20 @@ class TimingResult:
     @property
     def mean(self) -> float:
         """Mean per-iteration sync time (the paper's reported metric)."""
-        return float(np.mean(self.sync_times))
+        return _mean(self.sync_times)
 
     @property
     def std(self) -> float:
         """Population standard deviation of the sync times."""
-        return float(np.std(self.sync_times))
+        samples = _floats(self.sync_times)
+        deviations = samples - _sum(samples) / len(samples)
+        deviations *= deviations
+        return math.sqrt(_sum(deviations) / len(samples))
 
     @property
     def mean_iteration(self) -> float:
         """Mean full-iteration time, optimizer step included."""
-        return float(np.mean(self.iteration_times))
+        return _mean(self.iteration_times)
 
 
 class DDPSimulator:

@@ -15,8 +15,8 @@ its α+β collectives (every all-reduce algorithm) and its per-point
 strong-scaling loop, the per-layer scheme-cost walks, the fabric's
 unshared bandwidth draw, the masked jitter draw, the one-value-at-a-time
 histogram, the per-iteration fault resolution and retransmit draw, the
-uncached metric lookup, and the cache's byte-budgeted LRU hot tier
-(below).
+uncached metric lookup, the cache's byte-budgeted LRU hot tier and the
+pack index's line-by-line loader (below).
 """
 
 import hashlib
@@ -24,6 +24,7 @@ import heapq
 import itertools
 import json
 import math
+import os
 import weakref
 from collections import OrderedDict
 from dataclasses import asdict, replace
@@ -1627,3 +1628,44 @@ class LRUOracle:
 
     def clear(self):
         self.entries.clear()
+
+
+# ----- pack index: the line-by-line loader ------------------------------------
+#
+# How ``PackStore`` loaded ``pack-index.jsonl`` before an intact index
+# was parsed in one ``json.loads``: every line on its own, then the same
+# validation of each entry.
+
+
+def index_oracle(directory):
+    """``(index, truncated)`` as a store opened on ``directory`` must
+    hold them: ``index`` maps each key to ``(segment, offset, length)``."""
+    sizes = {}
+    for name in os.listdir(directory):
+        if name.startswith("pack-") and name.endswith(".jsonl") \
+                and name[5:11].isdigit() and len(name) == 17:
+            sizes[name] = os.path.getsize(os.path.join(directory, name))
+    try:
+        with open(os.path.join(directory, "pack-index.jsonl"),
+                  encoding="utf-8", errors="replace") as handle:
+            lines = handle.read().split("\n")
+    except OSError:
+        lines = []
+    index, truncated = {}, 0
+    for line in lines:
+        if not line:
+            continue
+        try:
+            entry = json.loads(line)
+            key = entry["k"]
+            location = (entry["s"], int(entry["o"]), int(entry["l"]))
+            size = sizes.get(location[0])
+            hash(key)
+        except (ValueError, KeyError, TypeError, OverflowError):
+            truncated += 1
+            continue
+        if size is None or location[1] + location[2] > size:
+            truncated += 1
+            continue
+        index[key] = location
+    return index, truncated

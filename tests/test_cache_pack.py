@@ -1,17 +1,22 @@
 """Pack tier: append-only segments, offset index, crash tolerance."""
 
+import json
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from repro.engine import PackStore
 from repro.engine.pack import (
     DEFAULT_SEGMENT_BYTES,
     INDEX_FILENAME,
+    parse_records,
     segment_name,
 )
 from repro.errors import ConfigurationError
+
+from .oracle import index_oracle
 
 
 def _payload(i):
@@ -135,6 +140,15 @@ class TestCrashTolerance:
         assert store.lookup(key1) == _payload(1)
         store.close()
 
+    def test_index_line_that_is_not_utf8_is_dropped(self, tmp_path):
+        self._populate(tmp_path)
+        with open(tmp_path / INDEX_FILENAME, "ab") as handle:
+            handle.write(b'\xff\xfe{"k":"a"}\n')
+        store = PackStore(str(tmp_path))
+        assert store.truncated == 1
+        assert store.lookup(_keys(4)[3]) == _payload(3)
+        store.close()
+
     def test_missing_segment_is_all_misses(self, tmp_path):
         self._populate(tmp_path)
         os.unlink(tmp_path / segment_name(1))
@@ -213,3 +227,160 @@ class TestMultiProcessAppend:
                           "ok": workers * batches * per_batch,
                           "corrupt": 0, "truncated": 0}
         store.close()
+
+
+# ----- one parse for an intact index or batch of records ---------------------
+
+#: Groups of lines that are not one valid entry each: torn writes,
+#: non-objects, wrong field types, lines that are valid only alone, a
+#: line holding two entries, and triples whose first two lines would
+#: read as ONE value if the lines were joined into an array carelessly
+#: (through an array, an object and a string), while the third holds
+#: two, so an element count alone would not notice.
+BAD_LINES = [
+    ("{ torn",), ("[]",), ('"x"',), ("1",), ("null",), ("",), (" ",),
+    ("\r",), ("{}",), ("1,2",), ("é",), ('{"k":"a"}',),
+    ('{"k":"a","s":"pack-000001.jsonl","o":"x","l":1}',),
+    ('{"k":"a","s":"pack-000001.jsonl","o":1.5,"l":1}',),
+    ('{"k":"a","s":"pack-000001.jsonl","o":Infinity,"l":1}',),
+    ('{"k":"a","s":"pack-000001.jsonl","o":NaN,"l":1}',),
+    ('{"k":["a"],"s":"pack-000001.jsonl","o":0,"l":1}',),
+    ('{"k":"a","s":["pack-000001.jsonl"],"o":0,"l":1}',),
+    ('{"k":"a","s":{"x":1},"o":0,"l":1}',),
+    (' {"k":"b","s":"pack-000001.jsonl","o":0,"l":1}',),
+    ('{"k":"c","s":"pack-000001.jsonl","o":0,"l":1}\r',),
+    ('{"k":"é","s":"pack-000001.jsonl","o":0,"l":1}',),
+    ('{"k":"d","s":"pack-000001.jsonl","o":0,"l":1} {"k":"e"}',),
+    ('{"k":"o","s":"pack-000001.jsonl","o":0,"l":1},'
+     '{"k":"p","s":"pack-000001.jsonl","o":0,"l":2}',),
+    ('{"a":[{}', '{}]}',
+     '{"k":"f","s":"pack-000001.jsonl","o":0,"l":1},'
+     '{"k":"g","s":"pack-000001.jsonl","o":0,"l":2}'),
+    ('{"k":"h"', '"s":"pack-000001.jsonl","o":0,"l":1}',
+     '{"k":"i","s":"pack-000001.jsonl","o":0,"l":1},'
+     '{"k":"j","s":"pack-000001.jsonl","o":0,"l":2}'),
+    ('{"k":"l', '{","s":"pack-000001.jsonl","o":0,"l":1}',
+     '{"k":"m","s":"pack-000001.jsonl","o":0,"l":1},'
+     '{"k":"n","s":"pack-000001.jsonl","o":0,"l":2}'),
+]
+
+
+def _entry_line(key, segment, offset, length):
+    return json.dumps({"k": key, "s": segment, "o": offset, "l": length},
+                      separators=(",", ":"))
+
+
+def _draw_index(rng, directory):
+    """Segments of drawn sizes, and an index over them (and over one
+    segment that does not exist) with duplicate keys, offsets past a
+    segment's end, no bad lines, one group of them or many, and a tail
+    that ends in a newline, ends without one, or is torn."""
+    sizes = {segment_name(seq): int(rng.integers(0, 3000))
+             for seq in (1, 2, 3)}
+    for name, size in sizes.items():
+        (directory / name).write_bytes(b"x" * size)
+    segments = list(sizes) + [segment_name(9)]
+    keys = [f"{i:064x}" for i in range(int(rng.integers(1, 12)))]
+    bad_groups = int(rng.choice([0, 1, 8]))
+
+    def entry():
+        segment = segments[int(rng.integers(len(segments)))]
+        size = sizes.get(segment, 1000)
+        return _entry_line(keys[int(rng.integers(len(keys)))], segment,
+                           int(rng.integers(0, size + 1)),
+                           int(rng.integers(1, 300)))
+
+    lines = [entry() for _ in range(int(rng.integers(0, 30)))]
+    for _ in range(bad_groups):
+        at = int(rng.integers(len(lines) + 1))
+        lines[at:at] = BAD_LINES[int(rng.integers(len(BAD_LINES)))]
+    text = "\n".join(lines)
+    ending = rng.choice(["newline", "newline", "bare", "torn"])
+    if lines and ending == "newline":
+        text += "\n"
+    elif ending == "torn":
+        line = entry()
+        text += ("\n" if lines else "") \
+            + line[:int(rng.integers(1, len(line)))]
+    (directory / INDEX_FILENAME).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_index_load_matches_the_line_by_line_loader(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    for draw in range(60):
+        directory = tmp_path / str(draw)
+        directory.mkdir()
+        _draw_index(rng, directory)
+        store = PackStore(str(directory))
+        got = ({key: tuple(location)
+                for key, location in store.index.items()}, store.truncated)
+        store.close()
+        assert got == index_oracle(str(directory)), \
+            (directory / INDEX_FILENAME).read_text(encoding="utf-8")
+
+
+def test_intact_index_is_parsed_with_one_json_loads(tmp_path, monkeypatch):
+    store = PackStore(str(tmp_path))
+    keys = _keys(50)
+    store.append_many((k, _payload(i)) for i, k in enumerate(keys))
+    store.close()
+    parsed = []
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    reopened = PackStore(str(tmp_path))
+    assert len(reopened) == 50 and reopened.truncated == 0
+    assert len(parsed) == 1
+    reopened.close()
+    # A torn tail: every line is parsed on its own.
+    with open(tmp_path / INDEX_FILENAME, "a", encoding="utf-8") as handle:
+        handle.write('{"k": "abc", "s"')
+    parsed.clear()
+    torn = PackStore(str(tmp_path))
+    assert len(torn) == 50 and torn.truncated == 1
+    assert len(parsed) == 1 + 51
+    torn.close()
+
+
+def _record(key, payload):
+    return json.dumps({"k": key, "p": payload},
+                      separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+#: Groups of raw records that are not one JSON object each; the pairs
+#: would read as ONE value if a record's parse could run on into the
+#: next one.
+BAD_RECORDS = [
+    (None,), (b"x" * 20 + b"\n",), (b"[1]\n",), (b" " * 5 + b"\n",),
+    (b"\x00{}\n",), (b'{"k":"a"} {"k":"b"}\n',),
+    (b'{"k":"\xc3\xa9","p":{}}\n',), (b'{"k":"\xff"}\n',),
+    (b' {"k":"a","p":{}}\n',), (b'{"k":"a","p":"\n',), (b"{}\n",),
+    (b'{"k":"a","p":[\n', b"1]}\n"), (b'{"k":"a","p":{"x":\n', b"1}}\n"),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_record_batches_parse_as_each_record_alone(seed):
+    rng = np.random.default_rng(seed)
+
+    def alone(raw):
+        if raw is None:
+            return None
+        try:
+            return json.loads(raw)
+        except ValueError:
+            return None
+
+    for _ in range(200):
+        raws = []
+        for i in range(int(rng.integers(0, 12))):
+            if rng.random() < 0.3:
+                raws.extend(BAD_RECORDS[int(rng.integers(len(BAD_RECORDS)))])
+            else:
+                raws.append(_record(f"{i:064x}", _payload(i)))
+        assert parse_records(raws) == [alone(raw) for raw in raws], raws

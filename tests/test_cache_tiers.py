@@ -14,6 +14,7 @@ from repro.core.perf_model import PredictedTime
 from repro.engine import ExperimentEngine, SimJob, SimulationCache
 from repro.engine.cache import (
     CacheStats,
+    floats_to_text,
     outcome_to_payload,
     payload_to_outcome,
 )
@@ -287,6 +288,39 @@ class TestMaintenance:
         assert cache.stats.misses == 1
         with pytest.raises((KeyError, TypeError, ValueError)):
             payload_to_outcome(payload)
+
+    @pytest.mark.parametrize("sync, iters", [
+        ((), ()), ((0.1, 0.2), (0.3,)), ((0.1, float("inf")), (0.3, 0.4)),
+        ((0.1, 0.2), (float("nan"), 0.4)),
+    ], ids=["empty", "unequal", "infinite", "nan"])
+    def test_result_record_without_simulable_samples(self, tmp_path,
+                                                     open_cache, tiny_model,
+                                                     sync, iters):
+        """A result record whose samples no simulation produces is a
+        miss: the job is simulated again, and ``verify`` flags the
+        record, while a record of a retired kind stays healthy."""
+        job = SimJob(model=tiny_model, cluster=cluster_for_gpus(4),
+                     batch_size=4, iterations=6, warmup=1)
+        key = job.fingerprint()
+        seed = open_cache(str(tmp_path))
+        seed.packs.append_many([
+            (key, {"kind": "result", "model": "m", "scheme": "s",
+                   "world_size": 4, "batch_size": 4,
+                   "sync_times": floats_to_text(sync),
+                   "iteration_times": floats_to_text(iters)}),
+            ("c" * 64, {"kind": "advisor-shard", "total_s": [0.125]})])
+        assert seed.verify()["corrupt"] == 1
+        seed.close()
+        cache = open_cache(str(tmp_path))
+        engine = ExperimentEngine(jobs=1, cache=cache)
+        result = engine.run(job)
+        assert engine.executed == 1
+        assert result == job.evaluate()
+        assert cache.stats.misses == 1
+        # The re-simulated result is stored after the bad record, and
+        # the newest record of a key wins.
+        assert cache.lookup_many([key]) == {key: result}
+        cache.close()
 
     def test_info_snapshot_shape(self, tmp_path, open_cache):
         cache = open_cache(str(tmp_path), memory_mb=1)

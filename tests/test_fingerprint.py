@@ -421,7 +421,9 @@ def test_specs_differing_in_one_field_give_different_keys(seed):
 
 def test_array_payloads_round_trip_bit_for_bit():
     """Random float64 bit patterns (NaNs aside: no result holds one)
-    plus the special values survive a payload's JSON round trip."""
+    plus the special values survive a payload's JSON round trip.  A
+    timing result's samples are non-empty and finite by contract, so
+    its leg leaves out the infinities and the empty array."""
     rng = np.random.default_rng(7)
     special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                float("inf"), float("-inf"), 1.7976931348623157e308]
@@ -431,9 +433,10 @@ def test_array_payloads_round_trip_bit_for_bit():
         values = bits.view(np.float64)
         values = np.where(np.isnan(values), -0.0, values)
         values = tuple(values.tolist()) + tuple(special)
+        finite = tuple(v for v in values if np.isfinite(v))
         result = TimingResult(model="m", scheme="s", world_size=8,
-                              batch_size=32, sync_times=values,
-                              iteration_times=values[::-1])
+                              batch_size=32, sync_times=finite,
+                              iteration_times=finite[::-1])
         shard = AdvisorShardResult(priced=n, offsets=tuple(range(len(values))),
                                    total_s=values)
         for outcome in (result, shard):
@@ -448,6 +451,21 @@ def test_array_payloads_round_trip_bit_for_bit():
                 assert (np.asarray(got).view(np.uint64).tolist()
                         == np.asarray(getattr(outcome, name))
                         .view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("sync, iters", [
+    ((), ()),
+    ((1.0, 2.0), (1.0,)),
+    ((1.0, float("inf")), (1.0, 2.0)),
+    ((1.0, 2.0), (float("nan"), 2.0)),
+])
+def test_result_payloads_without_simulable_samples_do_not_rehydrate(
+        sync, iters):
+    result = TimingResult(model="m", scheme="s", world_size=8,
+                          batch_size=32, sync_times=sync,
+                          iteration_times=iters)
+    with pytest.raises(ValueError):
+        payload_to_outcome(outcome_to_payload(result))
 
 
 # ----- memo hygiene -----------------------------------------------------------
@@ -538,3 +556,73 @@ def test_one_model_rendering_serves_100_jobs(monkeypatch):
     assert len(layer_renderings[0]) > 10_000
     assert max(len(text) for text in rendered
                if text is not layer_renderings[0]) < 2048
+
+
+def test_one_scheme_rendering_serves_100_jobs(monkeypatch):
+    """Jobs of every kind sharing one scheme object render its payload
+    once; changing an attribute renders it once more, and the keys
+    move as the oracle's do."""
+    rendered = []
+    canonical_json = fingerprint_module.canonical_json
+
+    def recording(payload):
+        text = canonical_json(payload)
+        rendered.append(text)
+        return text
+
+    monkeypatch.setattr(fingerprint_module, "canonical_json", recording)
+    model, _ = fresh_jobs()
+    cluster = cluster_for_gpus(16)
+    scheme = PowerSGDScheme(4)
+    jobs = []
+    for i in range(100):
+        inputs = PerfModelInputs(
+            world_size=16, bandwidth_bytes_per_s=gbps_to_bytes_per_s(1.0 + i))
+        jobs.append(
+            SimJob(model=model, cluster=cluster, scheme=scheme, seed=i)
+            if i % 3 == 0 else
+            ModelEvalJob(model=model, scheme=scheme, inputs=inputs)
+            if i % 3 == 1 else
+            AdvisorShardJob(model=model, scheme=scheme, inputs=inputs,
+                            world_size=16, bw_lo_gbps=1.0, bw_hi_gbps=50.0,
+                            bw_points=128, start=i, count=1))
+
+    def scheme_renderings():
+        return sum('"class":"PowerSGDScheme"' in text for text in rendered)
+
+    before = [(job.fingerprint(), job.family_key()) for job in jobs]
+    assert len({key for key, _ in before}) == 100
+    assert scheme_renderings() == 1
+    scheme.rank = 5
+    after = [(job.fingerprint(), job.family_key()) for job in jobs]
+    assert scheme_renderings() == 2
+    for job, old, new in zip(jobs, before, after):
+        assert new[0] != old[0] and new[1] != old[1]
+        assert new == (oracle_fingerprint(job), oracle_family_key(job))
+
+
+@pytest.mark.parametrize("first, then", [
+    (1, 1.0), (1, True), (0, False), (0.0, -0.0), (-0.0, 0.0)])
+def test_scheme_attribute_of_an_equal_value_is_rendered_again(first, then):
+    """The scheme memo compares attribute values by identity: values
+    that compare equal but render differently never share a key."""
+    scheme = TopKScheme(0.01)
+    job = ModelEvalJob(model=get_model("resnet50"), scheme=scheme,
+                       inputs=PerfModelInputs(world_size=8,
+                                              bandwidth_bytes_per_s=1e9))
+    scheme.extra = first
+    key = job.fingerprint()
+    scheme.extra = then
+    assert job.fingerprint() == oracle_fingerprint(job) != key
+
+
+def test_scheme_holding_a_mutable_value_is_rendered_on_every_call():
+    scheme = TopKScheme(0.01)
+    scheme.layers = [1, 2]
+    job = ModelEvalJob(model=get_model("resnet50"), scheme=scheme,
+                       inputs=PerfModelInputs(world_size=8,
+                                              bandwidth_bytes_per_s=1e9))
+    key = job.fingerprint()
+    scheme.layers.append(3)
+    assert job.fingerprint() != key
+    assert job.fingerprint() == oracle_fingerprint(job)

@@ -17,6 +17,7 @@ from repro.models import (
     vgg16,
     TransformerConfig,
 )
+from repro.models import zoo
 
 
 class TestResNetBuilders:
@@ -124,7 +125,12 @@ class TestZooRegistry:
         with pytest.raises(ConfigurationError, match="available"):
             get_model("alexnet")
 
-    def test_register_custom(self):
+    def test_register_custom(self, monkeypatch):
+        # The zoo is process-wide: register into copies of its tables,
+        # which monkeypatch swaps back, so tests drawing from
+        # available_models() never see this model.
+        monkeypatch.setattr(zoo, "_BUILDERS", dict(zoo._BUILDERS))
+        monkeypatch.setattr(zoo, "_CACHE", dict(zoo._CACHE))
         register_model("custom-rn", lambda: build_resnet(50, num_classes=7),
                        overwrite=True)
         assert get_model("custom-rn").layer_named("fc").param_shape[0] == 7

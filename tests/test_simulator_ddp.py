@@ -250,3 +250,36 @@ class TestConfigValidation:
     def test_negative_jitter_rejected(self):
         with pytest.raises(ConfigurationError):
             DDPConfig(compute_jitter=-0.1)
+
+
+def _bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_result_statistics_are_numpy_bit_for_bit(seed):
+    """``mean``/``std``/``mean_iteration`` skip numpy's wrappers but
+    must return exactly what ``np.mean``/``np.std`` return, over every
+    length the protocol can produce and magnitudes far from 1."""
+    from repro.simulator import TimingResult
+
+    rng = np.random.default_rng(seed)
+    for _ in range(250):
+        n = int(rng.integers(1, 301))
+        scale = 10.0 ** rng.integers(-300, 300)
+        samples = rng.standard_normal(n) * scale
+        if rng.random() < 0.3:  # a large offset, small spread
+            samples = samples * 1e-9 + scale
+        if rng.random() < 0.2:  # all equal
+            samples = np.full(n, samples[0])
+        sync = tuple(samples.tolist())
+        iters = tuple(rng.permutation(samples).tolist())
+        result = TimingResult(model="m", scheme="s", world_size=8,
+                              batch_size=32, sync_times=sync,
+                              iteration_times=iters)
+        # Squared deviations near 1e300 overflow, alike on both sides.
+        with np.errstate(over="ignore"):
+            assert type(result.mean) is float and type(result.std) is float
+            assert _bits(result.mean) == _bits(np.mean(sync))
+            assert _bits(result.std) == _bits(np.std(sync))
+            assert _bits(result.mean_iteration) == _bits(np.mean(iters))

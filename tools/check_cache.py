@@ -14,10 +14,16 @@ directory:
 * a real ``repro serve --cache-preload --cache-mem-mb`` boots over
   the directory and its ``/healthz`` must show the hot tier warm
   before any request arrived;
-* finally a directory holding one pack record whose payload is not an
-  object (``[]``) must fail ``repro cache verify`` with its ``FAILED``
-  line and no traceback, and a run over it must still succeed with the
-  cold digest.
+* a directory holding one pack record whose payload is not an object
+  (``[]``) must fail ``repro cache verify`` with its ``FAILED`` line and
+  no traceback, and a run over it must still succeed with the cold
+  digest;
+* a copy of the warm directory whose index ends in a torn line must
+  serve every intact entry (no re-simulation, the cold digest) and
+  report exactly 1 truncated index entry;
+* finally a copy in which one result's newest record has empty samples
+  must fail ``repro cache verify``, re-simulate exactly that job with
+  the cold digest, and verify clean afterwards.
 
 Exits non-zero with one problem per line on stderr, so the make target
 fails loudly and the CI log says exactly which guarantee broke.
@@ -39,6 +45,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.engine import PackStore  # noqa: E402
+from repro.engine.pack import INDEX_FILENAME  # noqa: E402
 
 #: The exhibit the smoke run sweeps: small but simulator-backed, so the
 #: cache actually carries outcomes (analytic exhibits would cache
@@ -155,6 +162,54 @@ def check_roundtrip(workdir: str) -> List[str]:
         if bad_digest != digest:
             problems.append(f"digest over a non-object record "
                             f"{bad_digest} != cold {digest}")
+
+    # --- 6. a torn index tail: intact entries serve, one is truncated
+    torn_dir = os.path.join(workdir, "torn-index")
+    shutil.copytree(cold_dir, torn_dir)
+    with open(os.path.join(torn_dir, INDEX_FILENAME), "a",
+              encoding="utf-8") as handle:
+        handle.write('{"k":"' + "0" * 64 + '","s":"pack-0')
+    torn = _run_exhibit(torn_dir, problems, "run over a torn index")
+    if torn is not None:
+        stats = torn["results"]["engine"]
+        truncated = torn["results"]["cache"]["pack"]["truncated"]
+        if stats["cache_misses"] != 0 or truncated != 1:
+            problems.append(
+                f"torn index tail: {stats['cache_misses']} misses and "
+                f"{truncated} truncated (want 0 and 1)")
+        if torn["results"]["exhibits"][EXHIBIT]["digest"] != digest:
+            problems.append("digest over a torn index differs from cold")
+
+    # --- 7. an empty-sample result record: flagged, then re-simulated
+    empty_dir = os.path.join(workdir, "empty-samples")
+    shutil.copytree(cold_dir, empty_dir)
+    store = PackStore(empty_dir)
+    key = next(key for key in sorted(store.index)
+               if store.lookup(key).get("kind") == "result")
+    store.append_many([(key, {**store.lookup(key), "sync_times": "",
+                              "iteration_times": ""})])
+    store.close()
+    proc = _repro("cache", "verify", "--cache", empty_dir)
+    if proc.returncode != 1 or "FAILED" not in proc.stdout:
+        problems.append(
+            f"verify over an empty-sample record exited "
+            f"{proc.returncode} (want 1 with a FAILED line):\n"
+            f"{proc.stdout.strip()}")
+    empty = _run_exhibit(empty_dir, problems,
+                         "run over an empty-sample record")
+    if empty is not None:
+        misses = empty["results"]["engine"]["cache_misses"]
+        if misses != 1:
+            problems.append(f"empty-sample record: {misses} misses "
+                            f"(want 1, the job re-simulated)")
+        if empty["results"]["exhibits"][EXHIBIT]["digest"] != digest:
+            problems.append("digest over an empty-sample record differs "
+                            "from cold")
+        proc = _repro("cache", "verify", "--cache", empty_dir)
+        if proc.returncode != 0:
+            problems.append(f"verify after re-simulating the empty-sample "
+                            f"record exited {proc.returncode}:\n"
+                            f"{proc.stdout.strip()}")
     return problems
 
 
@@ -177,8 +232,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:
-        print(f"cache ok: a warm re-serve, verify, a preloaded serve "
-              f"and a non-object record all byte-stable on {EXHIBIT}")
+        print(f"cache ok: a warm re-serve, verify, a preloaded serve, a "
+              f"non-object record, a torn index and an empty-sample record "
+              f"all byte-stable on {EXHIBIT}")
     return 1 if problems else 0
 
 
